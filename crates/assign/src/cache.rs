@@ -47,13 +47,11 @@
 //!      sequence id-lists, the partition task universe and the per-node
 //!      budget), so a verified hit is bitwise identical to a recompute.
 //!
-//! Workers whose reachable set is empty are excluded from the dependency
-//! graph before tree construction: each would form an isolated singleton
-//! partition whose search assigns nothing (the cluster-tree build is
-//! per-component, and dropping isolated vertices leaves every other
-//! component's member order, edges and subtree shape unchanged), so their
-//! "plans" are reused trivially. On quiet, worker-heavy instants this
-//! eliminates the bulk of tree construction and allocation outright.
+//! Workers whose reachable set is empty never reach this module's partition
+//! layer: the planner drops them before the dependency graph is built, on
+//! the incremental and the full route alike (each would form an isolated
+//! singleton partition whose search assigns nothing). The incremental route
+//! counts them as reused partitions.
 
 use crate::config::AssignConfig;
 use crate::partition::Partition;

@@ -21,11 +21,11 @@
 //! instead: its member workers (with their exact kinematic state) plus
 //! their reachable task lists in stable real-id space. Two instants that
 //! produce a content-identical partition produce the same search output, no
-//! matter where in the tree it landed. On the incremental path, workers
-//! with empty reachable sets are excluded *before* the graph is built (each
-//! would form a trivial partition assigning nothing — they are counted as
-//! reused instead of materialised); the full path below keeps them as
-//! trivial partitions, and both paths assign such workers nothing.
+//! matter where in the tree it landed. The planner drops workers with empty
+//! reachable sets *before* the graph is built, on every route (each would
+//! form a trivial partition assigning nothing), so in a planning call every
+//! partition has at least one reachable task; [`split_cluster_tree`] itself
+//! still materialises such a worker as a trivial partition if handed one.
 
 use crate::reachable::ReachableSets;
 use datawa_core::{TaskId, WorkerId};

@@ -5,6 +5,13 @@
 //! graph partition and recursive tree construction → exact or TVF-guided
 //! depth-first search, per connected component.
 //!
+//! Workers that reach no task are dropped right after the reachable sets are
+//! known, on every route (full, incremental, guided, training-sample
+//! collection): such a worker is an isolated vertex of the dependency graph
+//! with no candidate sequence, so it can neither be assigned anything nor
+//! influence another worker's partition, and at the paper's operating point
+//! it is the overwhelming majority of idle workers.
+//!
 //! ## Partitioned, multi-core planning
 //!
 //! Each root subtree of the cluster tree is an independent subproblem (its
@@ -49,11 +56,14 @@ pub struct PlanningReport {
     /// Average reachable tasks per worker.
     pub mean_reachable: f64,
     /// Number of independent planning partitions (cluster-tree root
-    /// subtrees) this instant split into. Zero for the greedy baseline,
-    /// which has no dependency graph.
+    /// subtrees) this instant split into: partitions with at least one
+    /// reachable task — workers that reach nothing are dropped before the
+    /// dependency graph is built and form none. Zero for the greedy
+    /// baseline, which has no dependency graph, and for an instant at which
+    /// no worker reaches any task.
     pub partitions: usize,
-    /// Workers in the largest partition — the span of the critical path a
-    /// thread pool cannot shorten further.
+    /// Workers in the largest of those partitions — the span of the
+    /// critical path a thread pool cannot shorten further.
     pub max_partition_workers: usize,
     /// Threads the partition pool actually occupied
     /// (`min(configured, partitions)`, at least 1).
@@ -63,13 +73,15 @@ pub struct PlanningReport {
     /// guided search (which visits each worker exactly once), zero for the
     /// greedy baseline.
     pub nodes_expanded: usize,
-    /// Partitions whose plan was reused this instant instead of searched:
-    /// verified plan-cache hits plus workers with empty reachable sets
-    /// (each a trivial singleton partition assigning nothing). Zero on the
-    /// full (non-incremental) path.
+    /// Partitions whose plan was reused this instant instead of searched,
+    /// on the incremental route: verified plan-cache hits plus the workers
+    /// dropped for reaching nothing (each would have been a trivial
+    /// singleton partition assigning nothing). Always zero on the full
+    /// route, which has no cache to reuse from and does not count the
+    /// dropped workers.
     pub partitions_reused: usize,
-    /// Partitions actually searched this instant. On the full path this is
-    /// every partition.
+    /// Partitions actually searched this instant. On the full route this is
+    /// every partition counted by `partitions`.
     pub partitions_recomputed: usize,
 }
 
@@ -157,7 +169,10 @@ impl Planner {
     /// caller supplies one (vouching that every candidate task is real and
     /// mapping planning ids back to stable real ids), the exact partitioned
     /// search may reuse cached per-partition plans from earlier instants —
-    /// bitwise identical output, work proportional to what changed. The
+    /// bitwise identical output, fewer partitions searched. The two routes
+    /// differ only in where reachable sets and partition plans come from
+    /// (recomputed vs. verified against the cache); both plan the same
+    /// workers — those that reach at least one task. The
     /// greedy and TVF-guided modes ignore the context (greedy has no
     /// partitions; the guided search's TVF features depend on `now`, which
     /// content fingerprints cannot capture), as does
@@ -269,10 +284,18 @@ impl Planner {
     }
 
     /// The partitioned search path shared by [`SearchMode::Exact`] and the
-    /// TVF-guided modes: build the dependency graph and cluster tree once,
-    /// split the instant into independent partitions, search each partition
-    /// against its own available set on the pool, and merge in partition
-    /// order.
+    /// TVF-guided modes: drop the workers that reach nothing, build the
+    /// dependency graph and cluster tree over the rest once, split the
+    /// instant into independent partitions, search each partition against
+    /// its own available set on the pool, and merge in partition order.
+    ///
+    /// With an [`IncrementalContext`] (exact search only) reachable sets are
+    /// refreshed through the plan cache (per-worker verify-or-rescan) and
+    /// only fingerprint-missed partitions are searched; candidate sequences
+    /// are still regenerated for every planned worker (they are
+    /// `now`-dependent, so they are part of the cache-hit criterion rather
+    /// than cached output). Splicing in partition-index order keeps the
+    /// output bitwise identical to the full route at every thread count.
     #[allow(clippy::too_many_arguments)]
     fn plan_partitioned(
         &mut self,
@@ -300,27 +323,46 @@ impl Planner {
         let config = self.config;
         // Incremental route: exact search only (TVF features depend on
         // `now`), with the caller's context and the toggle both agreeing.
-        if tvf.is_none() && config.incremental.enabled() {
-            if let Some(ctx) = ctx {
-                return self.plan_partitioned_incremental(
+        let ctx = ctx.filter(|_| tvf.is_none() && config.incremental.enabled());
+        // Lines 2–5: reachable tasks and candidate sequences per worker.
+        let reachable = match ctx {
+            Some(ctx) => {
+                debug_assert_eq!(
+                    ctx.real_ids.len(),
+                    candidate_tasks.len(),
+                    "incremental context must map every candidate task"
+                );
+                let (reachable, _rescanned) = self.cache.refresh_reachable(
                     worker_ids,
                     candidate_tasks,
+                    ctx.real_ids,
                     workers,
                     tasks,
+                    &config,
                     now,
-                    ctx,
-                    start,
-                    report,
                 );
+                reachable
             }
-        }
-        // Lines 2–5: reachable tasks and candidate sequences per worker.
-        let reachable = reachable_tasks(worker_ids, candidate_tasks, workers, tasks, &config, now);
+            None => reachable_tasks(worker_ids, candidate_tasks, workers, tasks, &config, now),
+        };
         report.mean_reachable = reachable.mean_reachable();
+        // A worker that reaches nothing is an isolated vertex of the
+        // dependency graph with no candidate sequence: it would form a
+        // singleton partition assigning nothing. Dropping it here leaves
+        // every other component's member order, edges and subtree shape —
+        // hence every plan and every index tie-break — unchanged.
+        let planned = reachable.workers_with_reach(worker_ids);
+        if ctx.is_some() {
+            report.partitions_reused = worker_ids.len() - planned.len();
+        }
+        if planned.is_empty() {
+            report.elapsed_seconds = start.elapsed().as_secs_f64();
+            return (Assignment::new(), report);
+        }
         let sequences = Self::fill_sequences(
             &mut self.scratch_sequences,
             &mut self.gen_scratch,
-            worker_ids,
+            &planned,
             workers,
             tasks,
             &reachable,
@@ -331,158 +373,90 @@ impl Planner {
         // Line 6: worker dependency graph; lines 7–10: per component,
         // partition, build the tree, and search it — one partition (root
         // subtree) per pool task.
-        let (graph, mapping) = build_worker_dependency_graph(worker_ids, &reachable);
+        let (graph, mapping) = build_worker_dependency_graph(&planned, &reachable);
         let tree = build_tree(&config, &graph);
         report.tree_nodes = tree.len();
         let partitions = split_cluster_tree(&tree, &mapping, &reachable);
         report.partitions = partitions.len();
-        report.partitions_recomputed = partitions.len();
         report.max_partition_workers = partitions
             .iter()
             .map(|p| p.worker_ids.len())
             .max()
             .unwrap_or(0);
         let threads = pool::effective_threads(config.threads);
-        report.threads_used = threads.min(partitions.len()).max(1);
-        let plans = pool::run_indexed(threads, &partitions, |_, p: &Partition| {
-            let mut available = p.task_set();
-            match tvf {
-                None => {
-                    search.exact_partition_counted(&tree, &mapping, p.root, &mut available, None)
-                }
-                Some(tvf) => {
-                    let plan =
-                        search.guided_partition(&tree, &mapping, p.root, &mut available, tvf);
-                    let nodes = plan.len();
-                    (plan, nodes)
-                }
+        type PartitionPlan = (Vec<(WorkerId, TaskSequence)>, usize);
+        let plans: Vec<PartitionPlan> = match ctx {
+            None => {
+                report.partitions_recomputed = partitions.len();
+                report.threads_used = threads.min(partitions.len()).max(1);
+                pool::run_indexed(threads, &partitions, |_, p: &Partition| {
+                    let mut available = p.task_set();
+                    match tvf {
+                        None => search.exact_partition_counted(
+                            &tree,
+                            &mapping,
+                            p.root,
+                            &mut available,
+                            None,
+                        ),
+                        Some(tvf) => {
+                            let plan = search.guided_partition(
+                                &tree,
+                                &mapping,
+                                p.root,
+                                &mut available,
+                                tvf,
+                            );
+                            let nodes = plan.len();
+                            (plan, nodes)
+                        }
+                    }
+                })
             }
-        });
+            Some(ctx) => {
+                let epoch = ctx.forecast_epoch;
+                // Sequential probe pre-pass: hits splice their translated
+                // stored plan, misses queue for the pool.
+                let mut slots: Vec<Option<PartitionPlan>> = Vec::with_capacity(partitions.len());
+                let mut keys: Vec<u64> = Vec::with_capacity(partitions.len());
+                let mut misses: Vec<usize> = Vec::new();
+                for p in &partitions {
+                    let (key, hit) = self.cache.probe(p, sequences, ctx.real_ids, workers, epoch);
+                    keys.push(key);
+                    if hit.is_none() {
+                        misses.push(p.index);
+                    }
+                    slots.push(hit.map(|plan| (plan, 0)));
+                }
+                report.partitions_reused += partitions.len() - misses.len();
+                report.partitions_recomputed = misses.len();
+                report.threads_used = threads.min(misses.len()).max(1);
+                let miss_parts: Vec<&Partition> = misses.iter().map(|&i| &partitions[i]).collect();
+                let computed = pool::run_indexed(threads, &miss_parts, |_, p: &&Partition| {
+                    let mut available = p.task_set();
+                    search.exact_partition_counted(&tree, &mapping, p.root, &mut available, None)
+                });
+                for (&i, plan) in misses.iter().zip(computed) {
+                    self.cache.store(
+                        keys[i],
+                        &partitions[i],
+                        sequences,
+                        ctx.real_ids,
+                        workers,
+                        epoch,
+                        &plan.0,
+                    );
+                    slots[i] = Some(plan);
+                }
+                slots
+                    .into_iter()
+                    // datawa-lint: allow(unwrap-in-hot-path) -- run_indexed writes every slot exactly once; a hole means a pool bug, not a data condition
+                    .map(|slot| slot.expect("every partition resolved"))
+                    .collect()
+            }
+        };
         let mut assignment = Assignment::new();
         for (plan, nodes) in plans {
-            report.nodes_expanded += nodes;
-            for (w, seq) in plan {
-                assignment.set(w, seq);
-            }
-        }
-        report.elapsed_seconds = start.elapsed().as_secs_f64();
-        (assignment, report)
-    }
-
-    /// The incremental twin of the exact partitioned path. Reachable sets
-    /// are refreshed through the plan cache (per-worker verify-or-rescan),
-    /// workers with empty reachable sets are excluded before the dependency
-    /// graph is built (each would form a trivial singleton partition
-    /// assigning nothing — counted as reused), candidate sequences are
-    /// regenerated for every included worker (they are `now`-dependent, so
-    /// they are part of the cache-hit criterion rather than cached output),
-    /// and only fingerprint-missed partitions are searched. Splicing in
-    /// partition-index order keeps the output bitwise identical to the full
-    /// path at every thread count.
-    #[allow(clippy::too_many_arguments)]
-    fn plan_partitioned_incremental(
-        &mut self,
-        worker_ids: &[WorkerId],
-        candidate_tasks: &[TaskId],
-        workers: &WorkerStore,
-        tasks: &TaskStore,
-        now: Timestamp,
-        ctx: &IncrementalContext<'_>,
-        start: Instant,
-        mut report: PlanningReport,
-    ) -> (Assignment, PlanningReport) {
-        let config = self.config;
-        debug_assert_eq!(
-            ctx.real_ids.len(),
-            candidate_tasks.len(),
-            "incremental context must map every candidate task"
-        );
-        let (reachable, _rescanned) = self.cache.refresh_reachable(
-            worker_ids,
-            candidate_tasks,
-            ctx.real_ids,
-            workers,
-            tasks,
-            &config,
-            now,
-        );
-        report.mean_reachable = reachable.mean_reachable();
-        let included: Vec<WorkerId> = worker_ids
-            .iter()
-            .copied()
-            .filter(|&w| !reachable.of(w).is_empty())
-            .collect();
-        let excluded = worker_ids.len() - included.len();
-        if included.is_empty() {
-            report.partitions_reused = excluded;
-            report.elapsed_seconds = start.elapsed().as_secs_f64();
-            return (Assignment::new(), report);
-        }
-        let sequences = Self::fill_sequences(
-            &mut self.scratch_sequences,
-            &mut self.gen_scratch,
-            &included,
-            workers,
-            tasks,
-            &reachable,
-            &config,
-            now,
-        );
-        let search = DfSearch::new(workers, tasks, &config, now, sequences, &reachable);
-        let (graph, mapping) = build_worker_dependency_graph(&included, &reachable);
-        let tree = build_tree(&config, &graph);
-        report.tree_nodes = tree.len();
-        let partitions = split_cluster_tree(&tree, &mapping, &reachable);
-        report.partitions = partitions.len();
-        report.max_partition_workers = partitions
-            .iter()
-            .map(|p| p.worker_ids.len())
-            .max()
-            .unwrap_or(0);
-        let epoch = ctx.forecast_epoch;
-        // Sequential probe pre-pass: hits splice their translated stored
-        // plan, misses queue for the pool.
-        type Slot = (Vec<(WorkerId, TaskSequence)>, usize);
-        let mut slots: Vec<Option<Slot>> = Vec::with_capacity(partitions.len());
-        let mut keys: Vec<u64> = Vec::with_capacity(partitions.len());
-        let mut misses: Vec<usize> = Vec::new();
-        for p in &partitions {
-            let (key, hit) = self.cache.probe(p, sequences, ctx.real_ids, workers, epoch);
-            keys.push(key);
-            match hit {
-                Some(plan) => slots.push(Some((plan, 0))),
-                None => {
-                    misses.push(p.index);
-                    slots.push(None);
-                }
-            }
-        }
-        let hits = partitions.len() - misses.len();
-        report.partitions_reused = excluded + hits;
-        report.partitions_recomputed = misses.len();
-        let threads = pool::effective_threads(config.threads);
-        report.threads_used = threads.min(misses.len()).max(1);
-        let miss_parts: Vec<&Partition> = misses.iter().map(|&i| &partitions[i]).collect();
-        let computed = pool::run_indexed(threads, &miss_parts, |_, p: &&Partition| {
-            let mut available = p.task_set();
-            search.exact_partition_counted(&tree, &mapping, p.root, &mut available, None)
-        });
-        for (&i, plan) in misses.iter().zip(computed) {
-            self.cache.store(
-                keys[i],
-                &partitions[i],
-                sequences,
-                ctx.real_ids,
-                workers,
-                epoch,
-                &plan.0,
-            );
-            slots[i] = Some(plan);
-        }
-        let mut assignment = Assignment::new();
-        for slot in slots {
-            // datawa-lint: allow(unwrap-in-hot-path) -- run_indexed writes every slot exactly once; a hole means a pool bug, not a data condition
-            let (plan, nodes) = slot.expect("every partition resolved");
             report.nodes_expanded += nodes;
             for (w, seq) in plan {
                 assignment.set(w, seq);
@@ -510,10 +484,13 @@ impl Planner {
         }
         let config = self.config;
         let reachable = reachable_tasks(worker_ids, candidate_tasks, workers, tasks, &config, now);
+        // Same worker filter as planning: a worker that reaches nothing has
+        // no action to sample.
+        let planned = reachable.workers_with_reach(worker_ids);
         let sequences = Self::fill_sequences(
             &mut self.scratch_sequences,
             &mut self.gen_scratch,
-            worker_ids,
+            &planned,
             workers,
             tasks,
             &reachable,
@@ -521,7 +498,7 @@ impl Planner {
             now,
         );
         let search = DfSearch::new(workers, tasks, &config, now, sequences, &reachable);
-        let (graph, mapping) = build_worker_dependency_graph(worker_ids, &reachable);
+        let (graph, mapping) = build_worker_dependency_graph(&planned, &reachable);
         let tree = build_tree(&config, &graph);
         let partitions = split_cluster_tree(&tree, &mapping, &reachable);
         let mut samples = Vec::new();

@@ -23,6 +23,18 @@ impl ReachableSets {
             .unwrap_or(&[])
     }
 
+    /// The listed workers that reach at least one task, in the given order.
+    /// Only these take part in dependency separation and search: a worker
+    /// that reaches nothing is an isolated vertex of the dependency graph
+    /// and has no candidate sequence.
+    pub fn workers_with_reach(&self, worker_ids: &[WorkerId]) -> Vec<WorkerId> {
+        worker_ids
+            .iter()
+            .copied()
+            .filter(|&w| !self.of(w).is_empty())
+            .collect()
+    }
+
     /// Total number of (worker, task) reachability pairs.
     pub fn pair_count(&self) -> usize {
         self.per_worker.values().map(Vec::len).sum()

@@ -64,8 +64,11 @@ const TASK_SCALE: f64 = 0.01; // ≈ 1/100 tasks
 const TIME_SCALE: f64 = 1.0 / 600.0; // ≈ 1/10 minutes
 const DIST_SCALE: f64 = 0.2; // ≈ 1/5 km
 
-fn feature_vector(state: &StateFeatures, action: &ActionFeatures) -> Matrix {
-    Matrix::row_vector(&[
+/// Width of the feature vector fed to the network.
+pub const FEATURE_DIM: usize = 7;
+
+fn feature_vector(state: &StateFeatures, action: &ActionFeatures) -> [f64; FEATURE_DIM] {
+    [
         state.remaining_workers as f64 * WORKER_SCALE,
         state.remaining_tasks as f64 * TASK_SCALE,
         state.mean_reachable * 0.1,
@@ -73,11 +76,8 @@ fn feature_vector(state: &StateFeatures, action: &ActionFeatures) -> Matrix {
         action.travel_time * TIME_SCALE,
         action.travel_distance * DIST_SCALE,
         action.remaining_window * TIME_SCALE,
-    ])
+    ]
 }
-
-/// Width of the feature vector fed to the network.
-pub const FEATURE_DIM: usize = 7;
 
 /// The learned task value function: a two-layer MLP regressor.
 pub struct TaskValueFunction {
@@ -95,8 +95,8 @@ impl TaskValueFunction {
         }
     }
 
-    fn forward(&self, features: &Matrix) -> Var {
-        let x = Var::constant(features.clone());
+    fn forward(&self, features: &[f64; FEATURE_DIM]) -> Var {
+        let x = Var::constant(Matrix::row_vector(features));
         let h = self.hidden.forward(&x).relu();
         self.output.forward(&h)
     }
@@ -153,8 +153,7 @@ impl TaskValueFunction {
                 let mut y = Matrix::zeros(batch, 1);
                 for row in 0..batch {
                     let (s, a, opt) = samples[rng.gen_range(0..samples.len())];
-                    let f = feature_vector(&s, &a);
-                    x.row_mut(row).copy_from_slice(f.row(0));
+                    x.row_mut(row).copy_from_slice(&feature_vector(&s, &a));
                     y.set(row, 0, opt);
                 }
                 optimizer.zero_grad();
@@ -176,10 +175,15 @@ impl TaskValueFunction {
 /// The autograd [`Var`] handles inside the TVF are `Rc`-based and therefore
 /// neither `Send` nor `Sync`; the partitioned planner fans the guided search
 /// out across a thread pool, so inference runs on this plain-`Matrix` copy of
-/// the weights instead. The forward pass applies exactly the same `Matrix`
-/// operations in exactly the same order as [`TaskValueFunction::value`], so
-/// the two produce bit-identical values (pinned by a test below) and swapping
-/// one for the other can never change a planning decision.
+/// the weights instead. The guided search scores every candidate sequence of
+/// every planned worker through [`TvfInference::value`], so it allocates
+/// nothing: the features sit in a stack array and each hidden unit is folded
+/// into the output as soon as it is computed. Every scalar goes through
+/// exactly the floating-point operations, in exactly the order, that the
+/// `Matrix` ops behind [`TaskValueFunction::value`] apply to it (including
+/// `Matrix::matmul` skipping a zero left operand), so the two produce
+/// bit-identical values (pinned by a test below) and swapping one for the
+/// other can never change a planning decision.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TvfInference {
     hidden_w: Matrix,
@@ -192,13 +196,24 @@ impl TvfInference {
     /// Predicted value `TVF(s_t, a_t)` of one state-action pair.
     pub fn value(&self, state: &StateFeatures, action: &ActionFeatures) -> f64 {
         let x = feature_vector(state, action);
-        let h = x
-            .matmul(&self.hidden_w)
-            .add_row_broadcast(&self.hidden_b)
-            .map(|v| v.max(0.0));
-        h.matmul(&self.output_w)
-            .add_row_broadcast(&self.output_b)
-            .get(0, 0)
+        let mut out = 0.0;
+        for j in 0..self.hidden_w.cols() {
+            // h_j = relu(Σ_k x_k · W1[k][j] + b1[j]), accumulated in k order.
+            let mut h = 0.0;
+            for (k, &a) in x.iter().enumerate() {
+                if a == 0.0 {
+                    continue;
+                }
+                h += a * self.hidden_w.get(k, j);
+            }
+            h += self.hidden_b.get(0, j);
+            let h = h.max(0.0);
+            if h == 0.0 {
+                continue;
+            }
+            out += h * self.output_w.get(j, 0);
+        }
+        out + self.output_b.get(0, 0)
     }
 }
 
@@ -280,6 +295,25 @@ mod tests {
                 assert_eq!(tvf.value(&s, &a), frozen.value(&s, &a));
             }
         }
+        // Exact zeros take `Matrix::matmul`'s skip branch: all-zero
+        // features, zeros (of either sign) in some positions, and weights
+        // that zero every hidden unit after the ReLU.
+        let zero_state = StateFeatures::default();
+        let zero_action = ActionFeatures::default();
+        assert_eq!(
+            tvf.value(&zero_state, &zero_action),
+            frozen.value(&zero_state, &zero_action)
+        );
+        let s = sample_state(3, 0);
+        let a = ActionFeatures {
+            travel_time: 0.0,
+            remaining_window: -0.0,
+            ..sample_action(2)
+        };
+        assert_eq!(tvf.value(&s, &a), frozen.value(&s, &a));
+        tvf.hidden.b.set_value(Matrix::filled(1, 12, -1.0e6)); // every hidden unit dead
+        let dead = tvf.inference();
+        assert_eq!(tvf.value(&s, &a), dead.value(&s, &a));
     }
 
     #[test]

@@ -42,10 +42,8 @@ impl ClusterTree {
     pub fn build(graph: &UnGraph) -> ClusterTree {
         let mut tree = ClusterTree::default();
         for component in graph.connected_components() {
-            let allowed: BTreeSet<usize> = component.iter().copied().collect();
-            if let Some(root) = build_recursive(graph, &allowed, &mut tree.nodes) {
-                tree.roots.push(root);
-            }
+            let root = build_component(graph, component, &mut tree.nodes);
+            tree.roots.push(root);
         }
         tree
     }
@@ -143,17 +141,25 @@ impl ClusterTree {
     }
 }
 
-/// Recursive step of RTC on the subgraph of `graph` induced by `allowed`.
-/// Returns the index of the created root node, or `None` when `allowed` is
-/// empty.
-fn build_recursive(
-    graph: &UnGraph,
-    allowed: &BTreeSet<usize>,
-    nodes: &mut Vec<TreeNode>,
-) -> Option<usize> {
-    if allowed.is_empty() {
-        return None;
+/// Builds the subtree of one connected (non-empty) component and returns the
+/// index of its root node. A one-vertex component is its own separator
+/// clique with nothing below it, so it becomes a leaf without the induced
+/// subgraph and chordal completion the recursive step would run to reach the
+/// same node — sparse dependency graphs are mostly such components.
+fn build_component(graph: &UnGraph, component: Vec<usize>, nodes: &mut Vec<TreeNode>) -> usize {
+    if component.len() == 1 {
+        nodes.push(TreeNode {
+            members: component,
+            children: Vec::new(),
+        });
+        return nodes.len() - 1;
     }
+    build_recursive(graph, &component.into_iter().collect(), nodes)
+}
+
+/// Recursive step of RTC on the subgraph of `graph` induced by the non-empty
+/// set `allowed`. Returns the index of the created root node.
+fn build_recursive(graph: &UnGraph, allowed: &BTreeSet<usize>, nodes: &mut Vec<TreeNode>) -> usize {
     // Work on the induced subgraph so clique enumeration only sees `allowed`.
     let member_list: Vec<usize> = allowed.iter().copied().collect();
     let (sub, mapping) = graph.induced_subgraph(&member_list);
@@ -162,7 +168,6 @@ fn build_recursive(
     // breaking ties towards smaller cliques then lexicographic order, so the
     // construction is deterministic.
     let mut best_clique: Option<&Vec<usize>> = None;
-    let mut best_components = usize::MAX;
     let mut best_score: Option<(std::cmp::Reverse<usize>, usize)> = None;
     for clique in &decomposition.cliques {
         let clique_set: BTreeSet<usize> = clique.iter().copied().collect();
@@ -174,13 +179,11 @@ fn build_recursive(
         if best_score.is_none_or(|bs| score < bs) {
             best_score = Some(score);
             best_clique = Some(clique);
-            best_components = comps.len();
         }
     }
     let separator = best_clique
         .expect("non-empty graph yields at least one clique")
         .clone();
-    let _ = best_components;
     // Map separator back to original node ids.
     let members: Vec<usize> = separator.iter().map(|&v| mapping[v]).collect();
     let node_index = nodes.len();
@@ -191,16 +194,13 @@ fn build_recursive(
     // Recurse into each component of (allowed \ separator).
     let member_set: BTreeSet<usize> = members.iter().copied().collect();
     let remaining: BTreeSet<usize> = allowed.difference(&member_set).copied().collect();
-    let components = graph.components_within(&remaining);
-    let mut children = Vec::new();
-    for component in components {
-        let comp_set: BTreeSet<usize> = component.into_iter().collect();
-        if let Some(child) = build_recursive(graph, &comp_set, nodes) {
-            children.push(child);
-        }
-    }
+    let children = graph
+        .components_within(&remaining)
+        .into_iter()
+        .map(|component| build_component(graph, component, nodes))
+        .collect();
     nodes[node_index].children = children;
-    Some(node_index)
+    node_index
 }
 
 #[cfg(test)]

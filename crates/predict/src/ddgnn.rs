@@ -16,15 +16,30 @@
 //! exactly `D̂ = 2·I`, so the normalised adjacency reduces to `(A^t + I)/2`;
 //! this keeps the propagation fully differentiable with the available ops
 //! while matching Eq. 8 exactly.
+//!
+//! ## Inference
+//!
+//! Training runs [`DemandPredictor::forward`] through the autograd graph.
+//! Inference ([`DemandPredictor::predict`] / [`DemandPredictor::predict_next`])
+//! does not: only the *last* timestep of the temporal convolution feeds the
+//! rest of the model, so its causal unfold is gathered for all cells into one
+//! `(M, k·kernel)` matrix — straight from the rolling windows of a live
+//! forecaster, or from a [`SeriesExample`] — and pushed through the gated
+//! conv, the dependency learner, the propagation and the head on plain
+//! `Matrix` buffers the model owns. Every scalar meets the same
+//! floating-point operations in the same order as in `forward` (matrix
+//! products are row-independent), so the probabilities are bit-identical.
 
-use crate::dependency::DependencyLearner;
+use crate::dependency::{AdjacencyScratch, DependencyLearner};
 use crate::series::SeriesExample;
 use crate::stack_rows;
 use crate::trainer::DemandPredictor;
 use datawa_tensor::layers::{Dense, GatedTemporalConv};
+use datawa_tensor::matrix::sigmoid;
 use datawa_tensor::{Matrix, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::RefCell;
 
 /// Hyper-parameters of the DDGNN model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,6 +81,24 @@ pub struct DdgnnPredictor {
     /// When `false`, the dynamic adjacency is replaced by the identity matrix
     /// (no inter-region propagation) — used by the ablation benchmark.
     use_dynamic_adjacency: bool,
+    /// Working buffers of the inference-only forward pass.
+    buffers: RefCell<InferenceBuffers>,
+}
+
+/// Plain-`Matrix` working buffers of the inference-only forward pass, sized
+/// for the model once and reused by every call.
+struct InferenceBuffers {
+    /// Last-timestep causal unfold of every cell, `(M, k·kernel)`.
+    unfolded: Matrix,
+    /// Temporal features `z0`, `(M, hidden)`.
+    z0: Matrix,
+    /// Propagated features `z`, `(M, hidden)`.
+    z: Matrix,
+    /// Gate activations, then the propagation product `Â·z`, `(M, hidden)`.
+    scratch: Matrix,
+    /// Adjacency `A^t`, then the normalised `Â^t`, `(M, M)`.
+    a_hat: Matrix,
+    adjacency: AdjacencyScratch,
 }
 
 impl DdgnnPredictor {
@@ -86,6 +119,14 @@ impl DdgnnPredictor {
             config,
             cells,
             use_dynamic_adjacency: true,
+            buffers: RefCell::new(InferenceBuffers {
+                unfolded: Matrix::zeros(cells, k * config.kernel),
+                z0: Matrix::zeros(cells, config.hidden),
+                z: Matrix::zeros(cells, config.hidden),
+                scratch: Matrix::zeros(cells, config.hidden),
+                a_hat: Matrix::zeros(cells, cells),
+                adjacency: AdjacencyScratch::new(cells, config.embedding),
+            }),
         }
     }
 
@@ -138,6 +179,70 @@ impl DdgnnPredictor {
         }
         z.relu()
     }
+
+    /// The inference-only forward pass (see the module docs). `latest(cell,
+    /// age)` is the occurrence vector of `cell` `age` timesteps before its
+    /// newest one, or `None` before the start of its history (the causal
+    /// zero padding); `snapshot` is `C^t`; the `(M, k)` probabilities are
+    /// written into `out`.
+    fn infer<'a>(
+        &self,
+        latest: impl Fn(usize, usize) -> Option<&'a [f64]>,
+        snapshot: &Matrix,
+        out: &mut Matrix,
+    ) {
+        let buffers = &mut *self.buffers.borrow_mut();
+        let InferenceBuffers {
+            unfolded,
+            z0,
+            z,
+            scratch,
+            a_hat,
+            adjacency,
+        } = buffers;
+        let kernel = self.config.kernel;
+        let k = unfolded.cols() / kernel;
+        for cell in 0..self.cells {
+            let row = unfolded.row_mut(cell);
+            for tap in 0..kernel {
+                let dst = &mut row[tap * k..(tap + 1) * k];
+                match latest(cell, tap * self.config.dilation) {
+                    Some(src) => dst.copy_from_slice(src),
+                    None => dst.fill(0.0),
+                }
+            }
+        }
+        self.temporal.apply_unfolded_into(unfolded, z0, scratch);
+        if self.use_dynamic_adjacency {
+            self.dependency.adjacency_into(snapshot, adjacency, a_hat);
+        } else {
+            a_hat.data_mut().fill(0.0);
+            for i in 0..self.cells {
+                a_hat.set(i, i, 1.0);
+            }
+        }
+        // Â = (A + I) / 2, as in `propagate`.
+        for r in 0..self.cells {
+            for c in 0..self.cells {
+                let identity = if r == c { 1.0 } else { 0.0 };
+                a_hat.set(r, c, (a_hat.get(r, c) + identity) * 0.5);
+            }
+        }
+        let alpha = self.config.alpha;
+        let keep = 1.0 - alpha;
+        z.data_mut().copy_from_slice(z0.data());
+        for _ in 0..self.config.propagation_steps.max(1) {
+            a_hat.matmul_into(z, scratch);
+            for ((v, &restart), &mixed) in
+                z.data_mut().iter_mut().zip(z0.data()).zip(scratch.data())
+            {
+                *v = restart * alpha + mixed * keep;
+            }
+        }
+        z.map_in_place(|v| v.max(0.0));
+        self.head.apply_into(z, out);
+        out.map_in_place(sigmoid);
+    }
 }
 
 impl DemandPredictor for DdgnnPredictor {
@@ -167,6 +272,33 @@ impl DemandPredictor for DdgnnPredictor {
         };
         let z = self.propagate(&z0, &adjacency);
         self.head.forward(&z).sigmoid()
+    }
+
+    fn predict(&self, example: &SeriesExample) -> Matrix {
+        assert_eq!(
+            example.history.len(),
+            self.cells,
+            "example cell count does not match the model"
+        );
+        let mut out = Matrix::zeros(self.cells, example.snapshot.cols());
+        self.infer(
+            |cell, age| {
+                let history = &example.history[cell];
+                (age < history.rows()).then(|| history.row(history.rows() - 1 - age))
+            },
+            &example.snapshot,
+            &mut out,
+        );
+        out
+    }
+
+    fn predict_next(&self, recent: &[Matrix], out: &mut Matrix) {
+        let snapshot = recent.last().expect("at least one history window");
+        self.infer(
+            |cell, age| (age < recent.len()).then(|| recent[recent.len() - 1 - age].row(cell)),
+            snapshot,
+            out,
+        );
     }
 }
 

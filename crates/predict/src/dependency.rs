@@ -18,6 +18,28 @@ pub struct DependencyLearner {
     embedding_dim: usize,
 }
 
+/// Working buffers of [`DependencyLearner::adjacency_into`] for `cells`
+/// grid cells.
+pub(crate) struct AdjacencyScratch {
+    m1: Matrix,
+    m2: Matrix,
+    m1_t: Matrix,
+    m2_t: Matrix,
+    cross_t: Matrix,
+}
+
+impl AdjacencyScratch {
+    pub(crate) fn new(cells: usize, embedding_dim: usize) -> AdjacencyScratch {
+        AdjacencyScratch {
+            m1: Matrix::zeros(cells, embedding_dim),
+            m2: Matrix::zeros(cells, embedding_dim),
+            m1_t: Matrix::zeros(embedding_dim, cells),
+            m2_t: Matrix::zeros(embedding_dim, cells),
+            cross_t: Matrix::zeros(cells, cells),
+        }
+    }
+}
+
 impl DependencyLearner {
     /// Creates the module. `feature_dim` is `k` (the width of one occurrence
     /// vector); `embedding_dim` is the node-embedding width.
@@ -48,6 +70,26 @@ impl DependencyLearner {
         let m2 = self.f2.forward(snapshot);
         let cross = m1.matmul(&m2.transpose()).add(&m2.matmul(&m1.transpose()));
         cross.tanh().softmax_rows()
+    }
+
+    /// [`DependencyLearner::adjacency`] without the autograd graph: the same
+    /// `Matrix` operations in the same order on caller-owned buffers, so the
+    /// adjacency written into `out` (shape `(M, M)`) is bit-identical.
+    pub(crate) fn adjacency_into(
+        &self,
+        snapshot: &Matrix,
+        scratch: &mut AdjacencyScratch,
+        out: &mut Matrix,
+    ) {
+        self.f1.apply_into(snapshot, &mut scratch.m1);
+        self.f2.apply_into(snapshot, &mut scratch.m2);
+        scratch.m1.transpose_into(&mut scratch.m1_t);
+        scratch.m2.transpose_into(&mut scratch.m2_t);
+        scratch.m1.matmul_into(&scratch.m2_t, out);
+        scratch.m2.matmul_into(&scratch.m1_t, &mut scratch.cross_t);
+        out.zip_in_place(&scratch.cross_t, |a, b| a + b);
+        out.map_in_place(f64::tanh);
+        out.softmax_rows_in_place();
     }
 
     /// Convenience wrapper that takes a raw snapshot matrix.

@@ -51,7 +51,7 @@
 //! ```
 
 use crate::predicted::{predicted_tasks_from, PredictedTask, DEFAULT_THRESHOLD};
-use crate::series::{SeriesExample, SeriesSpec};
+use crate::series::SeriesSpec;
 use crate::trainer::DemandPredictor;
 use datawa_assign::{ForecastProvider, ForecastStats, PredictedTaskInput};
 use datawa_core::{Duration, Task, Timestamp};
@@ -121,6 +121,10 @@ pub struct OnlineForecaster {
     windows: VecDeque<Matrix>,
     /// Window index of `windows[0]`.
     base_window: usize,
+    /// Scratch of the autoregressive rollout, reused across refreshes: the
+    /// `history_len` model-input windows followed by one predicted
+    /// probability window per forecast step.
+    rollout: Vec<Matrix>,
     /// The cached forecast of the last refresh.
     cache: Vec<PredictedTaskInput>,
     last_refresh: Option<Timestamp>,
@@ -158,6 +162,7 @@ impl OnlineForecaster {
             config,
             windows: VecDeque::new(),
             base_window: 0,
+            rollout: Vec::new(),
             cache: Vec::new(),
             last_refresh: None,
             stats: ForecastStats::default(),
@@ -240,40 +245,36 @@ impl OnlineForecaster {
         let cells = self.grid.cell_count();
         let k = self.spec.k;
         let span = self.spec.window_span();
-        // Rolling model input: the last `p` complete windows (buffer indices
-        // `current - p - base .. current - base`), oldest first.
-        let start = current - p - self.base_window;
-        let mut recent: VecDeque<Matrix> = (start..start + p)
-            .map(|w| self.windows[w].clone())
-            .collect();
         // Cover every window the lookahead horizon touches.
         let last_window = self
             .window_of(now + horizon)
             .unwrap_or(current)
             .max(current);
-        for window in current..=last_window {
-            let mut history = Vec::with_capacity(cells);
-            for cell in 0..cells {
-                let mut h = Matrix::zeros(p, k);
-                for (row, m) in recent.iter().enumerate() {
-                    for j in 0..k {
-                        h.set(row, j, m.get(cell, j));
-                    }
-                }
-                history.push(h);
-            }
-            let snapshot = recent.back().expect("history_len >= 1").clone();
-            let example = SeriesExample {
-                history,
-                snapshot,
-                target: Matrix::zeros(cells, k),
-                target_window: window,
-            };
-            let probabilities = self.predictor.predict(&example);
-            let window_start = self.spec.t0 + Duration(window as f64 * span);
+        let steps = last_window - current + 1;
+        // Rolling model input: the last `p` complete windows (buffer indices
+        // `current - p - base .. current - base`), oldest first, copied to
+        // the head of the rollout scratch; step `i` reads scratch windows
+        // `i .. i + p` and writes window `p + i`, so each prediction
+        // re-enters the history of the steps after it.
+        let start = current - p - self.base_window;
+        while self.rollout.len() < p + steps {
+            self.rollout.push(Matrix::zeros(cells, k));
+        }
+        for (slot, window) in self
+            .rollout
+            .iter_mut()
+            .zip(self.windows.range(start..start + p))
+        {
+            slot.data_mut().copy_from_slice(window.data());
+        }
+        for step in 0..steps {
+            let (history, predicted) = self.rollout.split_at_mut(p + step);
+            let probabilities = &mut predicted[0];
+            self.predictor.predict_next(&history[step..], probabilities);
+            let window_start = self.spec.t0 + Duration((current + step) as f64 * span);
             self.cache.extend(
                 predicted_tasks_from(
-                    &probabilities,
+                    probabilities,
                     &self.grid,
                     &self.spec,
                     window_start,
@@ -283,9 +284,6 @@ impl OnlineForecaster {
                 .into_iter()
                 .map(PredictedTaskInput::from),
             );
-            // Feed the prediction back as soft occurrence for the next step.
-            recent.pop_front();
-            recent.push_back(probabilities);
         }
     }
 }

@@ -61,6 +61,33 @@ pub struct SeriesExample {
     pub target_window: usize,
 }
 
+impl SeriesExample {
+    /// The (target-less) example a live forecaster's rolling buffer unfolds
+    /// into: `recent` holds the last `P` occurrence windows, oldest first,
+    /// each `(M, k)`; cell `c`'s history is row `c` of every window, the
+    /// snapshot is the newest window, the target is all zeros and
+    /// `target_window` is 0 (a rolling buffer has no absolute position).
+    pub fn from_windows(recent: &[Matrix]) -> SeriesExample {
+        let snapshot = recent.last().expect("at least one history window").clone();
+        let (cells, k) = snapshot.shape();
+        let history = (0..cells)
+            .map(|cell| {
+                let mut h = Matrix::zeros(recent.len(), k);
+                for (row, window) in recent.iter().enumerate() {
+                    h.row_mut(row).copy_from_slice(window.row(cell));
+                }
+                h
+            })
+            .collect();
+        SeriesExample {
+            history,
+            snapshot,
+            target: Matrix::zeros(cells, k),
+            target_window: 0,
+        }
+    }
+}
+
 /// A full dataset of examples carved out of one task trace.
 #[derive(Debug, Clone)]
 pub struct SeriesDataset {

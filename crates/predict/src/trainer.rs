@@ -60,9 +60,22 @@ pub trait DemandPredictor {
     /// Forward pass producing an `(M, k)` probability node.
     fn forward(&self, example: &SeriesExample) -> Var;
 
-    /// Forward pass returning raw probabilities.
+    /// Forward pass returning raw probabilities. Models may override this
+    /// with an inference-only path that skips the autograd graph; it must
+    /// return exactly `forward(example).value()`.
     fn predict(&self, example: &SeriesExample) -> Matrix {
         self.forward(example).value()
+    }
+
+    /// One step of a live rollout: `recent` holds the last `P` occurrence
+    /// (or fed-back probability) windows, oldest first, each `(M, k)`; the
+    /// probabilities of the next window are written into `out`, also
+    /// `(M, k)`. Must equal [`DemandPredictor::predict`] on the example
+    /// those windows unfold into ([`SeriesExample::from_windows`]) — which
+    /// is what the default does; a model that can read the windows directly
+    /// overrides it.
+    fn predict_next(&self, recent: &[Matrix], out: &mut Matrix) {
+        *out = self.predict(&SeriesExample::from_windows(recent));
     }
 
     /// Trains the model on `dataset` with binary cross-entropy and Adam.

@@ -10,8 +10,8 @@
 //! row-softmax, bias broadcast, transpose, temporal unfolding for dilated
 //! causal convolutions, concatenation and scalar reductions.
 
-use crate::matrix::Matrix;
-use std::cell::RefCell;
+use crate::matrix::{sigmoid, Matrix};
+use std::cell::{Ref, RefCell};
 use std::collections::HashSet;
 use std::rc::Rc;
 
@@ -61,6 +61,13 @@ impl Var {
     /// Current value (cloned).
     pub fn value(&self) -> Matrix {
         self.0.value.borrow().clone()
+    }
+
+    /// Current value, borrowed: inference reads weights through this instead
+    /// of cloning them per call. The borrow must end before the node's value
+    /// is overwritten ([`Var::set_value`]).
+    pub fn value_ref(&self) -> Ref<'_, Matrix> {
+        self.0.value.borrow()
     }
 
     /// Shape of the value.
@@ -267,7 +274,7 @@ impl Var {
 
     /// Element-wise logistic sigmoid.
     pub fn sigmoid(&self) -> Var {
-        let value = self.value().map(|v| 1.0 / (1.0 + (-v).exp()));
+        let value = self.value().map(sigmoid);
         let cached = value.clone();
         Var::new_node(
             value,

@@ -6,7 +6,7 @@
 
 use crate::autograd::Var;
 use crate::init;
-use crate::matrix::Matrix;
+use crate::matrix::{sigmoid, Matrix};
 use rand::rngs::StdRng;
 
 /// A fully connected layer `y = x·W + b`.
@@ -30,6 +30,15 @@ impl Dense {
     /// Applies the layer to a batch `x` of shape `(n, in_features)`.
     pub fn forward(&self, x: &Var) -> Var {
         x.matmul(&self.w).add_bias(&self.b)
+    }
+
+    /// [`Dense::forward`] without the autograd graph: `out = x·W + b` on
+    /// plain matrices, `out` already shaped `(n, out_features)`. Applies the
+    /// same `Matrix` operations in the same order as `forward`, so the
+    /// values are bit-identical; nothing is allocated.
+    pub fn apply_into(&self, x: &Matrix, out: &mut Matrix) {
+        x.matmul_into(&self.w.value_ref(), out);
+        out.add_row_broadcast_in_place(&self.b.value_ref());
     }
 
     /// The trainable parameters of the layer.
@@ -84,6 +93,21 @@ impl GatedTemporalConv {
         let f = self.filter.forward(&unfolded).tanh();
         let g = self.gate.forward(&unfolded).sigmoid();
         f.hadamard(&g)
+    }
+
+    /// The gated activation of already unfolded rows, without the autograd
+    /// graph: `out = tanh(U·Θ₁ + b₁) ⊙ σ(U·Θ₂ + b₂)` for `unfolded = U` of
+    /// shape `(n, in_features · kernel)`, with `out` and the scratch `gate`
+    /// both shaped `(n, out_features)`. Rows are independent, so feeding only
+    /// the rows a caller needs (the last timestep of many sequences, say)
+    /// gives exactly the values [`GatedTemporalConv::forward`] computes for
+    /// those rows.
+    pub fn apply_unfolded_into(&self, unfolded: &Matrix, out: &mut Matrix, gate: &mut Matrix) {
+        self.filter.apply_into(unfolded, out);
+        out.map_in_place(f64::tanh);
+        self.gate.apply_into(unfolded, gate);
+        gate.map_in_place(sigmoid);
+        out.zip_in_place(gate, |f, g| f * g);
     }
 
     /// The trainable parameters of the layer.

@@ -158,12 +158,28 @@ impl Matrix {
 
     /// Matrix product `self · other`.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(self.rows, other.cols);
+        self.matmul_into(other, &mut out);
+        out
+    }
+
+    /// Matrix product `self · other` written into `out`, which must already
+    /// have the product's shape (its previous contents are discarded). The
+    /// allocation-free form of [`Matrix::matmul`]: every output row depends
+    /// on the matching row of `self` only, and each element accumulates its
+    /// terms in ascending inner-index order, skipping zero left operands.
+    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, other.rows,
             "matmul shape mismatch: {}x{} · {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = Matrix::zeros(self.rows, other.cols);
+        assert_eq!(
+            out.shape(),
+            (self.rows, other.cols),
+            "matmul output shape mismatch"
+        );
+        out.data.fill(0.0);
         for i in 0..self.rows {
             for k in 0..self.cols {
                 let a = self.get(i, k);
@@ -177,18 +193,43 @@ impl Matrix {
                 }
             }
         }
-        out
     }
 
     /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// Transpose written into `out`, which must already be `cols × rows`.
+    pub fn transpose_into(&self, out: &mut Matrix) {
+        assert_eq!(
+            out.shape(),
+            (self.cols, self.rows),
+            "transpose output shape mismatch"
+        );
         for r in 0..self.rows {
             for c in 0..self.cols {
                 out.set(c, r, self.get(r, c));
             }
         }
-        out
+    }
+
+    /// Element-wise map in place.
+    pub fn map_in_place(&mut self, f: impl Fn(f64) -> f64) {
+        for v in &mut self.data {
+            *v = f(*v);
+        }
+    }
+
+    /// Element-wise combination with a same-shaped matrix in place:
+    /// `self[i] = f(self[i], other[i])`.
+    pub fn zip_in_place(&mut self, other: &Matrix, f: impl Fn(f64, f64) -> f64) {
+        assert_eq!(self.shape(), other.shape(), "zip shape mismatch");
+        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
+            *a = f(*a, b);
+        }
     }
 
     /// Element-wise map.
@@ -227,15 +268,20 @@ impl Matrix {
 
     /// Adds a 1×cols row vector to every row (bias broadcast).
     pub fn add_row_broadcast(&self, row: &Matrix) -> Matrix {
+        let mut out = self.clone();
+        out.add_row_broadcast_in_place(row);
+        out
+    }
+
+    /// Adds a 1×cols row vector to every row, in place.
+    pub fn add_row_broadcast_in_place(&mut self, row: &Matrix) {
         assert_eq!(row.rows, 1, "broadcast operand must be a row vector");
         assert_eq!(row.cols, self.cols, "broadcast width mismatch");
-        let mut out = self.clone();
         for r in 0..self.rows {
             for c in 0..self.cols {
-                out.data[r * self.cols + c] += row.data[c];
+                self.data[r * self.cols + c] += row.data[c];
             }
         }
-        out
     }
 
     /// Sum of all elements.
@@ -277,8 +323,14 @@ impl Matrix {
     /// numerical stability) and normalised to sum to one.
     pub fn softmax_rows(&self) -> Matrix {
         let mut out = self.clone();
+        out.softmax_rows_in_place();
+        out
+    }
+
+    /// Row-wise softmax in place (see [`Matrix::softmax_rows`]).
+    pub fn softmax_rows_in_place(&mut self) {
         for r in 0..self.rows {
-            let row = out.row_mut(r);
+            let row = self.row_mut(r);
             let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
             let mut sum = 0.0;
             for v in row.iter_mut() {
@@ -291,7 +343,6 @@ impl Matrix {
                 }
             }
         }
-        out
     }
 
     /// Horizontal concatenation `[self | other]`.
@@ -330,6 +381,13 @@ impl Matrix {
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())
     }
+}
+
+/// The logistic sigmoid `1 / (1 + e^-v)` — the one definition shared by the
+/// autograd op and the inference-only forward passes, so both round alike.
+#[inline]
+pub fn sigmoid(v: f64) -> f64 {
+    1.0 / (1.0 + (-v).exp())
 }
 
 impl Add for &Matrix {

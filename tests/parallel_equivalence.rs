@@ -117,6 +117,17 @@ fn partitioned_exact_search_equals_the_whole_tree_serial_search() {
         let tree = ClusterTree::build(&graph);
         let mut available: HashSet<TaskId> = task_ids.iter().copied().collect();
         let reference = search.exact(&tree, &mapping, &mut available, None);
+        // `PlanningReport::partitions` counts the root subtrees with at least
+        // one reachable task (the planner drops workers that reach nothing).
+        let reaching_partitions = tree
+            .roots
+            .iter()
+            .filter(|&&root| {
+                tree.subtree_members(root)
+                    .iter()
+                    .any(|&i| !reachable.of(mapping[i]).is_empty())
+            })
+            .count();
 
         // The partitioned path, at 1 and 4 threads.
         for threads in [1usize, 4] {
@@ -127,7 +138,9 @@ fn partitioned_exact_search_equals_the_whole_tree_serial_search() {
                 assignment, reference,
                 "partitioned plan (threads={threads}) diverged from the serial search at t={now}"
             );
-            assert!(report.partitions >= 1);
+            assert_eq!(report.partitions, reaching_partitions);
+            assert_eq!(report.partitions_recomputed, reaching_partitions);
+            assert_eq!(report.partitions_reused, 0, "the full route reuses nothing");
         }
         checked += 1;
     }
