@@ -148,11 +148,8 @@ pub struct RunOutcome {
     /// Largest number of independent planning partitions any single planning
     /// instant split into.
     pub peak_partitions: usize,
-    /// Workers in the largest partition observed across all instants (the
-    /// pool's critical-path width).
+    /// Workers in the largest partition observed across all instants.
     pub peak_partition_workers: usize,
-    /// Largest number of pool threads any planning instant actually occupied.
-    pub peak_pool_occupancy: usize,
     /// Activity counters of the run's [`ForecastProvider`] (observations,
     /// forecast queries, model refreshes).
     pub forecast: ForecastStats,
@@ -174,8 +171,7 @@ pub struct AdaptiveRunner {
     pub policy: PolicyKind,
     /// Inference snapshot of the trained TVF (required by
     /// [`PolicyKind::DataWa`]; set through [`AdaptiveRunner::with_tvf`]).
-    /// Stored as a snapshot so the runner is `Sync` and shard states that
-    /// borrow it can be stepped on a thread pool.
+    /// Stored as a snapshot so the runner is `Sync`.
     pub tvf: Option<TvfInference>,
     /// How far ahead of `now` predicted tasks are allowed to influence
     /// planning.
@@ -234,8 +230,6 @@ struct AssignMetrics {
     /// `assign.partition_workers`: workers in the instant's largest
     /// partition.
     partition_workers: Gauge,
-    /// `assign.pool_occupancy`: threads the partition pool occupied.
-    pool_occupancy: Gauge,
     /// `assign.open_tasks`: open unserved tasks at the latest time instance.
     open_tasks: Gauge,
     /// `assign.available_workers`: idle available workers at the latest time
@@ -270,7 +264,6 @@ impl AssignMetrics {
             dispatches: registry.counter("assign.dispatches"),
             partitions: registry.gauge("assign.partitions"),
             partition_workers: registry.gauge("assign.partition_workers"),
-            pool_occupancy: registry.gauge("assign.pool_occupancy"),
             open_tasks: registry.gauge("assign.open_tasks"),
             available_workers: registry.gauge("assign.available_workers"),
             partitions_reused: registry.counter("assign.partitions_reused"),
@@ -352,7 +345,7 @@ impl AdaptiveRunner {
     /// behaviour bit for bit.
     ///
     /// The state is generic over the provider so `Send` providers yield
-    /// `Send` states (the sharded engine steps those on a thread pool);
+    /// `Send` states (a per-tenant pump may own one on its own thread);
     /// `F = dyn ForecastProvider` (the default) erases the type for drivers
     /// that do not care.
     pub fn start<'a, F: ForecastProvider + ?Sized>(
@@ -497,8 +490,7 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
     }
 
     /// Number of candidate open tasks currently tracked by the incremental
-    /// view (may include lazily prunable entries). The sharded engine uses
-    /// this as the demand signal when handing boundary workers to a shard.
+    /// view (may include lazily prunable entries).
     #[inline]
     pub fn open_candidates(&self) -> usize {
         self.open_view.len()
@@ -707,8 +699,6 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
                     .outcome
                     .peak_partition_workers
                     .max(report.max_partition_workers);
-                self.outcome.peak_pool_occupancy =
-                    self.outcome.peak_pool_occupancy.max(report.threads_used);
                 self.outcome.partitions_reused += report.partitions_reused;
                 self.outcome.partitions_recomputed += report.partitions_recomputed;
                 self.metrics
@@ -735,7 +725,6 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
                 self.metrics
                     .partition_workers
                     .set(report.max_partition_workers as i64);
-                self.metrics.pool_occupancy.set(report.threads_used as i64);
                 if self.metrics.forecast_observed.is_attached() {
                     let stats = self.forecast.stats();
                     self.metrics.forecast_observed.set(stats.observed as i64);

@@ -63,8 +63,7 @@ use std::collections::HashMap;
 /// Everything that changed since the previous planning instant, tracked by
 /// event kind. `RunnerState` fills it from its event hooks (arrival,
 /// expiration, dispatch, online/offline, replan tick, forecast refresh) and
-/// drains it after every planning call; the sharded engine keeps one per
-/// shard automatically (each shard owns its own `RunnerState`).
+/// drains it after every planning call.
 ///
 /// The tracker is *diagnostic*: the planner derives its own dirty set from
 /// its actual inputs (candidate-list diff + per-worker re-verification), so

@@ -5,34 +5,16 @@ use datawa_core::TravelModel;
 /// Whether the planner may reuse per-partition plans across planning instants
 /// (see the crate-level "Incremental replanning" section).
 ///
-/// Incremental replanning is bitwise output-preserving by construction, so it
-/// defaults to on; the `Off` escape hatch exists for A/B parity checks and as
-/// a kill switch, mirroring how `DATAWA_THREADS` pins the pool size.
+/// Incremental replanning is bitwise output-preserving by construction and is
+/// what every driver runs; `Off` exists only as the reference path the
+/// `incremental_equivalence` suite compares it against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IncrementalMode {
-    /// Defer to the `DATAWA_INCREMENTAL` environment variable
-    /// (`off`/`0`/`false` disables; anything else — including unset —
-    /// enables). The default.
+    /// Reuse verified per-partition plans across instants. The default.
     #[default]
-    Auto,
-    /// Force plan caching on regardless of the environment.
     On,
-    /// Force full replanning at every instant regardless of the environment.
+    /// Search every partition at every instant (the reference path).
     Off,
-}
-
-impl IncrementalMode {
-    /// Resolves the effective toggle, reading `DATAWA_INCREMENTAL` for
-    /// [`IncrementalMode::Auto`] through [`datawa_core::env_config`]. Read
-    /// per call (not cached) so toggling the variable between runs in one
-    /// process behaves as expected.
-    pub fn enabled(self) -> bool {
-        match self {
-            IncrementalMode::On => true,
-            IncrementalMode::Off => false,
-            IncrementalMode::Auto => datawa_core::env_config::incremental_enabled(),
-        }
-    }
 }
 
 /// Configuration shared by sequence generation, planning and the adaptive
@@ -63,17 +45,13 @@ pub struct AssignConfig {
     /// Whether to use the worker-dependency-separation clique tree (ablation
     /// switch; `false` solves each connected component as a single node).
     pub use_dependency_separation: bool,
-    /// Number of planner threads the partitioned search fans cluster-tree
-    /// subtrees out to. `0` (the default) defers to the `DATAWA_THREADS`
-    /// environment variable, falling back to single-threaded planning when it
-    /// is unset; any positive value pins the pool size explicitly. Results
-    /// are identical for every thread count by construction (partitions are
-    /// worker- and task-disjoint and merge in partition order).
+    /// Accepted and ignored: the planner searches partitions serially. The
+    /// field remains because existing callers (the frozen benchmark harness
+    /// among them) still set it.
     pub threads: usize,
     /// Whether the partitioned exact search may reuse cached per-partition
-    /// plans across planning instants (`DATAWA_INCREMENTAL` escape hatch via
-    /// [`IncrementalMode::Auto`]). Output is bitwise identical either way;
-    /// only the work done per instant changes.
+    /// plans across planning instants. Output is bitwise identical either
+    /// way; only the work done per instant changes.
     pub incremental: IncrementalMode,
 }
 
@@ -87,7 +65,7 @@ impl Default for AssignConfig {
             search_node_budget: 20_000,
             use_dependency_separation: true,
             threads: 0,
-            incremental: IncrementalMode::Auto,
+            incremental: IncrementalMode::On,
         }
     }
 }
@@ -121,15 +99,5 @@ mod tests {
     fn unit_speed_uses_unit_euclidean_travel() {
         let c = AssignConfig::unit_speed();
         assert_eq!(c.travel.speed, 1.0);
-    }
-
-    #[test]
-    fn incremental_mode_pins_override_the_environment() {
-        // `Auto` reads `DATAWA_INCREMENTAL` (not exercised here — tests
-        // share a process, so flipping the environment would race); the
-        // explicit pins must ignore it entirely.
-        assert!(IncrementalMode::On.enabled());
-        assert!(!IncrementalMode::Off.enabled());
-        assert_eq!(AssignConfig::default().incremental, IncrementalMode::Auto);
     }
 }

@@ -51,22 +51,6 @@ pub struct ForecastStats {
     pub forecast_tasks: usize,
 }
 
-impl ForecastStats {
-    /// Accumulates another provider's counters (used by the sharded engine
-    /// to merge shard-local providers; callers fold in ascending shard index
-    /// so the merge is deterministic). `forecast_tasks` adds up because the
-    /// shard forecasts partition the study area.
-    #[must_use]
-    pub fn merged(self, other: ForecastStats) -> ForecastStats {
-        ForecastStats {
-            observed: self.observed + other.observed,
-            queries: self.queries + other.queries,
-            refreshes: self.refreshes + other.refreshes,
-            forecast_tasks: self.forecast_tasks + other.forecast_tasks,
-        }
-    }
-}
-
 /// A refreshable source of near-future demand predictions.
 ///
 /// Drivers push every task arrival into the provider via `observe`; the
@@ -201,26 +185,5 @@ mod tests {
         f.observe(t.publication, &t);
         assert_eq!(f.stats().observed, 2);
         assert_eq!(f.forecast(Timestamp(0.0), Duration(1.0)).len(), 1);
-    }
-
-    #[test]
-    fn stats_merge_adds_counters() {
-        let a = ForecastStats {
-            observed: 3,
-            queries: 2,
-            refreshes: 1,
-            forecast_tasks: 4,
-        };
-        let b = ForecastStats {
-            observed: 1,
-            queries: 1,
-            refreshes: 0,
-            forecast_tasks: 2,
-        };
-        let m = a.merged(b);
-        assert_eq!(m.observed, 4);
-        assert_eq!(m.queries, 3);
-        assert_eq!(m.refreshes, 1);
-        assert_eq!(m.forecast_tasks, 6);
     }
 }

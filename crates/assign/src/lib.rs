@@ -33,9 +33,9 @@
 //!   stable real ids. A probe additionally compares the regenerated
 //!   candidate sequences in full — hash collisions and `now`-dependent
 //!   sequence drift both degrade to a recompute, never a wrong reuse.
-//! * **Escape hatch**: `DATAWA_INCREMENTAL=off` (or
-//!   [`IncrementalMode::Off`] in [`AssignConfig`]) forces full replanning at
-//!   every instant, mirroring `DATAWA_THREADS`/`DATAWA_OBS`. Unset means on.
+//! * **Reference path**: [`IncrementalMode::Off`] in [`AssignConfig`]
+//!   searches every partition at every instant; it exists for the
+//!   `incremental_equivalence` suite to compare against, not as a knob.
 //! * **Exemptions**: the TVF-guided search (DATA-WA) and instants planning
 //!   over predicted phantom tasks always take the full path — their inputs
 //!   depend on `now` in ways a content fingerprint cannot capture.
@@ -51,7 +51,6 @@ pub mod config;
 pub mod forecast;
 pub mod partition;
 pub mod planner;
-pub mod pool;
 pub mod reachable;
 pub mod search;
 pub mod sequences;

@@ -5,18 +5,16 @@
 //! (`ClusterTree::verify_sibling_independence`). A [`Partition`] materialises
 //! one such subtree as a self-contained subproblem — its workers, its
 //! candidate-task universe, and the root it hangs off — so the search can run
-//! every partition on its own thread with a partition-local available-task
-//! set and still produce exactly the plan the serial root-by-root sweep
-//! produced.
+//! every partition against a partition-local available-task set and still
+//! produce exactly the plan a sweep over one shared set would.
 //!
-//! Determinism: partitions are numbered by their root's position in
+//! Determinism: partitions are ordered by their root's position in
 //! [`ClusterTree::roots`] (itself deterministic), each partition's result
-//! depends only on its own inputs, and the planner merges results in
-//! partition-index order — never in thread-completion order. The assignment
-//! is therefore bitwise identical for every thread count.
+//! depends only on its own inputs, and the planner searches and merges them
+//! in that order.
 //!
-//! Identity across instants: a partition has no persistent name — its index
-//! changes whenever the dependency graph reshapes — so the incremental plan
+//! Identity across instants: a partition has no persistent name — its
+//! position changes whenever the dependency graph reshapes — so the incremental plan
 //! cache (see [`crate::cache`]) identifies it by *content fingerprint*
 //! instead: its member workers (with their exact kinematic state) plus
 //! their reachable task lists in stable real-id space. Two instants that
@@ -36,9 +34,6 @@ use std::collections::HashSet;
 /// root subtree plus the union of their reachable tasks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
-    /// Position of this partition's root in [`ClusterTree::roots`]; also the
-    /// deterministic merge order of partition results.
-    pub index: usize,
     /// The root node (index into [`ClusterTree::nodes`]) of the subtree.
     pub root: usize,
     /// Workers of the subtree, in subtree-member order (sorted graph-node
@@ -71,7 +66,7 @@ pub fn split_cluster_tree(
     reachable: &ReachableSets,
 ) -> Vec<Partition> {
     let mut partitions = Vec::with_capacity(tree.roots.len());
-    for (index, &root) in tree.roots.iter().enumerate() {
+    for &root in &tree.roots {
         let worker_ids: Vec<WorkerId> = tree
             .subtree_members(root)
             .into_iter()
@@ -84,7 +79,6 @@ pub fn split_cluster_tree(
         tasks.sort_unstable();
         tasks.dedup();
         partitions.push(Partition {
-            index,
             root,
             worker_ids,
             tasks,
@@ -145,10 +139,6 @@ mod tests {
             .collect();
         covered.sort_unstable();
         assert_eq!(covered, workers.ids().collect::<Vec<_>>());
-        // Partition indices are dense and ordered.
-        for (i, p) in partitions.iter().enumerate() {
-            assert_eq!(p.index, i);
-        }
     }
 
     #[test]

@@ -12,17 +12,14 @@
 //! influence another worker's partition, and at the paper's operating point
 //! it is the overwhelming majority of idle workers.
 //!
-//! ## Partitioned, multi-core planning
+//! ## Partitioned planning
 //!
 //! Each root subtree of the cluster tree is an independent subproblem (its
 //! workers and reachable tasks are disjoint from every other subtree's), so
-//! the planner splits the instant into [`Partition`]s and fans them out to a
-//! scoped thread pool ([`crate::pool`]), sized by [`AssignConfig::threads`]
-//! (or the `DATAWA_THREADS` environment variable). Every partition is
-//! searched against a partition-local available-task set and results merge
-//! in partition-index order, so the assignment is bitwise identical for
-//! every thread count — including the inline single-threaded path, which
-//! spawns nothing.
+//! the planner splits the instant into [`Partition`](crate::Partition)s and
+//! searches them one after another, in cluster-tree root order, each against
+//! a partition-local available-task set. The planner is serial:
+//! [`AssignConfig::threads`] is accepted and ignored.
 //!
 //! State features fed to the TVF (and recorded in training samples) are
 //! *subproblem-local*: `remaining_tasks` counts the partition's own open
@@ -30,14 +27,13 @@
 //! distribution regardless of how many partitions the instant split into.
 
 use crate::cache::{IncrementalContext, PlanCache};
-use crate::config::AssignConfig;
-use crate::partition::{split_cluster_tree, Partition};
-use crate::pool;
+use crate::config::{AssignConfig, IncrementalMode};
+use crate::partition::split_cluster_tree;
 use crate::reachable::{build_worker_dependency_graph, reachable_tasks};
 use crate::search::{DfSearch, SearchSample};
 use crate::sequences::{generate_sequences_into, GenScratch, SequenceSet};
 use crate::tvf::{TaskValueFunction, TvfInference};
-use datawa_core::{Assignment, TaskId, TaskSequence, TaskStore, Timestamp, WorkerId, WorkerStore};
+use datawa_core::{Assignment, TaskId, TaskStore, Timestamp, WorkerId, WorkerStore};
 use datawa_graph::{ClusterTree, TreeNode, UnGraph};
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
@@ -62,12 +58,8 @@ pub struct PlanningReport {
     /// baseline, which has no dependency graph, and for an instant at which
     /// no worker reaches any task.
     pub partitions: usize,
-    /// Workers in the largest of those partitions — the span of the
-    /// critical path a thread pool cannot shorten further.
+    /// Workers in the largest of those partitions.
     pub max_partition_workers: usize,
-    /// Threads the partition pool actually occupied
-    /// (`min(configured, partitions)`, at least 1).
-    pub threads_used: usize,
     /// Search nodes expanded across all partitions: budgeted depth-first
     /// expansions for the exact search, one per planned worker for the
     /// guided search (which visits each worker exactly once), zero for the
@@ -195,7 +187,7 @@ impl Planner {
             }
             SearchMode::Guided => {
                 // Detach the snapshot for the duration of the call so the
-                // partition pool can borrow it alongside the scratch buffers.
+                // search can borrow it alongside the scratch buffers.
                 let tvf = self
                     .tvf
                     .take()
@@ -255,7 +247,6 @@ impl Planner {
         let mut report = PlanningReport {
             workers_considered: worker_ids.len(),
             tasks_considered: candidate_tasks.len(),
-            threads_used: 1,
             ..PlanningReport::default()
         };
         if worker_ids.is_empty() || candidate_tasks.is_empty() {
@@ -286,16 +277,17 @@ impl Planner {
     /// The partitioned search path shared by [`SearchMode::Exact`] and the
     /// TVF-guided modes: drop the workers that reach nothing, build the
     /// dependency graph and cluster tree over the rest once, split the
-    /// instant into independent partitions, search each partition against
-    /// its own available set on the pool, and merge in partition order.
+    /// instant into independent partitions, and search each partition
+    /// against its own available set, in partition order.
     ///
     /// With an [`IncrementalContext`] (exact search only) reachable sets are
     /// refreshed through the plan cache (per-worker verify-or-rescan) and
     /// only fingerprint-missed partitions are searched; candidate sequences
     /// are still regenerated for every planned worker (they are
     /// `now`-dependent, so they are part of the cache-hit criterion rather
-    /// than cached output). Splicing in partition-index order keeps the
-    /// output bitwise identical to the full route at every thread count.
+    /// than cached output). Both routes run the same partition loop — a hit
+    /// splices the stored plan where a miss splices the searched one — so
+    /// the output is bitwise identical to the full route.
     #[allow(clippy::too_many_arguments)]
     fn plan_partitioned(
         &mut self,
@@ -313,7 +305,6 @@ impl Planner {
         let mut report = PlanningReport {
             workers_considered: worker_ids.len(),
             tasks_considered: candidate_tasks.len(),
-            threads_used: 1,
             ..PlanningReport::default()
         };
         if worker_ids.is_empty() || candidate_tasks.is_empty() {
@@ -323,7 +314,7 @@ impl Planner {
         let config = self.config;
         // Incremental route: exact search only (TVF features depend on
         // `now`), with the caller's context and the toggle both agreeing.
-        let ctx = ctx.filter(|_| tvf.is_none() && config.incremental.enabled());
+        let ctx = ctx.filter(|_| tvf.is_none() && config.incremental == IncrementalMode::On);
         // Lines 2–5: reachable tasks and candidate sequences per worker.
         let reachable = match ctx {
             Some(ctx) => {
@@ -371,8 +362,8 @@ impl Planner {
         );
         let search = DfSearch::new(workers, tasks, &config, now, sequences, &reachable);
         // Line 6: worker dependency graph; lines 7–10: per component,
-        // partition, build the tree, and search it — one partition (root
-        // subtree) per pool task.
+        // partition, build the tree, and search it — one partition per root
+        // subtree.
         let (graph, mapping) = build_worker_dependency_graph(&planned, &reachable);
         let tree = build_tree(&config, &graph);
         report.tree_nodes = tree.len();
@@ -383,22 +374,32 @@ impl Planner {
             .map(|p| p.worker_ids.len())
             .max()
             .unwrap_or(0);
-        let threads = pool::effective_threads(config.threads);
-        type PartitionPlan = (Vec<(WorkerId, TaskSequence)>, usize);
-        let plans: Vec<PartitionPlan> = match ctx {
-            None => {
-                report.partitions_recomputed = partitions.len();
-                report.threads_used = threads.min(partitions.len()).max(1);
-                pool::run_indexed(threads, &partitions, |_, p: &Partition| {
+        let mut assignment = Assignment::new();
+        for p in &partitions {
+            let probed = ctx.map(|ctx| {
+                self.cache
+                    .probe(p, sequences, ctx.real_ids, workers, ctx.forecast_epoch)
+            });
+            let plan = match probed {
+                Some((_, Some(plan))) => {
+                    report.partitions_reused += 1;
+                    plan
+                }
+                miss => {
+                    report.partitions_recomputed += 1;
                     let mut available = p.task_set();
-                    match tvf {
-                        None => search.exact_partition_counted(
-                            &tree,
-                            &mapping,
-                            p.root,
-                            &mut available,
-                            None,
-                        ),
+                    let plan = match tvf {
+                        None => {
+                            let (plan, nodes) = search.exact_partition_counted(
+                                &tree,
+                                &mapping,
+                                p.root,
+                                &mut available,
+                                None,
+                            );
+                            report.nodes_expanded += nodes;
+                            plan
+                        }
                         Some(tvf) => {
                             let plan = search.guided_partition(
                                 &tree,
@@ -407,57 +408,24 @@ impl Planner {
                                 &mut available,
                                 tvf,
                             );
-                            let nodes = plan.len();
-                            (plan, nodes)
+                            report.nodes_expanded += plan.len();
+                            plan
                         }
+                    };
+                    if let (Some(ctx), Some((key, _))) = (ctx, miss) {
+                        self.cache.store(
+                            key,
+                            p,
+                            sequences,
+                            ctx.real_ids,
+                            workers,
+                            ctx.forecast_epoch,
+                            &plan,
+                        );
                     }
-                })
-            }
-            Some(ctx) => {
-                let epoch = ctx.forecast_epoch;
-                // Sequential probe pre-pass: hits splice their translated
-                // stored plan, misses queue for the pool.
-                let mut slots: Vec<Option<PartitionPlan>> = Vec::with_capacity(partitions.len());
-                let mut keys: Vec<u64> = Vec::with_capacity(partitions.len());
-                let mut misses: Vec<usize> = Vec::new();
-                for p in &partitions {
-                    let (key, hit) = self.cache.probe(p, sequences, ctx.real_ids, workers, epoch);
-                    keys.push(key);
-                    if hit.is_none() {
-                        misses.push(p.index);
-                    }
-                    slots.push(hit.map(|plan| (plan, 0)));
+                    plan
                 }
-                report.partitions_reused += partitions.len() - misses.len();
-                report.partitions_recomputed = misses.len();
-                report.threads_used = threads.min(misses.len()).max(1);
-                let miss_parts: Vec<&Partition> = misses.iter().map(|&i| &partitions[i]).collect();
-                let computed = pool::run_indexed(threads, &miss_parts, |_, p: &&Partition| {
-                    let mut available = p.task_set();
-                    search.exact_partition_counted(&tree, &mapping, p.root, &mut available, None)
-                });
-                for (&i, plan) in misses.iter().zip(computed) {
-                    self.cache.store(
-                        keys[i],
-                        &partitions[i],
-                        sequences,
-                        ctx.real_ids,
-                        workers,
-                        epoch,
-                        &plan.0,
-                    );
-                    slots[i] = Some(plan);
-                }
-                slots
-                    .into_iter()
-                    // datawa-lint: allow(unwrap-in-hot-path) -- run_indexed writes every slot exactly once; a hole means a pool bug, not a data condition
-                    .map(|slot| slot.expect("every partition resolved"))
-                    .collect()
-            }
-        };
-        let mut assignment = Assignment::new();
-        for (plan, nodes) in plans {
-            report.nodes_expanded += nodes;
+            };
             for (w, seq) in plan {
                 assignment.set(w, seq);
             }
@@ -468,9 +436,8 @@ impl Planner {
 
     /// Runs the exact search while collecting `(state, action, opt)` samples
     /// for TVF training (the data-gathering phase of §IV-B). Partitions are
-    /// searched sequentially (sample order must stay deterministic) against
-    /// partition-local available sets, so recorded state features match what
-    /// the guided search will later observe.
+    /// searched against partition-local available sets, so recorded state
+    /// features match what the guided search will later observe.
     pub fn collect_training_samples(
         &mut self,
         worker_ids: &[WorkerId],
@@ -588,11 +555,7 @@ mod tests {
     #[test]
     fn exact_planner_produces_a_feasible_assignment() {
         let (workers, tasks) = scenario(4, 8);
-        // Pin threads = 1: the default (0) defers to DATAWA_THREADS, which
-        // the CI matrix sets, and this test asserts on threads_used.
-        let mut config = AssignConfig::unit_speed();
-        config.threads = 1;
-        let mut planner = Planner::new(config, SearchMode::Exact);
+        let mut planner = Planner::new(AssignConfig::unit_speed(), SearchMode::Exact);
         let wids: Vec<WorkerId> = workers.ids().collect();
         let tids: Vec<TaskId> = tasks.ids().collect();
         let (assignment, report) = planner.plan(&wids, &tids, &workers, &tasks, Timestamp(0.0));
@@ -604,7 +567,6 @@ mod tests {
         assert!(report.tree_nodes >= 1);
         assert!(report.partitions >= 1);
         assert!(report.max_partition_workers >= 1);
-        assert_eq!(report.threads_used, 1, "threads = 1 plans inline");
         assert_eq!(report.workers_considered, 4);
     }
 
@@ -669,9 +631,9 @@ mod tests {
             .is_empty());
     }
 
-    /// The determinism contract of the partition pool: every thread count
-    /// (including oversubscription far beyond the partition count) produces
-    /// the identical assignment, for both search families.
+    /// `AssignConfig::threads` is accepted and ignored: every value produces
+    /// the identical assignment and the identical partition count, for both
+    /// search families.
     #[test]
     fn thread_count_never_changes_the_plan() {
         let (workers, tasks) = scenario(6, 12);
@@ -679,7 +641,7 @@ mod tests {
         let tids: Vec<TaskId> = tasks.ids().collect();
         for mode in [SearchMode::Exact, SearchMode::Guided] {
             let mut reference = None;
-            for threads in [1usize, 2, 4, 16] {
+            for threads in [1usize, 2, 16] {
                 let config = AssignConfig {
                     threads,
                     ..AssignConfig::unit_speed()
@@ -690,13 +652,12 @@ mod tests {
                 }
                 let (assignment, report) =
                     planner.plan(&wids, &tids, &workers, &tasks, Timestamp(0.0));
-                assert!(report.threads_used >= 1 && report.threads_used <= threads);
+                let planned = (assignment, report.partitions);
                 match &reference {
-                    None => reference = Some(assignment),
-                    Some(r) => assert_eq!(
-                        r, &assignment,
-                        "mode {mode:?} diverged at threads={threads}"
-                    ),
+                    None => reference = Some(planned),
+                    Some(r) => {
+                        assert_eq!(r, &planned, "mode {mode:?} diverged at threads={threads}")
+                    }
                 }
             }
         }

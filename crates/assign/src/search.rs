@@ -6,9 +6,9 @@
 //! reachable task sets do not intersect), the searches can consume a shared
 //! pool of available tasks sequentially without losing optimality — or, since
 //! root subtrees are additionally *task*-independent, each root can be
-//! searched against a partition-local available set on its own thread
+//! searched against a partition-local available set
 //! ([`DfSearch::exact_partition`] / [`DfSearch::guided_partition`], driven by
-//! the planner's partition pool). The whole-tree entry points below are thin
+//! the planner's partition loop). The whole-tree entry points below are thin
 //! sequential sweeps over the same per-root searches.
 
 use crate::config::AssignConfig;
@@ -116,8 +116,8 @@ impl<'a> DfSearch<'a> {
     /// `available` is restored to its input state before returning (the
     /// caller commits the plan); because root subtrees are task-disjoint it
     /// may equally be the shared whole-instant set or a partition-local one —
-    /// the returned plan is identical, which is what lets the planner run
-    /// partitions on a thread pool without changing any assignment.
+    /// the returned plan is identical, which is what lets the planner cache
+    /// and reuse plans per partition without changing any assignment.
     pub fn exact_partition(
         &self,
         tree: &ClusterTree,
@@ -334,16 +334,16 @@ impl<'a> DfSearch<'a> {
     /// long-term value, without backtracking.
     ///
     /// Takes a [`TvfInference`] snapshot (see [`crate::TaskValueFunction::inference`])
-    /// so the same code path serves both the serial sweep here and the
-    /// planner's partition pool.
+    /// so the same code path serves both the sweep here and the planner's
+    /// partition loop.
     ///
     /// Unlike the exact search, the guided search *reads* the available set
     /// (its `remaining_tasks` state feature is `available.len()`), so each
     /// root is searched against a partition-local set — the subtree's
     /// reachable tasks still present in `available` — exactly as the
-    /// planner's partition pool does. The sweep is therefore bitwise
-    /// identical to the pooled path for every thread count, and matches the
-    /// subproblem-local features the TVF was trained on.
+    /// planner's partition loop does. The sweep is therefore bitwise
+    /// identical to the planner's output, and matches the subproblem-local
+    /// features the TVF was trained on.
     pub fn guided(
         &self,
         tree: &ClusterTree,

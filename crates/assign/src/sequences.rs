@@ -142,9 +142,7 @@ pub fn generate_sequences_into(
             // Total order: without the lexicographic tiebreak, sequences tied
             // on (length, completion) would keep the HashMap's per-instance
             // random iteration order, and downstream tie-breaking ("first
-            // best wins") would differ between otherwise identical planners —
-            // the partitioned pool pins bitwise-equal plans per thread count,
-            // which needs deterministic candidate order.
+            // best wins") would differ between otherwise identical planners.
             .then_with(|| a.0.iter().cmp(b.0.iter()))
     });
     SequenceSet {

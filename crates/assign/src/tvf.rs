@@ -108,7 +108,7 @@ impl TaskValueFunction {
             .get(0, 0)
     }
 
-    /// Takes a thread-safe snapshot of the trained weights for use by the
+    /// Takes an autograd-free snapshot of the trained weights for use by the
     /// guided search (see [`TvfInference`]).
     pub fn inference(&self) -> TvfInference {
         TvfInference {
@@ -173,8 +173,8 @@ impl TaskValueFunction {
 /// An immutable, autograd-free snapshot of a trained [`TaskValueFunction`].
 ///
 /// The autograd [`Var`] handles inside the TVF are `Rc`-based and therefore
-/// neither `Send` nor `Sync`; the partitioned planner fans the guided search
-/// out across a thread pool, so inference runs on this plain-`Matrix` copy of
+/// neither `Send` nor `Sync`, and a runner holding them could not move to a
+/// per-tenant pump thread, so inference runs on this plain-`Matrix` copy of
 /// the weights instead. The guided search scores every candidate sequence of
 /// every planned worker through [`TvfInference::value`], so it allocates
 /// nothing: the features sit in a stack array and each hidden unit is folded

@@ -1,20 +1,19 @@
 //! The single place the workspace reads process-environment configuration.
 //!
-//! Every `DATAWA_*` knob — thread count, observability toggle, incremental
-//! replanning, experiment scaling, service sizing — is read **here and only
-//! here**, through a typed accessor. The `stray-env-read` rule of
-//! `datawa-lint` (see `LINTS.md`) enforces this at the source level: any
-//! `std::env::var` outside this module is a lint error, because scattered
-//! environment reads are exactly how nondeterminism sneaks into code paths
-//! that are pinned bitwise-equal across configurations.
+//! Every `DATAWA_*` knob — observability toggle, experiment scaling, service
+//! sizing — is read **here and only here**, through a typed accessor. The
+//! `stray-env-read` rule of `datawa-lint` (see `LINTS.md`) enforces this at
+//! the source level: any `std::env::var` outside this module is a lint
+//! error, because scattered environment reads are exactly how nondeterminism
+//! sneaks into code paths that are pinned bitwise-equal across
+//! configurations.
 //!
 //! ## Caching policy
 //!
-//! Accessors document whether they cache. [`threads_override`] is resolved
-//! once per process (it sits under the hot replan path); the boolean toggles
-//! ([`obs_attached`], [`incremental_enabled`]) re-read the environment on
-//! every call so tests can flip them in-process. The experiment knobs are
-//! read once at binary startup by their callers, so they are uncached too.
+//! No accessor caches and none sits under the hot replan path:
+//! [`obs_attached`] re-reads the environment on every call (registry
+//! construction is cold) so tests can flip it in-process, and the experiment
+//! knobs are read once at binary startup by their callers.
 //!
 //! ## Adding a knob
 //!
@@ -22,15 +21,8 @@
 //! call sites previously did inline, and a line in `LINTS.md`'s knob table.
 //! Do **not** call `std::env::var` from anywhere else.
 
-use std::sync::OnceLock;
-
-/// Planner-pool thread count (`DATAWA_THREADS`); positive integer.
-pub const THREADS: &str = "DATAWA_THREADS";
 /// Observability toggle (`DATAWA_OBS=on|1|true` attaches the registry).
 pub const OBS: &str = "DATAWA_OBS";
-/// Incremental-replanning escape hatch (`DATAWA_INCREMENTAL=off|0|false`
-/// forces full replans).
-pub const INCREMENTAL: &str = "DATAWA_INCREMENTAL";
 /// Experiment workload scale factor in `(0, 1]` (`DATAWA_SCALE`).
 pub const SCALE: &str = "DATAWA_SCALE";
 /// Predictor training epochs (`DATAWA_EPOCHS`).
@@ -57,19 +49,6 @@ fn raw(name: &str) -> Option<String> {
     std::env::var(name).ok()
 }
 
-/// `DATAWA_THREADS` as a validated thread count (`>= 1`), or `None` when
-/// unset/invalid. **Cached per process** — the hot replan path resolves the
-/// pool size on every planning instant and must not touch the environment
-/// (an OS call and a lock on some platforms) each time.
-pub fn threads_override() -> Option<usize> {
-    static CACHE: OnceLock<Option<usize>> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        raw(THREADS)
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-    })
-}
-
 /// Parses an on/off toggle value the way every `DATAWA_*` boolean knob does:
 /// `on`, `1`, `true` (case-insensitive, trimmed) enable; everything else
 /// disables.
@@ -85,19 +64,6 @@ pub fn toggle_is_on(value: &str) -> bool {
 /// construction is a cold path.
 pub fn obs_attached() -> bool {
     raw(OBS).is_some_and(|v| toggle_is_on(&v))
-}
-
-/// Whether `DATAWA_INCREMENTAL` permits plan caching: `off`/`0`/`false`
-/// disables, anything else — including unset — enables. **Uncached** so
-/// toggling between runs in one process behaves as expected.
-pub fn incremental_enabled() -> bool {
-    match raw(INCREMENTAL) {
-        Some(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "off" | "0" | "false"
-        ),
-        None => true,
-    }
 }
 
 /// `DATAWA_SCALE` as a validated factor in `(0, 1]`, or `None`.
@@ -163,7 +129,7 @@ mod tests {
     fn accessors_tolerate_unset_variables() {
         // The suite never sets the experiment knobs, so these exercise the
         // unset path; the set path is covered by the lint fixture corpus and
-        // the existing pool/config/params behaviour tests.
+        // the existing params behaviour tests.
         let _ = scale_factor();
         let _ = epochs();
         let _ = replan_every();
@@ -171,17 +137,13 @@ mod tests {
         let _ = grid_cells_per_side();
         let _ = service_tasks();
         let _ = service_workers();
-        assert!(threads_override().is_none_or(|n| n >= 1));
     }
 
     #[test]
     #[allow(clippy::disallowed_methods)] // presence probe in the gateway's own tests, not a knob read
-    fn incremental_defaults_on_and_obs_defaults_off_when_unset() {
-        // CI legs that set these variables still satisfy the weaker
-        // assertions below; locally (unset) they pin the defaults.
-        if std::env::var_os(INCREMENTAL).is_none() {
-            assert!(incremental_enabled());
-        }
+    fn obs_defaults_off_when_unset() {
+        // A CI leg that sets the variable still satisfies the weaker
+        // assertion below; locally (unset) it pins the default.
         if std::env::var_os(OBS).is_none() {
             assert!(!obs_attached());
         }

@@ -38,7 +38,6 @@ fn main() {
         "Expired unserved",
         "Partitions (peak)",
         "Max part. |W|",
-        "Pool occupancy",
     ]);
     for scenario in builtin_scenarios(spec) {
         let workload = scenario.generate();
@@ -72,13 +71,12 @@ fn main() {
                     expired_unserved.to_string(),
                     outcome.stats.peak_partitions.to_string(),
                     outcome.stats.peak_partition_workers.to_string(),
-                    outcome.stats.peak_pool_occupancy.to_string(),
                 ]);
             }
         }
     }
     println!(
-        "datawa-stream scenario tour — {} workers, {} tasks per scenario (scale {:.3}, planner threads: DATAWA_THREADS or AssignConfig::threads)\n",
+        "datawa-stream scenario tour — {} workers, {} tasks per scenario (scale {:.3})\n",
         spec.workers, spec.tasks, scale.factor
     );
     println!("{}", format_table(&table));

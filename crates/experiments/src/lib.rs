@@ -2,8 +2,7 @@
 //!
 //! The experiment harness that regenerates every table and figure of the
 //! paper's evaluation (§V). Each binary under `src/bin/` prints the same rows
-//! or series the paper reports; this library holds the shared sweep logic so
-//! the Criterion benches in `datawa-bench` can reuse it.
+//! or series the paper reports; this library holds the shared sweep logic.
 //!
 //! Run, for example:
 //!

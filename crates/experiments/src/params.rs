@@ -80,7 +80,7 @@ impl ExperimentScale {
         ExperimentScale { factor }
     }
 
-    /// A fixed scale (used by tests and benches).
+    /// A fixed scale (used by tests).
     pub fn fixed(factor: f64) -> ExperimentScale {
         assert!(factor > 0.0);
         ExperimentScale { factor }
@@ -93,7 +93,7 @@ impl ExperimentScale {
 }
 
 /// Builds the pipeline configuration used by the experiment binaries, honouring
-/// five optional environment variables so that quick, scaled-down captures
+/// four optional environment variables so that quick, scaled-down captures
 /// are possible without recompiling:
 ///
 /// * `DATAWA_EPOCHS` — predictor training epochs (default 8);
@@ -101,19 +101,10 @@ impl ExperimentScale {
 ///   setting);
 /// * `DATAWA_REPLAN_DT` — additionally re-plan every Δt simulated seconds via
 ///   the discrete-event engine's replan ticks (default off);
-/// * `DATAWA_GRID` — prediction grid cells per side (default 6);
-/// * `DATAWA_THREADS` — planner-pool threads for the partitioned search
-///   (default 1). The same knob is available programmatically as
-///   `AssignConfig::threads` (`PipelineConfig::assign.threads`); assignment
-///   results are identical for every thread count by construction, only the
-///   planning wall-clock changes. The CI matrix runs the whole tier-1 suite
-///   at `DATAWA_THREADS=4` to keep the parallel path exercised.
+/// * `DATAWA_GRID` — prediction grid cells per side (default 6).
 pub fn pipeline_config_from_env() -> datawa_sim::PipelineConfig {
     use datawa_core::env_config;
     let mut config = datawa_sim::PipelineConfig::default();
-    if let Some(threads) = env_config::threads_override() {
-        config.assign.threads = threads;
-    }
     if let Some(epochs) = env_config::epochs() {
         config.training.epochs = epochs;
     }

@@ -17,8 +17,6 @@
 
 pub mod grid;
 pub mod index;
-pub mod shard;
 
 pub use grid::{CellId, GridSpec, UniformGrid};
 pub use index::SpatialIndex;
-pub use shard::{ShardId, ShardMap};

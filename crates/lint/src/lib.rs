@@ -1,16 +1,15 @@
 //! # datawa-lint — determinism & concurrency static analysis for DATA-WA
 //!
 //! Every layer of this workspace stakes its correctness on one invariant:
-//! planning output is bitwise identical across thread counts, shard layouts,
-//! cache on/off and metrics on/off. The runtime equivalence suites defend
-//! that invariant only for the seeds they run; this crate defends it at the
-//! source level by scanning the workspace's Rust files for the hazard
-//! classes that historically break it:
+//! planning output is bitwise identical across cache on/off and metrics
+//! on/off. The runtime equivalence suites defend that invariant only for the
+//! seeds they run; this crate defends it at the source level by scanning the
+//! workspace's Rust files for the hazard classes that historically break it:
 //!
 //! | rule | catches |
 //! |------|---------|
 //! | `unordered-iteration` | iterating `HashMap`/`HashSet` in deterministic crates without an immediate sort or order-insensitive sink |
-//! | `wall-clock-in-hot-path` | `Instant::now`/`SystemTime` outside `obs`, `bench` and `service` |
+//! | `wall-clock-in-hot-path` | `Instant::now`/`SystemTime` outside `obs` and `service` |
 //! | `stray-env-read` | `std::env::var` outside `datawa_core::env_config` |
 //! | `relaxed-atomic-audit` | `Ordering::Relaxed` outside the audited allowlist |
 //! | `unchecked-float-ordering` | `partial_cmp` call sites (NaN-unsafe sort keys) in planning code |

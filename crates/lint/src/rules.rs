@@ -20,9 +20,9 @@ pub const HOT_PATH_CRATES: &[&str] = &["assign", "stream"];
 pub const SERVICE_PATH_CRATES: &[&str] = &["service", "net"];
 
 /// Crates allowed to read wall clocks: observability (span timers), the
-/// bench harness, the service layer's live pacing, and the transport
-/// front-end (ingest-latency spans, socket timeouts).
-pub const WALL_CLOCK_EXEMPT_CRATES: &[&str] = &["obs", "bench", "service", "lint", "net"];
+/// service layer's live pacing, and the transport front-end (ingest-latency
+/// spans, socket timeouts).
+pub const WALL_CLOCK_EXEMPT_CRATES: &[&str] = &["obs", "service", "lint", "net"];
 
 /// The one module allowed to call `std::env::var` (path suffix match).
 pub const ENV_GATEWAY: &str = "crates/core/src/env_config.rs";
@@ -44,7 +44,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "wall-clock-in-hot-path",
-        "Instant::now/SystemTime outside obs, bench and service",
+        "Instant::now/SystemTime outside obs and service",
     ),
     (
         "stray-env-read",
@@ -429,7 +429,7 @@ fn wall_clock(file: &SourceFile, findings: &mut Vec<Finding>) {
                     "wall-clock-in-hot-path",
                     format!(
                         "`{pattern}` in a deterministic code path; wall-clock reads belong in \
-                         obs/bench/service — if this only feeds a metric, suppress with that \
+                         obs/service — if this only feeds a metric, suppress with that \
                          rationale"
                     ),
                 ));

@@ -84,7 +84,7 @@ use std::thread::JoinHandle;
 pub struct NetConfig {
     /// Assignment policy every tenant session runs.
     pub policy: PolicyKind,
-    /// Planner configuration (thread pool, travel model, …).
+    /// Planner configuration (travel model, search caps, …).
     pub assign: AssignConfig,
     /// Per-session service behaviour (engine config, bounded backlog).
     pub service: ServiceConfig,

@@ -5,8 +5,8 @@
 //! split into [`SUB`] linear sub-buckets — so recording is two shifts and one
 //! relaxed atomic add, the memory footprint is fixed (`[u64; BUCKETS]`), and
 //! quantile estimates carry a bounded relative error of at most `1/SUB`
-//! (12.5 %). Buckets are atomics, so any number of threads (or shard
-//! sessions) record into one histogram concurrently and the counts merge
+//! (12.5 %). Buckets are atomics, so any number of threads record into one
+//! histogram concurrently and the counts merge
 //! commutatively and associatively — the same property
 //! [`Histogram::merge_from`] exposes for explicitly combining per-thread
 //! instances.
@@ -79,7 +79,7 @@ impl HistogramCore {
 /// A handle to a registered latency histogram (or a detached no-op).
 ///
 /// Cloning is cheap (an `Arc` bump); clones share the same buckets, which is
-/// how per-shard sessions merge into one distribution without locks. All
+/// how per-tenant sessions merge into one distribution without locks. All
 /// operations on a detached handle (from
 /// [`MetricsRegistry::detached`](crate::MetricsRegistry::detached)) are
 /// no-ops that never read the clock.
@@ -205,9 +205,9 @@ impl Histogram {
         core.max.load(Ordering::Relaxed)
     }
 
-    /// Adds every count of `other` into this histogram (threads/shards
-    /// merge). Merging is commutative and associative; detached handles on
-    /// either side are no-ops.
+    /// Adds every count of `other` into this histogram (per-thread
+    /// instances merge). Merging is commutative and associative; detached
+    /// handles on either side are no-ops.
     pub fn merge_from(&self, other: &Histogram) {
         let (Some(dst), Some(src)) = (&self.core, &other.core) else {
             return;

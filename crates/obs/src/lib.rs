@@ -3,7 +3,7 @@
 //! A lock-light metrics layer the rest of the workspace threads through its
 //! hot paths: atomic [`Counter`]s and [`Gauge`]s (with high-water marks),
 //! log-bucketed latency [`Histogram`]s (p50/p95/p99/max with ≤ 12.5 %
-//! relative error, mergeable across threads and shards), a scoped
+//! relative error, mergeable across threads), a scoped
 //! [`SpanTimer`], and a [`MetricsSnapshot`] that renders to JSON through the
 //! crate's own [`JsonValue`] model (the vendored serde is a marker stub, so
 //! serialization is hand-rolled here).
@@ -17,7 +17,7 @@
 //! unconditionally, and the workspace equivalence tests pin that attaching a
 //! registry does not change assignment output bitwise.
 //!
-//! The default wiring follows the `DATAWA_THREADS` precedent:
+//! The default wiring is one environment toggle:
 //! [`MetricsRegistry::from_env`] attaches when `DATAWA_OBS=on|1|true` and
 //! detaches otherwise, and `AdaptiveRunner::new` calls it, so exporting
 //! `DATAWA_OBS=on` lights up the whole stack with no code changes.
@@ -43,7 +43,7 @@
 //! Registration (`counter`/`gauge`/`histogram`) locks a name table and is a
 //! cold-path operation: resolve handles once at construction and keep them.
 //! Handles are `Arc`s over atomics — clones for the same name share storage,
-//! which is how per-shard sessions and worker threads aggregate without
+//! which is how per-tenant sessions and worker threads aggregate without
 //! locks.
 //!
 //! Names are dot-namespaced by owning layer: `assign.*` (planner),
@@ -53,17 +53,11 @@
 //! replay histogram, exercised by the chaos suite). The registry itself
 //! imposes no schema; the convention keeps snapshots diffable across
 //! layers.
-//!
-//! The [`CountingAlloc`] global-allocator shim (installed only by binaries
-//! that opt in, e.g. the `soak` harness in `datawa-bench`) adds live-heap
-//! high-water tracking for `BENCH_*.json` memory columns.
 
-mod alloc;
 mod hist;
 mod json;
 mod registry;
 
-pub use alloc::CountingAlloc;
 pub use hist::{Histogram, HistogramSummary, SpanTimer, BUCKETS, SUB};
 pub use json::JsonValue;
 pub use registry::{

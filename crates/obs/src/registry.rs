@@ -13,7 +13,7 @@
 //! Registration (`counter`/`gauge`/`histogram`) takes a lock and is meant for
 //! cold paths — do it once at construction time and keep the handles. The
 //! handles themselves are lock-free `Arc`s over atomics; clones of the same
-//! name share storage, which is how threads and shards aggregate without
+//! name share storage, which is how threads aggregate without
 //! coordination.
 
 use std::collections::BTreeMap;
@@ -23,8 +23,8 @@ use std::sync::{Arc, Mutex};
 use crate::hist::{Histogram, HistogramCore, HistogramSummary};
 use crate::json::JsonValue;
 
-/// Name of the environment variable toggling default-registry attachment,
-/// mirroring `DATAWA_THREADS`: `DATAWA_OBS=on|1|true` attaches,
+/// Name of the environment variable toggling default-registry attachment:
+/// `DATAWA_OBS=on|1|true` attaches,
 /// `off|0|false` (or unset) detaches.
 pub const OBS_ENV: &str = "DATAWA_OBS";
 
@@ -304,7 +304,7 @@ impl MetricsSnapshot {
     }
 
     /// The snapshot as a [`JsonValue`] tree, for embedding inside a larger
-    /// document (the soak harness nests one per run).
+    /// document.
     pub fn to_json_value(&self) -> JsonValue {
         let mut counters = Vec::new();
         for (name, value) in &self.counters {

@@ -94,10 +94,6 @@ pub struct EngineStats {
     pub peak_partitions: usize,
     /// Workers in the largest partition observed across the run.
     pub peak_partition_workers: usize,
-    /// Largest number of planner-pool threads any planning instant actually
-    /// occupied (1 unless `AssignConfig::threads`/`DATAWA_THREADS` enables
-    /// the pool and an instant had multiple partitions).
-    pub peak_pool_occupancy: usize,
 }
 
 /// Result of one engine run: the assignment outcome plus engine counters.
@@ -241,7 +237,7 @@ impl StreamEngine {
 }
 
 /// Whether the `arrivals_seen`-th arrival (0-based) triggers an event-batched
-/// re-plan. Shared with the sharded engine so both count identically.
+/// re-plan.
 #[inline]
 pub(crate) fn arrival_triggers_replan(config: &EngineConfig, arrivals_seen: usize) -> bool {
     let n = config.replan_every_events;

@@ -85,10 +85,7 @@
 //! ```
 //!
 //! (A compilable end-to-end example lives in the `datawa-predict` crate
-//! docs, which own the model side.) The sharded engine keeps one provider
-//! per shard — arrivals observe into the shard that owns their location —
-//! and merges the per-shard counters deterministically in ascending shard
-//! index into the aggregate `run.forecast`; [`run_workload_forecast`] and
+//! docs, which own the model side.) [`run_workload_forecast`] and
 //! [`StreamEngine::run_with_forecast`] are the batch conveniences over the
 //! same API.
 //!
@@ -99,18 +96,17 @@
 //! changes, replan ticks, dispatches and forecast refreshes are each
 //! recorded as the kind of invalidation they cause, and
 //! [`Session::dirty_set`] exposes the accumulated set between planning
-//! instants (the sharded engine keeps one per shard, inside each shard's
-//! session). The planner's plan cache uses content *verification* — not
+//! instants. The planner's plan cache uses content *verification* — not
 //! this tracker — as its source of truth, so dirty sets are purely
 //! diagnostic; the cache reuses a partition's previous plan only after
 //! re-validating every member worker and its reachable tasks against the
 //! live stores (see the "Incremental replanning" section of the
 //! `datawa-assign` docs for the dirty-set rules and the fingerprint
-//! definition). `DATAWA_INCREMENTAL=off` (or
-//! [`IncrementalMode::Off`](datawa_assign::IncrementalMode) in the config)
-//! disables reuse for A/B parity runs; output is bitwise identical either
+//! definition).
+//! [`IncrementalMode::Off`](datawa_assign::IncrementalMode) in the config is
+//! the reference path without reuse; output is bitwise identical either
 //! way, which the `incremental_equivalence` workspace suite pins across
-//! every policy, scenario generator and thread count.
+//! every policy and scenario generator.
 //!
 //! ## Observability
 //!
@@ -127,9 +123,7 @@
 //! histogram, partition gauges, search-node counters) and the stream-layer
 //! metrics side by side; [`Session::obs_snapshot`] serialises all of it to
 //! JSON. `Session::open_with_metrics` substitutes an explicit registry.
-//! The sharded engine additionally publishes per-shard load gauges
-//! (`shard.<i>.workers` / `.tasks` / `.assigned`) and an overall
-//! `shard.load_skew_pct`. A detached registry makes every handle a no-op —
+//! A detached registry makes every handle a no-op —
 //! no atomics touched, no clocks read — which is what lets the
 //! `obs_equivalence` workspace tests pin metrics-on runs bitwise against
 //! metrics-off runs on all four policies.
@@ -159,7 +153,6 @@ pub mod event;
 pub mod journal;
 pub mod scenario;
 pub mod session;
-pub mod shard;
 
 pub use engine::{
     run_workload, run_workload_forecast, EngineConfig, EngineOutcome, EngineStats, StreamEngine,
@@ -173,9 +166,6 @@ pub use scenario::{
 pub use session::{
     ChannelSink, CollectingSink, Decision, DecisionSink, IngestError, NullSink, Session,
     SessionSnapshot,
-};
-pub use shard::{
-    run_workload_sharded, ShardRouting, ShardedEngineConfig, ShardedOutcome, ShardedStreamEngine,
 };
 
 // The forecast API surface, re-exported from the consumer layer so session

@@ -523,17 +523,9 @@ impl<'a, F: ForecastProvider + ?Sized> Session<'a, F> {
         self.state.forecast_stats()
     }
 
-    /// Number of candidate open tasks currently tracked (the demand signal
-    /// the sharded engine uses for boundary hand-offs).
-    #[inline]
-    pub fn open_candidates(&self) -> usize {
-        self.state.open_candidates()
-    }
-
     /// The events recorded since the session's last planning instant (the
     /// diagnostic side of incremental replanning; see
-    /// [`datawa_assign::DirtySet`]). Each shard of the sharded engine owns
-    /// its own session and therefore its own per-shard dirty set.
+    /// [`datawa_assign::DirtySet`]).
     #[inline]
     pub fn dirty_set(&self) -> &datawa_assign::DirtySet {
         self.state.dirty_set()
@@ -645,7 +637,6 @@ impl<'a, F: ForecastProvider + ?Sized> Session<'a, F> {
         let run = self.state.finish();
         self.stats.peak_partitions = run.peak_partitions;
         self.stats.peak_partition_workers = run.peak_partition_workers;
-        self.stats.peak_pool_occupancy = run.peak_pool_occupancy;
         EngineOutcome {
             run,
             stats: self.stats,

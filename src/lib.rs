@@ -13,8 +13,7 @@
 //! * [`graph`] — chordal completion, maximal cliques, recursive tree
 //!   construction;
 //! * [`obs`] — the zero-overhead observability layer: metrics registry,
-//!   mergeable latency histograms, span timers, JSON snapshots and the
-//!   counting allocator used by the soak harness;
+//!   mergeable latency histograms, span timers and JSON snapshots;
 //! * [`predict`] — task multivariate time series, DDGNN and the LSTM /
 //!   Graph-WaveNet baselines;
 //! * [`assign`] — reachable tasks, maximal valid sequences, DFSearch, the
@@ -63,7 +62,7 @@ pub mod prelude {
         TvfInference,
     };
     pub use datawa_core::prelude::*;
-    pub use datawa_geo::{GridSpec, ShardId, ShardMap, SpatialIndex, UniformGrid};
+    pub use datawa_geo::{GridSpec, SpatialIndex, UniformGrid};
     pub use datawa_obs::{Histogram, MetricsRegistry, MetricsSnapshot, SpanTimer};
     pub use datawa_predict::{
         DdgnnPredictor, DemandPredictor, GraphWaveNetPredictor, LstmPredictor,
@@ -80,11 +79,10 @@ pub mod prelude {
         train_tvf_on_prefix, PipelineConfig, SyntheticTrace, TraceSpec,
     };
     pub use datawa_stream::{
-        builtin_scenarios, run_workload, run_workload_sharded, ChannelSink, CollectingSink,
-        Decision, DecisionSink, EngineConfig, EngineOutcome, Event, EventQueue, HeavyTailedChurn,
-        HotspotDrift, IngestError, NullSink, RushHourBurst, ScenarioGenerator, ScenarioSpec,
-        Session, SessionSnapshot, ShardedEngineConfig, ShardedStreamEngine, StreamEngine,
-        UniformBaseline, Workload,
+        builtin_scenarios, run_workload, ChannelSink, CollectingSink, Decision, DecisionSink,
+        EngineConfig, EngineOutcome, Event, EventQueue, HeavyTailedChurn, HotspotDrift,
+        IngestError, NullSink, RushHourBurst, ScenarioGenerator, ScenarioSpec, Session,
+        SessionSnapshot, StreamEngine, UniformBaseline, Workload,
     };
 }
 

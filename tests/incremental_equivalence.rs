@@ -1,10 +1,9 @@
 //! The correctness contract of incremental replanning, pinned at the
 //! integration level: with the plan cache forced on, every policy on every
 //! built-in scenario generator must produce bit-for-bit the same run as with
-//! the cache forced off (full replanning), at 1 and 4 planner threads — plus
-//! a property test that no single world event can ever invalidate a cached
-//! partition plan without the planner noticing (oracle: recompute everything
-//! and diff).
+//! the cache forced off (full replanning) — plus a property test that no
+//! single world event can ever invalidate a cached partition plan without the
+//! planner noticing (oracle: recompute everything and diff).
 
 use datawa::prelude::*;
 use proptest::prelude::*;
@@ -12,11 +11,9 @@ use proptest::prelude::*;
 fn outcome(
     workload: &Workload,
     policy: PolicyKind,
-    threads: usize,
     incremental: IncrementalMode,
 ) -> datawa::stream::EngineOutcome {
     let config = AssignConfig {
-        threads,
         incremental,
         ..AssignConfig::default()
     };
@@ -29,7 +26,7 @@ fn outcome(
 }
 
 /// Cache-on and cache-off runs must agree task for task, worker for worker,
-/// for every policy family on every scenario generator, at 1 and 4 threads.
+/// for every policy family on every scenario generator.
 #[test]
 fn incremental_equals_full_replan_for_all_policies_and_scenarios() {
     let spec = ScenarioSpec::small().with_tasks(150).with_workers(12);
@@ -41,27 +38,25 @@ fn incremental_equals_full_replan_for_all_policies_and_scenarios() {
             PolicyKind::Dta,
             PolicyKind::DataWa,
         ] {
-            for threads in [1usize, 4] {
-                let on = outcome(&workload, policy, threads, IncrementalMode::On);
-                let off = outcome(&workload, policy, threads, IncrementalMode::Off);
-                assert_eq!(
-                    on.run.assigned_tasks,
-                    off.run.assigned_tasks,
-                    "{} on {} (threads={threads}): incremental diverged from full replan",
-                    policy.name(),
-                    scenario.name()
-                );
-                assert_eq!(
-                    on.run.per_worker,
-                    off.run.per_worker,
-                    "{} on {} (threads={threads}): per-worker counts diverged",
-                    policy.name(),
-                    scenario.name()
-                );
-                assert_eq!(on.run.planning_calls, off.run.planning_calls);
-                // The off side must never report reuse.
-                assert_eq!(off.run.partitions_reused, 0);
-            }
+            let on = outcome(&workload, policy, IncrementalMode::On);
+            let off = outcome(&workload, policy, IncrementalMode::Off);
+            assert_eq!(
+                on.run.assigned_tasks,
+                off.run.assigned_tasks,
+                "{} on {}: incremental diverged from full replan",
+                policy.name(),
+                scenario.name()
+            );
+            assert_eq!(
+                on.run.per_worker,
+                off.run.per_worker,
+                "{} on {}: per-worker counts diverged",
+                policy.name(),
+                scenario.name()
+            );
+            assert_eq!(on.run.planning_calls, off.run.planning_calls);
+            // The off side must never report reuse.
+            assert_eq!(off.run.partitions_reused, 0);
         }
     }
 }
@@ -73,7 +68,7 @@ fn incremental_equals_full_replan_for_all_policies_and_scenarios() {
 fn incremental_runs_reuse_partitions() {
     let spec = ScenarioSpec::small().with_tasks(150).with_workers(12);
     let workload = RushHourBurst::new(spec).generate();
-    let on = outcome(&workload, PolicyKind::Dta, 1, IncrementalMode::On);
+    let on = outcome(&workload, PolicyKind::Dta, IncrementalMode::On);
     assert!(on.run.assigned_tasks > 0, "scenario assigns nothing");
     assert!(
         on.run.partitions_reused > 0,
@@ -96,31 +91,28 @@ fn prediction_policies_stay_equivalent() {
             expiration: Timestamp(60.0 * i as f64 + 300.0),
         })
         .collect();
-    for threads in [1usize, 4] {
-        let config_on = AssignConfig {
-            threads,
-            incremental: IncrementalMode::On,
-            ..AssignConfig::default()
-        };
-        let config_off = AssignConfig {
-            incremental: IncrementalMode::Off,
-            ..config_on
-        };
-        let on = run_workload(
-            &AdaptiveRunner::new(config_on, PolicyKind::DtaTp),
-            &workload,
-            &predicted,
-            EngineConfig::batched(8),
-        );
-        let off = run_workload(
-            &AdaptiveRunner::new(config_off, PolicyKind::DtaTp),
-            &workload,
-            &predicted,
-            EngineConfig::batched(8),
-        );
-        assert_eq!(on.run.assigned_tasks, off.run.assigned_tasks);
-        assert_eq!(on.run.per_worker, off.run.per_worker);
-    }
+    let config_on = AssignConfig {
+        incremental: IncrementalMode::On,
+        ..AssignConfig::default()
+    };
+    let config_off = AssignConfig {
+        incremental: IncrementalMode::Off,
+        ..config_on
+    };
+    let on = run_workload(
+        &AdaptiveRunner::new(config_on, PolicyKind::DtaTp),
+        &workload,
+        &predicted,
+        EngineConfig::batched(8),
+    );
+    let off = run_workload(
+        &AdaptiveRunner::new(config_off, PolicyKind::DtaTp),
+        &workload,
+        &predicted,
+        EngineConfig::batched(8),
+    );
+    assert_eq!(on.run.assigned_tasks, off.run.assigned_tasks);
+    assert_eq!(on.run.per_worker, off.run.per_worker);
 }
 
 // ---------------------------------------------------------------------------
@@ -183,7 +175,6 @@ proptest! {
     ) {
         let config = AssignConfig {
             travel: TravelModel::euclidean(0.05),
-            threads: 1,
             incremental: IncrementalMode::On,
             ..AssignConfig::default()
         };
@@ -286,7 +277,6 @@ proptest! {
     ) {
         let config = AssignConfig {
             travel: TravelModel::euclidean(0.05),
-            threads: 1,
             incremental: IncrementalMode::On,
             ..AssignConfig::default()
         };
@@ -356,8 +346,8 @@ proptest! {
 fn reuse_accounting_is_coherent() {
     let spec = ScenarioSpec::small().with_tasks(100).with_workers(8);
     let workload = RushHourBurst::new(spec).generate();
-    let on = outcome(&workload, PolicyKind::Dta, 1, IncrementalMode::On);
-    let off = outcome(&workload, PolicyKind::Dta, 1, IncrementalMode::Off);
+    let on = outcome(&workload, PolicyKind::Dta, IncrementalMode::On);
+    let off = outcome(&workload, PolicyKind::Dta, IncrementalMode::Off);
     assert!(on.run.partitions_recomputed <= off.run.partitions_recomputed);
     assert_eq!(off.run.partitions_reused, 0);
 }

@@ -1,6 +1,8 @@
 //! Property-based integration tests: the assignment invariants of the paper
 //! (Definitions 4–5 and the single-task-assignment mode) must hold for every
-//! randomly generated scenario, not just the hand-built fixtures.
+//! randomly generated scenario, not just the hand-built fixtures — plus the
+//! planner's own structural invariant: searching partitions against
+//! partition-local task sets equals one sweep over a shared set.
 
 use datawa::prelude::*;
 use proptest::prelude::*;
@@ -140,4 +142,90 @@ proptest! {
             .plan(&worker_ids, &task_ids, &worker_store, &task_store, now);
         prop_assert!(exact.assigned_count() >= greedy.assigned_count());
     }
+}
+
+/// The partitioned planner (one partition-local available set per root
+/// subtree) reproduces the whole-tree exact search over one shared available
+/// set bit for bit, on planning snapshots of a synthetic trace.
+#[test]
+fn partitioned_exact_search_equals_the_whole_tree_serial_search() {
+    use datawa::assign::{
+        build_worker_dependency_graph, generate_sequences, reachable_tasks, DfSearch, SequenceSet,
+    };
+    use datawa::graph::ClusterTree;
+    use std::collections::{HashMap, HashSet};
+
+    let trace = SyntheticTrace::generate(TraceSpec::yueche().scaled(0.03));
+    let config = AssignConfig::default();
+    let mut checked = 0;
+    for i in 1..8 {
+        let now = Timestamp(trace.spec.horizon * i as f64 / 8.0);
+        let worker_ids: Vec<WorkerId> = trace.workers.available_at(now);
+        let task_ids: Vec<TaskId> = trace.tasks.open_at(now);
+        if worker_ids.is_empty() || task_ids.is_empty() {
+            continue;
+        }
+        // The reference: one shared available set swept root by root over
+        // the whole tree.
+        let reachable = reachable_tasks(
+            &worker_ids,
+            &task_ids,
+            &trace.workers,
+            &trace.tasks,
+            &config,
+            now,
+        );
+        let mut sequences: HashMap<WorkerId, SequenceSet> = HashMap::new();
+        for &w in &worker_ids {
+            sequences.insert(
+                w,
+                generate_sequences(
+                    trace.workers.get(w),
+                    reachable.of(w),
+                    &trace.tasks,
+                    &config,
+                    now,
+                ),
+            );
+        }
+        let search = DfSearch::new(
+            &trace.workers,
+            &trace.tasks,
+            &config,
+            now,
+            &sequences,
+            &reachable,
+        );
+        let (graph, mapping) = build_worker_dependency_graph(&worker_ids, &reachable);
+        let tree = ClusterTree::build(&graph);
+        let mut available: HashSet<TaskId> = task_ids.iter().copied().collect();
+        let reference = search.exact(&tree, &mapping, &mut available, None);
+        // `PlanningReport::partitions` counts the root subtrees with at least
+        // one reachable task (the planner drops workers that reach nothing).
+        let reaching_partitions = tree
+            .roots
+            .iter()
+            .filter(|&&root| {
+                tree.subtree_members(root)
+                    .iter()
+                    .any(|&i| !reachable.of(mapping[i]).is_empty())
+            })
+            .count();
+
+        let mut planner = Planner::new(config, SearchMode::Exact);
+        let (assignment, report) =
+            planner.plan(&worker_ids, &task_ids, &trace.workers, &trace.tasks, now);
+        assert_eq!(
+            assignment, reference,
+            "partitioned plan diverged from the whole-tree search at t={now}"
+        );
+        assert_eq!(report.partitions, reaching_partitions);
+        assert_eq!(report.partitions_recomputed, reaching_partitions);
+        assert_eq!(report.partitions_reused, 0, "the full route reuses nothing");
+        checked += 1;
+    }
+    assert!(
+        checked >= 3,
+        "too few non-trivial planning instants checked"
+    );
 }

@@ -114,8 +114,8 @@ fn session_run_is_bitwise_identical_with_metrics_attached() {
     }
 }
 
-/// The `DATAWA_OBS` toggle accepts the same spellings as `DATAWA_THREADS`
-/// accepts numbers: case-insensitive, whitespace-tolerant, off by default.
+/// The `DATAWA_OBS` toggle is case-insensitive, whitespace-tolerant and off
+/// by default.
 #[test]
 fn obs_env_toggle_parses_like_the_threads_knob() {
     for on in ["on", "ON", " On ", "1", "true", "TRUE"] {

@@ -169,36 +169,3 @@ fn chunked_advance_equals_batch_run_under_time_driven_planning() {
     assert_eq!(live.run.planning_calls, batch.run.planning_calls);
     assert_eq!(live.stats.replan_ticks, batch.stats.replan_ticks);
 }
-
-/// The sharded engine, now session-per-shard internally, still reproduces
-/// the unsharded engine exactly with a single shard (spot-check on top of
-/// the unchanged sharding suite).
-#[test]
-fn single_shard_session_engine_still_matches_unsharded() {
-    use datawa::core::location::BoundingBox;
-    use datawa::geo::GridSpec;
-
-    let spec = ScenarioSpec::small().with_tasks(150).with_workers(12);
-    let workload = RushHourBurst::new(spec).generate();
-    let area = BoundingBox::new(
-        Location::new(0.0, 0.0),
-        Location::new(spec.area_km, spec.area_km),
-    );
-    let map = ShardMap::new(UniformGrid::new(GridSpec::new(area, 8, 8)), 1);
-    let plain = run_workload(
-        &runner(PolicyKind::Dta),
-        &workload,
-        &[],
-        EngineConfig::default(),
-    );
-    let sharded = run_workload_sharded(
-        &runner(PolicyKind::Dta),
-        &workload,
-        &[],
-        map,
-        ShardedEngineConfig::default(),
-    );
-    assert_eq!(sharded.run.assigned_tasks, plain.run.assigned_tasks);
-    assert_eq!(sharded.per_shard[0].per_worker, plain.run.per_worker);
-    assert_eq!(sharded.run.planning_calls, plain.run.planning_calls);
-}
