@@ -161,6 +161,12 @@ pub struct RunOutcome {
     /// With incremental replanning off this counts every partition of every
     /// instant.
     pub partitions_recomputed: usize,
+    /// Workers whose reachable list was re-derived by a scan of the open
+    /// tasks, summed over the whole run
+    /// ([`PlanningReport::workers_rescanned`](crate::PlanningReport)). With
+    /// incremental replanning off — or a phantom in the planning store —
+    /// an instant rescans every worker it lists.
+    pub workers_rescanned: usize,
 }
 
 /// The streaming adaptive runner (Algorithm 3).
@@ -247,6 +253,13 @@ struct AssignMetrics {
     /// had to be recomputed (0–100) — the distribution of how dirty each
     /// planning instant actually was.
     dirty_fraction_pct: Histogram,
+    /// `assign.reach_rescans`: workers whose reachable list was re-derived
+    /// by a scan of the open tasks (the rest were carried over verified, or
+    /// never looked at).
+    reach_rescans: Counter,
+    /// `assign.reach_live`: workers reaching at least one task at the latest
+    /// planning instant (high-water = the run's peak).
+    reach_live: Gauge,
     /// `forecast.observed` / `forecast.queries` / `forecast.refreshes`:
     /// activity counters of the run's forecast provider (mirrored into
     /// gauges after each planning instant).
@@ -270,6 +283,8 @@ impl AssignMetrics {
             partitions_recomputed: registry.counter("assign.partitions_recomputed"),
             cache_hit_pct: registry.gauge("assign.cache_hit_pct"),
             dirty_fraction_pct: registry.histogram("assign.dirty_fraction_pct"),
+            reach_rescans: registry.counter("assign.reach_rescans"),
+            reach_live: registry.gauge("assign.reach_live"),
             forecast_observed: registry.gauge("forecast.observed"),
             forecast_queries: registry.gauge("forecast.queries"),
             forecast_refreshes: registry.gauge("forecast.refreshes"),
@@ -619,14 +634,21 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
 
         // Planning (Algorithm 3, lines 3–9). FTA plans only for workers that
         // have never received their fixed sequence; the adaptive policies
-        // re-plan when the driver's batching policy says so.
-        let unfixed_idle: Vec<WorkerId> = idle_workers
-            .iter()
-            .copied()
-            .filter(|w| !self.runtime[w.index()].fixed_assigned)
-            .collect();
+        // re-plan every idle worker when the driver's batching policy says
+        // so.
+        let unfixed_idle: Vec<WorkerId>;
+        let planning_workers: &[WorkerId] = if policy == PolicyKind::Fta {
+            unfixed_idle = idle_workers
+                .iter()
+                .copied()
+                .filter(|w| !self.runtime[w.index()].fixed_assigned)
+                .collect();
+            &unfixed_idle
+        } else {
+            &idle_workers
+        };
         let should_plan = match policy {
-            PolicyKind::Fta => !unfixed_idle.is_empty(),
+            PolicyKind::Fta => !planning_workers.is_empty(),
             _ => replan,
         };
         if should_plan && !open_tasks.is_empty() {
@@ -644,10 +666,6 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
                     .build_planning_store(&self.tasks, &open_tasks, predicted, now)
             };
             let planning_task_ids: Vec<TaskId> = planning_store.ids().collect();
-            let planning_workers: Vec<WorkerId> = match policy {
-                PolicyKind::Fta => unfixed_idle.clone(),
-                _ => idle_workers.clone(),
-            };
             if !planning_workers.is_empty() {
                 // Incremental replanning context: only meaningful when the
                 // planning store holds exactly the open real tasks (no
@@ -673,17 +691,18 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
                         .as_ref()
                         // datawa-lint: allow(unwrap-in-hot-path) -- construction invariant: a DataWa runner is only built via with_tvf, which sets this
                         .expect("PolicyKind::DataWa requires a trained TVF (use with_tvf)");
-                    self.planner.plan_guided(
-                        &planning_workers,
+                    self.planner.plan_guided_incremental(
+                        planning_workers,
                         &planning_task_ids,
                         &self.workers,
                         &planning_store,
                         now,
                         tvf,
+                        ctx.as_ref(),
                     )
                 } else {
                     self.planner.plan_incremental(
-                        &planning_workers,
+                        planning_workers,
                         &planning_task_ids,
                         &self.workers,
                         &planning_store,
@@ -701,6 +720,11 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
                     .max(report.max_partition_workers);
                 self.outcome.partitions_reused += report.partitions_reused;
                 self.outcome.partitions_recomputed += report.partitions_recomputed;
+                self.outcome.workers_rescanned += report.workers_rescanned;
+                self.metrics
+                    .reach_rescans
+                    .add(report.workers_rescanned as u64);
+                self.metrics.reach_live.set(report.reach_live as i64);
                 self.metrics
                     .partitions_reused
                     .add(report.partitions_reused as u64);
@@ -738,7 +762,7 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
                     // once it receives a non-empty sequence, matching the
                     // paper's notion that every worker gets exactly one
                     // predetermined sequence.
-                    for &wid in &unfixed_idle {
+                    for &wid in planning_workers {
                         if let Some(seq) = assignment.get(wid) {
                             let mut fixed = TaskSequence::empty();
                             for planning_tid in seq.iter() {
@@ -766,7 +790,7 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
                     // stays put until that expected publication instead of
                     // being dispatched to whatever real task comes next in
                     // the filtered plan.
-                    for &wid in &planning_workers {
+                    for &wid in planning_workers {
                         let mut hold: Option<Timestamp> = None;
                         let mapped = assignment
                             .get(wid)

@@ -9,10 +9,12 @@
 //! * [`DirtySet`] — the event-side tracker kept by `RunnerState`: which
 //!   tasks arrived/expired/were served and which workers came online, went
 //!   offline or moved since the last planning instant, plus the forecast
-//!   epoch (the provider's refresh count). Drivers read it for diagnostics;
-//!   the dirty-fraction histogram in `datawa-obs` is fed from the planner's
-//!   own accounting, which is derived independently (see below) so a missed
-//!   hook can never corrupt plans.
+//!   epoch (the provider's refresh count). It is a log for drivers and
+//!   operators to read; the planner never does. What changed is detected
+//!   from the planner's own inputs — a merge-diff of the worker list and of
+//!   the candidate pool against the previous pass, and the per-slot
+//!   mutation stamp `WorkerStore` bumps on every mutable hand-out — so a
+//!   driver that forgets a hook, or has none, cannot corrupt a plan.
 //! * [`IncrementalContext`] — what a driver hands the planner alongside a
 //!   planning call so caching is sound: the *real* task id behind every
 //!   planning-store id (valid only when the store holds no predicted
@@ -20,19 +22,37 @@
 //!   forecast epoch that folds into every fingerprint.
 //! * [`PlanCache`] — owned by the `Planner`. Two layers:
 //!
-//!   1. **Per-worker reachable sets.** A worker's capped nearest-first
-//!      reachable list is re-derived from scratch only when it may have
-//!      changed. A cached list is still exact when (a) the worker's
-//!      location, reach and availability window are bit-identical, (b)
-//!      every cached member is still an open candidate and still passes
-//!      `Worker::can_reach` *re-evaluated at the current instant*, and (c)
-//!      no task that joined the candidate pool since the last pass lies
-//!      within the worker's reachable distance. Soundness of (b)+(c) rests
-//!      on monotonicity: every `can_reach` constraint only decays as `now`
-//!      advances and distances are static while the worker stands still, so
-//!      a task outside the list cannot climb into the capped nearest-first
-//!      ranking unless it is new — and (c) catches those conservatively by
-//!      distance alone.
+//!   1. **Per-worker reachable sets, kept as a delta.** The layer is
+//!      persistent and dense: one slot per `WorkerId::index()` holding the
+//!      store mutation stamp, location and reachable distance the worker's
+//!      list was scanned under; the sorted worker list and candidate pool of
+//!      the previous pass; and the lists themselves (flat, in real task
+//!      ids) of the *live* workers only — those that reach anything, about
+//!      ten of three hundred at the paper's operating point. A pass walks
+//!      the instant's worker list once against the previous one and
+//!      re-derives a list from scratch only where it may have changed. A
+//!      list is still exact when the worker was listed at the previous pass
+//!      and (a) its mutation stamp has not moved — no one was handed the
+//!      record mutably, so location, reach, window and mode are what they
+//!      were; (b) every cached member is still an open candidate and still
+//!      passes `Worker::can_reach` *re-evaluated at the current instant*;
+//!      and (c) no task that joined the candidate pool since the last pass
+//!      lies within the worker's reachable distance. A worker that reaches
+//!      nothing has no member to re-verify, so (a) and (c) — a `u32`
+//!      compare and one distance per added task against slot-resident
+//!      coordinates — are its whole cost: its record is not loaded, nothing
+//!      is written, no span is emitted. Soundness of (b)+(c) rests on
+//!      monotonicity: every `can_reach` constraint only decays as `now`
+//!      advances (a pass at an earlier `now` than its predecessor resets the
+//!      layer; a worker listed ahead of its window is rescanned until the
+//!      window opens) and distances are static while the worker stands
+//!      still, so a task outside the list cannot climb into the capped
+//!      nearest-first ranking unless it is new — and (c) catches those
+//!      conservatively by distance alone. The exact and the TVF-guided
+//!      search read these sets when the driver supplies a context;
+//!      `reachable_tasks` remains the context-free route (the greedy
+//!      baseline's too) and the oracle they are tested against
+//!      (`tests/reach_delta.rs`).
 //!   2. **Per-partition plans.** Each searched partition is stored under a
 //!      fingerprint of its content — ordered member workers, their
 //!      location/reach/window bits, their reachable sets (as real task
@@ -55,9 +75,11 @@
 
 use crate::config::AssignConfig;
 use crate::partition::Partition;
-use crate::reachable::ReachableSets;
+use crate::reachable::{scan_reachable, still_reachable, ReachableSets};
 use crate::sequences::SequenceSet;
-use datawa_core::{TaskId, TaskSequence, TaskStore, Timestamp, Worker, WorkerId, WorkerStore};
+use datawa_core::{
+    Location, TaskId, TaskSequence, TaskStore, Timestamp, Worker, WorkerId, WorkerStore,
+};
 use std::collections::HashMap;
 
 /// Everything that changed since the previous planning instant, tracked by
@@ -65,9 +87,10 @@ use std::collections::HashMap;
 /// expiration, dispatch, online/offline, replan tick, forecast refresh) and
 /// drains it after every planning call.
 ///
-/// The tracker is *diagnostic*: the planner derives its own dirty set from
-/// its actual inputs (candidate-list diff + per-worker re-verification), so
-/// plan correctness never depends on a driver calling every hook.
+/// The tracker is a log, not an input: the planner derives what changed
+/// from its actual inputs (worker-list and candidate-pool diffs, store
+/// mutation stamps, per-member re-verification), so plan correctness never
+/// depends on a driver calling every hook.
 #[derive(Debug, Clone, Default)]
 pub struct DirtySet {
     /// Tasks that arrived since the last planning instant.
@@ -166,7 +189,10 @@ impl DirtySet {
 /// a real open task (`real_ids[i]` is the real id behind planning id `i`,
 /// ascending); instants whose store contains predicted phantoms must pass
 /// `None` instead, forcing the full path (phantom scoring depends on `now`
-/// in ways content fingerprints cannot capture).
+/// in ways content fingerprints cannot capture). Identity is the driver's
+/// word: a real id names the same task, and a `WorkerId` a slot of the same
+/// `WorkerStore`, at every call that passes a context to one planner — the
+/// reach layer tells a changed worker by that store's mutation stamp.
 #[derive(Debug, Clone, Copy)]
 pub struct IncrementalContext<'a> {
     /// Real task id behind each planning-store id, in planning-id order
@@ -217,17 +243,18 @@ impl Fnv {
     }
 }
 
-#[derive(Debug, Default)]
-struct WorkerEntry {
-    /// Pass at which this entry was last verified or rebuilt; only entries
-    /// verified at the immediately preceding incremental pass are eligible
-    /// for the clean check (anything older missed candidate-pool diffs).
-    verified_pass: u64,
-    /// Worker attribute bits the entry was computed under.
-    bits: [u64; 5],
-    /// The capped nearest-first reachable list, in *real* task ids (stable
-    /// across instants, unlike the per-instant dense planning ids).
-    reachable_real: Vec<TaskId>,
+/// What the reach layer keeps per worker slot (`WorkerId::index()`), for
+/// every worker it has ever scanned: enough to decide "still nothing
+/// changed" for a worker without loading its record.
+#[derive(Debug, Clone, Copy, Default)]
+struct ReachSlot {
+    /// The store's mutation stamp of the worker when its list was last
+    /// scanned — check (a) is one compare against [`WorkerStore::stamp`].
+    stamp: u32,
+    /// Location and reachable distance at that stamp: all that check (c)
+    /// reads.
+    location: Location,
+    reach: f64,
 }
 
 /// One cached partition: the full content it was computed from plus the plan
@@ -260,8 +287,9 @@ const MAX_PARTITION_ENTRIES: usize = 8192;
 const EVICT_AGE: u64 = 16;
 
 /// The planner's incremental state across planning instants: verified
-/// per-worker reachable sets, the previous candidate pool, and fingerprinted
-/// per-partition plans. See the module docs for the invariants.
+/// per-worker reachable sets, the previous worker list and candidate pool,
+/// and fingerprinted per-partition plans. See the module docs for the
+/// invariants.
 #[derive(Debug, Default)]
 pub struct PlanCache {
     /// Incremental passes completed (full-path calls do not advance this —
@@ -269,26 +297,50 @@ pub struct PlanCache {
     pass: u64,
     /// Config the cached state was computed under; a live change clears all.
     config: Option<AssignConfig>,
-    /// Candidate pool (real ids, ascending) of the previous incremental pass.
+    /// Instant of the previous pass: reuse rests on `now` never decreasing.
+    prev_now: Timestamp,
+    /// Candidate pool (real ids, ascending) of the previous pass.
     prev_open: Vec<TaskId>,
-    has_prev: bool,
-    workers: HashMap<WorkerId, WorkerEntry>,
+    /// Worker list (ascending) of the previous pass; empty before the first
+    /// pass, after a reset and after a pass whose list was not ascending —
+    /// every worker then counts as having entered the list.
+    prev_workers: Vec<WorkerId>,
+    /// Per-slot scan state, dense by worker index.
+    slots: Vec<ReachSlot>,
+    /// The lists of this pass's live workers (non-empty reach), in *real*
+    /// task ids — stable across instants, unlike the per-instant dense
+    /// planning ids.
+    real: ReachableSets,
+    /// `real` of the previous pass (the two swap every pass).
+    real_prev: ReachableSets,
     partitions: HashMap<u64, PartitionEntry>,
-    /// Scratch: candidate pool additions since the previous pass.
-    added: Vec<TaskId>,
-    /// Scratch: (task, distance) pairs of a per-worker rescan.
+    /// Scratch: locations of the tasks that joined the pool since the
+    /// previous pass.
+    added: Vec<Location>,
+    /// Scratch: (task, distance) pairs of one worker's rescan.
     scratch_pairs: Vec<(TaskId, f64)>,
+    /// Scratch: one verified worker's list in planning ids.
+    scratch_pids: Vec<TaskId>,
 }
 
 impl PlanCache {
-    /// Refreshes every listed worker's reachable set for this instant —
-    /// verifying cached lists where sound, rescanning where not — and
-    /// returns the per-worker sets (in planning ids, exactly what
-    /// `reachable_tasks` would have produced) plus the number of workers
-    /// that needed a rescan.
+    /// Refreshes the reachable sets of the listed workers for this instant
+    /// into `out` (in planning ids, exactly what `reachable_tasks` would
+    /// have produced) — carrying verified lists over, rescanning where a
+    /// check fails — and returns the number of workers that were rescanned.
+    ///
+    /// A pass walks `worker_ids` once against the previous pass's worker
+    /// list (both ascending). A worker is rescanned when
+    /// it entered the list, (a) its store mutation stamp moved, (b) it is
+    /// live and a member of its list no longer passes the reachability
+    /// predicates re-evaluated at `now`, or (c) a task that joined the pool
+    /// lies within its reachable distance. A worker that is clean and was
+    /// not live costs the stamp compare and one distance per added task: its
+    /// record is never loaded and nothing is written for it.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn refresh_reachable(
         &mut self,
+        out: &mut ReachableSets,
         worker_ids: &[WorkerId],
         candidate_tasks: &[TaskId],
         real_ids: &[TaskId],
@@ -296,53 +348,72 @@ impl PlanCache {
         tasks: &TaskStore,
         config: &AssignConfig,
         now: Timestamp,
-    ) -> (ReachableSets, usize) {
+    ) -> usize {
         self.pass += 1;
-        if self.config != Some(*config) {
-            self.workers.clear();
+        if self.config != Some(*config) || now.0 < self.prev_now.0 {
             self.partitions.clear();
-            self.has_prev = false;
+            self.prev_workers.clear();
+            self.prev_open.clear();
             self.config = Some(*config);
         }
+        let ascending = worker_ids.windows(2).all(|p| p[0] < p[1]);
+        if !ascending {
+            self.prev_workers.clear();
+        }
         // Tasks that joined the candidate pool since the previous pass
-        // (both lists ascending — one merge sweep).
+        // (both lists ascending — one merge sweep); planning id `i` stands
+        // for `real_ids[i]`.
         self.added.clear();
-        if self.has_prev {
-            let mut i = 0;
-            for &t in real_ids {
-                while i < self.prev_open.len() && self.prev_open[i] < t {
-                    i += 1;
-                }
-                if i >= self.prev_open.len() || self.prev_open[i] != t {
-                    self.added.push(t);
-                }
+        let mut i = 0;
+        for (pid, &t) in real_ids.iter().enumerate() {
+            while i < self.prev_open.len() && self.prev_open[i] < t {
+                i += 1;
+            }
+            if i >= self.prev_open.len() || self.prev_open[i] != t {
+                self.added.push(tasks.get(candidate_tasks[pid]).location);
             }
         }
-        let mut per_worker = HashMap::with_capacity(worker_ids.len());
+        std::mem::swap(&mut self.real, &mut self.real_prev);
+        self.real.restart(worker_ids.len());
+        out.restart(worker_ids.len());
+        if self.slots.len() < workers.len() {
+            self.slots.resize(workers.len(), ReachSlot::default());
+        }
+        let mut listed_at = 0;
         let mut rescanned = 0usize;
         for &wid in worker_ids {
+            while listed_at < self.prev_workers.len() && self.prev_workers[listed_at] < wid {
+                listed_at += 1;
+            }
+            let slot = &mut self.slots[wid.index()];
+            let stamp = workers.stamp(wid);
+            // Listed at the previous pass (so its list saw every pool
+            // change since) and (a) not handed out mutably since.
+            let mut clean = self.prev_workers.get(listed_at) == Some(&wid) && slot.stamp == stamp;
+            if clean {
+                // (c) no new candidate within reach distance (conservative:
+                // time feasibility is not consulted, so this can only
+                // over-report dirtiness, never miss a ranking change).
+                clean = !self
+                    .added
+                    .iter()
+                    .any(|task| config.travel.travel_distance(&slot.location, task) <= slot.reach);
+            }
+            if clean && self.real_prev.of(wid).is_empty() {
+                // Clean and inert: nothing to re-verify, nothing to emit.
+                continue;
+            }
             let worker = workers.get(wid);
-            let bits = worker_bits(worker);
-            let entry = self.workers.entry(wid).or_default();
-            let mut pids: Vec<TaskId> = Vec::with_capacity(entry.reachable_real.len());
-            let mut clean =
-                self.has_prev && entry.verified_pass + 1 == self.pass && entry.bits == bits;
             if clean {
                 // (b) every cached member still open, unexpired, reachable —
                 // the exact predicates, re-evaluated at this instant.
-                for &rt in &entry.reachable_real {
+                self.scratch_pids.clear();
+                for &rt in self.real_prev.of(wid) {
                     match planning_id(real_ids, rt) {
-                        Some(pid) => {
-                            let task = tasks.get(pid);
-                            if task.is_expired_at(now)
-                                || !worker.can_reach(task, &config.travel, now)
-                            {
-                                clean = false;
-                                break;
-                            }
-                            pids.push(pid);
+                        Some(pid) if still_reachable(worker, tasks.get(pid), config, now) => {
+                            self.scratch_pids.push(pid)
                         }
-                        None => {
+                        _ => {
                             clean = false;
                             break;
                         }
@@ -350,61 +421,42 @@ impl PlanCache {
                 }
             }
             if clean {
-                // (c) no new candidate within reach distance (conservative:
-                // time feasibility is not consulted, so this can only
-                // over-report dirtiness, never miss a ranking change).
-                for &rt in &self.added {
-                    // datawa-lint: allow(unwrap-in-hot-path) -- DirtySet::added is built from the same candidate list real_ids indexes
-                    let pid = planning_id(real_ids, rt).expect("added tasks are candidates");
-                    let task = tasks.get(pid);
-                    let d = config
-                        .travel
-                        .travel_distance(&worker.location, &task.location);
-                    if d <= worker.reachable_distance {
-                        clean = false;
-                        break;
-                    }
-                }
+                self.real.push(wid, self.real_prev.of(wid).iter().copied());
+                out.push(wid, self.scratch_pids.iter().copied());
+                continue;
             }
-            if clean {
-                entry.verified_pass = self.pass;
+            rescanned += 1;
+            scan_reachable(
+                worker,
+                candidate_tasks,
+                tasks,
+                config,
+                now,
+                &mut self.scratch_pairs,
+            );
+            // A worker listed ahead of its window reaches nothing *yet*:
+            // that is the one way a list grows with time alone, so such a
+            // scan is never recorded as current.
+            slot.stamp = if now.0 < worker.on().0 {
+                stamp.wrapping_sub(1)
             } else {
-                rescanned += 1;
-                // Full rescan — the same loop (and the same stable sort with
-                // the same tie order) as `reachable_tasks`.
-                let pairs = &mut self.scratch_pairs;
-                pairs.clear();
-                for &tid in candidate_tasks {
-                    let task = tasks.get(tid);
-                    if task.is_expired_at(now) {
-                        continue;
-                    }
-                    if worker.can_reach(task, &config.travel, now) {
-                        let d = config
-                            .travel
-                            .travel_distance(&worker.location, &task.location);
-                        pairs.push((tid, d));
-                    }
-                }
-                // Must match `reachable::compute_reachable_sets` bitwise —
-                // same `total_cmp` comparator, same truncation.
-                pairs.sort_by(|a, b| a.1.total_cmp(&b.1));
-                pairs.truncate(config.max_reachable_per_worker);
-                pids.clear();
-                pids.extend(pairs.iter().map(|&(t, _)| t));
-                entry.bits = bits;
-                entry.verified_pass = self.pass;
-                entry.reachable_real.clear();
-                entry
-                    .reachable_real
-                    .extend(pids.iter().map(|&p| real_ids[p.index()]));
-            }
-            per_worker.insert(wid, pids);
+                stamp
+            };
+            slot.location = worker.location;
+            slot.reach = worker.reachable_distance;
+            let pids = self.scratch_pairs.iter().map(|&(t, _)| t);
+            self.real
+                .push(wid, pids.clone().map(|p| real_ids[p.index()]));
+            out.push(wid, pids);
+        }
+        self.prev_workers.clear();
+        if ascending {
+            self.prev_workers.extend_from_slice(worker_ids);
         }
         self.prev_open.clear();
         self.prev_open.extend_from_slice(real_ids);
-        self.has_prev = true;
-        (ReachableSets { per_worker }, rescanned)
+        self.prev_now = now;
+        rescanned
     }
 
     /// Fingerprint of a partition's content at this instant: forecast epoch,
@@ -421,9 +473,9 @@ impl PlanCache {
             for b in worker_bits(workers.get(wid)) {
                 h.word(b);
             }
-            let entry = &self.workers[&wid];
-            h.word(entry.reachable_real.len() as u64);
-            for &t in &entry.reachable_real {
+            let reachable = self.real.of(wid);
+            h.word(reachable.len() as u64);
+            for &t in reachable {
                 h.word(t.index() as u64 + 1);
             }
         }
@@ -444,18 +496,12 @@ impl PlanCache {
     ) -> (u64, Option<Vec<(WorkerId, TaskSequence)>>) {
         let key = self.fingerprint(partition, workers, epoch);
         let pass = self.pass;
-        let worker_entries = &self.workers;
+        let reachable = &self.real;
         let Some(entry) = self.partitions.get_mut(&key) else {
             return (key, None);
         };
         if !entry_matches(
-            entry,
-            partition,
-            sequences,
-            real_ids,
-            workers,
-            worker_entries,
-            epoch,
+            entry, partition, sequences, real_ids, workers, reachable, epoch,
         ) {
             return (key, None);
         }
@@ -496,7 +542,7 @@ impl PlanCache {
             .map(|&wid| MemberKey {
                 wid,
                 bits: worker_bits(workers.get(wid)),
-                reachable: self.workers[&wid].reachable_real.clone(),
+                reachable: self.real.of(wid).to_vec(),
                 sequences: sequences
                     .get(&wid)
                     .map(|s| {
@@ -543,7 +589,7 @@ fn entry_matches(
     sequences: &HashMap<WorkerId, SequenceSet>,
     real_ids: &[TaskId],
     workers: &WorkerStore,
-    worker_entries: &HashMap<WorkerId, WorkerEntry>,
+    reachable: &ReachableSets,
     epoch: u64,
 ) -> bool {
     if entry.epoch != epoch || entry.members.len() != partition.worker_ids.len() {
@@ -552,7 +598,7 @@ fn entry_matches(
     for (member, &wid) in entry.members.iter().zip(&partition.worker_ids) {
         if member.wid != wid
             || member.bits != worker_bits(workers.get(wid))
-            || member.reachable != worker_entries[&wid].reachable_real
+            || member.reachable != reachable.of(wid)
         {
             return false;
         }

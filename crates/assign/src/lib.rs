@@ -23,9 +23,19 @@
 //!   reach the new task; an expiration/serve dirties partitions holding it;
 //!   a worker coming online, going offline, or moving dirties its partition;
 //!   a forecast refresh bumps the epoch and dirties every
-//!   prediction-influenced partition. The tracker is diagnostic: the planner
-//!   independently *verifies* every cached entry against the live stores, so
-//!   a missed hook can never corrupt a plan.
+//!   prediction-influenced partition. The tracker is a log: the planner
+//!   detects what changed from its own inputs (worker-list and open-task
+//!   diffs, the `WorkerStore` mutation stamps) and *verifies* every cached
+//!   entry against the live stores, so a missed hook can never corrupt a
+//!   plan.
+//! * **Reachability as a delta** ([`PlanCache`], layer 1): per-worker
+//!   reachable sets live in dense worker slots across instants; a planning
+//!   instant rescans only the workers that entered the idle list, were
+//!   mutated, lost a member of their list or gained a new task within reach
+//!   distance, and emits sets for the workers that reach something only.
+//!   The exact and the TVF-guided search read these sets whenever the
+//!   driver supplies an [`IncrementalContext`]; the greedy baseline scans
+//!   from scratch.
 //! * **Fingerprint definition** ([`PlanCache`]): each partition is keyed by
 //!   an FNV-1a hash over the forecast epoch, the sorted member worker ids,
 //!   each member's position / reachable distance / availability-window
@@ -36,13 +46,16 @@
 //! * **Reference path**: [`IncrementalMode::Off`] in [`AssignConfig`]
 //!   searches every partition at every instant; it exists for the
 //!   `incremental_equivalence` suite to compare against, not as a knob.
-//! * **Exemptions**: the TVF-guided search (DATA-WA) and instants planning
-//!   over predicted phantom tasks always take the full path — their inputs
-//!   depend on `now` in ways a content fingerprint cannot capture.
+//! * **Exemptions**: the TVF-guided search (DATA-WA) never reuses a
+//!   *plan* — its inputs depend on `now` in ways a content fingerprint
+//!   cannot capture — and instants planning over predicted phantom tasks
+//!   take the full path altogether (phantom planning ids are not stable
+//!   across instants).
 //!
 //! Reuse is observable through `assign.partitions_reused` /
 //! `assign.partitions_recomputed` counters, the `assign.cache_hit_pct`
-//! gauge and the `assign.dirty_fraction_pct` histogram, and through
+//! gauge, the `assign.dirty_fraction_pct` histogram, the
+//! `assign.reach_rescans` counter and `assign.reach_live` gauge, and through
 //! [`RunOutcome`]'s reuse totals.
 
 pub mod adaptive;

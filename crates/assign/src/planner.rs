@@ -6,8 +6,9 @@
 //! depth-first search, per connected component.
 //!
 //! Workers that reach no task are dropped right after the reachable sets are
-//! known, on every route (full, incremental, guided, training-sample
-//! collection): such a worker is an isolated vertex of the dependency graph
+//! known, on every partitioned route (full, incremental, guided,
+//! training-sample collection; the greedy baseline keeps every listed
+//! worker): such a worker is an isolated vertex of the dependency graph
 //! with no candidate sequence, so it can neither be assigned anything nor
 //! influence another worker's partition, and at the paper's operating point
 //! it is the overwhelming majority of idle workers.
@@ -29,7 +30,7 @@
 use crate::cache::{IncrementalContext, PlanCache};
 use crate::config::{AssignConfig, IncrementalMode};
 use crate::partition::split_cluster_tree;
-use crate::reachable::{build_worker_dependency_graph, reachable_tasks};
+use crate::reachable::{build_worker_dependency_graph, reachable_tasks_into, ReachableSets};
 use crate::search::{DfSearch, SearchSample};
 use crate::sequences::{generate_sequences_into, GenScratch, SequenceSet};
 use crate::tvf::{TaskValueFunction, TvfInference};
@@ -66,15 +67,24 @@ pub struct PlanningReport {
     /// greedy baseline.
     pub nodes_expanded: usize,
     /// Partitions whose plan was reused this instant instead of searched,
-    /// on the incremental route: verified plan-cache hits plus the workers
-    /// dropped for reaching nothing (each would have been a trivial
-    /// singleton partition assigning nothing). Always zero on the full
-    /// route, which has no cache to reuse from and does not count the
-    /// dropped workers.
+    /// on the exact search's incremental route: verified plan-cache hits
+    /// plus the workers dropped for reaching nothing (each would have been a
+    /// trivial singleton partition assigning nothing). Always zero on the
+    /// routes that never probe for plans (full, greedy, guided), which do
+    /// not count the dropped workers either.
     pub partitions_reused: usize,
     /// Partitions actually searched this instant. On the full route this is
     /// every partition counted by `partitions`.
     pub partitions_recomputed: usize,
+    /// Workers whose reachable list was re-derived by a scan of the
+    /// candidate pool this instant: every listed worker on the context-free
+    /// route; on the incremental route only those that entered the worker
+    /// list, were mutated, lost a member of their list or gained a new
+    /// candidate within reach distance (see [`crate::cache`]).
+    pub workers_rescanned: usize,
+    /// Workers that reach at least one task this instant — the ones that
+    /// were planned.
+    pub reach_live: usize,
 }
 
 /// How the planner searches each cluster tree.
@@ -109,6 +119,9 @@ pub struct Planner {
     /// Scratch: sequence-generation buffers, reused across workers and
     /// instants by every search mode (greedy included).
     gen_scratch: GenScratch,
+    /// Scratch: this instant's reachable sets (in planning ids), whichever
+    /// route produced them.
+    reachable: ReachableSets,
     /// Incremental replanning state: verified per-worker reachable sets and
     /// fingerprinted per-partition plans (see [`crate::cache`]).
     cache: PlanCache,
@@ -123,6 +136,7 @@ impl Planner {
             tvf: None,
             scratch_sequences: HashMap::new(),
             gen_scratch: GenScratch::default(),
+            reachable: ReachableSets::default(),
             cache: PlanCache::default(),
         }
     }
@@ -139,6 +153,13 @@ impl Planner {
     /// one).
     pub fn cached_partitions(&self) -> usize {
         self.cache.cached_partitions()
+    }
+
+    /// The reachable sets the latest planning call worked from, in that
+    /// call's planning ids (diagnostic; a call with no worker or no task
+    /// computes none and leaves the previous call's in place).
+    pub fn reachable(&self) -> &ReachableSets {
+        &self.reachable
     }
 
     /// Plans task sequences for `worker_ids` over `candidate_tasks` at `now`
@@ -158,16 +179,20 @@ impl Planner {
     }
 
     /// [`Planner::plan`] with an optional [`IncrementalContext`]: when the
-    /// caller supplies one (vouching that every candidate task is real and
-    /// mapping planning ids back to stable real ids), the exact partitioned
-    /// search may reuse cached per-partition plans from earlier instants —
-    /// bitwise identical output, fewer partitions searched. The two routes
-    /// differ only in where reachable sets and partition plans come from
-    /// (recomputed vs. verified against the cache); both plan the same
-    /// workers — those that reach at least one task. The
-    /// greedy and TVF-guided modes ignore the context (greedy has no
-    /// partitions; the guided search's TVF features depend on `now`, which
-    /// content fingerprints cannot capture), as does
+    /// caller supplies one (vouching that every candidate task is real,
+    /// mapping planning ids back to stable real ids, and handing in the same
+    /// `WorkerStore` as at the previous call), the exact and TVF-guided
+    /// modes take their reachable sets from the plan cache's
+    /// delta-maintained reach layer instead of rescanning every worker — the
+    /// sets are identical to [`reachable_tasks`](crate::reachable_tasks),
+    /// only the work differs — and the exact partitioned search may
+    /// additionally reuse cached per-partition plans from earlier instants:
+    /// bitwise identical output, fewer partitions searched. Both plan the
+    /// same workers — those that reach at least one task. The TVF-guided
+    /// mode never probes for plans (its TVF features depend on `now`, which
+    /// content fingerprints cannot capture). The greedy mode ignores the
+    /// context (it has no partitions, and it stays the context-free baseline
+    /// for now), as does
     /// [`IncrementalMode::Off`](crate::config::IncrementalMode).
     pub fn plan_incremental(
         &mut self,
@@ -200,7 +225,7 @@ impl Planner {
                     tasks,
                     now,
                     Some(&tvf),
-                    None,
+                    ctx,
                 );
                 self.tvf = Some(tvf);
                 out
@@ -209,8 +234,8 @@ impl Planner {
     }
 
     /// Plans with the TVF-guided search using a caller-provided inference
-    /// snapshot (the DATA-WA policy's entry point: the adaptive runner owns
-    /// the snapshot and must outlive many planning calls).
+    /// snapshot, context-free: [`Planner::plan_guided_incremental`] without
+    /// an [`IncrementalContext`].
     pub fn plan_guided(
         &mut self,
         worker_ids: &[WorkerId],
@@ -220,6 +245,25 @@ impl Planner {
         now: Timestamp,
         tvf: &TvfInference,
     ) -> (Assignment, PlanningReport) {
+        self.plan_guided_incremental(worker_ids, candidate_tasks, workers, tasks, now, tvf, None)
+    }
+
+    /// Plans with the TVF-guided search using a caller-provided inference
+    /// snapshot (the DATA-WA policy's entry point: the adaptive runner owns
+    /// the snapshot and must outlive many planning calls). With a context,
+    /// reachable sets come from the delta-maintained reach layer, as in
+    /// [`Planner::plan_incremental`]; plans are never reused.
+    #[allow(clippy::too_many_arguments)]
+    pub fn plan_guided_incremental(
+        &mut self,
+        worker_ids: &[WorkerId],
+        candidate_tasks: &[TaskId],
+        workers: &WorkerStore,
+        tasks: &TaskStore,
+        now: Timestamp,
+        tvf: &TvfInference,
+        ctx: Option<&IncrementalContext<'_>>,
+    ) -> (Assignment, PlanningReport) {
         self.plan_partitioned(
             worker_ids,
             candidate_tasks,
@@ -227,12 +271,69 @@ impl Planner {
             tasks,
             now,
             Some(tvf),
-            None,
+            ctx,
         )
     }
 
+    /// Lines 2–3 of Algorithm 4: this instant's reachable sets into the
+    /// planner's buffer. With a context (and incremental replanning on) they
+    /// come from the plan cache's reach layer; otherwise every listed worker
+    /// scans the candidate pool. Returns the context the rest of the call
+    /// may use — `None` once [`IncrementalMode::Off`] has overruled it.
+    #[allow(clippy::too_many_arguments)]
+    fn fill_reachable<'c, 'r>(
+        &mut self,
+        worker_ids: &[WorkerId],
+        candidate_tasks: &[TaskId],
+        workers: &WorkerStore,
+        tasks: &TaskStore,
+        now: Timestamp,
+        ctx: Option<&'c IncrementalContext<'r>>,
+        report: &mut PlanningReport,
+    ) -> Option<&'c IncrementalContext<'r>> {
+        let config = self.config;
+        let ctx = ctx.filter(|_| config.incremental == IncrementalMode::On);
+        report.workers_rescanned = match ctx {
+            Some(ctx) => {
+                debug_assert_eq!(
+                    ctx.real_ids.len(),
+                    candidate_tasks.len(),
+                    "incremental context must map every candidate task"
+                );
+                self.cache.refresh_reachable(
+                    &mut self.reachable,
+                    worker_ids,
+                    candidate_tasks,
+                    ctx.real_ids,
+                    workers,
+                    tasks,
+                    &config,
+                    now,
+                )
+            }
+            None => {
+                reachable_tasks_into(
+                    &mut self.reachable,
+                    worker_ids,
+                    candidate_tasks,
+                    workers,
+                    tasks,
+                    &config,
+                    now,
+                );
+                worker_ids.len()
+            }
+        };
+        report.mean_reachable = self.reachable.mean_reachable();
+        report.reach_live = self.reachable.live_workers().len();
+        ctx
+    }
+
     /// The greedy baseline: no dependency graph, no partitions, one ordered
-    /// pass over the workers.
+    /// pass over the listed workers. Context-free: it scans every worker's
+    /// reachable set and offers every listed worker its sequences at every
+    /// instant (ROADMAP item 2 has the measurement of greedy on the reach
+    /// layer and why it is not there yet).
     fn plan_greedy(
         &mut self,
         worker_ids: &[WorkerId],
@@ -254,19 +355,27 @@ impl Planner {
             return (Assignment::new(), report);
         }
         let config = self.config;
-        let reachable = reachable_tasks(worker_ids, candidate_tasks, workers, tasks, &config, now);
-        report.mean_reachable = reachable.mean_reachable();
+        self.fill_reachable(
+            worker_ids,
+            candidate_tasks,
+            workers,
+            tasks,
+            now,
+            None,
+            &mut report,
+        );
+        let reachable = &self.reachable;
         let sequences = Self::fill_sequences(
             &mut self.scratch_sequences,
             &mut self.gen_scratch,
             worker_ids,
             workers,
             tasks,
-            &reachable,
+            reachable,
             &config,
             now,
         );
-        let search = DfSearch::new(workers, tasks, &config, now, sequences, &reachable);
+        let search = DfSearch::new(workers, tasks, &config, now, sequences, reachable);
         let mut available: HashSet<TaskId> = HashSet::with_capacity(candidate_tasks.len());
         available.extend(candidate_tasks.iter().copied());
         let assignment = search.greedy(worker_ids, &mut available);
@@ -280,12 +389,12 @@ impl Planner {
     /// instant into independent partitions, and search each partition
     /// against its own available set, in partition order.
     ///
-    /// With an [`IncrementalContext`] (exact search only) reachable sets are
-    /// refreshed through the plan cache (per-worker verify-or-rescan) and
-    /// only fingerprint-missed partitions are searched; candidate sequences
-    /// are still regenerated for every planned worker (they are
+    /// With an [`IncrementalContext`] reachable sets are refreshed through
+    /// the plan cache (per-worker verify-or-rescan) and, under the exact
+    /// search, only fingerprint-missed partitions are searched; candidate
+    /// sequences are still regenerated for every planned worker (they are
     /// `now`-dependent, so they are part of the cache-hit criterion rather
-    /// than cached output). Both routes run the same partition loop — a hit
+    /// than cached output). Every route runs the same partition loop — a hit
     /// splices the stored plan where a miss splices the searched one — so
     /// the output is bitwise identical to the full route.
     #[allow(clippy::too_many_arguments)]
@@ -312,37 +421,27 @@ impl Planner {
             return (Assignment::new(), report);
         }
         let config = self.config;
-        // Incremental route: exact search only (TVF features depend on
-        // `now`), with the caller's context and the toggle both agreeing.
-        let ctx = ctx.filter(|_| tvf.is_none() && config.incremental == IncrementalMode::On);
         // Lines 2–5: reachable tasks and candidate sequences per worker.
-        let reachable = match ctx {
-            Some(ctx) => {
-                debug_assert_eq!(
-                    ctx.real_ids.len(),
-                    candidate_tasks.len(),
-                    "incremental context must map every candidate task"
-                );
-                let (reachable, _rescanned) = self.cache.refresh_reachable(
-                    worker_ids,
-                    candidate_tasks,
-                    ctx.real_ids,
-                    workers,
-                    tasks,
-                    &config,
-                    now,
-                );
-                reachable
-            }
-            None => reachable_tasks(worker_ids, candidate_tasks, workers, tasks, &config, now),
-        };
-        report.mean_reachable = reachable.mean_reachable();
+        // Plans are reused by the exact search only (TVF features depend on
+        // `now`).
+        let ctx = self
+            .fill_reachable(
+                worker_ids,
+                candidate_tasks,
+                workers,
+                tasks,
+                now,
+                ctx,
+                &mut report,
+            )
+            .filter(|_| tvf.is_none());
+        let reachable = &self.reachable;
         // A worker that reaches nothing is an isolated vertex of the
         // dependency graph with no candidate sequence: it would form a
         // singleton partition assigning nothing. Dropping it here leaves
         // every other component's member order, edges and subtree shape —
         // hence every plan and every index tie-break — unchanged.
-        let planned = reachable.workers_with_reach(worker_ids);
+        let planned = reachable.live_workers();
         if ctx.is_some() {
             report.partitions_reused = worker_ids.len() - planned.len();
         }
@@ -353,21 +452,21 @@ impl Planner {
         let sequences = Self::fill_sequences(
             &mut self.scratch_sequences,
             &mut self.gen_scratch,
-            &planned,
+            planned,
             workers,
             tasks,
-            &reachable,
+            reachable,
             &config,
             now,
         );
-        let search = DfSearch::new(workers, tasks, &config, now, sequences, &reachable);
+        let search = DfSearch::new(workers, tasks, &config, now, sequences, reachable);
         // Line 6: worker dependency graph; lines 7–10: per component,
         // partition, build the tree, and search it — one partition per root
         // subtree.
-        let (graph, mapping) = build_worker_dependency_graph(&planned, &reachable);
+        let (graph, mapping) = build_worker_dependency_graph(planned, reachable);
         let tree = build_tree(&config, &graph);
         report.tree_nodes = tree.len();
-        let partitions = split_cluster_tree(&tree, &mapping, &reachable);
+        let partitions = split_cluster_tree(&tree, &mapping, reachable);
         report.partitions = partitions.len();
         report.max_partition_workers = partitions
             .iter()
@@ -450,24 +549,33 @@ impl Planner {
             return Vec::new();
         }
         let config = self.config;
-        let reachable = reachable_tasks(worker_ids, candidate_tasks, workers, tasks, &config, now);
-        // Same worker filter as planning: a worker that reaches nothing has
-        // no action to sample.
-        let planned = reachable.workers_with_reach(worker_ids);
-        let sequences = Self::fill_sequences(
-            &mut self.scratch_sequences,
-            &mut self.gen_scratch,
-            &planned,
+        reachable_tasks_into(
+            &mut self.reachable,
+            worker_ids,
+            candidate_tasks,
             workers,
             tasks,
-            &reachable,
             &config,
             now,
         );
-        let search = DfSearch::new(workers, tasks, &config, now, sequences, &reachable);
-        let (graph, mapping) = build_worker_dependency_graph(&planned, &reachable);
+        let reachable = &self.reachable;
+        // Same worker filter as planning: a worker that reaches nothing has
+        // no action to sample.
+        let planned = reachable.live_workers();
+        let sequences = Self::fill_sequences(
+            &mut self.scratch_sequences,
+            &mut self.gen_scratch,
+            planned,
+            workers,
+            tasks,
+            reachable,
+            &config,
+            now,
+        );
+        let search = DfSearch::new(workers, tasks, &config, now, sequences, reachable);
+        let (graph, mapping) = build_worker_dependency_graph(planned, reachable);
         let tree = build_tree(&config, &graph);
-        let partitions = split_cluster_tree(&tree, &mapping, &reachable);
+        let partitions = split_cluster_tree(&tree, &mapping, reachable);
         let mut samples = Vec::new();
         for p in &partitions {
             let mut available = p.task_set();
@@ -488,7 +596,7 @@ impl Planner {
         worker_ids: &[WorkerId],
         workers: &WorkerStore,
         tasks: &TaskStore,
-        reachable: &crate::reachable::ReachableSets,
+        reachable: &ReachableSets,
         config: &AssignConfig,
         now: Timestamp,
     ) -> &'a HashMap<WorkerId, SequenceSet> {

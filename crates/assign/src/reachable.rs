@@ -1,26 +1,39 @@
 //! Reachable tasks (§IV-A.1) and the Worker Dependency Graph (§IV-A.2).
 
 use crate::config::AssignConfig;
-use datawa_core::{TaskId, TaskStore, Timestamp, WorkerId, WorkerStore};
+use datawa_core::{Task, TaskId, TaskStore, Timestamp, Worker, WorkerId, WorkerStore};
 use datawa_graph::UnGraph;
-use std::collections::HashMap;
 
 /// The reachable task sets `RS_w` of a group of workers at one planning
 /// instant.
+///
+/// Storage is flat (CSR): one span per worker slot (`WorkerId::index()`) into
+/// one task vector holding every non-empty list back to back. At the paper's
+/// operating point a few workers in a few hundred reach anything, so the
+/// structure also keeps those *live* workers as a list of their own: clearing
+/// and walking the sets costs what the live workers cost, not what the slot
+/// range costs, and a buffer reused across instants allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct ReachableSets {
-    /// `RS_w` per worker, nearest-first, capped at
-    /// [`AssignConfig::max_reachable_per_worker`].
-    pub per_worker: HashMap<WorkerId, Vec<TaskId>>,
+    /// `(start, len)` into `tasks` per worker slot; `(0, 0)` for every worker
+    /// that reaches nothing, listed or not.
+    spans: Vec<(u32, u32)>,
+    /// The non-empty lists back to back, in listing order; each nearest-first
+    /// and capped at [`AssignConfig::max_reachable_per_worker`].
+    tasks: Vec<TaskId>,
+    /// The workers with a non-empty list, in listing order.
+    live: Vec<WorkerId>,
+    /// Number of workers the sets were computed for.
+    listed: usize,
 }
 
 impl ReachableSets {
     /// Reachable tasks of `worker` (empty slice when none).
     pub fn of(&self, worker: WorkerId) -> &[TaskId] {
-        self.per_worker
-            .get(&worker)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        match self.spans.get(worker.index()) {
+            Some(&(start, len)) => &self.tasks[start as usize..(start + len) as usize],
+            None => &[],
+        }
     }
 
     /// The listed workers that reach at least one task, in the given order.
@@ -35,23 +48,99 @@ impl ReachableSets {
             .collect()
     }
 
+    /// [`ReachableSets::workers_with_reach`] over the whole listing the sets
+    /// were computed for, without the walk: the live list is kept as lists
+    /// are pushed.
+    pub fn live_workers(&self) -> &[WorkerId] {
+        &self.live
+    }
+
     /// Total number of (worker, task) reachability pairs.
     pub fn pair_count(&self) -> usize {
-        self.per_worker.values().map(Vec::len).sum()
+        self.tasks.len()
     }
 
     /// Average number of reachable tasks per worker (the paper's `|RS|`).
     pub fn mean_reachable(&self) -> f64 {
-        if self.per_worker.is_empty() {
+        if self.listed == 0 {
             0.0
         } else {
-            self.pair_count() as f64 / self.per_worker.len() as f64
+            self.pair_count() as f64 / self.listed as f64
         }
     }
+
+    /// Empties the sets for a listing of `listed` distinct workers, keeping
+    /// the buffers: only the spans of the previously live workers are reset.
+    pub(crate) fn restart(&mut self, listed: usize) {
+        for w in self.live.drain(..) {
+            self.spans[w.index()] = (0, 0);
+        }
+        self.tasks.clear();
+        self.listed = listed;
+    }
+
+    /// Records the reachable list of the next listed worker (a no-op for an
+    /// empty list: reaching nothing is the default of every slot).
+    pub(crate) fn push(&mut self, worker: WorkerId, list: impl IntoIterator<Item = TaskId>) {
+        let start = self.tasks.len();
+        self.tasks.extend(list);
+        let len = self.tasks.len() - start;
+        if len == 0 {
+            return;
+        }
+        if self.spans.len() <= worker.index() {
+            self.spans.resize(worker.index() + 1, (0, 0));
+        }
+        self.spans[worker.index()] = (start as u32, len as u32);
+        self.live.push(worker);
+    }
+}
+
+/// One worker's scan of the candidate pool: every candidate passing the
+/// §IV-A.1 constraints i–iii at `now`, with its travel distance, nearest
+/// first (ties in candidate order) and capped by the config, left in `pairs`.
+/// The one definition of a reachable list — the context-free route and the
+/// plan cache's rescan both call it, which is what keeps them bitwise equal.
+pub(crate) fn scan_reachable(
+    worker: &Worker,
+    candidate_tasks: &[TaskId],
+    tasks: &TaskStore,
+    config: &AssignConfig,
+    now: Timestamp,
+    pairs: &mut Vec<(TaskId, f64)>,
+) {
+    pairs.clear();
+    for &tid in candidate_tasks {
+        let task = tasks.get(tid);
+        if still_reachable(worker, task, config, now) {
+            let d = config
+                .travel
+                .travel_distance(&worker.location, &task.location);
+            pairs.push((tid, d));
+        }
+    }
+    // `total_cmp`, not `partial_cmp(..).unwrap_or(Equal)`: a NaN distance
+    // must not silently compare Equal and scramble the nearest-first
+    // truncation below. The sort is stable, so equal distances keep
+    // candidate order.
+    pairs.sort_by(|a, b| a.1.total_cmp(&b.1));
+    pairs.truncate(config.max_reachable_per_worker);
+}
+
+/// Whether `task` belongs in `worker`'s reachable list at `now`: unexpired
+/// and passing [`Worker::can_reach`].
+pub(crate) fn still_reachable(
+    worker: &Worker,
+    task: &Task,
+    config: &AssignConfig,
+    now: Timestamp,
+) -> bool {
+    !task.is_expired_at(now) && worker.can_reach(task, &config.travel, now)
 }
 
 /// Computes the reachable task set of every listed worker over the candidate
 /// tasks (§IV-A.1 constraints i–iii), nearest-first and capped by the config.
+/// `worker_ids` must be distinct.
 pub fn reachable_tasks(
     worker_ids: &[WorkerId],
     candidate_tasks: &[TaskId],
@@ -60,31 +149,42 @@ pub fn reachable_tasks(
     config: &AssignConfig,
     now: Timestamp,
 ) -> ReachableSets {
-    let mut per_worker = HashMap::with_capacity(worker_ids.len());
+    let mut sets = ReachableSets::default();
+    reachable_tasks_into(
+        &mut sets,
+        worker_ids,
+        candidate_tasks,
+        workers,
+        tasks,
+        config,
+        now,
+    );
+    sets
+}
+
+/// [`reachable_tasks`] into a reused buffer.
+pub(crate) fn reachable_tasks_into(
+    sets: &mut ReachableSets,
+    worker_ids: &[WorkerId],
+    candidate_tasks: &[TaskId],
+    workers: &WorkerStore,
+    tasks: &TaskStore,
+    config: &AssignConfig,
+    now: Timestamp,
+) {
+    sets.restart(worker_ids.len());
+    let mut pairs = Vec::new();
     for &wid in worker_ids {
-        let worker = workers.get(wid);
-        let mut reachable: Vec<(TaskId, f64)> = Vec::new();
-        for &tid in candidate_tasks {
-            let task = tasks.get(tid);
-            if task.is_expired_at(now) {
-                continue;
-            }
-            if worker.can_reach(task, &config.travel, now) {
-                let d = config
-                    .travel
-                    .travel_distance(&worker.location, &task.location);
-                reachable.push((tid, d));
-            }
-        }
-        // `total_cmp`, not `partial_cmp(..).unwrap_or(Equal)`: a NaN distance
-        // must not silently compare Equal and scramble the nearest-first
-        // truncation below (the plan cache re-sorts with the identical
-        // comparator and must agree bitwise).
-        reachable.sort_by(|a, b| a.1.total_cmp(&b.1));
-        reachable.truncate(config.max_reachable_per_worker);
-        per_worker.insert(wid, reachable.into_iter().map(|(t, _)| t).collect());
+        scan_reachable(
+            workers.get(wid),
+            candidate_tasks,
+            tasks,
+            config,
+            now,
+            &mut pairs,
+        );
+        sets.push(wid, pairs.iter().map(|&(t, _)| t));
     }
-    ReachableSets { per_worker }
 }
 
 /// Builds the Worker Dependency Graph: one node per listed worker, an edge
@@ -92,34 +192,31 @@ pub fn reachable_tasks(
 /// (§IV-A.2). Returns the graph together with the worker id carried by each
 /// node index.
 ///
-/// The construction inverts the reachable sets into a task → workers index
-/// and links co-reachers per task, instead of testing all `O(|W|²)` worker
-/// pairs for set intersection: with the per-worker reachable cap `k` this is
-/// `O(Σ_task (co-reachers)²)`, which on spatially spread instances is near
-/// linear in `|W|·k` — the graph itself is identical either way, only the
-/// cost of producing it changes (it is the serial step ahead of the
-/// partition-parallel search, so it must not dominate the planning instant).
+/// The construction inverts the reachable sets into `(task, worker index)`
+/// pairs, sorts them and links the co-reachers of each run of equal tasks,
+/// instead of testing all `O(|W|²)` worker pairs for set intersection: with
+/// the per-worker reachable cap `k` this is `O(Σ_task (co-reachers)²)`,
+/// which on spatially spread instances is near linear in `|W|·k` — the graph
+/// itself is identical either way, only the cost of producing it changes.
 pub fn build_worker_dependency_graph(
     worker_ids: &[WorkerId],
     reachable: &ReachableSets,
 ) -> (UnGraph, Vec<WorkerId>) {
     let mut graph = UnGraph::new(worker_ids.len());
-    let mut by_task: HashMap<TaskId, Vec<usize>> = HashMap::new();
+    let mut by_task: Vec<(TaskId, usize)> = Vec::new();
     for (i, &w) in worker_ids.iter().enumerate() {
-        for &t in reachable.of(w) {
-            by_task.entry(t).or_default().push(i);
-        }
+        by_task.extend(reachable.of(w).iter().map(|&t| (t, i)));
     }
+    by_task.sort_unstable();
     // Pairs sharing several tasks come up once per shared task; the
     // `has_edge` guard makes the duplicates a single adjacency lookup
     // instead of two idempotent set inserts, with no transient memory
     // beyond the graph itself (the co-reacher lists of a hotspot can cover
     // most worker pairs, so materialising the pair list would be quadratic
     // in workers).
-    // datawa-lint: allow(unordered-iteration) -- edge accumulation into BTreeSet adjacency is commutative; the final graph is independent of visit order
-    for co_reachers in by_task.values() {
-        for (a, &u) in co_reachers.iter().enumerate() {
-            for &v in &co_reachers[a + 1..] {
+    for co_reachers in by_task.chunk_by(|a, b| a.0 == b.0) {
+        for (a, &(_, u)) in co_reachers.iter().enumerate() {
+            for &(_, v) in &co_reachers[a + 1..] {
                 if !graph.has_edge(u, v) {
                     graph.add_edge(u, v);
                 }
@@ -210,6 +307,42 @@ mod tests {
         let tids: Vec<TaskId> = tasks.ids().collect();
         let rs = reachable_tasks(&wids, &tids, &workers, &tasks, &config, Timestamp(0.0));
         assert_eq!(rs.of(WorkerId(0)), &[TaskId(0)]); // nearest kept
+    }
+
+    #[test]
+    fn a_reused_buffer_forgets_the_previous_listing() {
+        let (workers, tasks, config) = fixture();
+        let tids: Vec<TaskId> = tasks.ids().collect();
+        let mut sets = ReachableSets::default();
+        let all: Vec<WorkerId> = workers.ids().collect();
+        reachable_tasks_into(
+            &mut sets,
+            &all,
+            &tids,
+            &workers,
+            &tasks,
+            &config,
+            Timestamp(0.0),
+        );
+        assert_eq!(sets.live_workers(), &all[..]);
+        assert_eq!(sets.workers_with_reach(&all), all);
+        // Relisting the far worker alone leaves nothing behind of the others.
+        reachable_tasks_into(
+            &mut sets,
+            &all[2..],
+            &tids,
+            &workers,
+            &tasks,
+            &config,
+            Timestamp(0.0),
+        );
+        assert!(sets.of(WorkerId(0)).is_empty());
+        assert_eq!(sets.of(WorkerId(2)), &[TaskId(2)]);
+        assert_eq!(sets.live_workers(), &[WorkerId(2)]);
+        assert_eq!(sets.pair_count(), 1);
+        assert_eq!(sets.mean_reachable(), 1.0);
+        // A worker beyond every slot seen so far reaches nothing.
+        assert!(sets.of(WorkerId(99)).is_empty());
     }
 
     #[test]

@@ -116,17 +116,24 @@ impl TaskStore {
 }
 
 /// Owning collection of workers, addressable by [`WorkerId`].
+///
+/// Every slot carries a *mutation stamp*: a counter bumped whenever the
+/// worker record is handed out mutably ([`WorkerStore::get_mut`],
+/// [`WorkerStore::iter_mut`]). A reader that remembers the stamp it last saw
+/// ([`WorkerStore::stamp`]) learns from one `u32` compare that the record
+/// cannot have changed since — without loading the record — and no caller
+/// has to announce its writes for that to hold.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct WorkerStore {
     workers: Vec<Worker>,
+    /// Mutation stamp per slot, parallel to `workers`.
+    stamps: Vec<u32>,
 }
 
 impl WorkerStore {
     /// Creates an empty store.
     pub fn new() -> WorkerStore {
-        WorkerStore {
-            workers: Vec::new(),
-        }
+        WorkerStore::default()
     }
 
     /// Creates a store from pre-built workers, re-indexing their ids densely
@@ -145,6 +152,7 @@ impl WorkerStore {
         let id = WorkerId(self.workers.len() as u32);
         worker.id = id;
         self.workers.push(worker);
+        self.stamps.push(0);
         id
     }
 
@@ -172,10 +180,21 @@ impl WorkerStore {
         self.workers.get(id.index())
     }
 
-    /// Mutable borrow of a worker by id.
+    /// Mutable borrow of a worker by id. Bumps the slot's mutation stamp
+    /// (whether or not the caller ends up writing).
     #[inline]
     pub fn get_mut(&mut self, id: WorkerId) -> &mut Worker {
+        let stamp = &mut self.stamps[id.index()];
+        *stamp = stamp.wrapping_add(1);
         &mut self.workers[id.index()]
+    }
+
+    /// The slot's mutation stamp: equal to an earlier reading only if the
+    /// worker was not handed out mutably in between (the counter wraps after
+    /// 2³² hand-outs of one slot between two readings).
+    #[inline]
+    pub fn stamp(&self, id: WorkerId) -> u32 {
+        self.stamps[id.index()]
     }
 
     /// Iterates over all workers.
@@ -184,8 +203,11 @@ impl WorkerStore {
     }
 
     /// Mutable iteration over all workers (the simulator moves workers along
-    /// their planned legs).
+    /// their planned legs). Bumps every slot's mutation stamp.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Worker> {
+        for stamp in &mut self.stamps {
+            *stamp = stamp.wrapping_add(1);
+        }
         self.workers.iter_mut()
     }
 
@@ -409,6 +431,31 @@ mod tests {
         let id = s.insert(w);
         assert_eq!(id, WorkerId(0));
         assert_eq!(s.get(id).id, WorkerId(0));
+    }
+
+    #[test]
+    fn mutable_access_bumps_the_slot_stamp() {
+        let w = Worker::new(
+            WorkerId(0),
+            Location::ORIGIN,
+            1.0,
+            Timestamp(0.0),
+            Timestamp(10.0),
+        );
+        let mut s = WorkerStore::from_workers(vec![w, w]);
+        let (a, b) = (WorkerId(0), WorkerId(1));
+        let (a0, b0) = (s.stamp(a), s.stamp(b));
+        let _ = s.get(a);
+        assert_eq!(s.stamp(a), a0, "shared access leaves the stamp alone");
+        s.get_mut(a).location = Location::new(1.0, 1.0);
+        assert_ne!(s.stamp(a), a0);
+        assert_eq!(s.stamp(b), b0, "other slots are untouched");
+        let a1 = s.stamp(a);
+        for worker in s.iter_mut() {
+            worker.reachable_distance = 2.0;
+        }
+        assert_ne!(s.stamp(a), a1);
+        assert_ne!(s.stamp(b), b0);
     }
 
     #[test]

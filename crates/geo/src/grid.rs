@@ -199,26 +199,6 @@ impl UniformGrid {
         out
     }
 
-    /// All cells whose bounding box intersects the disc of radius `radius`
-    /// centred at `p`. This is the candidate-cell set for reachable-task range
-    /// queries; exact distance filtering is done per point by the index.
-    pub fn cells_within_radius(&self, p: &Location, radius: f64) -> Vec<CellId> {
-        debug_assert!(radius >= 0.0);
-        let min = Location::new(p.x - radius, p.y - radius);
-        let max = Location::new(p.x + radius, p.y + radius);
-        let c_min = self.cell_of(&min);
-        let c_max = self.cell_of(&max);
-        let (r0, col0) = self.row_col(c_min);
-        let (r1, col1) = self.row_col(c_max);
-        let mut out = Vec::with_capacity(((r1 - r0 + 1) * (col1 - col0 + 1)) as usize);
-        for r in r0..=r1 {
-            for c in col0..=col1 {
-                out.push(self.cell_at(r, c));
-            }
-        }
-        out
-    }
-
     /// All cell ids in row-major order.
     pub fn cells(&self) -> impl Iterator<Item = CellId> {
         (0..self.cell_count() as u32).map(CellId)
@@ -289,18 +269,6 @@ mod tests {
         assert_eq!(g.neighbors8(g.cell_at(0, 0)).len(), 3);
         assert_eq!(g.neighbors8(g.cell_at(0, 2)).len(), 5);
         assert_eq!(g.neighbors8(g.cell_at(2, 2)).len(), 8);
-    }
-
-    #[test]
-    fn cells_within_radius_covers_the_disc() {
-        let g = grid();
-        let cells = g.cells_within_radius(&Location::new(5.0, 5.0), 2.0);
-        // radius 2 around the centre touches a 3x3 block of 2km cells at least.
-        assert!(cells.len() >= 4);
-        assert!(cells.contains(&g.cell_of(&Location::new(5.0, 5.0))));
-        // zero radius returns the single containing cell
-        let single = g.cells_within_radius(&Location::new(5.0, 5.0), 0.0);
-        assert_eq!(single, vec![g.cell_of(&Location::new(5.0, 5.0))]);
     }
 
     #[test]

@@ -1,13 +1,11 @@
 //! # datawa-geo
 //!
 //! Spatial substrate for the DATA-WA reproduction: a uniform grid partition of
-//! the study area (the paper's grid-based prediction regions, §III) and a
-//! grid-bucketed spatial index used by the assignment layer to find reachable
-//! tasks without scanning the whole task set.
+//! the study area (the paper's grid-based prediction regions, §III).
 //!
 //! ```
 //! use datawa_core::prelude::*;
-//! use datawa_geo::{GridSpec, SpatialIndex, UniformGrid};
+//! use datawa_geo::{GridSpec, UniformGrid};
 //!
 //! let area = BoundingBox::new(Location::new(0.0, 0.0), Location::new(10.0, 10.0));
 //! let grid = UniformGrid::new(GridSpec::new(area, 5, 5));
@@ -16,7 +14,5 @@
 //! ```
 
 pub mod grid;
-pub mod index;
 
 pub use grid::{CellId, GridSpec, UniformGrid};
-pub use index::SpatialIndex;

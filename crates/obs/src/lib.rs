@@ -46,8 +46,11 @@
 //! which is how per-tenant sessions and worker threads aggregate without
 //! locks.
 //!
-//! Names are dot-namespaced by owning layer: `assign.*` (planner),
-//! `stream.*` (engine), `service.*` (dispatch service), `net.*`
+//! Names are dot-namespaced by owning layer: `assign.*` (planner —
+//! including the reach-layer pair `assign.reach_rescans`, workers whose
+//! reachable list a planning instant re-derived by scanning the open tasks,
+//! and `assign.reach_live`, workers that reached anything at the latest
+//! instant), `stream.*` (engine), `service.*` (dispatch service), `net.*`
 //! (transport — including the fault-tolerance family `net.pump_recoveries`,
 //! `net.tenant.<name>.recoveries` and the `net.recovery_seconds` journal
 //! replay histogram, exercised by the chaos suite). The registry itself

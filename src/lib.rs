@@ -8,7 +8,7 @@
 //!
 //! * [`core`] — tasks, workers, availability windows, travel model, task
 //!   sequences and assignments (Definitions 1–5);
-//! * [`geo`] — the uniform grid over the study area and the spatial index;
+//! * [`geo`] — the uniform grid over the study area;
 //! * [`tensor`] — the minimal autograd/NN substrate;
 //! * [`graph`] — chordal completion, maximal cliques, recursive tree
 //!   construction;
@@ -62,7 +62,7 @@ pub mod prelude {
         TvfInference,
     };
     pub use datawa_core::prelude::*;
-    pub use datawa_geo::{GridSpec, SpatialIndex, UniformGrid};
+    pub use datawa_geo::{GridSpec, UniformGrid};
     pub use datawa_obs::{Histogram, MetricsRegistry, MetricsSnapshot, SpanTimer};
     pub use datawa_predict::{
         DdgnnPredictor, DemandPredictor, GraphWaveNetPredictor, LstmPredictor,

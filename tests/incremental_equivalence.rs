@@ -57,6 +57,25 @@ fn incremental_equals_full_replan_for_all_policies_and_scenarios() {
             assert_eq!(on.run.planning_calls, off.run.planning_calls);
             // The off side must never report reuse.
             assert_eq!(off.run.partitions_reused, 0);
+            // The greedy baseline ignores the context: both sides scan
+            // every listed worker at every planning call.
+            if policy == PolicyKind::Greedy {
+                assert_eq!(on.run.workers_rescanned, off.run.workers_rescanned);
+                continue;
+            }
+            // The on side really plans from the reach index, under the
+            // exact and the guided search alike: fewer rescans than one per
+            // worker per planning call, and fewer than the off side, which
+            // rescans every worker it lists.
+            assert!(
+                on.run.workers_rescanned < on.run.planning_calls * workload.workers.len(),
+                "{} on {}: {} rescans over {} planning calls",
+                policy.name(),
+                scenario.name(),
+                on.run.workers_rescanned,
+                on.run.planning_calls
+            );
+            assert!(on.run.workers_rescanned < off.run.workers_rescanned);
         }
     }
 }

@@ -75,13 +75,14 @@ fn config(use_dependency_separation: bool) -> AssignConfig {
 }
 
 /// Everything of a report except the wall clock and the inputs' sizes.
-fn shape(report: &PlanningReport) -> (usize, usize, usize, usize, usize) {
+fn shape(report: &PlanningReport) -> (usize, usize, usize, usize, usize, usize) {
     (
         report.partitions,
         report.max_partition_workers,
         report.tree_nodes,
         report.partitions_recomputed,
         report.nodes_expanded,
+        report.reach_live,
     )
 }
 
@@ -155,6 +156,17 @@ proptest! {
         let config = config(separation);
         assert_inert_workers_invisible(workers, tasks, config, || {
             Planner::new(config, SearchMode::Exact)
+        });
+    }
+
+    #[test]
+    fn greedy_search_ignores_inert_workers(
+        workers in workers_strategy(),
+        tasks in tasks_strategy(false),
+    ) {
+        let config = config(true);
+        assert_inert_workers_invisible(workers, tasks, config, || {
+            Planner::new(config, SearchMode::Greedy)
         });
     }
 
