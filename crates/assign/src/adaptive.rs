@@ -10,7 +10,7 @@
 use crate::cache::{DirtySet, IncrementalContext};
 use crate::config::AssignConfig;
 use crate::forecast::{ForecastProvider, ForecastStats, StaticForecast};
-use crate::planner::{Planner, SearchMode};
+use crate::planner::{Planner, PlanningReport, SearchMode};
 use crate::tvf::{TaskValueFunction, TvfInference};
 use datawa_core::{
     AvailableWorkerView, Duration, Location, OpenTaskView, Task, TaskId, TaskSequence, TaskStore,
@@ -153,13 +153,14 @@ pub struct RunOutcome {
     /// Activity counters of the run's [`ForecastProvider`] (observations,
     /// forecast queries, model refreshes).
     pub forecast: ForecastStats,
-    /// Planning partitions whose plan was reused from the incremental plan
-    /// cache (or trivially skipped) instead of searched, summed over the
-    /// whole run. Zero when incremental replanning is off or inapplicable.
+    /// Listed workers the exact search's incremental route dropped for
+    /// reaching nothing, summed over the whole run
+    /// ([`PlanningReport::partitions_reused`](crate::PlanningReport) — the
+    /// name is historical, no plan is ever reused). Zero when incremental
+    /// replanning is off or inapplicable.
     pub partitions_reused: usize,
-    /// Planning partitions actually searched, summed over the whole run.
-    /// With incremental replanning off this counts every partition of every
-    /// instant.
+    /// Planning partitions searched, summed over the whole run: every
+    /// partition of every instant.
     pub partitions_recomputed: usize,
     /// Workers whose reachable list was re-derived by a scan of the open
     /// tasks, summed over the whole run
@@ -241,18 +242,24 @@ struct AssignMetrics {
     /// `assign.available_workers`: idle available workers at the latest time
     /// instance.
     available_workers: Gauge,
-    /// `assign.partitions_reused`: partitions whose plan came from the
-    /// incremental plan cache (or was trivially empty) instead of a search.
+    /// `assign.partitions_reused`: listed workers dropped for reaching
+    /// nothing (each would have been a trivial partition; the name is
+    /// historical — no plan is ever reused).
     partitions_reused: Counter,
-    /// `assign.partitions_recomputed`: partitions actually searched.
+    /// `assign.partitions_recomputed`: partitions searched — all of them.
     partitions_recomputed: Counter,
-    /// `assign.cache_hit_pct`: cumulative share of partitions reused so far
-    /// this run (0–100; the final value is the run-wide hit rate).
+    /// `assign.cache_hit_pct`: cumulative `reused / (reused + recomputed)`
+    /// so far this run (0–100): the share of listed workers that reached
+    /// nothing, not a hit rate of any cache.
     cache_hit_pct: Gauge,
-    /// `assign.dirty_fraction_pct`: per-instant share of partitions that
-    /// had to be recomputed (0–100) — the distribution of how dirty each
-    /// planning instant actually was.
+    /// `assign.dirty_fraction_pct`: per-instant `recomputed / (reused +
+    /// recomputed)` (0–100) — searched partitions against inert workers.
     dirty_fraction_pct: Histogram,
+    /// `assign.phantom_instants`: planning instants at which a predicted
+    /// task fell inside the lookahead, so the open tasks were copied into a
+    /// planning store of their own and planned context-free. Every other
+    /// instant plans straight on the live store.
+    phantom_instants: Counter,
     /// `assign.reach_rescans`: workers whose reachable list was re-derived
     /// by a scan of the open tasks (the rest were carried over verified, or
     /// never looked at).
@@ -283,6 +290,7 @@ impl AssignMetrics {
             partitions_recomputed: registry.counter("assign.partitions_recomputed"),
             cache_hit_pct: registry.gauge("assign.cache_hit_pct"),
             dirty_fraction_pct: registry.histogram("assign.dirty_fraction_pct"),
+            phantom_instants: registry.counter("assign.phantom_instants"),
             reach_rescans: registry.counter("assign.reach_rescans"),
             reach_live: registry.gauge("assign.reach_live"),
             forecast_observed: registry.gauge("forecast.observed"),
@@ -329,7 +337,7 @@ impl AdaptiveRunner {
     }
 
     fn planner(&self) -> Planner {
-        match self.policy {
+        let planner = match self.policy {
             PolicyKind::Greedy => Planner::new(self.config, SearchMode::Greedy),
             PolicyKind::Fta | PolicyKind::Dta | PolicyKind::DtaTp => {
                 Planner::new(self.config, SearchMode::Exact)
@@ -344,7 +352,8 @@ impl AdaptiveRunner {
                 );
                 Planner::new(self.config, SearchMode::Exact)
             }
-        }
+        };
+        planner.with_metrics(&self.obs)
     }
 
     /// Opens a stepwise run: the caller feeds arrivals and time instances
@@ -382,6 +391,8 @@ impl AdaptiveRunner {
             outcome: RunOutcome::default(),
             metrics: AssignMetrics::register(&self.obs),
             dirty: DirtySet::default(),
+            idle_workers: Vec::new(),
+            open_tasks: Vec::new(),
         }
     }
 
@@ -412,39 +423,31 @@ impl AdaptiveRunner {
         }
         state.finish()
     }
+}
 
-    /// Builds the temporary planning store of open real tasks plus (for the
-    /// prediction-aware policies) predicted tasks inside the lookahead window.
-    /// Returns the store and a mapping from planning task id to what it
-    /// stands for (a real task, or a predicted one with its expected
-    /// publication).
-    fn build_planning_store(
-        &self,
-        tasks: &TaskStore,
-        open_tasks: &[TaskId],
-        predicted: &[PredictedTaskInput],
-        now: Timestamp,
-    ) -> (TaskStore, Vec<PlanningEntry>) {
-        let mut store = TaskStore::new();
-        let mut mapping = Vec::new();
-        for &tid in open_tasks {
-            store.insert(*tasks.get(tid));
-            mapping.push(PlanningEntry::Real(tid));
-        }
-        if self.policy.uses_prediction() {
-            let horizon = now + self.prediction_lookahead;
-            for p in predicted {
-                if p.publication.0 > now.0 && p.publication.0 <= horizon.0 && p.expiration.0 > now.0
-                {
-                    store.insert_with_location(p.location, p.publication, p.expiration);
-                    mapping.push(PlanningEntry::Predicted {
-                        publication: p.publication,
-                    });
-                }
-            }
-        }
-        (store, mapping)
+/// The planning store of an instant with predicted tasks inside the
+/// lookahead: a copy of the open real tasks followed by the `phantoms`, with
+/// dense ids of its own, and what each of those ids stands for. Instants
+/// without a phantom never get here — they plan on the live store.
+fn build_planning_store(
+    tasks: &TaskStore,
+    open_tasks: &[TaskId],
+    phantoms: &[PredictedTaskInput],
+) -> (TaskStore, Vec<PlanningEntry>) {
+    debug_assert!(!phantoms.is_empty(), "phantom-free instants plan in place");
+    let mut store = TaskStore::new();
+    let mut mapping = Vec::with_capacity(open_tasks.len() + phantoms.len());
+    for &tid in open_tasks {
+        store.insert(*tasks.get(tid));
+        mapping.push(PlanningEntry::Real(tid));
     }
+    for p in phantoms {
+        store.insert_with_location(p.location, p.publication, p.expiration);
+        mapping.push(PlanningEntry::Predicted {
+            publication: p.publication,
+        });
+    }
+    (store, mapping)
 }
 
 /// What a planning-store task id stands for once the plan is mapped back to
@@ -494,6 +497,10 @@ pub struct RunnerState<'a, F: ForecastProvider + ?Sized = dyn ForecastProvider +
     /// plan will recompute whatever it recomputes. Cleared after every
     /// planning call.
     dirty: DirtySet,
+    /// Buffers [`RunnerState::step`] refills at every time instance: the
+    /// idle available workers and the open tasks, both ascending.
+    idle_workers: Vec<WorkerId>,
+    open_tasks: Vec<TaskId>,
 }
 
 impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
@@ -615,17 +622,17 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
 
         // Idle, available workers at this instant (ascending id order, like
         // the full scans the incremental views replace).
-        let idle_workers: Vec<WorkerId> = self
-            .available_view
-            .available_at(&self.workers, now)
-            .into_iter()
-            .filter(|w| self.runtime[w.index()].busy_until.0 <= now.0)
-            .collect();
+        let mut idle_workers = std::mem::take(&mut self.idle_workers);
+        self.available_view
+            .available_at_into(&self.workers, now, &mut idle_workers);
+        idle_workers.retain(|w| self.runtime[w.index()].busy_until.0 <= now.0);
 
         // Open, unserved real tasks (served tasks leave the view eagerly at
         // dispatch time, expired ones lazily here or eagerly via
         // `expire_task`).
-        let open_tasks: Vec<TaskId> = self.open_view.open_at(&self.tasks, now);
+        let mut open_tasks = std::mem::take(&mut self.open_tasks);
+        self.open_view
+            .open_at_into(&self.tasks, now, &mut open_tasks);
 
         self.metrics.open_tasks.set(open_tasks.len() as i64);
         self.metrics
@@ -652,180 +659,7 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
             _ => replan,
         };
         if should_plan && !open_tasks.is_empty() {
-            // Re-query the forecast at this planning instant (only the
-            // prediction-aware policies pay for it); the lookahead filtering
-            // below is unchanged from the fixed-slice era.
-            let (planning_store, mapping) = {
-                let predicted: &[PredictedTaskInput] = if policy.uses_prediction() {
-                    self.forecast
-                        .forecast(now, self.runner.prediction_lookahead)
-                } else {
-                    &[]
-                };
-                self.runner
-                    .build_planning_store(&self.tasks, &open_tasks, predicted, now)
-            };
-            let planning_task_ids: Vec<TaskId> = planning_store.ids().collect();
-            if !planning_workers.is_empty() {
-                // Incremental replanning context: only meaningful when the
-                // planning store holds exactly the open real tasks (no
-                // predicted phantoms — their planning ids are not stable
-                // across instants). `open_at` returns ascending dense ids,
-                // which is the order the cache's id translation relies on.
-                let epoch = self.forecast.stats().refreshes as u64;
-                self.dirty.note_forecast_epoch(epoch);
-                let all_real = mapping.len() == open_tasks.len();
-                let ctx = if all_real {
-                    debug_assert!(open_tasks.windows(2).all(|p| p[0].0 < p[1].0));
-                    Some(IncrementalContext {
-                        real_ids: &open_tasks,
-                        forecast_epoch: epoch,
-                    })
-                } else {
-                    None
-                };
-                let (assignment, report) = if policy == PolicyKind::DataWa {
-                    let tvf = self
-                        .runner
-                        .tvf
-                        .as_ref()
-                        // datawa-lint: allow(unwrap-in-hot-path) -- construction invariant: a DataWa runner is only built via with_tvf, which sets this
-                        .expect("PolicyKind::DataWa requires a trained TVF (use with_tvf)");
-                    self.planner.plan_guided_incremental(
-                        planning_workers,
-                        &planning_task_ids,
-                        &self.workers,
-                        &planning_store,
-                        now,
-                        tvf,
-                        ctx.as_ref(),
-                    )
-                } else {
-                    self.planner.plan_incremental(
-                        planning_workers,
-                        &planning_task_ids,
-                        &self.workers,
-                        &planning_store,
-                        now,
-                        ctx.as_ref(),
-                    )
-                };
-                self.dirty.clear();
-                self.outcome.planning_calls += 1;
-                self.outcome.total_planning_seconds += report.elapsed_seconds;
-                self.outcome.peak_partitions = self.outcome.peak_partitions.max(report.partitions);
-                self.outcome.peak_partition_workers = self
-                    .outcome
-                    .peak_partition_workers
-                    .max(report.max_partition_workers);
-                self.outcome.partitions_reused += report.partitions_reused;
-                self.outcome.partitions_recomputed += report.partitions_recomputed;
-                self.outcome.workers_rescanned += report.workers_rescanned;
-                self.metrics
-                    .reach_rescans
-                    .add(report.workers_rescanned as u64);
-                self.metrics.reach_live.set(report.reach_live as i64);
-                self.metrics
-                    .partitions_reused
-                    .add(report.partitions_reused as u64);
-                self.metrics
-                    .partitions_recomputed
-                    .add(report.partitions_recomputed as u64);
-                let cumulative =
-                    self.outcome.partitions_reused + self.outcome.partitions_recomputed;
-                if let Some(pct) = (100 * self.outcome.partitions_reused).checked_div(cumulative) {
-                    self.metrics.cache_hit_pct.set(pct as i64);
-                }
-                let instant_total = report.partitions_reused + report.partitions_recomputed;
-                if let Some(pct) = (100 * report.partitions_recomputed).checked_div(instant_total) {
-                    self.metrics.dirty_fraction_pct.record(pct as u64);
-                }
-                self.metrics
-                    .replan_seconds
-                    .record_seconds(report.elapsed_seconds);
-                self.metrics.planning_calls.inc();
-                self.metrics.search_nodes.add(report.nodes_expanded as u64);
-                self.metrics.partitions.set(report.partitions as i64);
-                self.metrics
-                    .partition_workers
-                    .set(report.max_partition_workers as i64);
-                if self.metrics.forecast_observed.is_attached() {
-                    let stats = self.forecast.stats();
-                    self.metrics.forecast_observed.set(stats.observed as i64);
-                    self.metrics.forecast_queries.set(stats.queries as i64);
-                    self.metrics.forecast_refreshes.set(stats.refreshes as i64);
-                }
-                if policy == PolicyKind::Fta {
-                    // Pin the fixed plans of the planned workers, mapped back
-                    // to real task ids, skipping tasks already reserved by
-                    // earlier fixed plans. A worker is only marked as "fixed"
-                    // once it receives a non-empty sequence, matching the
-                    // paper's notion that every worker gets exactly one
-                    // predetermined sequence.
-                    for &wid in planning_workers {
-                        if let Some(seq) = assignment.get(wid) {
-                            let mut fixed = TaskSequence::empty();
-                            for planning_tid in seq.iter() {
-                                if let PlanningEntry::Real(real) = mapping[planning_tid.index()] {
-                                    if !self.reserved_by_fta.contains(&real) {
-                                        self.reserved_by_fta.insert(real);
-                                        fixed.push(real);
-                                    }
-                                }
-                            }
-                            if !fixed.is_empty() {
-                                self.runtime[wid.index()].plan = fixed;
-                                self.runtime[wid.index()].fixed_assigned = true;
-                            }
-                        }
-                    }
-                } else {
-                    // Refresh the persistent plan of every planned worker
-                    // with the real tasks of its new sequence. Predicted
-                    // tasks guide the search but cannot be dispatched — they
-                    // are filtered out of the plan, except that a sequence
-                    // *starting* with a predicted task pins a positioning
-                    // hold: the planner reserved this worker for demand
-                    // expected imminently at its location, so the worker
-                    // stays put until that expected publication instead of
-                    // being dispatched to whatever real task comes next in
-                    // the filtered plan.
-                    for &wid in planning_workers {
-                        let mut hold: Option<Timestamp> = None;
-                        let mapped = assignment
-                            .get(wid)
-                            .map(|seq| {
-                                let mapped =
-                                    TaskSequence::from_ids(seq.iter().filter_map(
-                                        |tid| match mapping[tid.index()] {
-                                            PlanningEntry::Real(real) => Some(real),
-                                            PlanningEntry::Predicted { .. } => None,
-                                        },
-                                    ));
-                                // A *pure-phantom* plan reserves the worker
-                                // for imminent demand at its position: hold
-                                // it until the first expected publication.
-                                // Plans containing any real task dispatch
-                                // immediately — the weighted search already
-                                // guarantees predicted demand never displaced
-                                // real work in them.
-                                if mapped.is_empty() {
-                                    if let Some(first) = seq.first() {
-                                        if let PlanningEntry::Predicted { publication } =
-                                            mapping[first.index()]
-                                        {
-                                            hold = Some(publication);
-                                        }
-                                    }
-                                }
-                                mapped
-                            })
-                            .unwrap_or_else(TaskSequence::empty);
-                        self.runtime[wid.index()].plan = mapped;
-                        self.runtime[wid.index()].hold_until = hold;
-                    }
-                }
-            }
+            self.plan_instant(now, planning_workers, &open_tasks);
         }
 
         // Dispatch (Algorithm 3, lines 10–14): every idle worker departs for
@@ -890,6 +724,207 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
                     self.runtime[wid.index()].plan.pop_front();
                 }
             }
+        }
+        self.idle_workers = idle_workers;
+        self.open_tasks = open_tasks;
+    }
+
+    /// The planning half of [`RunnerState::step`]: query the forecast, plan
+    /// `planning_workers` (ascending, possibly none) over `open_tasks`
+    /// (ascending, not empty) and write the plan back into the workers'
+    /// runtime records.
+    fn plan_instant(
+        &mut self,
+        now: Timestamp,
+        planning_workers: &[WorkerId],
+        open_tasks: &[TaskId],
+    ) {
+        let policy = self.runner.policy;
+        // Re-query the forecast at this planning instant (only the
+        // prediction-aware policies pay for it) and keep the predicted tasks
+        // that publish inside the lookahead and are not already over.
+        let phantoms: Vec<PredictedTaskInput> = if policy.uses_prediction() {
+            let lookahead = self.runner.prediction_lookahead;
+            let horizon = now + lookahead;
+            self.forecast
+                .forecast(now, lookahead)
+                .iter()
+                .filter(|p| {
+                    p.publication.0 > now.0
+                        && p.publication.0 <= horizon.0
+                        && p.expiration.0 > now.0
+                })
+                .copied()
+                .collect()
+        } else {
+            Vec::new()
+        };
+        if planning_workers.is_empty() {
+            return;
+        }
+        self.dirty
+            .note_forecast_epoch(self.forecast.stats().refreshes as u64);
+        // With no phantom to plan over — every instant of the policies that
+        // do not predict, and of the others whenever the forecast is empty
+        // or beyond the lookahead — the planner works straight on the live
+        // store: the open ids are the candidates, they mean the same task at
+        // every instant, and that is what lets the reach layer carry lists
+        // over (`open_at` lists them ascending, as the context promises). A
+        // phantom has no id in the live store, so an instant with one plans
+        // on a copy, context-free, and maps the plan back.
+        let copy = if phantoms.is_empty() {
+            None
+        } else {
+            self.metrics.phantom_instants.inc();
+            Some(build_planning_store(&self.tasks, open_tasks, &phantoms))
+        };
+        let copied_ids: Vec<TaskId>;
+        let (store, candidates, ctx) = match &copy {
+            None => (&self.tasks, open_tasks, Some(IncrementalContext)),
+            Some((store, _)) => {
+                copied_ids = store.ids().collect();
+                (store, copied_ids.as_slice(), None)
+            }
+        };
+        let (assignment, report) = if policy == PolicyKind::DataWa {
+            let tvf = self
+                .runner
+                .tvf
+                .as_ref()
+                // datawa-lint: allow(unwrap-in-hot-path) -- construction invariant: a DataWa runner is only built via with_tvf, which sets this
+                .expect("PolicyKind::DataWa requires a trained TVF (use with_tvf)");
+            self.planner.plan_guided_incremental(
+                planning_workers,
+                candidates,
+                &self.workers,
+                store,
+                now,
+                tvf,
+                ctx,
+            )
+        } else {
+            self.planner.plan_incremental(
+                planning_workers,
+                candidates,
+                &self.workers,
+                store,
+                now,
+                ctx,
+            )
+        };
+        self.dirty.clear();
+        self.record_report(&report);
+        // What a task id of the plan stands for in the live world.
+        let entry = |tid: TaskId| match &copy {
+            None => PlanningEntry::Real(tid),
+            Some((_, mapping)) => mapping[tid.index()],
+        };
+        // The plan lists a subset of the planning workers and both are
+        // ascending: one walk pairs each worker with its sequence, if any.
+        let mut planned = assignment.iter().peekable();
+        for &wid in planning_workers {
+            let sequence = planned.next_if(|&(w, _)| w == wid).map(|(_, seq)| seq);
+            let runtime = &mut self.runtime[wid.index()];
+            if policy == PolicyKind::Fta {
+                // Pin the fixed plan of a planned worker, skipping tasks
+                // already reserved by earlier fixed plans. A worker is only
+                // marked as "fixed" once it receives a non-empty sequence,
+                // matching the paper's notion that every worker gets exactly
+                // one predetermined sequence.
+                let Some(seq) = sequence else { continue };
+                let mut fixed = TaskSequence::empty();
+                for tid in seq.iter() {
+                    if let PlanningEntry::Real(real) = entry(tid) {
+                        if self.reserved_by_fta.insert(real) {
+                            fixed.push(real);
+                        }
+                    }
+                }
+                if !fixed.is_empty() {
+                    runtime.plan = fixed;
+                    runtime.fixed_assigned = true;
+                }
+                continue;
+            }
+            // Refresh the persistent plan of every planning worker with the
+            // real tasks of its new sequence; a worker the plan leaves out
+            // keeps nothing of its previous one. Predicted tasks guide the
+            // search but cannot be dispatched — they are filtered out.
+            let Some(seq) = sequence else {
+                if !runtime.plan.is_empty() {
+                    runtime.plan = TaskSequence::empty();
+                }
+                runtime.hold_until = None;
+                continue;
+            };
+            runtime.plan = TaskSequence::from_ids(seq.iter().filter_map(|tid| match entry(tid) {
+                PlanningEntry::Real(real) => Some(real),
+                PlanningEntry::Predicted { .. } => None,
+            }));
+            // A *pure-phantom* plan reserves the worker for imminent demand
+            // at its position: it stays put until the first expected
+            // publication instead of being dispatched to whatever real task
+            // comes next. Plans containing any real task dispatch
+            // immediately — the weighted search already guarantees predicted
+            // demand never displaced real work in them.
+            runtime.hold_until = match seq.first().map(entry) {
+                Some(PlanningEntry::Predicted { publication }) if runtime.plan.is_empty() => {
+                    Some(publication)
+                }
+                _ => None,
+            };
+        }
+        debug_assert!(
+            planned.peek().is_none(),
+            "the planner planned a worker it was not handed, or out of order"
+        );
+    }
+
+    /// Folds one planning call's report into the run outcome and the
+    /// metrics.
+    fn record_report(&mut self, report: &PlanningReport) {
+        self.outcome.planning_calls += 1;
+        self.outcome.total_planning_seconds += report.elapsed_seconds;
+        self.outcome.peak_partitions = self.outcome.peak_partitions.max(report.partitions);
+        self.outcome.peak_partition_workers = self
+            .outcome
+            .peak_partition_workers
+            .max(report.max_partition_workers);
+        self.outcome.partitions_reused += report.partitions_reused;
+        self.outcome.partitions_recomputed += report.partitions_recomputed;
+        self.outcome.workers_rescanned += report.workers_rescanned;
+        self.metrics
+            .reach_rescans
+            .add(report.workers_rescanned as u64);
+        self.metrics.reach_live.set(report.reach_live as i64);
+        self.metrics
+            .partitions_reused
+            .add(report.partitions_reused as u64);
+        self.metrics
+            .partitions_recomputed
+            .add(report.partitions_recomputed as u64);
+        let cumulative = self.outcome.partitions_reused + self.outcome.partitions_recomputed;
+        if let Some(pct) = (100 * self.outcome.partitions_reused).checked_div(cumulative) {
+            self.metrics.cache_hit_pct.set(pct as i64);
+        }
+        let instant_total = report.partitions_reused + report.partitions_recomputed;
+        if let Some(pct) = (100 * report.partitions_recomputed).checked_div(instant_total) {
+            self.metrics.dirty_fraction_pct.record(pct as u64);
+        }
+        self.metrics
+            .replan_seconds
+            .record_seconds(report.elapsed_seconds);
+        self.metrics.planning_calls.inc();
+        self.metrics.search_nodes.add(report.nodes_expanded as u64);
+        self.metrics.partitions.set(report.partitions as i64);
+        self.metrics
+            .partition_workers
+            .set(report.max_partition_workers as i64);
+        if self.metrics.forecast_observed.is_attached() {
+            let stats = self.forecast.stats();
+            self.metrics.forecast_observed.set(stats.observed as i64);
+            self.metrics.forecast_queries.set(stats.queries as i64);
+            self.metrics.forecast_refreshes.set(stats.refreshes as i64);
         }
     }
 
@@ -1040,6 +1075,127 @@ mod tests {
     #[should_panic(expected = "requires a trained TVF")]
     fn data_wa_without_tvf_panics() {
         let _ = runner(PolicyKind::DataWa).run(&simple_stream(), &[]);
+    }
+
+    /// A forecast that predicts `0` at its first query and nothing after.
+    struct Once(Vec<PredictedTaskInput>, usize);
+
+    impl ForecastProvider for Once {
+        fn name(&self) -> &str {
+            "once"
+        }
+        fn observe(&mut self, _now: Timestamp, _task: &Task) {}
+        fn forecast(&mut self, _now: Timestamp, _horizon: Duration) -> &[PredictedTaskInput] {
+            self.1 += 1;
+            if self.1 == 1 {
+                &self.0
+            } else {
+                &[]
+            }
+        }
+        fn stats(&self) -> ForecastStats {
+            ForecastStats::default()
+        }
+    }
+
+    fn insert(state: &mut RunnerState<'_, impl ForecastProvider>, event: ArrivalEvent) {
+        match event {
+            ArrivalEvent::Worker(w) => {
+                state.insert_worker(w);
+            }
+            ArrivalEvent::Task(t) => {
+                state.insert_task(t);
+            }
+        }
+    }
+
+    /// The merge-walk clears what it does not overwrite: a worker holding
+    /// position for a predicted task at instant k, and absent from the
+    /// assignment at k+1 (the prediction is gone and it reaches nothing
+    /// real), is released from the hold there and then.
+    #[test]
+    fn a_worker_the_next_plan_leaves_out_loses_its_hold() {
+        let runner = runner(PolicyKind::DtaTp);
+        let mut forecast = Once(
+            vec![PredictedTaskInput {
+                location: Location::new(1.0, 0.0),
+                publication: Timestamp(50.0),
+                expiration: Timestamp(90.0),
+            }],
+            0,
+        );
+        let mut state = runner.start(&mut forecast);
+        insert(&mut state, worker(0.0, 0.0, 0.0, 1000.0, 5.0));
+        // Planning needs an open task; this one is out of everyone's reach.
+        insert(&mut state, task(500.0, 500.0, 0.0, 1000.0));
+        state.step(Timestamp(10.0), true);
+        assert_eq!(state.runtime[0].hold_until, Some(Timestamp(50.0)));
+        assert!(state.runtime[0].plan.is_empty(), "a pure-phantom plan");
+        state.step(Timestamp(20.0), true);
+        assert_eq!(state.runtime[0].hold_until, None);
+        assert_eq!(state.assigned_so_far(), 0);
+    }
+
+    /// Same for the plan itself: worker 0 is planned `[a, b]` at instant k
+    /// and departs for `a`; back at k+1 it shares `b` with a newcomer, the
+    /// search gives `b` to the newcomer and leaves worker 0 out of the
+    /// assignment — and worker 0, dispatched first, must not fall back on
+    /// the `b` of its previous plan.
+    #[test]
+    fn a_worker_the_next_plan_leaves_out_loses_its_plan() {
+        let runner = runner(PolicyKind::Dta);
+        let mut forecast = StaticForecast::default();
+        let mut state = runner.start(&mut forecast);
+        insert(&mut state, worker(0.0, 0.0, 0.0, 1000.0, 5.0));
+        insert(&mut state, task(1.0, 0.0, 0.0, 1000.0)); // a
+        insert(&mut state, task(2.0, 0.0, 0.0, 1000.0)); // b
+        state.step(Timestamp(10.0), true);
+        assert_eq!(
+            state.runtime[0].plan.tasks(),
+            &[TaskId(1)],
+            "a left, b kept"
+        );
+        assert_eq!(state.take_dispatches().len(), 1);
+        insert(&mut state, worker(2.5, 0.0, 12.0, 1000.0, 5.0));
+        state.step(Timestamp(12.0), true);
+        assert!(state.runtime[0].plan.is_empty());
+        let dispatches = state.take_dispatches();
+        assert_eq!(dispatches.len(), 1);
+        assert_eq!(
+            (dispatches[0].worker, dispatches[0].task),
+            (WorkerId(1), TaskId(1))
+        );
+    }
+
+    /// `build_planning_store` is reached exactly at the planning instants
+    /// with a predicted task inside the lookahead; every other instant plans
+    /// on the live store.
+    #[test]
+    fn only_phantom_instants_copy_the_open_tasks() {
+        let stream = vec![
+            worker(0.0, 0.0, 0.0, 1000.0, 5.0),
+            task(1.0, 0.0, 1.0, 500.0),
+            task(400.0, 0.0, 100.0, 500.0),
+            task(400.0, 0.0, 200.0, 500.0),
+        ];
+        // In the lookahead (60 s) of the second planning instant (t = 100)
+        // only: not yet at t = 1, already published at t = 200.
+        let predicted = [PredictedTaskInput {
+            location: Location::new(300.0, 0.0),
+            publication: Timestamp(150.0),
+            expiration: Timestamp(400.0),
+        }];
+        let phantom_instants = |policy: PolicyKind| {
+            let registry = MetricsRegistry::new();
+            let outcome = runner(policy)
+                .with_metrics(registry.clone())
+                .run(&stream, &predicted);
+            assert_eq!(outcome.planning_calls, 3);
+            registry.snapshot().counters["assign.phantom_instants"]
+        };
+        assert_eq!(phantom_instants(PolicyKind::DtaTp), 1);
+        assert_eq!(phantom_instants(PolicyKind::Dta), 0);
+        assert_eq!(phantom_instants(PolicyKind::Greedy), 0);
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! Incremental replanning: dirty tracking and the partition plan cache.
+//! Incremental replanning: dirty tracking and reachability kept as a delta.
 //!
 //! Most planning instants touch only a handful of spatial clusters — a task
-//! arrival dirties the partitions of the workers that can reach it, one
-//! worker going offline dirties only its own partition. This module gives
-//! the planner the machinery to *reuse* everything the instant did not
-//! touch, while staying bitwise identical to a full replan:
+//! arrival changes the reachable lists of the workers that can reach it, one
+//! worker going offline changes nothing but its own. This module gives the
+//! planner the machinery to carry every reachable list the instant did not
+//! touch over from the previous one, while staying bitwise identical to a
+//! scan from scratch:
 //!
 //! * [`DirtySet`] — the event-side tracker kept by `RunnerState`: which
 //!   tasks arrived/expired/were served and which workers came online, went
@@ -15,72 +16,56 @@
 //!   the candidate pool against the previous pass, and the per-slot
 //!   mutation stamp `WorkerStore` bumps on every mutable hand-out — so a
 //!   driver that forgets a hook, or has none, cannot corrupt a plan.
-//! * [`IncrementalContext`] — what a driver hands the planner alongside a
-//!   planning call so caching is sound: the *real* task id behind every
-//!   planning-store id (valid only when the store holds no predicted
-//!   phantoms — phantom instants always take the full path), and the
-//!   forecast epoch that folds into every fingerprint.
-//! * [`PlanCache`] — owned by the `Planner`. Two layers:
+//! * [`IncrementalContext`] — the driver's word, handed in alongside a
+//!   planning call, that ids mean across calls what they meant before: the
+//!   candidate ids are the stable ids of one live `TaskStore` (no per-instant
+//!   copy, no predicted phantom among them), the worker ids slots of one
+//!   `WorkerStore`.
+//! * [`PlanCache`] — owned by the `Planner`: **per-worker reachable sets,
+//!   kept as a delta.** The state is persistent and dense: one slot per
+//!   `WorkerId::index()` holding the store mutation stamp, location and
+//!   reachable distance the worker's list was scanned under; the sorted
+//!   worker list and candidate pool of the previous pass; and the lists
+//!   themselves (flat, double-buffered) of the *live* workers only — those
+//!   that reach anything, about ten of three hundred at the paper's
+//!   operating point. A pass walks the instant's worker list once against
+//!   the previous one and re-derives a list from scratch only where it may
+//!   have changed. A list is still exact when the worker was listed at the
+//!   previous pass and (a) its mutation stamp has not moved — no one was
+//!   handed the record mutably, so location, reach, window and mode are what
+//!   they were; (b) every cached member is still an open candidate and still
+//!   passes `Worker::can_reach` *re-evaluated at the current instant*; and
+//!   (c) no task that joined the candidate pool since the last pass lies
+//!   within the worker's reachable distance. A worker that reaches nothing
+//!   has no member to re-verify, so (a) and (c) — a `u32` compare and one
+//!   distance per added task against slot-resident coordinates — are its
+//!   whole cost: its record is not loaded, nothing is written, no span is
+//!   emitted. Soundness of (b)+(c) rests on monotonicity: every `can_reach`
+//!   constraint only decays as `now` advances (a pass at an earlier `now`
+//!   than its predecessor resets the layer; a worker listed ahead of its
+//!   window is rescanned until the window opens) and distances are static
+//!   while the worker stands still, so a task outside the list cannot climb
+//!   into the capped nearest-first ranking unless it is new — and (c)
+//!   catches those conservatively by distance alone. The exact and the
+//!   TVF-guided search read these sets when the driver supplies a context;
+//!   `reachable_tasks` remains the context-free route (the greedy
+//!   baseline's too) and the oracle they are tested against
+//!   (`tests/reach_delta.rs`).
 //!
-//!   1. **Per-worker reachable sets, kept as a delta.** The layer is
-//!      persistent and dense: one slot per `WorkerId::index()` holding the
-//!      store mutation stamp, location and reachable distance the worker's
-//!      list was scanned under; the sorted worker list and candidate pool of
-//!      the previous pass; and the lists themselves (flat, in real task
-//!      ids) of the *live* workers only — those that reach anything, about
-//!      ten of three hundred at the paper's operating point. A pass walks
-//!      the instant's worker list once against the previous one and
-//!      re-derives a list from scratch only where it may have changed. A
-//!      list is still exact when the worker was listed at the previous pass
-//!      and (a) its mutation stamp has not moved — no one was handed the
-//!      record mutably, so location, reach, window and mode are what they
-//!      were; (b) every cached member is still an open candidate and still
-//!      passes `Worker::can_reach` *re-evaluated at the current instant*;
-//!      and (c) no task that joined the candidate pool since the last pass
-//!      lies within the worker's reachable distance. A worker that reaches
-//!      nothing has no member to re-verify, so (a) and (c) — a `u32`
-//!      compare and one distance per added task against slot-resident
-//!      coordinates — are its whole cost: its record is not loaded, nothing
-//!      is written, no span is emitted. Soundness of (b)+(c) rests on
-//!      monotonicity: every `can_reach` constraint only decays as `now`
-//!      advances (a pass at an earlier `now` than its predecessor resets the
-//!      layer; a worker listed ahead of its window is rescanned until the
-//!      window opens) and distances are static while the worker stands
-//!      still, so a task outside the list cannot climb into the capped
-//!      nearest-first ranking unless it is new — and (c) catches those
-//!      conservatively by distance alone. The exact and the TVF-guided
-//!      search read these sets when the driver supplies a context;
-//!      `reachable_tasks` remains the context-free route (the greedy
-//!      baseline's too) and the oracle they are tested against
-//!      (`tests/reach_delta.rs`).
-//!   2. **Per-partition plans.** Each searched partition is stored under a
-//!      fingerprint of its content — ordered member workers, their
-//!      location/reach/window bits, their reachable sets (as real task
-//!      ids) and the forecast epoch — and verified on probe by full content
-//!      comparison *including the regenerated candidate sequences* (their
-//!      validity and Eq. 10 orderings depend on `now`, so sequence equality
-//!      is part of the hit criterion, never assumed). On a hit the stored
-//!      plan, kept in real-id space, is translated back into the instant's
-//!      planning ids and spliced in partition-index order; only misses are
-//!      searched. The exact search's result is a pure function of exactly
-//!      the compared content (member order, reachable lists, ordered
-//!      sequence id-lists, the partition task universe and the per-node
-//!      budget), so a verified hit is bitwise identical to a recompute.
-//!
-//! Workers whose reachable set is empty never reach this module's partition
-//! layer: the planner drops them before the dependency graph is built, on
-//! the incremental and the full route alike (each would form an isolated
-//! singleton partition whose search assigns nothing). The incremental route
-//! counts them as reused partitions.
+//! There is no plan layer. Until PR 24 each searched partition was also
+//! stored under a hash of its content and looked up at later instants;
+//! measured over whole benchmark sessions the lookup never hit
+//! (407,568 probes on `yueche-dta`, 240,216 on `churn-batched`, 0 hits):
+//! `RunnerState::step` dispatches every planned idle worker in the instant
+//! that planned it, the dispatch moves the worker and takes the task out of
+//! the pool, so no partition survives to the next instant with its content
+//! intact. What `PlanningReport::partitions_reused` counts is the workers
+//! dropped for reaching nothing, which the planner never hands to dependency
+//! separation at all.
 
 use crate::config::AssignConfig;
-use crate::partition::Partition;
 use crate::reachable::{scan_reachable, still_reachable, ReachableSets};
-use crate::sequences::SequenceSet;
-use datawa_core::{
-    Location, TaskId, TaskSequence, TaskStore, Timestamp, Worker, WorkerId, WorkerStore,
-};
-use std::collections::HashMap;
+use datawa_core::{Location, TaskId, TaskStore, Timestamp, WorkerId, WorkerStore};
 
 /// Everything that changed since the previous planning instant, tracked by
 /// event kind. `RunnerState` fills it from its event hooks (arrival,
@@ -107,8 +92,7 @@ pub struct DirtySet {
     pub moved_workers: Vec<WorkerId>,
     /// Replan ticks since the last planning instant.
     pub replan_ticks: usize,
-    /// The forecast provider's refresh count — a bumped epoch invalidates
-    /// every cached fingerprint (it is hashed into all of them).
+    /// The forecast provider's refresh count at the latest planning instant.
     pub forecast_epoch: u64,
 }
 
@@ -183,65 +167,19 @@ impl DirtySet {
     }
 }
 
-/// The driver-side facts that make plan caching sound for one planning call.
+/// The driver's word that makes carrying reachable lists from one planning
+/// call to the next sound.
 ///
-/// Drivers may only construct this when every planning-store task stands for
-/// a real open task (`real_ids[i]` is the real id behind planning id `i`,
-/// ascending); instants whose store contains predicted phantoms must pass
-/// `None` instead, forcing the full path (phantom scoring depends on `now`
-/// in ways content fingerprints cannot capture). Identity is the driver's
-/// word: a real id names the same task, and a `WorkerId` a slot of the same
-/// `WorkerStore`, at every call that passes a context to one planner — the
-/// reach layer tells a changed worker by that store's mutation stamp.
-#[derive(Debug, Clone, Copy)]
-pub struct IncrementalContext<'a> {
-    /// Real task id behind each planning-store id, in planning-id order
-    /// (ascending, since open views iterate in ascending real-id order).
-    pub real_ids: &'a [TaskId],
-    /// The forecast provider's refresh count at this instant; folded into
-    /// every partition fingerprint so a model refresh invalidates all
-    /// cached plans at once.
-    pub forecast_epoch: u64,
-}
-
-/// Exact bit patterns of every worker attribute the reachable computation
-/// and the search read: location, reachable distance, availability window.
-/// Bit equality (not float equality) keeps the comparison total and exact.
-fn worker_bits(w: &Worker) -> [u64; 5] {
-    [
-        w.location.x.to_bits(),
-        w.location.y.to_bits(),
-        w.reachable_distance.to_bits(),
-        w.on().0.to_bits(),
-        w.off().0.to_bits(),
-    ]
-}
-
-/// Planning id of a real task in this instant's candidate list, if open.
-fn planning_id(real_ids: &[TaskId], real: TaskId) -> Option<TaskId> {
-    real_ids.binary_search(&real).ok().map(|i| TaskId(i as u32))
-}
-
-/// FNV-1a over a stream of 64-bit words — deterministic across runs and
-/// platforms, no dependencies.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn word(&mut self, w: u64) {
-        for byte in w.to_le_bytes() {
-            self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(0x1_0000_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
+/// Passing one vouches that, at every call that passes a context to one
+/// planner, a `TaskId` among the candidates names the same task of the same
+/// live `TaskStore` (the candidates are listed ascending and none is a
+/// predicted phantom — an instant that plans over phantoms copies its tasks
+/// into a store of its own, whose ids mean nothing at the next instant, and
+/// must pass `None`), and a `WorkerId` names a slot of the same
+/// `WorkerStore` — the reach layer tells a changed worker by that store's
+/// mutation stamp.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IncrementalContext;
 
 /// What the reach layer keeps per worker slot (`WorkerId::index()`), for
 /// every worker it has ever scanned: enough to decide "still nothing
@@ -257,125 +195,98 @@ struct ReachSlot {
     reach: f64,
 }
 
-/// One cached partition: the full content it was computed from plus the plan
-/// it produced, everything in real-id space.
-#[derive(Debug)]
-struct PartitionEntry {
-    epoch: u64,
-    members: Vec<MemberKey>,
-    /// The searched plan, per worker, in real task ids.
-    plan: Vec<(WorkerId, Vec<TaskId>)>,
-    last_used: u64,
-}
-
-#[derive(Debug)]
-struct MemberKey {
-    wid: WorkerId,
-    bits: [u64; 5],
-    /// Reachable list in real ids (defines the partition's task universe
-    /// and, together with the other members', its tree shape).
-    reachable: Vec<TaskId>,
-    /// Candidate sequences in `SequenceSet` order, each as real ids.
-    sequences: Vec<Vec<TaskId>>,
-}
-
-/// Entry cap: above this the cache sweeps out entries not used recently.
-/// Eviction is deterministic and output-invisible (a miss recomputes the
-/// identical plan); the cap only bounds memory on long drifting sessions.
-const MAX_PARTITION_ENTRIES: usize = 8192;
-/// Sweep age (in incremental passes) once the cap is exceeded.
-const EVICT_AGE: u64 = 16;
-
 /// The planner's incremental state across planning instants: verified
-/// per-worker reachable sets, the previous worker list and candidate pool,
-/// and fingerprinted per-partition plans. See the module docs for the
-/// invariants.
+/// per-worker reachable sets plus the previous worker list and candidate
+/// pool they are diffed against. See the module docs for the invariants.
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    /// Incremental passes completed (full-path calls do not advance this —
-    /// they also do not touch the world model the cache verifies against).
-    pass: u64,
     /// Config the cached state was computed under; a live change clears all.
     config: Option<AssignConfig>,
     /// Instant of the previous pass: reuse rests on `now` never decreasing.
     prev_now: Timestamp,
-    /// Candidate pool (real ids, ascending) of the previous pass.
+    /// Candidate pool (ascending) of the previous pass.
     prev_open: Vec<TaskId>,
     /// Worker list (ascending) of the previous pass; empty before the first
-    /// pass, after a reset and after a pass whose list was not ascending —
-    /// every worker then counts as having entered the list.
+    /// pass, after a reset and after a pass whose worker list or pool was
+    /// not ascending — every worker then counts as having entered the list.
     prev_workers: Vec<WorkerId>,
     /// Per-slot scan state, dense by worker index.
     slots: Vec<ReachSlot>,
-    /// The lists of this pass's live workers (non-empty reach), in *real*
-    /// task ids — stable across instants, unlike the per-instant dense
-    /// planning ids.
-    real: ReachableSets,
-    /// `real` of the previous pass (the two swap every pass).
-    real_prev: ReachableSets,
-    partitions: HashMap<u64, PartitionEntry>,
+    /// The lists of this pass's live workers (non-empty reach).
+    lists: ReachableSets,
+    /// `lists` of the previous pass (the two swap every pass).
+    lists_prev: ReachableSets,
     /// Scratch: locations of the tasks that joined the pool since the
     /// previous pass.
     added: Vec<Location>,
+    /// Scratch: the tasks that left the pool since the previous pass,
+    /// ascending.
+    removed: Vec<TaskId>,
     /// Scratch: (task, distance) pairs of one worker's rescan.
     scratch_pairs: Vec<(TaskId, f64)>,
-    /// Scratch: one verified worker's list in planning ids.
-    scratch_pids: Vec<TaskId>,
 }
 
 impl PlanCache {
+    /// The reachable sets of the latest pass: exactly what `reachable_tasks`
+    /// would have produced for that pass's workers and candidates.
+    pub(crate) fn reach(&self) -> &ReachableSets {
+        &self.lists
+    }
+
     /// Refreshes the reachable sets of the listed workers for this instant
-    /// into `out` (in planning ids, exactly what `reachable_tasks` would
-    /// have produced) — carrying verified lists over, rescanning where a
-    /// check fails — and returns the number of workers that were rescanned.
+    /// (read them through [`PlanCache::reach`]) — carrying verified lists
+    /// over, rescanning where a check fails — and returns the number of
+    /// workers that were rescanned.
     ///
     /// A pass walks `worker_ids` once against the previous pass's worker
     /// list (both ascending). A worker is rescanned when
     /// it entered the list, (a) its store mutation stamp moved, (b) it is
-    /// live and a member of its list no longer passes the reachability
-    /// predicates re-evaluated at `now`, or (c) a task that joined the pool
-    /// lies within its reachable distance. A worker that is clean and was
-    /// not live costs the stamp compare and one distance per added task: its
-    /// record is never loaded and nothing is written for it.
-    #[allow(clippy::too_many_arguments)]
+    /// live and a member of its list left the pool or no longer passes the
+    /// reachability predicates re-evaluated at `now`, or (c) a task that
+    /// joined the pool lies within its reachable distance. A worker that is
+    /// clean and was not live costs the stamp compare and one distance per
+    /// added task: its record is never loaded and nothing is written for it.
     pub(crate) fn refresh_reachable(
         &mut self,
-        out: &mut ReachableSets,
         worker_ids: &[WorkerId],
         candidate_tasks: &[TaskId],
-        real_ids: &[TaskId],
         workers: &WorkerStore,
         tasks: &TaskStore,
         config: &AssignConfig,
         now: Timestamp,
     ) -> usize {
-        self.pass += 1;
         if self.config != Some(*config) || now.0 < self.prev_now.0 {
-            self.partitions.clear();
             self.prev_workers.clear();
             self.prev_open.clear();
             self.config = Some(*config);
         }
-        let ascending = worker_ids.windows(2).all(|p| p[0] < p[1]);
+        // The diffs below are merge sweeps: a worker list or a pool that is
+        // not ascending makes this pass, and the next, scan everyone.
+        let ascending = worker_ids.windows(2).all(|p| p[0] < p[1])
+            && candidate_tasks.windows(2).all(|p| p[0] < p[1]);
         if !ascending {
             self.prev_workers.clear();
         }
-        // Tasks that joined the candidate pool since the previous pass
-        // (both lists ascending — one merge sweep); planning id `i` stands
-        // for `real_ids[i]`.
+        // Tasks that joined and tasks that left the candidate pool since the
+        // previous pass (`removed` comes out ascending, like the pool it is
+        // taken from).
         self.added.clear();
+        self.removed.clear();
         let mut i = 0;
-        for (pid, &t) in real_ids.iter().enumerate() {
+        for &t in candidate_tasks {
             while i < self.prev_open.len() && self.prev_open[i] < t {
+                self.removed.push(self.prev_open[i]);
                 i += 1;
             }
-            if i >= self.prev_open.len() || self.prev_open[i] != t {
-                self.added.push(tasks.get(candidate_tasks[pid]).location);
+            if i < self.prev_open.len() && self.prev_open[i] == t {
+                i += 1;
+            } else {
+                self.added.push(tasks.get(t).location);
             }
         }
-        std::mem::swap(&mut self.real, &mut self.real_prev);
-        self.real.restart(worker_ids.len());
-        out.restart(worker_ids.len());
+        self.removed.extend_from_slice(&self.prev_open[i..]);
+        std::mem::swap(&mut self.lists, &mut self.lists_prev);
+        self.lists.restart(worker_ids.len());
         if self.slots.len() < workers.len() {
             self.slots.resize(workers.len(), ReachSlot::default());
         }
@@ -399,30 +310,21 @@ impl PlanCache {
                     .iter()
                     .any(|task| config.travel.travel_distance(&slot.location, task) <= slot.reach);
             }
-            if clean && self.real_prev.of(wid).is_empty() {
+            let carried = self.lists_prev.of(wid);
+            if clean && carried.is_empty() {
                 // Clean and inert: nothing to re-verify, nothing to emit.
                 continue;
             }
             let worker = workers.get(wid);
-            if clean {
-                // (b) every cached member still open, unexpired, reachable —
-                // the exact predicates, re-evaluated at this instant.
-                self.scratch_pids.clear();
-                for &rt in self.real_prev.of(wid) {
-                    match planning_id(real_ids, rt) {
-                        Some(pid) if still_reachable(worker, tasks.get(pid), config, now) => {
-                            self.scratch_pids.push(pid)
-                        }
-                        _ => {
-                            clean = false;
-                            break;
-                        }
-                    }
-                }
-            }
-            if clean {
-                self.real.push(wid, self.real_prev.of(wid).iter().copied());
-                out.push(wid, self.scratch_pids.iter().copied());
+            // (b) every cached member still in the pool, unexpired, reachable
+            // — the exact predicates, re-evaluated at this instant.
+            if clean
+                && carried.iter().all(|&t| {
+                    self.removed.binary_search(&t).is_err()
+                        && still_reachable(worker, tasks.get(t), config, now)
+                })
+            {
+                self.lists.push(wid, carried.iter().copied());
                 continue;
             }
             rescanned += 1;
@@ -444,183 +346,18 @@ impl PlanCache {
             };
             slot.location = worker.location;
             slot.reach = worker.reachable_distance;
-            let pids = self.scratch_pairs.iter().map(|&(t, _)| t);
-            self.real
-                .push(wid, pids.clone().map(|p| real_ids[p.index()]));
-            out.push(wid, pids);
+            self.lists
+                .push(wid, self.scratch_pairs.iter().map(|&(t, _)| t));
         }
         self.prev_workers.clear();
         if ascending {
             self.prev_workers.extend_from_slice(worker_ids);
         }
         self.prev_open.clear();
-        self.prev_open.extend_from_slice(real_ids);
+        self.prev_open.extend_from_slice(candidate_tasks);
         self.prev_now = now;
         rescanned
     }
-
-    /// Fingerprint of a partition's content at this instant: forecast epoch,
-    /// ordered members, their attribute bits and reachable real-id lists.
-    /// Sequences are deliberately left out of the hash — they are compared
-    /// in full on probe, where a mismatch is a miss, not a correctness
-    /// hazard.
-    fn fingerprint(&self, partition: &Partition, workers: &WorkerStore, epoch: u64) -> u64 {
-        let mut h = Fnv::new();
-        h.word(epoch);
-        h.word(partition.worker_ids.len() as u64);
-        for &wid in &partition.worker_ids {
-            h.word(wid.index() as u64 + 1);
-            for b in worker_bits(workers.get(wid)) {
-                h.word(b);
-            }
-            let reachable = self.real.of(wid);
-            h.word(reachable.len() as u64);
-            for &t in reachable {
-                h.word(t.index() as u64 + 1);
-            }
-        }
-        h.finish()
-    }
-
-    /// Probes the cache for `partition`. Returns the fingerprint plus, on a
-    /// verified hit, the stored plan translated into this instant's planning
-    /// ids. A hash match with *any* content difference (members, bits,
-    /// reachable lists, regenerated sequences, epoch) is a miss.
-    pub(crate) fn probe(
-        &mut self,
-        partition: &Partition,
-        sequences: &HashMap<WorkerId, SequenceSet>,
-        real_ids: &[TaskId],
-        workers: &WorkerStore,
-        epoch: u64,
-    ) -> (u64, Option<Vec<(WorkerId, TaskSequence)>>) {
-        let key = self.fingerprint(partition, workers, epoch);
-        let pass = self.pass;
-        let reachable = &self.real;
-        let Some(entry) = self.partitions.get_mut(&key) else {
-            return (key, None);
-        };
-        if !entry_matches(
-            entry, partition, sequences, real_ids, workers, reachable, epoch,
-        ) {
-            return (key, None);
-        }
-        let mut plan = Vec::with_capacity(entry.plan.len());
-        for (wid, seq_real) in &entry.plan {
-            let mut seq = TaskSequence::empty();
-            for &rt in seq_real {
-                match planning_id(real_ids, rt) {
-                    Some(pid) => seq.push(pid),
-                    // Unreachable given content equality (plan tasks come
-                    // from the matched reachable lists); treated as a miss
-                    // defensively rather than trusted.
-                    None => return (key, None),
-                }
-            }
-            plan.push((*wid, seq));
-        }
-        entry.last_used = pass;
-        (key, Some(plan))
-    }
-
-    /// Stores a freshly searched partition plan under `key` (the fingerprint
-    /// returned by [`PlanCache::probe`] this same call).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn store(
-        &mut self,
-        key: u64,
-        partition: &Partition,
-        sequences: &HashMap<WorkerId, SequenceSet>,
-        real_ids: &[TaskId],
-        workers: &WorkerStore,
-        epoch: u64,
-        plan: &[(WorkerId, TaskSequence)],
-    ) {
-        let members = partition
-            .worker_ids
-            .iter()
-            .map(|&wid| MemberKey {
-                wid,
-                bits: worker_bits(workers.get(wid)),
-                reachable: self.real.of(wid).to_vec(),
-                sequences: sequences
-                    .get(&wid)
-                    .map(|s| {
-                        s.sequences
-                            .iter()
-                            .map(|seq| seq.iter().map(|p| real_ids[p.index()]).collect())
-                            .collect()
-                    })
-                    .unwrap_or_default(),
-            })
-            .collect();
-        let plan_real = plan
-            .iter()
-            .map(|(w, seq)| (*w, seq.iter().map(|p| real_ids[p.index()]).collect()))
-            .collect();
-        let pass = self.pass;
-        self.partitions.insert(
-            key,
-            PartitionEntry {
-                epoch,
-                members,
-                plan: plan_real,
-                last_used: pass,
-            },
-        );
-        if self.partitions.len() > MAX_PARTITION_ENTRIES {
-            self.partitions
-                // datawa-lint: allow(unordered-iteration) -- the age predicate is per-entry, so the surviving set is identical under any iteration order
-                .retain(|_, e| pass.saturating_sub(e.last_used) <= EVICT_AGE);
-        }
-    }
-
-    /// Cached partition plans currently held.
-    pub fn cached_partitions(&self) -> usize {
-        self.partitions.len()
-    }
-}
-
-/// Full content comparison backing a fingerprint hit (collision-proof: the
-/// fingerprint only routes to the entry, equality decides).
-fn entry_matches(
-    entry: &PartitionEntry,
-    partition: &Partition,
-    sequences: &HashMap<WorkerId, SequenceSet>,
-    real_ids: &[TaskId],
-    workers: &WorkerStore,
-    reachable: &ReachableSets,
-    epoch: u64,
-) -> bool {
-    if entry.epoch != epoch || entry.members.len() != partition.worker_ids.len() {
-        return false;
-    }
-    for (member, &wid) in entry.members.iter().zip(&partition.worker_ids) {
-        if member.wid != wid
-            || member.bits != worker_bits(workers.get(wid))
-            || member.reachable != reachable.of(wid)
-        {
-            return false;
-        }
-        let live = sequences
-            .get(&wid)
-            .map(|s| s.sequences.as_slice())
-            .unwrap_or(&[]);
-        if member.sequences.len() != live.len() {
-            return false;
-        }
-        for (stored, seq) in member.sequences.iter().zip(live) {
-            if stored.len() != seq.len() {
-                return false;
-            }
-            for (&stored_real, planning) in stored.iter().zip(seq.iter()) {
-                if real_ids[planning.index()] != stored_real {
-                    return false;
-                }
-            }
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -639,28 +376,5 @@ mod tests {
         d.clear();
         assert!(d.is_clean());
         assert_eq!(d.forecast_epoch, 2, "the epoch watermark persists");
-    }
-
-    #[test]
-    fn fnv_is_order_sensitive_and_deterministic() {
-        let mut a = Fnv::new();
-        a.word(1);
-        a.word(2);
-        let mut b = Fnv::new();
-        b.word(2);
-        b.word(1);
-        assert_ne!(a.finish(), b.finish());
-        let mut c = Fnv::new();
-        c.word(1);
-        c.word(2);
-        assert_eq!(a.finish(), c.finish());
-    }
-
-    #[test]
-    fn planning_id_translates_through_the_ascending_pool() {
-        let pool = [TaskId(2), TaskId(5), TaskId(9)];
-        assert_eq!(planning_id(&pool, TaskId(5)), Some(TaskId(1)));
-        assert_eq!(planning_id(&pool, TaskId(9)), Some(TaskId(2)));
-        assert_eq!(planning_id(&pool, TaskId(4)), None);
     }
 }

@@ -2,18 +2,19 @@
 
 use datawa_core::TravelModel;
 
-/// Whether the planner may reuse per-partition plans across planning instants
-/// (see the crate-level "Incremental replanning" section).
+/// Whether the planner may carry per-worker reachable lists across planning
+/// instants (see the crate-level "Incremental replanning" section).
 ///
 /// Incremental replanning is bitwise output-preserving by construction and is
 /// what every driver runs; `Off` exists only as the reference path the
 /// `incremental_equivalence` suite compares it against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IncrementalMode {
-    /// Reuse verified per-partition plans across instants. The default.
+    /// Carry verified reachable lists across instants when the driver
+    /// supplies an `IncrementalContext`. The default.
     #[default]
     On,
-    /// Search every partition at every instant (the reference path).
+    /// Rescan every listed worker at every instant (the reference path).
     Off,
 }
 
@@ -49,9 +50,9 @@ pub struct AssignConfig {
     /// field remains because existing callers (the frozen benchmark harness
     /// among them) still set it.
     pub threads: usize,
-    /// Whether the partitioned exact search may reuse cached per-partition
-    /// plans across planning instants. Output is bitwise identical either
-    /// way; only the work done per instant changes.
+    /// Whether the exact and the TVF-guided search may read reachable sets
+    /// kept as a delta across planning instants. Output is bitwise identical
+    /// either way; only the work done per instant changes.
     pub incremental: IncrementalMode,
 }
 

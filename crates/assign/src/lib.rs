@@ -14,49 +14,45 @@
 //! ## Incremental replanning
 //!
 //! The adaptive runner replans at every time instance, but most events touch
-//! only a handful of spatial clusters. The [`cache`] module makes the exact
-//! partitioned search *incremental*: work proportional to what changed,
-//! output bitwise identical to a full replan.
+//! only a handful of spatial clusters. The [`cache`] module makes the first
+//! stage of a replan *incremental* — work proportional to what changed,
+//! output bitwise identical to a scan from scratch — and the runner keeps
+//! the rest proportional to the few workers that reach anything:
 //!
-//! * **Dirty-set rules** ([`DirtySet`]): every world event maps to what it
-//!   can invalidate — a task arrival dirties partitions whose workers could
-//!   reach the new task; an expiration/serve dirties partitions holding it;
-//!   a worker coming online, going offline, or moving dirties its partition;
-//!   a forecast refresh bumps the epoch and dirties every
-//!   prediction-influenced partition. The tracker is a log: the planner
-//!   detects what changed from its own inputs (worker-list and open-task
-//!   diffs, the `WorkerStore` mutation stamps) and *verifies* every cached
-//!   entry against the live stores, so a missed hook can never corrupt a
-//!   plan.
-//! * **Reachability as a delta** ([`PlanCache`], layer 1): per-worker
-//!   reachable sets live in dense worker slots across instants; a planning
-//!   instant rescans only the workers that entered the idle list, were
-//!   mutated, lost a member of their list or gained a new task within reach
-//!   distance, and emits sets for the workers that reach something only.
-//!   The exact and the TVF-guided search read these sets whenever the
-//!   driver supplies an [`IncrementalContext`]; the greedy baseline scans
-//!   from scratch.
-//! * **Fingerprint definition** ([`PlanCache`]): each partition is keyed by
-//!   an FNV-1a hash over the forecast epoch, the sorted member worker ids,
-//!   each member's position / reachable distance / availability-window
-//!   edges (as exact `f64` bit patterns), and its reachable task list as
-//!   stable real ids. A probe additionally compares the regenerated
-//!   candidate sequences in full — hash collisions and `now`-dependent
-//!   sequence drift both degrade to a recompute, never a wrong reuse.
+//! * **Reachability as a delta** ([`PlanCache`]): per-worker reachable sets
+//!   live in dense worker slots across instants; a planning instant rescans
+//!   only the workers that entered the idle list, were mutated, lost a
+//!   member of their list or gained a new task within reach distance, and
+//!   emits sets for the workers that reach something only. The exact and
+//!   the TVF-guided search read these sets whenever the driver supplies an
+//!   [`IncrementalContext`]; the greedy baseline scans from scratch.
+//! * **Planning in place**: the runner hands the planner its live
+//!   `TaskStore` and the ascending open ids — no per-instant copy of the
+//!   open tasks, no second id space — unless a predicted task falls inside
+//!   the lookahead: a phantom has no id in the live store, so such an
+//!   instant plans on a copy, context-free.
+//! * **No plan reuse.** Candidate sequences, dependency graph, cluster tree,
+//!   partition split and search run at every instant for the workers that
+//!   reach something (about three per instant at the paper's operating
+//!   point). A per-partition plan cache existed until PR 24 and was deleted
+//!   on measurement: it never hit, because the runner dispatches every
+//!   planned worker in the instant that planned it (see [`cache`]).
+//! * **Dirty-set log** ([`DirtySet`]): which tasks and workers each event
+//!   touched since the last planning instant, for drivers and operators.
+//!   The planner never reads it: it detects what changed from its own
+//!   inputs (worker-list and open-task diffs, the `WorkerStore` mutation
+//!   stamps), so a missed hook can never corrupt a plan.
 //! * **Reference path**: [`IncrementalMode::Off`] in [`AssignConfig`]
-//!   searches every partition at every instant; it exists for the
+//!   rescans every listed worker at every instant; it exists for the
 //!   `incremental_equivalence` suite to compare against, not as a knob.
-//! * **Exemptions**: the TVF-guided search (DATA-WA) never reuses a
-//!   *plan* — its inputs depend on `now` in ways a content fingerprint
-//!   cannot capture — and instants planning over predicted phantom tasks
-//!   take the full path altogether (phantom planning ids are not stable
-//!   across instants).
 //!
-//! Reuse is observable through `assign.partitions_reused` /
-//! `assign.partitions_recomputed` counters, the `assign.cache_hit_pct`
-//! gauge, the `assign.dirty_fraction_pct` histogram, the
-//! `assign.reach_rescans` counter and `assign.reach_live` gauge, and through
-//! [`RunOutcome`]'s reuse totals.
+//! Observable through the `assign.reach_rescans` counter, the
+//! `assign.reach_live` gauge, the `assign.stage_ns.*` histograms and the
+//! `assign.phantom_instants` counter. `assign.partitions_reused` (and
+//! [`RunOutcome::partitions_reused`]) counts the idle workers dropped for
+//! reaching nothing — not plan-cache hits — `assign.partitions_recomputed`
+//! every partition searched, and the `assign.cache_hit_pct` gauge and
+//! `assign.dirty_fraction_pct` histogram are ratios of those two.
 
 pub mod adaptive;
 pub mod cache;

@@ -13,17 +13,16 @@
 //! depends only on its own inputs, and the planner searches and merges them
 //! in that order.
 //!
-//! Identity across instants: a partition has no persistent name — its
-//! position changes whenever the dependency graph reshapes — so the incremental plan
-//! cache (see [`crate::cache`]) identifies it by *content fingerprint*
-//! instead: its member workers (with their exact kinematic state) plus
-//! their reachable task lists in stable real-id space. Two instants that
-//! produce a content-identical partition produce the same search output, no
-//! matter where in the tree it landed. The planner drops workers with empty
-//! reachable sets *before* the graph is built, on every route (each would
-//! form a trivial partition assigning nothing), so in a planning call every
-//! partition has at least one reachable task; [`split_cluster_tree`] itself
-//! still materialises such a worker as a trivial partition if handed one.
+//! Identity across instants: none. A partition has no persistent name — its
+//! position changes whenever the dependency graph reshapes — and nothing
+//! looks for one: every partition is searched at the instant that formed it
+//! and forgotten (the runner dispatches its workers in that same instant, so
+//! a content-identical partition does not come back; see [`crate::cache`]).
+//! The planner drops workers with empty reachable sets *before* the graph is
+//! built, on every route (each would form a trivial partition assigning
+//! nothing), so in a planning call every partition has at least one
+//! reachable task; [`split_cluster_tree`] itself still materialises such a
+//! worker as a trivial partition if handed one.
 
 use crate::reachable::ReachableSets;
 use datawa_core::{TaskId, WorkerId};

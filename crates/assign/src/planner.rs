@@ -36,6 +36,7 @@ use crate::sequences::{generate_sequences_into, GenScratch, SequenceSet};
 use crate::tvf::{TaskValueFunction, TvfInference};
 use datawa_core::{Assignment, TaskId, TaskStore, Timestamp, WorkerId, WorkerStore};
 use datawa_graph::{ClusterTree, TreeNode, UnGraph};
+use datawa_obs::{Histogram, MetricsRegistry};
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
@@ -66,15 +67,17 @@ pub struct PlanningReport {
     /// guided search (which visits each worker exactly once), zero for the
     /// greedy baseline.
     pub nodes_expanded: usize,
-    /// Partitions whose plan was reused this instant instead of searched,
-    /// on the exact search's incremental route: verified plan-cache hits
-    /// plus the workers dropped for reaching nothing (each would have been a
-    /// trivial singleton partition assigning nothing). Always zero on the
-    /// routes that never probe for plans (full, greedy, guided), which do
-    /// not count the dropped workers either.
+    /// Listed workers dropped this instant for reaching nothing, on the
+    /// exact search's incremental route (each would have been a trivial
+    /// singleton partition assigning nothing; every other route drops them
+    /// too and reports zero). The name is historical: no plan is ever reused
+    /// — every partition counted by `partitions` is searched at every
+    /// instant, see [`crate::cache`] for the measurement that retired the
+    /// plan cache — and the field keeps it because the benchmark harness
+    /// reads it.
     pub partitions_reused: usize,
-    /// Partitions actually searched this instant. On the full route this is
-    /// every partition counted by `partitions`.
+    /// Partitions searched this instant: every partition counted by
+    /// `partitions`, on every route.
     pub partitions_recomputed: usize,
     /// Workers whose reachable list was re-derived by a scan of the
     /// candidate pool this instant: every listed worker on the context-free
@@ -119,12 +122,31 @@ pub struct Planner {
     /// Scratch: sequence-generation buffers, reused across workers and
     /// instants by every search mode (greedy included).
     gen_scratch: GenScratch,
-    /// Scratch: this instant's reachable sets (in planning ids), whichever
-    /// route produced them.
+    /// Scratch: the reachable sets of a context-free call (every listed
+    /// worker scans the candidate pool).
     reachable: ReachableSets,
-    /// Incremental replanning state: verified per-worker reachable sets and
-    /// fingerprinted per-partition plans (see [`crate::cache`]).
+    /// Incremental replanning state: per-worker reachable sets carried from
+    /// one call with a context to the next (see [`crate::cache`]).
     cache: PlanCache,
+    /// Whether the latest call read its reachable sets from `cache` (as
+    /// opposed to `reachable`).
+    reach_from_cache: bool,
+    /// `assign.stage_ns.*`: where a planning call's time goes. Detached
+    /// until [`Planner::with_metrics`].
+    stages: StageTimers,
+}
+
+/// Per-stage wall time of a planning call, in nanoseconds: reachable sets
+/// (`reach`), candidate sequences (`sequences`), dependency graph + cluster
+/// tree + partition split (`tree`; the greedy baseline has none) and the
+/// search itself (`search`). A detached handle costs one branch per stage and
+/// never reads the clock.
+#[derive(Debug, Clone, Default)]
+struct StageTimers {
+    reach: Histogram,
+    sequences: Histogram,
+    tree: Histogram,
+    search: Histogram,
 }
 
 impl Planner {
@@ -138,7 +160,22 @@ impl Planner {
             gen_scratch: GenScratch::default(),
             reachable: ReachableSets::default(),
             cache: PlanCache::default(),
+            reach_from_cache: false,
+            stages: StageTimers::default(),
         }
+    }
+
+    /// Records the per-stage histograms `assign.stage_ns.{reach, sequences,
+    /// tree, search}` into `registry` from now on (a detached registry hands
+    /// out inert handles). Timing never feeds back into planning.
+    pub fn with_metrics(mut self, registry: &MetricsRegistry) -> Planner {
+        self.stages = StageTimers {
+            reach: registry.histogram("assign.stage_ns.reach"),
+            sequences: registry.histogram("assign.stage_ns.sequences"),
+            tree: registry.histogram("assign.stage_ns.tree"),
+            search: registry.histogram("assign.stage_ns.search"),
+        };
+        self
     }
 
     /// Attaches a trained TVF (used by [`SearchMode::Guided`]); the planner
@@ -148,18 +185,15 @@ impl Planner {
         self
     }
 
-    /// Number of partition plans currently held by the incremental plan
-    /// cache (diagnostic; zero until an incremental planning call stores
-    /// one).
-    pub fn cached_partitions(&self) -> usize {
-        self.cache.cached_partitions()
-    }
-
     /// The reachable sets the latest planning call worked from, in that
-    /// call's planning ids (diagnostic; a call with no worker or no task
+    /// call's task ids (diagnostic; a call with no worker or no task
     /// computes none and leaves the previous call's in place).
     pub fn reachable(&self) -> &ReachableSets {
-        &self.reachable
+        if self.reach_from_cache {
+            self.cache.reach()
+        } else {
+            &self.reachable
+        }
     }
 
     /// Plans task sequences for `worker_ids` over `candidate_tasks` at `now`
@@ -179,20 +213,15 @@ impl Planner {
     }
 
     /// [`Planner::plan`] with an optional [`IncrementalContext`]: when the
-    /// caller supplies one (vouching that every candidate task is real,
-    /// mapping planning ids back to stable real ids, and handing in the same
-    /// `WorkerStore` as at the previous call), the exact and TVF-guided
-    /// modes take their reachable sets from the plan cache's
-    /// delta-maintained reach layer instead of rescanning every worker — the
-    /// sets are identical to [`reachable_tasks`](crate::reachable_tasks),
-    /// only the work differs — and the exact partitioned search may
-    /// additionally reuse cached per-partition plans from earlier instants:
-    /// bitwise identical output, fewer partitions searched. Both plan the
-    /// same workers — those that reach at least one task. The TVF-guided
-    /// mode never probes for plans (its TVF features depend on `now`, which
-    /// content fingerprints cannot capture). The greedy mode ignores the
-    /// context (it has no partitions, and it stays the context-free baseline
-    /// for now), as does
+    /// caller supplies one (vouching that the candidate ids are the stable
+    /// ids of the same live `TaskStore`, ascending, and the workers slots of
+    /// the same `WorkerStore`, as at the previous call), the exact and
+    /// TVF-guided modes take their reachable sets from the delta-maintained
+    /// reach layer instead of rescanning every worker — the sets are
+    /// identical to [`reachable_tasks`](crate::reachable_tasks), only the
+    /// work differs, so the output is bitwise identical. Every partition is
+    /// searched at every instant either way. The greedy mode ignores the
+    /// context (it stays the context-free baseline for now), as does
     /// [`IncrementalMode::Off`](crate::config::IncrementalMode).
     pub fn plan_incremental(
         &mut self,
@@ -201,7 +230,7 @@ impl Planner {
         workers: &WorkerStore,
         tasks: &TaskStore,
         now: Timestamp,
-        ctx: Option<&IncrementalContext<'_>>,
+        ctx: Option<IncrementalContext>,
     ) -> (Assignment, PlanningReport) {
         match self.mode {
             SearchMode::Greedy => {
@@ -252,7 +281,7 @@ impl Planner {
     /// snapshot (the DATA-WA policy's entry point: the adaptive runner owns
     /// the snapshot and must outlive many planning calls). With a context,
     /// reachable sets come from the delta-maintained reach layer, as in
-    /// [`Planner::plan_incremental`]; plans are never reused.
+    /// [`Planner::plan_incremental`].
     #[allow(clippy::too_many_arguments)]
     pub fn plan_guided_incremental(
         &mut self,
@@ -262,7 +291,7 @@ impl Planner {
         tasks: &TaskStore,
         now: Timestamp,
         tvf: &TvfInference,
-        ctx: Option<&IncrementalContext<'_>>,
+        ctx: Option<IncrementalContext>,
     ) -> (Assignment, PlanningReport) {
         self.plan_partitioned(
             worker_ids,
@@ -275,58 +304,43 @@ impl Planner {
         )
     }
 
-    /// Lines 2–3 of Algorithm 4: this instant's reachable sets into the
-    /// planner's buffer. With a context (and incremental replanning on) they
-    /// come from the plan cache's reach layer; otherwise every listed worker
-    /// scans the candidate pool. Returns the context the rest of the call
-    /// may use — `None` once [`IncrementalMode::Off`] has overruled it.
+    /// Lines 2–3 of Algorithm 4: this instant's reachable sets. With
+    /// `incremental` (a context was supplied and incremental replanning is
+    /// on) they are the reach layer's, refreshed as a delta; otherwise every
+    /// listed worker scans the candidate pool into the planner's scratch.
+    /// Reads them back through [`Planner::reachable`].
     #[allow(clippy::too_many_arguments)]
-    fn fill_reachable<'c, 'r>(
+    fn fill_reachable(
         &mut self,
         worker_ids: &[WorkerId],
         candidate_tasks: &[TaskId],
         workers: &WorkerStore,
         tasks: &TaskStore,
         now: Timestamp,
-        ctx: Option<&'c IncrementalContext<'r>>,
+        incremental: bool,
         report: &mut PlanningReport,
-    ) -> Option<&'c IncrementalContext<'r>> {
+    ) {
+        let _span = self.stages.reach.span();
         let config = self.config;
-        let ctx = ctx.filter(|_| config.incremental == IncrementalMode::On);
-        report.workers_rescanned = match ctx {
-            Some(ctx) => {
-                debug_assert_eq!(
-                    ctx.real_ids.len(),
-                    candidate_tasks.len(),
-                    "incremental context must map every candidate task"
-                );
-                self.cache.refresh_reachable(
-                    &mut self.reachable,
-                    worker_ids,
-                    candidate_tasks,
-                    ctx.real_ids,
-                    workers,
-                    tasks,
-                    &config,
-                    now,
-                )
-            }
-            None => {
-                reachable_tasks_into(
-                    &mut self.reachable,
-                    worker_ids,
-                    candidate_tasks,
-                    workers,
-                    tasks,
-                    &config,
-                    now,
-                );
-                worker_ids.len()
-            }
+        self.reach_from_cache = incremental;
+        report.workers_rescanned = if incremental {
+            self.cache
+                .refresh_reachable(worker_ids, candidate_tasks, workers, tasks, &config, now)
+        } else {
+            reachable_tasks_into(
+                &mut self.reachable,
+                worker_ids,
+                candidate_tasks,
+                workers,
+                tasks,
+                &config,
+                now,
+            );
+            worker_ids.len()
         };
-        report.mean_reachable = self.reachable.mean_reachable();
-        report.reach_live = self.reachable.live_workers().len();
-        ctx
+        let reachable = self.reachable();
+        report.mean_reachable = reachable.mean_reachable();
+        report.reach_live = reachable.live_workers().len();
     }
 
     /// The greedy baseline: no dependency graph, no partitions, one ordered
@@ -361,10 +375,11 @@ impl Planner {
             workers,
             tasks,
             now,
-            None,
+            false,
             &mut report,
         );
         let reachable = &self.reachable;
+        let span = self.stages.sequences.span();
         let sequences = Self::fill_sequences(
             &mut self.scratch_sequences,
             &mut self.gen_scratch,
@@ -375,10 +390,21 @@ impl Planner {
             &config,
             now,
         );
-        let search = DfSearch::new(workers, tasks, &config, now, sequences, reachable);
+        span.finish();
+        let span = self.stages.search.span();
+        let search = DfSearch::new(
+            workers,
+            tasks,
+            candidate_tasks,
+            &config,
+            now,
+            sequences,
+            reachable,
+        );
         let mut available: HashSet<TaskId> = HashSet::with_capacity(candidate_tasks.len());
         available.extend(candidate_tasks.iter().copied());
         let assignment = search.greedy(worker_ids, &mut available);
+        span.finish();
         report.elapsed_seconds = start.elapsed().as_secs_f64();
         (assignment, report)
     }
@@ -387,16 +413,14 @@ impl Planner {
     /// TVF-guided modes: drop the workers that reach nothing, build the
     /// dependency graph and cluster tree over the rest once, split the
     /// instant into independent partitions, and search each partition
-    /// against its own available set, in partition order.
+    /// against its own available set, in partition order, splicing its plan
+    /// into the assignment.
     ///
-    /// With an [`IncrementalContext`] reachable sets are refreshed through
-    /// the plan cache (per-worker verify-or-rescan) and, under the exact
-    /// search, only fingerprint-missed partitions are searched; candidate
-    /// sequences are still regenerated for every planned worker (they are
-    /// `now`-dependent, so they are part of the cache-hit criterion rather
-    /// than cached output). Every route runs the same partition loop — a hit
-    /// splices the stored plan where a miss splices the searched one — so
-    /// the output is bitwise identical to the full route.
+    /// With an [`IncrementalContext`] the reachable sets come from the reach
+    /// layer (per-worker verify-or-rescan); everything after them — candidate
+    /// sequences, graph, tree, split, search — runs for the planned workers
+    /// at every instant on every route, so the output is bitwise identical
+    /// to the context-free route.
     #[allow(clippy::too_many_arguments)]
     fn plan_partitioned(
         &mut self,
@@ -406,7 +430,7 @@ impl Planner {
         tasks: &TaskStore,
         now: Timestamp,
         tvf: Option<&TvfInference>,
-        ctx: Option<&IncrementalContext<'_>>,
+        ctx: Option<IncrementalContext>,
     ) -> (Assignment, PlanningReport) {
         // datawa-lint: allow(wall-clock-in-hot-path) -- feeds the replan-latency histogram only; never read by planning logic
         #[allow(clippy::disallowed_methods)]
@@ -422,33 +446,35 @@ impl Planner {
         }
         let config = self.config;
         // Lines 2–5: reachable tasks and candidate sequences per worker.
-        // Plans are reused by the exact search only (TVF features depend on
-        // `now`).
-        let ctx = self
-            .fill_reachable(
-                worker_ids,
-                candidate_tasks,
-                workers,
-                tasks,
-                now,
-                ctx,
-                &mut report,
-            )
-            .filter(|_| tvf.is_none());
-        let reachable = &self.reachable;
+        let incremental = ctx.is_some() && config.incremental == IncrementalMode::On;
+        self.fill_reachable(
+            worker_ids,
+            candidate_tasks,
+            workers,
+            tasks,
+            now,
+            incremental,
+            &mut report,
+        );
+        let reachable = if incremental {
+            self.cache.reach()
+        } else {
+            &self.reachable
+        };
         // A worker that reaches nothing is an isolated vertex of the
         // dependency graph with no candidate sequence: it would form a
         // singleton partition assigning nothing. Dropping it here leaves
         // every other component's member order, edges and subtree shape —
         // hence every plan and every index tie-break — unchanged.
         let planned = reachable.live_workers();
-        if ctx.is_some() {
+        if incremental && tvf.is_none() {
             report.partitions_reused = worker_ids.len() - planned.len();
         }
         if planned.is_empty() {
             report.elapsed_seconds = start.elapsed().as_secs_f64();
             return (Assignment::new(), report);
         }
+        let span = self.stages.sequences.span();
         let sequences = Self::fill_sequences(
             &mut self.scratch_sequences,
             &mut self.gen_scratch,
@@ -459,69 +485,52 @@ impl Planner {
             &config,
             now,
         );
-        let search = DfSearch::new(workers, tasks, &config, now, sequences, reachable);
+        span.finish();
         // Line 6: worker dependency graph; lines 7–10: per component,
         // partition, build the tree, and search it — one partition per root
         // subtree.
+        let span = self.stages.tree.span();
         let (graph, mapping) = build_worker_dependency_graph(planned, reachable);
         let tree = build_tree(&config, &graph);
         report.tree_nodes = tree.len();
         let partitions = split_cluster_tree(&tree, &mapping, reachable);
+        span.finish();
         report.partitions = partitions.len();
+        report.partitions_recomputed = partitions.len();
         report.max_partition_workers = partitions
             .iter()
             .map(|p| p.worker_ids.len())
             .max()
             .unwrap_or(0);
+        let span = self.stages.search.span();
+        let search = DfSearch::new(
+            workers,
+            tasks,
+            candidate_tasks,
+            &config,
+            now,
+            sequences,
+            reachable,
+        );
         let mut assignment = Assignment::new();
         for p in &partitions {
-            let probed = ctx.map(|ctx| {
-                self.cache
-                    .probe(p, sequences, ctx.real_ids, workers, ctx.forecast_epoch)
-            });
-            let plan = match probed {
-                Some((_, Some(plan))) => {
-                    report.partitions_reused += 1;
+            let mut available = p.task_set();
+            let plan = match tvf {
+                None => {
+                    let (plan, nodes) = search.exact_partition_counted(
+                        &tree,
+                        &mapping,
+                        p.root,
+                        &mut available,
+                        None,
+                    );
+                    report.nodes_expanded += nodes;
                     plan
                 }
-                miss => {
-                    report.partitions_recomputed += 1;
-                    let mut available = p.task_set();
-                    let plan = match tvf {
-                        None => {
-                            let (plan, nodes) = search.exact_partition_counted(
-                                &tree,
-                                &mapping,
-                                p.root,
-                                &mut available,
-                                None,
-                            );
-                            report.nodes_expanded += nodes;
-                            plan
-                        }
-                        Some(tvf) => {
-                            let plan = search.guided_partition(
-                                &tree,
-                                &mapping,
-                                p.root,
-                                &mut available,
-                                tvf,
-                            );
-                            report.nodes_expanded += plan.len();
-                            plan
-                        }
-                    };
-                    if let (Some(ctx), Some((key, _))) = (ctx, miss) {
-                        self.cache.store(
-                            key,
-                            p,
-                            sequences,
-                            ctx.real_ids,
-                            workers,
-                            ctx.forecast_epoch,
-                            &plan,
-                        );
-                    }
+                Some(tvf) => {
+                    let plan =
+                        search.guided_partition(&tree, &mapping, p.root, &mut available, tvf);
+                    report.nodes_expanded += plan.len();
                     plan
                 }
             };
@@ -529,6 +538,7 @@ impl Planner {
                 assignment.set(w, seq);
             }
         }
+        span.finish();
         report.elapsed_seconds = start.elapsed().as_secs_f64();
         (assignment, report)
     }
@@ -549,6 +559,7 @@ impl Planner {
             return Vec::new();
         }
         let config = self.config;
+        self.reach_from_cache = false;
         reachable_tasks_into(
             &mut self.reachable,
             worker_ids,
@@ -572,7 +583,15 @@ impl Planner {
             &config,
             now,
         );
-        let search = DfSearch::new(workers, tasks, &config, now, sequences, reachable);
+        let search = DfSearch::new(
+            workers,
+            tasks,
+            candidate_tasks,
+            &config,
+            now,
+            sequences,
+            reachable,
+        );
         let (graph, mapping) = build_worker_dependency_graph(planned, reachable);
         let tree = build_tree(&config, &graph);
         let partitions = split_cluster_tree(&tree, &mapping, reachable);

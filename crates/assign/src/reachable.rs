@@ -100,7 +100,7 @@ impl ReachableSets {
 /// §IV-A.1 constraints i–iii at `now`, with its travel distance, nearest
 /// first (ties in candidate order) and capped by the config, left in `pairs`.
 /// The one definition of a reachable list — the context-free route and the
-/// plan cache's rescan both call it, which is what keeps them bitwise equal.
+/// reach layer's rescan both call it, which is what keeps them bitwise equal.
 pub(crate) fn scan_reachable(
     worker: &Worker,
     candidate_tasks: &[TaskId],

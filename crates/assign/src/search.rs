@@ -46,32 +46,40 @@ pub struct DfSearch<'a> {
     /// The planning store mixes both kinds for the prediction-aware
     /// policies (§III-C, §IV-C); scoring them equally would let confident
     /// phantoms displace real work one for one. The weight is
-    /// `tasks.len() + 1` — strictly larger than any plan's possible phantom
-    /// tally — so the weighted count is a true lexicographic objective even
+    /// the number of candidate tasks plus one — strictly larger than any
+    /// plan's possible phantom tally — so the weighted count is a true
+    /// lexicographic objective even
     /// when summed across a whole partition's plan: maximise real tasks
     /// served first, and use predicted demand only to break ties (pure
     /// positioning). Planning stores without predicted tasks score every
     /// sequence at `weight × len`, so the argmax (and therefore every
     /// non-predictive policy) is bit-identical to the unweighted count.
     real_weight: usize,
-    /// Whether the planning store carries any predicted (future-published)
-    /// task at all. Phantom-free instants keep every pre-forecast code path
+    /// Whether any candidate task is a predicted (future-published) one.
+    /// Phantom-free instants keep every pre-forecast code path
     /// byte-identical (the guided search ranks purely by TVF value, exactly
     /// as before the forecast redesign).
     has_predicted: bool,
 }
 
 impl<'a> DfSearch<'a> {
-    /// Creates a search context.
+    /// Creates a search context over `candidate_tasks`, the tasks of `tasks`
+    /// that take part in this planning instant (`sequences` and `reachable`
+    /// were derived from them). The store may hold any number of others —
+    /// the live store of a streaming run holds every task ever published —
+    /// and none of them is looked at.
     pub fn new(
         workers: &'a WorkerStore,
         tasks: &'a TaskStore,
+        candidate_tasks: &[TaskId],
         config: &'a AssignConfig,
         now: Timestamp,
         sequences: &'a HashMap<WorkerId, SequenceSet>,
         reachable: &'a ReachableSets,
     ) -> DfSearch<'a> {
-        let has_predicted = tasks.iter().any(|t| t.publication.0 > now.0);
+        let has_predicted = candidate_tasks
+            .iter()
+            .any(|&t| tasks.get(t).publication.0 > now.0);
         DfSearch {
             workers,
             tasks,
@@ -79,7 +87,7 @@ impl<'a> DfSearch<'a> {
             now,
             sequences,
             reachable,
-            real_weight: tasks.len() + 1,
+            real_weight: candidate_tasks.len() + 1,
             has_predicted,
         }
     }
@@ -585,6 +593,7 @@ mod tests {
     }
 
     struct Built {
+        candidates: Vec<TaskId>,
         sequences: HashMap<WorkerId, SequenceSet>,
         reachable: ReachableSets,
         tree: ClusterTree,
@@ -618,6 +627,7 @@ mod tests {
         let (graph, mapping) = build_worker_dependency_graph(&wids, &reachable);
         let tree = ClusterTree::build(&graph);
         Built {
+            candidates: tids,
             sequences,
             reachable,
             tree,
@@ -632,6 +642,7 @@ mod tests {
         let search = DfSearch::new(
             &f.workers,
             &f.tasks,
+            &b.candidates,
             &f.config,
             Timestamp(0.0),
             &b.sequences,
@@ -656,6 +667,7 @@ mod tests {
         let search = DfSearch::new(
             &f.workers,
             &f.tasks,
+            &b.candidates,
             &f.config,
             Timestamp(0.0),
             &b.sequences,
@@ -676,6 +688,7 @@ mod tests {
         let search = DfSearch::new(
             &f.workers,
             &f.tasks,
+            &b.candidates,
             &f.config,
             Timestamp(0.0),
             &b.sequences,
@@ -697,6 +710,7 @@ mod tests {
         let search = DfSearch::new(
             &f.workers,
             &f.tasks,
+            &b.candidates,
             &f.config,
             Timestamp(0.0),
             &b.sequences,
@@ -720,6 +734,7 @@ mod tests {
         let search = DfSearch::new(
             &f.workers,
             &f.tasks,
+            &b.candidates,
             &f.config,
             Timestamp(0.0),
             &b.sequences,
@@ -750,6 +765,7 @@ mod tests {
         let search = DfSearch::new(
             &f.workers,
             &f.tasks,
+            &b.candidates,
             &config,
             Timestamp(0.0),
             &b.sequences,

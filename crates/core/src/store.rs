@@ -300,6 +300,14 @@ impl OpenTaskView {
     /// expiration for callers without expiration events).
     pub fn open_at(&mut self, store: &TaskStore, now: Timestamp) -> Vec<TaskId> {
         let mut open = Vec::with_capacity(self.open.len());
+        self.open_at_into(store, now, &mut open);
+        open
+    }
+
+    /// [`OpenTaskView::open_at`] into a buffer the caller keeps across
+    /// instants (cleared first).
+    pub fn open_at_into(&mut self, store: &TaskStore, now: Timestamp, open: &mut Vec<TaskId>) {
+        open.clear();
         let mut expired: Vec<TaskId> = Vec::new();
         for &id in &self.open {
             let task = store.get(id);
@@ -312,7 +320,6 @@ impl OpenTaskView {
         for id in expired {
             self.open.remove(&id);
         }
-        open
     }
 }
 
@@ -376,6 +383,19 @@ impl AvailableWorkerView {
     /// closed (lazy retirement for callers without offline events).
     pub fn available_at(&mut self, store: &WorkerStore, now: Timestamp) -> Vec<WorkerId> {
         let mut available = Vec::with_capacity(self.available.len());
+        self.available_at_into(store, now, &mut available);
+        available
+    }
+
+    /// [`AvailableWorkerView::available_at`] into a buffer the caller keeps
+    /// across instants (cleared first).
+    pub fn available_at_into(
+        &mut self,
+        store: &WorkerStore,
+        now: Timestamp,
+        available: &mut Vec<WorkerId>,
+    ) {
+        available.clear();
         let mut gone: Vec<WorkerId> = Vec::new();
         for &id in &self.available {
             let worker = store.get(id);
@@ -388,7 +408,6 @@ impl AvailableWorkerView {
         for id in gone {
             self.available.remove(&id);
         }
-        available
     }
 }
 
@@ -523,6 +542,39 @@ mod tests {
         assert_eq!(view.available_at(&s, Timestamp(12.0)), vec![b]);
         assert_eq!(view.len(), 1);
         assert!(!view.contains(a));
+    }
+
+    #[test]
+    fn into_variants_overwrite_a_reused_buffer() {
+        let mut tasks = TaskStore::new();
+        let a = tasks.insert_with_location(Location::ORIGIN, Timestamp(0.0), Timestamp(5.0));
+        let b = tasks.insert_with_location(Location::ORIGIN, Timestamp(2.0), Timestamp(9.0));
+        let mut open_view = OpenTaskView::new();
+        open_view.insert(a);
+        open_view.insert(b);
+        let mut open = vec![TaskId(77)];
+        open_view.open_at_into(&tasks, Timestamp(3.0), &mut open);
+        assert_eq!(open, vec![a, b]);
+        open_view.open_at_into(&tasks, Timestamp(6.0), &mut open);
+        assert_eq!(open, vec![b]);
+        assert!(!open_view.contains(a), "pruned like `open_at`");
+
+        let mut workers = WorkerStore::new();
+        let w = workers.insert(Worker::new(
+            WorkerId(0),
+            Location::ORIGIN,
+            1.0,
+            Timestamp(0.0),
+            Timestamp(10.0),
+        ));
+        let mut available_view = AvailableWorkerView::new();
+        available_view.insert(w);
+        let mut available = vec![WorkerId(77)];
+        available_view.available_at_into(&workers, Timestamp(1.0), &mut available);
+        assert_eq!(available, vec![w]);
+        available_view.available_at_into(&workers, Timestamp(12.0), &mut available);
+        assert!(available.is_empty());
+        assert!(available_view.is_empty(), "pruned like `available_at`");
     }
 
     #[test]

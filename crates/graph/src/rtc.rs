@@ -142,12 +142,21 @@ impl ClusterTree {
 }
 
 /// Builds the subtree of one connected (non-empty) component and returns the
-/// index of its root node. A one-vertex component is its own separator
-/// clique with nothing below it, so it becomes a leaf without the induced
-/// subgraph and chordal completion the recursive step would run to reach the
-/// same node — sparse dependency graphs are mostly such components.
+/// index of its root node. A complete component — one vertex, or every pair
+/// adjacent, the common shape when every worker in reach of one new task
+/// depends on every other — is its own and only maximal clique: removing it
+/// leaves nothing, so it is the separator the recursive step would pick and
+/// there is nothing below it. It becomes a single node, members ascending,
+/// without the induced subgraph, chordal completion and per-clique scoring
+/// the recursive step would run to reach the same node.
 fn build_component(graph: &UnGraph, component: Vec<usize>, nodes: &mut Vec<TreeNode>) -> usize {
-    if component.len() == 1 {
+    // The degree test rejects a sparse component in one pass before any
+    // adjacency lookup.
+    let complete = component
+        .iter()
+        .all(|&v| graph.degree(v) + 1 >= component.len())
+        && graph.is_clique(&component);
+    if complete {
         nodes.push(TreeNode {
             members: component,
             children: Vec::new(),

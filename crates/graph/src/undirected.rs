@@ -130,10 +130,20 @@ impl UnGraph {
     }
 
     /// The subgraph induced by `nodes`, together with the mapping from new
-    /// (dense) indices back to the original node ids.
+    /// (dense) indices back to the original node ids. An ascending `nodes`
+    /// (what every caller in the workspace passes) resolves each neighbour's
+    /// new index by binary search; any other order falls back to a scan.
     pub fn induced_subgraph(&self, nodes: &[usize]) -> (UnGraph, Vec<usize>) {
         let mapping: Vec<usize> = nodes.to_vec();
-        let index_of = |orig: usize| mapping.iter().position(|&m| m == orig);
+        let ascending = mapping.windows(2).all(|p| p[0] < p[1]);
+        debug_assert!(ascending, "induced_subgraph is handed ascending nodes");
+        let index_of = |orig: usize| {
+            if ascending {
+                mapping.binary_search(&orig).ok()
+            } else {
+                mapping.iter().position(|&m| m == orig)
+            }
+        };
         let mut g = UnGraph::new(mapping.len());
         for (new_u, &orig_u) in mapping.iter().enumerate() {
             for orig_v in self.neighbors(orig_u) {

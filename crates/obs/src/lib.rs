@@ -46,16 +46,29 @@
 //! which is how per-tenant sessions and worker threads aggregate without
 //! locks.
 //!
-//! Names are dot-namespaced by owning layer: `assign.*` (planner —
-//! including the reach-layer pair `assign.reach_rescans`, workers whose
-//! reachable list a planning instant re-derived by scanning the open tasks,
-//! and `assign.reach_live`, workers that reached anything at the latest
-//! instant), `stream.*` (engine), `service.*` (dispatch service), `net.*`
-//! (transport — including the fault-tolerance family `net.pump_recoveries`,
+//! Names are dot-namespaced by owning layer: `assign.*` (planner),
+//! `stream.*` (engine), `service.*` (dispatch service), `net.*` (transport —
+//! including the fault-tolerance family `net.pump_recoveries`,
 //! `net.tenant.<name>.recoveries` and the `net.recovery_seconds` journal
 //! replay histogram, exercised by the chaos suite). The registry itself
 //! imposes no schema; the convention keeps snapshots diffable across
-//! layers.
+//! layers. Within `assign.*`:
+//!
+//! * `assign.reach_rescans` — workers whose reachable list a planning
+//!   instant re-derived by scanning the open tasks; `assign.reach_live` —
+//!   workers that reached anything at the latest instant.
+//! * `assign.stage_ns.reach`, `assign.stage_ns.sequences`,
+//!   `assign.stage_ns.tree` (dependency graph, cluster tree and partition
+//!   split) and `assign.stage_ns.search` — histograms of the nanoseconds
+//!   each stage of a planning call took.
+//! * `assign.phantom_instants` — planning instants that had a predicted task
+//!   inside the lookahead and therefore planned on a copy of the open tasks
+//!   instead of the live store.
+//! * Three names older than what they count: `assign.partitions_reused` is
+//!   the idle workers dropped for reaching nothing,
+//!   `assign.partitions_recomputed` every partition searched, and
+//!   `assign.cache_hit_pct` the first as a share of both. The planner holds
+//!   no plan cache and reuses no plan.
 
 mod hist;
 mod json;

@@ -70,12 +70,12 @@ pub struct ServiceStats {
     /// forecast queries, model refreshes) — live, so a dashboard polling
     /// [`DispatchService::stats`] sees re-forecasts as they happen.
     pub forecast: ForecastStats,
-    /// Planning partitions whose plan was reused from the incremental plan
-    /// cache instead of searched (cumulative, from the
-    /// `assign.partitions_reused` counter).
+    /// Idle workers the planner dropped for reaching nothing (cumulative,
+    /// from the `assign.partitions_reused` counter — the name is historical:
+    /// each would have been a trivial partition, no plan is ever reused).
     pub partitions_reused: usize,
-    /// Planning partitions actually searched (cumulative, from the
-    /// `assign.partitions_recomputed` counter).
+    /// Planning partitions searched — every partition of every instant
+    /// (cumulative, from the `assign.partitions_recomputed` counter).
     pub partitions_recomputed: usize,
 }
 
@@ -126,7 +126,7 @@ struct ServiceMetrics {
     backpressure_stalls: Counter,
     backlog: Gauge,
     pump_seconds: Histogram,
-    /// Assign-layer plan-reuse counters (recorded by the session's runner
+    /// Assign-layer partition counters (recorded by the session's runner
     /// state into this same registry); surfaced through
     /// [`DispatchService::stats`].
     partitions_reused: Counter,

@@ -96,15 +96,15 @@
 //! changes, replan ticks, dispatches and forecast refreshes are each
 //! recorded as the kind of invalidation they cause, and
 //! [`Session::dirty_set`] exposes the accumulated set between planning
-//! instants. The planner's plan cache uses content *verification* — not
-//! this tracker — as its source of truth, so dirty sets are purely
-//! diagnostic; the cache reuses a partition's previous plan only after
-//! re-validating every member worker and its reachable tasks against the
-//! live stores (see the "Incremental replanning" section of the
-//! `datawa-assign` docs for the dirty-set rules and the fingerprint
-//! definition).
+//! instants. The planner's reach layer uses *verification* — not this
+//! tracker — as its source of truth, so dirty sets are purely diagnostic;
+//! the layer carries a worker's reachable list over only after checking the
+//! worker's store mutation stamp and re-validating every member of the list
+//! against the live stores (see the "Incremental replanning" section of the
+//! `datawa-assign` docs). No plan is carried over: every partition is
+//! searched at every instant.
 //! [`IncrementalMode::Off`](datawa_assign::IncrementalMode) in the config is
-//! the reference path without reuse; output is bitwise identical either
+//! the reference path that rescans everyone; output is bitwise identical either
 //! way, which the `incremental_equivalence` workspace suite pins across
 //! every policy and scenario generator.
 //!

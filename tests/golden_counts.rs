@@ -14,6 +14,15 @@
 //!   and its TVF go through libm `tanh`/`exp`, which no platform pins
 //!   bitwise, so a digest of its decisions would pin the build machine.
 //!
+//! Two more Yueche rows per seed run DTA+TP over a non-empty
+//! `StaticForecast` — an oracle for every fourth, resp. eighth, task of the
+//! trace — so predicted tasks keep entering and leaving the lookahead and
+//! planning instants switch back and forth between the two routes of
+//! `RunnerState::step`: straight on the live task store when no phantom is
+//! in the lookahead (about 8 % resp. 30 % of the instants), on a copy with the
+//! phantoms appended when one is. No model is involved, so they are
+//! digested.
+//!
 //! A deliberate behaviour change regenerates the table: a mismatch prints
 //! every actual row in paste-ready form.
 
@@ -142,6 +151,37 @@ fn yueche_rows(seed: u64, rows: &mut Vec<Row>) {
     ));
 }
 
+/// DTA+TP told, a lookahead ahead, where and when every `step`-th task of the
+/// trace will appear.
+fn phantom_rows(seed: u64, step: usize, scenario: &'static str, rows: &mut Vec<Row>) {
+    let trace = SyntheticTrace::generate(TraceSpec::yueche().scaled(0.1).with_seed(seed));
+    let predicted: Vec<PredictedTaskInput> = trace
+        .tasks
+        .iter()
+        .step_by(step)
+        .map(|t| PredictedTaskInput {
+            location: t.location,
+            publication: t.publication,
+            expiration: t.expiration,
+        })
+        .collect();
+    let runner = AdaptiveRunner::new(AssignConfig::default(), PolicyKind::DtaTp);
+    let (assigned, decisions, digest) = run(
+        &runner,
+        &trace.workload(),
+        &mut StaticForecast::new(predicted),
+        EngineConfig::default(),
+    );
+    rows.push((
+        scenario,
+        seed,
+        PolicyKind::DtaTp.name(),
+        assigned,
+        decisions,
+        Some(digest),
+    ));
+}
+
 fn churn_rows(seed: u64, rows: &mut Vec<Row>) {
     let spec = ScenarioSpec::small()
         .with_tasks(400)
@@ -193,6 +233,10 @@ const GOLDEN: &[Row] = &[
     ("churn", 20161101, "FTA", 176, 1227, Some(0x2a6c98e0dcf5a276)),
     ("churn", 20161101, "DTA", 131, 1227, Some(0x9ec32d8f29b7c8e7)),
     ("churn", 20161101, "DATA-WA", 132, 1227, None),
+    ("yueche-0.1+oracle/4", 77003, "DTA+TP", 235, 1167, Some(0x824ed06d5d37829f)),
+    ("yueche-0.1+oracle/8", 77003, "DTA+TP", 235, 1167, Some(0x824ed06d5d37829f)),
+    ("yueche-0.1+oracle/4", 20161101, "DTA+TP", 229, 1167, Some(0x19e7cf1e5dd7f2ae)),
+    ("yueche-0.1+oracle/8", 20161101, "DTA+TP", 229, 1167, Some(0xda0d49ea1f9faf5d)),
 ];
 
 #[test]
@@ -203,6 +247,10 @@ fn same_seed_counts_and_digests_match_the_golden_table() {
     }
     for seed in SEEDS {
         churn_rows(seed, &mut rows);
+    }
+    for seed in SEEDS {
+        phantom_rows(seed, 4, "yueche-0.1+oracle/4", &mut rows);
+        phantom_rows(seed, 8, "yueche-0.1+oracle/8", &mut rows);
     }
     let mut table = String::new();
     for (scenario, seed, policy, assigned, decisions, digest) in &rows {

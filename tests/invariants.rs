@@ -191,6 +191,7 @@ fn partitioned_exact_search_equals_the_whole_tree_serial_search() {
         let search = DfSearch::new(
             &trace.workers,
             &trace.tasks,
+            &task_ids,
             &config,
             now,
             &sequences,

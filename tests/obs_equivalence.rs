@@ -68,6 +68,27 @@ fn batch_run_is_bitwise_identical_with_metrics_attached() {
             .get("assign.replan_seconds")
             .expect("replan latency histogram registered");
         assert_eq!(replans.count as usize, with_metrics.run.planning_calls);
+        // The planner's own stage timers hang off the same registry: every
+        // planning call with a worker and a task to plan computes reachable
+        // sets; the greedy baseline then generates sequences and searches,
+        // the partitioned searches go on to sequences, tree and search only
+        // at the instants some worker reaches something.
+        let stage = |name: &str| {
+            snapshot
+                .histograms
+                .get(&format!("assign.stage_ns.{name}"))
+                .map_or(0, |h| h.count)
+        };
+        let [reach, sequences, tree, search] = ["reach", "sequences", "tree", "search"].map(stage);
+        assert!(reach > 0, "{label}: no reach stage recorded");
+        assert!(reach as usize <= with_metrics.run.planning_calls);
+        assert_eq!(sequences, search, "{label}");
+        if policy == PolicyKind::Greedy {
+            assert_eq!((sequences, tree), (reach, 0), "{label}");
+        } else {
+            assert_eq!(tree, search, "{label}");
+            assert!(search <= reach, "{label}");
+        }
     }
 }
 

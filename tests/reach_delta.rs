@@ -1,4 +1,4 @@
-//! The reach layer of the plan cache is a delta: per-worker reachable sets
+//! The planner's reach layer (`PlanCache`) is a delta: per-worker reachable sets
 //! persist in dense worker slots and a planning instant rescans only the
 //! workers whose set may have changed. This suite pins the delta against the
 //! from-scratch definition: after every pass of a seeded event script the
@@ -252,17 +252,6 @@ impl World {
         }
         !quiet
     }
-
-    /// The planning store the adaptive runner would build: the pool in
-    /// ascending real-id order, planning ids dense from zero.
-    fn planning_store(&self) -> (TaskStore, Vec<TaskId>) {
-        let mut store = TaskStore::new();
-        for &tid in &self.open {
-            store.insert(*self.tasks.get(tid));
-        }
-        let pids = store.ids().collect();
-        (store, pids)
-    }
 }
 
 /// The search modes that read the reach layer.
@@ -289,22 +278,19 @@ fn plan_and_check(world: &World, warm: &mut [Planner], label: &str) -> Option<Ve
         return None;
     }
     let now = Timestamp(world.now);
-    let (store, pids) = world.planning_store();
-    let ctx = IncrementalContext {
-        real_ids: &world.open,
-        forecast_epoch: 0,
-    };
-    let oracle = reachable_tasks(&world.listed, &pids, &world.workers, &store, &config(), now);
+    // The live store and the open ids, as `RunnerState::step` hands them in.
+    let (store, pids) = (&world.tasks, &world.open);
+    let oracle = reachable_tasks(&world.listed, pids, &world.workers, store, &config(), now);
     let mut reports = Vec::new();
     for planner in warm.iter_mut() {
         let mode = planner.mode;
         let (plan, report) = planner.plan_incremental(
             &world.listed,
-            &pids,
+            pids,
             &world.workers,
-            &store,
+            store,
             now,
-            Some(&ctx),
+            Some(IncrementalContext),
         );
         let refreshed = planner.reachable();
         for &w in &world.listed {
@@ -331,7 +317,7 @@ fn plan_and_check(world: &World, warm: &mut [Planner], label: &str) -> Option<Ve
             ..config()
         };
         let (cold, cold_report) =
-            self::planner(off, mode).plan(&world.listed, &pids, &world.workers, &store, now);
+            self::planner(off, mode).plan(&world.listed, pids, &world.workers, store, now);
         assert_eq!(plan, cold, "{label}, {mode:?}: plan diverged");
         assert_eq!(cold_report.workers_rescanned, world.listed.len());
         reports.push(report);
