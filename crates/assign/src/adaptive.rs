@@ -13,11 +13,12 @@ use crate::forecast::{ForecastProvider, ForecastStats, StaticForecast};
 use crate::planner::{Planner, PlanningReport, SearchMode};
 use crate::tvf::{TaskValueFunction, TvfInference};
 use datawa_core::{
-    AvailableWorkerView, Duration, Location, OpenTaskView, Task, TaskId, TaskSequence, TaskStore,
-    Timestamp, Worker, WorkerId, WorkerMode, WorkerStore,
+    Duration, Location, OpenTaskView, Task, TaskId, TaskSequence, TaskStore, Timestamp, Worker,
+    WorkerId, WorkerMode, WorkerStore,
 };
 use datawa_obs::{Counter, Gauge, Histogram, MetricsRegistry};
-use std::collections::{HashMap, HashSet};
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashMap};
 
 /// The five task-assignment methods compared in the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -218,6 +219,262 @@ struct WorkerRuntime {
     fixed_assigned: bool,
 }
 
+impl WorkerRuntime {
+    /// Whether dispatch has anything to do for the worker: a planned task or
+    /// a positioning hold. Only such workers are kept in
+    /// `RunnerState::armed`.
+    fn is_armed(&self) -> bool {
+        !self.plan.is_empty() || self.hold_until.is_some()
+    }
+}
+
+/// Where a worker slot stands in its lifecycle between time instances.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Lane {
+    /// Inserted and not idle yet: its window has not opened or it is still
+    /// travelling. A due-heap entry wakes it.
+    Pending,
+    /// In the idle list: window open, not travelling.
+    Idle,
+    /// Retired, or its window closed at a step. Out for good.
+    Gone,
+}
+
+/// A worker's wake-up time in one of [`Lifecycle`]'s min-heaps.
+#[derive(Debug, Clone, Copy)]
+struct Wake {
+    at: Timestamp,
+    worker: WorkerId,
+}
+
+impl Ord for Wake {
+    /// Reversed, so that `BinaryHeap` (a max-heap) pops the earliest time
+    /// first, ties by the lower id; times by `f64::total_cmp`.
+    fn cmp(&self, other: &Wake) -> Ordering {
+        other
+            .at
+            .0
+            .total_cmp(&self.at.0)
+            .then(other.worker.cmp(&self.worker))
+    }
+}
+
+impl PartialOrd for Wake {
+    fn partial_cmp(&self, other: &Wake) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Wake {
+    fn eq(&self, other: &Wake) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Wake {}
+
+/// When a worker with window opening at `on` and busy until `busy_until`
+/// becomes idle.
+fn due_at(on: Timestamp, busy_until: Timestamp) -> Timestamp {
+    if busy_until.0 > on.0 {
+        busy_until
+    } else {
+        on
+    }
+}
+
+/// Pushes a wake-up; a NaN time never comes due, so it is not kept.
+fn push_wake(heap: &mut BinaryHeap<Wake>, at: Timestamp, worker: WorkerId) {
+    if !at.0.is_nan() {
+        heap.push(Wake { at, worker });
+    }
+}
+
+/// The worker lifecycle kept as events: who is idle at the current instant,
+/// maintained from the moments it changes instead of found by a walk.
+///
+/// A worker inserted into the run is *pending* until it is due at
+/// `max(on, busy_until)` — both known when they are set, at insertion and at
+/// each dispatch, which push the due time on a min-heap. A step pops every
+/// wake-up at or before `now` into the ascending idle list (a gone worker's
+/// is stale and skipped). A second heap of `off` times retires, at the first
+/// step at or after it, a worker whose window has closed (an infinite window
+/// never fires), and `RunnerState::retire_worker` retires one directly.
+/// After [`Lifecycle::advance`] the idle list holds exactly the workers not
+/// retired, inside their window at `now`, and with `busy_until <= now`;
+/// `in_view` counts the workers not retired.
+///
+/// Monotone time makes this sound: a step at an earlier `now` than its
+/// predecessor rebuilds everything with one walk, the same rule the reach
+/// layer resets by.
+#[derive(Debug)]
+struct Lifecycle {
+    /// One lane per worker slot.
+    lanes: Vec<Lane>,
+    /// The idle workers, ascending.
+    idle: Vec<WorkerId>,
+    /// Due times of pending workers (and stale ones of gone workers).
+    due: BinaryHeap<Wake>,
+    /// `off` times of workers not yet gone.
+    closing: BinaryHeap<Wake>,
+    /// Workers not gone (`RunnerState::available_candidates`).
+    in_view: usize,
+    /// The instant of the latest [`Lifecycle::advance`].
+    now: Timestamp,
+}
+
+impl Default for Lifecycle {
+    fn default() -> Lifecycle {
+        Lifecycle {
+            lanes: Vec::new(),
+            idle: Vec::new(),
+            due: BinaryHeap::new(),
+            closing: BinaryHeap::new(),
+            in_view: 0,
+            now: Timestamp(f64::NEG_INFINITY),
+        }
+    }
+}
+
+impl Lifecycle {
+    /// A worker joins, pending until its window opens.
+    fn insert(&mut self, id: WorkerId, worker: &Worker) {
+        debug_assert_eq!(id.index(), self.lanes.len(), "dense worker ids");
+        self.lanes.push(Lane::Pending);
+        self.in_view += 1;
+        push_wake(&mut self.due, worker.on(), id);
+        push_wake(&mut self.closing, worker.off(), id);
+    }
+
+    /// A worker leaves for good (no-op if it already has).
+    fn retire(&mut self, id: WorkerId) {
+        match self.lanes[id.index()] {
+            Lane::Gone => return,
+            Lane::Idle => self.leave_idle(id),
+            Lane::Pending => {}
+        }
+        self.lanes[id.index()] = Lane::Gone;
+        self.in_view -= 1;
+    }
+
+    /// An idle worker departs for a task and is due again at `due`
+    /// ([`due_at`] of its window and new `busy_until`).
+    fn depart(&mut self, id: WorkerId, due: Timestamp) {
+        debug_assert_eq!(self.lanes[id.index()], Lane::Idle);
+        self.leave_idle(id);
+        self.lanes[id.index()] = Lane::Pending;
+        push_wake(&mut self.due, due, id);
+    }
+
+    fn leave_idle(&mut self, id: WorkerId) {
+        if let Ok(at) = self.idle.binary_search(&id) {
+            self.idle.remove(at);
+        }
+    }
+
+    /// Brings the idle list to `now`: closes the windows that have ended,
+    /// then wakes every pending worker due by `now`.
+    fn advance(&mut self, now: Timestamp, workers: &WorkerStore, runtime: &[WorkerRuntime]) {
+        if now.0.is_nan() || now.0 < self.now.0 {
+            self.rebuild(now, workers, runtime);
+            return;
+        }
+        self.now = now;
+        while let Some(&Wake { at, worker }) = self.closing.peek() {
+            if at.0 > now.0 {
+                break;
+            }
+            self.closing.pop();
+            self.retire(worker);
+        }
+        while let Some(&Wake { at, worker }) = self.due.peek() {
+            if at.0 > now.0 {
+                break;
+            }
+            self.due.pop();
+            // A gone worker's wake-up is stale. A pending worker has exactly
+            // one, pushed when its due time was set: it turns idle only by
+            // popping it, and only an idle worker departs.
+            if self.lanes[worker.index()] != Lane::Pending {
+                continue;
+            }
+            let w = workers.get(worker);
+            debug_assert_eq!(
+                due_at(w.on(), runtime[worker.index()].busy_until)
+                    .0
+                    .to_bits(),
+                at.0.to_bits()
+            );
+            // A NaN `off` never closes and never admits anyone.
+            if now.0 < w.off().0 {
+                self.lanes[worker.index()] = Lane::Idle;
+                let at = self.idle.partition_point(|&w| w < worker);
+                self.idle.insert(at, worker);
+            }
+        }
+    }
+
+    /// Re-derives every lane, the idle list and both heaps at `now` in one
+    /// walk (a step that went back in time). Gone stays gone: a window that
+    /// closed at an earlier step does not reopen.
+    fn rebuild(&mut self, now: Timestamp, workers: &WorkerStore, runtime: &[WorkerRuntime]) {
+        self.now = now;
+        self.idle.clear();
+        self.due.clear();
+        self.closing.clear();
+        for (slot, lane) in self.lanes.iter_mut().enumerate() {
+            if *lane == Lane::Gone {
+                continue;
+            }
+            let id = WorkerId(slot as u32);
+            let w = workers.get(id);
+            if now.0 >= w.off().0 {
+                *lane = Lane::Gone;
+                self.in_view -= 1;
+                continue;
+            }
+            push_wake(&mut self.closing, w.off(), id);
+            let busy_until = runtime[slot].busy_until;
+            if w.window.contains(now) && busy_until.0 <= now.0 {
+                *lane = Lane::Idle;
+                self.idle.push(id);
+            } else {
+                *lane = Lane::Pending;
+                push_wake(&mut self.due, due_at(w.on(), busy_until), id);
+            }
+        }
+    }
+}
+
+/// A set of task ids, one bit per `TaskId::index()`.
+#[derive(Debug, Default)]
+struct TaskBits(Vec<u64>);
+
+impl TaskBits {
+    fn contains(&self, id: TaskId) -> bool {
+        self.0
+            .get(id.index() / 64)
+            .is_some_and(|word| word >> (id.index() % 64) & 1 == 1)
+    }
+
+    /// Adds `id`; whether it was absent.
+    fn insert(&mut self, id: TaskId) -> bool {
+        let (word, bit) = (id.index() / 64, 1u64 << (id.index() % 64));
+        if word >= self.0.len() {
+            self.0.resize(word + 1, 0);
+        }
+        let absent = self.0[word] & bit == 0;
+        self.0[word] |= bit;
+        absent
+    }
+
+    fn remove(&mut self, id: TaskId) {
+        if let Some(word) = self.0.get_mut(id.index() / 64) {
+            *word &= !(1u64 << (id.index() % 64));
+        }
+    }
+}
+
 /// Pre-resolved handles into the runner's [`MetricsRegistry`] (resolving by
 /// name locks the registry's table, so it happens once per run, in
 /// [`AdaptiveRunner::start`], never on the per-event path). Every handle is
@@ -231,6 +488,9 @@ struct AssignMetrics {
     search_nodes: Counter,
     /// `assign.dispatches`: real tasks dispatched.
     dispatches: Counter,
+    /// `assign.dispatch_visits`: workers the dispatch loop examined (the
+    /// armed ones: a plan or a hold).
+    dispatch_visits: Counter,
     /// `assign.partitions`: independent partitions of the latest instant
     /// (high-water = the run's peak).
     partitions: Gauge,
@@ -282,6 +542,7 @@ impl AssignMetrics {
             planning_calls: registry.counter("assign.planning_calls"),
             search_nodes: registry.counter("assign.search_nodes"),
             dispatches: registry.counter("assign.dispatches"),
+            dispatch_visits: registry.counter("assign.dispatch_visits"),
             partitions: registry.gauge("assign.partitions"),
             partition_workers: registry.gauge("assign.partition_workers"),
             open_tasks: registry.gauge("assign.open_tasks"),
@@ -383,16 +644,18 @@ impl AdaptiveRunner {
             workers: WorkerStore::new(),
             tasks: TaskStore::new(),
             open_view: OpenTaskView::new(),
-            available_view: AvailableWorkerView::new(),
+            life: Lifecycle::default(),
             runtime: Vec::new(),
-            served: HashSet::new(),
-            reserved_by_fta: HashSet::new(),
+            armed: Vec::new(),
+            armed_spare: Vec::new(),
+            served: TaskBits::default(),
+            reserved_by_fta: TaskBits::default(),
             dispatch_log: Vec::new(),
             outcome: RunOutcome::default(),
             metrics: AssignMetrics::register(&self.obs),
             dirty: DirtySet::default(),
-            idle_workers: Vec::new(),
             open_tasks: Vec::new(),
+            unfixed_idle: Vec::new(),
         }
     }
 
@@ -473,11 +736,18 @@ enum PlanningEntry {
 ///
 /// * **arrivals** — [`RunnerState::insert_worker`] / [`RunnerState::insert_task`];
 /// * **retirements** — [`RunnerState::expire_task`] /
-///   [`RunnerState::retire_worker`], which maintain the incremental open-task
-///   and available-worker views in `O(log n)` (drivers without such events may
-///   skip them: the views also prune lazily);
+///   [`RunnerState::retire_worker`], which update the open-task view and the
+///   worker lifecycle in `O(log n)` (drivers without such events may skip
+///   them: expired tasks and closed windows are also pruned at steps);
 /// * **time instances** — [`RunnerState::step`], which optionally re-plans
 ///   (the batched-replan entry point) and then dispatches idle workers.
+///
+/// A step costs what changed, not the number of workers. The idle workers
+/// are kept by events (see `Lifecycle`: due-time and window-close heaps, an
+/// ascending idle list), and dispatch and plan-apply visit only the *armed*
+/// workers — those holding a plan or a positioning hold, usually none
+/// between instants — since a worker with neither has nothing to dispatch
+/// and nothing for a new plan to clear.
 pub struct RunnerState<'a, F: ForecastProvider + ?Sized = dyn ForecastProvider + 'a> {
     runner: &'a AdaptiveRunner,
     forecast: &'a mut F,
@@ -485,10 +755,17 @@ pub struct RunnerState<'a, F: ForecastProvider + ?Sized = dyn ForecastProvider +
     workers: WorkerStore,
     tasks: TaskStore,
     open_view: OpenTaskView,
-    available_view: AvailableWorkerView,
+    /// Who is idle, kept by events.
+    life: Lifecycle,
     runtime: Vec<WorkerRuntime>,
-    served: HashSet<TaskId>,
-    reserved_by_fta: HashSet<TaskId>,
+    /// Ascending; every worker not gone whose runtime
+    /// [`is_armed`](WorkerRuntime::is_armed), plus possibly some that no
+    /// longer are (dropped when next visited).
+    armed: Vec<WorkerId>,
+    /// The buffer `armed` is rebuilt into at a plan-apply (the two swap).
+    armed_spare: Vec<WorkerId>,
+    served: TaskBits,
+    reserved_by_fta: TaskBits,
     dispatch_log: Vec<DispatchRecord>,
     outcome: RunOutcome,
     metrics: AssignMetrics,
@@ -498,9 +775,10 @@ pub struct RunnerState<'a, F: ForecastProvider + ?Sized = dyn ForecastProvider +
     /// planning call.
     dirty: DirtySet,
     /// Buffers [`RunnerState::step`] refills at every time instance: the
-    /// idle available workers and the open tasks, both ascending.
-    idle_workers: Vec<WorkerId>,
+    /// open tasks and, under FTA, the idle workers without a fixed plan,
+    /// both ascending.
     open_tasks: Vec<TaskId>,
+    unfixed_idle: Vec<WorkerId>,
 }
 
 impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
@@ -518,11 +796,11 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
         self.open_view.len()
     }
 
-    /// Number of candidate available workers currently tracked by the
-    /// incremental view.
+    /// Number of workers neither retired nor pruned at a step for a closed
+    /// window (idle, busy, or not yet in their window).
     #[inline]
     pub fn available_candidates(&self) -> usize {
-        self.available_view.len()
+        self.life.in_view
     }
 
     /// Total real tasks dispatched so far (the running value of
@@ -558,7 +836,7 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
             hold_until: None,
             fixed_assigned: false,
         });
-        self.available_view.insert(id);
+        self.life.insert(id, &worker);
         self.dirty.note_worker_online(id);
         id
     }
@@ -589,8 +867,8 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
         self.open_view.remove(id)
     }
 
-    /// Takes a worker offline (`O(log n)` view update; called by event-driven
-    /// drivers when the offline event fires).
+    /// Takes a worker offline for good (called by event-driven drivers when
+    /// the offline event fires).
     ///
     /// With `release_plan`, the worker's undone planned tasks are released:
     /// its remaining sequence is cleared and, under FTA, the tasks return to
@@ -600,12 +878,12 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
     /// going offline.
     pub fn retire_worker(&mut self, id: WorkerId, release_plan: bool) {
         self.dirty.note_worker_offline(id);
-        self.available_view.remove(id);
+        self.life.retire(id);
         self.workers.get_mut(id).mode = WorkerMode::Offline;
         if release_plan {
             let plan = std::mem::replace(&mut self.runtime[id.index()].plan, TaskSequence::empty());
             for tid in plan.iter() {
-                self.reserved_by_fta.remove(&tid);
+                self.reserved_by_fta.remove(tid);
             }
         }
     }
@@ -620,12 +898,9 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
             self.dirty.note_replan_tick();
         }
 
-        // Idle, available workers at this instant (ascending id order, like
-        // the full scans the incremental views replace).
-        let mut idle_workers = std::mem::take(&mut self.idle_workers);
-        self.available_view
-            .available_at_into(&self.workers, now, &mut idle_workers);
-        idle_workers.retain(|w| self.runtime[w.index()].busy_until.0 <= now.0);
+        // Idle workers at this instant, ascending: the lifecycle wakes the
+        // ones that came due and drops the ones whose window closed.
+        self.life.advance(now, &self.workers, &self.runtime);
 
         // Open, unserved real tasks (served tasks leave the view eagerly at
         // dispatch time, expired ones lazily here or eagerly via
@@ -637,22 +912,23 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
         self.metrics.open_tasks.set(open_tasks.len() as i64);
         self.metrics
             .available_workers
-            .set(idle_workers.len() as i64);
+            .set(self.life.idle.len() as i64);
 
         // Planning (Algorithm 3, lines 3–9). FTA plans only for workers that
         // have never received their fixed sequence; the adaptive policies
         // re-plan every idle worker when the driver's batching policy says
         // so.
-        let unfixed_idle: Vec<WorkerId>;
+        let idle = std::mem::take(&mut self.life.idle);
+        let mut unfixed_idle = std::mem::take(&mut self.unfixed_idle);
         let planning_workers: &[WorkerId] = if policy == PolicyKind::Fta {
-            unfixed_idle = idle_workers
-                .iter()
-                .copied()
-                .filter(|w| !self.runtime[w.index()].fixed_assigned)
-                .collect();
+            unfixed_idle.clear();
+            unfixed_idle.extend(
+                idle.iter()
+                    .filter(|w| !self.runtime[w.index()].fixed_assigned),
+            );
             &unfixed_idle
         } else {
-            &idle_workers
+            &idle
         };
         let should_plan = match policy {
             PolicyKind::Fta => !planning_workers.is_empty(),
@@ -661,72 +937,95 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
         if should_plan && !open_tasks.is_empty() {
             self.plan_instant(now, planning_workers, &open_tasks);
         }
+        self.life.idle = idle;
+        self.unfixed_idle = unfixed_idle;
+        self.open_tasks = open_tasks;
 
         // Dispatch (Algorithm 3, lines 10–14): every idle worker departs for
-        // the first still-servable task of its current plan.
-        for &wid in &idle_workers {
-            // A positioning hold keeps the worker in place for imminent
-            // predicted demand; it expires on its own at the expected
-            // publication (the next planning instant then re-plans the
-            // worker over whatever actually arrived).
-            if let Some(hold) = self.runtime[wid.index()].hold_until {
-                if now.0 < hold.0 {
-                    continue;
-                }
-                self.runtime[wid.index()].hold_until = None;
+        // the first still-servable task of its current plan. Only an armed
+        // worker has a plan or a hold, so only those are visited, in
+        // ascending order like the idle list; the visit also drops the ones
+        // that are no longer armed, or gone.
+        let mut armed = std::mem::take(&mut self.armed);
+        self.metrics.dispatch_visits.add(armed.len() as u64);
+        let mut kept = 0;
+        for at in 0..armed.len() {
+            let wid = armed[at];
+            match self.life.lanes[wid.index()] {
+                Lane::Gone => continue,
+                Lane::Pending => {}
+                Lane::Idle => self.dispatch(wid, now),
             }
-            // Drop plan entries that were served by someone else or have
-            // already expired.
-            let mut dispatch_target: Option<TaskId> = None;
-            while let Some(candidate) = self.runtime[wid.index()].plan.first() {
-                let task = self.tasks.get(candidate);
-                if self.served.contains(&candidate) || task.is_expired_at(now) {
-                    self.runtime[wid.index()].plan.pop_front();
-                    continue;
-                }
-                dispatch_target = Some(candidate);
-                break;
-            }
-            if let Some(tid) = dispatch_target {
-                let task = *self.tasks.get(tid);
-                let travel_time = {
-                    let w = self.workers.get(wid);
-                    self.runner
-                        .config
-                        .travel
-                        .travel_time(&w.location, &task.location)
-                };
-                // The worker must still be able to reach it before expiry and
-                // before going offline.
-                let arrival = now + travel_time;
-                let w = self.workers.get(wid);
-                if arrival.0 < task.expiration.0 && arrival.0 < w.off().0 {
-                    self.served.insert(tid);
-                    self.open_view.remove(tid);
-                    self.runtime[wid.index()].plan.pop_front();
-                    self.outcome.assigned_tasks += 1;
-                    *self.outcome.per_worker.entry(wid).or_insert(0) += 1;
-                    self.runtime[wid.index()].busy_until = arrival;
-                    self.workers.get_mut(wid).location = task.location;
-                    self.dirty.note_task_served(tid);
-                    self.dirty.note_worker_moved(wid);
-                    self.metrics.dispatches.inc();
-                    self.dispatch_log.push(DispatchRecord {
-                        worker: wid,
-                        task: tid,
-                        decided_at: now,
-                        eta: arrival,
-                    });
-                } else if policy != PolicyKind::Fta {
-                    // An adaptive plan whose head became unreachable is stale;
-                    // drop the head so the next planning instant can replace
-                    // it. FTA keeps its fixed sequence.
-                    self.runtime[wid.index()].plan.pop_front();
-                }
+            if self.runtime[wid.index()].is_armed() {
+                armed[kept] = wid;
+                kept += 1;
             }
         }
-        self.idle_workers = idle_workers;
-        self.open_tasks = open_tasks;
+        armed.truncate(kept);
+        self.armed = armed;
+    }
+
+    /// Dispatches one idle worker at `now` to the first still-servable task
+    /// of its plan, if its hold allows.
+    fn dispatch(&mut self, wid: WorkerId, now: Timestamp) {
+        let runtime = &mut self.runtime[wid.index()];
+        // A positioning hold keeps the worker in place for imminent
+        // predicted demand; it expires on its own at the expected
+        // publication (the next planning instant then re-plans the worker
+        // over whatever actually arrived).
+        if let Some(hold) = runtime.hold_until {
+            if now.0 < hold.0 {
+                return;
+            }
+            runtime.hold_until = None;
+        }
+        // Drop plan entries that were served by someone else or have
+        // already expired.
+        let mut dispatch_target: Option<TaskId> = None;
+        while let Some(candidate) = runtime.plan.first() {
+            if self.served.contains(candidate) || self.tasks.get(candidate).is_expired_at(now) {
+                runtime.plan.pop_front();
+                continue;
+            }
+            dispatch_target = Some(candidate);
+            break;
+        }
+        let Some(tid) = dispatch_target else { return };
+        let task = *self.tasks.get(tid);
+        let w = self.workers.get(wid);
+        let travel_time = self
+            .runner
+            .config
+            .travel
+            .travel_time(&w.location, &task.location);
+        // The worker must still be able to reach it before expiry and before
+        // going offline.
+        let arrival = now + travel_time;
+        if arrival.0 < task.expiration.0 && arrival.0 < w.off().0 {
+            let due = due_at(w.on(), arrival);
+            self.served.insert(tid);
+            self.open_view.remove(tid);
+            runtime.plan.pop_front();
+            self.outcome.assigned_tasks += 1;
+            *self.outcome.per_worker.entry(wid).or_insert(0) += 1;
+            runtime.busy_until = arrival;
+            self.life.depart(wid, due);
+            self.workers.get_mut(wid).location = task.location;
+            self.dirty.note_task_served(tid);
+            self.dirty.note_worker_moved(wid);
+            self.metrics.dispatches.inc();
+            self.dispatch_log.push(DispatchRecord {
+                worker: wid,
+                task: tid,
+                decided_at: now,
+                eta: arrival,
+            });
+        } else if self.runner.policy != PolicyKind::Fta {
+            // An adaptive plan whose head became unreachable is stale; drop
+            // the head so the next planning instant can replace it. FTA keeps
+            // its fixed sequence.
+            runtime.plan.pop_front();
+        }
     }
 
     /// The planning half of [`RunnerState::step`]: query the forecast, plan
@@ -819,65 +1118,92 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
             None => PlanningEntry::Real(tid),
             Some((_, mapping)) => mapping[tid.index()],
         };
-        // The plan lists a subset of the planning workers and both are
-        // ascending: one walk pairs each worker with its sequence, if any.
+        // Apply. The plan lists a subset of the planning workers; a planning
+        // worker it leaves out keeps nothing of its previous plan, and only
+        // an armed one had anything to keep. So one merge-walk over the plan
+        // and the armed list (both ascending) reaches every worker the apply
+        // changes, and rebuilds the armed list on the way. Under FTA a worker
+        // the plan leaves out keeps what it has.
+        let adaptive = policy != PolicyKind::Fta;
+        let previously_armed = std::mem::take(&mut self.armed);
+        let mut armed = std::mem::take(&mut self.armed_spare);
+        armed.clear();
         let mut planned = assignment.iter().peekable();
-        for &wid in planning_workers {
+        let mut kept = previously_armed.iter().copied().peekable();
+        loop {
+            let wid = match (planned.peek().map(|&(w, _)| w), kept.peek()) {
+                (None, None) => break,
+                (Some(p), Some(&k)) => p.min(k),
+                (Some(p), None) => p,
+                (None, Some(&k)) => k,
+            };
+            kept.next_if_eq(&wid);
             let sequence = planned.next_if(|&(w, _)| w == wid).map(|(_, seq)| seq);
+            debug_assert!(
+                sequence.is_none() || planning_workers.binary_search(&wid).is_ok(),
+                "the planner planned a worker it was not handed"
+            );
+            let lane = self.life.lanes[wid.index()];
             let runtime = &mut self.runtime[wid.index()];
-            if policy == PolicyKind::Fta {
-                // Pin the fixed plan of a planned worker, skipping tasks
-                // already reserved by earlier fixed plans. A worker is only
-                // marked as "fixed" once it receives a non-empty sequence,
-                // matching the paper's notion that every worker gets exactly
-                // one predetermined sequence.
-                let Some(seq) = sequence else { continue };
-                let mut fixed = TaskSequence::empty();
-                for tid in seq.iter() {
-                    if let PlanningEntry::Real(real) = entry(tid) {
-                        if self.reserved_by_fta.insert(real) {
-                            fixed.push(real);
+            match sequence {
+                // For an adaptive policy the planning workers are the idle
+                // ones.
+                None if adaptive && lane == Lane::Idle => {
+                    runtime.plan = TaskSequence::empty();
+                    runtime.hold_until = None;
+                }
+                None => {}
+                Some(seq) if !adaptive => {
+                    // Pin the fixed plan of a planned worker, skipping tasks
+                    // already reserved by earlier fixed plans. A worker is
+                    // only marked as "fixed" once it receives a non-empty
+                    // sequence, matching the paper's notion that every
+                    // worker gets exactly one predetermined sequence.
+                    let mut fixed = TaskSequence::empty();
+                    for tid in seq.iter() {
+                        if let PlanningEntry::Real(real) = entry(tid) {
+                            if self.reserved_by_fta.insert(real) {
+                                fixed.push(real);
+                            }
                         }
                     }
+                    if !fixed.is_empty() {
+                        runtime.plan = fixed;
+                        runtime.fixed_assigned = true;
+                    }
                 }
-                if !fixed.is_empty() {
-                    runtime.plan = fixed;
-                    runtime.fixed_assigned = true;
+                Some(seq) => {
+                    // Refresh the persistent plan with the real tasks of the
+                    // new sequence. Predicted tasks guide the search but
+                    // cannot be dispatched — they are filtered out.
+                    runtime.plan =
+                        TaskSequence::from_ids(seq.iter().filter_map(|tid| match entry(tid) {
+                            PlanningEntry::Real(real) => Some(real),
+                            PlanningEntry::Predicted { .. } => None,
+                        }));
+                    // A *pure-phantom* plan reserves the worker for imminent
+                    // demand at its position: it stays put until the first
+                    // expected publication instead of being dispatched to
+                    // whatever real task comes next. Plans containing any
+                    // real task dispatch immediately — the weighted search
+                    // already guarantees predicted demand never displaced
+                    // real work in them.
+                    runtime.hold_until = match seq.first().map(entry) {
+                        Some(PlanningEntry::Predicted { publication })
+                            if runtime.plan.is_empty() =>
+                        {
+                            Some(publication)
+                        }
+                        _ => None,
+                    };
                 }
-                continue;
             }
-            // Refresh the persistent plan of every planning worker with the
-            // real tasks of its new sequence; a worker the plan leaves out
-            // keeps nothing of its previous one. Predicted tasks guide the
-            // search but cannot be dispatched — they are filtered out.
-            let Some(seq) = sequence else {
-                if !runtime.plan.is_empty() {
-                    runtime.plan = TaskSequence::empty();
-                }
-                runtime.hold_until = None;
-                continue;
-            };
-            runtime.plan = TaskSequence::from_ids(seq.iter().filter_map(|tid| match entry(tid) {
-                PlanningEntry::Real(real) => Some(real),
-                PlanningEntry::Predicted { .. } => None,
-            }));
-            // A *pure-phantom* plan reserves the worker for imminent demand
-            // at its position: it stays put until the first expected
-            // publication instead of being dispatched to whatever real task
-            // comes next. Plans containing any real task dispatch
-            // immediately — the weighted search already guarantees predicted
-            // demand never displaced real work in them.
-            runtime.hold_until = match seq.first().map(entry) {
-                Some(PlanningEntry::Predicted { publication }) if runtime.plan.is_empty() => {
-                    Some(publication)
-                }
-                _ => None,
-            };
+            if lane != Lane::Gone && runtime.is_armed() {
+                armed.push(wid);
+            }
         }
-        debug_assert!(
-            planned.peek().is_none(),
-            "the planner planned a worker it was not handed, or out of order"
-        );
+        self.armed = armed;
+        self.armed_spare = previously_armed;
     }
 
     /// Folds one planning call's report into the run outcome and the
@@ -1196,6 +1522,202 @@ mod tests {
         assert_eq!(phantom_instants(PolicyKind::DtaTp), 1);
         assert_eq!(phantom_instants(PolicyKind::Dta), 0);
         assert_eq!(phantom_instants(PolicyKind::Greedy), 0);
+    }
+
+    /// The lifecycle edges a run of [`random_lifecycle`] went through.
+    #[derive(Debug, Default)]
+    struct Edges {
+        before_window: usize,
+        endless_window: usize,
+        zero_travel: usize,
+        released: usize,
+        kept: usize,
+        repeated_now: usize,
+        earlier_now: usize,
+    }
+
+    /// One random lifecycle: workers and tasks on a small integer grid (so
+    /// some dispatches travel nowhere), windows opening in the future or
+    /// never closing, retirements with and without release, expirations,
+    /// and steps that repeat or go back in time. Before every step the
+    /// maintained idle list must equal the rule the available-worker view
+    /// applied — in the view (inserted, not retired, not pruned at a step
+    /// for a closed window), inside the window at `now`, `busy_until <= now`
+    /// — and `available_candidates()` the view's size. After every step the
+    /// armed list must hold every live worker with a plan or a hold.
+    fn random_lifecycle(policy: PolicyKind, seed: u64, edges: &mut Edges) {
+        use rand::prelude::*;
+        use rand::rngs::StdRng;
+        use std::collections::BTreeSet;
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let runner = runner(policy);
+        let mut forecast = StaticForecast::default();
+        let mut state = runner.start(&mut forecast);
+        let mut view: BTreeSet<WorkerId> = BTreeSet::new();
+        let mut tasks: Vec<TaskId> = Vec::new();
+        let mut clock = 0.0f64;
+        let mut last_now = f64::NEG_INFINITY;
+        let spot = |rng: &mut StdRng| {
+            Location::new(rng.gen_range(0..4) as f64, rng.gen_range(0..4) as f64)
+        };
+        for _ in 0..80 {
+            match rng.gen_range(0..10) {
+                0..=2 => {
+                    let on = if rng.gen_f64() < 0.3 {
+                        edges.before_window += 1;
+                        clock + rng.gen_range(1.0..15.0)
+                    } else {
+                        clock
+                    };
+                    let off = if rng.gen_f64() < 0.15 {
+                        edges.endless_window += 1;
+                        f64::INFINITY
+                    } else {
+                        on + rng.gen_range(1.0..40.0)
+                    };
+                    let w = Worker::new(
+                        WorkerId(0),
+                        spot(&mut rng),
+                        4.0,
+                        Timestamp(on),
+                        Timestamp(off),
+                    );
+                    view.insert(state.insert_worker(w));
+                }
+                3..=6 => {
+                    let e = clock + rng.gen_range(2.0..30.0);
+                    let t = Task::new(TaskId(0), spot(&mut rng), Timestamp(clock), Timestamp(e));
+                    tasks.push(state.insert_task(t));
+                }
+                7 if !state.runtime.is_empty() => {
+                    let wid = WorkerId(rng.gen_range(0..state.runtime.len() as u32));
+                    let release = rng.gen_f64() < 0.5;
+                    if release {
+                        edges.released += 1;
+                    } else {
+                        edges.kept += 1;
+                    }
+                    state.retire_worker(wid, release);
+                    view.remove(&wid);
+                }
+                8 if !tasks.is_empty() => {
+                    let tid = tasks[rng.gen_range(0..tasks.len())];
+                    state.expire_task(tid);
+                }
+                _ => {}
+            }
+            let now = match rng.gen_range(0..10) {
+                0 | 1 => clock,
+                2 if clock > 0.0 => clock - rng.gen_range(0.5..10.0),
+                _ => {
+                    clock += rng.gen_range(0.1..4.0);
+                    clock
+                }
+            };
+            if now == last_now {
+                edges.repeated_now += 1;
+            } else if now < last_now {
+                edges.earlier_now += 1;
+            }
+            last_now = now;
+            let now = Timestamp(now);
+
+            // The reference view prunes closed windows at every step.
+            view.retain(|&w| now.0 < state.workers.get(w).off().0);
+            let expected: Vec<WorkerId> = view
+                .iter()
+                .copied()
+                .filter(|&w| {
+                    let worker = state.workers.get(w);
+                    worker.mode == WorkerMode::Online
+                        && worker.window.contains(now)
+                        && state.runtime[w.index()].busy_until.0 <= now.0
+                })
+                .collect();
+            state.life.advance(now, &state.workers, &state.runtime);
+            assert_eq!(
+                state.life.idle, expected,
+                "idle list at {now:?} ({policy:?}, seed {seed})"
+            );
+            assert_eq!(state.available_candidates(), view.len());
+
+            state.step(now, rng.gen_f64() < 0.6);
+            edges.zero_travel += state
+                .take_dispatches()
+                .iter()
+                .filter(|d| d.eta == d.decided_at)
+                .count();
+            assert!(state.armed.windows(2).all(|p| p[0] < p[1]));
+            for (slot, runtime) in state.runtime.iter().enumerate() {
+                if runtime.is_armed() && state.life.lanes[slot] != Lane::Gone {
+                    assert!(
+                        state.armed.binary_search(&WorkerId(slot as u32)).is_ok(),
+                        "worker {slot} holds a plan but is not armed"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_idle_list_kept_by_events_is_the_available_view_rule() {
+        let mut edges = Edges::default();
+        for policy in [PolicyKind::Dta, PolicyKind::Fta, PolicyKind::Greedy] {
+            for seed in 0..40 {
+                random_lifecycle(policy, seed, &mut edges);
+            }
+        }
+        assert!(edges.before_window > 0, "{edges:?}");
+        assert!(edges.endless_window > 0, "{edges:?}");
+        assert!(edges.zero_travel > 0, "{edges:?}");
+        assert!(edges.released > 0 && edges.kept > 0, "{edges:?}");
+        assert!(edges.repeated_now > 0, "{edges:?}");
+        assert!(edges.earlier_now > 0, "{edges:?}");
+    }
+
+    /// A zero-travel dispatch leaves the worker busy until `now`: it is out
+    /// of the idle list for the rest of the step and back at the next step
+    /// at the same `now`.
+    #[test]
+    fn a_zero_travel_dispatch_is_idle_again_at_the_same_now() {
+        let runner = runner(PolicyKind::Dta);
+        let mut forecast = StaticForecast::default();
+        let mut state = runner.start(&mut forecast);
+        insert(&mut state, worker(1.0, 1.0, 0.0, 100.0, 5.0));
+        insert(&mut state, task(1.0, 1.0, 0.0, 50.0));
+        state.step(Timestamp(3.0), true);
+        let dispatched = state.take_dispatches();
+        assert_eq!(dispatched.len(), 1);
+        assert_eq!(dispatched[0].eta, Timestamp(3.0));
+        assert!(state.life.idle.is_empty());
+        state
+            .life
+            .advance(Timestamp(3.0), &state.workers, &state.runtime);
+        assert_eq!(state.life.idle, vec![WorkerId(0)]);
+    }
+
+    /// Dispatch visits the armed workers only: none once every plan has been
+    /// dispatched, however many workers are idle.
+    #[test]
+    fn dispatch_visits_only_armed_workers() {
+        let registry = MetricsRegistry::new();
+        let runner = runner(PolicyKind::Dta).with_metrics(registry.clone());
+        let mut forecast = StaticForecast::default();
+        let mut state = runner.start(&mut forecast);
+        for x in 0..50 {
+            insert(&mut state, worker(100.0 * x as f64, 0.0, 0.0, 1000.0, 5.0));
+        }
+        insert(&mut state, task(1.0, 0.0, 0.0, 500.0));
+        state.step(Timestamp(1.0), true);
+        assert_eq!(state.life.idle.len(), 49, "one of fifty departed");
+        assert!(state.armed.is_empty());
+        let visits = || registry.snapshot().counters["assign.dispatch_visits"];
+        let after_plan = visits();
+        assert_eq!(after_plan, 1, "the one planned worker");
+        state.step(Timestamp(2.0), false);
+        state.step(Timestamp(3.0), true);
+        assert_eq!(visits(), after_plan);
     }
 
     #[test]

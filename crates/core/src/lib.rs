@@ -37,7 +37,7 @@ pub use assignment::{Assignment, AssignmentStats};
 pub use error::{CoreError, CoreResult};
 pub use location::{BoundingBox, Location};
 pub use sequence::{ArrivalTimes, TaskSequence, ValidityViolation};
-pub use store::{AvailableWorkerView, OpenTaskView, TaskStore, WorkerStore};
+pub use store::{OpenTaskView, TaskStore, WorkerStore};
 pub use task::{Task, TaskId};
 pub use time::{Duration, TimeInterval, Timestamp};
 pub use travel::{DistanceMetric, TravelModel};
@@ -48,7 +48,7 @@ pub mod prelude {
     pub use crate::assignment::{Assignment, AssignmentStats};
     pub use crate::location::{BoundingBox, Location};
     pub use crate::sequence::{ArrivalTimes, TaskSequence, ValidityViolation};
-    pub use crate::store::{AvailableWorkerView, OpenTaskView, TaskStore, WorkerStore};
+    pub use crate::store::{OpenTaskView, TaskStore, WorkerStore};
     pub use crate::task::{Task, TaskId};
     pub use crate::time::{Duration, TimeInterval, Timestamp};
     pub use crate::travel::{DistanceMetric, TravelModel};

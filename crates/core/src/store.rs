@@ -2,8 +2,9 @@
 //!
 //! Assignment algorithms and the streaming simulator refer to tasks and
 //! workers by their dense identifiers; the stores own the actual records and
-//! provide O(1) lookup plus the filtered views the algorithms need (open
-//! tasks, available workers).
+//! provide O(1) lookup plus the open-task view the runner keeps. (Which
+//! workers are available is kept by the runner itself, as events:
+//! `datawa_assign::RunnerState`.)
 
 use crate::task::{Task, TaskId};
 use crate::time::Timestamp;
@@ -323,94 +324,6 @@ impl OpenTaskView {
     }
 }
 
-/// Incrementally maintained set of *candidate available* worker ids, the
-/// worker-side companion of [`OpenTaskView`].
-///
-/// Worker-online transitions [`AvailableWorkerView::insert`] in `O(log n)`,
-/// offline transitions [`AvailableWorkerView::remove`] in `O(log n)`, and
-/// [`AvailableWorkerView::available_at`] lazily prunes workers whose window
-/// closed for callers that do not schedule offline events.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct AvailableWorkerView {
-    available: BTreeSet<WorkerId>,
-}
-
-impl AvailableWorkerView {
-    /// Creates an empty view.
-    pub fn new() -> AvailableWorkerView {
-        AvailableWorkerView::default()
-    }
-
-    /// Adds a worker id to the view (`O(log n)`). Returns `false` if already
-    /// present.
-    #[inline]
-    pub fn insert(&mut self, id: WorkerId) -> bool {
-        self.available.insert(id)
-    }
-
-    /// Removes a worker id from the view (`O(log n)`). Returns `true` if it
-    /// was present.
-    #[inline]
-    pub fn remove(&mut self, id: WorkerId) -> bool {
-        self.available.remove(&id)
-    }
-
-    /// Whether the id is in the view.
-    #[inline]
-    pub fn contains(&self, id: WorkerId) -> bool {
-        self.available.contains(&id)
-    }
-
-    /// Number of candidate ids.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.available.len()
-    }
-
-    /// Whether the view is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.available.is_empty()
-    }
-
-    /// Iterates the candidate ids in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = WorkerId> + '_ {
-        self.available.iter().copied()
-    }
-
-    /// The ids (ascending) of workers really available at `now`, removing
-    /// from the view every candidate whose availability window has already
-    /// closed (lazy retirement for callers without offline events).
-    pub fn available_at(&mut self, store: &WorkerStore, now: Timestamp) -> Vec<WorkerId> {
-        let mut available = Vec::with_capacity(self.available.len());
-        self.available_at_into(store, now, &mut available);
-        available
-    }
-
-    /// [`AvailableWorkerView::available_at`] into a buffer the caller keeps
-    /// across instants (cleared first).
-    pub fn available_at_into(
-        &mut self,
-        store: &WorkerStore,
-        now: Timestamp,
-        available: &mut Vec<WorkerId>,
-    ) {
-        available.clear();
-        let mut gone: Vec<WorkerId> = Vec::new();
-        for &id in &self.available {
-            let worker = store.get(id);
-            if worker.is_available_at(now) {
-                available.push(id);
-            } else if now.0 >= worker.off().0 {
-                gone.push(id);
-            }
-        }
-        for id in gone {
-            self.available.remove(&id);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -518,33 +431,6 @@ mod tests {
     }
 
     #[test]
-    fn available_worker_view_tracks_and_prunes() {
-        let mut s = WorkerStore::new();
-        let a = s.insert(Worker::new(
-            WorkerId(0),
-            Location::ORIGIN,
-            1.0,
-            Timestamp(0.0),
-            Timestamp(10.0),
-        ));
-        let b = s.insert(Worker::new(
-            WorkerId(0),
-            Location::ORIGIN,
-            1.0,
-            Timestamp(5.0),
-            Timestamp(30.0),
-        ));
-        let mut view = AvailableWorkerView::new();
-        view.insert(a);
-        view.insert(b);
-        assert_eq!(view.available_at(&s, Timestamp(6.0)), vec![a, b]);
-        // a's window closed at 10: pruned lazily.
-        assert_eq!(view.available_at(&s, Timestamp(12.0)), vec![b]);
-        assert_eq!(view.len(), 1);
-        assert!(!view.contains(a));
-    }
-
-    #[test]
     fn into_variants_overwrite_a_reused_buffer() {
         let mut tasks = TaskStore::new();
         let a = tasks.insert_with_location(Location::ORIGIN, Timestamp(0.0), Timestamp(5.0));
@@ -558,23 +444,6 @@ mod tests {
         open_view.open_at_into(&tasks, Timestamp(6.0), &mut open);
         assert_eq!(open, vec![b]);
         assert!(!open_view.contains(a), "pruned like `open_at`");
-
-        let mut workers = WorkerStore::new();
-        let w = workers.insert(Worker::new(
-            WorkerId(0),
-            Location::ORIGIN,
-            1.0,
-            Timestamp(0.0),
-            Timestamp(10.0),
-        ));
-        let mut available_view = AvailableWorkerView::new();
-        available_view.insert(w);
-        let mut available = vec![WorkerId(77)];
-        available_view.available_at_into(&workers, Timestamp(1.0), &mut available);
-        assert_eq!(available, vec![w]);
-        available_view.available_at_into(&workers, Timestamp(12.0), &mut available);
-        assert!(available.is_empty());
-        assert!(available_view.is_empty(), "pruned like `available_at`");
     }
 
     #[test]

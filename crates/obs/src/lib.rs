@@ -61,6 +61,9 @@
 //!   `assign.stage_ns.tree` (dependency graph, cluster tree and partition
 //!   split) and `assign.stage_ns.search` — histograms of the nanoseconds
 //!   each stage of a planning call took.
+//! * `assign.dispatch_visits` — workers the dispatch loop examined: the
+//!   *armed* ones (holding a plan or a positioning hold), not every idle
+//!   worker.
 //! * `assign.phantom_instants` — planning instants that had a predicted task
 //!   inside the lookahead and therefore planned on a copy of the open tasks
 //!   instead of the live store.

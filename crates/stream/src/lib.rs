@@ -12,9 +12,9 @@
 //! 1. **Birth.** A [`Event::WorkerOnline`] or [`Event::TaskArrival`] pops at
 //!    the entity's online/publication time. The engine inserts the record
 //!    into the run's [`datawa_core::WorkerStore`]/[`datawa_core::TaskStore`]
-//!    (which assigns its dense id), adds the id to the matching incremental
-//!    view ([`datawa_core::AvailableWorkerView`] /
-//!    [`datawa_core::OpenTaskView`], an `O(log n)` insertion), and
+//!    (which assigns its dense id), adds a task to the open view
+//!    ([`datawa_core::OpenTaskView`]) and a worker to the runner's lifecycle
+//!    (pending until its window opens), each an `O(log n)` insertion, and
 //!    immediately schedules the entity's **death** event for its window-close
 //!    instant.
 //! 2. **Life.** While alive, the entity participates in planning and
@@ -25,7 +25,7 @@
 //!    it from the open view at dispatch time.
 //! 3. **Death.** [`Event::TaskExpiration`] / [`Event::WorkerOffline`] pops at
 //!    the boundary of the half-open lifetime interval and removes the id from
-//!    its view in `O(log n)` — no full-store rescans ever happen. A worker
+//!    the open view or the lifecycle — no full-store rescans ever happen. A worker
 //!    going offline can optionally release the undone remainder of its
 //!    planned sequence back to the pool
 //!    ([`EngineConfig::release_on_offline`]).

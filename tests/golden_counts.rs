@@ -23,6 +23,22 @@
 //! phantoms appended when one is. No model is involved, so they are
 //! digested.
 //!
+//! The last rows pin the worker-lifecycle edges the rows above miss (written
+//! at the PR 24 commit, before the runner kept its idle set by events):
+//!
+//! * `run-sync` — the synchronous [`AdaptiveRunner::run`] loop, which has no
+//!   expiry or offline events (views pruned lazily only). `run` streams no
+//!   decisions, so these rows put the planning calls in the decisions column
+//!   and digest the sorted per-worker tallies;
+//! * `*-ticked` — a purely time-driven session (`EngineConfig::ticked`):
+//!   arrivals never replan, so dispatch between ticks runs on kept plans;
+//! * `churn-release` / `churn-keep` — FTA per-arrival on the churn scenario
+//!   with and without `release_on_offline` (no offline worker strands a
+//!   reserved task there, so they agree), and `fta-handoff-*`, a two-worker
+//!   stream built so that one does and release hands the task over;
+//! * `*-rewind` — batched sessions with a `Session::force_replan` at an
+//!   instant earlier than the last event processed, four times per run.
+//!
 //! A deliberate behaviour change regenerates the table: a mismatch prints
 //! every actual row in paste-ready form.
 
@@ -215,6 +231,178 @@ fn churn_rows(seed: u64, rows: &mut Vec<Row>) {
     ));
 }
 
+/// The synchronous loop: no expiry or offline events, every arrival a time
+/// instance, replanning on every arrival and on every fourth.
+fn run_sync_rows(seed: u64, rows: &mut Vec<Row>) {
+    let trace = SyntheticTrace::generate(TraceSpec::yueche().scaled(0.1).with_seed(seed));
+    let events = trace.events();
+    for (policy, replan_every) in [
+        (PolicyKind::Dta, 1),
+        (PolicyKind::Fta, 1),
+        (PolicyKind::Dta, 4),
+    ] {
+        let mut runner = AdaptiveRunner::new(AssignConfig::default(), policy);
+        runner.replan_every = replan_every;
+        let outcome = runner.run(&events, &[]);
+        let mut tallies: Vec<(WorkerId, usize)> = outcome.per_worker.into_iter().collect();
+        tallies.sort_unstable();
+        let mut sink = DigestSink::new();
+        for (worker, served) in tallies {
+            sink.fold(u64::from(worker.0) << 32 | served as u64);
+        }
+        rows.push((
+            if replan_every == 1 {
+                "run-sync"
+            } else {
+                "run-sync/4"
+            },
+            seed,
+            policy.name(),
+            outcome.assigned_tasks,
+            outcome.planning_calls,
+            Some(sink.digest),
+        ));
+    }
+}
+
+/// Time-driven ticks (no arrival replans), FTA with and without releasing
+/// fixed plans at offline, and a forced replan behind the last event.
+fn lifecycle_rows(seed: u64, rows: &mut Vec<Row>) {
+    let trace = SyntheticTrace::generate(TraceSpec::yueche().scaled(0.1).with_seed(seed));
+    let yueche = trace.workload();
+    let churn = HeavyTailedChurn::new(
+        ScenarioSpec::small()
+            .with_tasks(400)
+            .with_workers(150)
+            .with_seed(seed),
+    )
+    .generate();
+    for (scenario, workload, policy, engine) in [
+        (
+            "yueche-0.1-ticked",
+            &yueche,
+            PolicyKind::Dta,
+            EngineConfig::ticked(5.0),
+        ),
+        (
+            "churn-ticked",
+            &churn,
+            PolicyKind::Dta,
+            EngineConfig::ticked(20.0),
+        ),
+        (
+            "churn-ticked",
+            &churn,
+            PolicyKind::Greedy,
+            EngineConfig::ticked(20.0),
+        ),
+        (
+            "churn-release",
+            &churn,
+            PolicyKind::Fta,
+            EngineConfig::default(),
+        ),
+        (
+            "churn-keep",
+            &churn,
+            PolicyKind::Fta,
+            EngineConfig::replay_compat(1),
+        ),
+    ] {
+        let runner = AdaptiveRunner::new(AssignConfig::default(), policy);
+        let (assigned, decisions, digest) =
+            run(&runner, workload, &mut StaticForecast::default(), engine);
+        rows.push((
+            scenario,
+            seed,
+            policy.name(),
+            assigned,
+            decisions,
+            Some(digest),
+        ));
+    }
+    // The churn scenarios never strand a reserved task, so hand-build one:
+    // worker 0 is fixed `[a, b]` at t = 1, reaches `a` at 2 and sees no other
+    // instant before going offline at 100 with `b` still reserved; worker 1
+    // comes online on top of `b` at 200. Releasing hands `b` over (a
+    // zero-travel dispatch), keeping strands it. Seed-independent.
+    if seed == SEEDS[0] {
+        let handoff = Workload {
+            workers: vec![
+                Worker::new(
+                    WorkerId(0),
+                    Location::new(0.0, 0.0),
+                    5.0,
+                    Timestamp(1.0),
+                    Timestamp(100.0),
+                ),
+                Worker::new(
+                    WorkerId(1),
+                    Location::new(2.0, 0.0),
+                    5.0,
+                    Timestamp(200.0),
+                    Timestamp(1000.0),
+                ),
+            ],
+            tasks: vec![
+                Task::new(
+                    TaskId(0),
+                    Location::new(1.0, 0.0),
+                    Timestamp(0.0),
+                    Timestamp(1000.0),
+                ),
+                Task::new(
+                    TaskId(1),
+                    Location::new(2.0, 0.0),
+                    Timestamp(0.0),
+                    Timestamp(1000.0),
+                ),
+            ],
+        };
+        for (scenario, engine) in [
+            ("fta-handoff-release", EngineConfig::default()),
+            ("fta-handoff-keep", EngineConfig::replay_compat(1)),
+        ] {
+            let runner = AdaptiveRunner::new(AssignConfig::unit_speed(), PolicyKind::Fta);
+            let (assigned, decisions, digest) =
+                run(&runner, &handoff, &mut StaticForecast::default(), engine);
+            rows.push((scenario, 0, "FTA", assigned, decisions, Some(digest)));
+        }
+    }
+    // Batched, so the forced replan finds tasks waiting for their batch.
+    for (scenario, workload, policy, batch) in [
+        ("yueche-0.1-rewind", &yueche, PolicyKind::Dta, 8),
+        ("churn-rewind", &churn, PolicyKind::Dta, 16),
+        ("churn-rewind", &churn, PolicyKind::Greedy, 16),
+    ] {
+        let runner = AdaptiveRunner::new(AssignConfig::default(), policy);
+        let mut forecast = StaticForecast::default();
+        let mut sink = DigestSink::new();
+        let mut session = Session::open(&runner, &mut forecast, EngineConfig::batched(batch));
+        session
+            .ingest_workload(workload)
+            .expect("a generated workload ingests");
+        // At each fifth of the arrivals, one forced replan 30 s behind.
+        let mut times: Vec<f64> = workload.workers.iter().map(|w| w.on().0).collect();
+        times.extend(workload.tasks.iter().map(|t| t.publication.0));
+        times.sort_by(f64::total_cmp);
+        for fifth in 1..5 {
+            let at = Timestamp(times[times.len() * fifth / 5]);
+            session.advance_to(at, &mut sink);
+            session.force_replan(Timestamp(at.0 - 30.0), &mut sink);
+        }
+        let outcome = session.close(&mut sink);
+        rows.push((
+            scenario,
+            seed,
+            policy.name(),
+            outcome.run.assigned_tasks,
+            sink.decisions,
+            Some(sink.digest),
+        ));
+    }
+}
+
 #[rustfmt::skip]
 const GOLDEN: &[Row] = &[
     ("yueche-0.1", 77003, "Greedy", 236, 1167, Some(0xa0ce53b96515c71e)),
@@ -237,6 +425,30 @@ const GOLDEN: &[Row] = &[
     ("yueche-0.1+oracle/8", 77003, "DTA+TP", 235, 1167, Some(0x824ed06d5d37829f)),
     ("yueche-0.1+oracle/4", 20161101, "DTA+TP", 229, 1167, Some(0x19e7cf1e5dd7f2ae)),
     ("yueche-0.1+oracle/8", 20161101, "DTA+TP", 229, 1167, Some(0xda0d49ea1f9faf5d)),
+    ("run-sync", 77003, "DTA", 235, 1156, Some(0xc8c89b510ad51104)),
+    ("run-sync", 77003, "FTA", 57, 1058, Some(0x6e306ba9755040f4)),
+    ("run-sync/4", 77003, "DTA", 173, 289, Some(0x5c4c07e1eb6dffb8)),
+    ("yueche-0.1-ticked", 77003, "DTA", 214, 1167, Some(0x4a8a5b829ff5d10d)),
+    ("churn-ticked", 77003, "DTA", 121, 1234, Some(0x6f78028740a3d161)),
+    ("churn-ticked", 77003, "Greedy", 120, 1234, Some(0x64e455280719a2e9)),
+    ("churn-release", 77003, "FTA", 147, 1234, Some(0xb63d088d8065db99)),
+    ("churn-keep", 77003, "FTA", 147, 1234, Some(0xb63d088d8065db99)),
+    ("fta-handoff-release", 0, "FTA", 2, 4, Some(0x8e6cc312dba03245)),
+    ("fta-handoff-keep", 0, "FTA", 1, 4, Some(0x0aee5d9b55074628)),
+    ("yueche-0.1-rewind", 77003, "DTA", 102, 1167, Some(0x9fa675b10fe4c537)),
+    ("churn-rewind", 77003, "DTA", 116, 1234, Some(0xdbfef2e340d2b03c)),
+    ("churn-rewind", 77003, "Greedy", 117, 1234, Some(0x4305a2c2b2cd3c8b)),
+    ("run-sync", 20161101, "DTA", 229, 1114, Some(0xecb37983bdb47dee)),
+    ("run-sync", 20161101, "FTA", 59, 988, Some(0x3023b9fb755da48a)),
+    ("run-sync/4", 20161101, "DTA", 167, 278, Some(0x63b53c545470306a)),
+    ("yueche-0.1-ticked", 20161101, "DTA", 216, 1167, Some(0xe27df428633c4b84)),
+    ("churn-ticked", 20161101, "DTA", 145, 1227, Some(0xb49a9190c406f74c)),
+    ("churn-ticked", 20161101, "Greedy", 144, 1227, Some(0x9c6638b3934be71c)),
+    ("churn-release", 20161101, "FTA", 176, 1227, Some(0x2a6c98e0dcf5a276)),
+    ("churn-keep", 20161101, "FTA", 176, 1227, Some(0x2a6c98e0dcf5a276)),
+    ("yueche-0.1-rewind", 20161101, "DTA", 96, 1167, Some(0x111d9d8307253420)),
+    ("churn-rewind", 20161101, "DTA", 131, 1227, Some(0x9ec32d8f29b7c8e7)),
+    ("churn-rewind", 20161101, "Greedy", 132, 1227, Some(0x37deba609ba005b0)),
 ];
 
 #[test]
@@ -251,6 +463,10 @@ fn same_seed_counts_and_digests_match_the_golden_table() {
     for seed in SEEDS {
         phantom_rows(seed, 4, "yueche-0.1+oracle/4", &mut rows);
         phantom_rows(seed, 8, "yueche-0.1+oracle/8", &mut rows);
+    }
+    for seed in SEEDS {
+        run_sync_rows(seed, &mut rows);
+        lifecycle_rows(seed, &mut rows);
     }
     let mut table = String::new();
     for (scenario, seed, policy, assigned, decisions, digest) in &rows {
