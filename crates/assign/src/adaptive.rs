@@ -7,7 +7,6 @@
 //! reports: the total number of assigned tasks and the CPU time spent planning
 //! at each time instance.
 
-use crate::cache::{DirtySet, IncrementalContext};
 use crate::config::AssignConfig;
 use crate::forecast::{ForecastProvider, ForecastStats, StaticForecast};
 use crate::planner::{Planner, PlanningReport, SearchMode};
@@ -154,20 +153,20 @@ pub struct RunOutcome {
     /// Activity counters of the run's [`ForecastProvider`] (observations,
     /// forecast queries, model refreshes).
     pub forecast: ForecastStats,
-    /// Listed workers the exact search's incremental route dropped for
-    /// reaching nothing, summed over the whole run
+    /// Listed workers the exact search dropped for reaching nothing at the
+    /// instants planned on the live store, summed over the whole run
     /// ([`PlanningReport::partitions_reused`](crate::PlanningReport) — the
-    /// name is historical, no plan is ever reused). Zero when incremental
-    /// replanning is off or inapplicable.
+    /// name is historical, no plan is ever reused). The guided search and
+    /// the instants planned on a copy report none.
     pub partitions_reused: usize,
     /// Planning partitions searched, summed over the whole run: every
     /// partition of every instant.
     pub partitions_recomputed: usize,
     /// Workers whose reachable list was re-derived by a scan of the open
     /// tasks, summed over the whole run
-    /// ([`PlanningReport::workers_rescanned`](crate::PlanningReport)). With
-    /// incremental replanning off — or a phantom in the planning store —
-    /// an instant rescans every worker it lists.
+    /// ([`PlanningReport::workers_rescanned`](crate::PlanningReport)). An
+    /// instant with a phantom in the planning store, the one after it, and
+    /// every greedy instant rescan every worker they list.
     pub workers_rescanned: usize,
 }
 
@@ -512,13 +511,10 @@ struct AssignMetrics {
     /// so far this run (0–100): the share of listed workers that reached
     /// nothing, not a hit rate of any cache.
     cache_hit_pct: Gauge,
-    /// `assign.dirty_fraction_pct`: per-instant `recomputed / (reused +
-    /// recomputed)` (0–100) — searched partitions against inert workers.
-    dirty_fraction_pct: Histogram,
     /// `assign.phantom_instants`: planning instants at which a predicted
     /// task fell inside the lookahead, so the open tasks were copied into a
-    /// planning store of their own and planned context-free. Every other
-    /// instant plans straight on the live store.
+    /// planning store of their own and planned through a cold pass. Every
+    /// other instant plans straight on the live store.
     phantom_instants: Counter,
     /// `assign.reach_rescans`: workers whose reachable list was re-derived
     /// by a scan of the open tasks (the rest were carried over verified, or
@@ -550,7 +546,6 @@ impl AssignMetrics {
             partitions_reused: registry.counter("assign.partitions_reused"),
             partitions_recomputed: registry.counter("assign.partitions_recomputed"),
             cache_hit_pct: registry.gauge("assign.cache_hit_pct"),
-            dirty_fraction_pct: registry.histogram("assign.dirty_fraction_pct"),
             phantom_instants: registry.counter("assign.phantom_instants"),
             reach_rescans: registry.counter("assign.reach_rescans"),
             reach_live: registry.gauge("assign.reach_live"),
@@ -653,7 +648,6 @@ impl AdaptiveRunner {
             dispatch_log: Vec::new(),
             outcome: RunOutcome::default(),
             metrics: AssignMetrics::register(&self.obs),
-            dirty: DirtySet::default(),
             open_tasks: Vec::new(),
             unfixed_idle: Vec::new(),
         }
@@ -769,11 +763,6 @@ pub struct RunnerState<'a, F: ForecastProvider + ?Sized = dyn ForecastProvider +
     dispatch_log: Vec<DispatchRecord>,
     outcome: RunOutcome,
     metrics: AssignMetrics,
-    /// Events recorded since the last planning instant (see
-    /// [`DirtySet`]): the diagnostic view of *why* the next incremental
-    /// plan will recompute whatever it recomputes. Cleared after every
-    /// planning call.
-    dirty: DirtySet,
     /// Buffers [`RunnerState::step`] refills at every time instance: the
     /// open tasks and, under FTA, the idle workers without a fixed plan,
     /// both ascending.
@@ -820,13 +809,6 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
         std::mem::take(&mut self.dispatch_log)
     }
 
-    /// Events recorded since the last planning instant (diagnostics; see
-    /// [`DirtySet`]).
-    #[inline]
-    pub fn dirty_set(&self) -> &DirtySet {
-        &self.dirty
-    }
-
     /// Inserts an arriving worker and returns its dense id.
     pub fn insert_worker(&mut self, worker: Worker) -> WorkerId {
         let id = self.workers.insert(worker);
@@ -837,7 +819,6 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
             fixed_assigned: false,
         });
         self.life.insert(id, &worker);
-        self.dirty.note_worker_online(id);
         id
     }
 
@@ -849,7 +830,6 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
         self.forecast.observe(task.publication, &task);
         let id = self.tasks.insert(task);
         self.open_view.insert(id);
-        self.dirty.note_task_arrival(id);
         id
     }
 
@@ -863,7 +843,6 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
     /// event-driven drivers when the expiration event fires). Returns whether
     /// the task was still in the view.
     pub fn expire_task(&mut self, id: TaskId) -> bool {
-        self.dirty.note_task_expiration(id);
         self.open_view.remove(id)
     }
 
@@ -877,7 +856,6 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
     /// there), which is why this is a flag and not the default behaviour of
     /// going offline.
     pub fn retire_worker(&mut self, id: WorkerId, release_plan: bool) {
-        self.dirty.note_worker_offline(id);
         self.life.retire(id);
         self.workers.get_mut(id).mode = WorkerMode::Offline;
         if release_plan {
@@ -894,9 +872,6 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
     /// still-servable task of its plan.
     pub fn step(&mut self, now: Timestamp, replan: bool) {
         let policy = self.runner.policy;
-        if replan {
-            self.dirty.note_replan_tick();
-        }
 
         // Idle workers at this instant, ascending: the lifecycle wakes the
         // ones that came due and drops the ones whose window closed.
@@ -1011,8 +986,6 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
             runtime.busy_until = arrival;
             self.life.depart(wid, due);
             self.workers.get_mut(wid).location = task.location;
-            self.dirty.note_task_served(tid);
-            self.dirty.note_worker_moved(wid);
             self.metrics.dispatches.inc();
             self.dispatch_log.push(DispatchRecord {
                 worker: wid,
@@ -1061,57 +1034,47 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
         if planning_workers.is_empty() {
             return;
         }
-        self.dirty
-            .note_forecast_epoch(self.forecast.stats().refreshes as u64);
         // With no phantom to plan over — every instant of the policies that
         // do not predict, and of the others whenever the forecast is empty
         // or beyond the lookahead — the planner works straight on the live
         // store: the open ids are the candidates, they mean the same task at
-        // every instant, and that is what lets the reach layer carry lists
-        // over (`open_at` lists them ascending, as the context promises). A
-        // phantom has no id in the live store, so an instant with one plans
-        // on a copy, context-free, and maps the plan back.
+        // every instant, which is what `Planner::plan_live` asks for and what
+        // lets the reach layer carry lists over. A phantom has no id in the
+        // live store, so an instant with one plans on a copy through a
+        // context-free call, and maps the plan back.
         let copy = if phantoms.is_empty() {
             None
         } else {
             self.metrics.phantom_instants.inc();
             Some(build_planning_store(&self.tasks, open_tasks, &phantoms))
         };
-        let copied_ids: Vec<TaskId>;
-        let (store, candidates, ctx) = match &copy {
-            None => (&self.tasks, open_tasks, Some(IncrementalContext)),
-            Some((store, _)) => {
-                copied_ids = store.ids().collect();
-                (store, copied_ids.as_slice(), None)
-            }
-        };
-        let (assignment, report) = if policy == PolicyKind::DataWa {
-            let tvf = self
-                .runner
+        let runner = self.runner;
+        let tvf = (policy == PolicyKind::DataWa).then(|| {
+            runner
                 .tvf
                 .as_ref()
                 // datawa-lint: allow(unwrap-in-hot-path) -- construction invariant: a DataWa runner is only built via with_tvf, which sets this
-                .expect("PolicyKind::DataWa requires a trained TVF (use with_tvf)");
-            self.planner.plan_guided_incremental(
-                planning_workers,
-                candidates,
-                &self.workers,
-                store,
-                now,
-                tvf,
-                ctx,
-            )
-        } else {
-            self.planner.plan_incremental(
-                planning_workers,
-                candidates,
-                &self.workers,
-                store,
-                now,
-                ctx,
-            )
+                .expect("PolicyKind::DataWa requires a trained TVF (use with_tvf)")
+        });
+        let workers = &self.workers;
+        let (assignment, report) = match &copy {
+            None => {
+                self.planner
+                    .plan_live(planning_workers, open_tasks, workers, &self.tasks, now, tvf)
+            }
+            Some((store, _)) => {
+                let ids: Vec<TaskId> = store.ids().collect();
+                match tvf {
+                    Some(tvf) => {
+                        self.planner
+                            .plan_guided(planning_workers, &ids, workers, store, now, tvf)
+                    }
+                    None => self
+                        .planner
+                        .plan(planning_workers, &ids, workers, store, now),
+                }
+            }
         };
-        self.dirty.clear();
         self.record_report(&report);
         // What a task id of the plan stands for in the live world.
         let entry = |tid: TaskId| match &copy {
@@ -1232,10 +1195,6 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
         let cumulative = self.outcome.partitions_reused + self.outcome.partitions_recomputed;
         if let Some(pct) = (100 * self.outcome.partitions_reused).checked_div(cumulative) {
             self.metrics.cache_hit_pct.set(pct as i64);
-        }
-        let instant_total = report.partitions_reused + report.partitions_recomputed;
-        if let Some(pct) = (100 * report.partitions_recomputed).checked_div(instant_total) {
-            self.metrics.dirty_fraction_pct.record(pct as u64);
         }
         self.metrics
             .replan_seconds

@@ -2,22 +2,6 @@
 
 use datawa_core::TravelModel;
 
-/// Whether the planner may carry per-worker reachable lists across planning
-/// instants (see the crate-level "Incremental replanning" section).
-///
-/// Incremental replanning is bitwise output-preserving by construction and is
-/// what every driver runs; `Off` exists only as the reference path the
-/// `incremental_equivalence` suite compares it against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IncrementalMode {
-    /// Carry verified reachable lists across instants when the driver
-    /// supplies an `IncrementalContext`. The default.
-    #[default]
-    On,
-    /// Rescan every listed worker at every instant (the reference path).
-    Off,
-}
-
 /// Configuration shared by sequence generation, planning and the adaptive
 /// runner.
 ///
@@ -50,10 +34,6 @@ pub struct AssignConfig {
     /// field remains because existing callers (the frozen benchmark harness
     /// among them) still set it.
     pub threads: usize,
-    /// Whether the exact and the TVF-guided search may read reachable sets
-    /// kept as a delta across planning instants. Output is bitwise identical
-    /// either way; only the work done per instant changes.
-    pub incremental: IncrementalMode,
 }
 
 impl Default for AssignConfig {
@@ -66,7 +46,6 @@ impl Default for AssignConfig {
             search_node_budget: 20_000,
             use_dependency_separation: true,
             threads: 0,
-            incremental: IncrementalMode::On,
         }
     }
 }

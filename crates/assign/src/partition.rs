@@ -17,7 +17,7 @@
 //! position changes whenever the dependency graph reshapes — and nothing
 //! looks for one: every partition is searched at the instant that formed it
 //! and forgotten (the runner dispatches its workers in that same instant, so
-//! a content-identical partition does not come back; see [`crate::cache`]).
+//! a content-identical partition does not come back; see the crate docs).
 //! The planner drops workers with empty reachable sets *before* the graph is
 //! built, on every route (each would form a trivial partition assigning
 //! nothing), so in a planning call every partition has at least one

@@ -5,13 +5,16 @@
 //! graph partition and recursive tree construction → exact or TVF-guided
 //! depth-first search, per connected component.
 //!
+//! Reachable sets come from one place, the planner's reach layer: a live pass
+//! through [`Planner::plan_live`], a cold pass from every other entry point.
+//!
 //! Workers that reach no task are dropped right after the reachable sets are
-//! known, on every partitioned route (full, incremental, guided,
-//! training-sample collection; the greedy baseline keeps every listed
-//! worker): such a worker is an isolated vertex of the dependency graph
-//! with no candidate sequence, so it can neither be assigned anything nor
-//! influence another worker's partition, and at the paper's operating point
-//! it is the overwhelming majority of idle workers.
+//! known, on every partitioned route (exact, guided, training-sample
+//! collection; the greedy baseline keeps every listed worker): such a worker
+//! is an isolated vertex of the dependency graph with no candidate sequence,
+//! so it can neither be assigned anything nor influence another worker's
+//! partition, and at the paper's operating point it is the overwhelming
+//! majority of idle workers.
 //!
 //! ## Partitioned planning
 //!
@@ -27,10 +30,10 @@
 //! tasks, not the whole instant's, so training and inference see the same
 //! distribution regardless of how many partitions the instant split into.
 
-use crate::cache::{IncrementalContext, PlanCache};
-use crate::config::{AssignConfig, IncrementalMode};
+use crate::config::AssignConfig;
 use crate::partition::split_cluster_tree;
-use crate::reachable::{build_worker_dependency_graph, reachable_tasks_into, ReachableSets};
+use crate::reach_layer::ReachLayer;
+use crate::reachable::{build_worker_dependency_graph, ReachableSets};
 use crate::search::{DfSearch, SearchSample};
 use crate::sequences::{generate_sequences_into, GenScratch, SequenceSet};
 use crate::tvf::{TaskValueFunction, TvfInference};
@@ -67,23 +70,23 @@ pub struct PlanningReport {
     /// guided search (which visits each worker exactly once), zero for the
     /// greedy baseline.
     pub nodes_expanded: usize,
-    /// Listed workers dropped this instant for reaching nothing, on the
-    /// exact search's incremental route (each would have been a trivial
-    /// singleton partition assigning nothing; every other route drops them
-    /// too and reports zero). The name is historical: no plan is ever reused
-    /// — every partition counted by `partitions` is searched at every
-    /// instant, see [`crate::cache`] for the measurement that retired the
-    /// plan cache — and the field keeps it because the benchmark harness
+    /// Listed workers dropped this instant for reaching nothing, reported by
+    /// the exact search of [`Planner::plan_live`] (each would have been a
+    /// trivial singleton partition assigning nothing; every other route
+    /// drops them too and reports zero). The name is historical: no plan is
+    /// ever reused — every partition counted by `partitions` is searched at
+    /// every instant, see the crate docs for the measurement that retired
+    /// the plan cache — and the field keeps it because the benchmark harness
     /// reads it.
     pub partitions_reused: usize,
     /// Partitions searched this instant: every partition counted by
     /// `partitions`, on every route.
     pub partitions_recomputed: usize,
     /// Workers whose reachable list was re-derived by a scan of the
-    /// candidate pool this instant: every listed worker on the context-free
-    /// route; on the incremental route only those that entered the worker
-    /// list, were mutated, lost a member of their list or gained a new
-    /// candidate within reach distance (see [`crate::cache`]).
+    /// candidate pool this instant: every listed worker on a cold pass; on a
+    /// live pass only those not listed at the previous pass, mutated since,
+    /// or that lost a member of their list or gained a new candidate within
+    /// reach distance.
     pub workers_rescanned: usize,
     /// Workers that reach at least one task this instant — the ones that
     /// were planned.
@@ -122,15 +125,9 @@ pub struct Planner {
     /// Scratch: sequence-generation buffers, reused across workers and
     /// instants by every search mode (greedy included).
     gen_scratch: GenScratch,
-    /// Scratch: the reachable sets of a context-free call (every listed
-    /// worker scans the candidate pool).
-    reachable: ReachableSets,
-    /// Incremental replanning state: per-worker reachable sets carried from
-    /// one call with a context to the next (see [`crate::cache`]).
-    cache: PlanCache,
-    /// Whether the latest call read its reachable sets from `cache` (as
-    /// opposed to `reachable`).
-    reach_from_cache: bool,
+    /// Every call's reachable sets: carried from one live pass to the next,
+    /// scanned afresh by a cold one.
+    reach: ReachLayer,
     /// `assign.stage_ns.*`: where a planning call's time goes. Detached
     /// until [`Planner::with_metrics`].
     stages: StageTimers,
@@ -158,9 +155,7 @@ impl Planner {
             tvf: None,
             scratch_sequences: HashMap::new(),
             gen_scratch: GenScratch::default(),
-            reachable: ReachableSets::default(),
-            cache: PlanCache::default(),
-            reach_from_cache: false,
+            reach: ReachLayer::default(),
             stages: StageTimers::default(),
         }
     }
@@ -189,18 +184,14 @@ impl Planner {
     /// call's task ids (diagnostic; a call with no worker or no task
     /// computes none and leaves the previous call's in place).
     pub fn reachable(&self) -> &ReachableSets {
-        if self.reach_from_cache {
-            self.cache.reach()
-        } else {
-            &self.reachable
-        }
+        self.reach.sets()
     }
 
     /// Plans task sequences for `worker_ids` over `candidate_tasks` at `now`
     /// (Algorithm 4), returning the assignment and planning diagnostics.
-    /// Always the full (non-incremental) path; streaming drivers that can
-    /// vouch for the caching preconditions call
-    /// [`Planner::plan_incremental`] instead.
+    /// Context-free: the reachable sets come from a cold pass, which scans
+    /// every listed worker. Streaming drivers that plan on one live store
+    /// call [`Planner::plan_live`] instead.
     pub fn plan(
         &mut self,
         worker_ids: &[WorkerId],
@@ -209,35 +200,88 @@ impl Planner {
         tasks: &TaskStore,
         now: Timestamp,
     ) -> (Assignment, PlanningReport) {
-        self.plan_incremental(worker_ids, candidate_tasks, workers, tasks, now, None)
+        self.plan_in_mode(worker_ids, candidate_tasks, workers, tasks, now, false)
     }
 
-    /// [`Planner::plan`] with an optional [`IncrementalContext`]: when the
-    /// caller supplies one (vouching that the candidate ids are the stable
-    /// ids of the same live `TaskStore`, ascending, and the workers slots of
-    /// the same `WorkerStore`, as at the previous call), the exact and
-    /// TVF-guided modes take their reachable sets from the delta-maintained
-    /// reach layer instead of rescanning every worker — the sets are
-    /// identical to [`reachable_tasks`](crate::reachable_tasks), only the
-    /// work differs, so the output is bitwise identical. Every partition is
-    /// searched at every instant either way. The greedy mode ignores the
-    /// context (it stays the context-free baseline for now), as does
-    /// [`IncrementalMode::Off`](crate::config::IncrementalMode).
-    pub fn plan_incremental(
+    /// Plans with the TVF-guided search using a caller-provided inference
+    /// snapshot, context-free like [`Planner::plan`].
+    pub fn plan_guided(
         &mut self,
         worker_ids: &[WorkerId],
         candidate_tasks: &[TaskId],
         workers: &WorkerStore,
         tasks: &TaskStore,
         now: Timestamp,
-        ctx: Option<IncrementalContext>,
+        tvf: &TvfInference,
+    ) -> (Assignment, PlanningReport) {
+        self.plan_partitioned(
+            worker_ids,
+            candidate_tasks,
+            workers,
+            tasks,
+            now,
+            Some(tvf),
+            false,
+        )
+    }
+
+    /// The streaming driver's entry point: [`Planner::plan`] — or, with
+    /// `tvf`, [`Planner::plan_guided`] with that snapshot — whose reachable
+    /// sets are carried from the previous `plan_live` call as a delta: only
+    /// the workers whose set may have changed are rescanned. The sets are
+    /// identical to [`reachable_tasks`](crate::reachable_tasks) and every
+    /// partition is searched at every call, so the output is bitwise that of
+    /// the context-free call.
+    ///
+    /// The caller promises that, at every `plan_live` call to one planner,
+    /// the candidate ids are stable ids of one live `TaskStore`, listed
+    /// ascending — a `TaskId` names the same task at every call, so no
+    /// per-call copy and no predicted phantom; equal distances rank in
+    /// candidate order — and the worker ids are slots of one `WorkerStore`,
+    /// whose mutation stamps tell the planner a changed worker. Any other
+    /// call in between is a cold pass and breaks the chain, as does a call
+    /// at an earlier `now` or under another config. The greedy mode always
+    /// takes the cold pass.
+    pub fn plan_live(
+        &mut self,
+        worker_ids: &[WorkerId],
+        candidate_tasks: &[TaskId],
+        workers: &WorkerStore,
+        tasks: &TaskStore,
+        now: Timestamp,
+        tvf: Option<&TvfInference>,
+    ) -> (Assignment, PlanningReport) {
+        match tvf {
+            Some(tvf) => self.plan_partitioned(
+                worker_ids,
+                candidate_tasks,
+                workers,
+                tasks,
+                now,
+                Some(tvf),
+                true,
+            ),
+            None => self.plan_in_mode(worker_ids, candidate_tasks, workers, tasks, now, true),
+        }
+    }
+
+    /// Plans in the planner's own [`SearchMode`]; `live` as in
+    /// [`Planner::plan_live`].
+    fn plan_in_mode(
+        &mut self,
+        worker_ids: &[WorkerId],
+        candidate_tasks: &[TaskId],
+        workers: &WorkerStore,
+        tasks: &TaskStore,
+        now: Timestamp,
+        live: bool,
     ) -> (Assignment, PlanningReport) {
         match self.mode {
             SearchMode::Greedy => {
                 self.plan_greedy(worker_ids, candidate_tasks, workers, tasks, now)
             }
             SearchMode::Exact => {
-                self.plan_partitioned(worker_ids, candidate_tasks, workers, tasks, now, None, ctx)
+                self.plan_partitioned(worker_ids, candidate_tasks, workers, tasks, now, None, live)
             }
             SearchMode::Guided => {
                 // Detach the snapshot for the duration of the call so the
@@ -254,7 +298,7 @@ impl Planner {
                     tasks,
                     now,
                     Some(&tvf),
-                    ctx,
+                    live,
                 );
                 self.tvf = Some(tvf);
                 out
@@ -262,53 +306,9 @@ impl Planner {
         }
     }
 
-    /// Plans with the TVF-guided search using a caller-provided inference
-    /// snapshot, context-free: [`Planner::plan_guided_incremental`] without
-    /// an [`IncrementalContext`].
-    pub fn plan_guided(
-        &mut self,
-        worker_ids: &[WorkerId],
-        candidate_tasks: &[TaskId],
-        workers: &WorkerStore,
-        tasks: &TaskStore,
-        now: Timestamp,
-        tvf: &TvfInference,
-    ) -> (Assignment, PlanningReport) {
-        self.plan_guided_incremental(worker_ids, candidate_tasks, workers, tasks, now, tvf, None)
-    }
-
-    /// Plans with the TVF-guided search using a caller-provided inference
-    /// snapshot (the DATA-WA policy's entry point: the adaptive runner owns
-    /// the snapshot and must outlive many planning calls). With a context,
-    /// reachable sets come from the delta-maintained reach layer, as in
-    /// [`Planner::plan_incremental`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn plan_guided_incremental(
-        &mut self,
-        worker_ids: &[WorkerId],
-        candidate_tasks: &[TaskId],
-        workers: &WorkerStore,
-        tasks: &TaskStore,
-        now: Timestamp,
-        tvf: &TvfInference,
-        ctx: Option<IncrementalContext>,
-    ) -> (Assignment, PlanningReport) {
-        self.plan_partitioned(
-            worker_ids,
-            candidate_tasks,
-            workers,
-            tasks,
-            now,
-            Some(tvf),
-            ctx,
-        )
-    }
-
-    /// Lines 2–3 of Algorithm 4: this instant's reachable sets. With
-    /// `incremental` (a context was supplied and incremental replanning is
-    /// on) they are the reach layer's, refreshed as a delta; otherwise every
-    /// listed worker scans the candidate pool into the planner's scratch.
-    /// Reads them back through [`Planner::reachable`].
+    /// Lines 2–3 of Algorithm 4: this instant's reachable sets, a pass of the
+    /// reach layer (live or cold). Reads them back through
+    /// [`Planner::reachable`].
     #[allow(clippy::too_many_arguments)]
     fn fill_reachable(
         &mut self,
@@ -317,37 +317,27 @@ impl Planner {
         workers: &WorkerStore,
         tasks: &TaskStore,
         now: Timestamp,
-        incremental: bool,
+        live: bool,
         report: &mut PlanningReport,
     ) {
         let _span = self.stages.reach.span();
-        let config = self.config;
-        self.reach_from_cache = incremental;
-        report.workers_rescanned = if incremental {
-            self.cache
-                .refresh_reachable(worker_ids, candidate_tasks, workers, tasks, &config, now)
-        } else {
-            reachable_tasks_into(
-                &mut self.reachable,
-                worker_ids,
-                candidate_tasks,
-                workers,
-                tasks,
-                &config,
-                now,
-            );
-            worker_ids.len()
-        };
-        let reachable = self.reachable();
+        report.workers_rescanned = self.reach.refresh(
+            worker_ids,
+            candidate_tasks,
+            workers,
+            tasks,
+            &self.config,
+            now,
+            live,
+        );
+        let reachable = self.reach.sets();
         report.mean_reachable = reachable.mean_reachable();
         report.reach_live = reachable.live_workers().len();
     }
 
     /// The greedy baseline: no dependency graph, no partitions, one ordered
-    /// pass over the listed workers. Context-free: it scans every worker's
-    /// reachable set and offers every listed worker its sequences at every
-    /// instant (ROADMAP item 2 has the measurement of greedy on the reach
-    /// layer and why it is not there yet).
+    /// pass over the listed workers. It always takes a cold pass of the reach
+    /// layer, and offers every listed worker its sequences at every instant.
     fn plan_greedy(
         &mut self,
         worker_ids: &[WorkerId],
@@ -378,7 +368,7 @@ impl Planner {
             false,
             &mut report,
         );
-        let reachable = &self.reachable;
+        let reachable = self.reach.sets();
         let span = self.stages.sequences.span();
         let sequences = Self::fill_sequences(
             &mut self.scratch_sequences,
@@ -416,11 +406,11 @@ impl Planner {
     /// against its own available set, in partition order, splicing its plan
     /// into the assignment.
     ///
-    /// With an [`IncrementalContext`] the reachable sets come from the reach
-    /// layer (per-worker verify-or-rescan); everything after them — candidate
-    /// sequences, graph, tree, split, search — runs for the planned workers
-    /// at every instant on every route, so the output is bitwise identical
-    /// to the context-free route.
+    /// A `live` call takes a live pass of the reach layer (per-worker
+    /// verify-or-rescan), any other a cold one; everything after the sets —
+    /// candidate sequences, graph, tree, split, search — runs for the
+    /// planned workers at every instant either way, so the output is bitwise
+    /// identical.
     #[allow(clippy::too_many_arguments)]
     fn plan_partitioned(
         &mut self,
@@ -430,7 +420,7 @@ impl Planner {
         tasks: &TaskStore,
         now: Timestamp,
         tvf: Option<&TvfInference>,
-        ctx: Option<IncrementalContext>,
+        live: bool,
     ) -> (Assignment, PlanningReport) {
         // datawa-lint: allow(wall-clock-in-hot-path) -- feeds the replan-latency histogram only; never read by planning logic
         #[allow(clippy::disallowed_methods)]
@@ -446,28 +436,23 @@ impl Planner {
         }
         let config = self.config;
         // Lines 2–5: reachable tasks and candidate sequences per worker.
-        let incremental = ctx.is_some() && config.incremental == IncrementalMode::On;
         self.fill_reachable(
             worker_ids,
             candidate_tasks,
             workers,
             tasks,
             now,
-            incremental,
+            live,
             &mut report,
         );
-        let reachable = if incremental {
-            self.cache.reach()
-        } else {
-            &self.reachable
-        };
+        let reachable = self.reach.sets();
         // A worker that reaches nothing is an isolated vertex of the
         // dependency graph with no candidate sequence: it would form a
         // singleton partition assigning nothing. Dropping it here leaves
         // every other component's member order, edges and subtree shape —
         // hence every plan and every index tie-break — unchanged.
         let planned = reachable.live_workers();
-        if incremental && tvf.is_none() {
+        if live && tvf.is_none() {
             report.partitions_reused = worker_ids.len() - planned.len();
         }
         if planned.is_empty() {
@@ -559,17 +544,16 @@ impl Planner {
             return Vec::new();
         }
         let config = self.config;
-        self.reach_from_cache = false;
-        reachable_tasks_into(
-            &mut self.reachable,
+        self.reach.refresh(
             worker_ids,
             candidate_tasks,
             workers,
             tasks,
             &config,
             now,
+            false,
         );
-        let reachable = &self.reachable;
+        let reachable = self.reach.sets();
         // Same worker filter as planning: a worker that reaches nothing has
         // no action to sample.
         let planned = reachable.live_workers();

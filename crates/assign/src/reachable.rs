@@ -99,7 +99,7 @@ impl ReachableSets {
 /// One worker's scan of the candidate pool: every candidate passing the
 /// §IV-A.1 constraints i–iii at `now`, with its travel distance, nearest
 /// first (ties in candidate order) and capped by the config, left in `pairs`.
-/// The one definition of a reachable list — the context-free route and the
+/// The one definition of a reachable list — [`reachable_tasks`] and the
 /// reach layer's rescan both call it, which is what keeps them bitwise equal.
 pub(crate) fn scan_reachable(
     worker: &Worker,
@@ -141,6 +141,9 @@ pub(crate) fn still_reachable(
 /// Computes the reachable task set of every listed worker over the candidate
 /// tasks (§IV-A.1 constraints i–iii), nearest-first and capped by the config.
 /// `worker_ids` must be distinct.
+///
+/// The from-scratch definition: the planner derives its sets through the
+/// reach layer, which is tested against this function.
 pub fn reachable_tasks(
     worker_ids: &[WorkerId],
     candidate_tasks: &[TaskId],
@@ -150,28 +153,6 @@ pub fn reachable_tasks(
     now: Timestamp,
 ) -> ReachableSets {
     let mut sets = ReachableSets::default();
-    reachable_tasks_into(
-        &mut sets,
-        worker_ids,
-        candidate_tasks,
-        workers,
-        tasks,
-        config,
-        now,
-    );
-    sets
-}
-
-/// [`reachable_tasks`] into a reused buffer.
-pub(crate) fn reachable_tasks_into(
-    sets: &mut ReachableSets,
-    worker_ids: &[WorkerId],
-    candidate_tasks: &[TaskId],
-    workers: &WorkerStore,
-    tasks: &TaskStore,
-    config: &AssignConfig,
-    now: Timestamp,
-) {
     sets.restart(worker_ids.len());
     let mut pairs = Vec::new();
     for &wid in worker_ids {
@@ -185,6 +166,7 @@ pub(crate) fn reachable_tasks_into(
         );
         sets.push(wid, pairs.iter().map(|&(t, _)| t));
     }
+    sets
 }
 
 /// Builds the Worker Dependency Graph: one node per listed worker, an edge
@@ -227,11 +209,12 @@ pub fn build_worker_dependency_graph(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use datawa_core::{Location, Task, Worker};
 
-    fn fixture() -> (WorkerStore, TaskStore, AssignConfig) {
+    /// Two workers near the origin and one far away, with a task by each.
+    pub(crate) fn fixture() -> (WorkerStore, TaskStore, AssignConfig) {
         let mut workers = WorkerStore::new();
         // Two workers near the origin, one far away.
         workers.insert(Worker::new(
@@ -307,42 +290,6 @@ mod tests {
         let tids: Vec<TaskId> = tasks.ids().collect();
         let rs = reachable_tasks(&wids, &tids, &workers, &tasks, &config, Timestamp(0.0));
         assert_eq!(rs.of(WorkerId(0)), &[TaskId(0)]); // nearest kept
-    }
-
-    #[test]
-    fn a_reused_buffer_forgets_the_previous_listing() {
-        let (workers, tasks, config) = fixture();
-        let tids: Vec<TaskId> = tasks.ids().collect();
-        let mut sets = ReachableSets::default();
-        let all: Vec<WorkerId> = workers.ids().collect();
-        reachable_tasks_into(
-            &mut sets,
-            &all,
-            &tids,
-            &workers,
-            &tasks,
-            &config,
-            Timestamp(0.0),
-        );
-        assert_eq!(sets.live_workers(), &all[..]);
-        assert_eq!(sets.workers_with_reach(&all), all);
-        // Relisting the far worker alone leaves nothing behind of the others.
-        reachable_tasks_into(
-            &mut sets,
-            &all[2..],
-            &tids,
-            &workers,
-            &tasks,
-            &config,
-            Timestamp(0.0),
-        );
-        assert!(sets.of(WorkerId(0)).is_empty());
-        assert_eq!(sets.of(WorkerId(2)), &[TaskId(2)]);
-        assert_eq!(sets.live_workers(), &[WorkerId(2)]);
-        assert_eq!(sets.pair_count(), 1);
-        assert_eq!(sets.mean_reachable(), 1.0);
-        // A worker beyond every slot seen so far reaches nothing.
-        assert!(sets.of(WorkerId(99)).is_empty());
     }
 
     #[test]

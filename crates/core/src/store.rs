@@ -306,21 +306,17 @@ impl OpenTaskView {
     }
 
     /// [`OpenTaskView::open_at`] into a buffer the caller keeps across
-    /// instants (cleared first).
+    /// instants (cleared first). One ascending pass: open ids are pushed,
+    /// expired ones dropped in place.
     pub fn open_at_into(&mut self, store: &TaskStore, now: Timestamp, open: &mut Vec<TaskId>) {
         open.clear();
-        let mut expired: Vec<TaskId> = Vec::new();
-        for &id in &self.open {
+        self.open.retain(|&id| {
             let task = store.get(id);
             if task.is_open_at(now) {
                 open.push(id);
-            } else if task.is_expired_at(now) {
-                expired.push(id);
             }
-        }
-        for id in expired {
-            self.open.remove(&id);
-        }
+            !task.is_expired_at(now)
+        });
     }
 }
 

@@ -91,22 +91,19 @@
 //!
 //! ## Incremental replanning
 //!
-//! Every event the engine fires feeds the runner's
-//! [`datawa_assign::DirtySet`]: arrivals, expirations, worker lifecycle
-//! changes, replan ticks, dispatches and forecast refreshes are each
-//! recorded as the kind of invalidation they cause, and
-//! [`Session::dirty_set`] exposes the accumulated set between planning
-//! instants. The planner's reach layer uses *verification* — not this
-//! tracker — as its source of truth, so dirty sets are purely diagnostic;
-//! the layer carries a worker's reachable list over only after checking the
-//! worker's store mutation stamp and re-validating every member of the list
-//! against the live stores (see the "Incremental replanning" section of the
-//! `datawa-assign` docs). No plan is carried over: every partition is
-//! searched at every instant.
-//! [`IncrementalMode::Off`](datawa_assign::IncrementalMode) in the config is
-//! the reference path that rescans everyone; output is bitwise identical either
-//! way, which the `incremental_equivalence` workspace suite pins across
-//! every policy and scenario generator.
+//! The engine tells the planner nothing about what its events changed. At
+//! each planning instant the runner hands its live stores to
+//! [`Planner::plan_live`](datawa_assign::Planner::plan_live), whose reach
+//! layer finds what changed from the inputs themselves: it carries a
+//! worker's reachable list over only after checking the worker's store
+//! mutation stamp, the pass marks of the worker and of every list member,
+//! and re-validating each member against the live stores (see the
+//! "Incremental replanning" section of the `datawa-assign` docs). No plan
+//! is carried over: every partition is searched at every instant. Output
+//! equals planning from scratch bit for bit, which the `reach_delta` and
+//! `incremental_equivalence` workspace suites pin against a cold planner,
+//! and `golden_counts` pins every policy on every scenario generator to
+//! fixed same-seed outcomes.
 //!
 //! ## Observability
 //!

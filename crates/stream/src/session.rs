@@ -523,14 +523,6 @@ impl<'a, F: ForecastProvider + ?Sized> Session<'a, F> {
         self.state.forecast_stats()
     }
 
-    /// The events recorded since the session's last planning instant (the
-    /// diagnostic side of incremental replanning; see
-    /// [`datawa_assign::DirtySet`]).
-    #[inline]
-    pub fn dirty_set(&self) -> &datawa_assign::DirtySet {
-        self.state.dirty_set()
-    }
-
     /// Schedules one event. Arrival events may be ingested at any time at or
     /// after the watermark; their lifetime-closing events
     /// ([`Event::TaskExpiration`] / [`Event::WorkerOffline`]) are scheduled

@@ -56,10 +56,9 @@ pub use datawa_tensor as tensor;
 /// One-stop imports for examples and downstream binaries.
 pub mod prelude {
     pub use datawa_assign::{
-        AdaptiveRunner, ArrivalEvent, AssignConfig, DirtySet, DispatchRecord, ForecastProvider,
-        ForecastStats, IncrementalContext, IncrementalMode, Planner, PolicyKind,
-        PredictedTaskInput, RunnerState, SearchMode, StaticForecast, TaskValueFunction,
-        TvfInference,
+        AdaptiveRunner, ArrivalEvent, AssignConfig, DispatchRecord, ForecastProvider,
+        ForecastStats, Planner, PolicyKind, PredictedTaskInput, RunnerState, SearchMode,
+        StaticForecast, TaskValueFunction, TvfInference,
     };
     pub use datawa_core::prelude::*;
     pub use datawa_geo::{GridSpec, UniformGrid};

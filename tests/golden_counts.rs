@@ -39,6 +39,14 @@
 //! * `*-rewind` — batched sessions with a `Session::force_replan` at an
 //!   instant earlier than the last event processed, four times per run.
 //!
+//! The rows named after a built-in generator (seed 7, its default) and
+//! `hotspot-drift+12` are the runs a runner-level reference route (every
+//! listed worker rescanned at every instant) was once compared against: the
+//! four built-in scenario generators at 150 tasks and 12 workers, batched by
+//! eight, under Greedy / FTA / DTA / DATA-WA (an untrained seeded TVF), plus
+//! DTA+TP on the hotspot-drift scenario with twelve predicted tasks. They
+//! were written and run green while that route still existed.
+//!
 //! A deliberate behaviour change regenerates the table: a mismatch prints
 //! every actual row in paste-ready form.
 
@@ -403,6 +411,60 @@ fn lifecycle_rows(seed: u64, rows: &mut Vec<Row>) {
     }
 }
 
+/// Every built-in scenario generator under the four policy families, and
+/// DTA+TP with twelve predicted tasks on the hotspot-drift scenario.
+fn builtin_rows(rows: &mut Vec<Row>) {
+    let spec = ScenarioSpec::small().with_tasks(150).with_workers(12);
+    let engine = EngineConfig::batched(8);
+    for scenario in builtin_scenarios(spec) {
+        let workload = scenario.generate();
+        for policy in [
+            PolicyKind::Greedy,
+            PolicyKind::Fta,
+            PolicyKind::Dta,
+            PolicyKind::DataWa,
+        ] {
+            let mut runner = AdaptiveRunner::new(AssignConfig::default(), policy);
+            if policy == PolicyKind::DataWa {
+                runner = runner.with_tvf(TaskValueFunction::new(8, 7));
+            }
+            let (assigned, decisions, digest) =
+                run(&runner, &workload, &mut StaticForecast::default(), engine);
+            rows.push((
+                scenario.name(),
+                spec.seed,
+                policy.name(),
+                assigned,
+                decisions,
+                (policy != PolicyKind::DataWa).then_some(digest),
+            ));
+        }
+    }
+    let spec = ScenarioSpec::small().with_tasks(120).with_workers(10);
+    let predicted: Vec<PredictedTaskInput> = (0..12)
+        .map(|i| PredictedTaskInput {
+            location: Location::new(1.0 + i as f64 * 0.7, 2.0),
+            publication: Timestamp(60.0 * i as f64 + 30.0),
+            expiration: Timestamp(60.0 * i as f64 + 300.0),
+        })
+        .collect();
+    let runner = AdaptiveRunner::new(AssignConfig::default(), PolicyKind::DtaTp);
+    let (assigned, decisions, digest) = run(
+        &runner,
+        &HotspotDrift::new(spec).generate(),
+        &mut StaticForecast::new(predicted),
+        engine,
+    );
+    rows.push((
+        "hotspot-drift+12",
+        spec.seed,
+        PolicyKind::DtaTp.name(),
+        assigned,
+        decisions,
+        Some(digest),
+    ));
+}
+
 #[rustfmt::skip]
 const GOLDEN: &[Row] = &[
     ("yueche-0.1", 77003, "Greedy", 236, 1167, Some(0xa0ce53b96515c71e)),
@@ -449,6 +511,23 @@ const GOLDEN: &[Row] = &[
     ("yueche-0.1-rewind", 20161101, "DTA", 96, 1167, Some(0x111d9d8307253420)),
     ("churn-rewind", 20161101, "DTA", 131, 1227, Some(0x9ec32d8f29b7c8e7)),
     ("churn-rewind", 20161101, "Greedy", 132, 1227, Some(0x37deba609ba005b0)),
+    ("uniform-baseline", 7, "Greedy", 0, 162, Some(0xc0cbe2e8afe9219b)),
+    ("uniform-baseline", 7, "FTA", 1, 162, Some(0x6b0f7b86e73dda9b)),
+    ("uniform-baseline", 7, "DTA", 0, 162, Some(0xc0cbe2e8afe9219b)),
+    ("uniform-baseline", 7, "DATA-WA", 0, 162, None),
+    ("rush-hour-burst", 7, "Greedy", 8, 162, Some(0x2326a67fced7d662)),
+    ("rush-hour-burst", 7, "FTA", 9, 162, Some(0xa3efb8ba7f3a56cb)),
+    ("rush-hour-burst", 7, "DTA", 8, 162, Some(0x2326a67fced7d662)),
+    ("rush-hour-burst", 7, "DATA-WA", 8, 162, None),
+    ("hotspot-drift", 7, "Greedy", 2, 162, Some(0x6ff1801c146f7da9)),
+    ("hotspot-drift", 7, "FTA", 4, 162, Some(0xdfbfafa4a5ec2552)),
+    ("hotspot-drift", 7, "DTA", 2, 162, Some(0x6ff1801c146f7da9)),
+    ("hotspot-drift", 7, "DATA-WA", 2, 162, None),
+    ("heavy-tailed-churn", 7, "Greedy", 2, 211, Some(0x0043458bc47fb72a)),
+    ("heavy-tailed-churn", 7, "FTA", 7, 211, Some(0xb7d627429ec68457)),
+    ("heavy-tailed-churn", 7, "DTA", 2, 211, Some(0x0043458bc47fb72a)),
+    ("heavy-tailed-churn", 7, "DATA-WA", 2, 211, None),
+    ("hotspot-drift+12", 7, "DTA+TP", 0, 130, Some(0x6dac7c65bb9107b6)),
 ];
 
 #[test]
@@ -468,6 +547,7 @@ fn same_seed_counts_and_digests_match_the_golden_table() {
         run_sync_rows(seed, &mut rows);
         lifecycle_rows(seed, &mut rows);
     }
+    builtin_rows(&mut rows);
     let mut table = String::new();
     for (scenario, seed, policy, assigned, decisions, digest) in &rows {
         let digest = match digest {

@@ -5,7 +5,8 @@
 //! exact, the TVF-guided and the greedy search, planning over a gappy
 //! candidate slice of a large store equals planning over the dense copy with
 //! the plan's ids mapped back, report for report — context-free and, over
-//! two instants, through the reach layer.
+//! two instants, through `Planner::plan_live`, whose sets must also equal
+//! `reachable_tasks`.
 //!
 //! The tasks of the live store that are *not* candidates are decoys meant to
 //! be noticed if anything looks at them: they sit on top of the workers, and
@@ -13,7 +14,7 @@
 //! candidate — one of those anywhere in a planning store changes how the
 //! guided and the greedy search rank sequences).
 
-use datawa::assign::PlanningReport;
+use datawa::assign::{reachable_tasks, PlanningReport};
 use datawa::prelude::*;
 use proptest::prelude::*;
 
@@ -155,9 +156,13 @@ proptest! {
                 prop_assert_eq!(&plan, &expected, "{:?}, context-free, t={}", mode, now.0);
                 prop_assert_eq!(shape(&report), shape(&expected_report));
 
-                let (plan, report) = through_reach_layer.plan_incremental(
-                    &worker_ids, &open, &workers, &live, now, Some(IncrementalContext));
+                let (plan, report) =
+                    through_reach_layer.plan_live(&worker_ids, &open, &workers, &live, now, None);
                 prop_assert_eq!(&plan, &expected, "{:?}, reach layer, t={}", mode, now.0);
+                let oracle = reachable_tasks(&worker_ids, &open, &workers, &live, &config(), now);
+                for &w in &worker_ids {
+                    prop_assert_eq!(through_reach_layer.reachable().of(w), oracle.of(w));
+                }
                 prop_assert_eq!(report.partitions, expected_report.partitions);
                 prop_assert_eq!(report.nodes_expanded, expected_report.nodes_expanded);
                 prop_assert_eq!(report.reach_live, expected_report.reach_live);

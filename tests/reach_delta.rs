@@ -1,18 +1,20 @@
-//! The planner's reach layer (`PlanCache`) is a delta: per-worker reachable sets
-//! persist in dense worker slots and a planning instant rescans only the
-//! workers whose set may have changed. This suite pins the delta against the
-//! from-scratch definition: after every pass of a seeded event script the
-//! planner's refreshed sets equal `reachable_tasks` for every listed worker —
-//! list order included — under the exact and TVF-guided modes (the greedy
-//! baseline ignores the context and scans from scratch itself), and the plans
-//! equal a cold context-free planner's.
+//! The planner's reach layer is a delta: per-worker reachable sets persist in
+//! dense worker slots and a live pass (`Planner::plan_live`) rescans only the
+//! workers whose set may have changed, telling old from new by pass marks.
+//! This suite pins the delta against the from-scratch definition: after every
+//! pass of a seeded event script the planner's refreshed sets equal
+//! `reachable_tasks` for every listed worker — list order included — under
+//! the exact and TVF-guided modes (the greedy baseline always takes a cold
+//! pass), and the plans equal a cold context-free planner's. Some instants
+//! of a script plan on a copy of the open tasks with a predicted task
+//! appended, as the runner does: a cold pass whose ids name other tasks,
+//! which the live pass after it must not be misled by.
 //!
 //! The scripts live on an integer lattice with half-unit reach distances, so
 //! equal-distance ties and tasks exactly at reach distance are the common
 //! case, and cap the lists at three, so full lists losing a member are too.
-//! Nothing here calls a `DirtySet` hook — the `Planner` API has none — so
-//! every worker mutation below is detected from the store's mutation stamps
-//! alone.
+//! The `Planner` API takes no word about what changed, so every worker
+//! mutation below is detected from the store's mutation stamps alone.
 
 use datawa::assign::{reachable_tasks, PlanningReport};
 use datawa::prelude::*;
@@ -50,6 +52,9 @@ enum WorldEvent {
     },
     /// Time runs ahead: past member deadlines and worker windows.
     TimeJump { dt: f64 },
+    /// The instant plans on a copy of the open tasks with a predicted task
+    /// at `(x, y)` appended.
+    CopyInstant { x: usize, y: usize },
     /// Nothing happens and no time passes.
     Quiet,
 }
@@ -98,6 +103,7 @@ fn event_strategy() -> impl Strategy<Value = WorldEvent> {
             }
         ),
         (10.0f64..80.0).prop_map(|dt| WorldEvent::TimeJump { dt }),
+        (0usize..9, 0usize..9).prop_map(|(x, y)| WorldEvent::CopyInstant { x, y }),
         Just(WorldEvent::Quiet),
     ]
 }
@@ -121,7 +127,8 @@ fn reach_distance(step: usize) -> f64 {
 }
 
 /// The driver's side of a streaming run: the stores, the candidate pool and
-/// the idle list (both ascending), and the workers currently busy.
+/// the idle list (both ascending), the workers currently busy, and the
+/// predicted task the next instant plans over, if any.
 struct World {
     workers: WorkerStore,
     tasks: TaskStore,
@@ -129,6 +136,7 @@ struct World {
     listed: Vec<WorkerId>,
     busy: Vec<(WorkerId, usize)>,
     now: f64,
+    phantom: Option<Location>,
 }
 
 impl World {
@@ -162,6 +170,7 @@ impl World {
             tasks,
             busy: Vec::new(),
             now: 1.0,
+            phantom: None,
         }
     }
 
@@ -176,6 +185,7 @@ impl World {
     /// someone: anything but a quiet instant with no re-entry.
     fn apply(&mut self, event: &WorldEvent) -> bool {
         let mut quiet = false;
+        self.phantom = None;
         match *event {
             WorldEvent::TaskArrives { x, y, valid } => {
                 let id = self.tasks.insert(Task::new(
@@ -232,6 +242,7 @@ impl World {
                 self.busy.push((id, passes));
             }
             WorldEvent::TimeJump { dt } => self.now += dt,
+            WorldEvent::CopyInstant { x, y } => self.phantom = Some(lattice(x, y)),
             WorldEvent::Quiet => quiet = true,
             _ => {}
         }
@@ -272,26 +283,45 @@ fn warm_planners() -> Vec<Planner> {
 
 /// One planning instant on every warm planner: the refreshed sets must equal
 /// the from-scratch sets and the plan a cold context-free planner's. Returns
-/// the reports, or `None` when there was nothing to plan.
+/// the reports of the live passes — none at an instant planned on a copy —
+/// or `None` when there was nothing to plan.
 fn plan_and_check(world: &World, warm: &mut [Planner], label: &str) -> Option<Vec<PlanningReport>> {
     if world.listed.is_empty() || world.open.is_empty() {
         return None;
     }
     let now = Timestamp(world.now);
+    if let Some(at) = world.phantom {
+        // As the runner plans an instant with a predicted task in its
+        // lookahead: the open tasks copied into a store of their own, ids
+        // dense from zero, the prediction appended, a context-free call.
+        let mut copy = TaskStore::new();
+        for &t in &world.open {
+            copy.insert(*world.tasks.get(t));
+        }
+        copy.insert(Task::new(
+            TaskId(0),
+            at,
+            Timestamp(world.now + 1.0),
+            Timestamp(world.now + 30.0),
+        ));
+        let ids: Vec<TaskId> = copy.ids().collect();
+        for planner in warm.iter_mut() {
+            let mode = planner.mode;
+            let (plan, _) = planner.plan(&world.listed, &ids, &world.workers, &copy, now);
+            let (cold, _) =
+                self::planner(config(), mode).plan(&world.listed, &ids, &world.workers, &copy, now);
+            assert_eq!(plan, cold, "{label}, {mode:?}: plan on the copy diverged");
+        }
+        return Some(Vec::new());
+    }
     // The live store and the open ids, as `RunnerState::step` hands them in.
     let (store, pids) = (&world.tasks, &world.open);
     let oracle = reachable_tasks(&world.listed, pids, &world.workers, store, &config(), now);
     let mut reports = Vec::new();
     for planner in warm.iter_mut() {
         let mode = planner.mode;
-        let (plan, report) = planner.plan_incremental(
-            &world.listed,
-            pids,
-            &world.workers,
-            store,
-            now,
-            Some(IncrementalContext),
-        );
+        let (plan, report) =
+            planner.plan_live(&world.listed, pids, &world.workers, store, now, None);
         let refreshed = planner.reachable();
         for &w in &world.listed {
             assert_eq!(
@@ -312,12 +342,8 @@ fn plan_and_check(world: &World, warm: &mut [Planner], label: &str) -> Option<Ve
             oracle.mean_reachable().to_bits(),
             "{label}, {mode:?}: mean reachable"
         );
-        let off = AssignConfig {
-            incremental: IncrementalMode::Off,
-            ..config()
-        };
         let (cold, cold_report) =
-            self::planner(off, mode).plan(&world.listed, pids, &world.workers, store, now);
+            self::planner(config(), mode).plan(&world.listed, pids, &world.workers, store, now);
         assert_eq!(plan, cold, "{label}, {mode:?}: plan diverged");
         assert_eq!(cold_report.workers_rescanned, world.listed.len());
         reports.push(report);
@@ -339,6 +365,7 @@ proptest! {
         let mut world = World::new(&worker_specs, &task_specs);
         let mut warm = warm_planners();
         plan_and_check(&world, &mut warm, "warm-up");
+        let mut after_copy = false;
         for (step, event) in events.iter().enumerate() {
             let may_rescan = world.apply(event);
             let label = format!("step {step} after {event:?}");
@@ -346,12 +373,14 @@ proptest! {
                 continue;
             };
             // A worker listed ahead of its window is rescanned until the
-            // window opens; everyone else is left alone by a quiet instant.
+            // window opens; everyone else is left alone by a quiet instant,
+            // unless the instant before it planned on a copy.
             let early = world
                 .listed
                 .iter()
                 .any(|&w| world.workers.get(w).on().0 > world.now);
-            if !may_rescan && !early {
+            let linked = !std::mem::replace(&mut after_copy, world.phantom.is_some());
+            if !may_rescan && !early && linked {
                 for report in reports {
                     prop_assert_eq!(report.workers_rescanned, 0, "{}", label);
                 }
@@ -444,22 +473,51 @@ fn a_worker_mutated_behind_the_planners_back_is_rescanned() {
     }
 }
 
-/// The layer assumes an ascending worker list and a clock that never runs
-/// backwards; given neither it falls back to scanning, not to stale lists.
+/// Pass marks do not care about the order of the worker list: a reversed
+/// one still equals cold, and carries every list over. A clock running backwards is
+/// not trusted: the pass scans everyone.
 #[test]
-fn unsorted_lists_and_a_clock_running_backwards_fall_back_to_scanning() {
+fn unsorted_lists_still_equal_cold_and_a_clock_running_backwards_rescans() {
     let mut world = scene();
     let mut warm = warm_planners();
     world.now = 50.0;
     plan_and_check(&world, &mut warm, "warm-up");
     world.listed.reverse();
     for report in plan_and_check(&world, &mut warm, "reversed").expect("planned") {
-        assert_eq!(report.workers_rescanned, 4);
+        assert_eq!(report.workers_rescanned, 0);
     }
     world.listed.reverse();
     plan_and_check(&world, &mut warm, "ascending again");
     world.now = 10.0;
     for report in plan_and_check(&world, &mut warm, "earlier instant").expect("planned") {
         assert_eq!(report.workers_rescanned, 4);
+    }
+}
+
+/// An instant planned on a copy — ids dense from zero, a predicted task
+/// appended — between two live passes. The copy's ids name other tasks than
+/// the live store's, and the task that arrives after it takes the id the
+/// prediction had on the copy: had the live pass linked to the copy pass,
+/// that arrival would pass for old, and the far worker, which reaches it
+/// and nothing on the copy, would keep an empty list.
+#[test]
+fn a_live_pass_after_a_copy_store_pass_equals_cold() {
+    let mut world = scene();
+    let mut warm = warm_planners();
+    plan_and_check(&world, &mut warm, "live");
+    world.apply(&WorldEvent::CopyInstant { x: 0, y: 8 });
+    assert_eq!(
+        plan_and_check(&world, &mut warm, "copy").map(|r| r.len()),
+        Some(0)
+    );
+    world.apply(&WorldEvent::TaskArrives {
+        x: 8,
+        y: 8,
+        valid: 300.0,
+    });
+    assert_eq!(world.open.last(), Some(&TaskId(3)), "the prediction's id");
+    for report in plan_and_check(&world, &mut warm, "live after copy").expect("planned") {
+        assert_eq!(report.workers_rescanned, 4);
+        assert_eq!(report.reach_live, 4, "the far worker included");
     }
 }
