@@ -1,14 +1,15 @@
 //! The adaptive streaming algorithm (Algorithm 3) and the five evaluated
 //! assignment policies (§V-B.2).
 //!
-//! The runner consumes a time-ordered stream of worker and task arrivals,
-//! re-plans according to the selected policy, dispatches the first task of
-//! each idle worker's planned sequence, and tracks the two metrics the paper
+//! The runner's state machine ([`RunnerState`]) consumes worker and task
+//! arrivals and retirements, re-plans according to the selected policy at the
+//! time instances its driver steps it to, dispatches the first task of each
+//! idle worker's planned sequence, and tracks the two metrics the paper
 //! reports: the total number of assigned tasks and the CPU time spent planning
 //! at each time instance.
 
 use crate::config::AssignConfig;
-use crate::forecast::{ForecastProvider, ForecastStats, StaticForecast};
+use crate::forecast::{ForecastProvider, ForecastStats};
 use crate::planner::{Planner, PlanningReport, SearchMode};
 use crate::tvf::{TaskValueFunction, TvfInference};
 use datawa_core::{
@@ -71,26 +72,6 @@ impl PolicyKind {
             PolicyKind::DtaTp,
             PolicyKind::DataWa,
         ]
-    }
-}
-
-/// One arrival in the input stream.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ArrivalEvent {
-    /// A worker comes online.
-    Worker(Worker),
-    /// A task is published.
-    Task(Task),
-}
-
-impl ArrivalEvent {
-    /// The time at which the arrival happens (worker online time or task
-    /// publication time).
-    pub fn time(&self) -> Timestamp {
-        match self {
-            ArrivalEvent::Worker(w) => w.on(),
-            ArrivalEvent::Task(t) => t.publication,
-        }
     }
 }
 
@@ -183,10 +164,6 @@ pub struct AdaptiveRunner {
     /// How far ahead of `now` predicted tasks are allowed to influence
     /// planning.
     pub prediction_lookahead: Duration,
-    /// Re-plan every `replan_every` events (1 = every event, the paper's
-    /// setting; larger values trade assignment quality for speed on large
-    /// traces).
-    pub replan_every: usize,
     /// Observability registry every run state records into. Defaults to
     /// [`MetricsRegistry::from_env`] (`DATAWA_OBS=on` attaches it, anything
     /// else leaves it detached and every recording a no-op); override with
@@ -235,11 +212,11 @@ enum Lane {
     Pending,
     /// In the idle list: window open, not travelling.
     Idle,
-    /// Retired, or its window closed at a step. Out for good.
+    /// Retired. Out for good.
     Gone,
 }
 
-/// A worker's wake-up time in one of [`Lifecycle`]'s min-heaps.
+/// A worker's wake-up time in [`Lifecycle`]'s min-heap.
 #[derive(Debug, Clone, Copy)]
 struct Wake {
     at: Timestamp,
@@ -296,10 +273,10 @@ fn push_wake(heap: &mut BinaryHeap<Wake>, at: Timestamp, worker: WorkerId) {
 /// `max(on, busy_until)` — both known when they are set, at insertion and at
 /// each dispatch, which push the due time on a min-heap. A step pops every
 /// wake-up at or before `now` into the ascending idle list (a gone worker's
-/// is stale and skipped). A second heap of `off` times retires, at the first
-/// step at or after it, a worker whose window has closed (an infinite window
-/// never fires), and `RunnerState::retire_worker` retires one directly.
-/// After [`Lifecycle::advance`] the idle list holds exactly the workers not
+/// is stale and skipped, and one whose window is already over by then is not
+/// admitted). A window closes by `RunnerState::retire_worker`, which the
+/// driver calls at or before its first step at or after `off`. After
+/// [`Lifecycle::advance`] the idle list then holds exactly the workers not
 /// retired, inside their window at `now`, and with `busy_until <= now`;
 /// `in_view` counts the workers not retired.
 ///
@@ -314,8 +291,6 @@ struct Lifecycle {
     idle: Vec<WorkerId>,
     /// Due times of pending workers (and stale ones of gone workers).
     due: BinaryHeap<Wake>,
-    /// `off` times of workers not yet gone.
-    closing: BinaryHeap<Wake>,
     /// Workers not gone (`RunnerState::available_candidates`).
     in_view: usize,
     /// The instant of the latest [`Lifecycle::advance`].
@@ -328,7 +303,6 @@ impl Default for Lifecycle {
             lanes: Vec::new(),
             idle: Vec::new(),
             due: BinaryHeap::new(),
-            closing: BinaryHeap::new(),
             in_view: 0,
             now: Timestamp(f64::NEG_INFINITY),
         }
@@ -342,7 +316,6 @@ impl Lifecycle {
         self.lanes.push(Lane::Pending);
         self.in_view += 1;
         push_wake(&mut self.due, worker.on(), id);
-        push_wake(&mut self.closing, worker.off(), id);
     }
 
     /// A worker leaves for good (no-op if it already has).
@@ -371,21 +344,14 @@ impl Lifecycle {
         }
     }
 
-    /// Brings the idle list to `now`: closes the windows that have ended,
-    /// then wakes every pending worker due by `now`.
+    /// Brings the idle list to `now`: wakes every pending worker due by
+    /// `now`.
     fn advance(&mut self, now: Timestamp, workers: &WorkerStore, runtime: &[WorkerRuntime]) {
         if now.0.is_nan() || now.0 < self.now.0 {
             self.rebuild(now, workers, runtime);
             return;
         }
         self.now = now;
-        while let Some(&Wake { at, worker }) = self.closing.peek() {
-            if at.0 > now.0 {
-                break;
-            }
-            self.closing.pop();
-            self.retire(worker);
-        }
         while let Some(&Wake { at, worker }) = self.due.peek() {
             if at.0 > now.0 {
                 break;
@@ -404,7 +370,8 @@ impl Lifecycle {
                     .to_bits(),
                 at.0.to_bits()
             );
-            // A NaN `off` never closes and never admits anyone.
+            // A window empty or already over at insertion is never admitted;
+            // a NaN `off` admits no one either.
             if now.0 < w.off().0 {
                 self.lanes[worker.index()] = Lane::Idle;
                 let at = self.idle.partition_point(|&w| w < worker);
@@ -413,26 +380,19 @@ impl Lifecycle {
         }
     }
 
-    /// Re-derives every lane, the idle list and both heaps at `now` in one
-    /// walk (a step that went back in time). Gone stays gone: a window that
-    /// closed at an earlier step does not reopen.
+    /// Re-derives every lane, the idle list and the due heap at `now` in one
+    /// walk (a step that went back in time). Gone stays gone: a window closed
+    /// at an earlier instant does not reopen.
     fn rebuild(&mut self, now: Timestamp, workers: &WorkerStore, runtime: &[WorkerRuntime]) {
         self.now = now;
         self.idle.clear();
         self.due.clear();
-        self.closing.clear();
         for (slot, lane) in self.lanes.iter_mut().enumerate() {
             if *lane == Lane::Gone {
                 continue;
             }
             let id = WorkerId(slot as u32);
             let w = workers.get(id);
-            if now.0 >= w.off().0 {
-                *lane = Lane::Gone;
-                self.in_view -= 1;
-                continue;
-            }
-            push_wake(&mut self.closing, w.off(), id);
             let busy_until = runtime[slot].busy_until;
             if w.window.contains(now) && busy_until.0 <= now.0 {
                 *lane = Lane::Idle;
@@ -564,7 +524,6 @@ impl AdaptiveRunner {
             policy,
             tvf: None,
             prediction_lookahead: Duration::from_secs(60.0),
-            replan_every: 1,
             obs: MetricsRegistry::from_env(),
         }
     }
@@ -612,17 +571,16 @@ impl AdaptiveRunner {
         planner.with_metrics(&self.obs)
     }
 
-    /// Opens a stepwise run: the caller feeds arrivals and time instances
-    /// itself (this is the entry point the `datawa-stream` discrete-event
-    /// engine drives; [`AdaptiveRunner::run`] is a thin synchronous loop over
-    /// the same state machine).
+    /// Opens a stepwise run: the caller feeds arrivals, retirements and time
+    /// instances itself, under the contract [`RunnerState`] states. The
+    /// `datawa-stream` session is that driver.
     ///
     /// `forecast` is the run's demand-prediction source: every inserted task
     /// is routed into it through [`ForecastProvider::observe`], and the
     /// prediction-aware policies re-query [`ForecastProvider::forecast`] at
     /// every planning instant. Wrap a precomputed slice in
-    /// [`StaticForecast`] to reproduce the pre-redesign fixed-oracle
-    /// behaviour bit for bit.
+    /// [`StaticForecast`](crate::StaticForecast) to reproduce the
+    /// pre-redesign fixed-oracle behaviour bit for bit.
     ///
     /// The state is generic over the provider so `Send` providers yield
     /// `Send` states (a per-tenant pump may own one on its own thread);
@@ -651,34 +609,6 @@ impl AdaptiveRunner {
             open_tasks: Vec::new(),
             unfixed_idle: Vec::new(),
         }
-    }
-
-    /// Runs the policy over a time-ordered arrival stream (the legacy
-    /// synchronous driver: one time instance per arrival).
-    ///
-    /// `predicted` holds the output of the demand-prediction component
-    /// (wrapped in a [`StaticForecast`] internally); it is ignored by the
-    /// policies that do not use prediction.
-    pub fn run(&self, events: &[ArrivalEvent], predicted: &[PredictedTaskInput]) -> RunOutcome {
-        let mut events: Vec<ArrivalEvent> = events.to_vec();
-        events.sort_by(|a, b| datawa_core::time::cmp_timestamps(a.time(), b.time()));
-
-        let mut forecast = StaticForecast::from_slice(predicted);
-        let mut state = self.start(&mut forecast);
-        for (event_index, event) in events.iter().enumerate() {
-            let now = event.time();
-            state.record_event();
-            match event {
-                ArrivalEvent::Worker(w) => {
-                    state.insert_worker(*w);
-                }
-                ArrivalEvent::Task(t) => {
-                    state.insert_task(*t);
-                }
-            }
-            state.step(now, event_index % self.replan_every.max(1) == 0);
-        }
-        state.finish()
     }
 }
 
@@ -721,27 +651,29 @@ enum PlanningEntry {
     },
 }
 
-/// The live state of one streaming run, exposed stepwise so that external
-/// drivers (the synchronous [`AdaptiveRunner::run`] loop and the
-/// `datawa-stream` discrete-event engine) share one implementation of
-/// Algorithm 3.
+/// The live state of one streaming run of Algorithm 3, exposed stepwise to
+/// its driver (the `datawa-stream` session).
 ///
 /// A driver feeds the state machine three kinds of inputs:
 ///
 /// * **arrivals** — [`RunnerState::insert_worker`] / [`RunnerState::insert_task`];
 /// * **retirements** — [`RunnerState::expire_task`] /
 ///   [`RunnerState::retire_worker`], which update the open-task view and the
-///   worker lifecycle in `O(log n)` (drivers without such events may skip
-///   them: expired tasks and closed windows are also pruned at steps);
+///   worker lifecycle in `O(log n)`;
 /// * **time instances** — [`RunnerState::step`], which optionally re-plans
 ///   (the batched-replan entry point) and then dispatches idle workers.
 ///
+/// The contract: a driver retires a worker at or before its first step at
+/// or after the worker's `off`. A step does not close windows itself: a
+/// worker the driver keeps past `off` stays in the idle list. Expiring a task
+/// is optional: a step prunes expired tasks lazily from the open view.
+///
 /// A step costs what changed, not the number of workers. The idle workers
-/// are kept by events (see `Lifecycle`: due-time and window-close heaps, an
-/// ascending idle list), and dispatch and plan-apply visit only the *armed*
-/// workers — those holding a plan or a positioning hold, usually none
-/// between instants — since a worker with neither has nothing to dispatch
-/// and nothing for a new plan to clear.
+/// are kept by events (see `Lifecycle`: a due-time heap, an ascending idle
+/// list), and dispatch and plan-apply visit only the *armed* workers — those
+/// holding a plan or a positioning hold, usually none between instants —
+/// since a worker with neither has nothing to dispatch and nothing for a new
+/// plan to clear.
 pub struct RunnerState<'a, F: ForecastProvider + ?Sized = dyn ForecastProvider + 'a> {
     runner: &'a AdaptiveRunner,
     forecast: &'a mut F,
@@ -772,7 +704,7 @@ pub struct RunnerState<'a, F: ForecastProvider + ?Sized = dyn ForecastProvider +
 
 impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
     /// Counts one arrival event in the outcome (drivers call this once per
-    /// worker/task arrival so [`RunOutcome::events`] matches the legacy loop).
+    /// worker/task arrival, which is what [`RunOutcome::events`] counts).
     #[inline]
     pub fn record_event(&mut self) {
         self.outcome.events += 1;
@@ -785,8 +717,8 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
         self.open_view.len()
     }
 
-    /// Number of workers neither retired nor pruned at a step for a closed
-    /// window (idle, busy, or not yet in their window).
+    /// Number of workers not retired (idle, busy, or not yet in their
+    /// window).
     #[inline]
     pub fn available_candidates(&self) -> usize {
         self.life.in_view
@@ -825,7 +757,7 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
     /// Inserts an arriving task and returns its dense id. The arrival is
     /// also routed into the run's [`ForecastProvider`] so an online
     /// forecaster's occurrence history tracks the live stream (a no-op
-    /// beyond counting for [`StaticForecast`]).
+    /// beyond counting for [`StaticForecast`](crate::StaticForecast)).
     pub fn insert_task(&mut self, task: Task) -> TaskId {
         self.forecast.observe(task.publication, &task);
         let id = self.tasks.insert(task);
@@ -846,15 +778,14 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
         self.open_view.remove(id)
     }
 
-    /// Takes a worker offline for good (called by event-driven drivers when
-    /// the offline event fires).
+    /// Takes a worker offline for good: this is how its availability window
+    /// closes (the session calls it when the worker's offline event fires at
+    /// `off`; see the driver contract on [`RunnerState`]).
     ///
     /// With `release_plan`, the worker's undone planned tasks are released:
     /// its remaining sequence is cleared and, under FTA, the tasks return to
-    /// the unreserved pool so later fixed plans may claim them. The legacy
-    /// synchronous driver never releases (FTA reservations are permanent
-    /// there), which is why this is a flag and not the default behaviour of
-    /// going offline.
+    /// the unreserved pool so later fixed plans may claim them. Without it,
+    /// FTA reservations are permanent.
     pub fn retire_worker(&mut self, id: WorkerId, release_plan: bool) {
         self.life.retire(id);
         self.workers.get_mut(id).mode = WorkerMode::Offline;
@@ -1240,9 +1171,17 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forecast::StaticForecast;
 
-    fn worker(x: f64, y: f64, on: f64, off: f64, d: f64) -> ArrivalEvent {
-        ArrivalEvent::Worker(Worker::new(
+    /// One arrival of a test stream.
+    #[derive(Debug, Clone, Copy)]
+    enum Arrival {
+        Worker(Worker),
+        Task(Task),
+    }
+
+    fn worker(x: f64, y: f64, on: f64, off: f64, d: f64) -> Arrival {
+        Arrival::Worker(Worker::new(
             WorkerId(0),
             Location::new(x, y),
             d,
@@ -1251,8 +1190,8 @@ mod tests {
         ))
     }
 
-    fn task(x: f64, y: f64, p: f64, e: f64) -> ArrivalEvent {
-        ArrivalEvent::Task(Task::new(
+    fn task(x: f64, y: f64, p: f64, e: f64) -> Arrival {
+        Arrival::Task(Task::new(
             TaskId(0),
             Location::new(x, y),
             Timestamp(p),
@@ -1261,7 +1200,7 @@ mod tests {
     }
 
     /// A compact stream where a single worker can serve two nearby tasks.
-    fn simple_stream() -> Vec<ArrivalEvent> {
+    fn simple_stream() -> Vec<Arrival> {
         vec![
             worker(0.0, 0.0, 0.0, 100.0, 5.0),
             task(1.0, 0.0, 1.0, 50.0),
@@ -1273,9 +1212,54 @@ mod tests {
         AdaptiveRunner::new(AssignConfig::unit_speed(), policy)
     }
 
+    fn insert(state: &mut RunnerState<'_, impl ForecastProvider>, arrival: Arrival) {
+        match arrival {
+            Arrival::Worker(w) => {
+                state.insert_worker(w);
+            }
+            Arrival::Task(t) => {
+                state.insert_task(t);
+            }
+        }
+    }
+
+    /// Retires every worker not gone whose window has closed by `now`, as a
+    /// session does when the worker's offline event fires.
+    fn retire_closed(state: &mut RunnerState<'_, impl ForecastProvider>, now: Timestamp) {
+        for slot in 0..state.runtime.len() {
+            let id = WorkerId(slot as u32);
+            if state.life.lanes[slot] != Lane::Gone && now.0 >= state.workers.get(id).off().0 {
+                state.retire_worker(id, true);
+            }
+        }
+    }
+
+    /// Drives a time-ordered `stream` the way a session replanning at every
+    /// arrival does: retire the closed windows, insert the arrival, step to
+    /// its time.
+    fn run(
+        runner: &AdaptiveRunner,
+        stream: &[Arrival],
+        predicted: &[PredictedTaskInput],
+    ) -> RunOutcome {
+        let mut forecast = StaticForecast::from_slice(predicted);
+        let mut state = runner.start(&mut forecast);
+        for &arrival in stream {
+            let now = match arrival {
+                Arrival::Worker(w) => w.on(),
+                Arrival::Task(t) => t.publication,
+            };
+            retire_closed(&mut state, now);
+            state.record_event();
+            insert(&mut state, arrival);
+            state.step(now, true);
+        }
+        state.finish()
+    }
+
     #[test]
     fn greedy_serves_reachable_tasks() {
-        let outcome = runner(PolicyKind::Greedy).run(&simple_stream(), &[]);
+        let outcome = run(&runner(PolicyKind::Greedy), &simple_stream(), &[]);
         assert_eq!(outcome.assigned_tasks, 2);
         assert_eq!(outcome.events, 3);
         assert!(outcome.planning_calls > 0);
@@ -1284,8 +1268,8 @@ mod tests {
 
     #[test]
     fn dta_serves_at_least_as_many_as_greedy_here() {
-        let g = runner(PolicyKind::Greedy).run(&simple_stream(), &[]);
-        let d = runner(PolicyKind::Dta).run(&simple_stream(), &[]);
+        let g = run(&runner(PolicyKind::Greedy), &simple_stream(), &[]);
+        let d = run(&runner(PolicyKind::Dta), &simple_stream(), &[]);
         assert!(d.assigned_tasks >= g.assigned_tasks);
     }
 
@@ -1293,7 +1277,7 @@ mod tests {
     fn fta_pins_a_single_fixed_sequence_per_worker() {
         // The worker receives its fixed plan at the first instant tasks are
         // available and then serves them in order.
-        let outcome = runner(PolicyKind::Fta).run(&simple_stream(), &[]);
+        let outcome = run(&runner(PolicyKind::Fta), &simple_stream(), &[]);
         assert!(outcome.assigned_tasks >= 1);
         // The fixed plan is never revised: a task published *after* the plan
         // was pinned (and not in it) is missed even though the worker could
@@ -1303,8 +1287,8 @@ mod tests {
             task(1.0, 0.0, 1.0, 50.0),
             task(-1.0, 0.0, 30.0, 90.0),
         ];
-        let fta = runner(PolicyKind::Fta).run(&stream, &[]);
-        let dta = runner(PolicyKind::Dta).run(&stream, &[]);
+        let fta = run(&runner(PolicyKind::Fta), &stream, &[]);
+        let dta = run(&runner(PolicyKind::Dta), &stream, &[]);
         assert!(dta.assigned_tasks >= fta.assigned_tasks);
     }
 
@@ -1314,7 +1298,7 @@ mod tests {
             worker(0.0, 0.0, 0.0, 100.0, 5.0),
             task(4.0, 0.0, 1.0, 2.0), // expires before the worker can arrive
         ];
-        let outcome = runner(PolicyKind::Dta).run(&stream, &[]);
+        let outcome = run(&runner(PolicyKind::Dta), &stream, &[]);
         assert_eq!(outcome.assigned_tasks, 0);
     }
 
@@ -1324,7 +1308,7 @@ mod tests {
             worker(0.0, 0.0, 0.0, 1.5, 5.0), // goes offline at t=1.5
             task(3.0, 0.0, 1.0, 50.0),       // 3 s away
         ];
-        let outcome = runner(PolicyKind::Dta).run(&stream, &[]);
+        let outcome = run(&runner(PolicyKind::Dta), &stream, &[]);
         assert_eq!(outcome.assigned_tasks, 0);
     }
 
@@ -1342,7 +1326,7 @@ mod tests {
             publication: Timestamp(5.0),
             expiration: Timestamp(80.0),
         }];
-        let outcome = runner(PolicyKind::DtaTp).run(&stream, &predicted);
+        let outcome = run(&runner(PolicyKind::DtaTp), &stream, &predicted);
         assert_eq!(outcome.assigned_tasks, 1, "only real tasks count");
     }
 
@@ -1350,7 +1334,7 @@ mod tests {
     fn data_wa_runs_with_a_trained_tvf() {
         let tvf = TaskValueFunction::new(8, 0);
         let r = runner(PolicyKind::DataWa).with_tvf(tvf);
-        let outcome = r.run(&simple_stream(), &[]);
+        let outcome = run(&r, &simple_stream(), &[]);
         // Even an untrained TVF must yield a feasible (if suboptimal) run.
         assert!(outcome.assigned_tasks <= 2);
         assert!(outcome.planning_calls > 0);
@@ -1359,7 +1343,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "requires a trained TVF")]
     fn data_wa_without_tvf_panics() {
-        let _ = runner(PolicyKind::DataWa).run(&simple_stream(), &[]);
+        let _ = run(&runner(PolicyKind::DataWa), &simple_stream(), &[]);
     }
 
     /// A forecast that predicts `0` at its first query and nothing after.
@@ -1380,17 +1364,6 @@ mod tests {
         }
         fn stats(&self) -> ForecastStats {
             ForecastStats::default()
-        }
-    }
-
-    fn insert(state: &mut RunnerState<'_, impl ForecastProvider>, event: ArrivalEvent) {
-        match event {
-            ArrivalEvent::Worker(w) => {
-                state.insert_worker(w);
-            }
-            ArrivalEvent::Task(t) => {
-                state.insert_task(t);
-            }
         }
     }
 
@@ -1472,9 +1445,8 @@ mod tests {
         }];
         let phantom_instants = |policy: PolicyKind| {
             let registry = MetricsRegistry::new();
-            let outcome = runner(policy)
-                .with_metrics(registry.clone())
-                .run(&stream, &predicted);
+            let runner = runner(policy).with_metrics(registry.clone());
+            let outcome = run(&runner, &stream, &predicted);
             assert_eq!(outcome.planning_calls, 3);
             registry.snapshot().counters["assign.phantom_instants"]
         };
@@ -1499,10 +1471,10 @@ mod tests {
     /// some dispatches travel nowhere), windows opening in the future or
     /// never closing, retirements with and without release, expirations,
     /// and steps that repeat or go back in time. Before every step the
-    /// maintained idle list must equal the rule the available-worker view
-    /// applied — in the view (inserted, not retired, not pruned at a step
-    /// for a closed window), inside the window at `now`, `busy_until <= now`
-    /// — and `available_candidates()` the view's size. After every step the
+    /// windows closed by `now` are retired, and the maintained idle list
+    /// must equal the rule the available-worker view applied — in the view
+    /// (inserted, not retired), inside the window at `now`,
+    /// `busy_until <= now` — and `available_candidates()` the view's size. After every step the
     /// armed list must hold every live worker with a plan or a hold.
     fn random_lifecycle(policy: PolicyKind, seed: u64, edges: &mut Edges) {
         use rand::prelude::*;
@@ -1582,7 +1554,9 @@ mod tests {
             last_now = now;
             let now = Timestamp(now);
 
-            // The reference view prunes closed windows at every step.
+            // Closed windows are retired before the step, as a session does
+            // when the offline events fire, and leave the reference view.
+            retire_closed(&mut state, now);
             view.retain(|&w| now.0 < state.workers.get(w).off().0);
             let expected: Vec<WorkerId> = view
                 .iter()

@@ -62,8 +62,7 @@ pub mod sequences;
 pub mod tvf;
 
 pub use adaptive::{
-    AdaptiveRunner, ArrivalEvent, DispatchRecord, PolicyKind, PredictedTaskInput, RunOutcome,
-    RunnerState,
+    AdaptiveRunner, DispatchRecord, PolicyKind, PredictedTaskInput, RunOutcome, RunnerState,
 };
 pub use config::AssignConfig;
 pub use forecast::{ForecastProvider, ForecastStats, StaticForecast};

@@ -240,14 +240,14 @@ impl WorkerStore {
 /// finding the open tasks at a planning instant costs `O(|open|)` instead of a
 /// full `O(|all tasks|)` rescan: arrivals [`OpenTaskView::insert`] in
 /// `O(log n)`, expirations and served tasks [`OpenTaskView::remove`] in
-/// `O(log n)`, and iteration yields ids in ascending order — exactly the
-/// order the legacy full-scan loops produced, which keeps planning inputs
-/// (and therefore assignment outputs) identical between the two drivers.
+/// `O(log n)`, and iteration yields ids in ascending order — the same order
+/// a full scan of the store gives, so planning inputs do not depend on how
+/// the view was maintained.
 ///
-/// The view is a *candidate* set: a caller that has no expiration events
-/// (the legacy synchronous loop) may leave expired tasks in the view and
-/// filter them with [`Task::is_open_at`] while iterating; an event-driven
-/// caller removes them eagerly when the expiration event fires.
+/// The view is a *candidate* set: a task whose expiration event has not
+/// fired yet may still be in it, so readers filter with [`Task::is_open_at`]
+/// while iterating ([`OpenTaskView::open_at_into`] also drops what it
+/// filters); the expiration event removes it eagerly.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct OpenTaskView {
     open: BTreeSet<TaskId>,
@@ -298,7 +298,7 @@ impl OpenTaskView {
 
     /// The ids (ascending) of tasks that are really open at `now`, removing
     /// from the view every candidate whose lifetime has already ended (lazy
-    /// expiration for callers without expiration events).
+    /// expiration, ahead of its expiration event).
     pub fn open_at(&mut self, store: &TaskStore, now: Timestamp) -> Vec<TaskId> {
         let mut open = Vec::with_capacity(self.open.len());
         self.open_at_into(store, now, &mut open);

@@ -3,11 +3,10 @@
 //! DTA+TP, DATA-WA) while sweeping |S|, |W|, the reachable distance `d`, the
 //! availability window `off − on` and the task valid time `e − p`.
 //!
-//! Since the `datawa-stream` migration every sweep runs on the discrete-event
-//! engine (in replay-compatible mode, so the reported numbers are identical
-//! to the legacy synchronous driver at `replan_every = 1`); the
+//! Every run is one `datawa-stream` session over the trace (through
+//! `datawa_sim::run_policy`), re-planning at every arrival by default; the
 //! `DATAWA_REPLAN` / `DATAWA_REPLAN_DT` environment variables expose the
-//! engine's event- and time-batched re-planning to every binary.
+//! session's event- and time-batched re-planning to every binary.
 
 use crate::params::{Dataset, ExperimentScale};
 use datawa_assign::PolicyKind;

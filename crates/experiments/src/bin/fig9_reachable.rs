@@ -1,7 +1,7 @@
 //! Regenerates Fig. 9: task assignment vs reachable distance d (km) — number of assigned
 //! tasks and CPU time per time instance for Greedy, FTA, DTA, DTA+TP and
 //! DATA-WA, on both datasets. The sweep is driven by the `datawa-stream`
-//! discrete-event engine in replay-compatible mode (`DATAWA_REPLAN` /
+//! session engine, one session per run (`DATAWA_REPLAN` /
 //! `DATAWA_REPLAN_DT` select event- or time-batched re-planning).
 
 use datawa_experiments::{

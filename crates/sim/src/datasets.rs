@@ -8,7 +8,6 @@
 //! demand is) with availability windows and reachable distances drawn from
 //! the Table III parameter grid.
 
-use datawa_assign::ArrivalEvent;
 use datawa_core::{
     BoundingBox, Duration, Location, Task, TaskId, TaskStore, Timestamp, Worker, WorkerId,
     WorkerStore,
@@ -252,25 +251,10 @@ impl SyntheticTrace {
         }
     }
 
-    /// The time-ordered arrival-event stream over the evaluation horizon
-    /// (workers + tasks), as consumed by the adaptive runner.
-    pub fn events(&self) -> Vec<ArrivalEvent> {
-        let mut events: Vec<ArrivalEvent> = self
-            .workers
-            .iter()
-            .map(|w| ArrivalEvent::Worker(*w))
-            .chain(self.tasks.iter().map(|t| ArrivalEvent::Task(*t)))
-            .collect();
-        events.sort_by(|a, b| datawa_core::time::cmp_timestamps(a.time(), b.time()));
-        events
-    }
-
     /// The replay adapter: the trace's evaluation-horizon workers and tasks
-    /// as a `datawa-stream` workload, so the discrete-event engine can drive
-    /// the exact stream the legacy synchronous loop consumed. Workers precede
-    /// tasks and both keep their dense-id order, matching the stable sort in
-    /// [`SyntheticTrace::events`], so an engine run under
-    /// `EngineConfig::replay_compat` reproduces the legacy assignment totals.
+    /// as a `datawa-stream` workload for a session to ingest. Workers precede
+    /// tasks and both keep their dense-id order, which is the order same-time
+    /// arrivals of one class fire in.
     pub fn workload(&self) -> datawa_stream::Workload {
         datawa_stream::Workload {
             workers: self.workers.iter().copied().collect(),
@@ -346,16 +330,6 @@ mod tests {
             assert!((w.reachable_distance - 0.5).abs() < 1e-9);
             assert!((w.window.length().seconds() - spec.available_time).abs() < 1e-9);
             assert!(trace.area.contains(&w.location));
-        }
-    }
-
-    #[test]
-    fn events_are_time_ordered_and_complete() {
-        let trace = SyntheticTrace::generate(TraceSpec::yueche().scaled(0.02));
-        let events = trace.events();
-        assert_eq!(events.len(), trace.tasks.len() + trace.workers.len());
-        for pair in events.windows(2) {
-            assert!(pair[0].time().0 <= pair[1].time().0);
         }
     }
 

@@ -19,8 +19,6 @@ pub mod datasets;
 pub mod pipeline;
 
 pub use datasets::{SyntheticTrace, TraceSpec};
-#[allow(deprecated)] // re-exported so the equivalence tests can reach the oracle
-pub use pipeline::run_policy_legacy;
 pub use pipeline::{
     build_series, online_forecaster, prediction_grid, run_policy, run_policy_with_forecast,
     run_prediction, train_tvf_on_prefix, PipelineConfig, PolicyRunSummary, PredictionRunSummary,

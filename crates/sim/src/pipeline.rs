@@ -42,9 +42,8 @@ pub struct PipelineConfig {
     pub assign: AssignConfig,
     /// Re-plan every N arrival events (1 = the paper's setting).
     pub replan_every: usize,
-    /// Additionally re-plan every Δt simulated seconds through the
-    /// discrete-event engine's replan ticks (`None` = arrival-driven only,
-    /// which keeps engine runs bit-identical to the legacy driver).
+    /// Additionally re-plan every Δt simulated seconds through the session's
+    /// replan ticks (`None` = arrival-driven only, the paper's setting).
     pub replan_interval: Option<f64>,
     /// Number of planning instants sampled for TVF training data collection.
     pub tvf_training_instants: usize,
@@ -211,7 +210,6 @@ fn build_runner(
     config: &PipelineConfig,
 ) -> AdaptiveRunner {
     let mut runner = AdaptiveRunner::new(config.assign, policy);
-    runner.replan_every = config.replan_every;
     if policy == PolicyKind::DataWa {
         let tvf = tvf.unwrap_or_else(|| train_tvf_on_prefix(trace, config));
         runner = runner.with_tvf(tvf);
@@ -232,9 +230,10 @@ fn summarize(policy: PolicyKind, outcome: &datawa_assign::RunOutcome) -> PolicyR
 }
 
 /// Runs one assignment policy over the trace's arrival stream through the
-/// `datawa-stream` session API (replay-compatible configuration, so the
-/// reported numbers match the retired synchronous driver at the same
-/// `replan_every`): open a session, ingest the whole replay workload, drain.
+/// `datawa-stream` session API — re-planning every
+/// [`PipelineConfig::replan_every`] arrivals (and every
+/// [`PipelineConfig::replan_interval`] seconds, if set): open a session,
+/// ingest the whole replay workload, drain.
 ///
 /// `predicted` is only consulted by the prediction-aware policies; `tvf` is
 /// required by DATA-WA (trained on the fly via [`train_tvf_on_prefix`] when
@@ -263,9 +262,12 @@ pub fn run_policy_with_forecast(
     config: &PipelineConfig,
 ) -> PolicyRunSummary {
     let runner = build_runner(trace, policy, tvf, config);
+    // An FTA worker's fixed plan stays reserved after it leaves: the
+    // reported figure numbers have always been measured that way.
     let engine_config = EngineConfig {
         replan_interval: config.replan_interval,
-        ..EngineConfig::replay_compat(config.replan_every)
+        release_on_offline: false,
+        ..EngineConfig::batched(config.replan_every)
     };
     let mut session = Session::open(&runner, forecast, engine_config);
     session
@@ -311,30 +313,6 @@ pub fn online_forecaster(
     );
     forecaster.warm_up(&trace.history_tasks);
     forecaster
-}
-
-/// Runs one assignment policy through the legacy synchronous
-/// loop-over-sorted-arrivals driver.
-///
-/// Deprecated: the session API ([`run_policy`] /
-/// [`datawa_stream::Session`]) is the single supported driver. This function
-/// survives only as the independent oracle the replay-equivalence tests
-/// compare the engine against; do not build new code on it.
-#[deprecated(
-    since = "0.1.0",
-    note = "drive policies through the session API (`run_policy`); kept only as the \
-            equivalence oracle for tests"
-)]
-pub fn run_policy_legacy(
-    trace: &SyntheticTrace,
-    policy: PolicyKind,
-    predicted: &[PredictedTaskInput],
-    tvf: Option<TaskValueFunction>,
-    config: &PipelineConfig,
-) -> PolicyRunSummary {
-    let runner = build_runner(trace, policy, tvf, config);
-    let outcome = runner.run(&trace.events(), predicted);
-    summarize(policy, &outcome)
 }
 
 #[cfg(test)]
@@ -407,30 +385,37 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the deprecated legacy loop is the oracle here
     fn engine_replay_matches_the_legacy_driver_exactly() {
-        // The acceptance bar for the discrete-event engine: replaying the
-        // trace through the engine in replay-compat mode must reproduce the
-        // legacy loop's assignment totals for every non-predictive policy,
-        // at per-arrival re-planning and at a coarser batching alike.
+        // `(replan_every, policy, assigned_tasks, events)` of the retired
+        // synchronous driver, written while it and `run_policy` still ran
+        // side by side and agreed: per-arrival re-planning and a coarser
+        // batching alike.
+        const LEGACY: [(usize, &str, usize, usize); 6] = [
+            (1, "Greedy", 4, 117),
+            (1, "FTA", 3, 117),
+            (1, "DTA", 4, 117),
+            (4, "Greedy", 1, 117),
+            (4, "FTA", 3, 117),
+            (4, "DTA", 1, 117),
+        ];
         let trace = tiny_trace();
+        let mut rows = Vec::new();
         for replan_every in [1usize, 4] {
             let config = PipelineConfig {
                 replan_every,
                 ..tiny_config()
             };
             for policy in [PolicyKind::Greedy, PolicyKind::Fta, PolicyKind::Dta] {
-                let engine = run_policy(&trace, policy, &[], None, &config);
-                let legacy = run_policy_legacy(&trace, policy, &[], None, &config);
-                assert_eq!(
-                    engine.assigned_tasks,
-                    legacy.assigned_tasks,
-                    "{} diverged at replan_every={replan_every}",
-                    policy.name()
-                );
-                assert_eq!(engine.events, legacy.events);
+                let summary = run_policy(&trace, policy, &[], None, &config);
+                rows.push((
+                    replan_every,
+                    policy.name(),
+                    summary.assigned_tasks,
+                    summary.events,
+                ));
             }
         }
+        assert_eq!(rows, LEGACY);
     }
 
     #[test]

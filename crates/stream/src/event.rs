@@ -17,7 +17,7 @@ pub enum Event {
     WorkerOnline(Worker),
     /// A task is published.
     TaskArrival(Task),
-    /// A batched re-planning instant (scheduled by the engine when a
+    /// A batched re-planning instant (armed by the session when a
     /// time-based replan interval Δt is configured).
     ReplanTick,
 }
@@ -29,9 +29,10 @@ impl Event {
     /// `[p, e)` and availability windows `[on, off)` are half-open: at the
     /// boundary instant the entity is already gone, so its removal must be
     /// visible to any arrival or replan happening at that exact timestamp.
-    /// Worker arrivals precede task arrivals to match the legacy loop's
-    /// stable sort over `workers ++ tasks`, and replan ticks run last so a
-    /// batched plan at time `t` sees everything that arrived at `t`.
+    /// Worker arrivals precede task arrivals, so a task published at the
+    /// instant a worker comes online is planned with that worker already in,
+    /// and replan ticks run last so a batched plan at time `t` sees
+    /// everything that arrived at `t`.
     #[inline]
     pub fn class(&self) -> u8 {
         match self {
@@ -54,7 +55,7 @@ impl Event {
         }
     }
 
-    /// Whether the event is an arrival (the events the legacy driver counts).
+    /// Whether the event is an arrival (the events `RunOutcome::events` counts).
     #[inline]
     pub fn is_arrival(&self) -> bool {
         matches!(self, Event::WorkerOnline(_) | Event::TaskArrival(_))
@@ -153,19 +154,10 @@ impl EventQueue {
         self.heap.is_empty()
     }
 
-    /// The largest number of events pending at once since the last
-    /// [`EventQueue::reset_peak`].
+    /// The largest number of events ever pending at once.
     #[inline]
     pub fn peak_len(&self) -> usize {
         self.peak_len
-    }
-
-    /// Restarts the high-water mark at the current length (the engine calls
-    /// this at the top of every run so per-run stats do not inherit an
-    /// earlier run's peak).
-    #[inline]
-    pub fn reset_peak(&mut self) {
-        self.peak_len = self.heap.len();
     }
 }
 

@@ -1,9 +1,10 @@
 //! # datawa-stream
 //!
 //! An event-driven streaming engine for DATA-WA: the discrete-event substrate
-//! that replaces the synchronous for-loop-over-sorted-arrivals driver with a
-//! deterministic event queue, explicit lifecycle events and batched
-//! re-planning.
+//! that drives the adaptive streaming algorithm (Algorithm 3) over a
+//! deterministic event queue, with explicit lifecycle events and batched
+//! re-planning. Every run — a batch replay, the dispatch service, the network
+//! front-end — is one [`Session`].
 //!
 //! ## Event lifecycle
 //!
@@ -38,14 +39,15 @@
 //!
 //! ## Sessions and live ingest
 //!
-//! The engine's primary entry point is the open-loop [`Session`] API:
+//! The engine's one entry point is the open-loop [`Session`] API:
 //! [`Session::open`] starts a run, [`Session::ingest`] schedules events as
-//! they arrive (a live request front-end feeds this incrementally; the batch
-//! wrapper ingests a whole workload at once), [`Session::advance_to`] moves
-//! simulated time forward firing everything due, and [`Session::close`]
-//! drains the remainder and returns the [`EngineOutcome`]. Assignment
-//! decisions are not buffered until the end of the run: every dispatch (and
-//! every unserved expiration / worker departure) is emitted as a typed
+//! they arrive (a live request front-end feeds this incrementally;
+//! [`run_workload`] ingests a whole workload at once),
+//! [`Session::advance_to`] moves simulated time forward firing everything
+//! due, and [`Session::close`] drains the remainder and returns the
+//! [`EngineOutcome`]. Assignment decisions are not buffered until the end of
+//! the run: every dispatch (and every unserved expiration / worker
+//! departure) is emitted as a typed
 //! [`Decision`] through a pluggable [`DecisionSink`] the moment it is made —
 //! [`CollectingSink`] gathers them in memory, [`ChannelSink`] streams them to
 //! an `mpsc` consumer thread, and [`NullSink`] drops them for totals-only
@@ -55,8 +57,8 @@
 //! Because the deterministic queue orders events by `(time, class, ingest
 //! order)` regardless of when they were ingested, feeding a workload
 //! event-by-event through a session — ingesting each event before advancing
-//! to its timestamp — is bit-identical to the batch [`StreamEngine::run`]
-//! wrapper (pinned by the workspace `session_equivalence` tests; see
+//! to its timestamp — is bit-identical to ingesting it whole through
+//! [`run_workload`] (pinned by the workspace `session_equivalence` tests; see
 //! [`session`] for the exact contract around time-driven replan ticks). The
 //! long-running service loop built on top of sessions (sources, pacing,
 //! backpressure) lives in the `datawa-service` crate.
@@ -85,9 +87,8 @@
 //! ```
 //!
 //! (A compilable end-to-end example lives in the `datawa-predict` crate
-//! docs, which own the model side.) [`run_workload_forecast`] and
-//! [`StreamEngine::run_with_forecast`] are the batch conveniences over the
-//! same API.
+//! docs, which own the model side.) [`run_workload_forecast`] is the batch
+//! convenience over the same API.
 //!
 //! ## Incremental replanning
 //!
@@ -127,15 +128,6 @@
 //!
 //! [`MetricsRegistry`]: datawa_obs::MetricsRegistry
 //!
-//! ## Replay compatibility
-//!
-//! [`EngineConfig::replay_compat`] reproduces the legacy
-//! [`datawa_assign::AdaptiveRunner::run`] loop exactly (same planning
-//! instants, no release-on-offline), so replaying a `datawa-sim` trace
-//! through the engine yields the same assignment totals as the old driver —
-//! that equivalence is what lets the experiment binaries run on the engine
-//! without changing any reported number at `replan_every = 1`.
-//!
 //! ## Scenarios
 //!
 //! [`ScenarioGenerator`] abstracts workload construction; the four built-ins
@@ -151,9 +143,7 @@ pub mod journal;
 pub mod scenario;
 pub mod session;
 
-pub use engine::{
-    run_workload, run_workload_forecast, EngineConfig, EngineOutcome, EngineStats, StreamEngine,
-};
+pub use engine::{run_workload, run_workload_forecast, EngineConfig, EngineOutcome, EngineStats};
 pub use event::{Event, EventQueue, ScheduledEvent};
 pub use journal::{EventJournal, JournalError, JournalRecord, SkipSink};
 pub use scenario::{
@@ -195,7 +185,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_serves_a_simple_stream_like_the_legacy_loop() {
+    fn engine_serves_a_simple_stream() {
         let workload = Workload {
             workers: vec![worker(0.0, 0.0, 0.0, 100.0, 5.0)],
             tasks: vec![task(1.0, 0.0, 1.0, 50.0), task(2.0, 0.0, 2.0, 60.0)],
@@ -257,8 +247,7 @@ mod tests {
         // fixed sequence [A, B] (both east of it), serves A, then goes
         // offline at t=4 with B still undone. With release-on-offline, B
         // returns to the pool and the late-arriving w1 gets it in its own
-        // fixed plan; under replay-compat semantics B stays reserved forever
-        // and is lost.
+        // fixed plan; without it B stays reserved forever and is lost.
         let w0 = worker(0.0, 0.0, 1.0, 4.0, 10.0);
         let w1 = worker(2.5, 0.0, 50.0, 100.0, 10.0);
         let a = task(1.0, 0.0, 0.5, 90.0);
@@ -273,15 +262,18 @@ mod tests {
             &[],
             EngineConfig::default(),
         );
-        let compat = run_workload(
+        let kept = run_workload(
             &runner(PolicyKind::Fta),
             &workload,
             &[],
-            EngineConfig::replay_compat(1),
+            EngineConfig {
+                release_on_offline: false,
+                ..EngineConfig::default()
+            },
         );
         assert_eq!(released.run.assigned_tasks, 2, "B released and re-served");
         assert_eq!(
-            compat.run.assigned_tasks, 1,
+            kept.run.assigned_tasks, 1,
             "B stays reserved by the dead worker"
         );
     }
@@ -355,31 +347,16 @@ mod tests {
     #[should_panic(expected = "replan_interval")]
     fn zero_tick_interval_is_rejected() {
         // A tick that does not advance time would re-arm at the queue head
-        // forever; the constructor must refuse it.
-        let _ = StreamEngine::new(EngineConfig {
-            replan_interval: Some(0.0),
-            ..EngineConfig::default()
-        });
-    }
-
-    #[test]
-    fn peak_queue_len_resets_between_runs() {
-        let big = UniformBaseline::new(ScenarioSpec::small().with_tasks(300)).generate();
-        let tiny = Workload {
-            workers: vec![worker(0.0, 0.0, 0.0, 100.0, 5.0)],
-            tasks: vec![task(1.0, 0.0, 1.0, 50.0)],
-        };
-        let r = runner(PolicyKind::Greedy);
-        let mut engine = StreamEngine::new(EngineConfig::default());
-        engine.load(&big);
-        let first = engine.run(&r, &[]);
-        engine.load(&tiny);
-        let second = engine.run(&r, &[]);
-        assert!(first.stats.peak_queue_len >= 300);
-        assert!(
-            second.stats.peak_queue_len <= 4,
-            "second run inherited the first run's peak: {}",
-            second.stats.peak_queue_len
+        // forever; opening a session must refuse it.
+        let r = runner(PolicyKind::Dta);
+        let mut forecast = StaticForecast::default();
+        let _ = Session::open(
+            &r,
+            &mut forecast,
+            EngineConfig {
+                replan_interval: Some(0.0),
+                ..EngineConfig::default()
+            },
         );
     }
 

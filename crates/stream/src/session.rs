@@ -1,27 +1,34 @@
 //! The open-loop session API: live ingest, incremental advancement and typed
 //! assignment decisions.
 //!
-//! [`Session`] is the engine's primary entry point. Where the historical
-//! batch driver required the full [`Workload`] up front and
-//! blocked until the queue drained, a session stays open: the caller ingests
-//! events as they arrive ([`Session::ingest`]), advances simulated time in
-//! increments ([`Session::advance_to`]), inspects the live state mid-stream
-//! ([`Session::stats`] / [`Session::snapshot`]) and receives every
-//! assignment decision *as it is made* through a pluggable [`DecisionSink`].
-//! Batch [`StreamEngine::run`](crate::StreamEngine::run) is now a thin
-//! wrapper over this type: open, ingest everything, drain.
+//! [`Session`] is the one driver of the runner's state machine
+//! ([`RunnerState`]): [`run_workload`](crate::run_workload), the dispatch
+//! service and the network front-end each open one. A session stays open:
+//! the caller ingests events as they arrive ([`Session::ingest`]), advances
+//! simulated time in increments ([`Session::advance_to`]), inspects the live
+//! state mid-stream ([`Session::stats`] / [`Session::snapshot`]) and receives
+//! every assignment decision *as it is made* through a pluggable
+//! [`DecisionSink`]. A batch run is the degenerate case: ingest everything,
+//! then close.
 //!
 //! Determinism is inherited from the [`EventQueue`]: pending events fire in
 //! `(time, class, ingest order)` order regardless of ingest granularity.
 //! Feeding a workload event-by-event therefore produces bit-identical
-//! outcomes to the batch wrapper (pinned by the workspace
+//! outcomes to ingesting it whole (pinned by the workspace
 //! `session_equivalence` tests) *provided each event is ingested before the
 //! session advances to its timestamp*. Ingesting at exactly the watermark is
 //! allowed — but under a time-driven replan interval, a tick due at that
-//! instant has then already fired, ahead of where the batch driver's
+//! instant has then already fired, ahead of where a whole-workload ingest's
 //! tick-last ordering would put it; drivers that need exact replay (the
 //! `datawa-service` sources) keep every advance strictly before the next
 //! arrival's timestamp.
+//!
+//! A worker's availability window closes when its [`Event::WorkerOffline`]
+//! fires at `off`, ahead of every arrival and tick at that instant: the
+//! session then calls [`RunnerState::retire_worker`], which is the retirement
+//! contract `RunnerState` asks of its driver. No step runs ahead of the
+//! queue — [`Session::force_replan`] past the watermark advances to its
+//! instant first.
 
 use crate::engine::{arrival_triggers_replan, EngineConfig, EngineOutcome, EngineStats};
 use crate::event::{Event, EventQueue, ScheduledEvent};
@@ -359,8 +366,9 @@ impl<'a, F: ForecastProvider + ?Sized> Session<'a, F> {
     /// `OnlineForecaster` (from `datawa-predict`) for live re-forecasting.
     ///
     /// Panics on a non-positive or non-finite
-    /// [`EngineConfig::replan_interval`] for the same reason
-    /// [`StreamEngine::new`](crate::StreamEngine::new) does.
+    /// [`EngineConfig::replan_interval`]: a tick that does not advance
+    /// simulated time would re-arm itself at the head of the queue forever
+    /// and the session would never drain.
     #[must_use]
     pub fn open(
         runner: &'a AdaptiveRunner,
@@ -610,13 +618,16 @@ impl<'a, F: ForecastProvider + ?Sized> Session<'a, F> {
     /// Forces an immediate re-plan at `now` (outside the tick chain), for
     /// example when an external controller detects demand drift. Counts
     /// toward the outcome's planning statistics but not toward the queue's
-    /// event counters.
+    /// event counters. A `now` past the watermark is first reached by
+    /// [`Session::advance_to`], so every event due by then fires (arrivals
+    /// join, closed windows retire) before the re-plan; at or behind the
+    /// watermark nothing fires.
     pub fn force_replan(&mut self, now: Timestamp, sink: &mut dyn DecisionSink) {
+        if now.0 > self.watermark.0 {
+            self.advance_to(now, sink);
+        }
         self.state.step(now, true);
         self.emit_dispatches(sink);
-        if now.0 > self.watermark.0 {
-            self.watermark = now;
-        }
     }
 
     /// Closes the session: drains every remaining event (and the tick chain,
@@ -636,9 +647,9 @@ impl<'a, F: ForecastProvider + ?Sized> Session<'a, F> {
     }
 
     /// Arms (or re-arms) the time-driven tick chain off the earliest pending
-    /// event, mirroring the batch driver: the first tick fires one interval
-    /// after the earliest scheduled event. A chain that died while the queue
-    /// was empty re-arms here once new events are ingested.
+    /// event: the first tick fires one interval after the earliest scheduled
+    /// event. A chain that died while the queue was empty re-arms here once
+    /// new events are ingested.
     fn arm_tick(&mut self) {
         if let (Some(dt), None) = (self.config.replan_interval, self.next_tick) {
             if let Some(first) = self.queue.peek_time() {
@@ -649,7 +660,7 @@ impl<'a, F: ForecastProvider + ?Sized> Session<'a, F> {
 
     /// Fires the armed time-driven tick at `tt` and re-arms it while any
     /// event is still pending (the chain dies with the queue, so draining
-    /// always terminates — exactly the batch driver's semantics).
+    /// always terminates).
     fn fire_tick(&mut self, tt: Timestamp, sink: &mut dyn DecisionSink) {
         self.stats.events_processed += 1;
         self.stats.replan_ticks += 1;
@@ -1040,5 +1051,51 @@ mod tests {
         let outcome = session.close(&mut sink);
         assert_eq!(outcome.run.assigned_tasks, 1, "the explicit tick planned");
         assert_eq!(outcome.stats.replan_ticks, 1, "and it did not re-arm");
+    }
+
+    #[test]
+    fn a_forced_replan_past_the_watermark_fires_what_is_due_first() {
+        // Arrivals never plan, so only the forced replan does. Queued between
+        // the watermark (1) and the forced instant (10): w1 coming online at
+        // 4 and w0's window closing at 5.
+        let r = runner(PolicyKind::Dta);
+        let mut sink = CollectingSink::new();
+        let config = EngineConfig {
+            replan_every_events: 0,
+            ..EngineConfig::default()
+        };
+        let mut forecast = StaticForecast::default();
+        let mut session = Session::open(&r, &mut forecast, config);
+        let w0 = worker(0.0, 0.0, 5.0, 5.0);
+        session.ingest(w0.on(), Event::WorkerOnline(w0)).unwrap();
+        session
+            .ingest(Timestamp(0.5), Event::TaskArrival(task(1.0, 0.5, 100.0)))
+            .unwrap();
+        session.advance_to(Timestamp(1.0), &mut sink);
+        let w1 = worker(2.0, 4.0, 100.0, 5.0);
+        session.ingest(w1.on(), Event::WorkerOnline(w1)).unwrap();
+
+        session.force_replan(Timestamp(10.0), &mut sink);
+        assert_eq!(session.now(), Timestamp(10.0));
+        assert_eq!(
+            session.stats().events_processed,
+            4,
+            "online, arrival, online, offline"
+        );
+        assert_eq!(
+            sink.decisions(),
+            &[
+                Decision::WorkerOffline {
+                    at: Timestamp(5.0),
+                    worker: WorkerId(0),
+                },
+                Decision::Dispatch {
+                    at: Timestamp(10.0),
+                    worker: WorkerId(1),
+                    task: TaskId(0),
+                    eta: Timestamp(11.0),
+                },
+            ]
+        );
     }
 }

@@ -28,26 +28,34 @@ const TASKS: [(f64, f64, f64, f64); 9] = [
 /// The three workers of Fig. 1: (x, y, online time).
 const WORKERS: [(f64, f64, f64); 3] = [(0.5, 1.0, 1.0), (2.5, 3.2, 1.0), (4.0, 2.2, 3.0)];
 
-fn stream() -> Vec<ArrivalEvent> {
-    let mut events = Vec::new();
-    for (i, &(x, y, on)) in WORKERS.iter().enumerate() {
-        events.push(ArrivalEvent::Worker(Worker::new(
-            WorkerId(i as u32),
-            Location::new(x, y),
-            1.2,
-            Timestamp(on),
-            Timestamp(20.0),
-        )));
+fn workload() -> Workload {
+    Workload {
+        workers: WORKERS
+            .iter()
+            .enumerate()
+            .map(|(i, &(x, y, on))| {
+                Worker::new(
+                    WorkerId(i as u32),
+                    Location::new(x, y),
+                    1.2,
+                    Timestamp(on),
+                    Timestamp(20.0),
+                )
+            })
+            .collect(),
+        tasks: TASKS
+            .iter()
+            .enumerate()
+            .map(|(i, &(x, y, p, e))| {
+                Task::new(
+                    TaskId(i as u32),
+                    Location::new(x, y),
+                    Timestamp(p),
+                    Timestamp(e),
+                )
+            })
+            .collect(),
     }
-    for (i, &(x, y, p, e)) in TASKS.iter().enumerate() {
-        events.push(ArrivalEvent::Task(Task::new(
-            TaskId(i as u32),
-            Location::new(x, y),
-            Timestamp(p),
-            Timestamp(e),
-        )));
-    }
-    events
 }
 
 fn main() {
@@ -55,7 +63,7 @@ fn main() {
     println!("Fig. 1 running example: 3 workers, 9 tasks, reachable distance 1.2, unit speed\n");
     for policy in [PolicyKind::Fta, PolicyKind::Dta, PolicyKind::Greedy] {
         let runner = AdaptiveRunner::new(config, policy);
-        let outcome = runner.run(&stream(), &[]);
+        let outcome = run_workload(&runner, &workload(), &[], EngineConfig::default()).run;
         println!(
             "{:<8} assigned {} of {} tasks (planning calls: {})",
             policy.name(),

@@ -56,9 +56,9 @@ pub use datawa_tensor as tensor;
 /// One-stop imports for examples and downstream binaries.
 pub mod prelude {
     pub use datawa_assign::{
-        AdaptiveRunner, ArrivalEvent, AssignConfig, DispatchRecord, ForecastProvider,
-        ForecastStats, Planner, PolicyKind, PredictedTaskInput, RunnerState, SearchMode,
-        StaticForecast, TaskValueFunction, TvfInference,
+        AdaptiveRunner, AssignConfig, DispatchRecord, ForecastProvider, ForecastStats, Planner,
+        PolicyKind, PredictedTaskInput, RunnerState, SearchMode, StaticForecast, TaskValueFunction,
+        TvfInference,
     };
     pub use datawa_core::prelude::*;
     pub use datawa_geo::{GridSpec, UniformGrid};
@@ -71,8 +71,6 @@ pub mod prelude {
         DispatchService, IngestSource, LiveSource, PumpStatus, ServiceConfig, ServiceStats,
         SourcePoll, WorkloadSource,
     };
-    #[allow(deprecated)] // the equivalence tests reach the oracle through the prelude
-    pub use datawa_sim::run_policy_legacy;
     pub use datawa_sim::{
         online_forecaster, run_policy, run_policy_with_forecast, run_prediction,
         train_tvf_on_prefix, PipelineConfig, SyntheticTrace, TraceSpec,
@@ -81,7 +79,7 @@ pub mod prelude {
         builtin_scenarios, run_workload, ChannelSink, CollectingSink, Decision, DecisionSink,
         EngineConfig, EngineOutcome, Event, EventQueue, HeavyTailedChurn, HotspotDrift,
         IngestError, NullSink, RushHourBurst, ScenarioGenerator, ScenarioSpec, Session,
-        SessionSnapshot, StreamEngine, UniformBaseline, Workload,
+        SessionSnapshot, UniformBaseline, Workload,
     };
 }
 

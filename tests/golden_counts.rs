@@ -26,10 +26,13 @@
 //! The last rows pin the worker-lifecycle edges the rows above miss (written
 //! at the PR 24 commit, before the runner kept its idle set by events):
 //!
-//! * `run-sync` — the synchronous [`AdaptiveRunner::run`] loop, which has no
-//!   expiry or offline events (views pruned lazily only). `run` streams no
-//!   decisions, so these rows put the planning calls in the decisions column
-//!   and digest the sorted per-worker tallies;
+//! * `run-sync` — written by a since-retired synchronous driver (one time
+//!   instance per arrival, no expiry or offline events, plans kept at
+//!   offline) and now replayed through a session that keeps plans at
+//!   offline. That driver streamed no decisions, so these rows put the
+//!   planning calls in the decisions column and digest the sorted
+//!   per-worker tallies: the session must reproduce its instants and
+//!   tallies, not just its totals;
 //! * `*-ticked` — a purely time-driven session (`EngineConfig::ticked`):
 //!   arrivals never replan, so dispatch between ticks runs on kept plans;
 //! * `churn-release` / `churn-keep` — FTA per-arrival on the churn scenario
@@ -118,10 +121,21 @@ fn run(
     engine: EngineConfig,
 ) -> (usize, usize, u64) {
     let mut sink = DigestSink::new();
-    let mut stream = StreamEngine::new(engine);
-    stream.load(workload);
-    let outcome = stream.run_with_forecast(runner, forecast, &mut sink);
+    let mut session = Session::open(runner, forecast, engine);
+    session
+        .ingest_workload(workload)
+        .expect("a generated workload ingests");
+    let outcome = session.close(&mut sink);
     (outcome.run.assigned_tasks, sink.decisions, sink.digest)
+}
+
+/// Replanning on every `n`-th arrival, with a worker going offline keeping
+/// its plan (under FTA its undone tasks stay reserved).
+fn keep_plans(n: usize) -> EngineConfig {
+    EngineConfig {
+        release_on_offline: false,
+        ..EngineConfig::batched(n)
+    }
 }
 
 /// The pipeline `yueche` DATA-WA rows train with: the defaults at a fraction
@@ -239,19 +253,24 @@ fn churn_rows(seed: u64, rows: &mut Vec<Row>) {
     ));
 }
 
-/// The synchronous loop: no expiry or offline events, every arrival a time
-/// instance, replanning on every arrival and on every fourth.
+/// Every arrival a time instance, replanning on every arrival and on every
+/// fourth, plans kept at offline: the rows the retired synchronous driver
+/// wrote, now replayed through a session.
 fn run_sync_rows(seed: u64, rows: &mut Vec<Row>) {
     let trace = SyntheticTrace::generate(TraceSpec::yueche().scaled(0.1).with_seed(seed));
-    let events = trace.events();
+    let workload = trace.workload();
     for (policy, replan_every) in [
         (PolicyKind::Dta, 1),
         (PolicyKind::Fta, 1),
         (PolicyKind::Dta, 4),
     ] {
-        let mut runner = AdaptiveRunner::new(AssignConfig::default(), policy);
-        runner.replan_every = replan_every;
-        let outcome = runner.run(&events, &[]);
+        let runner = AdaptiveRunner::new(AssignConfig::default(), policy);
+        let mut forecast = StaticForecast::default();
+        let mut session = Session::open(&runner, &mut forecast, keep_plans(replan_every));
+        session
+            .ingest_workload(&workload)
+            .expect("a replay workload ingests");
+        let outcome = session.close(&mut NullSink).run;
         let mut tallies: Vec<(WorkerId, usize)> = outcome.per_worker.into_iter().collect();
         tallies.sort_unstable();
         let mut sink = DigestSink::new();
@@ -310,12 +329,7 @@ fn lifecycle_rows(seed: u64, rows: &mut Vec<Row>) {
             PolicyKind::Fta,
             EngineConfig::default(),
         ),
-        (
-            "churn-keep",
-            &churn,
-            PolicyKind::Fta,
-            EngineConfig::replay_compat(1),
-        ),
+        ("churn-keep", &churn, PolicyKind::Fta, keep_plans(1)),
     ] {
         let runner = AdaptiveRunner::new(AssignConfig::default(), policy);
         let (assigned, decisions, digest) =
@@ -369,7 +383,7 @@ fn lifecycle_rows(seed: u64, rows: &mut Vec<Row>) {
         };
         for (scenario, engine) in [
             ("fta-handoff-release", EngineConfig::default()),
-            ("fta-handoff-keep", EngineConfig::replay_compat(1)),
+            ("fta-handoff-keep", keep_plans(1)),
         ] {
             let runner = AdaptiveRunner::new(AssignConfig::unit_speed(), PolicyKind::Fta);
             let (assigned, decisions, digest) =

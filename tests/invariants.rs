@@ -105,18 +105,14 @@ proptest! {
             travel: TravelModel::euclidean(0.05),
             ..AssignConfig::default()
         };
-        let events: Vec<ArrivalEvent> = workers
-            .iter()
-            .map(|w| ArrivalEvent::Worker(*w))
-            .chain(tasks.iter().map(|t| ArrivalEvent::Task(*t)))
-            .collect();
-        let total_tasks = tasks.len();
+        let workload = Workload { workers, tasks };
         for policy in [PolicyKind::Greedy, PolicyKind::Fta, PolicyKind::Dta] {
-            let outcome = AdaptiveRunner::new(config, policy).run(&events, &[]);
-            prop_assert!(outcome.assigned_tasks <= total_tasks);
+            let runner = AdaptiveRunner::new(config, policy);
+            let outcome = run_workload(&runner, &workload, &[], EngineConfig::default()).run;
+            prop_assert!(outcome.assigned_tasks <= workload.tasks.len());
             let sum: usize = outcome.per_worker.values().sum();
             prop_assert_eq!(sum, outcome.assigned_tasks);
-            prop_assert_eq!(outcome.events, events.len());
+            prop_assert_eq!(outcome.events, workload.arrival_count());
         }
     }
 

@@ -4,7 +4,7 @@
 
 use datawa::prelude::*;
 
-fn stream() -> Vec<ArrivalEvent> {
+fn workload() -> Workload {
     let tasks: [(f64, f64, f64, f64); 9] = [
         (1.5, 1.2, 1.0, 4.0),
         (2.5, 2.0, 1.0, 6.0),
@@ -17,32 +17,37 @@ fn stream() -> Vec<ArrivalEvent> {
         (1.0, 1.7, 4.0, 9.0),
     ];
     let workers: [(f64, f64, f64); 3] = [(0.5, 1.0, 1.0), (2.5, 3.2, 1.0), (4.0, 2.2, 3.0)];
-    let mut events = Vec::new();
-    for &(x, y, on) in &workers {
-        events.push(ArrivalEvent::Worker(Worker::new(
-            WorkerId(0),
-            Location::new(x, y),
-            1.2,
-            Timestamp(on),
-            Timestamp(20.0),
-        )));
+    Workload {
+        workers: workers
+            .iter()
+            .map(|&(x, y, on)| {
+                Worker::new(
+                    WorkerId(0),
+                    Location::new(x, y),
+                    1.2,
+                    Timestamp(on),
+                    Timestamp(20.0),
+                )
+            })
+            .collect(),
+        tasks: tasks
+            .iter()
+            .map(|&(x, y, p, e)| {
+                Task::new(TaskId(0), Location::new(x, y), Timestamp(p), Timestamp(e))
+            })
+            .collect(),
     }
-    for &(x, y, p, e) in &tasks {
-        events.push(ArrivalEvent::Task(Task::new(
-            TaskId(0),
-            Location::new(x, y),
-            Timestamp(p),
-            Timestamp(e),
-        )));
-    }
-    events
+}
+
+fn run(policy: PolicyKind) -> datawa::assign::RunOutcome {
+    let runner = AdaptiveRunner::new(AssignConfig::unit_speed(), policy);
+    run_workload(&runner, &workload(), &[], EngineConfig::default()).run
 }
 
 #[test]
 fn dynamic_assignment_beats_fixed_assignment_on_fig1() {
-    let config = AssignConfig::unit_speed();
-    let fta = AdaptiveRunner::new(config, PolicyKind::Fta).run(&stream(), &[]);
-    let dta = AdaptiveRunner::new(config, PolicyKind::Dta).run(&stream(), &[]);
+    let fta = run(PolicyKind::Fta);
+    let dta = run(PolicyKind::Dta);
     assert!(
         dta.assigned_tasks > fta.assigned_tasks,
         "DTA ({}) should beat FTA ({}) on the Fig. 1 scenario",
@@ -64,10 +69,9 @@ fn all_streaming_policies_stay_within_bounds_on_fig1() {
     // On a nine-task toy instance the streaming tie-breaks can let Greedy
     // match the search-based methods; the robust claims are the bounds and
     // that the fixed assignment is the weakest method.
-    let config = AssignConfig::unit_speed();
-    let fta = AdaptiveRunner::new(config, PolicyKind::Fta).run(&stream(), &[]);
+    let fta = run(PolicyKind::Fta);
     for policy in [PolicyKind::Greedy, PolicyKind::Dta] {
-        let outcome = AdaptiveRunner::new(config, policy).run(&stream(), &[]);
+        let outcome = run(policy);
         assert!(outcome.assigned_tasks <= 9);
         assert!(outcome.assigned_tasks >= fta.assigned_tasks);
     }
@@ -75,8 +79,7 @@ fn all_streaming_policies_stay_within_bounds_on_fig1() {
 
 #[test]
 fn per_worker_counts_sum_to_the_total() {
-    let config = AssignConfig::unit_speed();
-    let outcome = AdaptiveRunner::new(config, PolicyKind::Dta).run(&stream(), &[]);
+    let outcome = run(PolicyKind::Dta);
     let sum: usize = outcome.per_worker.values().sum();
     assert_eq!(sum, outcome.assigned_tasks);
 }

@@ -1,6 +1,7 @@
-//! Integration tests for the `datawa-stream` discrete-event engine: replay
-//! equivalence with the legacy synchronous driver on a real synthetic trace,
-//! determinism across runs, and scenario coverage through the facade.
+//! Integration tests for the `datawa-stream` session engine: replaying the
+//! synthetic traces reproduces pinned assignment totals, every arrival
+//! schedules its lifetime-closing event, and the scenarios run through the
+//! facade.
 
 use datawa::prelude::*;
 
@@ -20,72 +21,71 @@ fn config() -> PipelineConfig {
     }
 }
 
-/// The acceptance criterion of the engine migration: with the replay adapter
-/// and `replan_every = 1`, the engine and the legacy loop report the same
-/// number of completed assignments for every non-predictive policy on both
-/// dataset presets.
+/// `(preset, policy, assigned_tasks, events)` of the retired synchronous
+/// loop-over-sorted-arrivals driver on 2 % of each preset at
+/// `replan_every = 1`, written while that driver and `run_policy` still ran
+/// side by side and agreed.
+#[rustfmt::skip]
+const PRESETS: &[(&str, &str, usize, usize)] = &[
+    ("yueche", "Greedy", 15, 233),
+    ("yueche", "FTA", 8, 233),
+    ("yueche", "DTA", 15, 233),
+    ("didi", "Greedy", 16, 192),
+    ("didi", "FTA", 9, 192),
+    ("didi", "DTA", 17, 192),
+];
+
+/// Replaying a trace through `run_policy` reports the same completed
+/// assignments and arrival events as the retired synchronous driver did, for
+/// every non-predictive policy on both dataset presets.
 #[test]
-#[allow(deprecated)] // the deprecated legacy loop is the equivalence oracle
 fn engine_replay_equals_legacy_loop_on_both_presets() {
     let cfg = config();
-    for spec in [
-        TraceSpec::yueche().scaled(0.02),
-        TraceSpec::didi().scaled(0.02),
+    let mut rows = Vec::new();
+    for (name, spec) in [
+        ("yueche", TraceSpec::yueche().scaled(0.02)),
+        ("didi", TraceSpec::didi().scaled(0.02)),
     ] {
         let trace = SyntheticTrace::generate(spec);
         for policy in [PolicyKind::Greedy, PolicyKind::Fta, PolicyKind::Dta] {
-            let engine = run_policy(&trace, policy, &[], None, &cfg);
-            let legacy = run_policy_legacy(&trace, policy, &[], None, &cfg);
-            assert_eq!(
-                engine.assigned_tasks,
-                legacy.assigned_tasks,
-                "{} diverged on {} workers / {} tasks",
-                policy.name(),
-                spec.workers,
-                spec.tasks
-            );
-            assert_eq!(engine.events, legacy.events);
+            let summary = run_policy(&trace, policy, &[], None, &cfg);
+            rows.push((name, policy.name(), summary.assigned_tasks, summary.events));
         }
     }
+    assert_eq!(rows, PRESETS);
 }
 
-/// The engine must also replay DATA-WA (TVF-guided search) identically: TVF
-/// training is fully seeded, so training one per driver yields the same
-/// network and the comparison stays exact.
+/// DATA-WA (TVF-guided search) too: TVF training is fully seeded, so the
+/// pinned total of the retired driver stays exact.
 #[test]
-#[allow(deprecated)] // the deprecated legacy loop is the equivalence oracle
 fn engine_replay_equals_legacy_loop_for_data_wa() {
     let cfg = config();
     let trace = SyntheticTrace::generate(TraceSpec::yueche().scaled(0.015));
-    let engine = run_policy(
+    let summary = run_policy(
         &trace,
         PolicyKind::DataWa,
         &[],
         Some(train_tvf_on_prefix(&trace, &cfg)),
         &cfg,
     );
-    let legacy = run_policy_legacy(
-        &trace,
-        PolicyKind::DataWa,
-        &[],
-        Some(train_tvf_on_prefix(&trace, &cfg)),
-        &cfg,
-    );
-    assert_eq!(engine.assigned_tasks, legacy.assigned_tasks);
+    assert_eq!((summary.assigned_tasks, summary.events), (6, 175));
 }
 
-/// Direct engine use through the facade: load the replay workload, run, and
-/// check the lifecycle accounting (every arrival schedules exactly one
+/// Direct session use through the facade: ingest the replay workload, close,
+/// and check the lifecycle accounting (every arrival schedules exactly one
 /// lifetime-closing event).
 #[test]
 fn engine_lifecycle_accounting_is_complete() {
     let trace = SyntheticTrace::generate(TraceSpec::yueche().scaled(0.02));
     let workload = trace.workload();
     let runner = AdaptiveRunner::new(AssignConfig::default(), PolicyKind::Greedy);
-    let mut engine = StreamEngine::new(EngineConfig::default());
-    engine.load(&workload);
-    assert_eq!(engine.pending(), workload.arrival_count());
-    let outcome = engine.run(&runner, &[]);
+    let mut forecast = StaticForecast::default();
+    let mut session = Session::open(&runner, &mut forecast, EngineConfig::default());
+    session
+        .ingest_workload(&workload)
+        .expect("a replay workload ingests");
+    assert_eq!(session.pending(), workload.arrival_count());
+    let outcome = session.close(&mut NullSink);
     assert_eq!(outcome.stats.arrivals, workload.arrival_count());
     assert_eq!(outcome.stats.expirations, workload.tasks.len());
     assert_eq!(outcome.stats.offline, workload.workers.len());
@@ -93,7 +93,6 @@ fn engine_lifecycle_accounting_is_complete() {
         outcome.stats.events_processed,
         workload.arrival_count() + workload.tasks.len() + workload.workers.len()
     );
-    assert_eq!(engine.pending(), 0);
 }
 
 /// Time-driven batching produces far fewer planning calls than per-arrival
