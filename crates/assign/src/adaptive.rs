@@ -165,11 +165,10 @@ pub struct AdaptiveRunner {
     /// How far ahead of `now` predicted tasks are allowed to influence
     /// planning.
     pub prediction_lookahead: Duration,
-    /// Observability registry every run state records into. Defaults to
-    /// [`MetricsRegistry::from_env`] (`DATAWA_OBS=on` attaches it, anything
-    /// else leaves it detached and every recording a no-op); override with
-    /// [`AdaptiveRunner::with_metrics`]. Private so the field cannot bypass
-    /// the construction path — use [`AdaptiveRunner::metrics`] to read it.
+    /// Observability registry every run state records into. Detached (every
+    /// recording a no-op) unless [`AdaptiveRunner::with_metrics`] attaches
+    /// one. Private so the field cannot bypass the construction path — use
+    /// [`AdaptiveRunner::metrics`] to read it.
     obs: MetricsRegistry,
 }
 
@@ -525,7 +524,7 @@ impl AdaptiveRunner {
             policy,
             tvf: None,
             prediction_lookahead: Duration::from_secs(60.0),
-            obs: MetricsRegistry::from_env(),
+            obs: MetricsRegistry::detached(),
         }
     }
 
@@ -537,15 +536,14 @@ impl AdaptiveRunner {
     }
 
     /// Replaces the runner's observability registry (e.g. with
-    /// [`MetricsRegistry::new`] to force metrics on regardless of
-    /// `DATAWA_OBS`, or [`MetricsRegistry::detached`] to force them off).
+    /// [`MetricsRegistry::new`] to turn metrics on).
     pub fn with_metrics(mut self, registry: MetricsRegistry) -> AdaptiveRunner {
         self.obs = registry;
         self
     }
 
-    /// The runner's observability registry (detached unless `DATAWA_OBS=on`
-    /// or [`AdaptiveRunner::with_metrics`] attached one). Drivers that layer
+    /// The runner's observability registry (detached unless
+    /// [`AdaptiveRunner::with_metrics`] attached one). Drivers that layer
     /// their own metrics on top — the stream session, the dispatch service —
     /// register into this same registry so one snapshot covers the stack.
     pub fn metrics(&self) -> &MetricsRegistry {
@@ -981,11 +979,13 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
             Some(build_planning_store(&self.tasks, open_tasks, &phantoms))
         };
         let runner = self.runner;
+        // Construction invariant: a DataWa runner is only built via
+        // with_tvf, which sets this.
+        #[allow(clippy::expect_used)]
         let tvf = (policy == PolicyKind::DataWa).then(|| {
             runner
                 .tvf
                 .as_ref()
-                // datawa-lint: allow(unwrap-in-hot-path) -- construction invariant: a DataWa runner is only built via with_tvf, which sets this
                 .expect("PolicyKind::DataWa requires a trained TVF (use with_tvf)")
         });
         let workers = &self.workers;

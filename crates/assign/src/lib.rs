@@ -58,6 +58,10 @@
 //! every partition searched, and the `assign.cache_hit_pct` gauge is the
 //! ratio of the two.
 
+// The replan path serves live sessions: a panic there takes one down, so an
+// unwrap or expect outside tests carries an allow with its invariant.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod adaptive;
 pub mod config;
 pub mod forecast;

@@ -288,11 +288,13 @@ impl Planner {
             }
             SearchMode::Guided => {
                 // Detach the snapshot for the duration of the call so the
-                // search can borrow it alongside the scratch buffers.
+                // search can borrow it alongside the scratch buffers. Mode
+                // invariant: Guided is only selected by constructors that
+                // install a TVF.
+                #[allow(clippy::expect_used)]
                 let tvf = self
                     .tvf
                     .take()
-                    // datawa-lint: allow(unwrap-in-hot-path) -- mode invariant: Guided is only selected by constructors that install a TVF
                     .expect("SearchMode::Guided requires a trained TVF");
                 let out = self.plan_partitioned(
                     worker_ids,
@@ -351,7 +353,7 @@ impl Planner {
         tasks: &TaskStore,
         now: Timestamp,
     ) -> (Assignment, PlanningReport) {
-        // datawa-lint: allow(wall-clock-in-hot-path) -- feeds the replan-latency histogram only; never read by planning logic
+        // Feeds the replan-latency histogram only; never read by planning logic.
         #[allow(clippy::disallowed_methods)]
         let start = Instant::now();
         let mut report = PlanningReport {
@@ -410,7 +412,7 @@ impl Planner {
         tvf: Option<&TvfInference>,
         live: bool,
     ) -> (Assignment, PlanningReport) {
-        // datawa-lint: allow(wall-clock-in-hot-path) -- feeds the replan-latency histogram only; never read by planning logic
+        // Feeds the replan-latency histogram only; never read by planning logic.
         #[allow(clippy::disallowed_methods)]
         let start = Instant::now();
         let mut report = PlanningReport {

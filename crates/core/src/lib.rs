@@ -23,7 +23,6 @@
 //! ```
 
 pub mod assignment;
-pub mod env_config;
 pub mod error;
 pub mod location;
 pub mod sequence;

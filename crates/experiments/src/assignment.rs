@@ -4,9 +4,9 @@
 //! availability window `off − on` and the task valid time `e − p`.
 //!
 //! Every run is one `datawa-stream` session over the trace (through
-//! `datawa_sim::run_policy`), re-planning at every arrival by default; the
-//! `DATAWA_REPLAN` / `DATAWA_REPLAN_DT` environment variables expose the
-//! session's event- and time-batched re-planning to every binary.
+//! `datawa_sim::run_policy`), re-planning at every arrival as the paper does
+//! (`PipelineConfig::replan_every` and `replan_interval` select event- or
+//! time-batched re-planning for a caller that builds its own config).
 
 use crate::params::{Dataset, ExperimentScale};
 use datawa_assign::PolicyKind;

@@ -1,16 +1,16 @@
 //! Regenerates Fig. 10: task assignment vs available time off-on (h) — number of assigned
 //! tasks and CPU time per time instance for Greedy, FTA, DTA, DTA+TP and
 //! DATA-WA, on both datasets. The sweep is driven by the `datawa-stream`
-//! session engine, one session per run (`DATAWA_REPLAN` /
-//! `DATAWA_REPLAN_DT` select event- or time-batched re-planning).
+//! session engine, one session per run, re-planning at every
+//! arrival (the paper's setting).
 
 use datawa_experiments::{
-    assignment_sweep, format_table, Dataset, ExperimentScale, SweepAxis, Table,
+    assignment_sweep, format_table, Dataset, ExperimentArgs, SweepAxis, Table,
 };
 
 fn main() {
-    let scale = ExperimentScale::from_env();
-    let config = datawa_experiments::params::pipeline_config_from_env();
+    let args = ExperimentArgs::from_cli();
+    let (scale, config) = (args.scale, args.pipeline_config());
     for dataset in [Dataset::Yueche, Dataset::Didi] {
         let axis =
             SweepAxis::AvailableTime(datawa_experiments::params::AVAILABLE_TIME_SWEEP.to_vec());

@@ -3,12 +3,12 @@
 //! and testing time for LSTM, Graph-WaveNet and DDGNN.
 
 use datawa_experiments::{
-    format_table, prediction_effect_of_delta_t, Dataset, ExperimentScale, Table,
+    format_table, prediction_effect_of_delta_t, Dataset, ExperimentArgs, Table,
 };
 
 fn main() {
-    let scale = ExperimentScale::from_env();
-    let config = datawa_experiments::params::pipeline_config_from_env();
+    let args = ExperimentArgs::from_cli();
+    let (scale, config) = (args.scale, args.pipeline_config());
     let rows = prediction_effect_of_delta_t(Dataset::Yueche, scale, &config, true);
     let mut table = Table::new(vec![
         "ΔT (s)",

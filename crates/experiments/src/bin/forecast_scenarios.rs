@@ -6,19 +6,19 @@
 //!
 //! ```text
 //! cargo run --release -p datawa-experiments --bin forecast_scenarios
-//! DATAWA_SCALE=0.5 cargo run --release -p datawa-experiments --bin forecast_scenarios
+//! cargo run --release -p datawa-experiments --bin forecast_scenarios -- --scale 0.5
 //! ```
 //!
 //! [`OnlineForecaster`]: datawa_predict::OnlineForecaster
 
 use datawa_experiments::{
-    format_table, scenario_online_vs_blind, scenario_prediction_report, ExperimentScale,
+    format_table, scenario_online_vs_blind, scenario_prediction_report, ExperimentArgs,
     ForecastScenarioConfig, Table,
 };
 use datawa_stream::ScenarioSpec;
 
 fn main() {
-    let scale = ExperimentScale::from_env();
+    let scale = ExperimentArgs::from_cli().scale;
     // The scale factor maps the Yueche-like magnitudes onto the scenarios,
     // matching the stream_scenarios binary.
     let spec = ScenarioSpec::small()

@@ -5,18 +5,18 @@
 //!
 //! ```text
 //! cargo run --release -p datawa-experiments --bin stream_scenarios
-//! DATAWA_SCALE=0.5 cargo run --release -p datawa-experiments --bin stream_scenarios
+//! cargo run --release -p datawa-experiments --bin stream_scenarios -- --scale 0.5
 //! ```
 
 use datawa_assign::{AdaptiveRunner, AssignConfig, PolicyKind};
-use datawa_experiments::{format_table, ExperimentScale, Table};
+use datawa_experiments::{format_table, ExperimentArgs, Table};
 use datawa_stream::{
     builtin_scenarios, CollectingSink, Decision, EngineConfig, ScenarioSpec, Session,
     StaticForecast,
 };
 
 fn main() {
-    let scale = ExperimentScale::from_env();
+    let scale = ExperimentArgs::from_cli().scale;
     // The scale factor maps the Yueche-like magnitudes onto the scenarios.
     let spec = ScenarioSpec::small()
         .with_workers(((624.0 * scale.factor).round() as usize).max(4))

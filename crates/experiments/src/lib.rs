@@ -8,13 +8,13 @@
 //!
 //! ```text
 //! cargo run --release -p datawa-experiments --bin fig7_tasks
-//! DATAWA_SCALE=0.1 cargo run --release -p datawa-experiments --bin fig8_workers
+//! cargo run --release -p datawa-experiments --bin fig8_workers -- --scale 0.1 --epochs 2
 //! ```
 //!
-//! The `DATAWA_SCALE` environment variable scales the synthetic trace sizes
-//! (1.0 = the full Table II sizes); the default keeps every binary laptop-
-//! friendly while preserving the worker-to-task ratio and therefore the
-//! relative ordering of the methods.
+//! `--scale` scales the synthetic trace sizes (1 = the full Table II sizes);
+//! the default keeps every binary laptop-friendly while preserving the
+//! worker-to-task ratio and therefore the relative ordering of the methods.
+//! `--epochs` sets the predictors' training epochs ([`ExperimentArgs`]).
 
 pub mod assignment;
 pub mod forecast;
@@ -27,6 +27,6 @@ pub use forecast::{
     scenario_online_forecaster, scenario_online_vs_blind, scenario_prediction_report,
     ForecastScenarioConfig, ScenarioAssignmentRow, ScenarioPredictionRow,
 };
-pub use params::{Dataset, ExperimentScale};
+pub use params::{Dataset, ExperimentArgs, ExperimentScale};
 pub use prediction::{prediction_effect_of_delta_t, PredictionRow};
 pub use report::{format_table, Table};

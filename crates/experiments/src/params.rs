@@ -1,6 +1,6 @@
 //! The experiment parameter grid (Table III) and dataset presets (Table II).
 
-use datawa_sim::TraceSpec;
+use datawa_sim::{PipelineConfig, TraceSpec};
 
 /// Which real-data stand-in a sweep runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,12 +57,12 @@ pub const AVAILABLE_TIME_SWEEP: [f64; 5] = [0.25, 0.5, 0.75, 1.0, 1.25];
 /// The task valid-time sweep of Fig. 11, in seconds (default 40).
 pub const VALID_TIME_SWEEP: [f64; 5] = [10.0, 20.0, 30.0, 40.0, 50.0];
 
-/// Global scaling of the experiment workloads, read from `DATAWA_SCALE`.
+/// Global scaling of the experiment workloads, set by `--scale`.
 ///
 /// The paper's full-size traces with per-event exact replanning take hours of
 /// CPU; the default scale keeps every binary in the minutes range while
 /// preserving the worker-to-task ratio (and therefore which method wins and
-/// by roughly what factor). Set `DATAWA_SCALE=1` to reproduce the full sizes.
+/// by roughly what factor). Pass `--scale 1` to reproduce the full sizes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentScale {
     /// Multiplicative factor applied to |W| and |S|.
@@ -70,15 +70,8 @@ pub struct ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// The default scale used when the environment variable is absent.
+    /// The default scale used when `--scale` is absent.
     pub const DEFAULT_FACTOR: f64 = 0.04;
-
-    /// Reads the scale from the `DATAWA_SCALE` environment variable (via
-    /// [`datawa_core::env_config::scale_factor`], which validates the range).
-    pub fn from_env() -> ExperimentScale {
-        let factor = datawa_core::env_config::scale_factor().unwrap_or(Self::DEFAULT_FACTOR);
-        ExperimentScale { factor }
-    }
 
     /// A fixed scale (used by tests).
     pub fn fixed(factor: f64) -> ExperimentScale {
@@ -92,37 +85,112 @@ impl ExperimentScale {
     }
 }
 
-/// Builds the pipeline configuration used by the experiment binaries, honouring
-/// four optional environment variables so that quick, scaled-down captures
-/// are possible without recompiling:
-///
-/// * `DATAWA_EPOCHS` — predictor training epochs (default 8);
-/// * `DATAWA_REPLAN` — re-plan every N arrival events (default 1, the paper's
-///   setting);
-/// * `DATAWA_REPLAN_DT` — additionally re-plan every Δt simulated seconds via
-///   the discrete-event engine's replan ticks (default off);
-/// * `DATAWA_GRID` — prediction grid cells per side (default 6).
-pub fn pipeline_config_from_env() -> datawa_sim::PipelineConfig {
-    use datawa_core::env_config;
-    let mut config = datawa_sim::PipelineConfig::default();
-    if let Some(epochs) = env_config::epochs() {
-        config.training.epochs = epochs;
+/// What the experiment binaries print when their arguments do not parse.
+pub const USAGE: &str = "usage: <binary> [--scale F] [--epochs N]
+  --scale F   workload scale in (0, 1]; 1 is the full Table II size (default 0.04)
+  --epochs N  predictor training epochs, at least 1 (default 8; the fig5-fig11 binaries)";
+
+/// The command line every experiment binary takes: `--scale` and `--epochs`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ExperimentArgs {
+    /// Workload scale (`--scale`).
+    pub scale: ExperimentScale,
+    /// Predictor training epochs (`--epochs`).
+    pub epochs: usize,
+}
+
+impl ExperimentArgs {
+    /// Parses arguments (without the program name).
+    ///
+    /// # Errors
+    /// On an unknown flag, a flag without its value, a scale outside `(0, 1]`
+    /// or an epoch count that is not a positive integer.
+    pub fn parse(args: impl Iterator<Item = String>) -> Result<ExperimentArgs, String> {
+        let mut parsed = ExperimentArgs {
+            scale: ExperimentScale {
+                factor: ExperimentScale::DEFAULT_FACTOR,
+            },
+            epochs: PipelineConfig::default().training.epochs,
+        };
+        let mut args = args;
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+            match flag.as_str() {
+                "--scale" => {
+                    let v = value()?;
+                    let factor = v
+                        .parse::<f64>()
+                        .ok()
+                        .filter(|f| *f > 0.0 && *f <= 1.0)
+                        .ok_or_else(|| format!("--scale must be a number in (0, 1], got {v:?}"))?;
+                    parsed.scale = ExperimentScale { factor };
+                }
+                "--epochs" => {
+                    let v = value()?;
+                    parsed.epochs =
+                        v.parse::<usize>().ok().filter(|n| *n >= 1).ok_or_else(|| {
+                            format!("--epochs must be a positive integer, got {v:?}")
+                        })?;
+                }
+                _ => return Err(format!("unknown argument {flag:?}")),
+            }
+        }
+        Ok(parsed)
     }
-    if let Some(replan) = env_config::replan_every() {
-        config.replan_every = replan;
+
+    /// Parses the process arguments; on an error prints it with [`USAGE`]
+    /// and exits with status 2.
+    pub fn from_cli() -> ExperimentArgs {
+        ExperimentArgs::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{USAGE}");
+            std::process::exit(2)
+        })
     }
-    if let Some(dt) = env_config::replan_interval() {
-        config.replan_interval = Some(dt);
+
+    /// The pipeline configuration of the figure binaries: the defaults (one
+    /// replan per arrival, a 6 × 6 grid) with `--epochs` applied.
+    pub fn pipeline_config(&self) -> PipelineConfig {
+        let mut config = PipelineConfig::default();
+        config.training.epochs = self.epochs;
+        config
     }
-    if let Some(grid) = env_config::grid_cells_per_side() {
-        config.grid_cells_per_side = grid;
-    }
-    config
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(args: &[&str]) -> Result<ExperimentArgs, String> {
+        ExperimentArgs::parse(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn scale_and_epochs_parse() {
+        let args = parse(&["--scale", "0.01", "--epochs", "1"]).expect("valid arguments");
+        assert_eq!(args.scale, ExperimentScale::fixed(0.01));
+        assert_eq!(args.pipeline_config().training.epochs, 1);
+        let defaults = parse(&[]).expect("no arguments");
+        assert_eq!(defaults.scale.factor, ExperimentScale::DEFAULT_FACTOR);
+        assert_eq!(defaults.pipeline_config(), PipelineConfig::default());
+    }
+
+    #[test]
+    fn bad_arguments_are_errors() {
+        for scale in ["0", "1.5", "abc", "NaN", "-0.5"] {
+            let err = parse(&["--scale", scale]).expect_err(scale);
+            assert!(err.contains("--scale"), "{err}");
+        }
+        for epochs in ["0", "-1", "2.5"] {
+            assert!(parse(&["--epochs", epochs]).is_err(), "{epochs}");
+        }
+        assert!(parse(&["--grid", "6"])
+            .expect_err("unknown flag")
+            .contains("unknown argument"));
+        assert!(parse(&["--scale"])
+            .expect_err("missing value")
+            .contains("needs a value"));
+        assert!(parse(&["--scale", "0.1", "--epochs"]).is_err());
+    }
 
     #[test]
     fn sweeps_match_table_iii() {

@@ -1,35 +1,13 @@
-//! Diagnostics: findings, severities and the text/JSON renderings.
+//! Diagnostics: findings and their text rendering.
 
 use std::fmt;
 
-/// How a finding affects the exit code. Every shipping rule is currently
-/// `Error`; `Warning` exists so a rule can be introduced observe-only and
-/// promoted once the tree is clean.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Reported, but does not fail the run.
-    Warning,
-    /// Fails the run (nonzero exit).
-    Error,
-}
-
-impl Severity {
-    /// Lower-case name used in both output formats.
-    pub fn name(self) -> &'static str {
-        match self {
-            Severity::Warning => "warning",
-            Severity::Error => "error",
-        }
-    }
-}
-
-/// One diagnostic, anchored to a file and 1-based line.
+/// One diagnostic, anchored to a file and 1-based line. Every finding fails
+/// the run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Rule name (kebab-case, as listed in `LINTS.md`).
     pub rule: &'static str,
-    /// Exit-code contribution.
-    pub severity: Severity,
     /// Workspace-relative path.
     pub path: String,
     /// 1-based line number.
@@ -42,43 +20,8 @@ impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}:{}: {}[{}]: {}",
-            self.path,
-            self.line,
-            self.severity.name(),
-            self.rule,
-            self.message
-        )
-    }
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-impl Finding {
-    /// Renders the finding as a JSON object (used by `--format json`).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"rule\":\"{}\",\"severity\":\"{}\",\"path\":\"{}\",\"line\":{},\"message\":\"{}\"}}",
-            json_escape(self.rule),
-            self.severity.name(),
-            json_escape(&self.path),
-            self.line,
-            json_escape(&self.message)
+            "{}:{}: error[{}]: {}",
+            self.path, self.line, self.rule, self.message
         )
     }
 }
@@ -88,23 +31,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn display_and_json_are_stable() {
+    fn display_is_stable() {
         let f = Finding {
-            rule: "stray-env-read",
-            severity: Severity::Error,
+            rule: "relaxed-atomic-audit",
             path: "crates/x/src/lib.rs".into(),
             line: 7,
-            message: "read \"HOME\" directly".into(),
+            message: "audit \"this\"".into(),
         };
         assert_eq!(
             f.to_string(),
-            "crates/x/src/lib.rs:7: error[stray-env-read]: read \"HOME\" directly"
+            "crates/x/src/lib.rs:7: error[relaxed-atomic-audit]: audit \"this\""
         );
-        assert!(f.to_json().contains("\\\"HOME\\\""));
-    }
-
-    #[test]
-    fn control_characters_are_escaped() {
-        assert_eq!(json_escape("a\u{1}b"), "a\\u0001b");
     }
 }

@@ -1,6 +1,6 @@
 //! File discovery, suppression filtering and report assembly.
 
-use crate::diag::{json_escape, Finding, Severity};
+use crate::diag::Finding;
 use crate::rules::{self, is_known_rule};
 use crate::source::{FileKind, SourceFile};
 use std::fs;
@@ -36,52 +36,9 @@ pub struct Report {
 }
 
 impl Report {
-    /// Whether the run should exit nonzero. Warnings (observe-only rules)
-    /// never fail a run; see [`rules::severity_of`].
+    /// Whether the run should exit nonzero.
     pub fn failed(&self) -> bool {
-        self.findings.iter().any(|f| f.severity == Severity::Error)
-    }
-
-    /// Number of error-severity findings.
-    pub fn errors(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity == Severity::Error)
-            .count()
-    }
-
-    /// Number of warning-severity findings.
-    pub fn warnings(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity == Severity::Warning)
-            .count()
-    }
-
-    /// Renders the report as a single deterministic JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"version\": 1,\n  \"findings\": [\n");
-        for (i, f) in self.findings.iter().enumerate() {
-            out.push_str("    ");
-            out.push_str(&f.to_json());
-            if i + 1 < self.findings.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"files_scanned\": {},\n  \"suppressed\": {},\n  \"rules\": [",
-            self.files_scanned, self.suppressed
-        ));
-        for (i, (name, _)) in rules::RULES.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{}\"", json_escape(name)));
-        }
-        out.push_str("]\n}\n");
-        out
+        !self.findings.is_empty()
     }
 }
 
@@ -149,7 +106,6 @@ pub fn run(opts: &Options) -> io::Result<Report> {
             if !s.well_formed {
                 findings.push(Finding {
                     rule: "invalid-suppression",
-                    severity: Severity::Error,
                     path: rel.clone(),
                     line: s.declared_line,
                     message: "unparsable datawa-lint directive; expected \
@@ -162,7 +118,6 @@ pub fn run(opts: &Options) -> io::Result<Report> {
                 if !is_known_rule(r) {
                     findings.push(Finding {
                         rule: "invalid-suppression",
-                        severity: Severity::Error,
                         path: rel.clone(),
                         line: s.declared_line,
                         message: format!("suppression names unknown rule `{r}` (see LINTS.md)"),
@@ -172,7 +127,6 @@ pub fn run(opts: &Options) -> io::Result<Report> {
             if !s.has_reason {
                 findings.push(Finding {
                     rule: "missing-suppression-reason",
-                    severity: Severity::Error,
                     path: rel.clone(),
                     line: s.declared_line,
                     message: "suppression without a rationale; append \
@@ -232,13 +186,11 @@ fn crate_of(rel: &str) -> Option<&str> {
 }
 
 fn kind_of(rel: &str) -> FileKind {
-    let components: Vec<&str> = rel.split('/').collect();
-    if components.contains(&"tests") {
+    if rel
+        .split('/')
+        .any(|c| matches!(c, "tests" | "benches" | "examples"))
+    {
         FileKind::Test
-    } else if components.contains(&"benches") {
-        FileKind::Bench
-    } else if components.contains(&"examples") {
-        FileKind::Example
     } else {
         FileKind::Src
     }
@@ -253,22 +205,8 @@ mod tests {
         assert_eq!(crate_of("crates/assign/src/pool.rs"), Some("assign"));
         assert_eq!(crate_of("src/lib.rs"), None);
         assert_eq!(kind_of("crates/lint/tests/fixtures/x.rs"), FileKind::Test);
-        assert_eq!(kind_of("crates/bench/benches/a.rs"), FileKind::Bench);
-        assert_eq!(kind_of("examples/quickstart.rs"), FileKind::Example);
+        assert_eq!(kind_of("crates/bench/benches/a.rs"), FileKind::Test);
+        assert_eq!(kind_of("examples/quickstart.rs"), FileKind::Test);
         assert_eq!(kind_of("crates/assign/src/bin/tool.rs"), FileKind::Src);
-    }
-
-    #[test]
-    fn report_json_shape_is_stable() {
-        let r = Report {
-            findings: vec![],
-            files_scanned: 3,
-            suppressed: 1,
-        };
-        let json = r.to_json();
-        assert!(json.contains("\"version\": 1"));
-        assert!(json.contains("\"files_scanned\": 3"));
-        assert!(json.contains("\"unordered-iteration\""));
-        assert!(!r.failed());
     }
 }

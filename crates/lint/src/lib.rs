@@ -1,21 +1,19 @@
 //! # datawa-lint — determinism & concurrency static analysis for DATA-WA
 //!
 //! Every layer of this workspace stakes its correctness on one invariant:
-//! planning output is bitwise identical across cache on/off and metrics
-//! on/off. The runtime equivalence suites defend that invariant only for the
-//! seeds they run; this crate defends it at the source level by scanning the
-//! workspace's Rust files for the hazard classes that historically break it:
+//! planning output is bitwise identical with metrics on or off, and from one
+//! run to the next. The runtime equivalence suites defend that invariant
+//! only for the seeds they run; this crate defends it at the source level
+//! with the rules clippy cannot express:
 //!
 //! | rule | catches |
 //! |------|---------|
 //! | `unordered-iteration` | iterating `HashMap`/`HashSet` in deterministic crates without an immediate sort or order-insensitive sink |
-//! | `wall-clock-in-hot-path` | `Instant::now`/`SystemTime` outside `obs` and `service` |
-//! | `stray-env-read` | `std::env::var` outside `datawa_core::env_config` |
 //! | `relaxed-atomic-audit` | `Ordering::Relaxed` outside the audited allowlist |
 //! | `unchecked-float-ordering` | `partial_cmp` call sites (NaN-unsafe sort keys) in planning code |
-//! | `unwrap-in-hot-path` | `unwrap`/`expect` in non-test `assign`/`stream` code |
-//! | `blocking-sleep` | `thread::sleep` in deterministic crates (observe-only warning) |
 //!
+//! Wall clocks, environment reads and unwraps on the hot path are clippy's
+//! (`clippy.toml` and the `datawa-assign`/`datawa-stream` crate attributes).
 //! The full catalogue — what each rule threatens, why, and how to suppress
 //! it with a rationale — lives in the top-level `LINTS.md`.
 //!
@@ -39,23 +37,17 @@
 //!
 //! ```text
 //! cargo run -p datawa-lint --release -- --workspace
-//! cargo run -p datawa-lint --release -- --workspace --format json
 //! ```
 //!
-//! Exits `0` on a clean tree, `1` on any unsuppressed *error* finding, `2`
-//! on usage or I/O errors. Rules can land observe-only as
-//! [`Severity::Warning`]: their findings are reported (and carried in the
-//! JSON `severity` field) but never affect the exit code, so a new rule can
-//! bake against the tree before being promoted to `Error` in
-//! [`rules::severity_of`]. CI runs the linter in the `check` job next to
-//! fmt and clippy, and a dedicated `lint` job uploads the JSON report as an
-//! artifact.
+//! Exits `0` on a clean tree, `1` on any unsuppressed finding, `2` on usage
+//! or I/O errors. CI runs the linter in the `check` job next to fmt and
+//! clippy.
 
 pub mod diag;
 pub mod engine;
 pub mod rules;
 pub mod source;
 
-pub use diag::{Finding, Severity};
+pub use diag::Finding;
 pub use engine::{run, Options, Report};
 pub use source::{FileKind, SourceFile};

@@ -1,8 +1,9 @@
 //! `datawa-lint` CLI. See the crate docs and the top-level `LINTS.md`.
 //!
 //! ```text
-//! datawa-lint --workspace [--root <dir>] [--format text|json]
+//! datawa-lint --workspace [--root <dir>]
 //! datawa-lint [--context <crate>] <path>…
+//! datawa-lint --list
 //! ```
 //!
 //! Exit codes: `0` clean, `1` unsuppressed findings, `2` usage/I-O error.
@@ -13,8 +14,7 @@ use std::process::ExitCode;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: datawa-lint (--workspace | <path>…) [--root <dir>] \
-         [--format text|json] [--context <crate>] [--list]"
+        "usage: datawa-lint (--workspace | <path>…) [--root <dir>] [--context <crate>] [--list]"
     );
     std::process::exit(2);
 }
@@ -24,7 +24,6 @@ fn main() -> ExitCode {
         root: PathBuf::from("."),
         ..Options::default()
     };
-    let mut format_json = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -33,11 +32,6 @@ fn main() -> ExitCode {
             "--context" => {
                 opts.context_crate = Some(args.next().unwrap_or_else(|| usage()));
             }
-            "--format" => match args.next().as_deref() {
-                Some("json") => format_json = true,
-                Some("text") => format_json = false,
-                _ => usage(),
-            },
             "--list" => {
                 for (name, what) in datawa_lint::rules::RULES {
                     println!("{name}: {what}");
@@ -61,20 +55,15 @@ fn main() -> ExitCode {
         }
     };
 
-    if format_json {
-        print!("{}", report.to_json());
-    } else {
-        for f in &report.findings {
-            println!("{f}");
-        }
-        eprintln!(
-            "datawa-lint: {} error(s), {} warning(s), {} suppressed, {} file(s) scanned",
-            report.errors(),
-            report.warnings(),
-            report.suppressed,
-            report.files_scanned
-        );
+    for f in &report.findings {
+        println!("{f}");
     }
+    eprintln!(
+        "datawa-lint: {} finding(s), {} suppressed, {} file(s) scanned",
+        report.findings.len(),
+        report.suppressed,
+        report.files_scanned
+    );
     if report.failed() {
         ExitCode::FAILURE
     } else {

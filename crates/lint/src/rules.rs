@@ -1,31 +1,13 @@
 //! The rule set. Each rule is a named check over a [`SourceFile`]'s
 //! stripped lines; `LINTS.md` is the user-facing catalogue.
 
-use crate::diag::{Finding, Severity};
-use crate::source::{FileKind, SourceFile};
+use crate::diag::Finding;
+use crate::source::SourceFile;
 use std::collections::BTreeSet;
 
 /// Crates whose planning/state code must be bitwise deterministic: hash
 /// iteration order and NaN-unsafe comparisons are hazards here.
 pub const DETERMINISTIC_CRATES: &[&str] = &["assign", "stream", "core", "geo", "graph"];
-
-/// Crates whose non-test code sits on the hot replan/ingest path: a panic
-/// here takes down a serving session, so unwraps must be justified.
-pub const HOT_PATH_CRATES: &[&str] = &["assign", "stream"];
-
-/// Crates whose non-test code serves live connections: an explicit panic
-/// macro there rides the `catch_unwind` recovery path (or kills a
-/// connection thread outright) instead of answering the client with a
-/// typed error.
-pub const SERVICE_PATH_CRATES: &[&str] = &["service", "net"];
-
-/// Crates allowed to read wall clocks: observability (span timers), the
-/// service layer's live pacing, and the transport front-end (ingest-latency
-/// spans, socket timeouts).
-pub const WALL_CLOCK_EXEMPT_CRATES: &[&str] = &["obs", "service", "lint", "net"];
-
-/// The one module allowed to call `std::env::var` (path suffix match).
-pub const ENV_GATEWAY: &str = "crates/core/src/env_config.rs";
 
 /// Path prefixes whose `Ordering::Relaxed` uses have been audited as pure
 /// monotonic counters / commutatively-merged cells, with the rationale
@@ -43,24 +25,12 @@ pub const RULES: &[(&str, &str)] = &[
         "iterating a HashMap/HashSet in a deterministic crate without an immediate sort or order-insensitive sink",
     ),
     (
-        "wall-clock-in-hot-path",
-        "Instant::now/SystemTime outside obs and service",
-    ),
-    (
-        "stray-env-read",
-        "std::env::var outside datawa_core::env_config",
-    ),
-    (
         "relaxed-atomic-audit",
         "Ordering::Relaxed outside the audited allowlist",
     ),
     (
         "unchecked-float-ordering",
         "partial_cmp call sites (NaN-unsafe ordering) in deterministic crates",
-    ),
-    (
-        "unwrap-in-hot-path",
-        "unwrap/expect in non-test assign/stream code",
     ),
     (
         "missing-suppression-reason",
@@ -70,29 +40,11 @@ pub const RULES: &[(&str, &str)] = &[
         "invalid-suppression",
         "a datawa-lint directive that does not parse or names an unknown rule",
     ),
-    (
-        "blocking-sleep",
-        "thread::sleep in a deterministic crate (observe-only)",
-    ),
-    (
-        "panic-in-service-path",
-        "panic!/unreachable!/todo! in non-test service/net code (observe-only)",
-    ),
 ];
 
 /// Whether `name` is a known rule.
 pub fn is_known_rule(name: &str) -> bool {
     RULES.iter().any(|(n, _)| *n == name)
-}
-
-/// The severity a rule's findings carry. New rules land here as `Warning`
-/// (reported, exit code unaffected) and are promoted to `Error` once the
-/// tree is clean under them; see `LINTS.md` for the catalogue.
-pub fn severity_of(rule: &str) -> Severity {
-    match rule {
-        "blocking-sleep" | "panic-in-service-path" => Severity::Warning,
-        _ => Severity::Error,
-    }
 }
 
 /// Iterator-consuming method suffixes whose results leak hash order.
@@ -111,8 +63,8 @@ const ITER_SUFFIXES: &[&str] = &[
 
 /// Statement-window patterns that make hash iteration order-insensitive:
 /// commutative reductions, membership tests, re-collection into an ordered
-/// or hashed container, or an immediate sort. The window spans the flagged
-/// line plus the next three (see [`SourceFile::window`]).
+/// or hashed container, or an immediate sort, anywhere in the flagged
+/// statement.
 const ORDER_INSENSITIVE_SINKS: &[&str] = &[
     ".count()",
     ".len()",
@@ -138,13 +90,8 @@ const ORDER_INSENSITIVE_SINKS: &[&str] = &[
 pub fn check_file(file: &SourceFile) -> Vec<Finding> {
     let mut findings = Vec::new();
     unordered_iteration(file, &mut findings);
-    wall_clock(file, &mut findings);
-    stray_env_read(file, &mut findings);
     relaxed_atomic(file, &mut findings);
     float_ordering(file, &mut findings);
-    unwrap_in_hot_path(file, &mut findings);
-    blocking_sleep(file, &mut findings);
-    panic_in_service_path(file, &mut findings);
     findings
 }
 
@@ -157,7 +104,6 @@ fn in_crates(file: &SourceFile, list: &[&str]) -> bool {
 fn finding(file: &SourceFile, line: usize, rule: &'static str, message: String) -> Finding {
     Finding {
         rule,
-        severity: severity_of(rule),
         path: file.rel_path.clone(),
         line: line + 1,
         message,
@@ -413,53 +359,6 @@ fn for_loop_subject(code: &str) -> Option<String> {
         .then(|| expr.to_string())
 }
 
-fn wall_clock(file: &SourceFile, findings: &mut Vec<Finding>) {
-    if in_crates(file, WALL_CLOCK_EXEMPT_CRATES) {
-        return;
-    }
-    for (i, line) in file.lines.iter().enumerate() {
-        if line.is_test {
-            continue;
-        }
-        for pattern in ["Instant::now", "SystemTime"] {
-            if line.code.contains(pattern) {
-                findings.push(finding(
-                    file,
-                    i,
-                    "wall-clock-in-hot-path",
-                    format!(
-                        "`{pattern}` in a deterministic code path; wall-clock reads belong in \
-                         obs/service — if this only feeds a metric, suppress with that \
-                         rationale"
-                    ),
-                ));
-                break;
-            }
-        }
-    }
-}
-
-fn stray_env_read(file: &SourceFile, findings: &mut Vec<Finding>) {
-    if file.rel_path.ends_with(ENV_GATEWAY) || file.rel_path == "crates/core/src/env_config.rs" {
-        return;
-    }
-    for (i, line) in file.lines.iter().enumerate() {
-        if line.is_test {
-            continue;
-        }
-        if line.code.contains("env::var") {
-            findings.push(finding(
-                file,
-                i,
-                "stray-env-read",
-                "environment read outside datawa_core::env_config; add a typed accessor \
-                 there instead so every knob is catalogued and validated in one place"
-                    .to_string(),
-            ));
-        }
-    }
-}
-
 fn relaxed_atomic(file: &SourceFile, findings: &mut Vec<Finding>) {
     if RELAXED_AUDITED
         .iter()
@@ -507,85 +406,10 @@ fn float_ordering(file: &SourceFile, findings: &mut Vec<Finding>) {
     }
 }
 
-fn unwrap_in_hot_path(file: &SourceFile, findings: &mut Vec<Finding>) {
-    if !in_crates(file, HOT_PATH_CRATES) || file.kind != FileKind::Src {
-        return;
-    }
-    for (i, line) in file.lines.iter().enumerate() {
-        if line.is_test {
-            continue;
-        }
-        for pattern in [".unwrap()", ".expect("] {
-            if line.code.contains(pattern) {
-                findings.push(finding(
-                    file,
-                    i,
-                    "unwrap-in-hot-path",
-                    format!(
-                        "`{}` on the hot dispatch path; return an error, provide a default, \
-                         or suppress with the invariant that makes this infallible",
-                        pattern.trim_start_matches('.').trim_end_matches('(')
-                    ),
-                ));
-                break;
-            }
-        }
-    }
-}
-
-fn blocking_sleep(file: &SourceFile, findings: &mut Vec<Finding>) {
-    if !in_crates(file, DETERMINISTIC_CRATES) {
-        return;
-    }
-    for (i, line) in file.lines.iter().enumerate() {
-        if line.is_test {
-            continue;
-        }
-        if line.code.contains("thread::sleep") {
-            findings.push(finding(
-                file,
-                i,
-                "blocking-sleep",
-                "`thread::sleep` in a deterministic crate stalls the simulated clock's \
-                 thread for wall time; model waiting as events, or move the sleep to the \
-                 service/net layer"
-                    .to_string(),
-            ));
-        }
-    }
-}
-
-fn panic_in_service_path(file: &SourceFile, findings: &mut Vec<Finding>) {
-    if !in_crates(file, SERVICE_PATH_CRATES) || file.kind != FileKind::Src {
-        return;
-    }
-    for (i, line) in file.lines.iter().enumerate() {
-        if line.is_test {
-            continue;
-        }
-        for pattern in ["panic!(", "unreachable!(", "todo!("] {
-            if line.code.contains(pattern) {
-                findings.push(finding(
-                    file,
-                    i,
-                    "panic-in-service-path",
-                    format!(
-                        "`{}` in serving code unwinds through the pump supervisor (or kills a \
-                         connection thread) instead of answering the client with a typed error; \
-                         return a `Frame::Error`/`ClientError`, or suppress with the reason the \
-                         panic is intentional",
-                        pattern.trim_end_matches('(')
-                    ),
-                ));
-                break;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::FileKind;
 
     fn parse(path: &str, krate: Option<&str>, text: &str) -> SourceFile {
         SourceFile::parse(path, krate, FileKind::Src, text)
@@ -704,85 +528,16 @@ mod tests {
     }
 
     #[test]
-    fn blocking_sleep_is_an_observe_only_warning() {
-        let hot = parse(
-            "crates/stream/src/x.rs",
-            Some("stream"),
-            "fn f() { std::thread::sleep(core::time::Duration::from_millis(1)); }\n",
-        );
-        let findings = check_file(&hot);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert_eq!(findings[0].rule, "blocking-sleep");
-        assert_eq!(findings[0].severity, Severity::Warning);
-        // The service layer's pacing sleeps are legitimate.
-        let paced = parse(
-            "crates/service/src/x.rs",
-            Some("service"),
-            "fn f() { std::thread::sleep(core::time::Duration::from_millis(1)); }\n",
-        );
-        assert!(check_file(&paced).is_empty());
-    }
-
-    #[test]
-    fn panic_in_service_path_is_scoped_and_observe_only() {
-        let text = "fn f(x: u8) { match x { 0 => {} _ => unreachable!() } }\n";
-        let in_net = parse("crates/net/src/x.rs", Some("net"), text);
-        let findings = check_file(&in_net);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert_eq!(findings[0].rule, "panic-in-service-path");
-        assert_eq!(findings[0].severity, Severity::Warning);
-        // `.expect(...)` is the unwrap rule's business, not this one's.
-        let expects = parse(
-            "crates/service/src/x.rs",
-            Some("service"),
-            "fn f(m: &std::sync::Mutex<u8>) -> u8 { *m.lock().expect(\"poisoned\") }\n",
-        );
-        assert!(check_file(&expects).is_empty());
-        // Engine crates already have unwrap-in-hot-path; the panic rule
-        // stays out of their way.
-        let in_stream = parse(
-            "crates/stream/src/x.rs",
-            Some("stream"),
-            "fn f() { panic!(\"boom\") }\n",
-        );
-        assert!(!check_file(&in_stream)
-            .iter()
-            .any(|f| f.rule == "panic-in-service-path"));
-    }
-
-    #[test]
     fn rules_respect_crate_scoping() {
-        let text = "fn f() { let t = Instant::now(); }\n";
+        let text = "fn f(a: f64, b: f64) { a.partial_cmp(&b); }\n";
+        let in_graph = parse("crates/graph/src/x.rs", Some("graph"), text);
+        assert_eq!(check_file(&in_graph)[0].rule, "unchecked-float-ordering");
         let in_predict = parse("crates/predict/src/x.rs", Some("predict"), text);
-        assert_eq!(check_file(&in_predict).len(), 1);
-        let in_obs = parse("crates/obs/src/x.rs", Some("obs"), text);
-        assert!(check_file(&in_obs).is_empty());
-    }
-
-    #[test]
-    fn env_gateway_is_exempt() {
-        let text = "fn raw() { std::env::var(\"X\").ok(); }\n";
-        let gw = parse("crates/core/src/env_config.rs", Some("core"), text);
-        assert!(check_file(&gw).is_empty());
-        let stray = parse("crates/geo/src/x.rs", Some("geo"), text);
-        assert_eq!(check_file(&stray)[0].rule, "stray-env-read");
-    }
-
-    #[test]
-    fn unwrap_rule_is_scoped_to_hot_crates_and_skips_unwrap_or() {
-        let hot = parse(
-            "crates/stream/src/x.rs",
-            Some("stream"),
-            "fn f() { x.unwrap_or(1); y.unwrap_or_else(z); }\nfn g() { x.unwrap(); }\n",
-        );
-        let findings = check_file(&hot);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].line, 2);
-        let cold = parse(
-            "crates/predict/src/x.rs",
-            Some("predict"),
-            "fn g() { x.unwrap(); }\n",
-        );
-        assert!(check_file(&cold).is_empty());
+        assert!(check_file(&in_predict).is_empty());
+        let relaxed = "fn f(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); }\n";
+        let in_obs = parse("crates/obs/src/x.rs", Some("obs"), relaxed);
+        assert!(check_file(&in_obs).is_empty(), "the audited prefix");
+        let in_net = parse("crates/net/src/x.rs", Some("net"), relaxed);
+        assert_eq!(check_file(&in_net)[0].rule, "relaxed-atomic-audit");
     }
 }

@@ -3,8 +3,8 @@
 //! a server configured to panic the tenant's pump twice at seeded event
 //! indices — then assert the [`ResilientClient`] still delivers a decision
 //! stream *bitwise identical* to an uninterrupted direct session run.
-//! Prints `chaos_ok=1` on success; the whole scenario is replayable from
-//! `DATAWA_CHAOS_SEED` (default 218).
+//! Prints `chaos_ok=1` on success; the whole scenario replays from one
+//! fixed seed, 218.
 
 use datawa_assign::{AdaptiveRunner, AssignConfig, PolicyKind, StaticForecast, TaskValueFunction};
 use datawa_net::{
@@ -18,6 +18,9 @@ use datawa_stream::{
 use rand::prelude::{Rng, SeedableRng, StdRng};
 
 const TENANT: &str = "chaos";
+
+/// The seed every fault, kill point and jitter of the scenario derives from.
+const SEED: u64 = 218;
 
 /// The uninterrupted reference: the workload ingested into a session
 /// directly, mirroring the server's pump construction exactly.
@@ -38,8 +41,7 @@ fn direct_decisions(policy: PolicyKind, workload: &Workload) -> Vec<Decision> {
 }
 
 fn main() {
-    let seed: u64 = datawa_core::env_config::chaos_seed().unwrap_or(218);
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = StdRng::seed_from_u64(SEED);
 
     let policy = PolicyKind::Dta;
     let workload: Workload = UniformBaseline::new(
@@ -72,7 +74,7 @@ fn main() {
     // that is transparent so the retrying client can finish.
     let reset_at = rng.gen_range(10..total_events / 2);
     let tear_at = rng.gen_range(10..total_events / 2);
-    let mut plan = ChaosPlan::seeded(seed, 1, total_events / 2);
+    let mut plan = ChaosPlan::seeded(SEED, 1, total_events / 2);
     plan.conns.insert(
         0,
         Some(Fault::Reset {
@@ -93,7 +95,7 @@ fn main() {
         TENANT,
         "",
         RetryPolicy {
-            jitter_seed: seed,
+            jitter_seed: SEED,
             ..RetryPolicy::default()
         },
     );
@@ -107,13 +109,12 @@ fn main() {
         RetryOutcome::GaveUp {
             attempts,
             last_error,
-            // datawa-lint: allow(panic-in-service-path) -- CI harness assertion, not serving code
         } => panic!("chaos tenant gave up after {attempts} attempts: {last_error}"),
     };
 
     assert!(
         attempts > 1,
-        "the fault plan injected nothing — seed {seed} produced a clean run"
+        "the fault plan injected nothing — seed {SEED} produced a clean run"
     );
     assert_eq!(
         outcome.decisions, expected,
@@ -150,7 +151,7 @@ fn main() {
     server.shutdown();
 
     println!(
-        "chaos_smoke seed={seed} attempts={attempts} decisions={} kills=({kill_a},{kill_b}) \
+        "chaos_smoke seed={SEED} attempts={attempts} decisions={} kills=({kill_a},{kill_b}) \
          reset_at={reset_at} tear_at={tear_at} recoveries={recoveries}",
         expected.len()
     );

@@ -57,7 +57,6 @@ fn drive_resilient(addr: std::net::SocketAddr) -> (u64, u64) {
         RetryOutcome::GaveUp {
             attempts,
             last_error,
-            // datawa-lint: allow(panic-in-service-path) -- CI harness assertion, not serving code
         } => panic!("resilient tenant gave up after {attempts} attempts: {last_error}"),
     }
 }

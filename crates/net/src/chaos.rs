@@ -298,7 +298,6 @@ fn forward_frames(
                 }
             }
             Some(Fault::Stall { frame: at, millis }) if index == at => {
-                // datawa-lint: allow(blocking-sleep) -- latency injection is this proxy's entire purpose
                 std::thread::sleep(std::time::Duration::from_millis(millis));
                 if to.write_all(&frame).is_err() {
                     sever(client, server);

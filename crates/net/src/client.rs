@@ -366,7 +366,6 @@ impl ResilientClient {
                         backoff = backoff.max(hint);
                     }
                     backoff *= 1.0 + 0.5 * rng.gen_f64();
-                    // datawa-lint: allow(blocking-sleep) -- retry backoff is the one place a client must actually wait
                     std::thread::sleep(std::time::Duration::from_secs_f64(backoff));
                 }
             }

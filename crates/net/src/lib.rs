@@ -29,8 +29,7 @@
 //! * [`chaos`] — deterministic fault injection: [`ChaosProxy`], a
 //!   frame-aware TCP proxy that executes a seeded [`ChaosPlan`] of
 //!   connection resets, torn frames, duplicates and stalls, replayable
-//!   from a single seed (`DATAWA_CHAOS_SEED` drives the `chaos_smoke` CI
-//!   harness).
+//!   from a single seed (the `chaos_smoke` CI harness fixes seed 218).
 //!
 //! ## Fault tolerance
 //!

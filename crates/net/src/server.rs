@@ -814,7 +814,7 @@ fn pump_once(
             .position(|n| *n == ledger.journal.event_count())
         {
             kills.remove(at);
-            // datawa-lint: allow(panic-in-service-path) -- deterministic chaos injection, caught by the pump supervisor
+            // Deterministic chaos injection, caught by the pump supervisor.
             panic!("chaos: injected pump kill for tenant {tenant}");
         }
         if service.pump() == PumpStatus::SourceDrained {

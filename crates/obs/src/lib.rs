@@ -17,17 +17,17 @@
 //! unconditionally, and the workspace equivalence tests pin that attaching a
 //! registry does not change assignment output bitwise.
 //!
-//! The default wiring is one environment toggle:
-//! [`MetricsRegistry::from_env`] attaches when `DATAWA_OBS=on|1|true` and
-//! detaches otherwise, and `AdaptiveRunner::new` calls it, so exporting
-//! `DATAWA_OBS=on` lights up the whole stack with no code changes.
+//! Nothing attaches by default and nothing reads the environment:
+//! `AdaptiveRunner::new` starts detached, and a caller that wants numbers
+//! passes an attached registry in (`AdaptiveRunner::with_metrics`), which
+//! every layer above the runner then records into.
 //!
 //! ## Pattern
 //!
 //! ```
 //! use datawa_obs::MetricsRegistry;
 //!
-//! let registry = MetricsRegistry::new(); // or ::from_env() / ::detached()
+//! let registry = MetricsRegistry::new(); // or ::detached()
 //! let replans = registry.counter("assign.planning_calls");
 //! let latency = registry.histogram("assign.replan_seconds");
 //! {
@@ -115,6 +115,4 @@ mod registry;
 
 pub use hist::{Histogram, HistogramSummary, SpanTimer, BUCKETS, SUB};
 pub use json::JsonValue;
-pub use registry::{
-    parse_obs_toggle, Counter, Gauge, GaugeSnapshot, MetricsRegistry, MetricsSnapshot, OBS_ENV,
-};
+pub use registry::{Counter, Gauge, GaugeSnapshot, MetricsRegistry, MetricsSnapshot};

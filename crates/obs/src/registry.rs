@@ -23,11 +23,6 @@ use std::sync::{Arc, Mutex};
 use crate::hist::{Histogram, HistogramCore, HistogramSummary};
 use crate::json::JsonValue;
 
-/// Name of the environment variable toggling default-registry attachment:
-/// `DATAWA_OBS=on|1|true` attaches,
-/// `off|0|false` (or unset) detaches.
-pub const OBS_ENV: &str = "DATAWA_OBS";
-
 #[derive(Debug, Default)]
 struct CounterCore {
     value: AtomicU64,
@@ -161,21 +156,6 @@ impl MetricsRegistry {
         MetricsRegistry { inner: None }
     }
 
-    /// Attached or detached per the [`OBS_ENV`] (`DATAWA_OBS`) environment
-    /// variable: `on`/`1`/`true` (case-insensitive) attach, anything else —
-    /// including unset — detaches. Reads the environment on every call (no
-    /// caching) so tests can flip the toggle in-process; the read itself
-    /// goes through the workspace's single env gateway,
-    /// [`datawa_core::env_config`].
-    #[must_use]
-    pub fn from_env() -> MetricsRegistry {
-        if datawa_core::env_config::obs_attached() {
-            MetricsRegistry::new()
-        } else {
-            MetricsRegistry::detached()
-        }
-    }
-
     /// Whether handles from this registry record anywhere.
     pub fn is_attached(&self) -> bool {
         self.inner.is_some()
@@ -276,12 +256,6 @@ impl MetricsRegistry {
         }
         snap
     }
-}
-
-/// Whether a `DATAWA_OBS` value means "attached" (delegates to the shared
-/// toggle grammar in [`datawa_core::env_config`]).
-pub fn parse_obs_toggle(value: &str) -> bool {
-    datawa_core::env_config::toggle_is_on(value)
 }
 
 /// A point-in-time, serializable copy of a registry's metrics. Maps are
@@ -452,16 +426,6 @@ mod tests {
         let reg = MetricsRegistry::new();
         let _ = reg.counter("dual");
         let _ = reg.gauge("dual");
-    }
-
-    #[test]
-    fn obs_toggle_parsing() {
-        for v in ["on", "ON", "1", "true", " True "] {
-            assert!(parse_obs_toggle(v), "{v:?} should attach");
-        }
-        for v in ["off", "0", "false", "", "yes", "2"] {
-            assert!(!parse_obs_toggle(v), "{v:?} should detach");
-        }
     }
 
     #[test]

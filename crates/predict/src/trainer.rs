@@ -80,7 +80,8 @@ pub trait DemandPredictor {
 
     /// Trains the model on `dataset` with binary cross-entropy and Adam.
     fn train(&mut self, dataset: &SeriesDataset, config: &TrainingConfig) -> TrainingReport {
-        // datawa-lint: allow(wall-clock-in-hot-path) -- offline training: timing feeds TrainingReport::train_seconds, never model state
+        // Offline training: timing feeds TrainingReport::train_seconds, never
+        // model state.
         #[allow(clippy::disallowed_methods)]
         let start = Instant::now();
         let mut optimizer = Adam::new(config.learning_rate, self.parameters());
@@ -111,7 +112,8 @@ pub trait DemandPredictor {
     /// Evaluates Average Precision over a held-out dataset, also timing the
     /// inference passes (the paper's "testing time").
     fn evaluate(&self, dataset: &SeriesDataset) -> EvaluationReport {
-        // datawa-lint: allow(wall-clock-in-hot-path) -- offline evaluation: reproduces the paper's "testing time" metric only
+        // Offline evaluation: reproduces the paper's "testing time" metric
+        // only.
         #[allow(clippy::disallowed_methods)]
         let start = Instant::now();
         let mut scores = Vec::new();

@@ -4,7 +4,6 @@
 //!
 //! ```text
 //! cargo run --release -p datawa-service --bin service_live
-//! DATAWA_SERVICE_TASKS=2000 cargo run --release -p datawa-service --bin service_live
 //! ```
 //!
 //! Exits nonzero if the run produces no dispatch decision (the CI
@@ -17,11 +16,7 @@ use datawa_stream::{ChannelSink, Decision, RushHourBurst, ScenarioGenerator, Sce
 use std::sync::mpsc;
 
 fn main() {
-    let tasks = datawa_core::env_config::service_tasks().unwrap_or(600);
-    let workers = datawa_core::env_config::service_workers().unwrap_or(40);
-    let spec = ScenarioSpec::small()
-        .with_tasks(tasks)
-        .with_workers(workers);
+    let spec = ScenarioSpec::small().with_tasks(600).with_workers(40);
     let workload = RushHourBurst::new(spec).generate();
     let runner = AdaptiveRunner::new(AssignConfig::default(), PolicyKind::Dta);
 

@@ -115,8 +115,8 @@ pub struct DispatchService<'a, Src, Sink> {
 
 /// Service-layer handles into the observability registry.
 ///
-/// Always registered against an *attached* registry: the runner's when
-/// `DATAWA_OBS=on` (one combined snapshot across every layer), otherwise a
+/// Always registered against an *attached* registry: the runner's when it
+/// carries one (one combined snapshot across every layer), otherwise a
 /// private one owned by this service — so [`DispatchService::stats`] can
 /// source its high-water and stall counters from the registry
 /// unconditionally.
@@ -570,7 +570,7 @@ mod tests {
             CollectingSink::new(),
             tight,
         );
-        // Even with DATAWA_OBS unset the service carries its own attached
+        // Even over a detached runner the service carries its own attached
         // registry, so the registry-sourced stats always work.
         assert!(service.metrics().is_attached());
         let mut pumps = 0;

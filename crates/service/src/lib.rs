@@ -10,9 +10,7 @@
 //!   replays a pre-built workload in the engine's deterministic order;
 //!   [`LiveSource`] paces the same arrivals against a simulated wall clock,
 //!   so quiet periods (with their expirations and time-driven re-plans)
-//!   actually elapse between bursts — and opts into *real* wall-clock
-//!   pacing with [`LiveSource::with_wall_clock`] for true real-time runs.
-//!   [`NetSource`] is the push-fed variant: a connection handler feeds
+//!   actually elapse between bursts. [`NetSource`] is the push-fed variant: a connection handler feeds
 //!   events across threads through a [`NetSourceHandle`], which is how the
 //!   `datawa-net` TCP front-end (wire format in the workspace-root
 //!   `PROTOCOL.md`) runs one `DispatchService` per tenant connection.
@@ -69,8 +67,8 @@
 //! backpressure stalls (`service.backpressure_stalls`), the admission
 //! backlog gauge with its high-water mark (`service.backlog`) and a pump
 //! latency histogram (`service.pump_seconds`). When the runner carries an
-//! attached registry (`DATAWA_OBS=on`, or
-//! [`AdaptiveRunner::with_metrics`](datawa_assign::AdaptiveRunner::with_metrics)),
+//! attached registry
+//! ([`AdaptiveRunner::with_metrics`](datawa_assign::AdaptiveRunner::with_metrics)),
 //! the service joins it, so [`DispatchService::obs_snapshot`] returns one
 //! combined assign + stream + service snapshot; otherwise the service
 //! carries a private always-attached registry, which is how

@@ -112,28 +112,14 @@ impl IngestSource for WorkloadSource {
 /// inverting the engine's tick-last same-instant ordering (and losing
 /// assignments the batch driver makes).
 ///
-/// By default the clock is simulated (no real sleeping), so paced runs stay
+/// The clock is simulated (no real sleeping), so paced runs stay
 /// deterministic and as fast as the hardware allows — the pacing step only
-/// controls how finely quiet periods are sliced. Opt into *wall-clock*
-/// pacing with [`LiveSource::with_wall_clock`]: each poll then also sleeps
-/// until real time has caught up with the simulated clock (at a configurable
-/// simulated-seconds-per-real-second rate), which turns the source into a
-/// true real-time front-end driver. The decision stream is identical either
-/// way — wall pacing changes *when* polls return, never what they return.
+/// controls how finely quiet periods are sliced.
 #[derive(Debug, Clone)]
 pub struct LiveSource {
     inner: WorkloadSource,
     clock: Timestamp,
     step: Duration,
-    wall: Option<WallClock>,
-}
-
-/// Wall-clock pacing state: simulated seconds advance `rate` times faster
-/// than real seconds, anchored at the first poll.
-#[derive(Debug, Clone)]
-struct WallClock {
-    rate: f64,
-    anchor: Option<(std::time::Instant, f64)>,
 }
 
 impl LiveSource {
@@ -154,52 +140,12 @@ impl LiveSource {
             inner,
             clock,
             step: Duration(step),
-            wall: None,
         }
-    }
-
-    /// Opts into wall-clock pacing: polls block (sleep) until real time
-    /// catches up with the simulated clock, with `rate` simulated seconds
-    /// elapsing per real second (`1.0` = real time, `60.0` = a minute of
-    /// simulated traffic per wall second). The real-time anchor is set at
-    /// the first poll, so construction cost is excluded.
-    ///
-    /// The default (no wall pacing) remains the deterministic simulated
-    /// clock; this is the opt-in for true real-time front-ends.
-    ///
-    /// Panics on a non-positive or non-finite rate.
-    #[must_use]
-    pub fn with_wall_clock(mut self, rate: f64) -> LiveSource {
-        assert!(
-            rate.is_finite() && rate > 0.0,
-            "wall-clock rate must be a positive finite number of simulated seconds per real second, got {rate}"
-        );
-        self.wall = Some(WallClock { rate, anchor: None });
-        self
     }
 
     /// The current simulated wall-clock time.
     pub fn now(&self) -> Timestamp {
         self.clock
-    }
-
-    /// Sleeps until real time reaches the simulated clock under the
-    /// configured rate (no-op without wall pacing).
-    fn pace_to_wall_clock(&mut self) {
-        let Some(wall) = self.wall.as_mut() else {
-            return;
-        };
-        // Pacing is the service boundary's job: map simulated time onto the
-        // real clock without ever feeding it back into planning.
-        #[allow(clippy::disallowed_methods)]
-        let (anchor_instant, anchor_sim) = *wall
-            .anchor
-            .get_or_insert((std::time::Instant::now(), self.clock.0));
-        let due_real = (self.clock.0 - anchor_sim) / wall.rate;
-        let elapsed = anchor_instant.elapsed().as_secs_f64();
-        if due_real > elapsed {
-            std::thread::sleep(std::time::Duration::from_secs_f64(due_real - elapsed));
-        }
     }
 }
 
@@ -207,10 +153,7 @@ impl IngestSource for LiveSource {
     fn poll(&mut self) -> SourcePoll {
         match self.inner.peek() {
             None => SourcePoll::Exhausted,
-            Some((t, _)) if t.0 <= self.clock.0 => {
-                self.pace_to_wall_clock();
-                self.inner.poll()
-            }
+            Some((t, _)) if t.0 <= self.clock.0 => self.inner.poll(),
             Some((t, _)) => {
                 // Head arrival is in the future: advance the simulated clock
                 // one pacing step toward it. A step that reaches the arrival
@@ -219,11 +162,9 @@ impl IngestSource for LiveSource {
                 let stepped = self.clock.0 + self.step.0;
                 if stepped >= t.0 {
                     self.clock = Timestamp(t.0);
-                    self.pace_to_wall_clock();
                     self.inner.poll()
                 } else {
                     self.clock = Timestamp(stepped);
-                    self.pace_to_wall_clock();
                     SourcePoll::Wait(self.clock)
                 }
             }
@@ -494,45 +435,6 @@ mod tests {
     #[should_panic(expected = "pacing step")]
     fn zero_pacing_step_is_rejected() {
         let _ = LiveSource::new(&workload(), 0.0);
-    }
-
-    #[test]
-    fn wall_clock_pacing_blocks_until_real_time_catches_up() {
-        // 5 simulated seconds of workload at 100 sim-seconds per real second
-        // must take at least ~50 ms of wall time, and the polls themselves
-        // must be identical to the unpaced run.
-        let unpaced: Vec<SourcePoll> = {
-            let mut s = LiveSource::new(&workload(), 1.0);
-            std::iter::from_fn(|| match s.poll() {
-                SourcePoll::Exhausted => None,
-                p => Some(p),
-            })
-            .collect()
-        };
-        let mut paced = LiveSource::new(&workload(), 1.0).with_wall_clock(100.0);
-        #[allow(clippy::disallowed_methods)] // the test measures the pacing it exists to verify
-        let start = std::time::Instant::now();
-        let polls: Vec<SourcePoll> = std::iter::from_fn(|| match paced.poll() {
-            SourcePoll::Exhausted => None,
-            p => Some(p),
-        })
-        .collect();
-        let elapsed = start.elapsed();
-        assert_eq!(polls, unpaced, "wall pacing changed the poll stream");
-        assert!(
-            elapsed >= std::time::Duration::from_millis(40),
-            "5 simulated seconds at 100x should block ≥ ~50 ms, took {elapsed:?}"
-        );
-        assert!(
-            elapsed < std::time::Duration::from_secs(2),
-            "wall pacing overshot wildly: {elapsed:?}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "wall-clock rate")]
-    fn non_positive_wall_rate_is_rejected() {
-        let _ = LiveSource::new(&workload(), 1.0).with_wall_clock(0.0);
     }
 
     #[test]

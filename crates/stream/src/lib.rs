@@ -114,8 +114,7 @@
 //! re-plan ticks (`stream.replan_ticks`) and a pending-queue depth gauge
 //! whose high-water mark survives in every snapshot
 //! (`stream.queue_depth`). [`Session::open`] inherits the runner's
-//! registry — detached by default, attached when `DATAWA_OBS=on` is set or
-//! the runner was built with
+//! registry — detached by default, attached when the runner was built with
 //! [`AdaptiveRunner::with_metrics`](datawa_assign::AdaptiveRunner::with_metrics)
 //! — so one registry carries the assign-layer metrics (replan latency
 //! histogram, partition gauges, search-node counters) and the stream-layer
@@ -136,6 +135,10 @@
 //! drift and heavy-tailed worker churn. The Yueche/DiDi-style synthetic-trace
 //! replay adapter lives in `datawa-sim` (`SyntheticTrace::workload`), which
 //! depends on this crate.
+
+// The ingest path serves live sessions: a panic there takes one down, so an
+// unwrap or expect outside tests carries an allow with its invariant.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod engine;
 pub mod event;

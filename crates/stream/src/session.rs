@@ -469,8 +469,8 @@ impl<'a, F: ForecastProvider + ?Sized> Session<'a, F> {
     }
 
     /// The observability registry this session records into (detached unless
-    /// `DATAWA_OBS=on`, the runner carries an attached registry, or the
-    /// session was opened through [`Session::open_with_metrics`]).
+    /// the runner carries an attached registry or the session was opened
+    /// through [`Session::open_with_metrics`]).
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.obs
     }
@@ -602,7 +602,9 @@ impl<'a, F: ForecastProvider + ?Sized> Session<'a, F> {
                 (Some(et), Some(tt)) if tt.0 < et.0 => self.fire_tick(tt, sink),
                 (None, Some(tt)) => self.fire_tick(tt, sink),
                 (Some(_), _) => {
-                    // datawa-lint: allow(unwrap-in-hot-path) -- pop follows a successful peek with no intervening mutation
+                    // Pop follows a successful peek with no intervening
+                    // mutation.
+                    #[allow(clippy::expect_used)]
                     let scheduled = self.queue.pop().expect("peeked event vanished");
                     self.process(scheduled, sink);
                 }

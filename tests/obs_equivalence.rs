@@ -5,7 +5,6 @@
 //! attached run must actually have recorded something, so the pin is not
 //! vacuous.
 
-use datawa::obs::parse_obs_toggle;
 use datawa::prelude::*;
 
 fn runner(policy: PolicyKind, registry: MetricsRegistry) -> AdaptiveRunner {
@@ -36,6 +35,12 @@ fn batch_run_is_bitwise_identical_with_metrics_attached() {
         let observed = MetricsRegistry::new();
         let on = runner(policy, observed.clone());
         let off = runner(policy, MetricsRegistry::detached());
+        assert!(
+            !AdaptiveRunner::new(AssignConfig::default(), policy)
+                .metrics()
+                .is_attached(),
+            "a runner records nowhere until a registry is passed in"
+        );
         let config = EngineConfig::batched(8);
         let with_metrics = run_workload(&on, &workload, &[], config);
         let without = run_workload(&off, &workload, &[], config);
@@ -132,17 +137,5 @@ fn session_run_is_bitwise_identical_with_metrics_attached() {
             Some(workload.arrival_count() as u64),
             "{label}: ingest counter not recorded"
         );
-    }
-}
-
-/// The `DATAWA_OBS` toggle is case-insensitive, whitespace-tolerant and off
-/// by default.
-#[test]
-fn obs_env_toggle_parses_like_the_threads_knob() {
-    for on in ["on", "ON", " On ", "1", "true", "TRUE"] {
-        assert!(parse_obs_toggle(on), "{on:?} should attach");
-    }
-    for off in ["off", "0", "false", "", "  ", "yes-please", "2"] {
-        assert!(!parse_obs_toggle(off), "{off:?} should stay detached");
     }
 }
