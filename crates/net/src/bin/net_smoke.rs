@@ -1,11 +1,11 @@
 //! CI smoke test for the transport front-end: bind a loopback server, drive
-//! two concurrent tenant clients through real TCP connections plus one
-//! retrying [`ResilientClient`], and assert nonzero per-tenant decision
-//! counts, zero gave-ups, and a clean shutdown. Prints `net_smoke_ok=1` on
-//! success; any failure exits nonzero (the CI job also wraps the whole run
-//! in `timeout`, so a hang fails too).
+//! three concurrent tenants through real TCP connections — two streaming
+//! [`NetClient`]s and one retrying [`NetClient::deliver`] — and assert
+//! nonzero per-tenant decision counts, zero gave-ups, and a clean shutdown.
+//! Prints `net_smoke_ok=1` on success; any failure exits nonzero (the CI job
+//! also wraps the whole run in `timeout`, so a hang fails too).
 
-use datawa_net::{NetClient, NetConfig, NetServer, ResilientClient, RetryOutcome, RetryPolicy};
+use datawa_net::{Frame, NetClient, NetConfig, NetServer, RetryOutcome, RetryPolicy};
 use datawa_service::{IngestSource, SourcePoll, WorkloadSource};
 use datawa_stream::{ScenarioGenerator, ScenarioSpec, UniformBaseline, Workload};
 
@@ -32,7 +32,7 @@ fn drive(addr: std::net::SocketAddr, tenant: &'static str, seed: u64) -> (u64, u
     (closed.assigned, closed.decisions)
 }
 
-/// Drives the retrying client over a healthy loopback: it must complete on
+/// Drives a retrying delivery over a healthy loopback: it must complete on
 /// the first attempt — a give-up (or any retry) here is a server bug.
 fn drive_resilient(addr: std::net::SocketAddr) -> (u64, u64) {
     let workload: Workload = UniformBaseline::new(
@@ -42,12 +42,12 @@ fn drive_resilient(addr: std::net::SocketAddr) -> (u64, u64) {
             .with_seed(43),
     )
     .generate();
-    let mut client = ResilientClient::new(addr, "smoke-r", "", RetryPolicy::default());
+    let mut log = Vec::new();
     let mut source = WorkloadSource::new(&workload);
     while let SourcePoll::Ready(time, event) = source.poll() {
-        client.send_event(time, &event);
+        log.push(Frame::from_event(time, &event));
     }
-    match client.deliver() {
+    match NetClient::deliver(addr, "smoke-r", "", &log, &RetryPolicy::default()) {
         RetryOutcome::Completed { outcome, attempts } => {
             assert_eq!(attempts, 1, "loopback delivery needed retries");
             assert!(outcome.errors.is_empty(), "{:?}", outcome.errors);
@@ -57,7 +57,7 @@ fn drive_resilient(addr: std::net::SocketAddr) -> (u64, u64) {
         RetryOutcome::GaveUp {
             attempts,
             last_error,
-        } => panic!("resilient tenant gave up after {attempts} attempts: {last_error}"),
+        } => panic!("retrying tenant gave up after {attempts} attempts: {last_error}"),
     }
 }
 
@@ -70,7 +70,7 @@ fn main() {
     let r = std::thread::spawn(move || drive_resilient(addr));
     let (assigned_a, decisions_a) = a.join().expect("tenant a thread");
     let (assigned_b, decisions_b) = b.join().expect("tenant b thread");
-    let (assigned_r, _decisions_r) = r.join().expect("resilient tenant thread");
+    let (assigned_r, decisions_r) = r.join().expect("retrying tenant thread");
 
     assert!(assigned_a > 0, "tenant smoke-a assigned nothing");
     assert!(assigned_b > 0, "tenant smoke-b assigned nothing");
@@ -107,8 +107,9 @@ fn main() {
     );
 
     println!(
-        "net_smoke tenants=2 assigned_a={assigned_a} assigned_b={assigned_b} \
-         decisions_a={decisions_a} decisions_b={decisions_b}"
+        "net_smoke tenants=3 assigned_a={assigned_a} assigned_b={assigned_b} \
+         assigned_r={assigned_r} decisions_a={decisions_a} decisions_b={decisions_b} \
+         decisions_r={decisions_r}"
     );
     println!("net_smoke_ok=1");
 }

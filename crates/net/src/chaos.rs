@@ -3,10 +3,10 @@
 //! [`ChaosProxy`] sits between a client and a [`NetServer`](crate::NetServer)
 //! as a frame-aware TCP proxy: it parses the client→server byte stream at
 //! frame boundaries and applies a scripted [`Fault`] per proxied connection —
-//! connection resets, truncated frames, duplicated frames, stalls — while
-//! copying the server→client direction verbatim. Faults trigger on *frame
-//! counts*, never on timing, so a given [`ChaosPlan`] replays the same
-//! byte-level failure on every run; combined with the seeded plan generator
+//! connection resets, truncated frames, stalls — while copying the
+//! server→client direction verbatim. Faults trigger on *frame counts*, never
+//! on timing, so a given [`ChaosPlan`] replays the same byte-level failure
+//! on every run; combined with the seeded plan generator
 //! ([`ChaosPlan::seeded`]) and the server's deterministic journal recovery,
 //! an entire chaos scenario is reproducible from a single `u64`.
 //!
@@ -43,14 +43,6 @@ pub enum Fault {
         /// Bytes of the frame's encoding that still arrive.
         keep_bytes: usize,
     },
-    /// Forward frame `frame` twice. Safe only for frames whose replay is
-    /// idempotent at the server (an `AdvanceTo` to the same time, a
-    /// `Resume` ping); duplicating an event frame corrupts the stream by
-    /// design — chaos tests use this to check liveness, not parity.
-    Duplicate {
-        /// Zero-based index of the frame to double.
-        frame: u64,
-    },
     /// Hold frame `frame` for `millis` before forwarding it, unchanged and
     /// in order: pure latency injection.
     Stall {
@@ -71,11 +63,6 @@ pub struct ChaosPlan {
 }
 
 impl ChaosPlan {
-    /// A plan that proxies every connection transparently.
-    pub fn transparent() -> ChaosPlan {
-        ChaosPlan::default()
-    }
-
     /// A seeded random plan: `faulty_conns` connections each get one fault
     /// drawn deterministically from the full vocabulary, with trigger
     /// frames in `[1, frame_span)` (index 0 — the `Hello` — is spared so a
@@ -291,25 +278,14 @@ fn forward_frames(
                 sever(client, server);
                 return;
             }
-            Some(Fault::Duplicate { frame: at }) if index == at => {
-                if to.write_all(&frame).is_err() || to.write_all(&frame).is_err() {
-                    sever(client, server);
-                    return;
-                }
-            }
             Some(Fault::Stall { frame: at, millis }) if index == at => {
                 std::thread::sleep(std::time::Duration::from_millis(millis));
-                if to.write_all(&frame).is_err() {
-                    sever(client, server);
-                    return;
-                }
             }
-            _ => {
-                if to.write_all(&frame).is_err() {
-                    sever(client, server);
-                    return;
-                }
-            }
+            _ => {}
+        }
+        if to.write_all(&frame).is_err() {
+            sever(client, server);
+            return;
         }
         index += 1;
     }

@@ -1,16 +1,16 @@
-//! A loopback client for the wire protocol: handshake, event sending, and
-//! a background collector thread that drains server frames so decision
-//! traffic can never back up the socket while the client is still sending.
+//! The wire client: handshake, event sending, and a reader thread that
+//! drains server frames into a channel so decision traffic can never back
+//! up the socket while the client is still sending.
 //!
-//! Two clients live here. [`NetClient`] is the transparent one: every send
-//! is one socket write, every failure surfaces immediately. On top of it,
-//! [`ResilientClient`] keeps a local command log and delivers it with
-//! automatic retries — capped exponential backoff with deterministic seeded
-//! jitter, honouring server [`Frame::RetryAfter`] hints — and resumes after
-//! a reconnect via the [`Frame::Resume`]/[`Frame::ResumeAck`] exchange, so a
-//! connection reset, a truncated frame, or a recovering server pump costs
-//! retries but never a lost or double-ingested command (the semantics are
-//! specified in `PROTOCOL.md` at the workspace root).
+//! [`NetClient`] is one connection: every send is one socket write, and
+//! [`NetClient::close`] collects what the server streamed back.
+//! [`NetClient::deliver`] drives a whole command log over as many
+//! connections as it takes — capped exponential backoff with deterministic
+//! seeded jitter, honouring server [`Frame::RetryAfter`] hints, and resuming
+//! each reconnect via the [`Frame::Resume`]/[`Frame::ResumeAck`] exchange —
+//! so a connection reset, a truncated frame, or a recovering server pump
+//! costs retries but never a lost or double-ingested command (the semantics
+//! are specified in `PROTOCOL.md` at the workspace root).
 
 use crate::wire::{
     read_frame, write_frame, ErrorCode, Frame, RetryReason, WireError, PROTOCOL_VERSION,
@@ -19,10 +19,12 @@ use datawa_core::Timestamp;
 use datawa_stream::{Decision, Event};
 use rand::prelude::{Rng, SeedableRng, StdRng};
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::mpsc::{channel, Receiver};
 use std::thread::JoinHandle;
 
-/// Everything the server streamed back over one connection's lifetime.
+/// Everything the server streamed back over one connection's lifetime (or,
+/// from [`NetClient::deliver`], merged across every attempt).
 #[derive(Debug, Default)]
 pub struct ClientOutcome {
     /// Decisions, in the order the server emitted them.
@@ -63,12 +65,15 @@ pub enum ClientError {
         /// Human-readable detail.
         message: String,
     },
-    /// The connection cap was hit; retry after the suggested backoff.
+    /// The server refused admission — the connection at the cap, or an
+    /// event under throttling; retry after the suggested backoff.
     Busy {
         /// Suggested backoff in seconds.
         retry_after_secs: f64,
+        /// Which admission layer refused.
+        reason: RetryReason,
     },
-    /// The server answered the handshake with something unexpected.
+    /// The server answered with a frame the exchange does not allow.
     UnexpectedFrame,
 }
 
@@ -80,13 +85,16 @@ impl std::fmt::Display for ClientError {
             ClientError::Refused { code, message } => {
                 write!(f, "refused ({code:?}): {message}")
             }
-            ClientError::Busy { retry_after_secs } => {
+            ClientError::Busy {
+                retry_after_secs,
+                reason,
+            } => {
                 write!(
                     f,
-                    "server at connection cap; retry after {retry_after_secs}s"
+                    "admission refused ({reason:?}); retry after {retry_after_secs}s"
                 )
             }
-            ClientError::UnexpectedFrame => write!(f, "unexpected handshake answer"),
+            ClientError::UnexpectedFrame => write!(f, "unexpected server frame"),
         }
     }
 }
@@ -99,18 +107,27 @@ impl From<std::io::Error> for ClientError {
     }
 }
 
+/// A server frame that ends a wait: everything else (decisions,
+/// retry-afters) is recorded in the outcome on the way.
+enum Control {
+    ResumeAck(u64),
+    Closed,
+    Error(ErrorCode, String),
+}
+
 /// A connected tenant client. Send events with the typed helpers; server
-/// frames are collected on a background thread and returned by
+/// frames queue on a reader thread and are returned by
 /// [`NetClient::close`].
 #[derive(Debug)]
 pub struct NetClient {
     writer: TcpStream,
-    collector: Option<JoinHandle<ClientOutcome>>,
+    frames: Receiver<Frame>,
+    reader: Option<JoinHandle<()>>,
 }
 
 impl NetClient {
     /// Connects, performs the `Hello` handshake as `tenant`, and starts the
-    /// frame collector.
+    /// reader thread.
     pub fn connect(addr: SocketAddr, tenant: &str, token: &str) -> Result<NetClient, ClientError> {
         let mut writer = TcpStream::connect(addr)?;
         // A server refusing at the connection cap may answer and FIN before
@@ -130,10 +147,11 @@ impl NetClient {
             Ok(Frame::HelloAck { .. }) => hello_sent?,
             Ok(Frame::RetryAfter {
                 seconds,
-                reason: RetryReason::ConnectionCap,
+                reason: reason @ RetryReason::ConnectionCap,
             }) => {
                 return Err(ClientError::Busy {
                     retry_after_secs: seconds,
+                    reason,
                 })
             }
             Ok(Frame::Error { code, message }) => {
@@ -147,10 +165,18 @@ impl NetClient {
                 return Err(ClientError::Wire(e));
             }
         }
-        let collector = std::thread::spawn(move || collect(reader));
+        let (tx, frames) = channel();
+        let reader = std::thread::spawn(move || {
+            while let Ok(frame) = read_frame(&mut reader) {
+                if tx.send(frame).is_err() {
+                    return;
+                }
+            }
+        });
         Ok(NetClient {
             writer,
-            collector: Some(collector),
+            frames,
+            reader: Some(reader),
         })
     }
 
@@ -164,36 +190,133 @@ impl NetClient {
         write_frame(&mut self.writer, &Frame::AdvanceTo { time })
     }
 
-    /// Sends a raw frame (tests use this to probe protocol violations).
-    pub fn send_frame(&mut self, frame: &Frame) -> std::io::Result<()> {
-        write_frame(&mut self.writer, frame)
-    }
-
     /// Sends `Close`, waits for the server to drain the session, and
     /// returns everything it streamed back.
     pub fn close(mut self) -> ClientOutcome {
         // The server may already have closed the connection (protocol error
-        // paths); the collector still holds whatever arrived before that.
+        // paths); the channel still holds whatever arrived before that.
         let _ = write_frame(&mut self.writer, &Frame::Close);
-        self.join_collector()
+        let mut outcome = ClientOutcome::default();
+        while let Some(control) = self.next_control(&mut outcome) {
+            if let Control::Closed = control {
+                break;
+            }
+        }
+        outcome
     }
 
-    /// Drops the write half without an orderly `Close` (tests use this for
-    /// mid-stream disconnects) and returns what was collected.
-    pub fn abandon(mut self) -> ClientOutcome {
-        let _ = self.writer.shutdown(std::net::Shutdown::Write);
-        self.join_collector()
+    /// Routes server frames into `outcome` until a control frame arrives:
+    /// decisions and retry-afters are recorded and skipped, `Error` and
+    /// `Closed` are recorded and returned, `ResumeAck` is returned. `None`
+    /// once the server's stream has ended.
+    fn next_control(&self, outcome: &mut ClientOutcome) -> Option<Control> {
+        loop {
+            match self.frames.recv().ok()? {
+                Frame::RetryAfter { seconds, reason } => {
+                    outcome.retry_after.push((seconds, reason));
+                }
+                Frame::Error { code, message } => {
+                    outcome.errors.push((code, message.clone()));
+                    return Some(Control::Error(code, message));
+                }
+                Frame::ResumeAck { events_ingested } => {
+                    return Some(Control::ResumeAck(events_ingested))
+                }
+                Frame::Closed {
+                    assigned,
+                    decisions,
+                    events,
+                    planning_calls,
+                } => {
+                    outcome.closed = Some(ClosedSummary {
+                        assigned,
+                        decisions,
+                        events,
+                        planning_calls,
+                    });
+                    return Some(Control::Closed);
+                }
+                frame => {
+                    // The server's resume skip guarantees every decision
+                    // frame is new to us, across any number of reconnects.
+                    if let Some(decision) = frame.into_decision() {
+                        outcome.decisions.push(decision);
+                    }
+                }
+            }
+        }
     }
 
-    fn join_collector(&mut self) -> ClientOutcome {
-        self.collector
-            .take()
-            .map(|c| c.join().unwrap_or_default())
-            .unwrap_or_default()
+    /// Delivers `log` — client command frames (events and `AdvanceTo`s) —
+    /// to `tenant` at `addr` and closes the session, retrying through
+    /// transient faults per `policy`.
+    ///
+    /// Each attempt connects, exchanges `Resume`/`ResumeAck` to learn how
+    /// much of the log the server already holds, sends the rest, confirms
+    /// the admitted count with a sync ping and closes in order. Across every
+    /// retry, each command is ingested exactly once and each decision is
+    /// received exactly once — the server's journaled replay and the
+    /// `Resume` count exchange carry the proof (see `PROTOCOL.md`).
+    pub fn deliver(
+        addr: SocketAddr,
+        tenant: &str,
+        token: &str,
+        log: &[Frame],
+        policy: &RetryPolicy,
+    ) -> RetryOutcome {
+        let mut rng = StdRng::seed_from_u64(policy.jitter_seed);
+        let mut merged = ClientOutcome::default();
+        let mut attempts: u32 = 0;
+        loop {
+            attempts += 1;
+            let (last_error, hint) = match attempt(addr, tenant, token, log, &mut merged) {
+                Ok(()) => {
+                    return RetryOutcome::Completed {
+                        outcome: merged,
+                        attempts,
+                    }
+                }
+                Err(AttemptEnd::Fatal(last_error)) => {
+                    return RetryOutcome::GaveUp {
+                        attempts,
+                        last_error,
+                    }
+                }
+                Err(AttemptEnd::Retry(last_error, hint)) => (last_error, hint),
+            };
+            if attempts >= policy.max_attempts {
+                return RetryOutcome::GaveUp {
+                    attempts,
+                    last_error,
+                };
+            }
+            // Capped exponential backoff with deterministic jitter in
+            // [1.0, 1.5)x; a larger server hint overrides the ramp.
+            let exp = policy.base_backoff_secs * f64::from(1u32 << (attempts - 1).min(20));
+            let mut backoff = exp.min(policy.max_backoff_secs);
+            if let Some(hint) = hint {
+                backoff = backoff.max(hint);
+            }
+            backoff *= 1.0 + 0.5 * rng.gen_f64();
+            std::thread::sleep(std::time::Duration::from_secs_f64(backoff));
+        }
     }
 }
 
-/// Backoff and give-up policy for a [`ResilientClient`].
+impl Drop for NetClient {
+    fn drop(&mut self) {
+        // Hang up, then let the reader drain until the server closes its
+        // end: the server tears the tenant down before it closes, so a
+        // reconnect after this returns never races the previous
+        // incarnation's teardown.
+        let _ = self.writer.shutdown(Shutdown::Write);
+        if let Some(reader) = self.reader.take() {
+            let _ = reader.join();
+        }
+    }
+}
+
+/// Backoff and give-up policy for [`NetClient::deliver`].
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Connection attempts before giving up.
@@ -219,7 +342,7 @@ impl Default for RetryPolicy {
     }
 }
 
-/// How a [`ResilientClient::deliver`] run ended.
+/// How a [`NetClient::deliver`] run ended.
 #[derive(Debug)]
 pub enum RetryOutcome {
     /// The full command log was ingested and the session closed in order.
@@ -236,23 +359,6 @@ pub enum RetryOutcome {
         /// The error that ended the final attempt.
         last_error: ClientError,
     },
-}
-
-/// One journaled client command: exactly what [`ResilientClient`] resends
-/// from its log after a reconnect.
-#[derive(Debug, Clone)]
-enum ClientCommand {
-    Event(Timestamp, Event),
-    Advance(Timestamp),
-}
-
-impl ClientCommand {
-    fn to_frame(&self) -> Frame {
-        match self {
-            ClientCommand::Event(time, event) => Frame::from_event(*time, event),
-            ClientCommand::Advance(time) => Frame::AdvanceTo { time: *time },
-        }
-    }
 }
 
 /// Why one delivery attempt stopped, and whether another should follow.
@@ -277,397 +383,88 @@ fn refusal_is_fatal(code: ErrorCode) -> bool {
     }
 }
 
-/// A client that owns its command log and survives transport faults.
-///
-/// Commands are appended locally ([`send_event`](ResilientClient::send_event)
-/// / [`advance_to`](ResilientClient::advance_to) never touch the socket);
-/// [`deliver`](ResilientClient::deliver) then drives the whole log to the
-/// server, reconnect-resuming through resets, truncations and pump
-/// recoveries. Across every retry, each command is ingested exactly once and
-/// each decision is received exactly once — the server's journaled replay
-/// and the `Resume` count exchange carry the proof (see `PROTOCOL.md`).
-#[derive(Debug)]
-pub struct ResilientClient {
+/// One connection attempt: handshake, resume exchange, send the
+/// unacknowledged log suffix, verify the admitted count with a sync ping,
+/// then close in order. Any transient failure tears the socket down (the
+/// server keeps the tenant ledger) and reports `Retry`.
+fn attempt(
     addr: SocketAddr,
-    tenant: String,
-    token: String,
-    policy: RetryPolicy,
-    log: Vec<ClientCommand>,
-}
-
-impl ResilientClient {
-    /// A client for `tenant` at `addr`; nothing is sent until
-    /// [`deliver`](ResilientClient::deliver).
-    pub fn new(
-        addr: SocketAddr,
-        tenant: &str,
-        token: &str,
-        policy: RetryPolicy,
-    ) -> ResilientClient {
-        ResilientClient {
-            addr,
-            tenant: tenant.to_string(),
-            token: token.to_string(),
-            policy,
-            log: Vec::new(),
+    tenant: &str,
+    token: &str,
+    log: &[Frame],
+    merged: &mut ClientOutcome,
+) -> Result<(), AttemptEnd> {
+    let mut conn = NetClient::connect(addr, tenant, token).map_err(|e| match e {
+        ClientError::Busy {
+            retry_after_secs, ..
+        } => AttemptEnd::Retry(e, Some(retry_after_secs)),
+        ClientError::Refused { code, .. } if refusal_is_fatal(code) => AttemptEnd::Fatal(e),
+        e => AttemptEnd::Retry(e, None),
+    })?;
+    // Refusals recorded from here on are this attempt's; the latest one is
+    // the backoff hint and, if the log falls short, the cause.
+    let refused_from = merged.retry_after.len();
+    let refusal = |merged: &ClientOutcome| merged.retry_after[refused_from..].last().copied();
+    let retry = |e: ClientError, merged: &ClientOutcome| {
+        AttemptEnd::Retry(e, refusal(merged).map(|(secs, _)| secs))
+    };
+    let send = |conn: &mut NetClient, frame: &Frame, merged: &ClientOutcome| {
+        write_frame(&mut conn.writer, frame).map_err(|e| retry(ClientError::Io(e), merged))
+    };
+    let answer = |conn: &NetClient, merged: &mut ClientOutcome| match conn.next_control(merged) {
+        Some(Control::Error(code, message)) => {
+            let refused = ClientError::Refused { code, message };
+            Err(if refusal_is_fatal(code) {
+                AttemptEnd::Fatal(refused)
+            } else {
+                retry(refused, merged)
+            })
         }
-    }
-
-    /// Appends one engine event to the command log.
-    pub fn send_event(&mut self, time: Timestamp, event: &Event) {
-        self.log.push(ClientCommand::Event(time, event.clone()));
-    }
-
-    /// Appends a session advance to the command log.
-    pub fn advance_to(&mut self, time: Timestamp) {
-        self.log.push(ClientCommand::Advance(time));
-    }
-
-    /// Commands logged so far.
-    pub fn logged(&self) -> usize {
-        self.log.len()
-    }
-
-    /// Delivers the whole log and closes the session, retrying through
-    /// transient faults per the [`RetryPolicy`].
-    pub fn deliver(self) -> RetryOutcome {
-        let mut rng = StdRng::seed_from_u64(self.policy.jitter_seed);
-        let mut merged = ClientOutcome::default();
-        let mut decisions_seen: u64 = 0;
-        let mut attempts: u32 = 0;
-        loop {
-            attempts += 1;
-            match self.attempt(&mut merged, &mut decisions_seen) {
-                Ok(()) => {
-                    return RetryOutcome::Completed {
-                        outcome: merged,
-                        attempts,
-                    }
-                }
-                Err(AttemptEnd::Fatal(last_error)) => {
-                    return RetryOutcome::GaveUp {
-                        attempts,
-                        last_error,
-                    }
-                }
-                Err(AttemptEnd::Retry(last_error, hint)) => {
-                    if attempts >= self.policy.max_attempts {
-                        return RetryOutcome::GaveUp {
-                            attempts,
-                            last_error,
-                        };
-                    }
-                    // Capped exponential backoff with deterministic jitter in
-                    // [1.0, 1.5)x; a larger server hint overrides the ramp.
-                    let exp =
-                        self.policy.base_backoff_secs * f64::from(1u32 << (attempts - 1).min(20));
-                    let mut backoff = exp.min(self.policy.max_backoff_secs);
-                    if let Some(hint) = hint {
-                        backoff = backoff.max(hint);
-                    }
-                    backoff *= 1.0 + 0.5 * rng.gen_f64();
-                    std::thread::sleep(std::time::Duration::from_secs_f64(backoff));
-                }
-            }
+        Some(control) => Ok(control),
+        None => Err(retry(
+            ClientError::Io(std::io::Error::new(
+                std::io::ErrorKind::ConnectionReset,
+                "server stream ended mid-attempt",
+            )),
+            merged,
+        )),
+    };
+    // The sync ping: `Resume` carries the decisions we hold; the answer is
+    // how many commands the server has admitted.
+    let sync = |conn: &mut NetClient, merged: &mut ClientOutcome| {
+        let decisions_seen = merged.decisions.len() as u64;
+        send(conn, &Frame::Resume { decisions_seen }, merged)?;
+        match answer(conn, merged)? {
+            Control::ResumeAck(admitted) => usize::try_from(admitted)
+                .ok()
+                .filter(|&admitted| admitted <= log.len())
+                // More commands than we ever logged: a protocol breakage no
+                // retry can repair.
+                .ok_or(AttemptEnd::Fatal(ClientError::UnexpectedFrame)),
+            _ => Err(AttemptEnd::Fatal(ClientError::UnexpectedFrame)),
         }
+    };
+
+    let resend_from = sync(&mut conn, merged)?;
+    for frame in &log[resend_from..] {
+        send(&mut conn, frame, merged)?;
     }
-
-    /// One connection attempt: handshake, resume exchange, send the
-    /// unacknowledged log suffix, verify the admitted count with a sync
-    /// ping, then close in order. Any transient failure tears the socket
-    /// down (the server keeps the tenant ledger) and reports `Retry`.
-    fn attempt(
-        &self,
-        merged: &mut ClientOutcome,
-        decisions_seen: &mut u64,
-    ) -> Result<(), AttemptEnd> {
-        let mut conn = match AttemptConn::open(self.addr, &self.tenant, &self.token) {
-            Ok(conn) => conn,
-            Err(ClientError::Busy { retry_after_secs }) => {
-                return Err(AttemptEnd::Retry(
-                    ClientError::Busy { retry_after_secs },
-                    Some(retry_after_secs),
-                ));
-            }
-            Err(ClientError::Refused { code, message }) => {
-                let refused = ClientError::Refused { code, message };
-                return Err(if refusal_is_fatal(code) {
-                    AttemptEnd::Fatal(refused)
-                } else {
-                    AttemptEnd::Retry(refused, None)
-                });
-            }
-            Err(e) => return Err(AttemptEnd::Retry(e, None)),
-        };
-
-        // Arm resume: tell the server how many decisions we have, learn how
-        // many commands it already holds.
-        conn.write(&Frame::Resume {
-            decisions_seen: *decisions_seen,
-        })?;
-        let admitted = conn.await_resume_ack(merged, decisions_seen)?;
-        let resend_from = usize::try_from(admitted).unwrap_or(usize::MAX);
-        if resend_from > self.log.len() {
-            // The server claims more commands than we ever logged: a
-            // protocol breakage no retry can repair.
-            return Err(AttemptEnd::Fatal(ClientError::UnexpectedFrame));
-        }
-
-        for command in &self.log[resend_from..] {
-            conn.write(&command.to_frame())?;
-        }
-
-        // Sync ping: only when the admitted count matches the full log is it
-        // safe to close (a sticky refusal or a mid-send fault leaves a
-        // shorter prefix — reconnect and resume instead).
-        conn.write(&Frame::Resume {
-            decisions_seen: *decisions_seen,
-        })?;
-        let admitted = conn.await_resume_ack(merged, decisions_seen)?;
-        if admitted < self.log.len() as u64 {
-            return Err(AttemptEnd::Retry(
-                conn.refusal_error().unwrap_or(ClientError::UnexpectedFrame),
-                conn.refusal_hint(),
-            ));
-        }
-
-        conn.write(&Frame::Close)?;
-        conn.await_closed(merged, decisions_seen)
-    }
-}
-
-/// One live socket of a [`ResilientClient`] attempt: a writer plus a reader
-/// thread funnelling every server frame through a channel, so refusals keep
-/// draining while the writer is mid-log.
-struct AttemptConn {
-    writer: TcpStream,
-    frames: std::sync::mpsc::Receiver<Frame>,
-    reader: Option<JoinHandle<()>>,
-    /// Retry-after refusals seen on this attempt: `(seconds, reason)`.
-    refusals: Vec<(f64, RetryReason)>,
-}
-
-impl AttemptConn {
-    fn open(addr: SocketAddr, tenant: &str, token: &str) -> Result<AttemptConn, ClientError> {
-        let mut writer = TcpStream::connect(addr)?;
-        let hello_sent = write_frame(
-            &mut writer,
-            &Frame::Hello {
-                version: PROTOCOL_VERSION,
-                tenant: tenant.to_string(),
-                token: token.to_string(),
+    // Only when the admitted count matches the full log is it safe to close
+    // (a sticky refusal or a mid-send fault leaves a shorter prefix —
+    // reconnect and resume instead).
+    if sync(&mut conn, merged)? < log.len() {
+        let cause = refusal(merged).map_or(
+            ClientError::UnexpectedFrame,
+            |(retry_after_secs, reason)| ClientError::Busy {
+                retry_after_secs,
+                reason,
             },
         );
-        let mut reader = BufReader::new(writer.try_clone()?);
-        match read_frame(&mut reader) {
-            Ok(Frame::HelloAck { .. }) => hello_sent?,
-            Ok(Frame::RetryAfter {
-                seconds,
-                reason: RetryReason::ConnectionCap,
-            }) => {
-                return Err(ClientError::Busy {
-                    retry_after_secs: seconds,
-                })
-            }
-            Ok(Frame::Error { code, message }) => {
-                return Err(ClientError::Refused { code, message })
-            }
-            Ok(_) => return Err(ClientError::UnexpectedFrame),
-            Err(e) => {
-                hello_sent?;
-                return Err(ClientError::Wire(e));
-            }
-        }
-        let (tx, frames) = std::sync::mpsc::channel();
-        let reader = std::thread::spawn(move || {
-            while let Ok(frame) = read_frame(&mut reader) {
-                if tx.send(frame).is_err() {
-                    return;
-                }
-            }
-        });
-        Ok(AttemptConn {
-            writer,
-            frames,
-            reader: Some(reader),
-            refusals: Vec::new(),
-        })
+        return Err(retry(cause, merged));
     }
-
-    fn write(&mut self, frame: &Frame) -> Result<(), AttemptEnd> {
-        write_frame(&mut self.writer, frame)
-            .map_err(|e| AttemptEnd::Retry(ClientError::Io(e), self.refusal_hint()))
-    }
-
-    /// Routes one received frame into the merged outcome. Returns the frame
-    /// back when it is a control frame the caller is waiting on.
-    fn absorb(
-        &mut self,
-        frame: Frame,
-        merged: &mut ClientOutcome,
-        decisions_seen: &mut u64,
-    ) -> Option<Frame> {
-        match frame {
-            Frame::RetryAfter { seconds, reason } => {
-                self.refusals.push((seconds, reason));
-                merged.retry_after.push((seconds, reason));
-                None
-            }
-            Frame::Error { code, message } => Some(Frame::Error { code, message }),
-            Frame::ResumeAck { events_ingested } => Some(Frame::ResumeAck { events_ingested }),
-            Frame::Closed {
-                assigned,
-                decisions,
-                events,
-                planning_calls,
-            } => Some(Frame::Closed {
-                assigned,
-                decisions,
-                events,
-                planning_calls,
-            }),
-            frame => {
-                if let Some(decision) = frame.into_decision() {
-                    // The server's skip logic guarantees every decision frame
-                    // is new to us, across any number of reconnects.
-                    merged.decisions.push(decision);
-                    *decisions_seen += 1;
-                }
-                None
-            }
-        }
-    }
-
-    /// Drains frames until a `ResumeAck` answers the pending `Resume`.
-    fn await_resume_ack(
-        &mut self,
-        merged: &mut ClientOutcome,
-        decisions_seen: &mut u64,
-    ) -> Result<u64, AttemptEnd> {
-        loop {
-            let frame = self
-                .frames
-                .recv()
-                .map_err(|_| AttemptEnd::Retry(disconnect_error(), self.refusal_hint()))?;
-            match self.absorb(frame, merged, decisions_seen) {
-                Some(Frame::ResumeAck { events_ingested }) => return Ok(events_ingested),
-                Some(Frame::Error { code, message }) => {
-                    return Err(self.error_end(code, message, merged))
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// Drains frames until the orderly `Closed` summary lands.
-    fn await_closed(
-        mut self,
-        merged: &mut ClientOutcome,
-        decisions_seen: &mut u64,
-    ) -> Result<(), AttemptEnd> {
-        loop {
-            let frame = self
-                .frames
-                .recv()
-                .map_err(|_| AttemptEnd::Retry(disconnect_error(), self.refusal_hint()))?;
-            match self.absorb(frame, merged, decisions_seen) {
-                Some(Frame::Closed {
-                    assigned,
-                    decisions,
-                    events,
-                    planning_calls,
-                }) => {
-                    merged.closed = Some(ClosedSummary {
-                        assigned,
-                        decisions,
-                        events,
-                        planning_calls,
-                    });
-                    return Ok(());
-                }
-                Some(Frame::Error { code, message }) => {
-                    return Err(self.error_end(code, message, merged))
-                }
-                _ => {}
-            }
-        }
-    }
-
-    fn error_end(
-        &self,
-        code: ErrorCode,
-        message: String,
-        merged: &mut ClientOutcome,
-    ) -> AttemptEnd {
-        merged.errors.push((code, message.clone()));
-        let refused = ClientError::Refused { code, message };
-        if refusal_is_fatal(code) {
-            AttemptEnd::Fatal(refused)
-        } else {
-            AttemptEnd::Retry(refused, self.refusal_hint())
-        }
-    }
-
-    fn refusal_error(&self) -> Option<ClientError> {
-        self.refusals.last().map(|(secs, _)| ClientError::Busy {
-            retry_after_secs: *secs,
-        })
-    }
-
-    fn refusal_hint(&self) -> Option<f64> {
-        self.refusals.last().map(|(secs, _)| *secs)
-    }
-}
-
-impl Drop for AttemptConn {
-    fn drop(&mut self) {
-        // Unblocks the reader thread (the server holds the socket open), so
-        // a failed attempt never leaks a parked thread.
-        let _ = self.writer.shutdown(std::net::Shutdown::Both);
-        if let Some(reader) = self.reader.take() {
-            let _ = reader.join();
-        }
-    }
-}
-
-fn disconnect_error() -> ClientError {
-    ClientError::Io(std::io::Error::new(
-        std::io::ErrorKind::ConnectionReset,
-        "server stream ended mid-attempt",
-    ))
-}
-
-/// Drains server frames until the stream ends, accumulating the outcome.
-fn collect(mut reader: BufReader<TcpStream>) -> ClientOutcome {
-    let mut outcome = ClientOutcome::default();
-    loop {
-        match read_frame(&mut reader) {
-            Ok(Frame::RetryAfter { seconds, reason }) => {
-                outcome.retry_after.push((seconds, reason));
-            }
-            Ok(Frame::Error { code, message }) => {
-                outcome.errors.push((code, message));
-            }
-            Ok(Frame::Closed {
-                assigned,
-                decisions,
-                events,
-                planning_calls,
-            }) => {
-                outcome.closed = Some(ClosedSummary {
-                    assigned,
-                    decisions,
-                    events,
-                    planning_calls,
-                });
-                return outcome;
-            }
-            Ok(frame) => {
-                if let Some(decision) = frame.into_decision() {
-                    outcome.decisions.push(decision);
-                }
-            }
-            Err(_) => return outcome, // disconnect: report what we have
-        }
+    send(&mut conn, &Frame::Close, merged)?;
+    match answer(&conn, merged)? {
+        Control::Closed => Ok(()),
+        _ => Err(AttemptEnd::Fatal(ClientError::UnexpectedFrame)),
     }
 }

@@ -21,15 +21,16 @@
 //!   [`NetSource`](datawa_service::NetSource)), and the three admission
 //!   layers ([connection cap, global shedding, per-tenant
 //!   quota](NetConfig)).
-//! * [`client`] — [`NetClient`]: a loopback client with a background frame
-//!   collector, which is how CI exercises the full stack over
-//!   `127.0.0.1` without real network access; and [`ResilientClient`], the
-//!   retrying variant that owns its command log and survives transport
-//!   faults via capped jittered backoff plus reconnect-with-resume.
+//! * [`client`] — [`NetClient`], the one wire client: a connection whose
+//!   reader thread drains server frames while the caller sends, which is
+//!   how the tests exercise the full stack over `127.0.0.1` without real
+//!   network access; [`NetClient::deliver`] drives a command log over as
+//!   many connections as it takes, surviving transport faults via capped
+//!   jittered backoff plus reconnect-with-resume.
 //! * [`chaos`] — deterministic fault injection: [`ChaosProxy`], a
 //!   frame-aware TCP proxy that executes a seeded [`ChaosPlan`] of
-//!   connection resets, torn frames, duplicates and stalls, replayable
-//!   from a single seed (the `chaos_smoke` CI harness fixes seed 218).
+//!   connection resets, torn frames and stalls, replayable from a single
+//!   seed (`tests/chaos_recovery.rs` pins a fixed seed-218 plan).
 //!
 //! ## Fault tolerance
 //!
@@ -68,9 +69,6 @@ pub mod server;
 pub mod wire;
 
 pub use chaos::{ChaosPlan, ChaosProxy, Fault};
-pub use client::{
-    ClientError, ClientOutcome, ClosedSummary, NetClient, ResilientClient, RetryOutcome,
-    RetryPolicy,
-};
+pub use client::{ClientError, ClientOutcome, ClosedSummary, NetClient, RetryOutcome, RetryPolicy};
 pub use server::{NetConfig, NetServer};
 pub use wire::{ErrorCode, Frame, RetryReason, WireError, MAX_FRAME_LEN, PROTOCOL_VERSION};

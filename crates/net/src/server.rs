@@ -45,10 +45,12 @@
 //! (`catch_unwind`): a panicking pump — injected by the chaos harness or
 //! genuine — is restarted from the journal via
 //! [`DispatchService::open_recovered`], with a [`SkipSink`] suppressing the
-//! replayed decision prefix the client already received; because the engine
-//! is deterministic over its command sequence, the client-visible decision
-//! stream continues with neither losses nor duplicates. While a replay is in
-//! flight the reader refuses new events with
+//! replayed decision prefix the client already received. The supervisor
+//! owns the tenant's [`NetSource`] and lends it to each incarnation, so
+//! commands admitted but not yet pumped survive the crash too. Because the
+//! engine is deterministic over its command sequence, the client-visible
+//! decision stream continues with neither losses nor duplicates. While a
+//! replay is in flight the reader refuses new events with
 //! [`RetryReason::Recovering`] instead of presenting a dead socket.
 //!
 //! Admission refusals are **sticky per connection**: after the first refusal
@@ -67,7 +69,7 @@ use datawa_assign::{AdaptiveRunner, AssignConfig, PolicyKind, StaticForecast, Ta
 use datawa_obs::{Counter, Histogram, MetricsRegistry};
 use datawa_service::{
     DispatchService, IngestSource, NetSource, NetSourceHandle, PumpStatus, ServiceConfig,
-    SharedSource, SourcePoll,
+    SourcePoll,
 };
 use datawa_stream::{Decision, DecisionSink, EventJournal, SkipSink};
 use std::collections::BTreeMap;
@@ -251,16 +253,14 @@ type SharedWriter = Arc<Mutex<TcpStream>>;
 /// kept so [`NetServer::shutdown`] can unblock a parked reader and join it.
 type WorkerList = Arc<Mutex<Vec<(JoinHandle<()>, TcpStream)>>>;
 
-/// Writes one frame, counting it; write failures (client already gone) are
-/// reported but must not kill the session — the pump still drains and the
-/// totals still land in the obs registry.
-fn send(writer: &SharedWriter, frames_out: &Counter, frame: &Frame) -> bool {
+/// Writes one frame, counting it; a write failure (client already gone)
+/// must not kill the session — the pump still drains and the totals still
+/// land in the obs registry.
+fn send(writer: &SharedWriter, frames_out: &Counter, frame: &Frame) {
     let mut stream = writer.lock().expect("connection writer poisoned");
-    let ok = write_frame(&mut *stream, frame).is_ok();
-    if ok {
+    if write_frame(&mut *stream, frame).is_ok() {
         frames_out.inc();
     }
-    ok
 }
 
 /// The routing [`DecisionSink`]: encodes every decision of one tenant's
@@ -283,7 +283,6 @@ struct FrameSink {
     base: u64,
     /// Decisions this incarnation has written past `base`.
     emitted: u64,
-    undeliverable: u64,
 }
 
 impl DecisionSink for FrameSink {
@@ -292,13 +291,11 @@ impl DecisionSink for FrameSink {
         self.streamed
             .store(self.base + self.emitted, Ordering::SeqCst);
         self.tenant_decisions.inc();
-        if !send(
+        send(
             &self.writer,
             &self.frames_out,
             &Frame::from_decision(&decision),
-        ) {
-            self.undeliverable += 1;
-        }
+        );
     }
 }
 
@@ -591,7 +588,6 @@ fn connection_main(shared: &Arc<Shared>, stream: TcpStream) {
         let ledger = Arc::clone(&ledger);
         let orderly = Arc::clone(&orderly);
         let tenant = tenant.clone();
-        let source = SharedSource::new(source);
         std::thread::spawn(move || {
             pump_main(&shared, &writer, &ledger, &orderly, source, &tenant, skip)
         })
@@ -624,7 +620,7 @@ fn connection_main(shared: &Arc<Shared>, stream: TcpStream) {
     {
         slot.handle = None;
     }
-    handle.close();
+    drop(handle);
     let _ = pump.join();
     if end == StreamEnd::Orderly {
         // Orderly close ends the journaled identity: a future connection
@@ -655,11 +651,13 @@ fn connection_main(shared: &Arc<Shared>, stream: TcpStream) {
 /// Consecutive no-progress recoveries tolerated before the pump gives up.
 const MAX_STALLED_RECOVERIES: u32 = 3;
 
-/// The pump supervisor: runs [`pump_once`] under `catch_unwind`, and on a
-/// panic replays the tenant's journal into a fresh service with the already
-/// streamed decision prefix suppressed. Gives up (typed [`ErrorCode::PumpFailed`])
-/// only after [`MAX_STALLED_RECOVERIES`] consecutive restarts with no new
-/// journal records — a pump that keeps progressing may recover any number of
+/// The pump supervisor: owns the tenant's [`NetSource`], lends it to
+/// [`pump_once`] under `catch_unwind`, and on a panic replays the tenant's
+/// journal into a fresh service with the already streamed decision prefix
+/// suppressed — the commands still queued in the channel carry over. Gives
+/// up (typed [`ErrorCode::PumpFailed`]) only after
+/// [`MAX_STALLED_RECOVERIES`] consecutive restarts with no new journal
+/// records — a pump that keeps progressing may recover any number of
 /// injected faults.
 #[allow(clippy::too_many_arguments)]
 fn pump_main(
@@ -667,7 +665,7 @@ fn pump_main(
     writer: &SharedWriter,
     ledger: &Arc<TenantLedger>,
     orderly: &Arc<AtomicBool>,
-    source: SharedSource<NetSource>,
+    mut source: NetSource,
     tenant: &str,
     mut skip: u64,
 ) {
@@ -693,7 +691,7 @@ fn pump_main(
                 writer,
                 ledger,
                 orderly,
-                source.clone(),
+                &mut source,
                 tenant,
                 &mut kills,
                 skip,
@@ -704,8 +702,9 @@ fn pump_main(
             Ok(()) => return,
             Err(_) => {
                 // The dead service took nothing with it: admitted commands
-                // live in the journal (ingested) or the shared channel (not
-                // yet pumped), and the streamed count sits in the ledger.
+                // live in the journal (ingested) or the channel this
+                // supervisor still owns (not yet pumped), and the streamed
+                // count sits in the ledger.
                 ledger.recovering.store(true, Ordering::SeqCst);
                 recoveries.inc();
                 tenant_recoveries.inc();
@@ -736,8 +735,7 @@ fn pump_main(
                     // `ResumeAck` tells the client to resend exactly what was
                     // lost. (Blocks until the reader closes the handle, which
                     // it does before joining this thread.)
-                    let mut drain = source.clone();
-                    while let SourcePoll::Ready(..) | SourcePoll::Wait(_) = drain.poll() {
+                    while let SourcePoll::Ready(..) | SourcePoll::Wait(_) = source.poll() {
                         ledger.admitted_commands.fetch_sub(1, Ordering::SeqCst);
                     }
                     return;
@@ -750,7 +748,7 @@ fn pump_main(
 }
 
 /// One pump incarnation: replay the journal (a no-op on the first run of a
-/// fresh tenant), then pump the shared channel to exhaustion. Only an
+/// fresh tenant), then pump the lent channel to exhaustion. Only an
 /// orderly close drains the session and reports [`Frame::Closed`]; an
 /// unclean end drops the service un-finished so no decision is emitted at a
 /// dead client.
@@ -760,7 +758,7 @@ fn pump_once(
     writer: &SharedWriter,
     ledger: &Arc<TenantLedger>,
     orderly: &Arc<AtomicBool>,
-    source: SharedSource<NetSource>,
+    source: &mut NetSource,
     tenant: &str,
     kills: &mut Vec<u64>,
     skip: u64,
@@ -788,7 +786,6 @@ fn pump_once(
             streamed: Arc::clone(&ledger.decisions_streamed),
             base: skip,
             emitted: 0,
-            undeliverable: 0,
         },
         skip,
     );
@@ -822,8 +819,7 @@ fn pump_once(
         }
     }
     if orderly.load(Ordering::SeqCst) {
-        let (outcome, _stats, sink) = service.finish();
-        let _ = sink; // undeliverable count dies with the connection
+        let (outcome, ..) = service.finish();
         send(
             writer,
             &shared.obs.counter("net.frames_out"),

@@ -4,7 +4,9 @@
 //! quota see decision streams identical to an undisturbed direct run.
 
 use datawa_assign::{AdaptiveRunner, AssignConfig, PolicyKind, StaticForecast, TaskValueFunction};
-use datawa_net::{ClientError, NetClient, NetConfig, NetServer, RetryReason};
+use datawa_net::{
+    ClientError, Frame, NetClient, NetConfig, NetServer, RetryOutcome, RetryPolicy, RetryReason,
+};
 use datawa_service::{IngestSource, SourcePoll, WorkloadSource};
 use datawa_stream::{
     CollectingSink, Decision, EngineConfig, ScenarioGenerator, ScenarioSpec, Session,
@@ -224,7 +226,13 @@ fn connection_cap_refuses_with_retry_after_at_accept() {
 
     let first = NetClient::connect(server.addr(), "first", "").expect("handshake");
     match NetClient::connect(server.addr(), "second", "") {
-        Err(ClientError::Busy { retry_after_secs }) => assert_eq!(retry_after_secs, 0.25),
+        Err(ClientError::Busy {
+            retry_after_secs,
+            reason,
+        }) => {
+            assert_eq!(retry_after_secs, 0.25);
+            assert_eq!(reason, RetryReason::ConnectionCap);
+        }
         other => panic!("over-cap connection was not refused with Busy: {other:?}"),
     }
     drop(first.close());
@@ -244,4 +252,47 @@ fn connection_cap_refuses_with_retry_after_at_accept() {
         }
     };
     drop(again.close());
+}
+
+#[test]
+fn throttled_delivery_gives_up_naming_the_quota() {
+    // Quota 0 refuses every event, so no attempt can deliver the log: each
+    // one ends on a sticky TenantQuota refusal until retries run out.
+    let server = NetServer::bind(NetConfig {
+        tenant_pending_quota: 0,
+        retry_after_secs: 0.001,
+        ..NetConfig::default()
+    })
+    .expect("bind loopback");
+    let workload = UniformBaseline::new(
+        ScenarioSpec::small()
+            .with_tasks(10)
+            .with_workers(4)
+            .with_seed(5),
+    )
+    .generate();
+    let mut log = Vec::new();
+    let mut source = WorkloadSource::new(&workload);
+    while let SourcePoll::Ready(time, event) = source.poll() {
+        log.push(Frame::from_event(time, &event));
+    }
+    let policy = RetryPolicy {
+        max_attempts: 3,
+        base_backoff_secs: 0.001,
+        max_backoff_secs: 0.001,
+        jitter_seed: 0,
+    };
+    match NetClient::deliver(server.addr(), "throttled", "", &log, &policy) {
+        RetryOutcome::GaveUp {
+            attempts,
+            last_error: last_error @ ClientError::Busy { reason, .. },
+        } => {
+            assert_eq!(attempts, policy.max_attempts);
+            assert_eq!(reason, RetryReason::TenantQuota);
+            let message = last_error.to_string();
+            assert!(message.contains("TenantQuota"), "{message}");
+            assert!(!message.contains("connection cap"), "{message}");
+        }
+        other => panic!("quota-0 delivery did not give up on the quota: {other:?}"),
+    }
 }

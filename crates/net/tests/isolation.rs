@@ -9,7 +9,8 @@ use datawa_assign::{AdaptiveRunner, AssignConfig, PolicyKind, StaticForecast};
 use datawa_core::{Location, Task, TaskId, Timestamp, Worker, WorkerId};
 use datawa_net::{
     wire::{read_frame, write_frame},
-    ErrorCode, Frame, NetClient, NetConfig, NetServer, PROTOCOL_VERSION,
+    ClientError, ErrorCode, Frame, NetClient, NetConfig, NetServer, RetryOutcome, RetryPolicy,
+    PROTOCOL_VERSION,
 };
 use datawa_service::{IngestSource, SourcePoll, WorkloadSource};
 use datawa_stream::{
@@ -210,7 +211,7 @@ fn handshake_violations_are_typed() {
 
     // Wrong token.
     match NetClient::connect(server.addr(), "acme", "wrong") {
-        Err(datawa_net::ClientError::Refused { code, .. }) => {
+        Err(ClientError::Refused { code, .. }) => {
             assert_eq!(code, ErrorCode::AuthFailed);
         }
         other => panic!("bad token accepted: {other:?}"),
@@ -243,4 +244,34 @@ fn handshake_violations_are_typed() {
     // The right token still works.
     let client = NetClient::connect(server.addr(), "acme", "sesame").expect("handshake");
     drop(client.close());
+}
+
+#[test]
+fn wrong_token_delivery_gives_up_on_the_first_attempt() {
+    let server = NetServer::bind(NetConfig {
+        auth_token: Some("sesame".to_string()),
+        ..NetConfig::default()
+    })
+    .expect("bind loopback");
+    let log = [Frame::AdvanceTo {
+        time: Timestamp(1.0),
+    }];
+    // A refusal that cannot heal is not retried, whatever the budget.
+    match NetClient::deliver(
+        server.addr(),
+        "acme",
+        "wrong",
+        &log,
+        &RetryPolicy::default(),
+    ) {
+        RetryOutcome::GaveUp {
+            attempts: 1,
+            last_error:
+                ClientError::Refused {
+                    code: ErrorCode::AuthFailed,
+                    ..
+                },
+        } => {}
+        other => panic!("a bad token was retried or accepted: {other:?}"),
+    }
 }

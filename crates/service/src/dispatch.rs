@@ -291,7 +291,6 @@ impl<'a, Src: IngestSource, Sink: DecisionSink> DispatchService<'a, Src, Sink> {
                 // *to* an instant before all of its arrivals are ingested
                 // would fire a replan tick due there ahead of them.
                 if self.unadvanced >= self.config.max_pending && self.admitted_up_to.0 < time.0 {
-                    self.stats.backpressure_flushes += 1;
                     self.metrics.backpressure_stalls.inc();
                     self.session.advance_to(self.admitted_up_to, &mut self.sink);
                     self.unadvanced = 0;

@@ -13,7 +13,9 @@
 //!   actually elapse between bursts. [`NetSource`] is the push-fed variant: a connection handler feeds
 //!   events across threads through a [`NetSourceHandle`], which is how the
 //!   `datawa-net` TCP front-end (wire format in the workspace-root
-//!   `PROTOCOL.md`) runs one `DispatchService` per tenant connection.
+//!   `PROTOCOL.md`) runs one `DispatchService` per tenant connection. A
+//!   `&mut` source is a source too, so a supervisor lends its `NetSource`
+//!   to each pump incarnation and keeps the queued events across a crash.
 //! * **[`DispatchService`]** — the pump: source → session → sink, with
 //!   bounded-queue backpressure (admission pauses and the session drains
 //!   when planning lags a burst by more than
@@ -85,6 +87,5 @@ pub mod source;
 
 pub use dispatch::{DispatchService, PumpStatus, ServiceConfig, ServiceStats};
 pub use source::{
-    IngestSource, LiveSource, NetSource, NetSourceHandle, SharedSource, SourceClosed, SourcePoll,
-    WorkloadSource,
+    IngestSource, LiveSource, NetSource, NetSourceHandle, SourceClosed, SourcePoll, WorkloadSource,
 };

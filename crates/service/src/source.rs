@@ -11,6 +11,11 @@
 //! transport front-end bridges TCP connections into a [`DispatchService`]
 //! (see `PROTOCOL.md` at the workspace root for the wire format).
 //!
+//! A `&mut` to a source is itself a source, so an owner can lend its source
+//! to a service and keep it when that service dies: the `datawa-net` pump
+//! supervisor lends its [`NetSource`] to each pump incarnation, and the
+//! events still queued in the channel outlive a crashed one.
+//!
 //! [`DispatchService`]: crate::DispatchService
 
 use datawa_core::{Duration, Timestamp};
@@ -38,6 +43,16 @@ pub trait IngestSource {
 
     /// Arrivals not yet handed out.
     fn remaining(&self) -> usize;
+}
+
+impl<S: IngestSource + ?Sized> IngestSource for &mut S {
+    fn poll(&mut self) -> SourcePoll {
+        (**self).poll()
+    }
+
+    fn remaining(&self) -> usize {
+        (**self).remaining()
+    }
 }
 
 /// Replays a workload's arrivals in the engine's deterministic order:
@@ -179,7 +194,7 @@ impl IngestSource for LiveSource {
 /// What a [`NetSourceHandle`] feeds into the channel: the same vocabulary a
 /// pull source's [`SourcePoll`] reports, minus `Exhausted` (that is signalled
 /// by dropping the sender, so a crashed producer thread and an orderly
-/// [`NetSourceHandle::close`] both end the stream).
+/// hang-up both end the stream).
 #[derive(Debug)]
 enum NetItem {
     Event(Timestamp, Event),
@@ -190,7 +205,7 @@ enum NetItem {
 /// and feeds events across threads into the service's pump.
 ///
 /// Cloning is cheap; the source is exhausted once *every* clone has been
-/// dropped or [`closed`](NetSourceHandle::close).
+/// dropped.
 /// [`pending`](NetSourceHandle::pending) exposes the not-yet-polled backlog so callers
 /// can apply admission control *before* pushing — the channel itself is
 /// unbounded and never blocks the producer.
@@ -233,12 +248,6 @@ impl NetSourceHandle {
     /// backlog this producer is responsible for.
     pub fn pending(&self) -> usize {
         self.depth.load(Ordering::SeqCst)
-    }
-
-    /// Ends the stream for this clone. Once all clones are closed or
-    /// dropped, the paired [`NetSource`] reports [`SourcePoll::Exhausted`].
-    pub fn close(self) {
-        drop(self);
     }
 }
 
@@ -297,56 +306,6 @@ impl IngestSource for NetSource {
 
     fn remaining(&self) -> usize {
         self.depth.load(Ordering::SeqCst)
-    }
-}
-
-/// An [`IngestSource`] that survives its consumer: the wrapped source lives
-/// behind a shared lock held only for the duration of a single poll, so a
-/// supervisor can hand a pump thread one clone, catch the pump's panic, and
-/// hand a fresh pump another clone — events still queued inside the source
-/// (for example a [`NetSource`]'s channel backlog) are not lost with the
-/// crashed pump.
-#[derive(Debug)]
-pub struct SharedSource<S: IngestSource> {
-    inner: Arc<std::sync::Mutex<S>>,
-}
-
-impl<S: IngestSource> Clone for SharedSource<S> {
-    fn clone(&self) -> SharedSource<S> {
-        SharedSource {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
-impl<S: IngestSource> SharedSource<S> {
-    /// Wraps `source` for shared cross-restart access.
-    #[must_use]
-    pub fn new(source: S) -> SharedSource<S> {
-        SharedSource {
-            inner: Arc::new(std::sync::Mutex::new(source)),
-        }
-    }
-
-    /// The lock cannot be poisoned by a pump panic in practice — polls do
-    /// not panic and the guard never outlives one call — but a supervisor
-    /// recovering from arbitrary panics must not find its source wedged, so
-    /// poisoning is recovered rather than unwrapped.
-    fn lock(&self) -> std::sync::MutexGuard<'_, S> {
-        match self.inner.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-}
-
-impl<S: IngestSource> IngestSource for SharedSource<S> {
-    fn poll(&mut self) -> SourcePoll {
-        self.lock().poll()
-    }
-
-    fn remaining(&self) -> usize {
-        self.lock().remaining()
     }
 }
 
@@ -454,7 +413,7 @@ mod tests {
         assert!(matches!(source.poll(), SourcePoll::Ready(t, _) if t.0 == 2.0));
         assert_eq!(source.poll(), SourcePoll::Wait(Timestamp(3.0)));
         assert_eq!(source.remaining(), 0);
-        handle.close();
+        drop(handle);
         assert_eq!(source.poll(), SourcePoll::Exhausted);
         assert_eq!(source.poll(), SourcePoll::Exhausted, "exhaustion is sticky");
     }
@@ -473,9 +432,13 @@ mod tests {
     }
 
     #[test]
-    fn shared_source_survives_a_crashed_consumer() {
-        let (handle, source) = NetSource::channel();
-        let shared = SharedSource::new(source);
+    fn lent_source_survives_a_crashed_consumer() {
+        // The consumer takes any source by value, as a service does; a
+        // `&mut NetSource` is one.
+        fn poll_once(mut lent: impl IngestSource) -> SourcePoll {
+            lent.poll()
+        }
+        let (handle, mut source) = NetSource::channel();
         let w = workload();
         handle
             .push_event(Timestamp(0.0), Event::TaskArrival(w.tasks[1]))
@@ -483,18 +446,18 @@ mod tests {
         handle
             .push_event(Timestamp(5.0), Event::TaskArrival(w.tasks[0]))
             .unwrap();
-        let mut doomed = shared.clone();
-        let crash = std::thread::spawn(move || {
-            assert!(matches!(doomed.poll(), SourcePoll::Ready(t, _) if t.0 == 0.0));
-            panic!("injected pump crash");
+        std::thread::scope(|scope| {
+            let crash = scope.spawn(|| {
+                assert!(matches!(poll_once(&mut source), SourcePoll::Ready(t, _) if t.0 == 0.0));
+                panic!("injected pump crash");
+            });
+            assert!(crash.join().is_err());
         });
-        assert!(crash.join().is_err());
         // The second event queued in the channel survives the crash.
-        let mut recovered = shared.clone();
-        assert_eq!(recovered.remaining(), 1);
-        assert!(matches!(recovered.poll(), SourcePoll::Ready(t, _) if t.0 == 5.0));
-        handle.close();
-        assert_eq!(recovered.poll(), SourcePoll::Exhausted);
+        assert_eq!(source.remaining(), 1);
+        assert!(matches!(poll_once(&mut source), SourcePoll::Ready(t, _) if t.0 == 5.0));
+        drop(handle);
+        assert_eq!(poll_once(&mut source), SourcePoll::Exhausted);
     }
 
     #[test]

@@ -3,17 +3,19 @@
 //! *bitwise identical* to the uninterrupted run — at the session layer for
 //! all four policies on all four scenario generators, and end-to-end over
 //! TCP under three injected fault classes (pump kill, connection reset,
-//! torn frame) healed by the [`ResilientClient`]'s journaled resume. A
+//! torn frame) healed by [`NetClient::deliver`]'s journaled resume — at
+//! proptest-chosen points, and for one fixed plan derived from seed 218. A
 //! torn-write proptest additionally pins that truncating a journal at *any*
 //! byte offset recovers a clean record prefix (or a typed error) — never a
 //! panic, never silent divergence.
 
 use datawa::net::{
-    ChaosPlan, ChaosProxy, Fault, NetConfig, NetServer, ResilientClient, RetryOutcome, RetryPolicy,
+    ChaosPlan, ChaosProxy, Fault, Frame, NetClient, NetConfig, NetServer, RetryOutcome, RetryPolicy,
 };
 use datawa::prelude::*;
 use datawa::stream::{EventJournal, JournalRecord, SkipSink};
 use proptest::prelude::*;
+use rand::prelude::{Rng, SeedableRng, StdRng};
 
 const POLICIES: [PolicyKind; 4] = [
     PolicyKind::Greedy,
@@ -227,7 +229,8 @@ proptest! {
 }
 
 /// Drives `workload` through a [`ChaosProxy`] into a faulted server and
-/// returns what the retrying client delivered plus the attempt count.
+/// returns what the retrying delivery received, its attempt count and the
+/// server's pump recoveries.
 fn deliver_through_chaos(
     policy: PolicyKind,
     workload: &Workload,
@@ -243,20 +246,15 @@ fn deliver_through_chaos(
     .expect("bind loopback");
     let mut proxy = ChaosProxy::spawn(server.addr(), plan).expect("bind chaos proxy");
 
-    let mut client = ResilientClient::new(
-        proxy.addr(),
-        "chaos",
-        "",
-        RetryPolicy {
-            jitter_seed: seed,
-            ..RetryPolicy::default()
-        },
-    );
-    let mut source = WorkloadSource::new(workload);
-    while let SourcePoll::Ready(time, event) = source.poll() {
-        client.send_event(time, &event);
-    }
-    let (outcome, attempts) = match client.deliver() {
+    let log: Vec<Frame> = commands(workload)
+        .iter()
+        .map(|(time, event)| Frame::from_event(*time, event))
+        .collect();
+    let policy = RetryPolicy {
+        jitter_seed: seed,
+        ..RetryPolicy::default()
+    };
+    let (outcome, attempts) = match NetClient::deliver(proxy.addr(), "chaos", "", &log, &policy) {
         RetryOutcome::Completed { outcome, attempts } => (outcome, attempts),
         RetryOutcome::GaveUp {
             attempts,
@@ -344,4 +342,75 @@ proptest! {
             );
         }
     }
+}
+
+/// One fixed scenario, every fault and jitter derived from seed 218: two
+/// seeded pump kills in the middle half of the stream, a reset on the first
+/// connection, a torn frame on the second and one [`ChaosPlan::seeded`]
+/// fault on the third, under DTA on a 300-task workload.
+#[test]
+fn seed_218_plan_heals_to_bitwise_parity() {
+    const SEED: u64 = 218;
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let workload: Workload = UniformBaseline::new(
+        ScenarioSpec::small()
+            .with_tasks(300)
+            .with_workers(20)
+            .with_seed(7),
+    )
+    .generate();
+    let expected = direct_reference(PolicyKind::Dta, &workload);
+    let sent = commands(&workload).len() as u64;
+
+    // Strictly ordered so both kills fire.
+    let kill_a = rng.gen_range(sent / 4..sent / 2);
+    let kill_b = rng.gen_range(sent / 2..3 * sent / 4);
+    let reset_at = rng.gen_range(10..sent / 2);
+    let tear_at = rng.gen_range(10..sent / 2);
+    let mut plan = ChaosPlan::seeded(SEED, 1, sent / 2);
+    plan.conns.insert(
+        0,
+        Some(Fault::Reset {
+            after_frames: reset_at,
+        }),
+    );
+    plan.conns.insert(
+        1,
+        Some(Fault::Truncate {
+            frame: tear_at,
+            keep_bytes: rng.gen_range(1..5usize),
+        }),
+    );
+    let (outcome, attempts, recoveries) = deliver_through_chaos(
+        PolicyKind::Dta,
+        &workload,
+        plan,
+        vec![("chaos".to_string(), kill_a), ("chaos".to_string(), kill_b)],
+        SEED,
+    );
+
+    let label = format!("kills ({kill_a}, {kill_b}) reset@{reset_at} tear@{tear_at}");
+    assert!(attempts > 1, "{label}: no fault actually landed");
+    assert!(
+        recoveries >= 2,
+        "{label}: {recoveries} of 2 pump kills recovered"
+    );
+    assert_eq!(
+        outcome.decisions, expected,
+        "{label}: healed stream diverged from the uninterrupted run"
+    );
+    let closed = outcome.closed.expect("orderly Closed frame");
+    assert_eq!(
+        closed.decisions as usize,
+        expected.len(),
+        "{label}: server stream position diverged (lost or duplicated)"
+    );
+    // `closed.events` counts engine-processed events (arrivals plus the
+    // expirations the engine schedules itself), so every sent event at
+    // least once; a double ingest would also break the bitwise check.
+    assert!(
+        closed.events >= sent,
+        "{label}: engine processed {} events, fewer than the {sent} sent",
+        closed.events
+    );
 }
