@@ -18,7 +18,7 @@ use datawa_core::{
 };
 use datawa_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// The five task-assignment methods compared in the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -125,7 +125,7 @@ pub struct RunOutcome {
     /// Mean planning seconds per planning call (the paper's "CPU time").
     pub mean_planning_seconds: f64,
     /// Tasks served per worker.
-    pub per_worker: HashMap<WorkerId, usize>,
+    pub per_worker: BTreeMap<WorkerId, usize>,
     /// Largest number of independent planning partitions any single planning
     /// instant split into.
     pub peak_partitions: usize,

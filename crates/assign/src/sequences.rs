@@ -438,7 +438,7 @@ mod tests {
     use super::*;
     use crate::reachable::reachable_tasks;
     use datawa_core::{Location, Task, WorkerId};
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     fn store(line: &[(f64, f64)]) -> TaskStore {
         let mut s = TaskStore::new();
@@ -483,7 +483,7 @@ mod tests {
                 Timestamp,
                 usize,
             ),
-            best: &mut HashMap<Vec<TaskId>, (TaskSequence, Timestamp)>,
+            best: &mut BTreeMap<Vec<TaskId>, (TaskSequence, Timestamp)>,
         ) {
             let (worker, reachable, tasks, config, now, max_len) = ctx;
             if current.len() >= max_len {
@@ -511,7 +511,7 @@ mod tests {
                 current.pop();
             }
         }
-        let mut best = HashMap::new();
+        let mut best = BTreeMap::new();
         let max_len = config.max_sequence_len.min(reachable.len());
         let ctx = (worker, reachable, tasks, config, now, max_len);
         dfs(&mut Vec::new(), ctx, &mut best);

@@ -7,7 +7,7 @@ use crate::time::Timestamp;
 use crate::travel::TravelModel;
 use crate::worker::WorkerId;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
 
 /// A spatial task assignment `A`: a set of `(w, VR(S_w))` pairs (Definition 5).
@@ -81,7 +81,7 @@ impl Assignment {
     }
 
     /// The set of all assigned tasks `A.S = ∪_w VR(S_w)`.
-    pub fn assigned_tasks(&self) -> HashSet<TaskId> {
+    pub fn assigned_tasks(&self) -> BTreeSet<TaskId> {
         self.sequences.values().flat_map(|s| s.iter()).collect()
     }
 

@@ -267,7 +267,8 @@ impl fmt::Display for TimeInterval {
 /// sorting pushes them to the end, where validation will reject them.
 #[inline]
 pub fn cmp_timestamps(a: Timestamp, b: Timestamp) -> std::cmp::Ordering {
-    // datawa-lint: allow(unchecked-float-ordering) -- this IS the designated total-order helper; the unwrap_or_else arm below defines the NaN ordering
+    // The workspace's one `partial_cmp` call (`tests/source_rules.rs`): the
+    // `unwrap_or_else` arm below makes the order total by placing NaN last.
     a.0.partial_cmp(&b.0).unwrap_or_else(|| {
         if a.0.is_nan() && b.0.is_nan() {
             std::cmp::Ordering::Equal

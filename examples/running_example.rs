@@ -71,9 +71,7 @@ fn main() {
             TASKS.len(),
             outcome.planning_calls
         );
-        let mut per_worker: Vec<_> = outcome.per_worker.iter().collect();
-        per_worker.sort();
-        for (worker, count) in per_worker {
+        for (worker, count) in outcome.per_worker {
             println!("    w{} served {count} task(s)", worker.0 + 1);
         }
     }

@@ -282,10 +282,8 @@ fn run_sync_rows(seed: u64, rows: &mut Vec<Row>) {
             .ingest_workload(&workload)
             .expect("a replay workload ingests");
         let outcome = session.close(&mut NullSink).run;
-        let mut tallies: Vec<(WorkerId, usize)> = outcome.per_worker.into_iter().collect();
-        tallies.sort_unstable();
         let mut sink = DigestSink::new();
-        for (worker, served) in tallies {
+        for (worker, served) in outcome.per_worker {
             sink.fold(u64::from(worker.0) << 32 | served as u64);
         }
         rows.push((

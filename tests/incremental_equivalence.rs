@@ -61,11 +61,8 @@ const FULL_REPLAN: &[Row] = &[
 ];
 
 fn row(scenario: &'static str, policy: PolicyKind, run: &RunOutcome) -> Row {
-    let mut tallies: Vec<(WorkerId, usize)> =
-        run.per_worker.iter().map(|(&w, &n)| (w, n)).collect();
-    tallies.sort_unstable();
     let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-    for (worker, served) in tallies {
+    for (&worker, &served) in &run.per_worker {
         digest = (digest ^ (u64::from(worker.0) << 32 | served as u64))
             .wrapping_mul(0x0000_0100_0000_01b3);
     }
