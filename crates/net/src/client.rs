@@ -130,6 +130,9 @@ impl NetClient {
     /// reader thread.
     pub fn connect(addr: SocketAddr, tenant: &str, token: &str) -> Result<NetClient, ClientError> {
         let mut writer = TcpStream::connect(addr)?;
+        // Each send is one whole frame; with Nagle on, it could wait for the
+        // server to acknowledge the previous one.
+        writer.set_nodelay(true)?;
         // A server refusing at the connection cap may answer and FIN before
         // this Hello ever lands, failing the write with a broken pipe — the
         // refusal frame is still in the receive buffer, so read it before

@@ -48,7 +48,8 @@
 //! Every server carries an attached
 //! [`MetricsRegistry`](datawa_obs::MetricsRegistry)
 //! ([`NetServer::metrics`]): `net.connections` (gauge), `net.frames_in` /
-//! `net.frames_out`, `net.rejected_admission`, the `net.ingest_seconds`
+//! `net.frames_out`, `net.decision_writes` (one per write of a pump's
+//! decision outbox), `net.rejected_admission`, the `net.ingest_seconds`
 //! latency histogram, and per-tenant `net.tenant.<name>.frames_in` /
 //! `.decisions` / `.rejected` counters — alongside every tenant session's
 //! engine and planner metrics, since the sessions record into the same

@@ -14,9 +14,14 @@
 //!   client can never stall another tenant's session.
 //! * **Pump** — one per tenant connection: owns the tenant's
 //!   [`AdaptiveRunner`] and [`DispatchService`] and blocks on the
-//!   `NetSource` channel, streaming every [`Decision`] back to the owning
-//!   socket through a routing `FrameSink`. Ends by writing the session
-//!   totals as a [`Frame::Closed`].
+//!   `NetSource` channel. A routing `FrameSink` encodes every [`Decision`]
+//!   into the pump's `Outbox`, which goes to the owning socket in one write
+//!   when the channel runs dry (just before the pump would block), when it
+//!   holds `OUTBOX_FLUSH_BYTES`, and before the session totals go out as a
+//!   [`Frame::Closed`]. So the decisions of one wake leave together and
+//!   none waits for the next command. Every socket has `TCP_NODELAY` on:
+//!   each write is a whole frame or a run of them, and Nagle's algorithm
+//!   could only hold one back until the client acknowledged the last.
 //!
 //! ## Admission control
 //!
@@ -41,11 +46,12 @@
 //!
 //! Every tenant carries a **ledger** that outlives individual connections:
 //! an append-only [`EventJournal`] of every admitted command plus the count
-//! of decisions streamed back. The pump thread runs under a supervisor
+//! of decisions written back. The pump thread runs under a supervisor
 //! (`catch_unwind`): a panicking pump — injected by the chaos harness or
 //! genuine — is restarted from the journal via
 //! [`DispatchService::open_recovered`], with a [`SkipSink`] suppressing the
-//! replayed decision prefix the client already received. The supervisor
+//! replayed decision prefix already written to the client; decisions still
+//! in the dead pump's outbox are replayed and sent. The supervisor
 //! owns the tenant's [`NetSource`] and lends it to each incarnation, so
 //! commands admitted but not yet pumped survive the crash too. Because the
 //! engine is deterministic over its command sequence, the client-visible
@@ -72,8 +78,9 @@ use datawa_service::{
     SourcePoll,
 };
 use datawa_stream::{Decision, DecisionSink, EventJournal, SkipSink};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -163,9 +170,9 @@ struct TenantLedger {
     /// never sent and must not count against its command log.
     admitted_commands: AtomicU64,
     /// Decisions actually written towards the client, cumulative across
-    /// resumed connections. A restarted pump skips exactly this many
-    /// replayed decisions (or the client-reported `Resume` count after a
-    /// reconnect).
+    /// resumed connections; decisions still in a pump's outbox do not
+    /// count. A restarted pump skips exactly this many replayed decisions
+    /// (or the client-reported `Resume` count after a reconnect).
     decisions_streamed: Arc<AtomicU64>,
     /// Set by the pump supervisor while a journal replay is in flight; the
     /// reader answers events with [`RetryReason::Recovering`] meanwhile.
@@ -184,6 +191,18 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(cfg: NetConfig) -> Shared {
+        Shared {
+            cfg,
+            obs: MetricsRegistry::new(),
+            live_connections: AtomicUsize::new(0),
+            conn_seq: AtomicU64::new(0),
+            tenants: Mutex::new(BTreeMap::new()),
+            ledgers: Mutex::new(BTreeMap::new()),
+            stop: AtomicBool::new(false),
+        }
+    }
+
     /// Summed un-pumped backlog across every live tenant.
     fn global_pending(&self) -> usize {
         let tenants = self.tenants.lock().expect("tenant registry poisoned");
@@ -245,8 +264,9 @@ impl ConnMetrics {
     }
 }
 
-/// The socket's write half, shared between the reader (errors, retry-afters)
-/// and the pump's sink (decisions), so frames never interleave mid-frame.
+/// The socket's write half, shared between the reader (errors, retry-afters,
+/// acks: one frame per lock) and the pump's [`Outbox`] (a run of decisions
+/// per lock), so frames never interleave mid-frame.
 type SharedWriter = Arc<Mutex<TcpStream>>;
 
 /// Every spawned connection thread plus a clone of its socket's read half,
@@ -263,39 +283,103 @@ fn send(writer: &SharedWriter, frames_out: &Counter, frame: &Frame) {
     }
 }
 
-/// The routing [`DecisionSink`]: encodes every decision of one tenant's
-/// session as a frame on that tenant's own connection. The streamed count
-/// lives in the tenant's ledger (not the sink) so it survives pump restarts
-/// and reconnects — it is exactly the resume skip for the next incarnation.
+/// Buffered decision bytes at which a pump writes its outbox even though
+/// the tenant queue still holds commands. It bounds the memory a burst can
+/// pin and how long the first decision of a burst waits.
+const OUTBOX_FLUSH_BYTES: usize = 8 * 1024;
+
+/// One pump incarnation's decision frames, encoded but not yet written.
 ///
-/// The ledger count is a stream *position* (`base + emitted`), not a write
-/// counter: after a reconnect resumes below the old high-water mark, the
-/// re-streamed span must not be double-counted, so each emit stores its
-/// absolute index rather than incrementing.
-struct FrameSink {
+/// A flush writes the whole buffer with one lock and one `write_all`. The
+/// tenant's streamed count moves only then: it lives in the ledger (not
+/// here) so it survives pump restarts and reconnects, and it is exactly
+/// the resume skip of the next incarnation — a pump that dies with frames
+/// still buffered replays them instead of losing them.
+///
+/// The count is a stream *position* (the skip this incarnation opened with
+/// plus the frames pushed since), not a write counter: after a reconnect
+/// resumes below the old high-water mark, the re-streamed span must not be
+/// double-counted, so each flush stores its absolute position rather than
+/// incrementing.
+struct Outbox {
     writer: SharedWriter,
-    frames_out: Counter,
-    tenant_decisions: Counter,
+    bytes: Vec<u8>,
+    /// Frames in `bytes`.
+    frames: u64,
+    /// Stream position just past the last frame in `bytes`.
+    position: u64,
     streamed: Arc<AtomicU64>,
-    /// The skip this incarnation opened with — decisions `0..base` were
-    /// already delivered and are being suppressed by the wrapping
-    /// [`SkipSink`].
-    base: u64,
-    /// Decisions this incarnation has written past `base`.
-    emitted: u64,
+    frames_out: Counter,
+    writes: Counter,
 }
 
-impl DecisionSink for FrameSink {
+impl Outbox {
+    fn push(&mut self, decision: &Decision) {
+        Frame::from_decision(decision).encode_into(&mut self.bytes);
+        self.frames += 1;
+        self.position += 1;
+        if self.bytes.len() >= OUTBOX_FLUSH_BYTES {
+            self.flush();
+        }
+    }
+
+    /// Writes every buffered frame at once. A failed write (client already
+    /// gone) must not kill the session — the pump still drains and the
+    /// totals still land in the obs registry — and the frames still count
+    /// as streamed: a client that reconnects says with `Resume` what it
+    /// actually received.
+    fn flush(&mut self) {
+        if self.frames == 0 {
+            return;
+        }
+        let written = self
+            .writer
+            .lock()
+            .expect("connection writer poisoned")
+            .write_all(&self.bytes)
+            .is_ok();
+        if written {
+            self.frames_out.add(self.frames);
+            self.writes.inc();
+        }
+        self.streamed.store(self.position, Ordering::SeqCst);
+        self.bytes.clear();
+        self.frames = 0;
+    }
+}
+
+/// The routing [`DecisionSink`]: encodes every decision of one tenant's
+/// session into that pump's [`Outbox`].
+struct FrameSink<'o> {
+    outbox: &'o RefCell<Outbox>,
+    tenant_decisions: Counter,
+}
+
+impl DecisionSink for FrameSink<'_> {
     fn emit(&mut self, decision: Decision) {
-        self.emitted += 1;
-        self.streamed
-            .store(self.base + self.emitted, Ordering::SeqCst);
         self.tenant_decisions.inc();
-        send(
-            &self.writer,
-            &self.frames_out,
-            &Frame::from_decision(&decision),
-        );
+        self.outbox.borrow_mut().push(&decision);
+    }
+}
+
+/// The tenant's channel as its pump polls it: when no command is queued,
+/// the outbox is written before the poll blocks.
+struct OutboxSource<'o> {
+    source: &'o mut NetSource,
+    outbox: &'o RefCell<Outbox>,
+}
+
+impl IngestSource for OutboxSource<'_> {
+    fn poll(&mut self) -> SourcePoll {
+        if let Some(poll) = self.source.try_poll() {
+            return poll;
+        }
+        self.outbox.borrow_mut().flush();
+        self.source.poll()
+    }
+
+    fn remaining(&self) -> usize {
+        self.source.remaining()
     }
 }
 
@@ -314,15 +398,7 @@ impl NetServer {
     pub fn bind(cfg: NetConfig) -> std::io::Result<NetServer> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            cfg,
-            obs: MetricsRegistry::new(),
-            live_connections: AtomicUsize::new(0),
-            conn_seq: AtomicU64::new(0),
-            tenants: Mutex::new(BTreeMap::new()),
-            ledgers: Mutex::new(BTreeMap::new()),
-            stop: AtomicBool::new(false),
-        });
+        let shared = Arc::new(Shared::new(cfg));
         let workers: WorkerList = Arc::new(Mutex::new(Vec::new()));
         let acceptor = {
             let shared = Arc::clone(&shared);
@@ -505,6 +581,10 @@ enum StreamEnd {
 
 fn connection_main(shared: &Arc<Shared>, stream: TcpStream) {
     let frames_out = shared.obs.counter("net.frames_out");
+    // Every write is a whole frame or a run of them; with Nagle on, one
+    // would wait for the client to acknowledge the previous one. Failing to
+    // set it costs latency, not correctness.
+    let _ = stream.set_nodelay(true);
     let writer: SharedWriter = match stream.try_clone() {
         Ok(clone) => Arc::new(Mutex::new(clone)),
         Err(_) => return,
@@ -776,19 +856,28 @@ fn pump_once(
         ));
     }
     let mut forecast = StaticForecast::default();
+    let outbox = RefCell::new(Outbox {
+        writer: Arc::clone(writer),
+        bytes: Vec::new(),
+        frames: 0,
+        position: skip,
+        streamed: Arc::clone(&ledger.decisions_streamed),
+        frames_out: shared.obs.counter("net.frames_out"),
+        writes: shared.obs.counter("net.decision_writes"),
+    });
     let sink = SkipSink::new(
         FrameSink {
-            writer: Arc::clone(writer),
-            frames_out: shared.obs.counter("net.frames_out"),
+            outbox: &outbox,
             tenant_decisions: shared
                 .obs
                 .counter(&format!("net.tenant.{tenant}.decisions")),
-            streamed: Arc::clone(&ledger.decisions_streamed),
-            base: skip,
-            emitted: 0,
         },
         skip,
     );
+    let source = OutboxSource {
+        source,
+        outbox: &outbox,
+    };
     // Restarts time the journal replay into `net.recovery_seconds`; the
     // first incarnation of a fresh tenant replays nothing and records
     // nothing.
@@ -818,8 +907,10 @@ fn pump_once(
             break;
         }
     }
-    if orderly.load(Ordering::SeqCst) {
-        let (outcome, ..) = service.finish();
+    // What the close drains goes out before the totals that count it.
+    let closed = orderly.load(Ordering::SeqCst).then(|| service.finish().0);
+    outbox.borrow_mut().flush();
+    if let Some(outcome) = closed {
         send(
             writer,
             &shared.obs.counter("net.frames_out"),
@@ -1012,5 +1103,95 @@ fn read_loop(
                 return StreamEnd::Unclean;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use datawa_service::WorkloadSource;
+    use datawa_stream::{
+        CollectingSink, EngineConfig, ScenarioGenerator, ScenarioSpec, Session, UniformBaseline,
+    };
+
+    /// A pump killed while its outbox holds decisions not yet written
+    /// replays them: the client stream stays bitwise equal to a direct run.
+    /// The whole command log is queued before the pump starts, so the
+    /// channel never runs dry and until the close only the byte cap writes
+    /// the outbox — a kill almost always finds frames in it, and the test
+    /// checks that this one did.
+    #[test]
+    fn a_pump_killed_with_a_full_outbox_replays_what_it_had_not_written() {
+        let workload = UniformBaseline::new(
+            ScenarioSpec::small()
+                .with_tasks(1000)
+                .with_workers(40)
+                .with_seed(5),
+        )
+        .generate();
+        let mut commands = Vec::new();
+        let mut arrivals = WorkloadSource::new(&workload);
+        while let SourcePoll::Ready(time, event) = arrivals.poll() {
+            commands.push((time, event));
+        }
+
+        // The direct run: each event ingested, then the session advanced to
+        // its instant — what the queued `AdvanceTo`s make the pump do.
+        let runner = AdaptiveRunner::new(AssignConfig::default(), PolicyKind::Greedy);
+        let mut forecast = StaticForecast::default();
+        let mut session = Session::open(&runner, &mut forecast, EngineConfig::default());
+        let mut direct = CollectingSink::new();
+        for (time, event) in &commands {
+            session.ingest(*time, event.clone()).expect("valid order");
+            session.advance_to(*time, &mut direct);
+        }
+        let _ = session.close(&mut direct);
+        let expected = direct.into_decisions();
+
+        let kill_at = commands.len() as u64 / 2;
+        let shared = Arc::new(Shared::new(NetConfig {
+            pump_kills: vec![("t".to_string(), kill_at)],
+            ..NetConfig::default()
+        }));
+        let ledger = shared.ledger_for("t");
+        let (handle, source) = NetSource::channel();
+        for (time, event) in &commands {
+            handle
+                .push_event(*time, event.clone())
+                .expect("pump side open");
+            handle.push_advance(*time).expect("pump side open");
+        }
+        drop(handle);
+
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind loopback");
+        let client = TcpStream::connect(listener.local_addr().expect("bound")).expect("connect");
+        let (server_end, _) = listener.accept().expect("accept");
+        let client = std::thread::spawn(move || {
+            let mut reader = BufReader::new(client);
+            let mut decisions = Vec::new();
+            loop {
+                match read_frame(&mut reader).expect("a frame before Closed") {
+                    Frame::Closed { decisions: n, .. } => return (decisions, n),
+                    frame => decisions.push(frame.into_decision().expect("a decision frame")),
+                }
+            }
+        });
+        let writer: SharedWriter = Arc::new(Mutex::new(server_end));
+        let orderly = Arc::new(AtomicBool::new(true));
+        pump_main(&shared, &writer, &ledger, &orderly, source, "t", 0);
+        let (decisions, closed_decisions) = client.join().expect("client thread");
+
+        let counters = shared.obs.snapshot().counters;
+        assert_eq!(counters.get("net.pump_recoveries"), Some(&1));
+        assert_eq!(
+            decisions, expected,
+            "client stream diverged from the direct run"
+        );
+        assert_eq!(closed_decisions, expected.len() as u64);
+        let emitted = counters["net.tenant.t.decisions"];
+        assert!(
+            emitted > expected.len() as u64,
+            "the kill found the outbox empty: {emitted} decisions emitted, none replayed"
+        );
     }
 }

@@ -316,14 +316,15 @@ const T_ERROR: u8 = 0x86;
 const T_CLOSED: u8 = 0x87;
 const T_RESUME_ACK: u8 = 0x88;
 
-/// Sequential payload writer.
-struct Enc {
-    buf: Vec<u8>,
+/// Sequential payload writer, appending to a borrowed buffer.
+struct Enc<'a> {
+    buf: &'a mut Vec<u8>,
 }
 
-impl Enc {
-    fn new(ty: u8) -> Enc {
-        Enc { buf: vec![ty] }
+impl<'a> Enc<'a> {
+    fn new(buf: &'a mut Vec<u8>, ty: u8) -> Enc<'a> {
+        buf.push(ty);
+        Enc { buf }
     }
 
     fn u8(&mut self, v: u8) {
@@ -435,30 +436,50 @@ impl Frame {
     /// Serialises the frame payload (type byte included, length prefix not).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
+        let mut payload = Vec::new();
+        self.encode_payload(&mut payload);
+        payload
+    }
+
+    /// Appends the whole wire frame to `out`: the `u32` length prefix, then
+    /// the payload. Frames queued back to back in one buffer go out in one
+    /// write.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.extend_from_slice(&[0; 4]);
+        self.encode_payload(out);
+        let len = out.len() - start - 4;
+        debug_assert!(
+            (1..=MAX_FRAME_LEN).contains(&len),
+            "encoded frame violates MAX_FRAME_LEN"
+        );
+        out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    }
+
+    /// Appends the payload (type byte included, length prefix not) to `out`.
+    fn encode_payload(&self, out: &mut Vec<u8>) {
         match self {
             Frame::Hello {
                 version,
                 tenant,
                 token,
             } => {
-                let mut e = Enc::new(T_HELLO);
+                let mut e = Enc::new(out, T_HELLO);
                 e.u8(*version);
                 e.str(tenant);
                 e.str(token);
-                e.buf
             }
             Frame::TaskArrival { time, task } => {
-                let mut e = Enc::new(T_TASK_ARRIVAL);
+                let mut e = Enc::new(out, T_TASK_ARRIVAL);
                 e.f64(time.0);
                 e.u32(task.id.0);
                 e.f64(task.location.x);
                 e.f64(task.location.y);
                 e.f64(task.publication.0);
                 e.f64(task.expiration.0);
-                e.buf
             }
             Frame::WorkerOnline { time, worker } => {
-                let mut e = Enc::new(T_WORKER_ONLINE);
+                let mut e = Enc::new(out, T_WORKER_ONLINE);
                 e.f64(time.0);
                 e.u32(worker.id.0);
                 e.f64(worker.location.x);
@@ -470,45 +491,37 @@ impl Frame {
                     WorkerMode::Online => 0,
                     WorkerMode::Offline => 1,
                 });
-                e.buf
             }
             Frame::TaskExpiration { time, task } => {
-                let mut e = Enc::new(T_TASK_EXPIRATION);
+                let mut e = Enc::new(out, T_TASK_EXPIRATION);
                 e.f64(time.0);
                 e.u32(task.0);
-                e.buf
             }
             Frame::WorkerOffline { time, worker } => {
-                let mut e = Enc::new(T_WORKER_OFFLINE);
+                let mut e = Enc::new(out, T_WORKER_OFFLINE);
                 e.f64(time.0);
                 e.u32(worker.0);
-                e.buf
             }
             Frame::ReplanTick { time } => {
-                let mut e = Enc::new(T_REPLAN_TICK);
+                let mut e = Enc::new(out, T_REPLAN_TICK);
                 e.f64(time.0);
-                e.buf
             }
             Frame::AdvanceTo { time } => {
-                let mut e = Enc::new(T_ADVANCE_TO);
+                let mut e = Enc::new(out, T_ADVANCE_TO);
                 e.f64(time.0);
-                e.buf
             }
-            Frame::Close => Enc::new(T_CLOSE).buf,
+            Frame::Close => out.push(T_CLOSE),
             Frame::Resume { decisions_seen } => {
-                let mut e = Enc::new(T_RESUME);
+                let mut e = Enc::new(out, T_RESUME);
                 e.u64(*decisions_seen);
-                e.buf
             }
             Frame::ResumeAck { events_ingested } => {
-                let mut e = Enc::new(T_RESUME_ACK);
+                let mut e = Enc::new(out, T_RESUME_ACK);
                 e.u64(*events_ingested);
-                e.buf
             }
             Frame::HelloAck { version } => {
-                let mut e = Enc::new(T_HELLO_ACK);
+                let mut e = Enc::new(out, T_HELLO_ACK);
                 e.u8(*version);
-                e.buf
             }
             Frame::Dispatch {
                 at,
@@ -516,36 +529,31 @@ impl Frame {
                 task,
                 eta,
             } => {
-                let mut e = Enc::new(T_DISPATCH);
+                let mut e = Enc::new(out, T_DISPATCH);
                 e.f64(at.0);
                 e.u32(worker.0);
                 e.u32(task.0);
                 e.f64(eta.0);
-                e.buf
             }
             Frame::TaskExpired { at, task } => {
-                let mut e = Enc::new(T_TASK_EXPIRED);
+                let mut e = Enc::new(out, T_TASK_EXPIRED);
                 e.f64(at.0);
                 e.u32(task.0);
-                e.buf
             }
             Frame::OfflineNotice { at, worker } => {
-                let mut e = Enc::new(T_OFFLINE_NOTICE);
+                let mut e = Enc::new(out, T_OFFLINE_NOTICE);
                 e.f64(at.0);
                 e.u32(worker.0);
-                e.buf
             }
             Frame::RetryAfter { seconds, reason } => {
-                let mut e = Enc::new(T_RETRY_AFTER);
+                let mut e = Enc::new(out, T_RETRY_AFTER);
                 e.f64(*seconds);
                 e.u8(reason.to_byte());
-                e.buf
             }
             Frame::Error { code, message } => {
-                let mut e = Enc::new(T_ERROR);
+                let mut e = Enc::new(out, T_ERROR);
                 e.u8(code.to_byte());
                 e.str(message);
-                e.buf
             }
             Frame::Closed {
                 assigned,
@@ -553,12 +561,11 @@ impl Frame {
                 events,
                 planning_calls,
             } => {
-                let mut e = Enc::new(T_CLOSED);
+                let mut e = Enc::new(out, T_CLOSED);
                 e.u64(*assigned);
                 e.u64(*decisions);
                 e.u64(*events);
                 e.u64(*planning_calls);
-                e.buf
             }
         }
     }
@@ -738,17 +745,14 @@ impl Frame {
     }
 }
 
-/// Writes one length-prefixed frame. The caller flushes (frames are written
-/// through `BufWriter`s; one flush per frame keeps decision latency low
-/// without syscall-per-field overhead).
+/// Writes one length-prefixed frame with a single `write_all`, then flushes.
+/// Prefix and payload never go out as two writes: on a socket with Nagle's
+/// algorithm on, the payload would wait for the peer to acknowledge the
+/// prefix — a delayed-ACK stall of up to tens of milliseconds per frame.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
-    let payload = frame.encode();
-    debug_assert!(
-        (1..=MAX_FRAME_LEN).contains(&payload.len()),
-        "encoded frame violates MAX_FRAME_LEN"
-    );
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&payload)?;
+    let mut bytes = Vec::with_capacity(64);
+    frame.encode_into(&mut bytes);
+    w.write_all(&bytes)?;
     w.flush()
 }
 
@@ -869,6 +873,19 @@ mod tests {
             assert_eq!(back, frame);
             assert_eq!(back.encode(), payload, "re-encode is byte-identical");
         }
+    }
+
+    #[test]
+    fn encode_into_appends_prefix_then_payload() {
+        let mut buf = vec![0xAA];
+        for frame in all_frames() {
+            let start = buf.len();
+            frame.encode_into(&mut buf);
+            let payload = frame.encode();
+            assert_eq!(buf[start..start + 4], (payload.len() as u32).to_le_bytes());
+            assert_eq!(buf[start + 4..], payload[..]);
+        }
+        assert_eq!(buf[0], 0xAA, "earlier bytes are left alone");
     }
 
     #[test]

@@ -102,7 +102,9 @@
 //! the session last advanced) and `service.pump_seconds` (pump latency).
 //!
 //! **`net.*` — the transport.** `net.connections`, `net.frames_in`,
-//! `net.frames_out`, `net.rejected_admission` and `net.ingest_seconds`; per
+//! `net.frames_out`, `net.decision_writes` (one per write of a pump's
+//! decision outbox, so `net.frames_out` over it is about the decision
+//! frames per write), `net.rejected_admission` and `net.ingest_seconds`; per
 //! tenant `net.tenant.<t>.frames_in`, `net.tenant.<t>.rejected` and
 //! `net.tenant.<t>.decisions`; and the fault-tolerance family
 //! `net.pump_recoveries`, `net.tenant.<t>.recoveries` and the

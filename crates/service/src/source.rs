@@ -21,7 +21,7 @@
 use datawa_core::{Duration, Timestamp};
 use datawa_stream::{Event, Workload};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 
 /// One poll of an ingest source.
@@ -284,6 +284,34 @@ impl NetSource {
             },
         )
     }
+
+    /// [`IngestSource::poll`] without blocking: `None` when the channel is
+    /// empty but the producer is still connected. A pump uses it to learn
+    /// that it is about to sleep, and to write out what it has buffered
+    /// first.
+    pub fn try_poll(&mut self) -> Option<SourcePoll> {
+        if self.exhausted {
+            return Some(SourcePoll::Exhausted);
+        }
+        match self.rx.try_recv() {
+            Ok(item) => Some(self.deliver(item)),
+            Err(TryRecvError::Empty) => None,
+            Err(TryRecvError::Disconnected) => {
+                self.exhausted = true;
+                Some(SourcePoll::Exhausted)
+            }
+        }
+    }
+
+    fn deliver(&self, item: NetItem) -> SourcePoll {
+        match item {
+            NetItem::Event(time, event) => {
+                self.depth.fetch_sub(1, Ordering::SeqCst);
+                SourcePoll::Ready(time, event)
+            }
+            NetItem::Advance(time) => SourcePoll::Wait(time),
+        }
+    }
 }
 
 impl IngestSource for NetSource {
@@ -292,11 +320,7 @@ impl IngestSource for NetSource {
             return SourcePoll::Exhausted;
         }
         match self.rx.recv() {
-            Ok(NetItem::Event(time, event)) => {
-                self.depth.fetch_sub(1, Ordering::SeqCst);
-                SourcePoll::Ready(time, event)
-            }
-            Ok(NetItem::Advance(time)) => SourcePoll::Wait(time),
+            Ok(item) => self.deliver(item),
             Err(_) => {
                 self.exhausted = true;
                 SourcePoll::Exhausted
@@ -415,6 +439,24 @@ mod tests {
         assert_eq!(source.remaining(), 0);
         drop(handle);
         assert_eq!(source.poll(), SourcePoll::Exhausted);
+        assert_eq!(source.poll(), SourcePoll::Exhausted, "exhaustion is sticky");
+    }
+
+    #[test]
+    fn net_source_try_poll_tells_empty_from_exhausted() {
+        let (handle, mut source) = NetSource::channel();
+        assert_eq!(source.try_poll(), None, "empty, producer still connected");
+        let w = workload();
+        handle
+            .push_event(Timestamp(2.0), Event::TaskArrival(w.tasks[1]))
+            .unwrap();
+        handle.push_advance(Timestamp(3.0)).unwrap();
+        assert!(matches!(source.try_poll(), Some(SourcePoll::Ready(t, _)) if t.0 == 2.0));
+        assert_eq!(handle.pending(), 0, "a taken event leaves the backlog");
+        assert_eq!(source.try_poll(), Some(SourcePoll::Wait(Timestamp(3.0))));
+        assert_eq!(source.try_poll(), None);
+        drop(handle);
+        assert_eq!(source.try_poll(), Some(SourcePoll::Exhausted));
         assert_eq!(source.poll(), SourcePoll::Exhausted, "exhaustion is sticky");
     }
 
