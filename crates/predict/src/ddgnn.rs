@@ -29,6 +29,19 @@
 //! `Matrix` buffers the model owns. Every scalar meets the same
 //! floating-point operations in the same order as in `forward` (matrix
 //! products are row-independent), so the probabilities are bit-identical.
+//!
+//! Two shortcuts keep that promise:
+//!
+//! * **Symmetry.** `forward` sums two products, `M1·M2ᵀ + M2·M1ᵀ`. The
+//!   second is the transpose of the first term for term: `(M2·M1ᵀ)_ij`
+//!   multiplies the same pairs as `(M1·M2ᵀ)_ji`, in the same ascending
+//!   order, and `+` commutes. So inference computes one product and takes
+//!   `tanh` of the upper triangle only (`M(M+1)/2` calls instead of `M²`).
+//! * **Zero skipping.** [`Matrix::matmul_into`] skips a zero left operand,
+//!   and the two products skip different ones. That is neutral for finite
+//!   values: the skipped term is a signed zero, and a round-to-nearest sum
+//!   that starts at `+0.0` never becomes `−0.0`, so adding it changes no
+//!   bit.
 
 use crate::dependency::{AdjacencyScratch, DependencyLearner};
 use crate::series::SeriesExample;
@@ -221,11 +234,12 @@ impl DdgnnPredictor {
                 a_hat.set(i, i, 1.0);
             }
         }
-        // Â = (A + I) / 2, as in `propagate`.
+        // Â = (A + I) / 2, as in `propagate`: the same add and scale for
+        // every element, the identity's zeros included.
         for r in 0..self.cells {
-            for c in 0..self.cells {
+            for (c, v) in a_hat.row_mut(r).iter_mut().enumerate() {
                 let identity = if r == c { 1.0 } else { 0.0 };
-                a_hat.set(r, c, (a_hat.get(r, c) + identity) * 0.5);
+                *v = (*v + identity) * 0.5;
             }
         }
         let alpha = self.config.alpha;
@@ -293,6 +307,14 @@ impl DemandPredictor for DdgnnPredictor {
     }
 
     fn predict_next(&self, recent: &[Matrix], out: &mut Matrix) {
+        let k = self.head.b.shape().1;
+        assert!(
+            recent
+                .iter()
+                .all(|window| window.shape() == (self.cells, k)),
+            "history window shape does not match the model: every window must be ({}, {k})",
+            self.cells
+        );
         let snapshot = recent.last().expect("at least one history window");
         self.infer(
             |cell, age| (age < recent.len()).then(|| recent[recent.len() - 1 - age].row(cell)),
@@ -409,6 +431,21 @@ mod tests {
         let a = full.predict(&ds.examples[0]);
         let b = ablated.predict(&ds.examples[0]);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "history window shape does not match the model")]
+    fn predict_next_rejects_a_window_with_extra_rows() {
+        let model = DdgnnPredictor::with_defaults(3, 2, 5);
+        let recent = [Matrix::zeros(3, 2), Matrix::zeros(4, 2)];
+        model.predict_next(&recent, &mut Matrix::zeros(3, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one history window")]
+    fn predict_next_rejects_an_empty_history() {
+        let model = DdgnnPredictor::with_defaults(3, 2, 5);
+        model.predict_next(&[], &mut Matrix::zeros(3, 2));
     }
 
     #[test]

@@ -23,9 +23,7 @@ pub struct DependencyLearner {
 pub(crate) struct AdjacencyScratch {
     m1: Matrix,
     m2: Matrix,
-    m1_t: Matrix,
     m2_t: Matrix,
-    cross_t: Matrix,
 }
 
 impl AdjacencyScratch {
@@ -33,9 +31,7 @@ impl AdjacencyScratch {
         AdjacencyScratch {
             m1: Matrix::zeros(cells, embedding_dim),
             m2: Matrix::zeros(cells, embedding_dim),
-            m1_t: Matrix::zeros(embedding_dim, cells),
             m2_t: Matrix::zeros(embedding_dim, cells),
-            cross_t: Matrix::zeros(cells, cells),
         }
     }
 }
@@ -72,9 +68,17 @@ impl DependencyLearner {
         cross.tanh().softmax_rows()
     }
 
-    /// [`DependencyLearner::adjacency`] without the autograd graph: the same
-    /// `Matrix` operations in the same order on caller-owned buffers, so the
-    /// adjacency written into `out` (shape `(M, M)`) is bit-identical.
+    /// [`DependencyLearner::adjacency`] without the autograd graph, on
+    /// caller-owned buffers; the adjacency written into `out` (shape
+    /// `(M, M)`) is bit-identical.
+    ///
+    /// It computes one cross product, `P = M1·M2ᵀ`, and sets
+    /// `S_ij = S_ji = tanh(P_ij + P_ji)` for `i ≤ j` only. This is exact:
+    /// `(M2·M1ᵀ)_ij` multiplies the same pairs as `P_ji` and accumulates
+    /// them in the same ascending order, and `+` commutes. The two products
+    /// skip different zero left operands (`M2_ik` there, `M1_jk` here), which
+    /// is neutral for finite values ([`Matrix::matmul_into`]). So `S` is
+    /// symmetric bit for bit and needs `M(M+1)/2` `tanh` calls, not `M²`.
     pub(crate) fn adjacency_into(
         &self,
         snapshot: &Matrix,
@@ -83,12 +87,17 @@ impl DependencyLearner {
     ) {
         self.f1.apply_into(snapshot, &mut scratch.m1);
         self.f2.apply_into(snapshot, &mut scratch.m2);
-        scratch.m1.transpose_into(&mut scratch.m1_t);
         scratch.m2.transpose_into(&mut scratch.m2_t);
         scratch.m1.matmul_into(&scratch.m2_t, out);
-        scratch.m2.matmul_into(&scratch.m1_t, &mut scratch.cross_t);
-        out.zip_in_place(&scratch.cross_t, |a, b| a + b);
-        out.map_in_place(f64::tanh);
+        // In place: (i, j) and (j, i) are read before either is written.
+        let cells = out.rows();
+        for i in 0..cells {
+            for j in i..cells {
+                let s = (out.get(i, j) + out.get(j, i)).tanh();
+                out.set(i, j, s);
+                out.set(j, i, s);
+            }
+        }
         out.softmax_rows_in_place();
     }
 

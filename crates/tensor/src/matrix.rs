@@ -168,6 +168,10 @@ impl Matrix {
     /// allocation-free form of [`Matrix::matmul`]: every output row depends
     /// on the matching row of `self` only, and each element accumulates its
     /// terms in ascending inner-index order, skipping zero left operands.
+    ///
+    /// Skipping is exact for finite operands: the skipped term is a signed
+    /// zero, and a round-to-nearest sum that starts at `+0.0` never becomes
+    /// `−0.0`, so adding a zero never changes its bits.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, other.rows,
@@ -179,18 +183,30 @@ impl Matrix {
             (self.rows, other.cols),
             "matmul output shape mismatch"
         );
-        out.data.fill(0.0);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.get(i, k);
-                if a == 0.0 {
-                    continue;
-                }
-                let orow = other.row(k);
-                let out_row = out.row_mut(i);
-                for (j, &b) in orow.iter().enumerate() {
-                    out_row[j] += a * b;
-                }
+        // `chunks_exact` takes no zero width. With no inner terms or no
+        // output columns, the product is all zeros (or nothing).
+        if self.cols == 0 || other.cols == 0 {
+            out.data.fill(0.0);
+            return;
+        }
+        let other_rows = || other.data.chunks_exact(other.cols);
+        for (a_row, out_row) in self
+            .data
+            .chunks_exact(self.cols)
+            .zip(out.data.chunks_exact_mut(other.cols))
+        {
+            let mut col = 0;
+            while other.cols - col >= 8 {
+                row_block::<8>(a_row, other_rows(), col, out_row);
+                col += 8;
+            }
+            if other.cols - col >= 4 {
+                row_block::<4>(a_row, other_rows(), col, out_row);
+                col += 4;
+            }
+            while col < other.cols {
+                row_block::<1>(a_row, other_rows(), col, out_row);
+                col += 1;
             }
         }
     }
@@ -381,6 +397,29 @@ impl Matrix {
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())
     }
+}
+
+/// Columns `col .. col + W` of one row of a matrix product: `W` sums kept in
+/// registers over the whole inner loop, each taking its terms in ascending
+/// inner-index order from `+0.0` and skipping zero left operands. Each sum
+/// is a chain of dependent adds, so a block of `W` runs `W` chains at once.
+#[inline(always)]
+fn row_block<const W: usize>(
+    a_row: &[f64],
+    b_rows: std::slice::ChunksExact<'_, f64>,
+    col: usize,
+    out_row: &mut [f64],
+) {
+    let mut sums = [0.0; W];
+    for (&a, b_row) in a_row.iter().zip(b_rows) {
+        if a == 0.0 {
+            continue;
+        }
+        for (sum, &b) in sums.iter_mut().zip(&b_row[col..col + W]) {
+            *sum += a * b;
+        }
+    }
+    out_row[col..col + W].copy_from_slice(&sums);
 }
 
 /// The logistic sigmoid `1 / (1 + e^-v)` — the one definition shared by the
