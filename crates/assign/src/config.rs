@@ -21,16 +21,10 @@ pub struct AssignConfig {
     pub max_reachable_per_worker: usize,
     /// Maximum length of a candidate task sequence.
     pub max_sequence_len: usize,
-    /// Whether `Q_w` keeps non-maximal task sets too (needed by the exact
-    /// search to reach the optimum; maximal-only is faster).
-    pub include_subsets: bool,
     /// Hard cap on exact-DFSearch node expansions per tree node, after which
     /// the search falls back to the best assignment found so far. Keeps the
     /// worst-case planning latency bounded on dense cliques.
     pub search_node_budget: usize,
-    /// Whether to use the worker-dependency-separation clique tree (ablation
-    /// switch; `false` solves each connected component as a single node).
-    pub use_dependency_separation: bool,
     /// Accepted and ignored: the planner searches partitions serially. The
     /// field remains because existing callers (the frozen benchmark harness
     /// among them) still set it.
@@ -43,9 +37,7 @@ impl Default for AssignConfig {
             travel: TravelModel::urban_driving(),
             max_reachable_per_worker: 8,
             max_sequence_len: 3,
-            include_subsets: true,
             search_node_budget: 20_000,
-            use_dependency_separation: true,
             threads: 0,
         }
     }
@@ -73,7 +65,6 @@ mod tests {
         assert!(c.max_sequence_len >= 1);
         assert!(c.max_reachable_per_worker >= c.max_sequence_len);
         assert!(c.search_node_budget > 0);
-        assert!(c.use_dependency_separation);
     }
 
     #[test]

@@ -38,9 +38,9 @@ use crate::reach_layer::ReachLayer;
 use crate::reachable::{build_worker_dependency_graph, ReachableSets};
 use crate::search::{greedy_baseline, DfSearch, SearchSample, SearchScratch};
 use crate::sequences::{generate_sequences, CandidateSequences, SequenceSet};
-use crate::tvf::{TaskValueFunction, TvfInference};
+use crate::tvf::TvfInference;
 use datawa_core::{Assignment, TaskId, TaskStore, Timestamp, WorkerId, WorkerStore};
-use datawa_graph::{ClusterTree, TreeNode, UnGraph};
+use datawa_graph::ClusterTree;
 use datawa_obs::{Histogram, MetricsRegistry};
 use std::time::Instant;
 
@@ -100,10 +100,10 @@ pub struct PlanningReport {
 pub enum SearchMode {
     /// Greedy baseline (no dependency separation, no search).
     Greedy,
-    /// Exact DFSearch (Algorithm 1).
+    /// Exact DFSearch (Algorithm 1). The TVF-guided search (Algorithm 2)
+    /// is not a mode: it runs through [`Planner::plan_guided`] or
+    /// [`Planner::plan_live`] with a borrowed [`TvfInference`].
     Exact,
-    /// TVF-guided search (Algorithm 2); requires a trained TVF.
-    Guided,
 }
 
 /// The TPA planner.
@@ -118,9 +118,6 @@ pub struct Planner {
     pub config: AssignConfig,
     /// Search mode.
     pub mode: SearchMode,
-    /// Inference snapshot of the trained task value function (required for
-    /// [`SearchMode::Guided`]; set through [`Planner::with_tvf`]).
-    tvf: Option<TvfInference>,
     /// Scratch: the candidate sequences of the planned workers, one slot per
     /// planned-worker position, regenerated into the same buffers at every
     /// call by the exact and guided searches.
@@ -154,7 +151,6 @@ impl Planner {
         Planner {
             config,
             mode,
-            tvf: None,
             sequences: CandidateSequences::default(),
             search: SearchScratch::default(),
             reach: ReachLayer::default(),
@@ -172,13 +168,6 @@ impl Planner {
             tree: registry.histogram("assign.stage_ns.tree"),
             search: registry.histogram("assign.stage_ns.search"),
         };
-        self
-    }
-
-    /// Attaches a trained TVF (used by [`SearchMode::Guided`]); the planner
-    /// keeps a thread-safe inference snapshot of its weights.
-    pub fn with_tvf(mut self, tvf: TaskValueFunction) -> Planner {
-        self.tvf = Some(tvf.inference());
         self
     }
 
@@ -222,7 +211,7 @@ impl Planner {
             workers,
             tasks,
             now,
-            Some(tvf),
+            Route::Guided(tvf),
             false,
         )
     }
@@ -261,7 +250,7 @@ impl Planner {
                 workers,
                 tasks,
                 now,
-                Some(tvf),
+                Route::Guided(tvf),
                 true,
             ),
             None => self.plan_in_mode(worker_ids, candidate_tasks, workers, tasks, now, true),
@@ -283,31 +272,15 @@ impl Planner {
             SearchMode::Greedy => {
                 self.plan_greedy(worker_ids, candidate_tasks, workers, tasks, now)
             }
-            SearchMode::Exact => {
-                self.plan_partitioned(worker_ids, candidate_tasks, workers, tasks, now, None, live)
-            }
-            SearchMode::Guided => {
-                // Detach the snapshot for the duration of the call so the
-                // search can borrow it alongside the scratch buffers. Mode
-                // invariant: Guided is only selected by constructors that
-                // install a TVF.
-                #[allow(clippy::expect_used)]
-                let tvf = self
-                    .tvf
-                    .take()
-                    .expect("SearchMode::Guided requires a trained TVF");
-                let out = self.plan_partitioned(
-                    worker_ids,
-                    candidate_tasks,
-                    workers,
-                    tasks,
-                    now,
-                    Some(&tvf),
-                    live,
-                );
-                self.tvf = Some(tvf);
-                out
-            }
+            SearchMode::Exact => self.plan_partitioned(
+                worker_ids,
+                candidate_tasks,
+                workers,
+                tasks,
+                now,
+                Route::Exact(None),
+                live,
+            ),
         }
     }
 
@@ -389,12 +362,12 @@ impl Planner {
         (assignment, report)
     }
 
-    /// The partitioned search path shared by [`SearchMode::Exact`] and the
-    /// TVF-guided modes: drop the workers that reach nothing, build the
-    /// dependency graph and cluster tree over the rest once, split the
-    /// instant into independent partitions, and search each partition
-    /// against its own available set, in partition order, splicing its plan
-    /// into the assignment.
+    /// The partitioned search path shared by [`SearchMode::Exact`], the
+    /// TVF-guided search and training-sample collection: drop the workers
+    /// that reach nothing, build the dependency graph and cluster tree over
+    /// the rest once, split the instant into independent partitions, and
+    /// search each partition against its own available set, in partition
+    /// order, splicing its plan into the assignment.
     ///
     /// A `live` call takes a live pass of the reach layer (per-worker
     /// merge-or-rescan), any other a cold one; everything after the sets —
@@ -409,7 +382,7 @@ impl Planner {
         workers: &WorkerStore,
         tasks: &TaskStore,
         now: Timestamp,
-        tvf: Option<&TvfInference>,
+        mut route: Route<'_>,
         live: bool,
     ) -> (Assignment, PlanningReport) {
         // Feeds the replan-latency histogram only; never read by planning logic.
@@ -442,7 +415,7 @@ impl Planner {
         // every other component's member order, edges and subtree shape —
         // hence every plan and every index tie-break — unchanged.
         let planned = reachable.live_workers();
-        if live && tvf.is_none() {
+        if live && matches!(route, Route::Exact(_)) {
             report.partitions_reused = worker_ids.len() - planned.len();
         }
         if planned.is_empty() {
@@ -458,7 +431,7 @@ impl Planner {
         // subtree.
         let span = self.stages.tree.span();
         let (graph, mapping) = build_worker_dependency_graph(planned, reachable);
-        let tree = build_tree(&config, &graph);
+        let tree = ClusterTree::build(&graph);
         report.tree_nodes = tree.len();
         let partitions = split_cluster_tree(&tree, &mapping, reachable);
         span.finish();
@@ -482,9 +455,11 @@ impl Planner {
         );
         let mut assignment = Assignment::new();
         for p in &partitions {
-            report.nodes_expanded += match tvf {
-                None => search.exact_partition(&tree, p, None, &mut assignment),
-                Some(tvf) => search.guided_partition(&tree, p, tvf, &mut assignment),
+            report.nodes_expanded += match &mut route {
+                Route::Exact(samples) => {
+                    search.exact_partition(&tree, p, samples.as_deref_mut(), &mut assignment)
+                }
+                Route::Guided(tvf) => search.guided_partition(&tree, p, tvf, &mut assignment),
             };
         }
         span.finish();
@@ -504,70 +479,33 @@ impl Planner {
         tasks: &TaskStore,
         now: Timestamp,
     ) -> Vec<SearchSample> {
-        if worker_ids.is_empty() || candidate_tasks.is_empty() {
-            return Vec::new();
-        }
-        let config = self.config;
-        self.reach.refresh(
+        let mut samples = Vec::new();
+        self.plan_partitioned(
             worker_ids,
             candidate_tasks,
             workers,
             tasks,
-            &config,
             now,
+            Route::Exact(Some(&mut samples)),
             false,
         );
-        let reachable = self.reach.sets();
-        // Same worker filter as planning: a worker that reaches nothing has
-        // no action to sample.
-        let planned = reachable.live_workers();
-        self.sequences
-            .fill(planned, workers, tasks, reachable, &config, now);
-        let (graph, mapping) = build_worker_dependency_graph(planned, reachable);
-        let tree = build_tree(&config, &graph);
-        let partitions = split_cluster_tree(&tree, &mapping, reachable);
-        let mut search = DfSearch::new(
-            workers,
-            tasks,
-            candidate_tasks,
-            &config,
-            now,
-            &self.sequences,
-            reachable,
-            &mut self.search,
-        );
-        let mut samples = Vec::new();
-        let mut plan = Assignment::new();
-        for p in &partitions {
-            search.exact_partition(&tree, p, Some(&mut samples), &mut plan);
-        }
         samples
     }
 }
 
-/// Builds the cluster tree, honouring the ablation switch: with dependency
-/// separation disabled, every connected component becomes a single flat
-/// tree node (no search-space reduction).
-fn build_tree(config: &AssignConfig, graph: &UnGraph) -> ClusterTree {
-    if config.use_dependency_separation {
-        ClusterTree::build(graph)
-    } else {
-        let mut tree = ClusterTree::default();
-        for component in graph.connected_components() {
-            let index = tree.nodes.len();
-            tree.nodes.push(TreeNode {
-                members: component,
-                children: Vec::new(),
-            });
-            tree.roots.push(index);
-        }
-        tree
-    }
+/// What the partitioned path searches each partition with.
+enum Route<'a> {
+    /// The exact search, appending its TVF training samples to the sink when
+    /// there is one.
+    Exact(Option<&'a mut Vec<SearchSample>>),
+    /// The TVF-guided search.
+    Guided(&'a TvfInference),
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tvf::TaskValueFunction;
     use datawa_core::{Location, Task, Worker};
 
     fn scenario(n_workers: usize, n_tasks: usize) -> (WorkerStore, TaskStore) {
@@ -635,29 +573,19 @@ mod tests {
         let mut tvf = TaskValueFunction::new(16, 0);
         let tuples: Vec<_> = samples.iter().map(|s| (s.state, s.action, s.opt)).collect();
         tvf.train(&tuples, 60, 16, 0.01, 0);
-        let mut guided = Planner::new(AssignConfig::unit_speed(), SearchMode::Guided).with_tvf(tvf);
-        let (assignment, _) = guided.plan(&wids, &tids, &workers, &tasks, Timestamp(0.0));
+        let mut guided = Planner::new(AssignConfig::unit_speed(), SearchMode::Exact);
+        let (assignment, _) = guided.plan_guided(
+            &wids,
+            &tids,
+            &workers,
+            &tasks,
+            Timestamp(0.0),
+            &tvf.inference(),
+        );
         assert!(assignment
             .validate(&workers, &tasks, &guided.config.travel, Timestamp(0.0))
             .is_empty());
         assert!(assignment.assigned_count() > 0);
-    }
-
-    #[test]
-    fn disabling_dependency_separation_still_plans_feasibly() {
-        let (workers, tasks) = scenario(4, 6);
-        let mut config = AssignConfig::unit_speed();
-        config.use_dependency_separation = false;
-        let mut planner = Planner::new(config, SearchMode::Exact);
-        let wids: Vec<WorkerId> = workers.ids().collect();
-        let tids: Vec<TaskId> = tasks.ids().collect();
-        let (assignment, report) = planner.plan(&wids, &tids, &workers, &tasks, Timestamp(0.0));
-        assert!(assignment
-            .validate(&workers, &tasks, &config.travel, Timestamp(0.0))
-            .is_empty());
-        // One flat node per connected component, each its own partition.
-        assert!(report.tree_nodes >= 1);
-        assert_eq!(report.partitions, report.tree_nodes);
     }
 
     #[test]
@@ -680,24 +608,26 @@ mod tests {
         let (workers, tasks) = scenario(6, 12);
         let wids: Vec<WorkerId> = workers.ids().collect();
         let tids: Vec<TaskId> = tasks.ids().collect();
-        for mode in [SearchMode::Exact, SearchMode::Guided] {
+        let tvf = TaskValueFunction::new(8, 42).inference();
+        for guided in [false, true] {
             let mut reference = None;
             for threads in [1usize, 2, 16] {
                 let config = AssignConfig {
                     threads,
                     ..AssignConfig::unit_speed()
                 };
-                let mut planner = Planner::new(config, mode);
-                if mode == SearchMode::Guided {
-                    planner = planner.with_tvf(TaskValueFunction::new(8, 42));
-                }
-                let (assignment, report) =
-                    planner.plan(&wids, &tids, &workers, &tasks, Timestamp(0.0));
+                let mut planner = Planner::new(config, SearchMode::Exact);
+                let now = Timestamp(0.0);
+                let (assignment, report) = if guided {
+                    planner.plan_guided(&wids, &tids, &workers, &tasks, now, &tvf)
+                } else {
+                    planner.plan(&wids, &tids, &workers, &tasks, now)
+                };
                 let planned = (assignment, report.partitions);
                 match &reference {
                     None => reference = Some(planned),
                     Some(r) => {
-                        assert_eq!(r, &planned, "mode {mode:?} diverged at threads={threads}")
+                        assert_eq!(r, &planned, "guided={guided} diverged at threads={threads}")
                     }
                 }
             }

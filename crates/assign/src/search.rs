@@ -8,11 +8,12 @@
 //! root subtrees are additionally *task*-independent, each root can be
 //! searched against a partition-local available set
 //! ([`DfSearch::exact_partition`] / [`DfSearch::guided_partition`], driven by
-//! the planner's partition loop). The whole-tree entry points below are
-//! sequential sweeps over the same per-root searches.
+//! the planner's partition loop). [`DfSearch::exact`], a sweep of the exact
+//! search over every root against one shared available set, is the
+//! reference the partitioned search is held to.
 //!
 //! **Dense state.** A search runs over one task universe at a time — a
-//! partition's ascending task list, or the sorted candidate list for a
+//! partition's ascending task list, or the sorted candidate list for the
 //! whole-tree sweep — whose positions index the tasks `0..n`. The available
 //! set is a reused bitset over them. Every candidate sequence's tasks are
 //! resolved to those indices once per universe, so "all still available" is
@@ -41,7 +42,7 @@
 //! time it.
 
 use crate::config::AssignConfig;
-use crate::partition::{split_cluster_tree, Partition};
+use crate::partition::Partition;
 use crate::reachable::ReachableSets;
 use crate::sequences::{CandidateSequences, SequenceSet};
 use crate::tvf::{ActionFeatures, StateFeatures, TvfInference};
@@ -212,32 +213,18 @@ impl<'a> DfSearch<'a> {
     // TVF-guided search (Algorithm 2)
     // ------------------------------------------------------------------
 
-    /// Greedy tree traversal guided by the trained Task Value Function: each
-    /// worker receives the candidate sequence with the highest predicted
-    /// long-term value, without backtracking.
-    ///
-    /// Takes a [`TvfInference`] snapshot (see [`crate::TaskValueFunction::inference`])
-    /// so the same code path serves both the sweep here and the planner's
-    /// partition loop.
+    /// Greedy tree traversal guided by the trained Task Value Function (a
+    /// [`TvfInference`] snapshot, see
+    /// [`crate::TaskValueFunction::inference`]) over a single root subtree
+    /// (one planning partition): each worker receives the candidate sequence
+    /// with the highest predicted long-term value, without backtracking.
+    /// Writes the plan into `out` and returns the number of workers it
+    /// assigned a sequence.
     ///
     /// Unlike the exact search, the guided search *reads* the available set
-    /// (its `remaining_tasks` state feature counts it), so each root is
-    /// searched against a partition-local set — the subtree's reachable
-    /// tasks — exactly as the planner's partition loop does. The sweep is
-    /// therefore bitwise identical to the planner's output, and matches the
-    /// subproblem-local features the TVF was trained on.
-    pub fn guided(&mut self, tree: &ClusterTree, tvf: &TvfInference) -> Assignment {
-        let mut assignment = Assignment::new();
-        let mapping = self.ctx.sequences.workers();
-        for partition in split_cluster_tree(tree, mapping, self.ctx.reachable) {
-            self.guided_partition(tree, &partition, tvf, &mut assignment);
-        }
-        assignment
-    }
-
-    /// Guided search over a single root subtree (one planning partition):
-    /// writes the plan into `out` and returns the number of workers it
-    /// assigned a sequence.
+    /// (its `remaining_tasks` state feature counts it), so it runs against
+    /// the partition's own tasks, matching the subproblem-local features the
+    /// TVF was trained on.
     pub fn guided_partition(
         &mut self,
         tree: &ClusterTree,
@@ -634,6 +621,7 @@ impl Context<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::split_cluster_tree;
     use crate::reachable::{build_worker_dependency_graph, reachable_tasks};
     use crate::sequences::generate_sequences;
     use crate::tvf::TaskValueFunction;
@@ -690,6 +678,7 @@ mod tests {
     }
 
     struct Built {
+        workers: Vec<WorkerId>,
         candidates: Vec<TaskId>,
         sequences: CandidateSequences,
         reachable: ReachableSets,
@@ -706,6 +695,7 @@ mod tests {
         let (graph, _) = build_worker_dependency_graph(&wids, &reachable);
         let tree = ClusterTree::build(&graph);
         Built {
+            workers: wids,
             candidates: tids,
             sequences,
             reachable,
@@ -731,6 +721,16 @@ mod tests {
         )
     }
 
+    /// The guided search over every partition of the fixture's tree, in
+    /// root order, as the planner's partition loop runs it.
+    fn guided(s: &mut DfSearch<'_>, b: &Built, tvf: &TvfInference) -> Assignment {
+        let mut out = Assignment::new();
+        for p in split_cluster_tree(&b.tree, &b.workers, &b.reachable) {
+            s.guided_partition(&b.tree, &p, tvf, &mut out);
+        }
+        out
+    }
+
     #[test]
     fn exact_search_assigns_all_tasks_when_possible() {
         let f = fixture();
@@ -752,7 +752,7 @@ mod tests {
         let f = fixture();
         let b = build(&f);
         let now = Timestamp(0.0);
-        let workers = b.sequences.workers();
+        let workers = &b.workers;
         let sets: Vec<SequenceSet> = workers
             .iter()
             .map(|&w| {
@@ -824,7 +824,7 @@ mod tests {
         let b = build(&f);
         let tvf = TaskValueFunction::new(8, 0).inference();
         let mut scratch = SearchScratch::default();
-        let assignment = search(&f, &b, &f.config, &mut scratch).guided(&b.tree, &tvf);
+        let assignment = guided(&mut search(&f, &b, &f.config, &mut scratch), &b, &tvf);
         // Whatever the untrained TVF picks, the assignment must stay feasible
         // and single-assignment.
         assert!(assignment
@@ -843,11 +843,12 @@ mod tests {
         let mut tvf = TaskValueFunction::new(16, 3);
         let tuples: Vec<_> = samples.iter().map(|s| (s.state, s.action, s.opt)).collect();
         tvf.train(&tuples, 150, 8, 0.01, 3);
-        let guided = search(&f, &b, &f.config, &mut scratch).guided(&b.tree, &tvf.inference());
+        let mut s = search(&f, &b, &f.config, &mut scratch);
+        let planned = guided(&mut s, &b, &tvf.inference());
         assert!(
-            guided.assigned_count() + 1 >= exact.assigned_count(),
+            planned.assigned_count() + 1 >= exact.assigned_count(),
             "guided search should be within one task of exact on this toy instance (guided={}, exact={})",
-            guided.assigned_count(),
+            planned.assigned_count(),
             exact.assigned_count()
         );
     }
@@ -922,7 +923,7 @@ mod tests {
             let run = |scratch: &mut SearchScratch| {
                 let mut s = search(&f, &b, &config, scratch);
                 match step {
-                    "guided" => s.guided(&b.tree, &tvf),
+                    "guided" => guided(&mut s, &b, &tvf),
                     _ => s.exact(&b.tree, None),
                 }
             };

@@ -19,12 +19,11 @@
 //! across workers and instants: its ordering, its sorted task set, its
 //! completion time and its DFS order. A sort groups the records by task set.
 //! Per set the earliest completion wins, and among equal completions the
-//! ordering found first wins, as a strict `<` over DFS order gives. When
-//! `config.include_subsets` is `false`, task sets strictly contained in
-//! another surviving set are dropped ("maximal" sequences only). The
-//! survivors are sorted by decreasing length, then increasing completion,
-//! then lexicographically by task id — a total order, so no tie is left to
-//! the order of any container. No `TaskSequence` is built for a prefix that
+//! ordering found first wins, as a strict `<` over DFS order gives. Every
+//! task set is kept, subsets of another included: the exact search needs
+//! them to reach the optimum. The survivors are sorted by decreasing
+//! length, then increasing completion, then lexicographically by task id —
+//! a total order, so no tie is left to the order of any container. No `TaskSequence` is built for a prefix that
 //! is not kept.
 //!
 //! **Storage.** [`CandidateSequences`] holds `Q_w` of every planned worker
@@ -60,11 +59,6 @@ impl SequenceSet {
     /// Whether the worker has no candidate sequence.
     pub fn is_empty(&self) -> bool {
         self.sequences.is_empty()
-    }
-
-    /// The longest candidate (first after sorting), if any.
-    pub fn best(&self) -> Option<&TaskSequence> {
-        self.sequences.first()
     }
 
     /// Iterates over the candidate sequences.
@@ -197,11 +191,6 @@ impl CandidateSequences {
         self.workers[slot]
     }
 
-    /// The worker of every slot, in slot order.
-    pub(crate) fn workers(&self) -> &[WorkerId] {
-        &self.workers
-    }
-
     /// Indices of the candidates of slot `slot`, in `Q_w` order.
     pub(crate) fn of(&self, slot: usize) -> Range<usize> {
         let (first, end) = self.spans[slot];
@@ -301,7 +290,7 @@ impl GenScratch {
         self.sets.clear();
         let max_len = config.max_sequence_len.min(reachable.len());
         self.extend(worker, travel, max_len, worker.location, now, 0.0, 0);
-        self.select(config.include_subsets);
+        self.select();
         for &r in &self.kept {
             let r = self.records[r as usize];
             let start = out.tasks.len() as u32;
@@ -386,7 +375,7 @@ impl GenScratch {
     }
 
     /// Leaves in `kept` the records that make `Q_w`, in `Q_w` order.
-    fn select(&mut self, include_subsets: bool) {
+    fn select(&mut self) {
         let records = &self.records;
         let set = |r: u32| {
             let r = &records[r as usize];
@@ -407,17 +396,6 @@ impl GenScratch {
                 }
             }
             self.kept.push(best);
-        }
-        if !include_subsets {
-            let kept = &self.kept;
-            let maximal = kept.iter().copied().filter(|&k| {
-                !kept.iter().any(|&other| {
-                    set(other).len() > set(k).len() && set(k).iter().all(|t| set(other).contains(t))
-                })
-            });
-            self.grouped.clear();
-            self.grouped.extend(maximal);
-            std::mem::swap(&mut self.grouped, &mut self.kept);
         }
         let order = |r: u32| {
             let r = &records[r as usize];
@@ -515,17 +493,7 @@ mod tests {
         let max_len = config.max_sequence_len.min(reachable.len());
         let ctx = (worker, reachable, tasks, config, now, max_len);
         dfs(&mut Vec::new(), ctx, &mut best);
-        let keys: Vec<&Vec<TaskId>> = best.keys().collect();
-        let mut kept: Vec<(TaskSequence, Timestamp)> = keys
-            .iter()
-            .filter(|k| {
-                config.include_subsets
-                    || !keys
-                        .iter()
-                        .any(|o| o.len() > k.len() && k.iter().all(|t| o.contains(t)))
-            })
-            .map(|k| best[*k].clone())
-            .collect();
+        let mut kept: Vec<(TaskSequence, Timestamp)> = best.into_values().collect();
         kept.sort_by(|a, b| {
             b.0.len()
                 .cmp(&a.0.len())
@@ -554,9 +522,9 @@ mod tests {
             .find(|s| s.len() == 2)
             .expect("the pair sequence must be generated");
         assert_eq!(pair.tasks(), &[TaskId(0), TaskId(1)]);
-        // Singletons + the pair (include_subsets default true).
+        // Singletons + the pair.
         assert_eq!(qs.len(), 3);
-        assert_eq!(qs.best().unwrap().len(), 2);
+        assert_eq!(qs.sequences[0].len(), 2);
     }
 
     #[test]
@@ -576,7 +544,7 @@ mod tests {
         let config = AssignConfig::unit_speed();
         for reachable in [[TaskId(0), TaskId(1)], [TaskId(1), TaskId(0)]] {
             let qs = generate_sequences(&worker, &reachable, &tasks, &config, Timestamp(0.0));
-            assert_eq!(qs.best().unwrap().tasks(), &reachable);
+            assert_eq!(qs.sequences[0].tasks(), &reachable);
         }
     }
 
@@ -597,23 +565,6 @@ mod tests {
         // s1 alone is invalid too) — only (s0) and nothing containing s1.
         assert!(qs.iter().all(|s| !s.contains(TaskId(1))));
         assert_eq!(qs.len(), 1);
-    }
-
-    #[test]
-    fn maximal_only_drops_subsets() {
-        let tasks = store(&[(1.0, 100.0), (2.0, 100.0), (3.0, 100.0)]);
-        let worker = worker_at_origin(10.0, 100.0);
-        let mut config = AssignConfig::unit_speed();
-        config.include_subsets = false;
-        let qs = generate_sequences(
-            &worker,
-            &[TaskId(0), TaskId(1), TaskId(2)],
-            &tasks,
-            &config,
-            Timestamp(0.0),
-        );
-        assert_eq!(qs.len(), 1);
-        assert_eq!(qs.best().unwrap().len(), 3);
     }
 
     #[test]
@@ -648,8 +599,8 @@ mod tests {
 
     /// Generation equals the from-scratch definition, sequence for sequence
     /// and completion for completion, on a grid of small scenes: tasks on a
-    /// lattice with tight deadlines, both subset modes, several length caps
-    /// and a worker whose window closes mid-route.
+    /// lattice with tight deadlines, several length caps and a worker whose
+    /// window closes mid-route.
     #[test]
     fn generation_equals_the_from_scratch_definition() {
         let mut scenes = 0;
@@ -674,9 +625,8 @@ mod tests {
             );
             let mut reachable: Vec<TaskId> = tasks.ids().collect();
             reachable.reverse();
-            for (include_subsets, max_len) in [(true, 3), (false, 3), (true, 4), (false, 2)] {
+            for max_len in [2, 3, 4, 5] {
                 let config = AssignConfig {
-                    include_subsets,
                     max_sequence_len: max_len,
                     ..AssignConfig::unit_speed()
                 };
@@ -708,7 +658,7 @@ mod tests {
         let ids: Vec<TaskId> = tasks.ids().collect();
         let reachable = reachable_tasks(&[w], &ids, &workers, &tasks, &config, now);
         let qs = CandidateSequences::generate(&[w], &workers, &tasks, &reachable, &config, now);
-        assert_eq!(qs.workers(), &[w]);
+        assert_eq!((qs.len(), qs.worker(0)), (1, w));
         assert!(qs.of(0).len() > 5);
         for c in qs.of(0) {
             let seq = qs.sequence(c);
@@ -756,6 +706,5 @@ mod tests {
         let config = AssignConfig::unit_speed();
         let qs = generate_sequences(&worker, &[], &tasks, &config, Timestamp(0.0));
         assert!(qs.is_empty());
-        assert!(qs.best().is_none());
     }
 }

@@ -90,14 +90,6 @@ impl Assignment {
         self.assigned_tasks().len()
     }
 
-    /// The worker serving `task`, if any.
-    pub fn worker_of(&self, task: TaskId) -> Option<WorkerId> {
-        self.sequences
-            .iter()
-            .find(|(_, seq)| seq.contains(task))
-            .map(|(w, _)| *w)
-    }
-
     /// Merges another assignment into this one. Panics in debug builds if a
     /// worker appears in both (sub-problems produced by worker dependency
     /// separation are disjoint by construction).
@@ -263,7 +255,6 @@ mod tests {
         b.set(WorkerId(1), TaskSequence::from_ids([TaskId(1)]));
         a.merge(b);
         assert_eq!(a.assigned_count(), 2);
-        assert_eq!(a.worker_of(TaskId(1)), Some(WorkerId(1)));
     }
 
     #[test]

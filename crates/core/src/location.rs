@@ -44,37 +44,10 @@ impl Location {
         (self.x - other.x).abs() + (self.y - other.y).abs()
     }
 
-    /// Squared Euclidean distance; avoids the square root when only comparing
-    /// distances (e.g. nearest-neighbour pruning in the spatial grid).
-    #[inline]
-    pub fn euclidean_sq(&self, other: &Location) -> f64 {
-        let dx = self.x - other.x;
-        let dy = self.y - other.y;
-        dx * dx + dy * dy
-    }
-
-    /// Chebyshev (L∞) distance to `other`.
-    #[inline]
-    pub fn chebyshev(&self, other: &Location) -> f64 {
-        (self.x - other.x).abs().max((self.y - other.y).abs())
-    }
-
     /// Component-wise midpoint between `self` and `other`.
     #[inline]
     pub fn midpoint(&self, other: &Location) -> Location {
         Location::new((self.x + other.x) * 0.5, (self.y + other.y) * 0.5)
-    }
-
-    /// Linear interpolation between `self` (t = 0) and `other` (t = 1).
-    ///
-    /// Used by the simulator to place a worker part-way through a leg when a
-    /// re-planning event interrupts travel.
-    #[inline]
-    pub fn lerp(&self, other: &Location, t: f64) -> Location {
-        Location::new(
-            self.x + (other.x - self.x) * t,
-            self.y + (other.y - self.y) * t,
-        )
     }
 
     /// Whether both coordinates are finite (not NaN / infinite).
@@ -160,24 +133,13 @@ mod tests {
         let a = Location::new(0.0, 0.0);
         let b = Location::new(3.0, 4.0);
         assert!((a.euclidean(&b) - 5.0).abs() < 1e-12);
-        assert!((a.euclidean_sq(&b) - 25.0).abs() < 1e-12);
     }
 
     #[test]
-    fn manhattan_and_chebyshev() {
+    fn manhattan_distance_matches_hand_computation() {
         let a = Location::new(1.0, 2.0);
         let b = Location::new(4.0, -2.0);
         assert!((a.manhattan(&b) - 7.0).abs() < 1e-12);
-        assert!((a.chebyshev(&b) - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lerp_endpoints_and_midpoint() {
-        let a = Location::new(0.0, 0.0);
-        let b = Location::new(2.0, 4.0);
-        assert_eq!(a.lerp(&b, 0.0), a);
-        assert_eq!(a.lerp(&b, 1.0), b);
-        assert_eq!(a.lerp(&b, 0.5), a.midpoint(&b));
     }
 
     #[test]

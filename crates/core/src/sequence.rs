@@ -2,7 +2,7 @@
 
 use crate::store::TaskStore;
 use crate::task::TaskId;
-use crate::time::{Duration, Timestamp};
+use crate::time::Timestamp;
 use crate::travel::TravelModel;
 use crate::worker::Worker;
 use serde::{Deserialize, Serialize};
@@ -223,17 +223,6 @@ impl TaskSequence {
     ) -> Timestamp {
         self.arrival_times(worker, tasks, travel, now).completion
     }
-
-    /// Total travel time along the sequence.
-    pub fn total_travel_time(
-        &self,
-        worker: &Worker,
-        tasks: &TaskStore,
-        travel: &TravelModel,
-        now: Timestamp,
-    ) -> Duration {
-        self.arrival_times(worker, tasks, travel, now).completion - now
-    }
 }
 
 impl fmt::Display for TaskSequence {
@@ -373,10 +362,6 @@ mod tests {
         assert_eq!(
             seq.completion_time(&w, &s, &travel, Timestamp(0.0)),
             Timestamp(3.0)
-        );
-        assert_eq!(
-            seq.total_travel_time(&w, &s, &travel, Timestamp(0.0)),
-            Duration(3.0)
         );
     }
 

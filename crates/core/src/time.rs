@@ -77,24 +77,10 @@ impl Duration {
         Duration(mins * 60.0)
     }
 
-    /// Builds a duration from hours (the paper sweeps availability windows in
-    /// hours, e.g. `off − on ∈ {0.25, 0.5, 0.75, 1, 1.25}` h).
-    #[inline]
-    pub fn from_hours(hours: f64) -> Duration {
-        Duration(hours * 3600.0)
-    }
-
     /// Raw seconds of this duration.
     #[inline]
     pub fn seconds(self) -> f64 {
         self.0
-    }
-
-    /// Whether the duration is non-negative (durations produced by travel
-    /// models and window arithmetic should always be).
-    #[inline]
-    pub fn is_non_negative(self) -> bool {
-        self.0 >= 0.0
     }
 
     /// Returns the larger of two durations.
@@ -296,7 +282,6 @@ mod tests {
     #[test]
     fn duration_constructors_convert_units() {
         assert_eq!(Duration::from_mins(2.0), Duration(120.0));
-        assert_eq!(Duration::from_hours(0.5), Duration(1800.0));
         assert_eq!(Duration::from_secs(7.0), Duration(7.0));
     }
 

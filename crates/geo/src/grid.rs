@@ -150,55 +150,6 @@ impl UniformGrid {
         )
     }
 
-    /// Bounding box of a cell.
-    pub fn cell_bounds(&self, cell: CellId) -> BoundingBox {
-        let (row, col) = self.row_col(cell);
-        let min = Location::new(
-            self.spec.area.min.x + col as f64 * self.cell_width,
-            self.spec.area.min.y + row as f64 * self.cell_height,
-        );
-        let max = Location::new(min.x + self.cell_width, min.y + self.cell_height);
-        BoundingBox::new(min, max)
-    }
-
-    /// The 4-neighbourhood (up/down/left/right) of a cell, clipped to the grid.
-    pub fn neighbors4(&self, cell: CellId) -> Vec<CellId> {
-        let (row, col) = self.row_col(cell);
-        let mut out = Vec::with_capacity(4);
-        if row > 0 {
-            out.push(self.cell_at(row - 1, col));
-        }
-        if row + 1 < self.spec.rows {
-            out.push(self.cell_at(row + 1, col));
-        }
-        if col > 0 {
-            out.push(self.cell_at(row, col - 1));
-        }
-        if col + 1 < self.spec.cols {
-            out.push(self.cell_at(row, col + 1));
-        }
-        out
-    }
-
-    /// The 8-neighbourhood (including diagonals) of a cell, clipped to the grid.
-    pub fn neighbors8(&self, cell: CellId) -> Vec<CellId> {
-        let (row, col) = self.row_col(cell);
-        let mut out = Vec::with_capacity(8);
-        for dr in -1i64..=1 {
-            for dc in -1i64..=1 {
-                if dr == 0 && dc == 0 {
-                    continue;
-                }
-                let r = row as i64 + dr;
-                let c = col as i64 + dc;
-                if r >= 0 && c >= 0 && (r as u32) < self.spec.rows && (c as u32) < self.spec.cols {
-                    out.push(self.cell_at(r as u32, c as u32));
-                }
-            }
-        }
-        out
-    }
-
     /// All cell ids in row-major order.
     pub fn cells(&self) -> impl Iterator<Item = CellId> {
         (0..self.cell_count() as u32).map(CellId)
@@ -246,29 +197,12 @@ mod tests {
     }
 
     #[test]
-    fn cell_center_lies_inside_cell_bounds() {
+    fn cell_center_maps_back_to_its_cell() {
         let g = grid();
         for cell in g.cells() {
             let center = g.cell_center(cell);
-            assert!(g.cell_bounds(cell).contains(&center));
             assert_eq!(g.cell_of(&center), cell);
         }
-    }
-
-    #[test]
-    fn neighbors4_counts() {
-        let g = grid();
-        assert_eq!(g.neighbors4(g.cell_at(0, 0)).len(), 2); // corner
-        assert_eq!(g.neighbors4(g.cell_at(0, 2)).len(), 3); // edge
-        assert_eq!(g.neighbors4(g.cell_at(2, 2)).len(), 4); // interior
-    }
-
-    #[test]
-    fn neighbors8_counts() {
-        let g = grid();
-        assert_eq!(g.neighbors8(g.cell_at(0, 0)).len(), 3);
-        assert_eq!(g.neighbors8(g.cell_at(0, 2)).len(), 5);
-        assert_eq!(g.neighbors8(g.cell_at(2, 2)).len(), 8);
     }
 
     #[test]

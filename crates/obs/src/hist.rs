@@ -242,8 +242,8 @@ impl Histogram {
         })
     }
 
-    /// A point-in-time summary (the snapshot form serialized into
-    /// `BENCH_*.json`).
+    /// A point-in-time summary (what a
+    /// [`MetricsSnapshot`](crate::MetricsSnapshot) holds per histogram).
     pub fn summary(&self) -> HistogramSummary {
         HistogramSummary {
             count: self.count(),
@@ -300,11 +300,6 @@ pub struct SpanTimer<'a> {
 impl SpanTimer<'_> {
     /// Stops the timer early and records (equivalent to dropping it).
     pub fn finish(self) {}
-
-    /// Abandons the span without recording anything.
-    pub fn cancel(mut self) {
-        self.start = None;
-    }
 }
 
 impl Drop for SpanTimer<'_> {
@@ -369,14 +364,12 @@ mod tests {
     }
 
     #[test]
-    fn span_records_on_drop_and_cancel_suppresses() {
+    fn span_records_on_drop_and_on_finish() {
         let h = Histogram::standalone();
         {
             let _span = h.span();
         }
         assert_eq!(h.count(), 1);
-        h.span().cancel();
-        assert_eq!(h.count(), 1, "cancelled span recorded anyway");
         h.span().finish();
         assert_eq!(h.count(), 2);
     }

@@ -4,9 +4,7 @@
 //! hot paths: atomic [`Counter`]s and [`Gauge`]s (with high-water marks),
 //! log-bucketed latency [`Histogram`]s (p50/p95/p99/max with ≤ 12.5 %
 //! relative error, mergeable across threads), a scoped
-//! [`SpanTimer`], and a [`MetricsSnapshot`] that renders to JSON through the
-//! crate's own [`JsonValue`] model (the vendored serde is a marker stub, so
-//! serialization is hand-rolled here).
+//! [`SpanTimer`], and a [`MetricsSnapshot`] that copies them all out.
 //!
 //! ## Zero overhead when nobody is watching
 //!
@@ -36,8 +34,6 @@
 //! }
 //! let snapshot = registry.snapshot();
 //! assert_eq!(snapshot.counters["assign.planning_calls"], 1);
-//! let text = snapshot.to_json(); // deterministic key order
-//! assert!(datawa_obs::MetricsSnapshot::from_json(&text).is_ok());
 //! ```
 //!
 //! Registration (`counter`/`gauge`/`histogram`) locks a name table and is a
@@ -112,9 +108,7 @@
 //! suite.
 
 mod hist;
-mod json;
 mod registry;
 
 pub use hist::{Histogram, HistogramSummary, SpanTimer, BUCKETS, SUB};
-pub use json::JsonValue;
 pub use registry::{Counter, Gauge, GaugeSnapshot, MetricsRegistry, MetricsSnapshot};

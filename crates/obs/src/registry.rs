@@ -21,7 +21,6 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::hist::{Histogram, HistogramCore, HistogramSummary};
-use crate::json::JsonValue;
 
 #[derive(Debug, Default)]
 struct CounterCore {
@@ -93,14 +92,6 @@ impl Gauge {
     pub fn set(&self, v: i64) {
         if let Some(core) = &self.core {
             core.value.store(v, Ordering::Relaxed);
-            core.high_water.fetch_max(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Raises the high-water mark without touching the current value.
-    #[inline]
-    pub fn observe_peak(&self, v: i64) {
-        if let Some(core) = &self.core {
             core.high_water.fetch_max(v, Ordering::Relaxed);
         }
     }
@@ -258,8 +249,8 @@ impl MetricsRegistry {
     }
 }
 
-/// A point-in-time, serializable copy of a registry's metrics. Maps are
-/// ordered (`BTreeMap`) so the JSON rendering is deterministic.
+/// A point-in-time copy of a registry's metrics, keyed by name in ascending
+/// order.
 #[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct MetricsSnapshot {
     /// Counter values by name.
@@ -268,110 +259,6 @@ pub struct MetricsSnapshot {
     pub gauges: BTreeMap<String, GaugeSnapshot>,
     /// Histogram summaries by name.
     pub histograms: BTreeMap<String, HistogramSummary>,
-}
-
-impl MetricsSnapshot {
-    /// Renders the snapshot as a JSON object string (deterministic key
-    /// order).
-    pub fn to_json(&self) -> String {
-        self.to_json_value().render()
-    }
-
-    /// The snapshot as a [`JsonValue`] tree, for embedding inside a larger
-    /// document.
-    pub fn to_json_value(&self) -> JsonValue {
-        let mut counters = Vec::new();
-        for (name, value) in &self.counters {
-            counters.push((name.clone(), JsonValue::from_u64(*value)));
-        }
-        let mut gauges = Vec::new();
-        for (name, g) in &self.gauges {
-            gauges.push((
-                name.clone(),
-                JsonValue::object(vec![
-                    ("value".to_string(), JsonValue::from_i64(g.value)),
-                    ("high_water".to_string(), JsonValue::from_i64(g.high_water)),
-                ]),
-            ));
-        }
-        let mut histograms = Vec::new();
-        for (name, h) in &self.histograms {
-            histograms.push((
-                name.clone(),
-                JsonValue::object(vec![
-                    ("count".to_string(), JsonValue::from_u64(h.count)),
-                    ("sum".to_string(), JsonValue::from_u64(h.sum)),
-                    ("min".to_string(), JsonValue::from_u64(h.min)),
-                    ("max".to_string(), JsonValue::from_u64(h.max)),
-                    ("p50".to_string(), JsonValue::from_u64(h.p50)),
-                    ("p95".to_string(), JsonValue::from_u64(h.p95)),
-                    ("p99".to_string(), JsonValue::from_u64(h.p99)),
-                ]),
-            ));
-        }
-        JsonValue::object(vec![
-            ("counters".to_string(), JsonValue::object(counters)),
-            ("gauges".to_string(), JsonValue::object(gauges)),
-            ("histograms".to_string(), JsonValue::object(histograms)),
-        ])
-    }
-
-    /// Parses a snapshot back from its [`Self::to_json`] rendering.
-    ///
-    /// # Errors
-    /// When the text is not valid JSON or does not have the snapshot shape.
-    pub fn from_json(text: &str) -> Result<MetricsSnapshot, String> {
-        Self::from_json_value(&JsonValue::parse(text)?)
-    }
-
-    /// Rebuilds a snapshot from a parsed [`JsonValue`].
-    ///
-    /// # Errors
-    /// When the value does not have the snapshot shape.
-    pub fn from_json_value(value: &JsonValue) -> Result<MetricsSnapshot, String> {
-        let mut snap = MetricsSnapshot::default();
-        for (name, v) in value.get("counters").map_or(&[][..], JsonValue::entries) {
-            snap.counters.insert(
-                name.clone(),
-                v.as_u64()
-                    .ok_or_else(|| format!("counter {name}: not u64"))?,
-            );
-        }
-        for (name, v) in value.get("gauges").map_or(&[][..], JsonValue::entries) {
-            let field = |key: &str| {
-                v.get(key)
-                    .and_then(JsonValue::as_i64)
-                    .ok_or_else(|| format!("gauge {name}: missing {key}"))
-            };
-            snap.gauges.insert(
-                name.clone(),
-                GaugeSnapshot {
-                    value: field("value")?,
-                    high_water: field("high_water")?,
-                },
-            );
-        }
-        for (name, v) in value.get("histograms").map_or(&[][..], JsonValue::entries) {
-            let field = |key: &str| {
-                v.get(key)
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| format!("histogram {name}: missing {key}"))
-            };
-            snap.histograms.insert(
-                name.clone(),
-                HistogramSummary {
-                    count: field("count")?,
-                    sum: field("sum")?,
-                    min: field("min")?,
-                    max: field("max")?,
-                    p50: field("p50")?,
-                    p95: field("p95")?,
-                    p99: field("p99")?,
-                },
-            );
-        }
-        Ok(snap)
-    }
 }
 
 #[cfg(test)]
@@ -415,9 +302,6 @@ mod tests {
         g.set(3);
         assert_eq!(g.value(), 3);
         assert_eq!(g.high_water(), 10);
-        g.observe_peak(25);
-        assert_eq!(g.value(), 3);
-        assert_eq!(g.high_water(), 25);
     }
 
     #[test]
@@ -426,21 +310,5 @@ mod tests {
         let reg = MetricsRegistry::new();
         let _ = reg.counter("dual");
         let _ = reg.gauge("dual");
-    }
-
-    #[test]
-    fn snapshot_round_trips_through_json() {
-        let reg = MetricsRegistry::new();
-        reg.counter("a.count").add(42);
-        reg.gauge("b.depth").set(-3);
-        reg.gauge("b.depth").set(9);
-        let h = reg.histogram("c.lat");
-        for v in [5u64, 80, 3_000, 1_000_000] {
-            h.record(v);
-        }
-        let snap = reg.snapshot();
-        let text = snap.to_json();
-        let back = MetricsSnapshot::from_json(&text).expect("round trip parse");
-        assert_eq!(back, snap);
     }
 }

@@ -1,11 +1,11 @@
 //! Property tests for the histogram (ISSUE 6 satellite): percentile
-//! correctness against a sorted-vector oracle, cross-thread merge
-//! associativity, and snapshot JSON round-trips.
+//! correctness against a sorted-vector oracle and cross-thread merge
+//! associativity.
 
 use std::sync::Arc;
 use std::thread;
 
-use datawa_obs::{Histogram, MetricsRegistry, MetricsSnapshot, SUB};
+use datawa_obs::{Histogram, MetricsRegistry, SUB};
 use proptest::prelude::*;
 
 /// The exact quantile an ideal implementation would report: the rank-⌈pN⌉
@@ -18,8 +18,7 @@ fn oracle_percentile(sorted: &[u64], p: f64) -> u64 {
 
 /// Strategy for a recorded value: mixes small exact-bucket values, mid-range
 /// latencies and large outliers so every bucket regime is exercised. Values
-/// stay below 2^44 so even a whole vector's sum is far inside the 2^53
-/// integer-exact range the JSON number model guarantees.
+/// stay below 2^44, so even a whole vector's sum is far from overflowing.
 fn value_strategy() -> impl Strategy<Value = u64> {
     prop_oneof![
         (0usize..8).prop_map(|v| v as u64),
@@ -92,34 +91,6 @@ proptest! {
         prop_assert_eq!(left.bucket_counts(), direct.bucket_counts());
         prop_assert_eq!(left.summary(), right.summary());
         prop_assert_eq!(left.summary(), direct.summary());
-    }
-
-    #[test]
-    fn snapshot_round_trips_through_json(
-        counter_vals in prop::collection::vec(0usize..1 << 30, 1..6),
-        gauge_vals in prop::collection::vec(0usize..1 << 20, 1..6),
-        hist_vals in prop::collection::vec(value_strategy(), 1..60),
-        negate in any::<bool>(),
-    ) {
-        let reg = MetricsRegistry::new();
-        for (i, &v) in counter_vals.iter().enumerate() {
-            reg.counter(&format!("c.{i}")).add(v as u64);
-        }
-        for (i, &v) in gauge_vals.iter().enumerate() {
-            let signed = if negate { -(v as i64) } else { v as i64 };
-            reg.gauge(&format!("g.{i}")).set(signed);
-            reg.gauge(&format!("g.{i}")).set(signed / 2);
-        }
-        let h = reg.histogram("h.lat");
-        for &v in &hist_vals {
-            h.record(v);
-        }
-        let snap = reg.snapshot();
-        let text = snap.to_json();
-        let back = MetricsSnapshot::from_json(&text).expect("parse rendered snapshot");
-        prop_assert_eq!(&back, &snap);
-        // Rendering is deterministic: a second round trip is byte-identical.
-        prop_assert_eq!(back.to_json(), text);
     }
 }
 

@@ -188,13 +188,6 @@ impl OnlineForecaster {
         self.spec
     }
 
-    /// The cached forecast of the last refresh (what the next
-    /// [`ForecastProvider::forecast`] call returns unless the cadence
-    /// triggers a re-forecast first).
-    pub fn latest_forecast(&self) -> &[PredictedTaskInput] {
-        &self.cache
-    }
-
     /// Index of the window containing `t`, or `None` before the series
     /// origin.
     fn window_of(&self, t: Timestamp) -> Option<usize> {

@@ -13,7 +13,7 @@ use crate::stack_rows;
 use crate::trainer::DemandPredictor;
 use datawa_tensor::init;
 use datawa_tensor::layers::{Dense, GatedTemporalConv};
-use datawa_tensor::{Matrix, Var};
+use datawa_tensor::Var;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -100,19 +100,13 @@ impl DemandPredictor for GraphWaveNetPredictor {
     }
 }
 
-impl GraphWaveNetPredictor {
-    /// Raw adjacency matrix values (for inspection / the ablation bench).
-    pub fn adjacency_matrix(&self) -> Matrix {
-        self.adaptive_adjacency().value()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::series::{SeriesDataset, SeriesSpec};
     use crate::trainer::TrainingConfig;
     use datawa_core::Timestamp;
+    use datawa_tensor::Matrix;
 
     fn correlated_dataset(cells: usize, k: usize, n: usize) -> SeriesDataset {
         // Cell 0 "leads": whenever cell 0 was active in the last history
@@ -171,7 +165,7 @@ mod tests {
     #[test]
     fn adjacency_is_row_stochastic() {
         let model = GraphWaveNetPredictor::new(4, 2, 8, 3, 1);
-        let a = model.adjacency_matrix();
+        let a = model.adaptive_adjacency().value();
         assert_eq!(a.shape(), (4, 4));
         for r in 0..4 {
             assert!((a.row(r).iter().sum::<f64>() - 1.0).abs() < 1e-9);

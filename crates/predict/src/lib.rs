@@ -99,7 +99,7 @@ pub use dependency::DependencyLearner;
 pub use forecast::{OnlineForecastConfig, OnlineForecaster};
 pub use graph_wavenet::GraphWaveNetPredictor;
 pub use lstm::LstmPredictor;
-pub use metrics::{average_precision, precision_recall_at, PrPoint};
+pub use metrics::{average_precision, precision_recall_at};
 pub use predicted::{predicted_tasks_from, PredictedTask};
 pub use series::{SeriesDataset, SeriesExample, SeriesSpec};
 pub use trainer::{DemandPredictor, EvaluationReport, TrainingConfig};

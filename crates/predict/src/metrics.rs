@@ -4,17 +4,6 @@
 //! `{0, 0.01, …, 1}` and integrates the area under the precision–recall curve
 //! to obtain AP. We follow the same procedure.
 
-/// One point of the precision–recall curve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PrPoint {
-    /// Decision threshold.
-    pub threshold: f64,
-    /// Precision at this threshold (1.0 when nothing is predicted positive).
-    pub precision: f64,
-    /// Recall at this threshold (1.0 when there are no positives).
-    pub recall: f64,
-}
-
 /// Precision and recall of `scores >= threshold` against binary `labels`.
 pub fn precision_recall_at(scores: &[f64], labels: &[f64], threshold: f64) -> (f64, f64) {
     assert_eq!(scores.len(), labels.len(), "scores/labels length mismatch");
@@ -38,21 +27,6 @@ pub fn precision_recall_at(scores: &[f64], labels: &[f64], threshold: f64) -> (f
         tp / (tp + fne)
     };
     (precision, recall)
-}
-
-/// The full precision–recall curve over thresholds `0, 0.01, …, 1`.
-pub fn pr_curve(scores: &[f64], labels: &[f64]) -> Vec<PrPoint> {
-    (0..=100)
-        .map(|i| {
-            let threshold = i as f64 / 100.0;
-            let (precision, recall) = precision_recall_at(scores, labels, threshold);
-            PrPoint {
-                threshold,
-                precision,
-                recall,
-            }
-        })
-        .collect()
 }
 
 /// Average Precision: the area under the precision–recall curve obtained by
@@ -128,16 +102,6 @@ mod tests {
         let (p1, r1) = precision_recall_at(&scores, &labels, 0.9);
         assert!((p1 - 1.0).abs() < 1e-12); // nothing predicted -> precision 1 by convention
         assert!((r1 - 0.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn curve_has_101_points() {
-        let labels = [1.0, 0.0];
-        let scores = [0.7, 0.3];
-        let curve = pr_curve(&scores, &labels);
-        assert_eq!(curve.len(), 101);
-        assert_eq!(curve[0].threshold, 0.0);
-        assert_eq!(curve[100].threshold, 1.0);
     }
 
     #[test]

@@ -54,12 +54,6 @@ impl Event {
             Event::ReplanTick => "ReplanTick",
         }
     }
-
-    /// Whether the event is an arrival (the events `RunOutcome::events` counts).
-    #[inline]
-    pub fn is_arrival(&self) -> bool {
-        matches!(self, Event::WorkerOnline(_) | Event::TaskArrival(_))
-    }
 }
 
 /// An event bound to its firing time and queue sequence number.

@@ -45,12 +45,6 @@ impl Dense {
     pub fn parameters(&self) -> Vec<Var> {
         vec![self.w.clone(), self.b.clone()]
     }
-
-    /// Number of scalar parameters.
-    pub fn parameter_count(&self) -> usize {
-        let (r, c) = self.w.shape();
-        r * c + self.b.shape().1
-    }
 }
 
 /// The gated dilated causal temporal convolution of Eq. 7:
@@ -212,12 +206,11 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn dense_shapes_and_parameter_count() {
+    fn dense_shapes_and_parameters() {
         let mut rng = StdRng::seed_from_u64(0);
         let layer = Dense::new(3, 5, &mut rng);
         let x = Var::constant(Matrix::zeros(7, 3));
         assert_eq!(layer.forward(&x).shape(), (7, 5));
-        assert_eq!(layer.parameter_count(), 3 * 5 + 5);
         assert_eq!(layer.parameters().len(), 2);
     }
 

@@ -8,13 +8,6 @@ pub fn mse(pred: &Var, target: &Matrix) -> Var {
     pred.mse_loss(target)
 }
 
-/// Binary cross-entropy between probability predictions and a constant 0/1
-/// target (the loss used to train all three demand predictors, since the task
-/// multivariate time series is binary, Eq. 2).
-pub fn binary_cross_entropy(pred: &Var, target: &Matrix) -> Var {
-    pred.bce_loss(target)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -39,8 +32,8 @@ mod tests {
         let t = Matrix::from_rows(&[&[1.0, 0.0]]);
         let good = Var::constant(Matrix::from_rows(&[&[0.99, 0.01]]));
         let bad = Var::constant(Matrix::from_rows(&[&[0.01, 0.99]]));
-        let lg = binary_cross_entropy(&good, &t).value().get(0, 0);
-        let lb = binary_cross_entropy(&bad, &t).value().get(0, 0);
+        let lg = good.bce_loss(&t).value().get(0, 0);
+        let lb = bad.bce_loss(&t).value().get(0, 0);
         assert!(lg < 0.05);
         assert!(lb > 3.0);
         assert!(lg < lb);
@@ -50,7 +43,7 @@ mod tests {
     fn bce_gradient_pushes_towards_target() {
         let p = Var::parameter(Matrix::from_rows(&[&[0.3]]));
         let sig = p.sigmoid();
-        let loss = binary_cross_entropy(&sig, &Matrix::from_rows(&[&[1.0]]));
+        let loss = sig.bce_loss(&Matrix::from_rows(&[&[1.0]]));
         loss.backward();
         // d loss / d p must be negative: increasing p increases sigmoid(p)
         // towards the target 1 and decreases the loss.

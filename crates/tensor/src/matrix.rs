@@ -76,11 +76,6 @@ impl Matrix {
         Matrix::from_vec(1, values.len(), values.to_vec())
     }
 
-    /// Creates an n×1 column vector.
-    pub fn col_vector(values: &[f64]) -> Matrix {
-        Matrix::from_vec(values.len(), 1, values.to_vec())
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -135,13 +130,6 @@ impl Matrix {
     pub fn set(&mut self, r: usize, c: usize, v: f64) {
         debug_assert!(r < self.rows && c < self.cols);
         self.data[r * self.cols + c] = v;
-    }
-
-    /// In-place element update.
-    #[inline]
-    pub fn add_at(&mut self, r: usize, c: usize, v: f64) {
-        debug_assert!(r < self.rows && c < self.cols);
-        self.data[r * self.cols + c] += v;
     }
 
     /// Borrow of one row as a slice.
@@ -330,11 +318,6 @@ impl Matrix {
         self.data.iter().fold(0.0_f64, |acc, &v| acc.max(v.abs()))
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Row-wise softmax: each row is exponentiated (shifted by its maximum for
     /// numerical stability) and normalised to sum to one.
     pub fn softmax_rows(&self) -> Matrix {
@@ -380,17 +363,6 @@ impl Matrix {
             self.cols,
             self.data[start * self.cols..(start + len) * self.cols].to_vec(),
         )
-    }
-
-    /// Gathers the given rows (in order, with repetition allowed) into a new
-    /// matrix.
-    pub fn gather_rows(&self, indices: &[usize]) -> Matrix {
-        let mut out = Matrix::zeros(indices.len(), self.cols);
-        for (i, &idx) in indices.iter().enumerate() {
-            assert!(idx < self.rows, "gather index out of range");
-            out.row_mut(i).copy_from_slice(self.row(idx));
-        }
-        out
     }
 
     /// Whether every element is finite.
@@ -518,16 +490,15 @@ mod tests {
     }
 
     #[test]
-    fn sum_mean_and_norms() {
+    fn sum_mean_and_max_abs() {
         let a = Matrix::from_rows(&[&[3.0, -4.0]]);
         assert_eq!(a.sum(), -1.0);
         assert_eq!(a.mean(), -0.5);
         assert_eq!(a.max_abs(), 4.0);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
     }
 
     #[test]
-    fn concat_and_slice_and_gather() {
+    fn concat_and_slice() {
         let a = Matrix::from_rows(&[&[1.0], &[2.0], &[3.0]]);
         let b = Matrix::from_rows(&[&[4.0], &[5.0], &[6.0]]);
         let c = a.concat_cols(&b);
@@ -535,10 +506,6 @@ mod tests {
         assert_eq!(c.row(1), &[2.0, 5.0]);
         let s = c.rows_slice(1, 2);
         assert_eq!(s.row(0), &[2.0, 5.0]);
-        let g = c.gather_rows(&[2, 0, 2]);
-        assert_eq!(g.row(0), &[3.0, 6.0]);
-        assert_eq!(g.row(1), &[1.0, 4.0]);
-        assert_eq!(g.row(2), &[3.0, 6.0]);
     }
 
     #[test]

@@ -3,13 +3,10 @@
 use crate::autograd::Var;
 use crate::matrix::Matrix;
 
-/// Plain stochastic gradient descent with an optional gradient clip.
+/// Plain stochastic gradient descent.
 pub struct Sgd {
     /// Learning rate.
     pub lr: f64,
-    /// If set, gradients are clipped element-wise to `[-clip, clip]` before
-    /// the update (a cheap guard against exploding recurrent gradients).
-    pub clip: Option<f64>,
     params: Vec<Var>,
 }
 
@@ -17,17 +14,7 @@ impl Sgd {
     /// Creates an SGD optimiser over the given parameters.
     pub fn new(lr: f64, params: Vec<Var>) -> Sgd {
         assert!(lr > 0.0, "learning rate must be positive");
-        Sgd {
-            lr,
-            clip: None,
-            params,
-        }
-    }
-
-    /// Enables element-wise gradient clipping.
-    pub fn with_clip(mut self, clip: f64) -> Sgd {
-        self.clip = Some(clip);
-        self
+        Sgd { lr, params }
     }
 
     /// Zeroes all parameter gradients.
@@ -40,11 +27,7 @@ impl Sgd {
     /// Applies one descent step using the currently accumulated gradients.
     pub fn step(&mut self) {
         for p in &self.params {
-            let mut g = p.grad();
-            if let Some(c) = self.clip {
-                g = g.map(|v| v.clamp(-c, c));
-            }
-            let new = &p.value() - &g.scale(self.lr);
+            let new = &p.value() - &p.grad().scale(self.lr);
             p.set_value(new);
         }
     }
@@ -151,17 +134,6 @@ mod tests {
             opt.step();
         }
         assert!((x.value().get(0, 0) - 3.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn sgd_clipping_limits_the_step() {
-        let x = Var::parameter(Matrix::filled(1, 1, 1000.0));
-        let mut opt = Sgd::new(1.0, vec![x.clone()]).with_clip(1.0);
-        opt.zero_grad();
-        quadratic_loss(&x).backward();
-        opt.step();
-        // Unclipped gradient would be ~1994; clipped step is exactly 1.
-        assert!((x.value().get(0, 0) - 999.0).abs() < 1e-9);
     }
 
     #[test]

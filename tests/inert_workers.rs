@@ -1,8 +1,8 @@
 //! Inert workers are invisible: a worker whose reachable set is empty is
 //! dropped before dependency separation, so handing it to the planner changes
 //! neither the assignment, nor the partitions reported, nor the TVF training
-//! samples — for every search family, with and without dependency separation,
-//! and with predicted tasks in the planning store.
+//! samples — for every search family, and with predicted tasks in the
+//! planning store.
 
 use datawa::assign::{reachable_tasks, PlanningReport};
 use datawa::prelude::*;
@@ -65,10 +65,9 @@ fn tasks_strategy(predicted: bool) -> impl Strategy<Value = Vec<Task>> {
 
 const NOW: Timestamp = Timestamp(60.0);
 
-fn config(use_dependency_separation: bool) -> AssignConfig {
+fn config() -> AssignConfig {
     AssignConfig {
         travel: TravelModel::euclidean(0.05),
-        use_dependency_separation,
         threads: 1,
         ..AssignConfig::default()
     }
@@ -116,14 +115,16 @@ fn instant(workers: Vec<Worker>, tasks: Vec<Task>, config: &AssignConfig) -> Ins
     }
 }
 
-/// Plans `workers` × `tasks` twice — every worker, then only the workers that
-/// reach something — and requires identical output.
+/// Plans `workers` × `tasks` twice on fresh planners in `mode` — every
+/// worker, then only the workers that reach something — and requires
+/// identical output. With `tvf`, both plans are the guided search's.
 fn assert_inert_workers_invisible(
     workers: Vec<Worker>,
     tasks: Vec<Task>,
-    config: AssignConfig,
-    planner: impl Fn() -> Planner,
+    mode: SearchMode,
+    tvf: Option<TvfInference>,
 ) {
+    let config = config();
     let Instant {
         workers,
         tasks,
@@ -131,8 +132,15 @@ fn assert_inert_workers_invisible(
         candidates,
         reaching,
     } = instant(workers, tasks, &config);
-    let (with_inert, report_all) = planner().plan(&all, &candidates, &workers, &tasks, NOW);
-    let (without, report_reaching) = planner().plan(&reaching, &candidates, &workers, &tasks, NOW);
+    let plan = |worker_ids: &[WorkerId]| {
+        let mut planner = Planner::new(config, mode);
+        match &tvf {
+            Some(tvf) => planner.plan_guided(worker_ids, &candidates, &workers, &tasks, NOW, tvf),
+            None => planner.plan(worker_ids, &candidates, &workers, &tasks, NOW),
+        }
+    };
+    let (with_inert, report_all) = plan(&all);
+    let (without, report_reaching) = plan(&reaching);
     assert_eq!(with_inert, without);
     assert_eq!(shape(&report_all), shape(&report_reaching));
     assert!(report_all.partitions <= reaching.len());
@@ -151,12 +159,8 @@ proptest! {
     fn exact_search_ignores_inert_workers(
         workers in workers_strategy(),
         tasks in tasks_strategy(false),
-        separation in any::<bool>(),
     ) {
-        let config = config(separation);
-        assert_inert_workers_invisible(workers, tasks, config, || {
-            Planner::new(config, SearchMode::Exact)
-        });
+        assert_inert_workers_invisible(workers, tasks, SearchMode::Exact, None);
     }
 
     #[test]
@@ -164,10 +168,7 @@ proptest! {
         workers in workers_strategy(),
         tasks in tasks_strategy(false),
     ) {
-        let config = config(true);
-        assert_inert_workers_invisible(workers, tasks, config, || {
-            Planner::new(config, SearchMode::Greedy)
-        });
+        assert_inert_workers_invisible(workers, tasks, SearchMode::Greedy, None);
     }
 
     #[test]
@@ -176,11 +177,8 @@ proptest! {
         tasks in tasks_strategy(false),
         seed in 0usize..1_000,
     ) {
-        let config = config(true);
-        assert_inert_workers_invisible(workers, tasks, config, || {
-            Planner::new(config, SearchMode::Guided)
-                .with_tvf(TaskValueFunction::new(8, seed as u64))
-        });
+        let tvf = TaskValueFunction::new(8, seed as u64).inference();
+        assert_inert_workers_invisible(workers, tasks, SearchMode::Exact, Some(tvf));
     }
 
     #[test]
@@ -189,14 +187,8 @@ proptest! {
         tasks in tasks_strategy(true),
         guided in any::<bool>(),
     ) {
-        let config = config(true);
-        assert_inert_workers_invisible(workers, tasks, config, || {
-            if guided {
-                Planner::new(config, SearchMode::Guided).with_tvf(TaskValueFunction::new(8, 7))
-            } else {
-                Planner::new(config, SearchMode::Exact)
-            }
-        });
+        let tvf = guided.then(|| TaskValueFunction::new(8, 7).inference());
+        assert_inert_workers_invisible(workers, tasks, SearchMode::Exact, tvf);
     }
 
     #[test]
@@ -204,7 +196,7 @@ proptest! {
         workers in workers_strategy(),
         tasks in tasks_strategy(false),
     ) {
-        let config = config(true);
+        let config = config();
         let Instant { workers, tasks, all, candidates, reaching } = instant(workers, tasks, &config);
         let mut planner = Planner::new(config, SearchMode::Exact);
         let with_inert = planner.collect_training_samples(&all, &candidates, &workers, &tasks, NOW);

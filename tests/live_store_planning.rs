@@ -19,7 +19,6 @@ use datawa::prelude::*;
 use proptest::prelude::*;
 
 const STORE_SIZE: usize = 10_000;
-const MODES: [SearchMode; 3] = [SearchMode::Exact, SearchMode::Guided, SearchMode::Greedy];
 
 fn config() -> AssignConfig {
     AssignConfig {
@@ -28,12 +27,31 @@ fn config() -> AssignConfig {
     }
 }
 
-fn planner(mode: SearchMode) -> Planner {
-    let planner = Planner::new(config(), mode);
-    if mode == SearchMode::Guided {
-        planner.with_tvf(TaskValueFunction::new(8, 7))
-    } else {
-        planner
+/// The three searches, by name: the planner mode each runs in, and the TVF
+/// the guided search is handed.
+fn routes() -> [(&'static str, SearchMode, Option<TvfInference>); 3] {
+    let tvf = TaskValueFunction::new(8, 7).inference();
+    [
+        ("exact", SearchMode::Exact, None),
+        ("guided", SearchMode::Exact, Some(tvf)),
+        ("greedy", SearchMode::Greedy, None),
+    ]
+}
+
+/// A context-free call: the guided search with `tvf`, the planner's own mode
+/// without.
+fn plan(
+    planner: &mut Planner,
+    tvf: Option<&TvfInference>,
+    worker_ids: &[WorkerId],
+    task_ids: &[TaskId],
+    workers: &WorkerStore,
+    tasks: &TaskStore,
+    now: Timestamp,
+) -> (Assignment, PlanningReport) {
+    match tvf {
+        Some(tvf) => planner.plan_guided(worker_ids, task_ids, workers, tasks, now, tvf),
+        None => planner.plan(worker_ids, task_ids, workers, tasks, now),
     }
 }
 
@@ -136,11 +154,12 @@ proptest! {
         let (live, all_open) = live_store(&worker_specs, &open_specs);
         prop_assert!(all_open.windows(2).all(|p| p[0] < p[1]));
 
-        for mode in MODES {
+        for (route, mode, tvf) in routes() {
+            let tvf = tvf.as_ref();
             let mut open = all_open.clone();
-            let mut on_live = planner(mode);
-            let mut on_copy = planner(mode);
-            let mut through_reach_layer = planner(mode);
+            let mut on_live = Planner::new(config(), mode);
+            let mut on_copy = Planner::new(config(), mode);
+            let mut through_reach_layer = Planner::new(config(), mode);
             // Two instants; between them one task leaves the pool, so the
             // copy's dense ids shift under the same live ids.
             for (instant, now) in [Timestamp(5.0), Timestamp(25.0)].into_iter().enumerate() {
@@ -149,16 +168,17 @@ proptest! {
                 }
                 let (copy, dense_ids) = dense_copy(&live, &open);
                 let (expected, expected_report) =
-                    on_copy.plan(&worker_ids, &dense_ids, &workers, &copy, now);
+                    plan(&mut on_copy, tvf, &worker_ids, &dense_ids, &workers, &copy, now);
                 let expected = mapped_back(&expected, &open);
 
-                let (plan, report) = on_live.plan(&worker_ids, &open, &workers, &live, now);
-                prop_assert_eq!(&plan, &expected, "{:?}, context-free, t={}", mode, now.0);
+                let (planned, report) =
+                    plan(&mut on_live, tvf, &worker_ids, &open, &workers, &live, now);
+                prop_assert_eq!(&planned, &expected, "{}, context-free, t={}", route, now.0);
                 prop_assert_eq!(shape(&report), shape(&expected_report));
 
-                let (plan, report) =
-                    through_reach_layer.plan_live(&worker_ids, &open, &workers, &live, now, None);
-                prop_assert_eq!(&plan, &expected, "{:?}, reach layer, t={}", mode, now.0);
+                let (planned, report) =
+                    through_reach_layer.plan_live(&worker_ids, &open, &workers, &live, now, tvf);
+                prop_assert_eq!(&planned, &expected, "{}, reach layer, t={}", route, now.0);
                 let oracle = reachable_tasks(&worker_ids, &open, &workers, &live, &config(), now);
                 for &w in &worker_ids {
                     prop_assert_eq!(through_reach_layer.reachable().of(w), oracle.of(w));

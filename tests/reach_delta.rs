@@ -6,8 +6,8 @@
 //! This suite pins the delta against the from-scratch definition: after every
 //! pass of a seeded event script the planner's refreshed sets equal
 //! `reachable_tasks` for every listed worker — list order included — under
-//! the exact and TVF-guided modes (the greedy baseline always takes a cold
-//! pass), and the plans equal a cold context-free planner's. Some instants
+//! the exact and the TVF-guided search (the greedy baseline always takes a
+//! cold pass), and the plans equal a cold context-free planner's. Some instants
 //! of a script plan on a copy of the open tasks with a predicted task
 //! appended, as the runner does: a cold pass whose ids name other tasks,
 //! which the live pass after it must not be misled by.
@@ -267,20 +267,45 @@ impl World {
     }
 }
 
-/// The search modes that read the reach layer.
-const MODES: [SearchMode; 2] = [SearchMode::Exact, SearchMode::Guided];
+/// The searches that read the reach layer, one warm planner each: the exact
+/// search, and the guided search with a seeded TVF.
+fn routes() -> [Option<TvfInference>; 2] {
+    [None, Some(TaskValueFunction::new(8, 7).inference())]
+}
 
-fn planner(config: AssignConfig, mode: SearchMode) -> Planner {
-    let planner = Planner::new(config, mode);
-    if mode == SearchMode::Guided {
-        planner.with_tvf(TaskValueFunction::new(8, 7))
+fn route_name(tvf: &Option<TvfInference>) -> &'static str {
+    if tvf.is_some() {
+        "guided"
     } else {
-        planner
+        "exact"
     }
 }
 
 fn warm_planners() -> Vec<Planner> {
-    MODES.iter().map(|&mode| planner(config(), mode)).collect()
+    routes()
+        .iter()
+        .map(|_| Planner::new(config(), SearchMode::Exact))
+        .collect()
+}
+
+/// A context-free call of `planner` on the listed workers: the guided
+/// search with `tvf`, the exact search without.
+fn plan_cold(
+    planner: &mut Planner,
+    tvf: Option<&TvfInference>,
+    world: &World,
+    ids: &[TaskId],
+    tasks: &TaskStore,
+) -> (Assignment, PlanningReport) {
+    let (listed, workers, now) = (&world.listed, &world.workers, Timestamp(world.now));
+    match tvf {
+        Some(tvf) => planner.plan_guided(listed, ids, workers, tasks, now, tvf),
+        None => planner.plan(listed, ids, workers, tasks, now),
+    }
+}
+
+fn cold_planner() -> Planner {
+    Planner::new(config(), SearchMode::Exact)
 }
 
 /// One planning instant on every warm planner: the refreshed sets must equal
@@ -307,12 +332,11 @@ fn plan_and_check(world: &World, warm: &mut [Planner], label: &str) -> Option<Ve
             Timestamp(world.now + 30.0),
         ));
         let ids: Vec<TaskId> = copy.ids().collect();
-        for planner in warm.iter_mut() {
-            let mode = planner.mode;
-            let (plan, _) = planner.plan(&world.listed, &ids, &world.workers, &copy, now);
-            let (cold, _) =
-                self::planner(config(), mode).plan(&world.listed, &ids, &world.workers, &copy, now);
-            assert_eq!(plan, cold, "{label}, {mode:?}: plan on the copy diverged");
+        for (planner, tvf) in warm.iter_mut().zip(routes()) {
+            let route = route_name(&tvf);
+            let (plan, _) = plan_cold(planner, tvf.as_ref(), world, &ids, &copy);
+            let (cold, _) = plan_cold(&mut cold_planner(), tvf.as_ref(), world, &ids, &copy);
+            assert_eq!(plan, cold, "{label}, {route}: plan on the copy diverged");
         }
         return Some(Vec::new());
     }
@@ -320,33 +344,38 @@ fn plan_and_check(world: &World, warm: &mut [Planner], label: &str) -> Option<Ve
     let (store, pids) = (&world.tasks, &world.open);
     let oracle = reachable_tasks(&world.listed, pids, &world.workers, store, &config(), now);
     let mut reports = Vec::new();
-    for planner in warm.iter_mut() {
-        let mode = planner.mode;
-        let (plan, report) =
-            planner.plan_live(&world.listed, pids, &world.workers, store, now, None);
+    for (planner, tvf) in warm.iter_mut().zip(routes()) {
+        let route = route_name(&tvf);
+        let (plan, report) = planner.plan_live(
+            &world.listed,
+            pids,
+            &world.workers,
+            store,
+            now,
+            tvf.as_ref(),
+        );
         let refreshed = planner.reachable();
         for &w in &world.listed {
             assert_eq!(
                 refreshed.of(w),
                 oracle.of(w),
-                "{label}, {mode:?}: reachable list of {w:?} at t={}",
+                "{label}, {route}: reachable list of {w:?} at t={}",
                 world.now
             );
         }
         assert_eq!(
             refreshed.live_workers(),
             oracle.workers_with_reach(&world.listed).as_slice(),
-            "{label}, {mode:?}: live workers"
+            "{label}, {route}: live workers"
         );
         assert_eq!(report.reach_live, refreshed.live_workers().len());
         assert_eq!(
             report.mean_reachable.to_bits(),
             oracle.mean_reachable().to_bits(),
-            "{label}, {mode:?}: mean reachable"
+            "{label}, {route}: mean reachable"
         );
-        let (cold, cold_report) =
-            self::planner(config(), mode).plan(&world.listed, pids, &world.workers, store, now);
-        assert_eq!(plan, cold, "{label}, {mode:?}: plan diverged");
+        let (cold, cold_report) = plan_cold(&mut cold_planner(), tvf.as_ref(), world, pids, store);
+        assert_eq!(plan, cold, "{label}, {route}: plan diverged");
         assert_eq!(cold_report.workers_rescanned, world.listed.len());
         reports.push(report);
     }
