@@ -14,7 +14,6 @@ use datawa_predict::DdgnnPredictor;
 use datawa_sim::{
     run_policy, run_prediction, train_tvf_on_prefix, PipelineConfig, SyntheticTrace, TraceSpec,
 };
-use serde::Serialize;
 
 /// The sweep axis of one assignment experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,7 +72,7 @@ impl SweepAxis {
 }
 
 /// One row of a Fig. 7–11 series: one policy at one sweep value.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AssignmentRow {
     /// Dataset name.
     pub dataset: String,

@@ -9,17 +9,17 @@
 //! churn), and forecast quality under those regimes is exactly what
 //! separates the prediction-aware policies from the blind ones.
 
+use crate::prediction::build_models;
 use datawa_assign::{AdaptiveRunner, AssignConfig, PolicyKind, StaticForecast};
 use datawa_core::{BoundingBox, Location, TaskStore, Timestamp};
 use datawa_geo::{GridSpec, UniformGrid};
 use datawa_predict::{
-    DdgnnPredictor, DemandPredictor, GraphWaveNetPredictor, LstmPredictor, OnlineForecastConfig,
-    OnlineForecaster, SeriesDataset, SeriesSpec, TrainingConfig,
+    DdgnnPredictor, DemandPredictor, OnlineForecastConfig, OnlineForecaster, SeriesDataset,
+    SeriesSpec, TrainingConfig,
 };
 use datawa_stream::{
     builtin_scenarios, run_workload_forecast, EngineConfig, ScenarioSpec, Workload,
 };
-use serde::Serialize;
 
 /// Knobs of the scenario-conditioned forecast evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,7 +62,7 @@ impl Default for ForecastScenarioConfig {
 }
 
 /// One row of the per-scenario AP report: one predictor on one generator.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ScenarioPredictionRow {
     /// Scenario generator name.
     pub scenario: String,
@@ -79,7 +79,7 @@ pub struct ScenarioPredictionRow {
 
 /// One row of the online-vs-blind comparison: the DDGNN-backed online
 /// forecaster driving DTA+TP against prediction-blind DTA on one generator.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ScenarioAssignmentRow {
     /// Scenario generator name.
     pub scenario: String,
@@ -91,17 +91,20 @@ pub struct ScenarioAssignmentRow {
     pub refreshes: usize,
 }
 
-/// The study area of a scenario spec as a bounding box.
-fn scenario_area(spec: ScenarioSpec) -> BoundingBox {
-    BoundingBox::new(
+/// The prediction grid over a scenario's study area.
+fn scenario_grid(spec: ScenarioSpec, config: &ForecastScenarioConfig) -> UniformGrid {
+    let area = BoundingBox::new(
         Location::new(0.0, 0.0),
         Location::new(spec.area_km, spec.area_km),
-    )
+    );
+    let cells = config.grid_cells_per_side;
+    UniformGrid::new(GridSpec::new(area, cells, cells))
 }
 
-fn task_store(workload: &Workload) -> TaskStore {
+/// The workload's tasks published before `cut`.
+fn task_store(workload: &Workload, cut: Timestamp) -> TaskStore {
     let mut store = TaskStore::new();
-    for t in &workload.tasks {
+    for t in workload.tasks.iter().filter(|t| t.publication.0 < cut.0) {
         store.insert(*t);
     }
     store
@@ -109,15 +112,6 @@ fn task_store(workload: &Workload) -> TaskStore {
 
 fn series_spec(config: &ForecastScenarioConfig) -> SeriesSpec {
     SeriesSpec::new(Timestamp(0.0), config.delta_t, config.k, config.history_len)
-}
-
-/// The three evaluated predictors, freshly constructed per scenario.
-fn build_models(cells: usize, k: usize, seed: u64) -> Vec<Box<dyn DemandPredictor>> {
-    vec![
-        Box::new(LstmPredictor::new(k, 12, seed)),
-        Box::new(GraphWaveNetPredictor::new(cells, k, 12, 8, seed)),
-        Box::new(DdgnnPredictor::with_defaults(cells, k, seed)),
-    ]
 }
 
 /// Per-scenario AP for all three predictors: each generator's task series is
@@ -128,16 +122,12 @@ pub fn scenario_prediction_report(
     spec: ScenarioSpec,
     config: &ForecastScenarioConfig,
 ) -> Vec<ScenarioPredictionRow> {
-    let grid = UniformGrid::new(GridSpec::new(
-        scenario_area(spec),
-        config.grid_cells_per_side,
-        config.grid_cells_per_side,
-    ));
+    let grid = scenario_grid(spec, config);
     let mut rows = Vec::new();
     for scenario in builtin_scenarios(spec) {
         let workload = scenario.generate();
         let series = SeriesDataset::build(
-            &task_store(&workload),
+            &task_store(&workload, Timestamp(f64::INFINITY)),
             &grid,
             series_spec(config),
             Timestamp(spec.horizon),
@@ -168,18 +158,9 @@ pub fn scenario_online_forecaster(
     spec: ScenarioSpec,
     config: &ForecastScenarioConfig,
 ) -> OnlineForecaster {
-    let grid = UniformGrid::new(GridSpec::new(
-        scenario_area(spec),
-        config.grid_cells_per_side,
-        config.grid_cells_per_side,
-    ));
+    let grid = scenario_grid(spec, config);
     let cut = Timestamp(spec.horizon * config.train_fraction);
-    let mut prefix = TaskStore::new();
-    for t in &workload.tasks {
-        if t.publication.0 < cut.0 {
-            prefix.insert(*t);
-        }
-    }
+    let prefix = task_store(workload, cut);
     let mut model = DdgnnPredictor::with_defaults(grid.cell_count(), config.k, spec.seed);
     let series = SeriesDataset::build(&prefix, &grid, series_spec(config), cut);
     if !series.is_empty() {

@@ -60,7 +60,7 @@ pub const VALID_TIME_SWEEP: [f64; 5] = [10.0, 20.0, 30.0, 40.0, 50.0];
 /// Global scaling of the experiment workloads, set by `--scale`.
 ///
 /// The paper's full-size traces with per-event exact replanning take hours of
-/// CPU; the default scale keeps every binary in the minutes range while
+/// CPU; the default scale keeps every subcommand in the minutes range while
 /// preserving the worker-to-task ratio (and therefore which method wins and
 /// by roughly what factor). Pass `--scale 1` to reproduce the full sizes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,12 +85,77 @@ impl ExperimentScale {
     }
 }
 
-/// What the experiment binaries print when their arguments do not parse.
-pub const USAGE: &str = "usage: <binary> [--scale F] [--epochs N]
+/// What `repro` prints when its arguments do not parse.
+pub const USAGE: &str = "usage: repro <subcommand> [--scale F] [--epochs N]
+  subcommands: table2 table3 fig5 fig6 fig7 fig8 fig9 fig10 fig11 stream-scenarios forecast-scenarios
   --scale F   workload scale in (0, 1]; 1 is the full Table II size (default 0.04)
-  --epochs N  predictor training epochs, at least 1 (default 8; the fig5-fig11 binaries)";
+  --epochs N  predictor training epochs, at least 1 (default 8; fig5-fig11 train)";
 
-/// The command line every experiment binary takes: `--scale` and `--epochs`.
+/// One `repro` subcommand: a table or figure of the paper's evaluation
+/// (§V), or one of the two scenario reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Experiment {
+    /// Table II: the dataset statistics.
+    Table2,
+    /// Table III: the parameter grid.
+    Table3,
+    /// Fig. 5 (Yueche) or Fig. 6 (DiDi): prediction vs ΔT.
+    Prediction(Dataset),
+    /// Figs. 7–11, by figure number: assignment vs one Table III sweep.
+    Assignment(u8),
+    /// The stream engine's scenario tour.
+    StreamScenarios,
+    /// Scenario-conditioned prediction and the online-vs-blind comparison.
+    ForecastScenarios,
+}
+
+impl Experiment {
+    /// Every subcommand and its name.
+    pub const ALL: [(&'static str, Experiment); 11] = [
+        ("table2", Experiment::Table2),
+        ("table3", Experiment::Table3),
+        ("fig5", Experiment::Prediction(Dataset::Yueche)),
+        ("fig6", Experiment::Prediction(Dataset::Didi)),
+        ("fig7", Experiment::Assignment(7)),
+        ("fig8", Experiment::Assignment(8)),
+        ("fig9", Experiment::Assignment(9)),
+        ("fig10", Experiment::Assignment(10)),
+        ("fig11", Experiment::Assignment(11)),
+        ("stream-scenarios", Experiment::StreamScenarios),
+        ("forecast-scenarios", Experiment::ForecastScenarios),
+    ];
+
+    /// Parses `<subcommand> [flags]` (without the program name).
+    ///
+    /// # Errors
+    /// On a missing or unknown subcommand, with the subcommands listed, and
+    /// on anything [`ExperimentArgs::parse`] rejects.
+    pub fn parse(
+        mut args: impl Iterator<Item = String>,
+    ) -> Result<(Experiment, ExperimentArgs), String> {
+        let name = args.next().unwrap_or_default();
+        let Some(&(_, experiment)) = Experiment::ALL.iter().find(|(n, _)| *n == name) else {
+            let names: Vec<&str> = Experiment::ALL.iter().map(|(n, _)| *n).collect();
+            let problem = match name.as_str() {
+                "" => "missing subcommand".to_string(),
+                _ => format!("unknown subcommand {name:?}"),
+            };
+            return Err(format!("{problem}; expected one of {}", names.join(", ")));
+        };
+        Ok((experiment, ExperimentArgs::parse(args)?))
+    }
+
+    /// Parses the process arguments; on an error prints it with [`USAGE`]
+    /// and exits with status 2.
+    pub fn from_cli() -> (Experiment, ExperimentArgs) {
+        Experiment::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{USAGE}");
+            std::process::exit(2)
+        })
+    }
+}
+
+/// The flags every `repro` subcommand takes: `--scale` and `--epochs`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentArgs {
     /// Workload scale (`--scale`).
@@ -138,16 +203,7 @@ impl ExperimentArgs {
         Ok(parsed)
     }
 
-    /// Parses the process arguments; on an error prints it with [`USAGE`]
-    /// and exits with status 2.
-    pub fn from_cli() -> ExperimentArgs {
-        ExperimentArgs::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
-            eprintln!("error: {e}\n{USAGE}");
-            std::process::exit(2)
-        })
-    }
-
-    /// The pipeline configuration of the figure binaries: the defaults (one
+    /// The pipeline configuration of the figure subcommands: the defaults (one
     /// replan per arrival, a 6 × 6 grid) with `--epochs` applied.
     pub fn pipeline_config(&self) -> PipelineConfig {
         let mut config = PipelineConfig::default();
@@ -190,6 +246,47 @@ mod tests {
             .expect_err("missing value")
             .contains("needs a value"));
         assert!(parse(&["--scale", "0.1", "--epochs"]).is_err());
+    }
+
+    fn parse_command(args: &[&str]) -> Result<(Experiment, ExperimentArgs), String> {
+        Experiment::parse(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn every_subcommand_parses_and_is_in_the_usage() {
+        for (name, experiment) in Experiment::ALL {
+            let (parsed, args) = parse_command(&[name]).expect(name);
+            assert_eq!(parsed, experiment);
+            assert_eq!(args, parse(&[]).expect("no flags"));
+            assert!(USAGE.contains(name), "{name}");
+        }
+    }
+
+    #[test]
+    fn flags_follow_the_subcommand() {
+        let (experiment, args) =
+            parse_command(&["fig9", "--scale", "0.01", "--epochs", "1"]).expect("valid");
+        assert_eq!(experiment, Experiment::Assignment(9));
+        assert_eq!(args.scale, ExperimentScale::fixed(0.01));
+        assert_eq!(args.epochs, 1);
+        let err = parse_command(&["table2", "--scale", "2"]).expect_err("bad scale");
+        assert!(err.contains("--scale"), "{err}");
+    }
+
+    #[test]
+    fn missing_and_unknown_subcommands_list_the_subcommands() {
+        for args in [&[][..], &["fig12"], &["--scale", "0.01", "fig7"]] {
+            let err = parse_command(args).expect_err("no valid subcommand");
+            for (name, _) in Experiment::ALL {
+                assert!(err.contains(name), "{err:?} lacks {name}");
+            }
+        }
+        assert!(parse_command(&[])
+            .expect_err("missing")
+            .contains("missing subcommand"));
+        assert!(parse_command(&["fig12"])
+            .expect_err("unknown")
+            .contains("unknown subcommand \"fig12\""));
     }
 
     #[test]

@@ -7,10 +7,9 @@ use crate::params::{Dataset, ExperimentScale, DELTA_T_SWEEP};
 use datawa_assign::PolicyKind;
 use datawa_predict::{DdgnnPredictor, DemandPredictor, GraphWaveNetPredictor, LstmPredictor};
 use datawa_sim::{run_policy, run_prediction, PipelineConfig, SyntheticTrace};
-use serde::Serialize;
 
 /// One row of the Fig. 5/6 series.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PredictionRow {
     /// Dataset name.
     pub dataset: String,
@@ -29,9 +28,10 @@ pub struct PredictionRow {
     pub test_seconds: f64,
 }
 
-/// The three evaluated predictors, freshly constructed per (ΔT, dataset)
-/// configuration so their parameter counts match the series width.
-fn build_models(cells: usize, k: usize, seed: u64) -> Vec<Box<dyn DemandPredictor>> {
+/// The three evaluated predictors, freshly constructed per configuration
+/// (a (ΔT, dataset) pair, or a scenario) so their parameter counts match the
+/// series width.
+pub(crate) fn build_models(cells: usize, k: usize, seed: u64) -> Vec<Box<dyn DemandPredictor>> {
     vec![
         Box::new(LstmPredictor::new(k, 12, seed)),
         Box::new(GraphWaveNetPredictor::new(cells, k, 12, 8, seed)),

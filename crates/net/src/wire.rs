@@ -9,15 +9,20 @@
 //! the identical bytes (pinned by round-trip proptests in
 //! `tests/codec_roundtrip.rs`).
 //!
+//! The six command frames (types `0x02..=0x07`) carry a session command,
+//! and their layout lives once, in `datawa_stream::codec`, which the event
+//! journal encodes with too: a journal record *is* a command frame. This
+//! module holds only the other frames' layouts, written and read with that
+//! codec's `Writer` and `Reader`.
+//!
 //! Decoding is total: junk bytes, truncated payloads, unknown types,
 //! non-finite floats and oversized length prefixes all surface as typed
 //! [`WireError`]s, never panics — a misbehaving client must not be able to
 //! take down a connection handler with malformed input.
 
-use datawa_core::{
-    AvailabilityWindow, Location, Task, TaskId, Timestamp, Worker, WorkerId, WorkerMode,
-};
-use datawa_stream::{Decision, Event};
+use datawa_core::{Task, TaskId, Timestamp, Worker, WorkerId};
+use datawa_stream::codec::{self, DecodeError, Reader, Writer};
+use datawa_stream::{Decision, Event, JournalRecord};
 use std::io::{Read, Write};
 
 /// Protocol version carried (and checked) in the `Hello` handshake.
@@ -31,29 +36,21 @@ pub const MAX_FRAME_LEN: usize = 4096;
 
 /// Why an admission was refused, carried in a [`Frame::RetryAfter`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum RetryReason {
     /// This tenant's own ingest backlog exceeded its quota.
-    TenantQuota,
+    TenantQuota = 0,
     /// The server-wide backlog cap was exceeded and this tenant (the
     /// stalest admitter) is being shed until pressure clears.
-    GlobalOverload,
+    GlobalOverload = 1,
     /// The global connection cap was reached; the connection is closed.
-    ConnectionCap,
+    ConnectionCap = 2,
     /// The tenant's pump crashed and is being restarted from its journal;
     /// the event was *not* ingested. Resend it after the suggested backoff.
-    Recovering,
+    Recovering = 3,
 }
 
 impl RetryReason {
-    fn to_byte(self) -> u8 {
-        match self {
-            RetryReason::TenantQuota => 0,
-            RetryReason::GlobalOverload => 1,
-            RetryReason::ConnectionCap => 2,
-            RetryReason::Recovering => 3,
-        }
-    }
-
     fn from_byte(b: u8) -> Result<RetryReason, WireError> {
         match b {
             0 => Ok(RetryReason::TenantQuota),
@@ -68,39 +65,28 @@ impl RetryReason {
 /// A fatal protocol error, carried in a [`Frame::Error`] before the server
 /// closes the connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum ErrorCode {
     /// The first frame was not a well-formed `Hello`.
-    BadHello,
+    BadHello = 0,
     /// The `Hello` version byte does not match [`PROTOCOL_VERSION`].
-    VersionMismatch,
+    VersionMismatch = 1,
     /// The `Hello` token was rejected.
-    AuthFailed,
+    AuthFailed = 2,
     /// Another live connection already owns this tenant name.
-    TenantBusy,
+    TenantBusy = 3,
     /// A frame violated the protocol (unknown type, malformed payload,
     /// oversized length prefix, client sent a server-only frame, …).
-    Protocol,
+    Protocol = 4,
     /// An event frame violated the session's time contract (non-finite or
     /// decreasing timestamp, malformed task/worker fields).
-    BadEvent,
+    BadEvent = 5,
     /// The tenant's pump exhausted its recovery attempts without making
     /// progress; the ledger survives, so a reconnect may still resume.
-    PumpFailed,
+    PumpFailed = 6,
 }
 
 impl ErrorCode {
-    fn to_byte(self) -> u8 {
-        match self {
-            ErrorCode::BadHello => 0,
-            ErrorCode::VersionMismatch => 1,
-            ErrorCode::AuthFailed => 2,
-            ErrorCode::TenantBusy => 3,
-            ErrorCode::Protocol => 4,
-            ErrorCode::BadEvent => 5,
-            ErrorCode::PumpFailed => 6,
-        }
-    }
-
     fn from_byte(b: u8) -> Result<ErrorCode, WireError> {
         match b {
             0 => Ok(ErrorCode::BadHello),
@@ -288,6 +274,15 @@ impl From<std::io::Error> for WireError {
     }
 }
 
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> WireError {
+        match e {
+            DecodeError::Truncated => WireError::Truncated,
+            DecodeError::Malformed(what) => WireError::Malformed(what),
+        }
+    }
+}
+
 impl WireError {
     /// Whether this is a clean end-of-stream *between* frames (the peer hung
     /// up without violating the protocol mid-frame).
@@ -297,14 +292,9 @@ impl WireError {
 }
 
 // Frame type bytes. Client→server types have the high bit clear,
-// server→client types have it set.
+// server→client types have it set. The command types `0x02..=0x07` are the
+// codec's.
 const T_HELLO: u8 = 0x01;
-const T_TASK_ARRIVAL: u8 = 0x02;
-const T_WORKER_ONLINE: u8 = 0x03;
-const T_TASK_EXPIRATION: u8 = 0x04;
-const T_WORKER_OFFLINE: u8 = 0x05;
-const T_REPLAN_TICK: u8 = 0x06;
-const T_ADVANCE_TO: u8 = 0x07;
 const T_CLOSE: u8 = 0x08;
 const T_RESUME: u8 = 0x09;
 const T_HELLO_ACK: u8 = 0x81;
@@ -315,122 +305,6 @@ const T_RETRY_AFTER: u8 = 0x85;
 const T_ERROR: u8 = 0x86;
 const T_CLOSED: u8 = 0x87;
 const T_RESUME_ACK: u8 = 0x88;
-
-/// Sequential payload writer, appending to a borrowed buffer.
-struct Enc<'a> {
-    buf: &'a mut Vec<u8>,
-}
-
-impl<'a> Enc<'a> {
-    fn new(buf: &'a mut Vec<u8>, ty: u8) -> Enc<'a> {
-        buf.push(ty);
-        Enc { buf }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn str(&mut self, s: &str) {
-        debug_assert!(s.len() <= u16::MAX as usize, "string field too long");
-        self.buf.extend_from_slice(&(s.len() as u16).to_le_bytes());
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-}
-
-/// Sequential payload reader over a borrowed slice.
-struct Dec<'a> {
-    rest: &'a [u8],
-}
-
-impl<'a> Dec<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.rest.len() < n {
-            return Err(WireError::Truncated);
-        }
-        let (head, tail) = self.rest.split_at(n);
-        self.rest = tail;
-        Ok(head)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// An `f64` that must be finite (timestamps, coordinates, distances —
-    /// the engine rejects or misbehaves on NaN/∞, so the codec refuses them
-    /// at the boundary).
-    fn finite(&mut self) -> Result<f64, WireError> {
-        let v = self.f64()?;
-        if v.is_finite() {
-            Ok(v)
-        } else {
-            Err(WireError::Malformed("non-finite float field"))
-        }
-    }
-
-    /// Like [`Dec::finite`] but additionally permits `+∞` (open-ended
-    /// expirations and availability windows are legal engine inputs).
-    fn finite_or_inf(&mut self) -> Result<f64, WireError> {
-        let v = self.f64()?;
-        if v.is_finite() || v == f64::INFINITY {
-            Ok(v)
-        } else {
-            Err(WireError::Malformed("NaN or -inf float field"))
-        }
-    }
-
-    fn str(&mut self) -> Result<String, WireError> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| WireError::Malformed("non-UTF-8 string field"))
-    }
-
-    fn done(self) -> Result<(), WireError> {
-        if self.rest.is_empty() {
-            Ok(())
-        } else {
-            Err(WireError::Malformed("trailing bytes after frame layout"))
-        }
-    }
-}
 
 impl Frame {
     /// Serialises the frame payload (type byte included, length prefix not).
@@ -446,81 +320,41 @@ impl Frame {
     /// write.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         let start = out.len();
-        out.extend_from_slice(&[0; 4]);
-        self.encode_payload(out);
-        let len = out.len() - start - 4;
+        codec::length_prefixed(out, |out| self.encode_payload(out));
         debug_assert!(
-            (1..=MAX_FRAME_LEN).contains(&len),
+            (1..=MAX_FRAME_LEN).contains(&(out.len() - start - 4)),
             "encoded frame violates MAX_FRAME_LEN"
         );
-        out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
     }
 
     /// Appends the payload (type byte included, length prefix not) to `out`.
     fn encode_payload(&self, out: &mut Vec<u8>) {
+        if let Some(command) = self.command() {
+            codec::encode_command(&command, out);
+            return;
+        }
         match self {
             Frame::Hello {
                 version,
                 tenant,
                 token,
             } => {
-                let mut e = Enc::new(out, T_HELLO);
+                let mut e = Writer::new(out, T_HELLO);
                 e.u8(*version);
                 e.str(tenant);
                 e.str(token);
             }
-            Frame::TaskArrival { time, task } => {
-                let mut e = Enc::new(out, T_TASK_ARRIVAL);
-                e.f64(time.0);
-                e.u32(task.id.0);
-                e.f64(task.location.x);
-                e.f64(task.location.y);
-                e.f64(task.publication.0);
-                e.f64(task.expiration.0);
-            }
-            Frame::WorkerOnline { time, worker } => {
-                let mut e = Enc::new(out, T_WORKER_ONLINE);
-                e.f64(time.0);
-                e.u32(worker.id.0);
-                e.f64(worker.location.x);
-                e.f64(worker.location.y);
-                e.f64(worker.reachable_distance);
-                e.f64(worker.window.on.0);
-                e.f64(worker.window.off.0);
-                e.u8(match worker.mode {
-                    WorkerMode::Online => 0,
-                    WorkerMode::Offline => 1,
-                });
-            }
-            Frame::TaskExpiration { time, task } => {
-                let mut e = Enc::new(out, T_TASK_EXPIRATION);
-                e.f64(time.0);
-                e.u32(task.0);
-            }
-            Frame::WorkerOffline { time, worker } => {
-                let mut e = Enc::new(out, T_WORKER_OFFLINE);
-                e.f64(time.0);
-                e.u32(worker.0);
-            }
-            Frame::ReplanTick { time } => {
-                let mut e = Enc::new(out, T_REPLAN_TICK);
-                e.f64(time.0);
-            }
-            Frame::AdvanceTo { time } => {
-                let mut e = Enc::new(out, T_ADVANCE_TO);
-                e.f64(time.0);
-            }
             Frame::Close => out.push(T_CLOSE),
             Frame::Resume { decisions_seen } => {
-                let mut e = Enc::new(out, T_RESUME);
+                let mut e = Writer::new(out, T_RESUME);
                 e.u64(*decisions_seen);
             }
             Frame::ResumeAck { events_ingested } => {
-                let mut e = Enc::new(out, T_RESUME_ACK);
+                let mut e = Writer::new(out, T_RESUME_ACK);
                 e.u64(*events_ingested);
             }
             Frame::HelloAck { version } => {
-                let mut e = Enc::new(out, T_HELLO_ACK);
+                let mut e = Writer::new(out, T_HELLO_ACK);
                 e.u8(*version);
             }
             Frame::Dispatch {
@@ -529,30 +363,30 @@ impl Frame {
                 task,
                 eta,
             } => {
-                let mut e = Enc::new(out, T_DISPATCH);
+                let mut e = Writer::new(out, T_DISPATCH);
                 e.f64(at.0);
                 e.u32(worker.0);
                 e.u32(task.0);
                 e.f64(eta.0);
             }
             Frame::TaskExpired { at, task } => {
-                let mut e = Enc::new(out, T_TASK_EXPIRED);
+                let mut e = Writer::new(out, T_TASK_EXPIRED);
                 e.f64(at.0);
                 e.u32(task.0);
             }
             Frame::OfflineNotice { at, worker } => {
-                let mut e = Enc::new(out, T_OFFLINE_NOTICE);
+                let mut e = Writer::new(out, T_OFFLINE_NOTICE);
                 e.f64(at.0);
                 e.u32(worker.0);
             }
             Frame::RetryAfter { seconds, reason } => {
-                let mut e = Enc::new(out, T_RETRY_AFTER);
+                let mut e = Writer::new(out, T_RETRY_AFTER);
                 e.f64(*seconds);
-                e.u8(reason.to_byte());
+                e.u8(*reason as u8);
             }
             Frame::Error { code, message } => {
-                let mut e = Enc::new(out, T_ERROR);
-                e.u8(code.to_byte());
+                let mut e = Writer::new(out, T_ERROR);
+                e.u8(*code as u8);
                 e.str(message);
             }
             Frame::Closed {
@@ -561,12 +395,19 @@ impl Frame {
                 events,
                 planning_calls,
             } => {
-                let mut e = Enc::new(out, T_CLOSED);
+                let mut e = Writer::new(out, T_CLOSED);
                 e.u64(*assigned);
                 e.u64(*decisions);
                 e.u64(*events);
                 e.u64(*planning_calls);
             }
+            // Encoded by the command codec above.
+            Frame::TaskArrival { .. }
+            | Frame::WorkerOnline { .. }
+            | Frame::TaskExpiration { .. }
+            | Frame::WorkerOffline { .. }
+            | Frame::ReplanTick { .. }
+            | Frame::AdvanceTo { .. } => {}
         }
     }
 
@@ -575,56 +416,12 @@ impl Frame {
         let (&ty, rest) = payload
             .split_first()
             .ok_or(WireError::Malformed("empty payload"))?;
-        let mut d = Dec { rest };
+        let mut d = Reader::new(rest);
         let frame = match ty {
             T_HELLO => Frame::Hello {
                 version: d.u8()?,
                 tenant: d.str()?,
                 token: d.str()?,
-            },
-            T_TASK_ARRIVAL => Frame::TaskArrival {
-                time: Timestamp(d.finite()?),
-                task: Task {
-                    id: TaskId(d.u32()?),
-                    location: Location::new(d.finite()?, d.finite()?),
-                    publication: Timestamp(d.finite()?),
-                    expiration: Timestamp(d.finite_or_inf()?),
-                },
-            },
-            T_WORKER_ONLINE => Frame::WorkerOnline {
-                time: Timestamp(d.finite()?),
-                // Struct literals, not `Worker::new`: the constructor
-                // debug-asserts window sanity, and hostile input must decode
-                // to a rejectable value, not a panic. Semantic validation
-                // (`is_well_formed`) happens at the server's admission step.
-                worker: Worker {
-                    id: WorkerId(d.u32()?),
-                    location: Location::new(d.finite()?, d.finite()?),
-                    reachable_distance: d.finite()?,
-                    window: AvailabilityWindow {
-                        on: Timestamp(d.finite()?),
-                        off: Timestamp(d.finite_or_inf()?),
-                    },
-                    mode: match d.u8()? {
-                        0 => WorkerMode::Online,
-                        1 => WorkerMode::Offline,
-                        _ => return Err(WireError::Malformed("unknown worker mode")),
-                    },
-                },
-            },
-            T_TASK_EXPIRATION => Frame::TaskExpiration {
-                time: Timestamp(d.finite()?),
-                task: TaskId(d.u32()?),
-            },
-            T_WORKER_OFFLINE => Frame::WorkerOffline {
-                time: Timestamp(d.finite()?),
-                worker: WorkerId(d.u32()?),
-            },
-            T_REPLAN_TICK => Frame::ReplanTick {
-                time: Timestamp(d.finite()?),
-            },
-            T_ADVANCE_TO => Frame::AdvanceTo {
-                time: Timestamp(d.finite()?),
             },
             T_CLOSE => Frame::Close,
             T_RESUME => Frame::Resume {
@@ -662,23 +459,38 @@ impl Frame {
                 events: d.u64()?,
                 planning_calls: d.u64()?,
             },
+            ty if codec::is_command(ty) => match codec::decode_command(ty, &mut d)? {
+                JournalRecord::Event(time, event) => Frame::from_event(time, &event),
+                JournalRecord::Advance(time) => Frame::AdvanceTo { time },
+            },
             other => return Err(WireError::UnknownType(other)),
         };
         d.done()?;
         Ok(frame)
     }
 
+    /// The session command a client command frame carries; `None` for every
+    /// other frame.
+    fn command(&self) -> Option<JournalRecord> {
+        let (time, event) = match *self {
+            Frame::TaskArrival { time, task } => (time, Event::TaskArrival(task)),
+            Frame::WorkerOnline { time, worker } => (time, Event::WorkerOnline(worker)),
+            Frame::TaskExpiration { time, task } => (time, Event::TaskExpiration(task)),
+            Frame::WorkerOffline { time, worker } => (time, Event::WorkerOffline(worker)),
+            Frame::ReplanTick { time } => (time, Event::ReplanTick),
+            Frame::AdvanceTo { time } => return Some(JournalRecord::Advance(time)),
+            _ => return None,
+        };
+        Some(JournalRecord::Event(time, event))
+    }
+
     /// Maps a client event frame onto the engine's `(time, event)`
     /// vocabulary; `None` for every non-event frame.
     #[must_use]
     pub fn into_event(self) -> Option<(Timestamp, Event)> {
-        match self {
-            Frame::TaskArrival { time, task } => Some((time, Event::TaskArrival(task))),
-            Frame::WorkerOnline { time, worker } => Some((time, Event::WorkerOnline(worker))),
-            Frame::TaskExpiration { time, task } => Some((time, Event::TaskExpiration(task))),
-            Frame::WorkerOffline { time, worker } => Some((time, Event::WorkerOffline(worker))),
-            Frame::ReplanTick { time } => Some((time, Event::ReplanTick)),
-            _ => None,
+        match self.command()? {
+            JournalRecord::Event(time, event) => Some((time, event)),
+            JournalRecord::Advance(_) => None,
         }
     }
 
@@ -686,17 +498,11 @@ impl Frame {
     /// [`Frame::into_event`].
     #[must_use]
     pub fn from_event(time: Timestamp, event: &Event) -> Frame {
-        match event {
-            Event::TaskArrival(task) => Frame::TaskArrival { time, task: *task },
-            Event::WorkerOnline(worker) => Frame::WorkerOnline {
-                time,
-                worker: *worker,
-            },
-            Event::TaskExpiration(task) => Frame::TaskExpiration { time, task: *task },
-            Event::WorkerOffline(worker) => Frame::WorkerOffline {
-                time,
-                worker: *worker,
-            },
+        match *event {
+            Event::TaskArrival(task) => Frame::TaskArrival { time, task },
+            Event::WorkerOnline(worker) => Frame::WorkerOnline { time, worker },
+            Event::TaskExpiration(task) => Frame::TaskExpiration { time, task },
+            Event::WorkerOffline(worker) => Frame::WorkerOffline { time, worker },
             Event::ReplanTick => Frame::ReplanTick { time },
         }
     }
@@ -773,6 +579,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datawa_core::Location;
 
     fn task() -> Task {
         Task::new(
@@ -969,9 +776,8 @@ mod tests {
     #[test]
     fn journal_bytes_are_wire_event_frame_bytes() {
         // A tenant's journal is the admitted prefix of its wire command
-        // stream, byte for byte: `datawa-stream` mirrors this codec without
-        // depending on it, so the equivalence is pinned here where both
-        // sides are visible.
+        // stream, byte for byte: both encode commands through
+        // `datawa_stream::codec`, and this pins the framing around it.
         use datawa_stream::EventJournal;
         let journal = EventJournal::in_memory();
         let commands = [

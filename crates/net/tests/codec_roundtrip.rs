@@ -6,7 +6,9 @@
 use datawa_core::{
     AvailabilityWindow, Location, Task, TaskId, Timestamp, Worker, WorkerId, WorkerMode,
 };
+use datawa_net::wire::write_frame;
 use datawa_net::{ErrorCode, Frame, RetryReason, MAX_FRAME_LEN};
+use datawa_stream::{EventJournal, JournalError, JournalRecord};
 use proptest::prelude::*;
 
 /// A finite, codec-exact timestamp. The wire carries raw `f64` bits, so any
@@ -194,5 +196,43 @@ proptest! {
         // Either the rogue byte names another type whose layout happens to
         // match, or decode fails — both are fine, panicking is not.
         let _ = Frame::decode(&bytes);
+    }
+
+    #[test]
+    fn command_frames_are_journal_records(frame in frame()) {
+        // The session command a frame carries; `None` for the frames that
+        // are not commands (handshake, control and decision frames).
+        let command = match frame.clone() {
+            Frame::AdvanceTo { time } => JournalRecord::Advance(time),
+            other => match other.into_event() {
+                Some((time, event)) => JournalRecord::Event(time, event),
+                None => return,
+            },
+        };
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &frame).expect("writing to a Vec cannot fail");
+        let recovered = EventJournal::from_bytes(wire.clone())
+            .recovered_records()
+            .expect("a command frame is a journal record");
+        prop_assert_eq!(recovered, vec![command.clone()]);
+
+        let journal = EventJournal::in_memory();
+        match &command {
+            JournalRecord::Event(time, event) => journal.append_event(*time, event),
+            JournalRecord::Advance(time) => journal.append_advance(*time),
+        }
+        .expect("in-memory appends cannot fail");
+        prop_assert_eq!(journal.snapshot_bytes().expect("in-memory read"), wire);
+    }
+
+    #[test]
+    fn arbitrary_bytes_never_panic_the_journal_scan(
+        raw in prop::collection::vec(0usize..256, 0..257)
+    ) {
+        let bytes: Vec<u8> = raw.into_iter().map(|b| b as u8).collect();
+        match EventJournal::from_bytes(bytes).recovered_records() {
+            Ok(_) | Err(JournalError::Corrupt { .. }) => {}
+            Err(other) => panic!("an in-memory scan fails only as Corrupt, got {other}"),
+        }
     }
 }

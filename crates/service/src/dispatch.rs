@@ -15,8 +15,8 @@ use datawa_assign::{AdaptiveRunner, ForecastProvider, ForecastStats};
 use datawa_core::Timestamp;
 use datawa_obs::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 use datawa_stream::{
-    DecisionSink, EngineConfig, EngineOutcome, EventJournal, JournalError, JournalRecord, Session,
-    SessionSnapshot,
+    DecisionSink, EngineConfig, EngineOutcome, Event, EventJournal, IngestError, JournalError,
+    JournalRecord, Session, SessionSnapshot,
 };
 
 /// Service knobs.
@@ -211,25 +211,9 @@ impl<'a, Src: IngestSource, Sink: DecisionSink> DispatchService<'a, Src, Sink> {
         for record in records {
             match record {
                 JournalRecord::Event(time, event) => {
-                    service
-                        .session
-                        .ingest(time, event)
-                        .map_err(JournalError::Replay)?;
-                    service.stats.ingested += 1;
-                    service.metrics.ingested.inc();
-                    service.unadvanced += 1;
-                    service.metrics.backlog.set(service.unadvanced as i64);
-                    service.stats.peak_pending =
-                        service.stats.peak_pending.max(service.session.pending());
-                    if time.0 > service.admitted_up_to.0 {
-                        service.admitted_up_to = time;
-                    }
+                    service.admit(time, event).map_err(JournalError::Replay)?;
                 }
-                JournalRecord::Advance(time) => {
-                    service.session.advance_to(time, &mut service.sink);
-                    service.unadvanced = 0;
-                    service.metrics.backlog.set(0);
-                }
+                JournalRecord::Advance(time) => service.advance(time),
             }
         }
         service.session.attach_journal(journal);
@@ -282,7 +266,9 @@ impl<'a, Src: IngestSource, Sink: DecisionSink> DispatchService<'a, Src, Sink> {
 
     /// One pump step: poll the source once and react.
     pub fn pump(&mut self) -> PumpStatus {
-        let _pump_span = self.metrics.pump_seconds.span();
+        // A handle of its own: the span lives across the `&mut self` steps.
+        let pump_seconds = self.metrics.pump_seconds.clone();
+        let _pump_span = pump_seconds.span();
         match self.source.poll() {
             SourcePoll::Ready(time, event) => {
                 // Backpressure: drain decisions for the admitted backlog
@@ -292,29 +278,16 @@ impl<'a, Src: IngestSource, Sink: DecisionSink> DispatchService<'a, Src, Sink> {
                 // would fire a replan tick due there ahead of them.
                 if self.unadvanced >= self.config.max_pending && self.admitted_up_to.0 < time.0 {
                     self.metrics.backpressure_stalls.inc();
-                    self.session.advance_to(self.admitted_up_to, &mut self.sink);
-                    self.unadvanced = 0;
-                    self.metrics.backlog.set(0);
+                    self.advance(self.admitted_up_to);
                 }
-                self.session
-                    .ingest(time, event)
+                self.admit(time, event)
                     .expect("sources produce finite, non-decreasing times");
-                self.stats.ingested += 1;
-                self.metrics.ingested.inc();
-                self.unadvanced += 1;
-                self.metrics.backlog.set(self.unadvanced as i64);
-                self.stats.peak_pending = self.stats.peak_pending.max(self.session.pending());
-                if time.0 > self.admitted_up_to.0 {
-                    self.admitted_up_to = time;
-                }
                 PumpStatus::Admitted
             }
             SourcePoll::Wait(until) => {
                 self.stats.waits += 1;
                 self.metrics.waits.inc();
-                self.session.advance_to(until, &mut self.sink);
-                self.unadvanced = 0;
-                self.metrics.backlog.set(0);
+                self.advance(until);
                 PumpStatus::Waited
             }
             SourcePoll::Exhausted => {
@@ -322,6 +295,30 @@ impl<'a, Src: IngestSource, Sink: DecisionSink> DispatchService<'a, Src, Sink> {
                 PumpStatus::SourceDrained
             }
         }
+    }
+
+    /// Ingests one arrival and does the admission bookkeeping: the pump's
+    /// step for a ready arrival and replay's for a journaled event.
+    fn admit(&mut self, time: Timestamp, event: Event) -> Result<(), IngestError> {
+        self.session.ingest(time, event)?;
+        self.stats.ingested += 1;
+        self.metrics.ingested.inc();
+        self.unadvanced += 1;
+        self.metrics.backlog.set(self.unadvanced as i64);
+        self.stats.peak_pending = self.stats.peak_pending.max(self.session.pending());
+        if time.0 > self.admitted_up_to.0 {
+            self.admitted_up_to = time;
+        }
+        Ok(())
+    }
+
+    /// Advances the session to `time`, which drains the admission backlog:
+    /// the pump's step for a wait or a backpressure flush, and replay's for
+    /// a journaled advance.
+    fn advance(&mut self, time: Timestamp) {
+        self.session.advance_to(time, &mut self.sink);
+        self.unadvanced = 0;
+        self.metrics.backlog.set(0);
     }
 
     /// Pumps until the source is exhausted, then closes the session. Returns

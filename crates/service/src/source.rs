@@ -19,7 +19,7 @@
 //! [`DispatchService`]: crate::DispatchService
 
 use datawa_core::{Duration, Timestamp};
-use datawa_stream::{Event, Workload};
+use datawa_stream::{Event, JournalRecord, Workload};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
@@ -191,18 +191,10 @@ impl IngestSource for LiveSource {
     }
 }
 
-/// What a [`NetSourceHandle`] feeds into the channel: the same vocabulary a
-/// pull source's [`SourcePoll`] reports, minus `Exhausted` (that is signalled
-/// by dropping the sender, so a crashed producer thread and an orderly
-/// hang-up both end the stream).
-#[derive(Debug)]
-enum NetItem {
-    Event(Timestamp, Event),
-    Advance(Timestamp),
-}
-
 /// The push half of a [`NetSource`]: lives on the connection (producer) side
-/// and feeds events across threads into the service's pump.
+/// and feeds session commands across threads into the service's pump. The
+/// end of the stream is signalled by dropping the sender, so a crashed
+/// producer thread and an orderly hang-up both end it.
 ///
 /// Cloning is cheap; the source is exhausted once *every* clone has been
 /// dropped.
@@ -211,7 +203,7 @@ enum NetItem {
 /// unbounded and never blocks the producer.
 #[derive(Debug, Clone)]
 pub struct NetSourceHandle {
-    tx: Sender<NetItem>,
+    tx: Sender<JournalRecord>,
     depth: Arc<AtomicUsize>,
 }
 
@@ -229,10 +221,12 @@ impl NetSourceHandle {
         // the backlog under-reported. (SeqCst: this counter is cross-thread
         // admission-control state, not an audited obs-crate hot path.)
         self.depth.fetch_add(1, Ordering::SeqCst);
-        self.tx.send(NetItem::Event(time, event)).map_err(|_| {
-            self.depth.fetch_sub(1, Ordering::SeqCst);
-            SourceClosed
-        })
+        self.tx
+            .send(JournalRecord::Event(time, event))
+            .map_err(|_| {
+                self.depth.fetch_sub(1, Ordering::SeqCst);
+                SourceClosed
+            })
     }
 
     /// Requests that the service advance its session to `time` (reported as
@@ -240,7 +234,7 @@ impl NetSourceHandle {
     /// fire through a quiet period.
     pub fn push_advance(&self, time: Timestamp) -> Result<(), SourceClosed> {
         self.tx
-            .send(NetItem::Advance(time))
+            .send(JournalRecord::Advance(time))
             .map_err(|_| SourceClosed)
     }
 
@@ -261,9 +255,8 @@ impl NetSourceHandle {
 /// tenant connection.
 #[derive(Debug)]
 pub struct NetSource {
-    rx: Receiver<NetItem>,
+    rx: Receiver<JournalRecord>,
     depth: Arc<AtomicUsize>,
-    exhausted: bool,
 }
 
 impl NetSource {
@@ -277,54 +270,39 @@ impl NetSource {
                 tx,
                 depth: Arc::clone(&depth),
             },
-            NetSource {
-                rx,
-                depth,
-                exhausted: false,
-            },
+            NetSource { rx, depth },
         )
     }
 
     /// [`IngestSource::poll`] without blocking: `None` when the channel is
     /// empty but the producer is still connected. A pump uses it to learn
     /// that it is about to sleep, and to write out what it has buffered
-    /// first.
+    /// first. Exhaustion is sticky: a channel whose every sender is gone
+    /// stays empty.
     pub fn try_poll(&mut self) -> Option<SourcePoll> {
-        if self.exhausted {
-            return Some(SourcePoll::Exhausted);
-        }
         match self.rx.try_recv() {
-            Ok(item) => Some(self.deliver(item)),
+            Ok(command) => Some(self.deliver(command)),
             Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => {
-                self.exhausted = true;
-                Some(SourcePoll::Exhausted)
-            }
+            Err(TryRecvError::Disconnected) => Some(SourcePoll::Exhausted),
         }
     }
 
-    fn deliver(&self, item: NetItem) -> SourcePoll {
-        match item {
-            NetItem::Event(time, event) => {
+    fn deliver(&self, command: JournalRecord) -> SourcePoll {
+        match command {
+            JournalRecord::Event(time, event) => {
                 self.depth.fetch_sub(1, Ordering::SeqCst);
                 SourcePoll::Ready(time, event)
             }
-            NetItem::Advance(time) => SourcePoll::Wait(time),
+            JournalRecord::Advance(time) => SourcePoll::Wait(time),
         }
     }
 }
 
 impl IngestSource for NetSource {
     fn poll(&mut self) -> SourcePoll {
-        if self.exhausted {
-            return SourcePoll::Exhausted;
-        }
         match self.rx.recv() {
-            Ok(item) => self.deliver(item),
-            Err(_) => {
-                self.exhausted = true;
-                SourcePoll::Exhausted
-            }
+            Ok(command) => self.deliver(command),
+            Err(_) => SourcePoll::Exhausted,
         }
     }
 

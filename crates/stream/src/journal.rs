@@ -2,12 +2,12 @@
 //!
 //! An [`EventJournal`] records every accepted [`Session::ingest`] call and
 //! every finite [`Session::advance_to`] target, in call order, as
-//! length-prefixed binary records. The record payloads are **byte-identical
-//! to the wire protocol's client event frames** (`PROTOCOL.md` types
-//! `0x02..=0x07`), so a tenant's journal is literally the admitted prefix of
-//! its wire command stream — `datawa-net` pins this equivalence in its codec
-//! tests. Because the engine is bitwise-deterministic over its ingest/advance
-//! call sequence, replaying a journal into a fresh session
+//! length-prefixed binary records. A record's payload is its command's one
+//! byte layout in [`codec`], which the wire protocol's six command frames
+//! (`PROTOCOL.md` types `0x02..=0x07`) are encoded by too, so a tenant's
+//! journal is the admitted prefix of its wire command stream by
+//! construction. Because the engine is bitwise-deterministic over its
+//! ingest/advance call sequence, replaying a journal into a fresh session
 //! ([`Session::recover`]) reproduces the interrupted run's decision stream
 //! exactly, decision for decision, bit for bit.
 //!
@@ -25,11 +25,10 @@
 //! [`Session::advance_to`]: crate::Session::advance_to
 //! [`Session::recover`]: crate::Session::recover
 
+use crate::codec::{self, DecodeError, Reader};
 use crate::event::Event;
 use crate::session::{Decision, DecisionSink, IngestError};
-use datawa_core::{
-    AvailabilityWindow, Location, Task, TaskId, Timestamp, Worker, WorkerId, WorkerMode,
-};
+use datawa_core::Timestamp;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -38,16 +37,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// `MAX_FRAME_LEN`. Event records are all under 100 bytes; a larger length
 /// prefix means the byte stream is not a journal.
 pub const MAX_RECORD_LEN: usize = 4096;
-
-// Record type bytes — the wire protocol's client event frame types. Kept
-// numerically identical so journal bytes and wire frame bytes interconvert
-// without translation (pinned by a cross-check test in `datawa-net`).
-const R_TASK_ARRIVAL: u8 = 0x02;
-const R_WORKER_ONLINE: u8 = 0x03;
-const R_TASK_EXPIRATION: u8 = 0x04;
-const R_WORKER_OFFLINE: u8 = 0x05;
-const R_REPLAN_TICK: u8 = 0x06;
-const R_ADVANCE_TO: u8 = 0x07;
 
 /// One replayable session command.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,20 +95,11 @@ enum Backend {
 /// A cloneable handle to one append-only journal. Clones share the backend;
 /// the dispatch pump appends through one clone while the supervisor keeps
 /// another for replay after a crash.
+#[derive(Clone)]
 pub struct EventJournal {
     backend: Arc<Mutex<Backend>>,
     records: Arc<AtomicU64>,
     events: Arc<AtomicU64>,
-}
-
-impl Clone for EventJournal {
-    fn clone(&self) -> EventJournal {
-        EventJournal {
-            backend: Arc::clone(&self.backend),
-            records: Arc::clone(&self.records),
-            events: Arc::clone(&self.events),
-        }
-    }
 }
 
 impl std::fmt::Debug for EventJournal {
@@ -135,32 +115,33 @@ impl EventJournal {
     /// An empty in-memory journal.
     #[must_use]
     pub fn in_memory() -> EventJournal {
+        EventJournal::over(Backend::Mem(Vec::new()), &[])
+    }
+
+    /// A journal over `backend`, whose clean record prefix is `records`.
+    fn over(backend: Backend, records: &[JournalRecord]) -> EventJournal {
+        let events = records
+            .iter()
+            .filter(|r| matches!(r, JournalRecord::Event(..)))
+            .count();
         EventJournal {
-            backend: Arc::new(Mutex::new(Backend::Mem(Vec::new()))),
-            records: Arc::new(AtomicU64::new(0)),
-            events: Arc::new(AtomicU64::new(0)),
+            backend: Arc::new(Mutex::new(backend)),
+            records: Arc::new(AtomicU64::new(records.len() as u64)),
+            events: Arc::new(AtomicU64::new(events as u64)),
         }
     }
 
     /// A journal over existing bytes (tests and transports use this to
     /// rebuild a journal from a captured byte stream). Counts cover the
-    /// longest clean record prefix; a torn or corrupt tail surfaces through
+    /// longest clean record prefix, also when a corrupt record follows it;
+    /// a torn or corrupt tail surfaces through
     /// [`EventJournal::recovered_records`].
     #[must_use]
     pub fn from_bytes(bytes: Vec<u8>) -> EventJournal {
-        let (mut records, mut events) = (0u64, 0u64);
-        if let Ok((recs, _)) = scan(&bytes) {
-            records = recs.len() as u64;
-            events = recs
-                .iter()
-                .filter(|r| matches!(r, JournalRecord::Event(..)))
-                .count() as u64;
-        }
-        EventJournal {
-            backend: Arc::new(Mutex::new(Backend::Mem(bytes))),
-            records: Arc::new(AtomicU64::new(records)),
-            events: Arc::new(AtomicU64::new(events)),
-        }
+        let mut records = Vec::new();
+        // A corrupt record ends the prefix; the error is reported on read.
+        let _ = scan(&bytes, &mut records);
+        EventJournal::over(Backend::Mem(bytes), &records)
     }
 
     /// Opens (or creates) a file-backed journal at `path`. An existing
@@ -176,25 +157,18 @@ impl EventJournal {
         let mut bytes = Vec::new();
         f.seek(SeekFrom::Start(0))?;
         f.read_to_end(&mut bytes)?;
-        let (recs, clean_len) = scan(&bytes)?;
+        let mut records = Vec::new();
+        let clean_len = scan(&bytes, &mut records)?;
         if clean_len < bytes.len() {
             f.set_len(clean_len as u64)?;
         }
-        let events = recs
-            .iter()
-            .filter(|r| matches!(r, JournalRecord::Event(..)))
-            .count() as u64;
-        Ok(EventJournal {
-            backend: Arc::new(Mutex::new(Backend::File(f))),
-            records: Arc::new(AtomicU64::new(recs.len() as u64)),
-            events: Arc::new(AtomicU64::new(events)),
-        })
+        Ok(EventJournal::over(Backend::File(f), &records))
     }
 
     /// Records one accepted ingest. Called by [`Session::ingest`](crate::Session::ingest) *after* validation, so the journal only ever
     /// holds commands the session admitted.
     pub fn append_event(&self, time: Timestamp, event: &Event) -> Result<(), JournalError> {
-        self.append(&encode_record(&JournalRecord::Event(time, event.clone())))?;
+        self.append(&JournalRecord::Event(time, event.clone()))?;
         self.events.fetch_add(1, Ordering::SeqCst);
         self.records.fetch_add(1, Ordering::SeqCst);
         Ok(())
@@ -202,15 +176,14 @@ impl EventJournal {
 
     /// Records one finite advance target.
     pub fn append_advance(&self, time: Timestamp) -> Result<(), JournalError> {
-        self.append(&encode_record(&JournalRecord::Advance(time)))?;
+        self.append(&JournalRecord::Advance(time))?;
         self.records.fetch_add(1, Ordering::SeqCst);
         Ok(())
     }
 
-    fn append(&self, payload: &[u8]) -> Result<(), JournalError> {
-        let mut framed = Vec::with_capacity(4 + payload.len());
-        framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        framed.extend_from_slice(payload);
+    fn append(&self, command: &JournalRecord) -> Result<(), JournalError> {
+        let mut framed = Vec::with_capacity(64);
+        codec::length_prefixed(&mut framed, |out| codec::encode_command(command, out));
         match &mut *self.lock() {
             Backend::Mem(buf) => buf.extend_from_slice(&framed),
             Backend::File(f) => f.write_all(&framed)?,
@@ -237,8 +210,8 @@ impl EventJournal {
     /// [`JournalError::Io`] if the file backend cannot be read;
     /// [`JournalError::Corrupt`] if a *complete* record fails to decode.
     pub fn recovered_records(&self) -> Result<Vec<JournalRecord>, JournalError> {
-        let bytes = self.snapshot_bytes()?;
-        let (records, _) = scan(&bytes)?;
+        let mut records = Vec::new();
+        scan(&self.snapshot_bytes()?, &mut records)?;
         Ok(records)
     }
 
@@ -268,184 +241,26 @@ impl EventJournal {
     }
 }
 
-/// Encodes one record payload (type byte first, length prefix excluded) —
-/// byte-identical to the wire protocol's client frame payloads.
-fn encode_record(record: &JournalRecord) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64);
-    match record {
-        JournalRecord::Event(time, Event::TaskArrival(task)) => {
-            buf.push(R_TASK_ARRIVAL);
-            put_f64(&mut buf, time.0);
-            buf.extend_from_slice(&task.id.0.to_le_bytes());
-            put_f64(&mut buf, task.location.x);
-            put_f64(&mut buf, task.location.y);
-            put_f64(&mut buf, task.publication.0);
-            put_f64(&mut buf, task.expiration.0);
-        }
-        JournalRecord::Event(time, Event::WorkerOnline(worker)) => {
-            buf.push(R_WORKER_ONLINE);
-            put_f64(&mut buf, time.0);
-            buf.extend_from_slice(&worker.id.0.to_le_bytes());
-            put_f64(&mut buf, worker.location.x);
-            put_f64(&mut buf, worker.location.y);
-            put_f64(&mut buf, worker.reachable_distance);
-            put_f64(&mut buf, worker.window.on.0);
-            put_f64(&mut buf, worker.window.off.0);
-            buf.push(match worker.mode {
-                WorkerMode::Online => 0,
-                WorkerMode::Offline => 1,
-            });
-        }
-        JournalRecord::Event(time, Event::TaskExpiration(task)) => {
-            buf.push(R_TASK_EXPIRATION);
-            put_f64(&mut buf, time.0);
-            buf.extend_from_slice(&task.0.to_le_bytes());
-        }
-        JournalRecord::Event(time, Event::WorkerOffline(worker)) => {
-            buf.push(R_WORKER_OFFLINE);
-            put_f64(&mut buf, time.0);
-            buf.extend_from_slice(&worker.0.to_le_bytes());
-        }
-        JournalRecord::Event(time, Event::ReplanTick) => {
-            buf.push(R_REPLAN_TICK);
-            put_f64(&mut buf, time.0);
-        }
-        JournalRecord::Advance(time) => {
-            buf.push(R_ADVANCE_TO);
-            put_f64(&mut buf, time.0);
-        }
-    }
-    buf
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Sequential record-payload reader (the journal-side twin of the wire
-/// decoder, with the same finiteness discipline).
-struct Cursor<'a> {
-    rest: &'a [u8],
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], &'static str> {
-        if self.rest.len() < n {
-            return Err("payload shorter than its record layout");
-        }
-        let (head, tail) = self.rest.split_at(n);
-        self.rest = tail;
-        Ok(head)
-    }
-
-    fn u8(&mut self) -> Result<u8, &'static str> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, &'static str> {
-        let bytes = self.take(4)?;
-        let mut raw = [0u8; 4];
-        raw.copy_from_slice(bytes);
-        Ok(u32::from_le_bytes(raw))
-    }
-
-    fn f64(&mut self) -> Result<f64, &'static str> {
-        let bytes = self.take(8)?;
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(bytes);
-        Ok(f64::from_le_bytes(raw))
-    }
-
-    fn finite(&mut self) -> Result<f64, &'static str> {
-        let v = self.f64()?;
-        if v.is_finite() {
-            Ok(v)
-        } else {
-            Err("non-finite float field")
-        }
-    }
-
-    fn finite_or_inf(&mut self) -> Result<f64, &'static str> {
-        let v = self.f64()?;
-        if v.is_finite() || v == f64::INFINITY {
-            Ok(v)
-        } else {
-            Err("NaN or -inf float field")
-        }
-    }
-
-    fn done(self) -> Result<(), &'static str> {
-        if self.rest.is_empty() {
-            Ok(())
-        } else {
-            Err("trailing bytes after record layout")
-        }
-    }
-}
-
-/// Decodes one record payload as produced by `encode_record`.
-fn decode_record(payload: &[u8]) -> Result<JournalRecord, &'static str> {
-    let (&ty, rest) = payload.split_first().ok_or("empty record payload")?;
-    let mut c = Cursor { rest };
-    let record = match ty {
-        R_TASK_ARRIVAL => {
-            let time = Timestamp(c.finite()?);
-            let task = Task {
-                id: TaskId(c.u32()?),
-                location: Location::new(c.finite()?, c.finite()?),
-                publication: Timestamp(c.finite()?),
-                expiration: Timestamp(c.finite_or_inf()?),
-            };
-            JournalRecord::Event(time, Event::TaskArrival(task))
-        }
-        R_WORKER_ONLINE => {
-            let time = Timestamp(c.finite()?);
-            // Struct literal, not `Worker::new`: the constructor
-            // debug-asserts window sanity, and a corrupt journal must decode
-            // to a typed error, never a panic.
-            let worker = Worker {
-                id: WorkerId(c.u32()?),
-                location: Location::new(c.finite()?, c.finite()?),
-                reachable_distance: c.finite()?,
-                window: AvailabilityWindow {
-                    on: Timestamp(c.finite()?),
-                    off: Timestamp(c.finite_or_inf()?),
-                },
-                mode: match c.u8()? {
-                    0 => WorkerMode::Online,
-                    1 => WorkerMode::Offline,
-                    _ => return Err("unknown worker mode"),
-                },
-            };
-            JournalRecord::Event(time, Event::WorkerOnline(worker))
-        }
-        R_TASK_EXPIRATION => JournalRecord::Event(
-            Timestamp(c.finite()?),
-            Event::TaskExpiration(TaskId(c.u32()?)),
-        ),
-        R_WORKER_OFFLINE => JournalRecord::Event(
-            Timestamp(c.finite()?),
-            Event::WorkerOffline(WorkerId(c.u32()?)),
-        ),
-        R_REPLAN_TICK => JournalRecord::Event(Timestamp(c.finite()?), Event::ReplanTick),
-        R_ADVANCE_TO => JournalRecord::Advance(Timestamp(c.finite()?)),
-        _ => return Err("unknown record type byte"),
-    };
-    c.done()?;
+/// Decodes one record payload: a command's type byte, then its layout.
+fn decode_record(payload: &[u8]) -> Result<JournalRecord, DecodeError> {
+    let (&ty, rest) = payload
+        .split_first()
+        .ok_or(DecodeError::Malformed("empty record payload"))?;
+    let mut r = Reader::new(rest);
+    let record = codec::decode_command(ty, &mut r)?;
+    r.done()?;
     Ok(record)
 }
 
-/// Walks the byte stream, decoding the longest clean record prefix. Returns
-/// the records and the byte length of that prefix. A tail cut mid-prefix or
-/// mid-payload is a torn write and ends the walk silently; a complete record
-/// that fails to decode is [`JournalError::Corrupt`].
-fn scan(bytes: &[u8]) -> Result<(Vec<JournalRecord>, usize), JournalError> {
-    let mut records = Vec::new();
+/// Walks the byte stream, pushing the longest clean record prefix onto
+/// `records`, and returns that prefix's byte length. A tail cut mid-prefix
+/// or mid-payload is a torn write and ends the walk silently; a complete
+/// record that fails to decode is [`JournalError::Corrupt`], with the
+/// records before it already pushed.
+fn scan(bytes: &[u8], records: &mut Vec<JournalRecord>) -> Result<usize, JournalError> {
     let mut offset = 0usize;
-    while bytes.len() - offset >= 4 {
-        let mut raw = [0u8; 4];
-        raw.copy_from_slice(&bytes[offset..offset + 4]);
-        let len = u32::from_le_bytes(raw) as usize;
+    while let Ok(len) = Reader::new(&bytes[offset..]).u32() {
+        let len = len as usize;
         if !(1..=MAX_RECORD_LEN).contains(&len) {
             return Err(JournalError::Corrupt {
                 offset,
@@ -456,13 +271,15 @@ fn scan(bytes: &[u8]) -> Result<(Vec<JournalRecord>, usize), JournalError> {
         if bytes.len() - start < len {
             break; // torn payload: clean prefix ends here
         }
-        match decode_record(&bytes[start..start + len]) {
-            Ok(record) => records.push(record),
-            Err(what) => return Err(JournalError::Corrupt { offset, what }),
-        }
+        let record =
+            decode_record(&bytes[start..start + len]).map_err(|e| JournalError::Corrupt {
+                offset,
+                what: e.what(),
+            })?;
+        records.push(record);
         offset = start + len;
     }
-    Ok((records, offset))
+    Ok(offset)
 }
 
 /// A sink adapter that swallows the first `skip` decisions and forwards the
@@ -502,11 +319,6 @@ impl<S: DecisionSink> SkipSink<S> {
     pub fn into_inner(self) -> S {
         self.inner
     }
-
-    /// The wrapped sink.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
 }
 
 impl<S: DecisionSink> DecisionSink for SkipSink<S> {
@@ -528,6 +340,13 @@ impl<S: DecisionSink> DecisionSink for SkipSink<S> {
 mod tests {
     use super::*;
     use crate::session::CollectingSink;
+    use datawa_core::{Location, Task, TaskId, Worker, WorkerId};
+
+    fn encode_record(record: &JournalRecord) -> Vec<u8> {
+        let mut payload = Vec::new();
+        codec::encode_command(record, &mut payload);
+        payload
+    }
 
     fn task(id: u32, p: f64, e: f64) -> Task {
         Task::new(
@@ -634,6 +453,24 @@ mod tests {
             .recovered_records()
             .unwrap_err();
         assert!(matches!(err, JournalError::Corrupt { offset: 0, .. }));
+    }
+
+    #[test]
+    fn counts_cover_the_clean_prefix_before_a_corrupt_record() {
+        let records = sample_records();
+        let mut bytes = journal_with(&records).snapshot_bytes().unwrap();
+        let clean_len = bytes.len();
+        // A complete record with an unknown type byte.
+        bytes.extend_from_slice(&9u32.to_le_bytes());
+        bytes.push(0x7e);
+        bytes.extend_from_slice(&1.0f64.to_le_bytes());
+        let j = EventJournal::from_bytes(bytes);
+        assert_eq!(j.record_count(), records.len() as u64);
+        assert_eq!(j.event_count(), 5);
+        assert!(matches!(
+            j.recovered_records(),
+            Err(JournalError::Corrupt { offset, .. }) if offset == clean_len
+        ));
     }
 
     #[test]

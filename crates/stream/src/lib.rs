@@ -140,6 +140,7 @@
 // unwrap or expect outside tests carries an allow with its invariant.
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
+pub mod codec;
 pub mod engine;
 pub mod event;
 pub mod journal;
