@@ -23,8 +23,9 @@
 //! the planner splits the instant into [`Partition`](crate::Partition)s and
 //! searches them one after another, in cluster-tree root order, each against
 //! a partition-local available-task set: a bitset over the partition's
-//! ascending task universe. The candidate sequences of the planned workers
-//! and the search's buffers are scratch kept across calls. The planner is
+//! ascending task universe. The candidate sequences of the planned workers,
+//! the dependency graph, the tree construction's buffers and the search's
+//! buffers are scratch kept across calls. The planner is
 //! serial: [`AssignConfig::threads`] is accepted and ignored.
 //!
 //! State features fed to the TVF (and recorded in training samples) are
@@ -35,12 +36,12 @@
 use crate::config::AssignConfig;
 use crate::partition::split_cluster_tree;
 use crate::reach_layer::ReachLayer;
-use crate::reachable::{build_worker_dependency_graph, ReachableSets};
+use crate::reachable::{fill_worker_dependency_graph, ReachableSets};
 use crate::search::{greedy_baseline, DfSearch, SearchSample, SearchScratch};
 use crate::sequences::{generate_sequences, CandidateSequences, SequenceSet};
 use crate::tvf::TvfInference;
 use datawa_core::{Assignment, TaskId, TaskStore, Timestamp, WorkerId, WorkerStore};
-use datawa_graph::ClusterTree;
+use datawa_graph::{ClusterTree, TreeScratch, UnGraph};
 use datawa_obs::{Histogram, MetricsRegistry};
 use std::time::Instant;
 
@@ -109,8 +110,9 @@ pub enum SearchMode {
 /// The TPA planner.
 ///
 /// The planner owns reusable scratch storage for the hot replan path (the
-/// candidate sequences and the search's bitset, plan and walk buffers,
-/// rebuilt at every planning instant), so callers that keep one planner
+/// candidate sequences, the dependency graph's bit rows, the cluster tree's
+/// masks and the search's bitset, plan and walk buffers, rebuilt at every
+/// planning instant), so callers that keep one planner
 /// alive across instants — the adaptive runner does — pay their allocation
 /// once instead of per call. Planning therefore takes `&mut self`.
 pub struct Planner {
@@ -124,6 +126,10 @@ pub struct Planner {
     sequences: CandidateSequences,
     /// Scratch: the searches' buffers, lent to every search.
     search: SearchScratch,
+    /// Scratch: the dependency graph's bit rows (sized by the planned
+    /// workers) and the cluster tree's masks, rebuilt in place at every call.
+    graph: UnGraph,
+    rtc: TreeScratch,
     /// Every call's reachable sets: carried from one live pass to the next,
     /// scanned afresh by a cold one.
     reach: ReachLayer,
@@ -153,6 +159,8 @@ impl Planner {
             mode,
             sequences: CandidateSequences::default(),
             search: SearchScratch::default(),
+            graph: UnGraph::default(),
+            rtc: TreeScratch::default(),
             reach: ReachLayer::default(),
             stages: StageTimers::default(),
         }
@@ -430,10 +438,10 @@ impl Planner {
         // partition, build the tree, and search it — one partition per root
         // subtree.
         let span = self.stages.tree.span();
-        let (graph, mapping) = build_worker_dependency_graph(planned, reachable);
-        let tree = ClusterTree::build(&graph);
+        fill_worker_dependency_graph(planned, reachable, &mut self.graph);
+        let tree = ClusterTree::build_with(&self.graph, &mut self.rtc);
         report.tree_nodes = tree.len();
-        let partitions = split_cluster_tree(&tree, &mapping, reachable);
+        let partitions = split_cluster_tree(&tree, planned, reachable);
         span.finish();
         report.partitions = partitions.len();
         report.partitions_recomputed = partitions.len();

@@ -172,40 +172,47 @@ pub fn reachable_tasks(
 /// Builds the Worker Dependency Graph: one node per listed worker, an edge
 /// between two workers whenever their reachable task sets intersect
 /// (§IV-A.2). Returns the graph together with the worker id carried by each
-/// node index.
-///
-/// The construction inverts the reachable sets into `(task, worker index)`
-/// pairs, sorts them and links the co-reachers of each run of equal tasks,
-/// instead of testing all `O(|W|²)` worker pairs for set intersection: with
-/// the per-worker reachable cap `k` this is `O(Σ_task (co-reachers)²)`,
-/// which on spatially spread instances is near linear in `|W|·k` — the graph
-/// itself is identical either way, only the cost of producing it changes.
+/// node index. The planner builds the same graph in place, through
+/// `fill_worker_dependency_graph`, into a row buffer it keeps across instants.
 pub fn build_worker_dependency_graph(
     worker_ids: &[WorkerId],
     reachable: &ReachableSets,
 ) -> (UnGraph, Vec<WorkerId>) {
-    let mut graph = UnGraph::new(worker_ids.len());
-    let mut by_task: Vec<(TaskId, usize)> = Vec::new();
+    let mut graph = UnGraph::default();
+    fill_worker_dependency_graph(worker_ids, reachable, &mut graph);
+    (graph, worker_ids.to_vec())
+}
+
+/// [`build_worker_dependency_graph`] into `graph`, whose node `i` is
+/// `worker_ids[i]`.
+///
+/// The construction inverts the reachable sets into `(task, worker index)`
+/// keys (one `u64`, the task in the high half), sorts them and makes the
+/// co-reachers of each run of equal tasks a clique, instead of testing all `O(|W|²)` worker pairs for set
+/// intersection. A run ORs each co-reacher's bit into the bit row of every
+/// other, so a pair sharing several tasks costs a few idempotent ORs, not a
+/// lookup; with the per-worker reachable cap `k` the cost is
+/// `O(Σ_task (co-reachers)²)` bit sets, near linear in `|W|·k` on spatially
+/// spread instances.
+pub(crate) fn fill_worker_dependency_graph(
+    worker_ids: &[WorkerId],
+    reachable: &ReachableSets,
+    graph: &mut UnGraph,
+) {
+    graph.reset(worker_ids.len());
+    let mut by_task = Vec::with_capacity(reachable.pair_count());
     for (i, &w) in worker_ids.iter().enumerate() {
-        by_task.extend(reachable.of(w).iter().map(|&t| (t, i)));
+        by_task.extend(
+            reachable
+                .of(w)
+                .iter()
+                .map(|t| u64::from(t.0) << 32 | i as u64),
+        );
     }
     by_task.sort_unstable();
-    // Pairs sharing several tasks come up once per shared task; the
-    // `has_edge` guard makes the duplicates a single adjacency lookup
-    // instead of two idempotent set inserts, with no transient memory
-    // beyond the graph itself (the co-reacher lists of a hotspot can cover
-    // most worker pairs, so materialising the pair list would be quadratic
-    // in workers).
-    for co_reachers in by_task.chunk_by(|a, b| a.0 == b.0) {
-        for (a, &(_, u)) in co_reachers.iter().enumerate() {
-            for &(_, v) in &co_reachers[a + 1..] {
-                if !graph.has_edge(u, v) {
-                    graph.add_edge(u, v);
-                }
-            }
-        }
+    for co_reachers in by_task.chunk_by(|a, b| a >> 32 == b >> 32) {
+        graph.add_clique(co_reachers.iter().map(|&key| key as u32 as usize));
     }
-    (graph, worker_ids.to_vec())
 }
 
 #[cfg(test)]

@@ -8,8 +8,8 @@
 //! ordering of the result), and the clique candidates `{v} ∪ N_later(v)`
 //! collected during elimination, filtered down to the maximal ones.
 
-use crate::undirected::UnGraph;
-use std::collections::BTreeSet;
+use crate::undirected::{count, ones, set_bit, UnGraph};
+use std::cmp::Reverse;
 
 /// The result of chordal completion on a graph.
 #[derive(Debug, Clone)]
@@ -19,144 +19,130 @@ pub struct ChordalDecomposition {
     /// A perfect elimination ordering of `chordal` (first element eliminated
     /// first).
     pub elimination_order: Vec<usize>,
-    /// The fill-in edges that were added.
+    /// The fill-in edges that were added, as ascending `(u, v)`, `u < v`.
     pub fill_edges: Vec<(usize, usize)>,
     /// The maximal cliques of `chordal`, each sorted ascending.
     pub cliques: Vec<Vec<usize>>,
 }
 
-/// Computes an MCS vertex ordering: repeatedly pick the unnumbered vertex with
-/// the largest number of numbered neighbours (ties broken by smallest index).
-/// The returned vector lists vertices in *visit* order.
-fn mcs_order(g: &UnGraph) -> Vec<usize> {
-    let n = g.node_count();
-    let mut weight = vec![0usize; n];
-    let mut numbered = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mut best: Option<usize> = None;
-        for v in 0..n {
-            if numbered[v] {
-                continue;
-            }
-            match best {
-                None => best = Some(v),
-                Some(b) if weight[v] > weight[b] => best = Some(v),
-                _ => {}
-            }
+/// The chordal completion of the subgraph a node mask induces, on masks over
+/// the graph's own node ids: the buffers of one completion, reused across
+/// calls. The one implementation behind [`mcs_fill_in`] and RTC.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Completion {
+    /// The completion of the induced subgraph; rows outside the mask empty.
+    filled: UnGraph,
+    /// The masked nodes in MCS visit order.
+    visit: Vec<usize>,
+    /// The maximal cliques, one mask of the graph's row width each, in
+    /// elimination order.
+    pub(crate) cliques: Vec<u64>,
+    weight: Vec<u32>,
+    unvisited: Vec<u64>,
+}
+
+impl Completion {
+    /// Completes the subgraph of `graph` induced by `within`.
+    ///
+    /// Maximum Cardinality Search visits the unvisited node with the most
+    /// visited neighbours, ties to the smallest id. The elimination game runs
+    /// in reverse visit order — which makes that a perfect elimination
+    /// ordering of the result — ORing each node's later neighbourhood into
+    /// the rows of its members. A candidate `{v} ∪ later(v)` can only lie in
+    /// a larger candidate of a node eliminated before `v` that holds `v`, and
+    /// then in a maximal one: it is kept unless a kept clique holding `v`
+    /// contains it, tested word by word.
+    pub(crate) fn run(&mut self, graph: &UnGraph, within: &[u64]) {
+        let w = graph.words();
+        self.weight.clear();
+        self.weight.resize(graph.node_count(), 0);
+        self.unvisited.clear();
+        self.unvisited.extend_from_slice(within);
+        self.visit.clear();
+        while let Some(v) = ones(&self.unvisited).max_by_key(|&v| (self.weight[v], Reverse(v))) {
+            self.unvisited[v / 64] &= !(1 << (v % 64));
+            self.visit.push(v);
+            let later = graph.row(v).iter().zip(&self.unvisited).map(|(r, u)| r & u);
+            ones(later).for_each(|u| self.weight[u] += 1);
         }
-        let v = best.expect("graph has unnumbered vertices");
-        numbered[v] = true;
-        order.push(v);
-        for u in g.neighbors(v) {
-            if !numbered[u] {
-                weight[u] += 1;
+        self.filled.reset(graph.node_count());
+        for v in ones(within) {
+            let induced = self.filled.row_mut(v).iter_mut().zip(graph.row(v));
+            induced.zip(within).for_each(|((f, r), m)| *f = r & m);
+        }
+        // `unvisited` is empty again: it holds the eliminated nodes now.
+        let eliminated = &mut self.unvisited;
+        self.cliques.clear();
+        for &v in self.visit.iter().rev() {
+            let at = self.cliques.len();
+            let row = self.filled.row(v).iter().zip(eliminated.iter());
+            self.cliques.extend(row.map(|(f, e)| f & !e));
+            let (kept, c) = self.cliques.split_at_mut(at);
+            for a in ones(&*c) {
+                let row = self.filled.row_mut(a);
+                row.iter_mut().zip(&*c).for_each(|(f, l)| *f |= l);
+                row[a / 64] &= !(1 << (a % 64));
+            }
+            set_bit(c, v);
+            set_bit(eliminated, v);
+            let contains = |d: &[u64]| {
+                let holds_v = d[v / 64] >> (v % 64) & 1 == 1;
+                holds_v && count(d) > count(c) && c.iter().zip(d).all(|(c, d)| c & !d == 0)
+            };
+            if kept.chunks_exact(w).any(contains) {
+                self.cliques.truncate(at);
             }
         }
     }
-    order
 }
 
 /// Chordal completion of `g` using the MCS ordering and the elimination game,
 /// together with the maximal cliques of the completed graph (§IV-A.3 steps i
 /// and ii).
 pub fn mcs_fill_in(g: &UnGraph) -> ChordalDecomposition {
-    let n = g.node_count();
-    let visit = mcs_order(g);
-    // Eliminate in reverse MCS order; this makes the visit order a reverse
-    // perfect elimination ordering of the filled graph.
-    let elimination_order: Vec<usize> = visit.into_iter().rev().collect();
-    let mut chordal = g.clone();
-    let mut fill_edges = Vec::new();
-    let mut eliminated = vec![false; n];
-    // Clique candidates gathered during elimination: {v} ∪ (uneliminated
-    // neighbours of v at elimination time).
-    let mut candidates: Vec<Vec<usize>> = Vec::with_capacity(n);
-    for &v in &elimination_order {
-        let later: Vec<usize> = chordal.neighbors(v).filter(|&u| !eliminated[u]).collect();
-        // Make the later-neighbourhood a clique (fill-in).
-        for (i, &a) in later.iter().enumerate() {
-            for &b in &later[i + 1..] {
-                if !chordal.has_edge(a, b) {
-                    chordal.add_edge(a, b);
-                    fill_edges.push((a.min(b), a.max(b)));
-                }
-            }
-        }
-        let mut clique = later;
-        clique.push(v);
-        clique.sort_unstable();
-        candidates.push(clique);
-        eliminated[v] = true;
-    }
-    let cliques = keep_maximal(candidates);
+    let (mut all, mut completion) = (Vec::new(), Completion::default());
+    g.all_nodes(&mut all);
+    completion.run(g, &all);
+    let masks = completion.cliques.chunks_exact(g.words().max(1));
+    let mut cliques: Vec<Vec<usize>> = masks.map(|c| ones(c).collect()).collect();
+    cliques.sort_unstable();
+    let chordal = completion.filled;
+    let fill_edges = g
+        .nodes()
+        .flat_map(|u| chordal.neighbors(u).map(move |v| (u, v)))
+        .filter(|&(u, v)| u < v && !g.has_edge(u, v))
+        .collect();
     ChordalDecomposition {
+        elimination_order: completion.visit.into_iter().rev().collect(),
         chordal,
-        elimination_order,
         fill_edges,
         cliques,
     }
 }
 
-/// Enumerates the maximal cliques of an already-chordal graph given one of its
-/// perfect elimination orderings.
-pub fn maximal_cliques_chordal(chordal: &UnGraph, elimination_order: &[usize]) -> Vec<Vec<usize>> {
-    let n = chordal.node_count();
-    let mut eliminated = vec![false; n];
-    let mut candidates = Vec::with_capacity(n);
-    for &v in elimination_order {
-        let mut clique: Vec<usize> = chordal.neighbors(v).filter(|&u| !eliminated[u]).collect();
-        clique.push(v);
-        clique.sort_unstable();
-        candidates.push(clique);
-        eliminated[v] = true;
-    }
-    keep_maximal(candidates)
-}
-
-/// Filters a list of vertex sets down to the inclusion-maximal ones,
-/// deduplicating equal sets.
-fn keep_maximal(mut candidates: Vec<Vec<usize>>) -> Vec<Vec<usize>> {
-    // Sort by decreasing size so supersets are considered first.
-    candidates.sort_by_key(|c| std::cmp::Reverse(c.len()));
-    let mut kept: Vec<BTreeSet<usize>> = Vec::new();
-    for cand in candidates {
-        let set: BTreeSet<usize> = cand.iter().copied().collect();
-        if !kept.iter().any(|k| set.is_subset(k)) {
-            kept.push(set);
-        }
-    }
-    let mut out: Vec<Vec<usize>> = kept
-        .into_iter()
-        .map(|s| s.into_iter().collect::<Vec<_>>())
-        .collect();
-    out.sort();
-    out
-}
-
-/// Whether `g` is chordal, verified by re-running the elimination game along
-/// the given perfect elimination ordering and checking that no fill-in edge is
-/// required. Exposed mainly for tests and debugging.
-pub fn is_chordal_with_peo(g: &UnGraph, elimination_order: &[usize]) -> bool {
-    let n = g.node_count();
-    let mut eliminated = vec![false; n];
-    for &v in elimination_order {
-        let later: Vec<usize> = g.neighbors(v).filter(|&u| !eliminated[u]).collect();
-        for (i, &a) in later.iter().enumerate() {
-            for &b in &later[i + 1..] {
-                if !g.has_edge(a, b) {
-                    return false;
-                }
-            }
-        }
-        eliminated[v] = true;
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Whether `g` is chordal, verified by re-running the elimination game along
+    /// the given perfect elimination ordering and checking that no fill-in edge is
+    /// required.
+    fn is_chordal_with_peo(g: &UnGraph, elimination_order: &[usize]) -> bool {
+        let n = g.node_count();
+        let mut eliminated = vec![false; n];
+        for &v in elimination_order {
+            let later: Vec<usize> = g.neighbors(v).filter(|&u| !eliminated[u]).collect();
+            for (i, &a) in later.iter().enumerate() {
+                for &b in &later[i + 1..] {
+                    if !g.has_edge(a, b) {
+                        return false;
+                    }
+                }
+            }
+            eliminated[v] = true;
+        }
+        true
+    }
 
     /// C4 (a 4-cycle) is the canonical non-chordal graph: one chord is needed.
     #[test]
@@ -219,7 +205,8 @@ mod tests {
         g.add_edge(0, 3);
         let d = mcs_fill_in(&g);
         assert!(is_chordal_with_peo(&d.chordal, &d.elimination_order));
-        let covered: BTreeSet<usize> = d.cliques.iter().flatten().copied().collect();
+        let covered: std::collections::BTreeSet<usize> =
+            d.cliques.iter().flatten().copied().collect();
         assert_eq!(covered.len(), 6);
         for c in &d.cliques {
             assert!(d.chordal.is_clique(c));
@@ -230,22 +217,6 @@ mod tests {
                 assert!(d.chordal.has_edge(u, v));
             }
         }
-    }
-
-    #[test]
-    fn maximal_cliques_chordal_matches_fill_in_output() {
-        let mut g = UnGraph::new(5);
-        g.add_edge(0, 1);
-        g.add_edge(1, 2);
-        g.add_edge(2, 0);
-        g.add_edge(2, 3);
-        g.add_edge(3, 4);
-        let d = mcs_fill_in(&g);
-        let again = maximal_cliques_chordal(&d.chordal, &d.elimination_order);
-        assert_eq!(d.cliques, again);
-        assert!(d.cliques.contains(&vec![0, 1, 2]));
-        assert!(d.cliques.contains(&vec![2, 3]));
-        assert!(d.cliques.contains(&vec![3, 4]));
     }
 
     #[test]

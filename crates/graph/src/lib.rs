@@ -11,6 +11,15 @@
 //! `datawa-assign` crate maps workers onto node indices and interprets the
 //! resulting clusters.
 //!
+//! Everything runs on dense bit rows: a graph of `n` nodes keeps one row of
+//! `ceil(n / 64)` `u64` words per node in one buffer, and every node set (a
+//! component, a clique, what a separator leaves) is a mask of that width
+//! over the original ids. An edge test is one bit test, a degree a popcount
+//! per word, a set operation one instruction per word, and a flood fill one
+//! row OR per node it reaches; MCS is quadratic in the set it orders, and
+//! scoring a set's cliques is one flood fill each. [`ClusterTree::build_with`]
+//! reuses one [`TreeScratch`] across builds.
+//!
 //! ```
 //! use datawa_graph::UnGraph;
 //!
@@ -24,6 +33,6 @@ pub mod chordal;
 pub mod rtc;
 pub mod undirected;
 
-pub use chordal::{maximal_cliques_chordal, mcs_fill_in, ChordalDecomposition};
-pub use rtc::{ClusterTree, TreeNode};
+pub use chordal::{mcs_fill_in, ChordalDecomposition};
+pub use rtc::{ClusterTree, TreeNode, TreeScratch};
 pub use undirected::UnGraph;

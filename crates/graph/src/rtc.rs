@@ -11,10 +11,17 @@
 //!    hanging off the same parent) are independent — no graph edge crosses
 //!    between them — so the assignment sub-problems they induce can be solved
 //!    independently.
+//!
+//! Every node set is a bit mask over the graph's node ids, a row wide. The
+//! chordal completion runs on the set's mask and a clique is scored by
+//! counting the flood-fill components of `set & !clique`, so no subgraph is
+//! copied and no id renumbered: every tie goes to the smallest id. The
+//! recursion is a stack of masks, children pushed in reverse order of their
+//! smallest node, so nodes are created in the recursive definition's preorder.
 
-use crate::chordal::mcs_fill_in;
-use crate::undirected::UnGraph;
-use std::collections::BTreeSet;
+use crate::chordal::Completion;
+use crate::undirected::{count, ones, Flood, UnGraph};
+use std::cmp::Reverse;
 
 /// One node of the cluster tree: a set of graph nodes (a separator clique of
 /// the subgraph it was extracted from) plus child tree nodes.
@@ -40,10 +47,31 @@ impl ClusterTree {
     /// Builds the cluster tree of `graph` by applying RTC to every connected
     /// component.
     pub fn build(graph: &UnGraph) -> ClusterTree {
-        let mut tree = ClusterTree::default();
-        for component in graph.connected_components() {
-            let root = build_component(graph, component, &mut tree.nodes);
-            tree.roots.push(root);
+        ClusterTree::build_with(graph, &mut TreeScratch::default())
+    }
+
+    /// [`ClusterTree::build`] on the buffers of `scratch`. A complete set
+    /// (one vertex, or every worker in reach of one new task) is its own and
+    /// only maximal clique, the separator the generic step would pick with
+    /// nothing left below it: it becomes one node without a chordal
+    /// completion. An isolated node becomes a root leaf without a mask.
+    pub fn build_with(graph: &UnGraph, scratch: &mut TreeScratch) -> ClusterTree {
+        let (sc, mut tree) = (scratch, ClusterTree::default());
+        graph.all_nodes(&mut sc.unplaced);
+        for v in graph.nodes() {
+            if sc.unplaced[v / 64] >> (v % 64) & 1 == 0 {
+                continue;
+            }
+            tree.roots.push(tree.nodes.len());
+            if graph.degree(v) == 0 {
+                sc.unplaced[v / 64] &= !(1 << (v % 64));
+                let (members, children) = (vec![v], Vec::new());
+                tree.nodes.push(TreeNode { members, children });
+            } else if sc.flood.pop(graph, &mut sc.unplaced) {
+                sc.pending.extend_from_slice(&sc.flood.component);
+                sc.parents.push(usize::MAX);
+                sc.grow(graph, &mut tree);
+            }
         }
         tree
     }
@@ -58,163 +86,143 @@ impl ClusterTree {
         self.nodes.is_empty()
     }
 
-    /// All graph nodes covered by the tree, sorted.
-    pub fn covered_nodes(&self) -> Vec<usize> {
-        let mut all: Vec<usize> = self
-            .nodes
-            .iter()
-            .flat_map(|n| n.members.iter().copied())
-            .collect();
-        all.sort_unstable();
-        all
-    }
-
     /// Returns the members of every node in the subtree rooted at `node`.
     pub fn subtree_members(&self, node: usize) -> Vec<usize> {
         let mut out = Vec::new();
         let mut stack = vec![node];
         while let Some(n) = stack.pop() {
-            out.extend(self.nodes[n].members.iter().copied());
-            stack.extend(self.nodes[n].children.iter().copied());
+            out.extend(&self.nodes[n].members);
+            stack.extend(&self.nodes[n].children);
         }
         out.sort_unstable();
         out
     }
 
-    /// Depth of the tree (longest root-to-leaf path, in nodes). Zero for an
-    /// empty tree.
-    pub fn depth(&self) -> usize {
-        fn depth_of(tree: &ClusterTree, node: usize) -> usize {
-            1 + tree.nodes[node]
-                .children
-                .iter()
-                .map(|&c| depth_of(tree, c))
-                .max()
-                .unwrap_or(0)
-        }
-        self.roots
-            .iter()
-            .map(|&r| depth_of(self, r))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Verifies the sibling-independence property against the original graph:
-    /// for every tree node, the subtrees rooted at its children must be
-    /// pairwise non-adjacent in `graph`. Returns `true` when the property
-    /// holds. Exposed for tests and debugging.
+    /// for every tree node, and for the roots, the subtrees rooted at its
+    /// children must be pairwise non-adjacent in `graph`. Returns `true` when
+    /// the property holds. Exposed for tests and debugging.
     pub fn verify_sibling_independence(&self, graph: &UnGraph) -> bool {
-        for node in &self.nodes {
-            let child_sets: Vec<Vec<usize>> = node
-                .children
-                .iter()
-                .map(|&c| self.subtree_members(c))
-                .collect();
-            for i in 0..child_sets.len() {
-                for j in (i + 1)..child_sets.len() {
-                    for &u in &child_sets[i] {
-                        for &v in &child_sets[j] {
-                            if graph.has_edge(u, v) {
-                                return false;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // Roots correspond to different connected components: independent by
-        // construction, but verify anyway.
-        for i in 0..self.roots.len() {
-            for j in (i + 1)..self.roots.len() {
-                let a = self.subtree_members(self.roots[i]);
-                let b = self.subtree_members(self.roots[j]);
-                for &u in &a {
-                    for &v in &b {
-                        if graph.has_edge(u, v) {
-                            return false;
-                        }
-                    }
-                }
-            }
-        }
-        true
+        let groups = self.nodes.iter().map(|n| &n.children).chain([&self.roots]);
+        groups.into_iter().all(|siblings| {
+            let sets: Vec<_> = siblings.iter().map(|&c| self.subtree_members(c)).collect();
+            sets.iter().enumerate().all(|(i, a)| {
+                let apart =
+                    |b: &Vec<usize>| a.iter().all(|&u| b.iter().all(|&v| !graph.has_edge(u, v)));
+                sets[i + 1..].iter().all(apart)
+            })
+        })
     }
 }
 
-/// Builds the subtree of one connected (non-empty) component and returns the
-/// index of its root node. A complete component — one vertex, or every pair
-/// adjacent, the common shape when every worker in reach of one new task
-/// depends on every other — is its own and only maximal clique: removing it
-/// leaves nothing, so it is the separator the recursive step would pick and
-/// there is nothing below it. It becomes a single node, members ascending,
-/// without the induced subgraph, chordal completion and per-clique scoring
-/// the recursive step would run to reach the same node.
-fn build_component(graph: &UnGraph, component: Vec<usize>, nodes: &mut Vec<TreeNode>) -> usize {
-    // The degree test rejects a sparse component in one pass before any
-    // adjacency lookup.
-    let complete = component
-        .iter()
-        .all(|&v| graph.degree(v) + 1 >= component.len())
-        && graph.is_clique(&component);
-    if complete {
-        nodes.push(TreeNode {
-            members: component,
-            children: Vec::new(),
-        });
-        return nodes.len() - 1;
-    }
-    build_recursive(graph, &component.into_iter().collect(), nodes)
+/// The buffers of [`ClusterTree::build_with`], kept across builds.
+#[derive(Debug, Clone, Default)]
+pub struct TreeScratch {
+    completion: Completion,
+    flood: Flood,
+    /// Node sets waiting for their subtree, one mask each, and the tree node
+    /// each hangs under (`usize::MAX`, no node, for a root).
+    pending: Vec<u64>,
+    parents: Vec<usize>,
+    /// The nodes no tree node holds yet; the set being built, and what is
+    /// left of it once a clique is removed.
+    unplaced: Vec<u64>,
+    set: Vec<u64>,
+    rest: Vec<u64>,
+    best: Vec<u64>,
 }
 
-/// Recursive step of RTC on the subgraph of `graph` induced by the non-empty
-/// set `allowed`. Returns the index of the created root node.
-fn build_recursive(graph: &UnGraph, allowed: &BTreeSet<usize>, nodes: &mut Vec<TreeNode>) -> usize {
-    // Work on the induced subgraph so clique enumeration only sees `allowed`.
-    let member_list: Vec<usize> = allowed.iter().copied().collect();
-    let (sub, mapping) = graph.induced_subgraph(&member_list);
-    let decomposition = mcs_fill_in(&sub);
-    // Pick the clique whose removal yields the most components (paper step i),
-    // breaking ties towards smaller cliques then lexicographic order, so the
-    // construction is deterministic.
-    let mut best_clique: Option<&Vec<usize>> = None;
-    let mut best_score: Option<(std::cmp::Reverse<usize>, usize)> = None;
-    for clique in &decomposition.cliques {
-        let clique_set: BTreeSet<usize> = clique.iter().copied().collect();
-        let rest: BTreeSet<usize> = (0..sub.node_count())
-            .filter(|v| !clique_set.contains(v))
-            .collect();
-        let comps = sub.components_within(&rest);
-        let score = (std::cmp::Reverse(comps.len()), clique.len());
-        if best_score.is_none_or(|bs| score < bs) {
-            best_score = Some(score);
-            best_clique = Some(clique);
+impl TreeScratch {
+    /// Builds the subtrees of the pending sets into `tree`, depth first.
+    fn grow(&mut self, graph: &UnGraph, tree: &mut ClusterTree) {
+        while let Some(parent) = self.parents.pop() {
+            let at = self.pending.len() - graph.words();
+            self.set.clear();
+            self.set.extend(self.pending.drain(at..));
+            let index = tree.nodes.len();
+            let members = if is_complete(graph, &self.set) {
+                ones(&self.set).collect()
+            } else {
+                self.choose_separator(graph);
+                self.rest.clear();
+                let rest = self.set.iter().zip(&self.best).map(|(s, c)| s & !c);
+                self.rest.extend(rest);
+                self.push_components(graph, index);
+                ones(&self.best).collect()
+            };
+            let children = Vec::new();
+            tree.nodes.push(TreeNode { members, children });
+            if let Some(parent) = tree.nodes.get_mut(parent) {
+                parent.children.push(index);
+            }
         }
     }
-    let separator = best_clique
-        .expect("non-empty graph yields at least one clique")
-        .clone();
-    // Map separator back to original node ids.
-    let members: Vec<usize> = separator.iter().map(|&v| mapping[v]).collect();
-    let node_index = nodes.len();
-    nodes.push(TreeNode {
-        members: members.clone(),
-        children: Vec::new(),
-    });
-    // Recurse into each component of (allowed \ separator).
-    let member_set: BTreeSet<usize> = members.iter().copied().collect();
-    let remaining: BTreeSet<usize> = allowed.difference(&member_set).copied().collect();
-    let children = graph
-        .components_within(&remaining)
-        .into_iter()
-        .map(|component| build_component(graph, component, nodes))
-        .collect();
-    nodes[node_index].children = children;
-    node_index
+
+    /// Pushes the components of `rest` under `parent`, the one with the
+    /// largest smallest node first, so that they pop in ascending order.
+    fn push_components(&mut self, graph: &UnGraph, parent: usize) {
+        let start = self.pending.len();
+        while self.flood.pop(graph, &mut self.rest) {
+            self.pending.extend_from_slice(&self.flood.component);
+            self.parents.push(parent);
+        }
+        self.pending[start..].reverse();
+        let masks = self.pending[start..].chunks_mut(graph.words().max(1));
+        masks.for_each(<[u64]>::reverse);
+    }
+
+    /// Leaves in `best` the separator of the (connected, not complete) set:
+    /// the maximal clique of its chordal completion whose removal leaves the
+    /// most components, then the smaller clique, then the first in ascending
+    /// lexicographic order of the member lists.
+    fn choose_separator(&mut self, graph: &UnGraph) {
+        self.completion.run(graph, &self.set);
+        let mut best: Option<(Reverse<usize>, usize)> = None;
+        for clique in self.completion.cliques.chunks_exact(graph.words()) {
+            self.rest.clear();
+            self.rest
+                .extend(self.set.iter().zip(clique).map(|(s, c)| s & !c));
+            let mut components = 0;
+            while self.flood.pop(graph, &mut self.rest) {
+                components += 1;
+            }
+            let score = (Reverse(components), count(clique));
+            if best.is_none_or(|b| score < b || score == b && first_in_order(clique, &self.best)) {
+                best = Some(score);
+                self.best.clear();
+                self.best.extend_from_slice(clique);
+            }
+        }
+    }
+}
+
+/// Whether the set is complete: every member's row holds every other member.
+fn is_complete(graph: &UnGraph, set: &[u64]) -> bool {
+    let missing = |v| ones(set.iter().zip(graph.row(v)).map(|(s, r)| s & !r));
+    ones(set).all(|v| missing(v).count() == 1)
+}
+
+/// Whether `a` comes before `b`, two distinct equal-sized sets, as ascending
+/// member lists: the lowest member of one but not both is `a`'s.
+fn first_in_order(a: &[u64], b: &[u64]) -> bool {
+    let differ = a.iter().zip(b).find(|(x, y)| x != y);
+    differ.is_some_and(|(x, y)| x & (x ^ y) & (x ^ y).wrapping_neg() != 0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every graph node the tree holds, sorted.
+    fn covered(tree: &ClusterTree) -> Vec<usize> {
+        let mut all: Vec<usize> = tree
+            .roots
+            .iter()
+            .flat_map(|&r| tree.subtree_members(r))
+            .collect();
+        all.sort_unstable();
+        all
+    }
 
     fn path(n: usize) -> UnGraph {
         let mut g = UnGraph::new(n);
@@ -232,14 +240,13 @@ mod tests {
         assert_eq!(t.roots, vec![0]);
         assert_eq!(t.nodes[0].members, vec![0]);
         assert!(t.nodes[0].children.is_empty());
-        assert_eq!(t.depth(), 1);
     }
 
     #[test]
     fn every_node_is_covered_exactly_once() {
         let g = path(9);
         let t = ClusterTree::build(&g);
-        assert_eq!(t.covered_nodes(), (0..9).collect::<Vec<_>>());
+        assert_eq!(covered(&t), (0..9).collect::<Vec<_>>());
     }
 
     #[test]
@@ -265,7 +272,7 @@ mod tests {
         let t = ClusterTree::build(&g);
         assert_eq!(t.roots.len(), 3);
         assert!(t.verify_sibling_independence(&g));
-        assert_eq!(t.covered_nodes(), (0..6).collect::<Vec<_>>());
+        assert_eq!(covered(&t), (0..6).collect::<Vec<_>>());
     }
 
     #[test]
@@ -279,7 +286,6 @@ mod tests {
         let t = ClusterTree::build(&g);
         assert_eq!(t.len(), 1);
         assert_eq!(t.nodes[0].members, vec![0, 1, 2, 3]);
-        assert_eq!(t.depth(), 1);
     }
 
     #[test]
@@ -299,7 +305,7 @@ mod tests {
         }
         let t = ClusterTree::build(&g);
         assert!(t.verify_sibling_independence(&g));
-        assert_eq!(t.covered_nodes(), (0..9).collect::<Vec<_>>());
+        assert_eq!(covered(&t), (0..9).collect::<Vec<_>>());
     }
 
     #[test]
@@ -315,6 +321,5 @@ mod tests {
         let g = UnGraph::new(0);
         let t = ClusterTree::build(&g);
         assert!(t.is_empty());
-        assert_eq!(t.depth(), 0);
     }
 }

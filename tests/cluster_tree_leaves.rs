@@ -3,62 +3,23 @@
 //! its separator is removed — into a single node directly. The trees must
 //! stay exactly the ones the generic recursive construction produces — node
 //! order, members and children — because the planner's partition order and
-//! every index tie-break hang off them.
+//! every index tie-break hang off them. The generic construction is the
+//! `BTreeSet` reference `cluster_tree_reference` diffs against, which has no
+//! such shortcut.
 
-use datawa::graph::{mcs_fill_in, ClusterTree, TreeNode, UnGraph};
+#[path = "support/cluster_tree_reference.rs"]
+mod reference;
+
+use datawa::graph::{ClusterTree, UnGraph};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use reference::reference_tree;
 
-/// Recursive tree construction without the shortcut: every component, one
-/// vertex or many, complete or not, goes through induced subgraph → chordal
-/// completion → best separator clique → recursion.
-fn generic_tree(graph: &UnGraph) -> ClusterTree {
-    fn recurse(graph: &UnGraph, allowed: &BTreeSet<usize>, nodes: &mut Vec<TreeNode>) -> usize {
-        let member_list: Vec<usize> = allowed.iter().copied().collect();
-        let (sub, mapping) = graph.induced_subgraph(&member_list);
-        let decomposition = mcs_fill_in(&sub);
-        let separator = decomposition
-            .cliques
-            .iter()
-            .min_by_key(|clique| {
-                let rest: BTreeSet<usize> = (0..sub.node_count())
-                    .filter(|v| !clique.contains(v))
-                    .collect();
-                // Most components first, then the smaller clique; `min_by_key`
-                // keeps the first of equals, like the strict `<` it mirrors.
-                (
-                    std::cmp::Reverse(sub.components_within(&rest).len()),
-                    clique.len(),
-                )
-            })
-            .expect("non-empty graph yields at least one clique");
-        let members: Vec<usize> = separator.iter().map(|&v| mapping[v]).collect();
-        let index = nodes.len();
-        nodes.push(TreeNode {
-            members: members.clone(),
-            children: Vec::new(),
-        });
-        let remaining: BTreeSet<usize> = allowed
-            .iter()
-            .copied()
-            .filter(|v| !members.contains(v))
-            .collect();
-        let mut children = Vec::new();
-        for component in graph.components_within(&remaining) {
-            let component: BTreeSet<usize> = component.into_iter().collect();
-            children.push(recurse(graph, &component, nodes));
-        }
-        nodes[index].children = children;
-        index
-    }
-
-    let mut tree = ClusterTree::default();
-    for component in graph.connected_components() {
-        let allowed: BTreeSet<usize> = component.into_iter().collect();
-        let root = recurse(graph, &allowed, &mut tree.nodes);
-        tree.roots.push(root);
-    }
-    tree
+/// Every graph node the tree holds, sorted.
+fn covered(tree: &ClusterTree) -> Vec<usize> {
+    let roots = tree.roots.iter();
+    let mut all: Vec<usize> = roots.flat_map(|&r| tree.subtree_members(r)).collect();
+    all.sort_unstable();
+    all
 }
 
 proptest! {
@@ -77,8 +38,8 @@ proptest! {
             graph.add_edge(u % n, v % n);
         }
         let tree = ClusterTree::build(&graph);
-        prop_assert_eq!(&tree, &generic_tree(&graph));
-        prop_assert_eq!(tree.covered_nodes(), (0..n).collect::<Vec<_>>());
+        prop_assert_eq!(&tree, &reference_tree(&graph));
+        prop_assert_eq!(covered(&tree), (0..n).collect::<Vec<_>>());
         let isolated = (0..n).filter(|&v| graph.degree(v) == 0).count();
         let leaf_roots = tree
             .roots
@@ -123,7 +84,7 @@ proptest! {
             cliques.push(members);
         }
         let tree = ClusterTree::build(&graph);
-        prop_assert_eq!(&tree, &generic_tree(&graph));
+        prop_assert_eq!(&tree, &reference_tree(&graph));
         prop_assert_eq!(tree.len(), tree.roots.len(), "one node per component");
         for members in cliques.iter().filter(|m| !m.is_empty()) {
             let node = tree
@@ -155,7 +116,7 @@ proptest! {
         let b = members[(drop_a % size + 1 + drop_b % (size - 1)) % size];
         graph.remove_edge(a, b);
         let tree = ClusterTree::build(&graph);
-        prop_assert_eq!(&tree, &generic_tree(&graph));
+        prop_assert_eq!(&tree, &reference_tree(&graph));
         let root = &tree.nodes[tree.roots[offset]];
         prop_assert_eq!(root.members.len(), size - 1);
         prop_assert_eq!(root.children.len(), 1);
@@ -193,8 +154,8 @@ proptest! {
             graph.remove_edge(1 + u % (n - 1), 1 + v % (n - 1));
         }
         let tree = ClusterTree::build(&graph);
-        prop_assert_eq!(&tree, &generic_tree(&graph));
-        prop_assert_eq!(tree.covered_nodes(), (0..n).collect::<Vec<_>>());
+        prop_assert_eq!(&tree, &reference_tree(&graph));
+        prop_assert_eq!(covered(&tree), (0..n).collect::<Vec<_>>());
         prop_assert!(tree.verify_sibling_independence(&graph));
     }
 }

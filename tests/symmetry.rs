@@ -1,9 +1,10 @@
 //! Translation invariance: the planner's answers depend on differences of
 //! times and of locations, never on where the origin is.
 //!
-//! Greedy, FTA and DTA run on `yueche-0.1` at both golden seeds, as
-//! `golden_counts` runs those rows, once untransformed and once under each
-//! of two transforms of the whole workload:
+//! Greedy, FTA and DTA run on `yueche-0.1` and on the 400×150 heavy-tailed
+//! churn scenario at both golden seeds, as `golden_counts` runs those rows
+//! (per arrival, resp. batched by sixteen), once untransformed and once
+//! under each of two transforms of the whole workload:
 //!
 //! * every time — publication, expiration, online, offline — moves 1,000 s
 //!   later;
@@ -31,10 +32,14 @@ impl DecisionSink for PairSink {
     }
 }
 
-fn run(policy: PolicyKind, workload: &Workload) -> (usize, Vec<(WorkerId, TaskId)>) {
+fn run(
+    policy: PolicyKind,
+    workload: &Workload,
+    engine: EngineConfig,
+) -> (usize, Vec<(WorkerId, TaskId)>) {
     let runner = AdaptiveRunner::new(AssignConfig::default(), policy);
     let mut forecast = StaticForecast::default();
-    let mut session = Session::open(&runner, &mut forecast, EngineConfig::default());
+    let mut session = Session::open(&runner, &mut forecast, engine);
     session
         .ingest_workload(workload)
         .expect("a generated workload ingests");
@@ -89,40 +94,58 @@ fn shift_locations(workload: &Workload, dx: f64, dy: f64) -> Workload {
     }
 }
 
+/// Runs every policy on `workload` and on both transforms of it.
+fn assert_invariant(scenario: &str, seed: u64, workload: &Workload, engine: EngineConfig) {
+    let transforms = [
+        ("time + 1000 s", shift_times(workload, 1_000.0)),
+        ("location + (1e4, 1e4)", shift_locations(workload, 1e4, 1e4)),
+    ];
+    for policy in POLICIES {
+        let (assigned, pairs) = run(policy, workload, engine);
+        assert!(
+            assigned > 0,
+            "{scenario}, seed {seed}, {}: nothing assigned",
+            policy.name()
+        );
+        for (name, transformed) in &transforms {
+            let (t_assigned, t_pairs) = run(policy, transformed, engine);
+            assert_eq!(
+                t_assigned,
+                assigned,
+                "{scenario}, seed {seed}, {}, {name}: assigned count",
+                policy.name()
+            );
+            assert_eq!(
+                t_pairs,
+                pairs,
+                "{scenario}, seed {seed}, {}, {name}: dispatch pairs",
+                policy.name()
+            );
+        }
+    }
+}
+
 #[test]
 fn dispatch_pairs_are_invariant_under_time_and_location_shifts() {
     for seed in SEEDS {
         let trace = SyntheticTrace::generate(TraceSpec::yueche().scaled(0.1).with_seed(seed));
-        let workload = trace.workload();
-        let transforms = [
-            ("time + 1000 s", shift_times(&workload, 1_000.0)),
-            (
-                "location + (1e4, 1e4)",
-                shift_locations(&workload, 1e4, 1e4),
-            ),
-        ];
-        for policy in POLICIES {
-            let (assigned, pairs) = run(policy, &workload);
-            assert!(
-                assigned > 0,
-                "seed {seed}, {}: nothing assigned",
-                policy.name()
-            );
-            for (name, transformed) in &transforms {
-                let (t_assigned, t_pairs) = run(policy, transformed);
-                assert_eq!(
-                    t_assigned,
-                    assigned,
-                    "seed {seed}, {}, {name}: assigned count",
-                    policy.name()
-                );
-                assert_eq!(
-                    t_pairs,
-                    pairs,
-                    "seed {seed}, {}, {name}: dispatch pairs",
-                    policy.name()
-                );
-            }
-        }
+        assert_invariant(
+            "yueche-0.1",
+            seed,
+            &trace.workload(),
+            EngineConfig::default(),
+        );
+    }
+}
+
+#[test]
+fn churn_dispatch_pairs_are_invariant_under_time_and_location_shifts() {
+    for seed in SEEDS {
+        let spec = ScenarioSpec::small()
+            .with_tasks(400)
+            .with_workers(150)
+            .with_seed(seed);
+        let workload = HeavyTailedChurn::new(spec).generate();
+        assert_invariant("churn", seed, &workload, EngineConfig::batched(16));
     }
 }
