@@ -163,19 +163,27 @@ mod tests {
             ExperimentScale::fixed(0.01),
             &fast_config(),
         );
-        // 2 sweep values × 5 policies.
-        assert_eq!(rows.len(), 10);
-        let policies: std::collections::HashSet<&str> =
-            rows.iter().map(|r| r.policy.as_str()).collect();
-        assert_eq!(policies.len(), 5);
-        // More workers must not assign fewer tasks for the adaptive methods.
-        let assigned = |value: &str, policy: &str| {
-            rows.iter()
-                .find(|r| r.value == value && r.policy == policy)
-                .map(|r| r.assigned_tasks)
-                .unwrap()
-        };
-        assert!(assigned("600", "DTA") >= assigned("200", "DTA"));
+        // `(|W|, policy, assigned, events)`: 2 sweep values × 5 policies.
+        const PINNED: [(&str, &str, usize, usize); 10] = [
+            ("200", "Greedy", 1, 113),
+            ("200", "FTA", 2, 113),
+            ("200", "DTA", 1, 113),
+            ("200", "DTA+TP", 1, 113),
+            ("200", "DATA-WA", 1, 113),
+            ("600", "Greedy", 1, 117),
+            ("600", "FTA", 3, 117),
+            ("600", "DTA", 1, 117),
+            ("600", "DTA+TP", 1, 117),
+            ("600", "DATA-WA", 1, 117),
+        ];
+        let got: Vec<(&str, &str, usize, usize)> = rows
+            .iter()
+            .map(|r| {
+                let (value, policy) = (r.value.as_str(), r.policy.as_str());
+                (value, policy, r.assigned_tasks, r.events)
+            })
+            .collect();
+        assert_eq!(got, PINNED);
         for r in &rows {
             assert!(r.cpu_seconds >= 0.0);
             assert_eq!(r.axis, "|W|");

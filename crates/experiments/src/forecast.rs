@@ -229,32 +229,52 @@ mod tests {
     fn report_covers_every_scenario_and_model() {
         let spec = ScenarioSpec::small().with_tasks(150).with_workers(10);
         let rows = scenario_prediction_report(spec, &tiny_config());
-        assert_eq!(rows.len(), 4 * 3, "4 scenarios × 3 predictors");
+        // `(scenario, model, AP bits)`, the same in debug and release.
+        const PINNED: [(&str, &str, u64); 12] = [
+            ("uniform-baseline", "LSTM", 0x3fbd0bd706181aad),
+            ("uniform-baseline", "Graph-Wavenet", 0x3fc099695ee184b7),
+            ("uniform-baseline", "DDGNN", 0x3fb6e28438e3f187),
+            ("rush-hour-burst", "LSTM", 0x3fcd45ee65c2c856),
+            ("rush-hour-burst", "Graph-Wavenet", 0x3fd2670a78a4216f),
+            ("rush-hour-burst", "DDGNN", 0x3fb31d99f42134df),
+            ("hotspot-drift", "LSTM", 0x3fdd5305452bf843),
+            ("hotspot-drift", "Graph-Wavenet", 0x3fdd44cc59cd95af),
+            ("hotspot-drift", "DDGNN", 0x3fac33dc44942ca6),
+            ("heavy-tailed-churn", "LSTM", 0x3fc1a7937bcf4a9e),
+            ("heavy-tailed-churn", "Graph-Wavenet", 0x3fc631f9998b8a9d),
+            ("heavy-tailed-churn", "DDGNN", 0x3fc04e03e961d925),
+        ];
+        let got: Vec<(&str, &str, u64)> = rows
+            .iter()
+            .map(|r| {
+                let ap = r.average_precision.to_bits();
+                (r.scenario.as_str(), r.model.as_str(), ap)
+            })
+            .collect();
+        assert_eq!(got, PINNED);
         for row in &rows {
-            assert!(
-                (0.0..=1.0).contains(&row.average_precision),
-                "{}/{}: AP out of range",
-                row.scenario,
-                row.model
-            );
             assert!(row.train_seconds >= 0.0);
         }
-        let scenarios: std::collections::HashSet<&str> =
-            rows.iter().map(|r| r.scenario.as_str()).collect();
-        assert_eq!(scenarios.len(), 4);
-        let models: std::collections::HashSet<&str> =
-            rows.iter().map(|r| r.model.as_str()).collect();
-        assert_eq!(models.len(), 3);
     }
 
     #[test]
     fn online_forecaster_refreshes_during_a_scenario_run() {
         let spec = ScenarioSpec::small().with_tasks(120).with_workers(8);
         let rows = scenario_online_vs_blind(spec, &tiny_config());
-        assert_eq!(rows.len(), 4);
-        for row in &rows {
-            assert!(row.refreshes > 0, "{}: no online refresh", row.scenario);
-            assert!(row.online_assigned <= 120);
-        }
+        // `(scenario, blind assigned, online assigned, refreshes)`.
+        const PINNED: [(&str, usize, usize, usize); 4] = [
+            ("uniform-baseline", 3, 3, 38),
+            ("rush-hour-burst", 11, 11, 29),
+            ("hotspot-drift", 4, 4, 41),
+            ("heavy-tailed-churn", 5, 5, 42),
+        ];
+        let got: Vec<(&str, usize, usize, usize)> = rows
+            .iter()
+            .map(|r| {
+                let scenario = r.scenario.as_str();
+                (scenario, r.blind_assigned, r.online_assigned, r.refreshes)
+            })
+            .collect();
+        assert_eq!(got, PINNED);
     }
 }
