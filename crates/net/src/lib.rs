@@ -71,5 +71,5 @@ pub mod wire;
 
 pub use chaos::{ChaosPlan, ChaosProxy, Fault};
 pub use client::{ClientError, ClientOutcome, ClosedSummary, NetClient, RetryOutcome, RetryPolicy};
-pub use server::{NetConfig, NetServer};
+pub use server::{NetConfig, NetServer, TENANT_TVF};
 pub use wire::{ErrorCode, Frame, RetryReason, WireError, MAX_FRAME_LEN, PROTOCOL_VERSION};

@@ -87,6 +87,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
+/// The `(hidden width, seed)` of every tenant's Task Value Function (DATA-WA
+/// only). Every tenant pump builds its TVF from this pair, so a direct run
+/// constructed with `TaskValueFunction::new(hidden, seed)` is bit-identical.
+pub const TENANT_TVF: (usize, u64) = (8, 0);
+
 /// Server configuration: which policy tenants run, and where the admission
 /// limits sit.
 #[derive(Debug, Clone)]
@@ -108,12 +113,6 @@ pub struct NetConfig {
     pub global_pending_cap: usize,
     /// Backoff carried in retry-after frames, in seconds.
     pub retry_after_secs: f64,
-    /// Hidden width of the per-tenant Task Value Function (DATA-WA only).
-    pub tvf_hidden: usize,
-    /// Seed for the per-tenant TVF weights. Every tenant pump builds its TVF
-    /// from `(tvf_hidden, tvf_seed)`, so a direct run constructed with
-    /// `TaskValueFunction::new(tvf_hidden, tvf_seed)` is bit-identical.
-    pub tvf_seed: u64,
     /// Deterministic fault injection: `(tenant, n)` entries panic that
     /// tenant's pump at the instant its journal holds exactly `n` events —
     /// i.e. just before the `n+1`-th event would be admitted. Each entry
@@ -133,8 +132,6 @@ impl Default for NetConfig {
             tenant_pending_quota: 1024,
             global_pending_cap: 8192,
             retry_after_secs: 0.05,
-            tvf_hidden: 8,
-            tvf_seed: 0,
             pump_kills: Vec::new(),
         }
     }
@@ -850,10 +847,8 @@ fn pump_once(
         // with_tvf consumes the TVF and the type is not Clone, so every pump
         // rebuilds it from the shared (hidden, seed) pair — deterministic,
         // hence still bit-equal to a direct run.
-        runner = runner.with_tvf(TaskValueFunction::new(
-            shared.cfg.tvf_hidden,
-            shared.cfg.tvf_seed,
-        ));
+        let (hidden, seed) = TENANT_TVF;
+        runner = runner.with_tvf(TaskValueFunction::new(hidden, seed));
     }
     let mut forecast = StaticForecast::default();
     let outbox = RefCell::new(Outbox {

@@ -6,6 +6,7 @@
 use datawa_assign::{AdaptiveRunner, AssignConfig, PolicyKind, StaticForecast, TaskValueFunction};
 use datawa_net::{
     ClientError, Frame, NetClient, NetConfig, NetServer, RetryOutcome, RetryPolicy, RetryReason,
+    TENANT_TVF,
 };
 use datawa_service::{IngestSource, SourcePoll, WorkloadSource};
 use datawa_stream::{
@@ -16,9 +17,10 @@ use datawa_stream::{
 fn direct_decisions(policy: PolicyKind, workload: &Workload) -> Vec<Decision> {
     let mut runner = AdaptiveRunner::new(AssignConfig::default(), policy);
     if policy == PolicyKind::DataWa {
-        // NetConfig's default TVF (hidden, seed) pair: identical weights to
-        // the server-side pump.
-        runner = runner.with_tvf(TaskValueFunction::new(8, 0));
+        // The server's TVF (hidden, seed) pair: identical weights to the
+        // server-side pump.
+        let (hidden, seed) = TENANT_TVF;
+        runner = runner.with_tvf(TaskValueFunction::new(hidden, seed));
     }
     let mut forecast = StaticForecast::default();
     let mut session = Session::open(&runner, &mut forecast, EngineConfig::default());

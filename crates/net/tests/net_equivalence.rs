@@ -5,7 +5,7 @@
 //! concurrently. The transport is a front-end, not a fork of the engine.
 
 use datawa_assign::{AdaptiveRunner, AssignConfig, PolicyKind, StaticForecast, TaskValueFunction};
-use datawa_net::{NetClient, NetConfig, NetServer};
+use datawa_net::{NetClient, NetConfig, NetServer, TENANT_TVF};
 use datawa_service::{IngestSource, SourcePoll, WorkloadSource};
 use datawa_stream::{
     CollectingSink, Decision, EngineConfig, HotspotDrift, ScenarioGenerator, ScenarioSpec, Session,
@@ -31,9 +31,10 @@ fn workloads() -> Vec<(&'static str, Workload)> {
 fn direct_decisions(policy: PolicyKind, workload: &Workload) -> Vec<Decision> {
     let mut runner = AdaptiveRunner::new(AssignConfig::default(), policy);
     if policy == PolicyKind::DataWa {
-        // The same (hidden, seed) pair as NetConfig's default, so the direct
-        // run and the server's per-tenant pump share identical TVF weights.
-        runner = runner.with_tvf(TaskValueFunction::new(8, 0));
+        // The server's (hidden, seed) pair, so the direct run and the
+        // per-tenant pump share identical TVF weights.
+        let (hidden, seed) = TENANT_TVF;
+        runner = runner.with_tvf(TaskValueFunction::new(hidden, seed));
     }
     let mut forecast = StaticForecast::default();
     let mut session = Session::open(&runner, &mut forecast, EngineConfig::default());

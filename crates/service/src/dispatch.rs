@@ -70,13 +70,6 @@ pub struct ServiceStats {
     /// forecast queries, model refreshes) — live, so a dashboard polling
     /// [`DispatchService::stats`] sees re-forecasts as they happen.
     pub forecast: ForecastStats,
-    /// Idle workers the planner dropped for reaching nothing (cumulative,
-    /// from the `assign.partitions_reused` counter — the name is historical:
-    /// each would have been a trivial partition, no plan is ever reused).
-    pub partitions_reused: usize,
-    /// Planning partitions searched — every partition of every instant
-    /// (cumulative, from the `assign.partitions_recomputed` counter).
-    pub partitions_recomputed: usize,
 }
 
 /// Outcome of one [`DispatchService::pump`] step.
@@ -126,11 +119,6 @@ struct ServiceMetrics {
     backpressure_stalls: Counter,
     backlog: Gauge,
     pump_seconds: Histogram,
-    /// Assign-layer partition counters (recorded by the session's runner
-    /// state into this same registry); surfaced through
-    /// [`DispatchService::stats`].
-    partitions_reused: Counter,
-    partitions_recomputed: Counter,
 }
 
 impl ServiceMetrics {
@@ -141,8 +129,6 @@ impl ServiceMetrics {
             backpressure_stalls: registry.counter("service.backpressure_stalls"),
             backlog: registry.gauge("service.backlog"),
             pump_seconds: registry.histogram("service.pump_seconds"),
-            partitions_reused: registry.counter("assign.partitions_reused"),
-            partitions_recomputed: registry.counter("assign.partitions_recomputed"),
         }
     }
 }
@@ -235,8 +221,6 @@ impl<'a, Src: IngestSource, Sink: DecisionSink> DispatchService<'a, Src, Sink> {
             forecast: self.session.forecast_stats(),
             backpressure_flushes: self.metrics.backpressure_stalls.value() as usize,
             backlog_high_water: self.metrics.backlog.high_water().max(0) as usize,
-            partitions_reused: self.metrics.partitions_reused.value() as usize,
-            partitions_recomputed: self.metrics.partitions_recomputed.value() as usize,
             ..self.stats
         }
     }
@@ -361,7 +345,12 @@ mod tests {
             UniformBaseline::new(ScenarioSpec::small().with_tasks(200).with_workers(15)).generate();
         for policy in [PolicyKind::Greedy, PolicyKind::Fta, PolicyKind::Dta] {
             let r = runner(policy);
-            let batch = run_workload(&r, &workload, &[], EngineConfig::default());
+            let batch = run_workload(
+                &r,
+                &workload,
+                &mut StaticForecast::default(),
+                EngineConfig::default(),
+            );
             let mut forecast = StaticForecast::default();
             let service = DispatchService::open(
                 &r,
@@ -476,7 +465,12 @@ mod tests {
         assert!(outcome.run.assigned_tasks > 0);
         // Backpressure changes *when* decisions surface, not what is
         // decided: totals still match the unbounded batch run.
-        let batch = run_workload(&r, &workload, &[], EngineConfig::default());
+        let batch = run_workload(
+            &r,
+            &workload,
+            &mut StaticForecast::default(),
+            EngineConfig::default(),
+        );
         assert_eq!(outcome.run.assigned_tasks, batch.run.assigned_tasks);
     }
 
@@ -506,7 +500,7 @@ mod tests {
         };
         let r = AdaptiveRunner::new(AssignConfig::unit_speed(), PolicyKind::Dta);
         let config = EngineConfig::ticked(10.0);
-        let batch = run_workload(&r, &workload, &[], config);
+        let batch = run_workload(&r, &workload, &mut StaticForecast::default(), config);
         assert_eq!(batch.run.assigned_tasks, 1, "the t=20 tick plans the task");
         // A 4 s pacing step lands the clock exactly on t=20.
         let mut forecast = StaticForecast::default();

@@ -4,16 +4,16 @@
 //! availability window `off − on` and the task valid time `e − p`.
 //!
 //! Every run is one `datawa-stream` session over the trace (through
-//! `datawa_sim::run_policy`), re-planning at every arrival as the paper does
+//! [`run_policy`]), re-planning at every arrival as the paper does
 //! (`PipelineConfig::replan_every` and `replan_interval` select event- or
 //! time-batched re-planning for a caller that builds its own config).
 
-use crate::params::{Dataset, ExperimentScale};
-use datawa_assign::PolicyKind;
-use datawa_predict::DdgnnPredictor;
-use datawa_sim::{
+use crate::params::Dataset;
+use crate::{
     run_policy, run_prediction, train_tvf_on_prefix, PipelineConfig, SyntheticTrace, TraceSpec,
 };
+use datawa_assign::{PolicyKind, RunOutcome, StaticForecast};
+use datawa_predict::DdgnnPredictor;
 
 /// The sweep axis of one assignment experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,28 +32,17 @@ pub enum SweepAxis {
 }
 
 impl SweepAxis {
-    /// Axis label used in the output tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            SweepAxis::Tasks(_) => "|S|",
-            SweepAxis::Workers(_) => "|W|",
-            SweepAxis::ReachableDistance(_) => "d (km)",
-            SweepAxis::AvailableTime(_) => "off-on (h)",
-            SweepAxis::ValidTime(_) => "e-p (s)",
-        }
-    }
-
     /// The values swept (as display strings) paired with the trace spec they
     /// induce.
-    fn instantiate(&self, base: TraceSpec, scale: ExperimentScale) -> Vec<(String, TraceSpec)> {
+    fn instantiate(&self, base: TraceSpec) -> Vec<(String, TraceSpec)> {
         match self {
             SweepAxis::Tasks(values) => values
                 .iter()
-                .map(|&v| (v.to_string(), base.with_tasks(scale.apply(v))))
+                .map(|&v| (v.to_string(), base.with_tasks(v)))
                 .collect(),
             SweepAxis::Workers(values) => values
                 .iter()
-                .map(|&v| (v.to_string(), base.with_workers(scale.apply(v))))
+                .map(|&v| (v.to_string(), base.with_workers(v)))
                 .collect(),
             SweepAxis::ReachableDistance(values) => values
                 .iter()
@@ -74,20 +63,13 @@ impl SweepAxis {
 /// One row of a Fig. 7–11 series: one policy at one sweep value.
 #[derive(Debug, Clone)]
 pub struct AssignmentRow {
-    /// Dataset name.
-    pub dataset: String,
-    /// Sweep axis label.
-    pub axis: String,
     /// Sweep value (display form, e.g. "9000" or "0.5").
     pub value: String,
-    /// Policy name.
-    pub policy: String,
-    /// Number of assigned tasks.
-    pub assigned_tasks: usize,
-    /// Mean planning CPU time per time instance, in seconds.
-    pub cpu_seconds: f64,
-    /// Arrival events processed by the engine for this run.
-    pub events: usize,
+    /// The policy run.
+    pub policy: PolicyKind,
+    /// Its outcome: assigned tasks, mean planning CPU time per time
+    /// instance and the arrival events the engine processed.
+    pub run: RunOutcome,
 }
 
 /// Runs one assignment sweep (one of Fig. 7–11) on one dataset for all five
@@ -95,12 +77,12 @@ pub struct AssignmentRow {
 pub fn assignment_sweep(
     dataset: Dataset,
     axis: SweepAxis,
-    scale: ExperimentScale,
+    scale: f64,
     config: &PipelineConfig,
 ) -> Vec<AssignmentRow> {
-    let base = dataset.spec().scaled(scale.factor);
     let mut rows = Vec::new();
-    for (value, spec) in axis.instantiate(base, scale) {
+    for (value, spec) in axis.instantiate(dataset.spec()) {
+        let spec = spec.scaled(scale);
         let trace = SyntheticTrace::generate(spec);
         // Shared prediction for the prediction-aware policies: the proposed
         // DDGNN, as in the paper's end-to-end configuration.
@@ -108,10 +90,10 @@ pub fn assignment_sweep(
         let mut predictor = DdgnnPredictor::with_defaults(cells, config.k, spec.seed);
         let (_, predicted) = run_prediction(&mut predictor, &trace, config);
         for policy in PolicyKind::all() {
-            let predictions: &[_] = if policy.uses_prediction() {
-                &predicted
+            let mut forecast = if policy.uses_prediction() {
+                StaticForecast::from_slice(&predicted)
             } else {
-                &[]
+                StaticForecast::default()
             };
             // DATA-WA trains its TVF on DFSearch samples from this trace.
             let tvf_for_run = if policy == PolicyKind::DataWa {
@@ -119,15 +101,10 @@ pub fn assignment_sweep(
             } else {
                 None
             };
-            let summary = run_policy(&trace, policy, predictions, tvf_for_run, config);
             rows.push(AssignmentRow {
-                dataset: dataset.name().to_string(),
-                axis: axis.label().to_string(),
                 value: value.clone(),
-                policy: summary.policy,
-                assigned_tasks: summary.assigned_tasks,
-                cpu_seconds: summary.mean_cpu_seconds,
-                events: summary.events,
+                policy,
+                run: run_policy(&trace, policy, &mut forecast, tvf_for_run, config),
             });
         }
     }
@@ -160,7 +137,7 @@ mod tests {
         let rows = assignment_sweep(
             Dataset::Yueche,
             SweepAxis::Workers(vec![200, 600]),
-            ExperimentScale::fixed(0.01),
+            0.01,
             &fast_config(),
         );
         // `(|W|, policy, assigned, events)`: 2 sweep values × 5 policies.
@@ -179,14 +156,13 @@ mod tests {
         let got: Vec<(&str, &str, usize, usize)> = rows
             .iter()
             .map(|r| {
-                let (value, policy) = (r.value.as_str(), r.policy.as_str());
-                (value, policy, r.assigned_tasks, r.events)
+                let (value, policy) = (r.value.as_str(), r.policy.name());
+                (value, policy, r.run.assigned_tasks, r.run.events)
             })
             .collect();
         assert_eq!(got, PINNED);
         for r in &rows {
-            assert!(r.cpu_seconds >= 0.0);
-            assert_eq!(r.axis, "|W|");
+            assert!(r.run.mean_planning_seconds >= 0.0);
         }
     }
 }

@@ -4,20 +4,20 @@
 //! `stream-scenarios` and `forecast-scenarios` ([`Experiment`]).
 //!
 //! ```text
-//! cargo run --release -p datawa-experiments --bin repro -- fig7
-//! cargo run --release -p datawa-experiments --bin repro -- fig8 --scale 0.1 --epochs 2
+//! cargo run --release -p datawa-sim --bin repro -- fig7
+//! cargo run --release -p datawa-sim --bin repro -- fig8 --scale 0.1 --epochs 2
 //! ```
 
 use datawa_assign::{AdaptiveRunner, AssignConfig, PolicyKind};
-use datawa_experiments::params::{
+use datawa_predict::TrainingConfig;
+use datawa_sim::params::{
     AVAILABLE_TIME_SWEEP, DELTA_T_SWEEP, REACHABLE_DISTANCE_SWEEP, VALID_TIME_SWEEP,
 };
-use datawa_experiments::{
+use datawa_sim::{
     assignment_sweep, format_table, prediction_effect_of_delta_t, scenario_online_vs_blind,
-    scenario_prediction_report, Dataset, Experiment, ExperimentArgs, ExperimentScale,
-    ForecastScenarioConfig, SweepAxis, Table,
+    scenario_prediction_report, Dataset, Experiment, ExperimentArgs, PipelineConfig, SweepAxis,
+    SyntheticTrace, Table, TraceSpec,
 };
-use datawa_sim::SyntheticTrace;
 use datawa_stream::{
     builtin_scenarios, CollectingSink, Decision, EngineConfig, ScenarioSpec, Session,
     StaticForecast,
@@ -109,14 +109,14 @@ fn prediction_figure(dataset: Dataset, args: &ExperimentArgs) {
     for r in &rows {
         table.push_row(vec![
             format!("{}", r.delta_t),
-            r.model.clone(),
-            format!("{:.3}", r.average_precision),
+            r.summary.model.clone(),
+            format!("{:.3}", r.summary.evaluation.average_precision),
             r.assigned_tasks.to_string(),
-            format!("{:.2}", r.train_seconds),
-            format!("{:.4}", r.test_seconds),
+            format!("{:.2}", r.summary.training.train_seconds),
+            format!("{:.4}", r.summary.evaluation.test_seconds),
         ]);
     }
-    let (name, scale) = (dataset.name(), args.scale.factor);
+    let (name, scale) = (dataset.name(), args.scale);
     print(
         format!("Fig. {figure} — prediction vs ΔT on {name} (scale {scale:.3})"),
         &table,
@@ -156,13 +156,13 @@ fn assignment_figure(figure: u8, args: &ExperimentArgs) {
         for r in &rows {
             table.push_row(vec![
                 r.value.clone(),
-                r.policy.clone(),
-                r.assigned_tasks.to_string(),
-                format!("{:.4}", r.cpu_seconds),
-                r.events.to_string(),
+                r.policy.name().to_string(),
+                r.run.assigned_tasks.to_string(),
+                format!("{:.4}", r.run.mean_planning_seconds),
+                r.run.events.to_string(),
             ]);
         }
-        let (name, scale) = (dataset.name(), args.scale.factor);
+        let (name, scale) = (dataset.name(), args.scale);
         print(
             format!("Fig. {figure} — effect of {header} on {name} (scale {scale:.3}, datawa-stream engine)"),
             &table,
@@ -172,15 +172,16 @@ fn assignment_figure(figure: u8, args: &ExperimentArgs) {
 
 /// The Yueche-like magnitudes mapped onto a scenario by `scale`, with floors
 /// that keep the smallest scales meaningful.
-fn scenario_spec(scale: ExperimentScale, min_workers: usize, min_tasks: usize) -> ScenarioSpec {
+fn scenario_spec(scale: f64, min_workers: usize, min_tasks: usize) -> ScenarioSpec {
+    let yueche = TraceSpec::yueche().scaled(scale);
     ScenarioSpec::small()
-        .with_workers(((624.0 * scale.factor).round() as usize).max(min_workers))
-        .with_tasks(((11_052.0 * scale.factor).round() as usize).max(min_tasks))
+        .with_workers(yueche.workers.max(min_workers))
+        .with_tasks(yueche.tasks.max(min_tasks))
 }
 
 /// The four scenario generators through the engine: the non-predictive
 /// policies under per-arrival and batched re-planning.
-fn stream_scenarios(scale: ExperimentScale) {
+fn stream_scenarios(scale: f64) {
     let spec = scenario_spec(scale, 4, 40);
     let configs: [(&str, EngineConfig); 3] = [
         ("per-arrival", EngineConfig::default()),
@@ -239,7 +240,7 @@ fn stream_scenarios(scale: ExperimentScale) {
     print(
         format!(
             "datawa-stream scenario tour — {} workers, {} tasks per scenario (scale {:.3})",
-            spec.workers, spec.tasks, scale.factor
+            spec.workers, spec.tasks, scale
         ),
         &table,
     );
@@ -247,11 +248,24 @@ fn stream_scenarios(scale: ExperimentScale) {
 
 /// Scenario-conditioned prediction, then online DTA+TP against blind DTA.
 /// Exits 1 when the online forecaster never re-forecast.
-fn forecast_scenarios(scale: ExperimentScale) {
+fn forecast_scenarios(scale: f64) {
     let spec = scenario_spec(scale, 6, 80);
-    let config = ForecastScenarioConfig::default();
+    let config = PipelineConfig {
+        grid_cells_per_side: 4,
+        delta_t: 10.0,
+        k: 3,
+        history_len: 4,
+        prediction_threshold: 0.6,
+        training: TrainingConfig {
+            epochs: 3,
+            learning_rate: 0.02,
+        },
+        ..PipelineConfig::default()
+    };
+    // Train on the first 80 % of each horizon; re-forecast every 30 s.
+    let (train_fraction, refresh_every) = (0.8, 30.0);
 
-    let (cells, factor) = (config.grid_cells_per_side, scale.factor);
+    let (cells, factor) = (config.grid_cells_per_side, scale);
     println!(
         "scenario-conditioned prediction — {} workers, {} tasks per scenario \
          (scale {factor:.3}), {cells}×{cells} grid, ΔT={}s k={} P={}\n",
@@ -259,13 +273,14 @@ fn forecast_scenarios(scale: ExperimentScale) {
     );
 
     let mut ap_table = Table::new(vec!["Scenario", "Model", "AP", "Train (s)", "Test (s)"]);
-    for row in scenario_prediction_report(spec, &config) {
+    for row in scenario_prediction_report(spec, &config, train_fraction) {
+        let (training, evaluation) = (row.summary.training, row.summary.evaluation);
         ap_table.push_row(vec![
             row.scenario,
-            row.model,
-            format!("{:.3}", row.average_precision),
-            format!("{:.2}", row.train_seconds),
-            format!("{:.3}", row.test_seconds),
+            row.summary.model,
+            format!("{:.3}", evaluation.average_precision),
+            format!("{:.2}", training.train_seconds),
+            format!("{:.3}", evaluation.test_seconds),
         ]);
     }
     println!("{}", format_table(&ap_table));
@@ -277,13 +292,14 @@ fn forecast_scenarios(scale: ExperimentScale) {
         "Re-forecasts",
     ]);
     let mut total_refreshes = 0usize;
-    for row in scenario_online_vs_blind(spec, &config) {
-        total_refreshes += row.refreshes;
+    for row in scenario_online_vs_blind(spec, &config, train_fraction, refresh_every) {
+        let refreshes = row.online.forecast.refreshes;
+        total_refreshes += refreshes;
         assign_table.push_row(vec![
             row.scenario,
-            row.blind_assigned.to_string(),
-            row.online_assigned.to_string(),
-            row.refreshes.to_string(),
+            row.blind.assigned_tasks.to_string(),
+            row.online.assigned_tasks.to_string(),
+            refreshes.to_string(),
         ]);
     }
     println!("{}", format_table(&assign_table));

@@ -9,72 +9,22 @@
 //! churn), and forecast quality under those regimes is exactly what
 //! separates the prediction-aware policies from the blind ones.
 
+use crate::pipeline::{train_and_evaluate, train_online_forecaster};
 use crate::prediction::build_models;
-use datawa_assign::{AdaptiveRunner, AssignConfig, PolicyKind, StaticForecast};
+use crate::{PipelineConfig, PredictionRunSummary};
+use datawa_assign::{AdaptiveRunner, AssignConfig, PolicyKind, RunOutcome, StaticForecast};
 use datawa_core::{BoundingBox, Location, TaskStore, Timestamp};
-use datawa_geo::{GridSpec, UniformGrid};
-use datawa_predict::{
-    DdgnnPredictor, DemandPredictor, OnlineForecastConfig, OnlineForecaster, SeriesDataset,
-    SeriesSpec, TrainingConfig,
-};
-use datawa_stream::{
-    builtin_scenarios, run_workload_forecast, EngineConfig, ScenarioSpec, Workload,
-};
-
-/// Knobs of the scenario-conditioned forecast evaluation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ForecastScenarioConfig {
-    /// Grid resolution (rows = cols) of the prediction component.
-    pub grid_cells_per_side: u32,
-    /// Interval length ΔT of the occurrence series, in seconds.
-    pub delta_t: f64,
-    /// Buckets per occurrence vector.
-    pub k: usize,
-    /// History vectors per example.
-    pub history_len: usize,
-    /// Training hyper-parameters shared by all predictors.
-    pub training: TrainingConfig,
-    /// Fraction of the horizon used as the training prefix (the remainder
-    /// is forecast — chronological, like the paper's 80/20 split).
-    pub train_fraction: f64,
-    /// Decision threshold for the online forecaster's predicted tasks.
-    pub threshold: f64,
-    /// Simulated seconds between online re-forecasts.
-    pub refresh_every: f64,
-}
-
-impl Default for ForecastScenarioConfig {
-    fn default() -> ForecastScenarioConfig {
-        ForecastScenarioConfig {
-            grid_cells_per_side: 4,
-            delta_t: 10.0,
-            k: 3,
-            history_len: 4,
-            training: TrainingConfig {
-                epochs: 3,
-                learning_rate: 0.02,
-            },
-            train_fraction: 0.8,
-            threshold: 0.6,
-            refresh_every: 30.0,
-        }
-    }
-}
+use datawa_predict::{DdgnnPredictor, OnlineForecaster, SeriesDataset};
+use datawa_stream::{builtin_scenarios, run_workload, EngineConfig, ScenarioSpec, Workload};
 
 /// One row of the per-scenario AP report: one predictor on one generator.
 #[derive(Debug, Clone)]
 pub struct ScenarioPredictionRow {
     /// Scenario generator name.
     pub scenario: String,
-    /// Predictor name ("LSTM", "Graph-Wavenet", "DDGNN").
-    pub model: String,
-    /// Average Precision on the chronological test split of the scenario's
-    /// own task series.
-    pub average_precision: f64,
-    /// Wall-clock training time, in seconds.
-    pub train_seconds: f64,
-    /// Wall-clock inference time over the test split, in seconds.
-    pub test_seconds: f64,
+    /// The predictor trained on the chronological prefix of the scenario's
+    /// own task series and scored on the rest.
+    pub summary: PredictionRunSummary,
 }
 
 /// One row of the online-vs-blind comparison: the DDGNN-backed online
@@ -83,22 +33,19 @@ pub struct ScenarioPredictionRow {
 pub struct ScenarioAssignmentRow {
     /// Scenario generator name.
     pub scenario: String,
-    /// Tasks assigned by prediction-blind DTA.
-    pub blind_assigned: usize,
-    /// Tasks assigned by DTA+TP over the online DDGNN forecaster.
-    pub online_assigned: usize,
-    /// Model re-forecasts the online provider performed during the run.
-    pub refreshes: usize,
+    /// Prediction-blind DTA.
+    pub blind: RunOutcome,
+    /// DTA+TP over the online DDGNN forecaster; its `forecast.refreshes`
+    /// counts the re-forecasts made during the run.
+    pub online: RunOutcome,
 }
 
-/// The prediction grid over a scenario's study area.
-fn scenario_grid(spec: ScenarioSpec, config: &ForecastScenarioConfig) -> UniformGrid {
-    let area = BoundingBox::new(
+/// A scenario's study area.
+fn scenario_area(spec: ScenarioSpec) -> BoundingBox {
+    BoundingBox::new(
         Location::new(0.0, 0.0),
         Location::new(spec.area_km, spec.area_km),
-    );
-    let cells = config.grid_cells_per_side;
-    UniformGrid::new(GridSpec::new(area, cells, cells))
+    )
 }
 
 /// The workload's tasks published before `cut`.
@@ -110,38 +57,30 @@ fn task_store(workload: &Workload, cut: Timestamp) -> TaskStore {
     store
 }
 
-fn series_spec(config: &ForecastScenarioConfig) -> SeriesSpec {
-    SeriesSpec::new(Timestamp(0.0), config.delta_t, config.k, config.history_len)
-}
-
 /// Per-scenario AP for all three predictors: each generator's task series is
-/// split chronologically, every model trains on the prefix and is scored on
-/// the suffix — so the drift scenarios test exactly the
-/// generalisation-under-shift the DDGNN's dynamic dependency targets.
+/// split chronologically at `train_fraction`, every model trains on the
+/// prefix and is scored on the suffix — so the drift scenarios test exactly
+/// the generalisation-under-shift the DDGNN's dynamic dependency targets.
 pub fn scenario_prediction_report(
     spec: ScenarioSpec,
-    config: &ForecastScenarioConfig,
+    config: &PipelineConfig,
+    train_fraction: f64,
 ) -> Vec<ScenarioPredictionRow> {
-    let grid = scenario_grid(spec, config);
+    let grid = config.grid(scenario_area(spec));
     let mut rows = Vec::new();
     for scenario in builtin_scenarios(spec) {
         let workload = scenario.generate();
         let series = SeriesDataset::build(
             &task_store(&workload, Timestamp(f64::INFINITY)),
             &grid,
-            series_spec(config),
+            config.series_spec(Timestamp(0.0)),
             Timestamp(spec.horizon),
         );
-        let (train, test) = series.split(config.train_fraction);
+        let (train, test) = series.split(train_fraction);
         for mut model in build_models(grid.cell_count(), config.k, spec.seed) {
-            let report = model.train(&train, &config.training);
-            let evaluation = model.evaluate(&test);
             rows.push(ScenarioPredictionRow {
                 scenario: scenario.name().to_string(),
-                model: model.name().to_string(),
-                average_precision: evaluation.average_precision,
-                train_seconds: report.train_seconds,
-                test_seconds: evaluation.test_seconds,
+                summary: train_and_evaluate(model.as_mut(), &train, &test, &config.training),
             });
         }
     }
@@ -151,30 +90,26 @@ pub fn scenario_prediction_report(
 /// Builds a DDGNN-backed [`OnlineForecaster`] for one scenario workload:
 /// the model trains on the chronological prefix of the scenario's own task
 /// series (publication times before `train_fraction · horizon`), then goes
-/// live — the session feeds it every arrival and it re-forecasts on the
-/// configured cadence.
+/// live — the session feeds it every arrival and it re-forecasts every
+/// `refresh_every` simulated seconds.
 pub fn scenario_online_forecaster(
     workload: &Workload,
     spec: ScenarioSpec,
-    config: &ForecastScenarioConfig,
+    config: &PipelineConfig,
+    train_fraction: f64,
+    refresh_every: f64,
 ) -> OnlineForecaster {
-    let grid = scenario_grid(spec, config);
-    let cut = Timestamp(spec.horizon * config.train_fraction);
-    let prefix = task_store(workload, cut);
-    let mut model = DdgnnPredictor::with_defaults(grid.cell_count(), config.k, spec.seed);
-    let series = SeriesDataset::build(&prefix, &grid, series_spec(config), cut);
-    if !series.is_empty() {
-        model.train(&series, &config.training);
-    }
-    OnlineForecaster::new(
+    let cut = Timestamp(spec.horizon * train_fraction);
+    let cells = config.grid_cells_per_side * config.grid_cells_per_side;
+    let model = DdgnnPredictor::with_defaults(cells as usize, config.k, spec.seed);
+    train_online_forecaster(
         Box::new(model),
-        grid,
-        series_spec(config),
-        OnlineForecastConfig {
-            threshold: config.threshold,
-            valid_time: spec.valid_time,
-            refresh_every: config.refresh_every,
-        },
+        scenario_area(spec),
+        &task_store(workload, cut),
+        Timestamp(0.0)..cut,
+        config,
+        spec.valid_time,
+        refresh_every,
     )
 }
 
@@ -183,7 +118,9 @@ pub fn scenario_online_forecaster(
 /// configuration.
 pub fn scenario_online_vs_blind(
     spec: ScenarioSpec,
-    config: &ForecastScenarioConfig,
+    config: &PipelineConfig,
+    train_fraction: f64,
+    refresh_every: f64,
 ) -> Vec<ScenarioAssignmentRow> {
     let mut rows = Vec::new();
     for scenario in builtin_scenarios(spec) {
@@ -192,17 +129,17 @@ pub fn scenario_online_vs_blind(
 
         let blind_runner = AdaptiveRunner::new(AssignConfig::default(), PolicyKind::Dta);
         let mut blind_forecast = StaticForecast::default();
-        let blind = run_workload_forecast(&blind_runner, &workload, &mut blind_forecast, engine);
+        let blind = run_workload(&blind_runner, &workload, &mut blind_forecast, engine);
 
         let online_runner = AdaptiveRunner::new(AssignConfig::default(), PolicyKind::DtaTp);
-        let mut forecaster = scenario_online_forecaster(&workload, spec, config);
-        let online = run_workload_forecast(&online_runner, &workload, &mut forecaster, engine);
+        let mut forecaster =
+            scenario_online_forecaster(&workload, spec, config, train_fraction, refresh_every);
+        let online = run_workload(&online_runner, &workload, &mut forecaster, engine);
 
         rows.push(ScenarioAssignmentRow {
             scenario: scenario.name().to_string(),
-            blind_assigned: blind.run.assigned_tasks,
-            online_assigned: online.run.assigned_tasks,
-            refreshes: online.run.forecast.refreshes,
+            blind: blind.run,
+            online: online.run,
         });
     }
     rows
@@ -212,23 +149,32 @@ pub fn scenario_online_vs_blind(
 mod tests {
     use super::*;
 
-    fn tiny_config() -> ForecastScenarioConfig {
-        ForecastScenarioConfig {
+    use datawa_predict::TrainingConfig;
+
+    /// The scenario split and refresh cadence `repro forecast-scenarios`
+    /// uses.
+    const TRAIN_FRACTION: f64 = 0.8;
+    const REFRESH_S: f64 = 30.0;
+
+    fn tiny_config() -> PipelineConfig {
+        PipelineConfig {
             grid_cells_per_side: 3,
+            delta_t: 10.0,
             k: 2,
             history_len: 3,
+            prediction_threshold: 0.6,
             training: TrainingConfig {
                 epochs: 1,
                 learning_rate: 0.02,
             },
-            ..ForecastScenarioConfig::default()
+            ..PipelineConfig::default()
         }
     }
 
     #[test]
     fn report_covers_every_scenario_and_model() {
         let spec = ScenarioSpec::small().with_tasks(150).with_workers(10);
-        let rows = scenario_prediction_report(spec, &tiny_config());
+        let rows = scenario_prediction_report(spec, &tiny_config(), TRAIN_FRACTION);
         // `(scenario, model, AP bits)`, the same in debug and release.
         const PINNED: [(&str, &str, u64); 12] = [
             ("uniform-baseline", "LSTM", 0x3fbd0bd706181aad),
@@ -247,20 +193,20 @@ mod tests {
         let got: Vec<(&str, &str, u64)> = rows
             .iter()
             .map(|r| {
-                let ap = r.average_precision.to_bits();
-                (r.scenario.as_str(), r.model.as_str(), ap)
+                let ap = r.summary.evaluation.average_precision.to_bits();
+                (r.scenario.as_str(), r.summary.model.as_str(), ap)
             })
             .collect();
         assert_eq!(got, PINNED);
         for row in &rows {
-            assert!(row.train_seconds >= 0.0);
+            assert!(row.summary.training.train_seconds >= 0.0);
         }
     }
 
     #[test]
     fn online_forecaster_refreshes_during_a_scenario_run() {
         let spec = ScenarioSpec::small().with_tasks(120).with_workers(8);
-        let rows = scenario_online_vs_blind(spec, &tiny_config());
+        let rows = scenario_online_vs_blind(spec, &tiny_config(), TRAIN_FRACTION, REFRESH_S);
         // `(scenario, blind assigned, online assigned, refreshes)`.
         const PINNED: [(&str, usize, usize, usize); 4] = [
             ("uniform-baseline", 3, 3, 38),
@@ -271,8 +217,14 @@ mod tests {
         let got: Vec<(&str, usize, usize, usize)> = rows
             .iter()
             .map(|r| {
+                let (blind, online) = (&r.blind, &r.online);
                 let scenario = r.scenario.as_str();
-                (scenario, r.blind_assigned, r.online_assigned, r.refreshes)
+                (
+                    scenario,
+                    blind.assigned_tasks,
+                    online.assigned_tasks,
+                    online.forecast.refreshes,
+                )
             })
             .collect();
         assert_eq!(got, PINNED);

@@ -1,6 +1,6 @@
 //! The experiment parameter grid (Table III) and dataset presets (Table II).
 
-use datawa_sim::{PipelineConfig, TraceSpec};
+use crate::{PipelineConfig, TraceSpec};
 
 /// Which real-data stand-in a sweep runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,33 +57,13 @@ pub const AVAILABLE_TIME_SWEEP: [f64; 5] = [0.25, 0.5, 0.75, 1.0, 1.25];
 /// The task valid-time sweep of Fig. 11, in seconds (default 40).
 pub const VALID_TIME_SWEEP: [f64; 5] = [10.0, 20.0, 30.0, 40.0, 50.0];
 
-/// Global scaling of the experiment workloads, set by `--scale`.
+/// The `--scale` used when the flag is absent.
 ///
 /// The paper's full-size traces with per-event exact replanning take hours of
 /// CPU; the default scale keeps every subcommand in the minutes range while
 /// preserving the worker-to-task ratio (and therefore which method wins and
 /// by roughly what factor). Pass `--scale 1` to reproduce the full sizes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExperimentScale {
-    /// Multiplicative factor applied to |W| and |S|.
-    pub factor: f64,
-}
-
-impl ExperimentScale {
-    /// The default scale used when `--scale` is absent.
-    pub const DEFAULT_FACTOR: f64 = 0.04;
-
-    /// A fixed scale (used by tests).
-    pub fn fixed(factor: f64) -> ExperimentScale {
-        assert!(factor > 0.0);
-        ExperimentScale { factor }
-    }
-
-    /// Applies the scale to a raw count from the Table III sweeps.
-    pub fn apply(&self, count: usize) -> usize {
-        ((count as f64 * self.factor).round() as usize).max(1)
-    }
-}
+pub const DEFAULT_SCALE: f64 = 0.04;
 
 /// What `repro` prints when its arguments do not parse.
 pub const USAGE: &str = "usage: repro <subcommand> [--scale F] [--epochs N]
@@ -158,8 +138,9 @@ impl Experiment {
 /// The flags every `repro` subcommand takes: `--scale` and `--epochs`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentArgs {
-    /// Workload scale (`--scale`).
-    pub scale: ExperimentScale,
+    /// Workload scale (`--scale`): the factor [`TraceSpec::scaled`] applies
+    /// to |W| and |S|.
+    pub scale: f64,
     /// Predictor training epochs (`--epochs`).
     pub epochs: usize,
 }
@@ -172,9 +153,7 @@ impl ExperimentArgs {
     /// or an epoch count that is not a positive integer.
     pub fn parse(args: impl Iterator<Item = String>) -> Result<ExperimentArgs, String> {
         let mut parsed = ExperimentArgs {
-            scale: ExperimentScale {
-                factor: ExperimentScale::DEFAULT_FACTOR,
-            },
+            scale: DEFAULT_SCALE,
             epochs: PipelineConfig::default().training.epochs,
         };
         let mut args = args;
@@ -183,12 +162,11 @@ impl ExperimentArgs {
             match flag.as_str() {
                 "--scale" => {
                     let v = value()?;
-                    let factor = v
+                    parsed.scale = v
                         .parse::<f64>()
                         .ok()
                         .filter(|f| *f > 0.0 && *f <= 1.0)
                         .ok_or_else(|| format!("--scale must be a number in (0, 1], got {v:?}"))?;
-                    parsed.scale = ExperimentScale { factor };
                 }
                 "--epochs" => {
                     let v = value()?;
@@ -223,10 +201,10 @@ mod tests {
     #[test]
     fn scale_and_epochs_parse() {
         let args = parse(&["--scale", "0.01", "--epochs", "1"]).expect("valid arguments");
-        assert_eq!(args.scale, ExperimentScale::fixed(0.01));
+        assert_eq!(args.scale, 0.01);
         assert_eq!(args.pipeline_config().training.epochs, 1);
         let defaults = parse(&[]).expect("no arguments");
-        assert_eq!(defaults.scale.factor, ExperimentScale::DEFAULT_FACTOR);
+        assert_eq!(defaults.scale, DEFAULT_SCALE);
         assert_eq!(defaults.pipeline_config(), PipelineConfig::default());
     }
 
@@ -267,7 +245,7 @@ mod tests {
         let (experiment, args) =
             parse_command(&["fig9", "--scale", "0.01", "--epochs", "1"]).expect("valid");
         assert_eq!(experiment, Experiment::Assignment(9));
-        assert_eq!(args.scale, ExperimentScale::fixed(0.01));
+        assert_eq!(args.scale, 0.01);
         assert_eq!(args.epochs, 1);
         let err = parse_command(&["table2", "--scale", "2"]).expect_err("bad scale");
         assert!(err.contains("--scale"), "{err}");
@@ -300,16 +278,23 @@ mod tests {
     }
 
     #[test]
+    fn scale_application_rounds_and_clamps() {
+        let spec = Dataset::Yueche.spec().with_tasks(11_000).scaled(0.1);
+        assert_eq!(spec.tasks, 1_100);
+        assert_eq!(
+            Dataset::Didi
+                .spec()
+                .with_workers(100)
+                .scaled(0.0001)
+                .workers,
+            1
+        );
+    }
+
+    #[test]
     fn dataset_presets_match_table_ii() {
         assert_eq!(Dataset::Yueche.spec().workers, 624);
         assert_eq!(Dataset::Didi.spec().tasks, 8_869);
         assert_eq!(Dataset::Yueche.name(), "Yueche");
-    }
-
-    #[test]
-    fn scale_application_rounds_and_clamps() {
-        let s = ExperimentScale::fixed(0.1);
-        assert_eq!(s.apply(11_000), 1_100);
-        assert_eq!(ExperimentScale::fixed(0.0001).apply(100), 1);
     }
 }

@@ -11,16 +11,18 @@
 use crate::datasets::SyntheticTrace;
 use datawa_assign::{
     AdaptiveRunner, AssignConfig, ForecastProvider, Planner, PolicyKind, PredictedTaskInput,
-    SearchMode, StaticForecast, TaskValueFunction,
+    RunOutcome, SearchMode, TaskValueFunction,
 };
-use datawa_core::{Duration, TaskId, Timestamp, WorkerId};
+use datawa_core::{BoundingBox, Duration, TaskId, TaskStore, Timestamp, WorkerId};
 use datawa_geo::{GridSpec, UniformGrid};
+use datawa_predict::trainer::TrainingReport;
 use datawa_predict::{
-    predicted_tasks_from, DemandPredictor, OnlineForecastConfig, OnlineForecaster, SeriesDataset,
-    SeriesSpec, TrainingConfig,
+    predicted_tasks_from, DemandPredictor, EvaluationReport, OnlineForecastConfig,
+    OnlineForecaster, SeriesDataset, SeriesSpec, TrainingConfig,
 };
-use datawa_stream::{EngineConfig, NullSink, Session};
+use datawa_stream::{run_workload, EngineConfig};
 use serde::Serialize;
+use std::ops::Range;
 
 /// Configuration of the full pipeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,57 +79,35 @@ impl Default for PipelineConfig {
 pub struct PredictionRunSummary {
     /// Model name ("LSTM", "Graph-Wavenet", "DDGNN").
     pub model: String,
-    /// Average Precision on the chronological 20 % test split.
-    pub average_precision: f64,
-    /// Wall-clock training time, in seconds.
-    pub train_seconds: f64,
-    /// Wall-clock inference time over the test split, in seconds.
-    pub test_seconds: f64,
-    /// Final training loss (BCE).
-    pub final_loss: f64,
-    /// Number of predicted tasks emitted above the threshold.
-    pub predicted_tasks: usize,
+    /// Training on the chronological train split: final loss and time.
+    pub training: TrainingReport,
+    /// Scoring on the test split: Average Precision and inference time.
+    pub evaluation: EvaluationReport,
 }
 
-/// Summary of one assignment run (one policy on one trace).
-#[derive(Debug, Clone, Serialize)]
-pub struct PolicyRunSummary {
-    /// Policy name ("Greedy", "FTA", "DTA", "DTA+TP", "DATA-WA").
-    pub policy: String,
-    /// Total number of assigned (served) tasks.
-    pub assigned_tasks: usize,
-    /// Mean planning CPU time per time instance, in seconds.
-    pub mean_cpu_seconds: f64,
-    /// Total planning CPU time, in seconds.
-    pub total_cpu_seconds: f64,
-    /// Number of arrival events processed.
-    pub events: usize,
-    /// Model re-forecasts performed by the run's forecast provider (0 for
-    /// the static oracle and the prediction-blind policies).
-    pub forecast_refreshes: usize,
-    /// Arrivals observed by the forecast provider.
-    pub forecast_observed: usize,
+impl PipelineConfig {
+    /// The prediction grid over `area`.
+    pub(crate) fn grid(&self, area: BoundingBox) -> UniformGrid {
+        let cells = self.grid_cells_per_side;
+        UniformGrid::new(GridSpec::new(area, cells, cells))
+    }
+
+    /// The occurrence series layout starting at `start`.
+    pub(crate) fn series_spec(&self, start: Timestamp) -> SeriesSpec {
+        SeriesSpec::new(start, self.delta_t, self.k, self.history_len)
+    }
 }
 
 /// Builds the prediction grid for a trace.
 pub fn prediction_grid(trace: &SyntheticTrace, config: &PipelineConfig) -> UniformGrid {
-    UniformGrid::new(GridSpec::new(
-        trace.area,
-        config.grid_cells_per_side,
-        config.grid_cells_per_side,
-    ))
+    config.grid(trace.area)
 }
 
 /// Builds the task multivariate time series dataset covering the historical
 /// hour plus the evaluation horizon.
 pub fn build_series(trace: &SyntheticTrace, config: &PipelineConfig) -> SeriesDataset {
     let grid = prediction_grid(trace, config);
-    let spec = SeriesSpec::new(
-        Timestamp(-trace.spec.history),
-        config.delta_t,
-        config.k,
-        config.history_len,
-    );
+    let spec = config.series_spec(Timestamp(-trace.spec.history));
     SeriesDataset::build(
         &trace.all_tasks(),
         &grid,
@@ -147,8 +127,7 @@ pub fn run_prediction(
     let grid = prediction_grid(trace, config);
     let series = build_series(trace, config);
     let (train, test) = series.split(0.8);
-    let report = model.train(&train, &config.training);
-    let evaluation = model.evaluate(&test);
+    let summary = train_and_evaluate(model, &train, &test, &config.training);
     let mut predicted = Vec::new();
     for example in &test.examples {
         let probabilities = model.predict(example);
@@ -163,17 +142,21 @@ pub fn run_prediction(
         );
         predicted.extend(tasks.into_iter().map(PredictedTaskInput::from));
     }
-    (
-        PredictionRunSummary {
-            model: model.name().to_string(),
-            average_precision: evaluation.average_precision,
-            train_seconds: report.train_seconds,
-            test_seconds: evaluation.test_seconds,
-            final_loss: report.final_loss,
-            predicted_tasks: predicted.len(),
-        },
-        predicted,
-    )
+    (summary, predicted)
+}
+
+/// Trains `model` on `train` and scores it on `test`.
+pub(crate) fn train_and_evaluate(
+    model: &mut dyn DemandPredictor,
+    train: &SeriesDataset,
+    test: &SeriesDataset,
+    training: &TrainingConfig,
+) -> PredictionRunSummary {
+    PredictionRunSummary {
+        model: model.name().to_string(),
+        training: model.train(train, training),
+        evaluation: model.evaluate(test),
+    }
 }
 
 /// Collects DFSearch training samples at a handful of planning instants spread
@@ -203,65 +186,29 @@ pub fn train_tvf_on_prefix(trace: &SyntheticTrace, config: &PipelineConfig) -> T
     tvf
 }
 
-fn build_runner(
-    trace: &SyntheticTrace,
-    policy: PolicyKind,
-    tvf: Option<TaskValueFunction>,
-    config: &PipelineConfig,
-) -> AdaptiveRunner {
-    let mut runner = AdaptiveRunner::new(config.assign, policy);
-    if policy == PolicyKind::DataWa {
-        let tvf = tvf.unwrap_or_else(|| train_tvf_on_prefix(trace, config));
-        runner = runner.with_tvf(tvf);
-    }
-    runner
-}
-
-fn summarize(policy: PolicyKind, outcome: &datawa_assign::RunOutcome) -> PolicyRunSummary {
-    PolicyRunSummary {
-        policy: policy.name().to_string(),
-        assigned_tasks: outcome.assigned_tasks,
-        mean_cpu_seconds: outcome.mean_planning_seconds,
-        total_cpu_seconds: outcome.total_planning_seconds,
-        events: outcome.events,
-        forecast_refreshes: outcome.forecast.refreshes,
-        forecast_observed: outcome.forecast.observed,
-    }
-}
-
-/// Runs one assignment policy over the trace's arrival stream through the
-/// `datawa-stream` session API — re-planning every
+/// Runs one assignment policy over the trace's arrival stream through one
+/// `datawa-stream` session ([`run_workload`]), re-planning every
 /// [`PipelineConfig::replan_every`] arrivals (and every
-/// [`PipelineConfig::replan_interval`] seconds, if set): open a session,
-/// ingest the whole replay workload, drain.
+/// [`PipelineConfig::replan_interval`] seconds, if set).
 ///
-/// `predicted` is only consulted by the prediction-aware policies; `tvf` is
-/// required by DATA-WA (trained on the fly via [`train_tvf_on_prefix`] when
-/// `None`).
+/// The session routes every replayed arrival into `forecast`, and the
+/// prediction-aware policies re-query it at every planning instant: pass a
+/// [`StaticForecast`](datawa_assign::StaticForecast) over a precomputed
+/// prediction slice, or an [`online_forecaster`] that re-forecasts as the
+/// trace streams. `tvf` is required by DATA-WA (trained on the fly via
+/// [`train_tvf_on_prefix`] when `None`).
 pub fn run_policy(
-    trace: &SyntheticTrace,
-    policy: PolicyKind,
-    predicted: &[PredictedTaskInput],
-    tvf: Option<TaskValueFunction>,
-    config: &PipelineConfig,
-) -> PolicyRunSummary {
-    let mut forecast = StaticForecast::from_slice(predicted);
-    run_policy_with_forecast(trace, policy, &mut forecast, tvf, config)
-}
-
-/// [`run_policy`] over a live [`ForecastProvider`] instead of a fixed
-/// prediction slice: the session routes every replayed arrival into
-/// `forecast` and the prediction-aware policies re-query it at every
-/// planning instant. Pair with [`online_forecaster`] to drive DTA+TP /
-/// DATA-WA from a model that re-forecasts as the trace streams.
-pub fn run_policy_with_forecast(
     trace: &SyntheticTrace,
     policy: PolicyKind,
     forecast: &mut dyn ForecastProvider,
     tvf: Option<TaskValueFunction>,
     config: &PipelineConfig,
-) -> PolicyRunSummary {
-    let runner = build_runner(trace, policy, tvf, config);
+) -> RunOutcome {
+    let mut runner = AdaptiveRunner::new(config.assign, policy);
+    if policy == PolicyKind::DataWa {
+        let tvf = tvf.unwrap_or_else(|| train_tvf_on_prefix(trace, config));
+        runner = runner.with_tvf(tvf);
+    }
     // An FTA worker's fixed plan stays reserved after it leaves: the
     // reported figure numbers have always been measured that way.
     let engine_config = EngineConfig {
@@ -269,12 +216,7 @@ pub fn run_policy_with_forecast(
         release_on_offline: false,
         ..EngineConfig::batched(config.replan_every)
     };
-    let mut session = Session::open(&runner, forecast, engine_config);
-    session
-        .ingest_workload(&trace.workload())
-        .expect("replay workloads carry finite times");
-    let outcome = session.close(&mut NullSink);
-    summarize(policy, &outcome.run)
+    run_workload(&runner, &trace.workload(), forecast, engine_config).run
 }
 
 /// Builds an [`OnlineForecaster`] for `trace`: trains `model` on the task
@@ -284,41 +226,62 @@ pub fn run_policy_with_forecast(
 /// refresh cadence (simulated seconds between re-forecasts).
 pub fn online_forecaster(
     trace: &SyntheticTrace,
-    mut model: Box<dyn DemandPredictor>,
+    model: Box<dyn DemandPredictor>,
     config: &PipelineConfig,
     refresh_every: f64,
 ) -> OnlineForecaster {
-    let grid = prediction_grid(trace, config);
-    let spec = SeriesSpec::new(
-        Timestamp(-trace.spec.history),
-        config.delta_t,
-        config.k,
-        config.history_len,
-    );
     // Train on the historical hour only — the evaluation horizon stays
     // unseen and is forecast online as it streams.
-    let history_series = SeriesDataset::build(&trace.history_tasks, &grid, spec, Timestamp(0.0));
-    if !history_series.is_empty() {
-        model.train(&history_series, &config.training);
+    let history = Timestamp(-trace.spec.history)..Timestamp(0.0);
+    let mut forecaster = train_online_forecaster(
+        model,
+        trace.area,
+        &trace.history_tasks,
+        history,
+        config,
+        trace.spec.valid_time,
+        refresh_every,
+    );
+    forecaster.warm_up(&trace.history_tasks);
+    forecaster
+}
+
+/// The body of every online-forecaster builder: trains `model` on the task
+/// series of `prefix` over `window` when that series is non-empty, then wraps
+/// it over `config`'s grid on `area`, with the pipeline's threshold, the
+/// tasks' `valid_time` and the `refresh_every` cadence (simulated seconds).
+pub(crate) fn train_online_forecaster(
+    mut model: Box<dyn DemandPredictor>,
+    area: BoundingBox,
+    prefix: &TaskStore,
+    window: Range<Timestamp>,
+    config: &PipelineConfig,
+    valid_time: f64,
+    refresh_every: f64,
+) -> OnlineForecaster {
+    let grid = config.grid(area);
+    let spec = config.series_spec(window.start);
+    let series = SeriesDataset::build(prefix, &grid, spec, window.end);
+    if !series.is_empty() {
+        model.train(&series, &config.training);
     }
-    let mut forecaster = OnlineForecaster::new(
+    OnlineForecaster::new(
         model,
         grid,
         spec,
         OnlineForecastConfig {
             threshold: config.prediction_threshold,
-            valid_time: trace.spec.valid_time,
+            valid_time,
             refresh_every,
         },
-    );
-    forecaster.warm_up(&trace.history_tasks);
-    forecaster
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::datasets::TraceSpec;
+    use datawa_assign::StaticForecast;
     use datawa_predict::{DdgnnPredictor, LstmPredictor};
 
     fn tiny_config() -> PipelineConfig {
@@ -359,9 +322,9 @@ mod tests {
         let mut model = DdgnnPredictor::with_defaults(9, config.k, 0);
         let (summary, predicted) = run_prediction(&mut model, &trace, &config);
         assert_eq!(summary.model, "DDGNN");
-        assert!(summary.average_precision >= 0.0 && summary.average_precision <= 1.0);
-        assert!(summary.train_seconds > 0.0);
-        assert_eq!(summary.predicted_tasks, predicted.len());
+        let ap = summary.evaluation.average_precision;
+        assert!((0.0..=1.0).contains(&ap));
+        assert!(summary.training.train_seconds > 0.0);
         for p in &predicted {
             assert!(p.expiration.0 > p.publication.0);
             assert!(trace.area.contains(&p.location));
@@ -372,8 +335,9 @@ mod tests {
     fn policy_runs_produce_consistent_summaries() {
         let trace = tiny_trace();
         let config = tiny_config();
-        let greedy = run_policy(&trace, PolicyKind::Greedy, &[], None, &config);
-        let dta = run_policy(&trace, PolicyKind::Dta, &[], None, &config);
+        let blind = StaticForecast::default;
+        let greedy = run_policy(&trace, PolicyKind::Greedy, &mut blind(), None, &config);
+        let dta = run_policy(&trace, PolicyKind::Dta, &mut blind(), None, &config);
         assert_eq!(greedy.events, trace.tasks.len() + trace.workers.len());
         assert!(greedy.assigned_tasks <= trace.tasks.len());
         assert!(dta.assigned_tasks <= trace.tasks.len());
@@ -381,7 +345,6 @@ mod tests {
             dta.assigned_tasks >= 1,
             "DTA should serve something on this trace"
         );
-        assert_eq!(dta.policy, "DTA");
     }
 
     #[test]
@@ -406,7 +369,13 @@ mod tests {
                 ..tiny_config()
             };
             for policy in [PolicyKind::Greedy, PolicyKind::Fta, PolicyKind::Dta] {
-                let summary = run_policy(&trace, policy, &[], None, &config);
+                let summary = run_policy(
+                    &trace,
+                    policy,
+                    &mut StaticForecast::default(),
+                    None,
+                    &config,
+                );
                 rows.push((
                     replan_every,
                     policy.name(),
@@ -428,25 +397,24 @@ mod tests {
             &config,
             120.0,
         );
-        let summary =
-            run_policy_with_forecast(&trace, PolicyKind::DtaTp, &mut forecaster, None, &config);
-        assert_eq!(summary.policy, "DTA+TP");
+        let summary = run_policy(&trace, PolicyKind::DtaTp, &mut forecaster, None, &config);
         assert!(summary.assigned_tasks <= trace.tasks.len());
         assert!(
-            summary.forecast_refreshes > 1,
+            summary.forecast.refreshes > 1,
             "the online provider must re-forecast as the trace streams \
              (got {} refreshes)",
-            summary.forecast_refreshes
+            summary.forecast.refreshes
         );
         assert_eq!(
-            summary.forecast_observed,
+            summary.forecast.observed,
             trace.history_tasks.len() + trace.tasks.len(),
             "warm-up plus every replayed arrival reaches the provider"
         );
         // A static run of the same policy observes arrivals but never
         // refreshes.
-        let static_run = run_policy(&trace, PolicyKind::DtaTp, &[], None, &config);
-        assert_eq!(static_run.forecast_refreshes, 0);
+        let mut blind = StaticForecast::default();
+        let static_run = run_policy(&trace, PolicyKind::DtaTp, &mut blind, None, &config);
+        assert_eq!(static_run.forecast.refreshes, 0);
     }
 
     #[test]
@@ -455,9 +423,9 @@ mod tests {
         let config = tiny_config();
         let mut model = LstmPredictor::new(config.k, 6, 0);
         let (_, predicted) = run_prediction(&mut model, &trace, &config);
-        let summary = run_policy(&trace, PolicyKind::DataWa, &predicted, None, &config);
-        assert_eq!(summary.policy, "DATA-WA");
+        let mut forecast = StaticForecast::from_slice(&predicted);
+        let summary = run_policy(&trace, PolicyKind::DataWa, &mut forecast, None, &config);
         assert!(summary.assigned_tasks <= trace.tasks.len());
-        assert!(summary.mean_cpu_seconds >= 0.0);
+        assert!(summary.mean_planning_seconds >= 0.0);
     }
 }

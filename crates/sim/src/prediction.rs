@@ -3,29 +3,23 @@
 //! (when the predictions feed DTA+TP), training time and testing time, for
 //! the LSTM, Graph-WaveNet and DDGNN predictors.
 
-use crate::params::{Dataset, ExperimentScale, DELTA_T_SWEEP};
-use datawa_assign::PolicyKind;
+use crate::params::{Dataset, DELTA_T_SWEEP};
+use crate::{run_policy, run_prediction, PipelineConfig, PredictionRunSummary, SyntheticTrace};
+use datawa_assign::{PolicyKind, StaticForecast};
 use datawa_predict::{DdgnnPredictor, DemandPredictor, GraphWaveNetPredictor, LstmPredictor};
-use datawa_sim::{run_policy, run_prediction, PipelineConfig, SyntheticTrace};
 
-/// One row of the Fig. 5/6 series.
+/// One row of the Fig. 5/6 series: one model at one ΔT.
 #[derive(Debug, Clone)]
 pub struct PredictionRow {
-    /// Dataset name.
-    pub dataset: String,
     /// Time interval ΔT, in seconds.
     pub delta_t: f64,
-    /// Model name.
-    pub model: String,
-    /// Average Precision on the test split (Fig. 5a/6a).
-    pub average_precision: f64,
+    /// The model's prediction run: Average Precision on the test split
+    /// (Fig. 5a/6a), training time (Fig. 5c/6c) and testing time
+    /// (Fig. 5d/6d).
+    pub summary: PredictionRunSummary,
     /// Tasks assigned by DTA+TP when fed this model's predictions
     /// (Fig. 5b/6b).
     pub assigned_tasks: usize,
-    /// Training time, in seconds (Fig. 5c/6c).
-    pub train_seconds: f64,
-    /// Testing time, in seconds (Fig. 5d/6d).
-    pub test_seconds: f64,
 }
 
 /// The three evaluated predictors, freshly constructed per configuration
@@ -45,32 +39,29 @@ pub(crate) fn build_models(cells: usize, k: usize, seed: u64) -> Vec<Box<dyn Dem
 /// reported as zero.
 pub fn prediction_effect_of_delta_t(
     dataset: Dataset,
-    scale: ExperimentScale,
+    scale: f64,
     config: &PipelineConfig,
     assign_after_prediction: bool,
 ) -> Vec<PredictionRow> {
     let mut rows = Vec::new();
     for &delta_t in &DELTA_T_SWEEP {
-        let spec = dataset.spec().scaled(scale.factor);
+        let spec = dataset.spec().scaled(scale);
         let trace = SyntheticTrace::generate(spec);
         let mut cfg = *config;
         cfg.delta_t = delta_t;
         let cells = (cfg.grid_cells_per_side * cfg.grid_cells_per_side) as usize;
         for mut model in build_models(cells, cfg.k, spec.seed) {
             let (summary, predicted) = run_prediction(model.as_mut(), &trace, &cfg);
-            let assigned = if assign_after_prediction {
-                run_policy(&trace, PolicyKind::DtaTp, &predicted, None, &cfg).assigned_tasks
+            let assigned_tasks = if assign_after_prediction {
+                let mut forecast = StaticForecast::from_slice(&predicted);
+                run_policy(&trace, PolicyKind::DtaTp, &mut forecast, None, &cfg).assigned_tasks
             } else {
                 0
             };
             rows.push(PredictionRow {
-                dataset: dataset.name().to_string(),
                 delta_t,
-                model: summary.model,
-                average_precision: summary.average_precision,
-                assigned_tasks: assigned,
-                train_seconds: summary.train_seconds,
-                test_seconds: summary.test_seconds,
+                summary,
+                assigned_tasks,
             });
         }
     }
@@ -95,12 +86,7 @@ mod tests {
             ..PipelineConfig::default()
         };
         // Tiny scale, skip the assignment pass: this is a structure test.
-        let rows = prediction_effect_of_delta_t(
-            Dataset::Yueche,
-            ExperimentScale::fixed(0.005),
-            &config,
-            false,
-        );
+        let rows = prediction_effect_of_delta_t(Dataset::Yueche, 0.005, &config, false);
         // `(ΔT, model, AP bits, assigned)`, the same in debug and release.
         const PINNED: [(f64, &str, u64, usize); 15] = [
             (5.0, "LSTM", 0x3f730d190130d190, 0),
@@ -122,14 +108,13 @@ mod tests {
         let got: Vec<(f64, &str, u64, usize)> = rows
             .iter()
             .map(|r| {
-                let ap = r.average_precision.to_bits();
-                (r.delta_t, r.model.as_str(), ap, r.assigned_tasks)
+                let ap = r.summary.evaluation.average_precision.to_bits();
+                (r.delta_t, r.summary.model.as_str(), ap, r.assigned_tasks)
             })
             .collect();
         assert_eq!(got, PINNED);
         for row in &rows {
-            assert!(row.train_seconds >= 0.0);
-            assert_eq!(row.dataset, "Yueche");
+            assert!(row.summary.training.train_seconds >= 0.0);
         }
     }
 }

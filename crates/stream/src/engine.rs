@@ -3,9 +3,7 @@
 
 use crate::scenario::Workload;
 use crate::session::{NullSink, Session};
-use datawa_assign::{
-    AdaptiveRunner, ForecastProvider, PredictedTaskInput, RunOutcome, StaticForecast,
-};
+use datawa_assign::{AdaptiveRunner, ForecastProvider, RunOutcome};
 
 /// Engine knobs: when to re-plan and what happens when a worker leaves.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,30 +98,17 @@ pub(crate) fn arrival_triggers_replan(config: &EngineConfig, arrivals_seen: usiz
     n > 0 && arrivals_seen.is_multiple_of(n)
 }
 
-/// One-shot convenience: open a [`Session`] over `runner` with the
-/// precomputed `predicted` slice as a fixed [`StaticForecast`] oracle, ingest
-/// `workload` and close it.
+/// One-shot convenience: open a [`Session`] over `runner` and `forecast`,
+/// ingest `workload` and close it. Pass a [`StaticForecast`] over a
+/// precomputed prediction slice for a fixed oracle, or a live provider that
+/// the prediction-aware policies re-query at every planning instant.
+///
+/// [`StaticForecast`]: datawa_assign::StaticForecast
 ///
 /// # Panics
 ///
 /// On a worker online time or task publication time that is not finite.
 pub fn run_workload(
-    runner: &AdaptiveRunner,
-    workload: &Workload,
-    predicted: &[PredictedTaskInput],
-    config: EngineConfig,
-) -> EngineOutcome {
-    let mut forecast = StaticForecast::from_slice(predicted);
-    run_workload_forecast(runner, workload, &mut forecast, config)
-}
-
-/// [`run_workload`] with predictions re-queried from `forecast` at every
-/// planning instant.
-///
-/// # Panics
-///
-/// On a worker online time or task publication time that is not finite.
-pub fn run_workload_forecast(
     runner: &AdaptiveRunner,
     workload: &Workload,
     forecast: &mut dyn ForecastProvider,

@@ -87,7 +87,7 @@
 //! ```
 //!
 //! (A compilable end-to-end example lives in the `datawa-predict` crate
-//! docs, which own the model side.) [`run_workload_forecast`] is the batch
+//! docs, which own the model side.) [`run_workload`] is the batch
 //! convenience over the same API.
 //!
 //! ## Incremental replanning
@@ -147,7 +147,7 @@ pub mod journal;
 pub mod scenario;
 pub mod session;
 
-pub use engine::{run_workload, run_workload_forecast, EngineConfig, EngineOutcome, EngineStats};
+pub use engine::{run_workload, EngineConfig, EngineOutcome, EngineStats};
 pub use event::{Event, EventQueue, ScheduledEvent};
 pub use journal::{EventJournal, JournalError, JournalRecord, SkipSink};
 pub use scenario::{
@@ -188,18 +188,23 @@ mod tests {
         AdaptiveRunner::new(AssignConfig::unit_speed(), policy)
     }
 
+    /// One prediction-blind run of `policy` over `workload`.
+    fn run(policy: PolicyKind, workload: &Workload, config: EngineConfig) -> EngineOutcome {
+        run_workload(
+            &runner(policy),
+            workload,
+            &mut StaticForecast::default(),
+            config,
+        )
+    }
+
     #[test]
     fn engine_serves_a_simple_stream() {
         let workload = Workload {
             workers: vec![worker(0.0, 0.0, 0.0, 100.0, 5.0)],
             tasks: vec![task(1.0, 0.0, 1.0, 50.0), task(2.0, 0.0, 2.0, 60.0)],
         };
-        let outcome = run_workload(
-            &runner(PolicyKind::Dta),
-            &workload,
-            &[],
-            EngineConfig::default(),
-        );
+        let outcome = run(PolicyKind::Dta, &workload, EngineConfig::default());
         assert_eq!(outcome.run.assigned_tasks, 2);
         assert_eq!(outcome.run.events, 3, "arrival events only");
         assert_eq!(outcome.stats.arrivals, 3);
@@ -217,12 +222,7 @@ mod tests {
             workers: vec![worker(0.0, 0.0, 0.0, 100.0, 5.0)],
             tasks: vec![task(0.5, 0.0, 1.0, 3.0)],
         };
-        let outcome = run_workload(
-            &runner(PolicyKind::Dta),
-            &workload,
-            &[],
-            EngineConfig::ticked(11.0),
-        );
+        let outcome = run(PolicyKind::Dta, &workload, EngineConfig::ticked(11.0));
         assert_eq!(outcome.run.assigned_tasks, 0);
         assert_eq!(outcome.stats.expirations, 1);
         assert_eq!(outcome.stats.expired_open, 1);
@@ -236,12 +236,7 @@ mod tests {
             workers: vec![worker(0.0, 0.0, 0.0, 100.0, 5.0)],
             tasks: vec![task(0.5, 0.0, 1.0, 30.0)],
         };
-        let outcome = run_workload(
-            &runner(PolicyKind::Dta),
-            &workload,
-            &[],
-            EngineConfig::ticked(2.0),
-        );
+        let outcome = run(PolicyKind::Dta, &workload, EngineConfig::ticked(2.0));
         assert_eq!(outcome.run.assigned_tasks, 1);
     }
 
@@ -260,16 +255,10 @@ mod tests {
             workers: vec![w0, w1],
             tasks: vec![a, b],
         };
-        let released = run_workload(
-            &runner(PolicyKind::Fta),
+        let released = run(PolicyKind::Fta, &workload, EngineConfig::default());
+        let kept = run(
+            PolicyKind::Fta,
             &workload,
-            &[],
-            EngineConfig::default(),
-        );
-        let kept = run_workload(
-            &runner(PolicyKind::Fta),
-            &workload,
-            &[],
             EngineConfig {
                 release_on_offline: false,
                 ..EngineConfig::default()
@@ -286,18 +275,8 @@ mod tests {
     fn batched_replanning_plans_less_often_but_still_serves() {
         let spec = ScenarioSpec::small().with_tasks(150).with_workers(12);
         let workload = UniformBaseline::new(spec).generate();
-        let per_arrival = run_workload(
-            &runner(PolicyKind::Greedy),
-            &workload,
-            &[],
-            EngineConfig::default(),
-        );
-        let batched = run_workload(
-            &runner(PolicyKind::Greedy),
-            &workload,
-            &[],
-            EngineConfig::batched(16),
-        );
+        let per_arrival = run(PolicyKind::Greedy, &workload, EngineConfig::default());
+        let batched = run(PolicyKind::Greedy, &workload, EngineConfig::batched(16));
         assert!(batched.run.planning_calls < per_arrival.run.planning_calls);
         assert!(batched.run.assigned_tasks > 0);
         assert!(per_arrival.run.assigned_tasks > 0);
@@ -307,18 +286,8 @@ mod tests {
     fn engine_runs_are_deterministic() {
         let spec = ScenarioSpec::small().with_tasks(120).with_workers(10);
         let workload = HeavyTailedChurn::new(spec).generate();
-        let a = run_workload(
-            &runner(PolicyKind::Dta),
-            &workload,
-            &[],
-            EngineConfig::default(),
-        );
-        let b = run_workload(
-            &runner(PolicyKind::Dta),
-            &workload,
-            &[],
-            EngineConfig::default(),
-        );
+        let a = run(PolicyKind::Dta, &workload, EngineConfig::default());
+        let b = run(PolicyKind::Dta, &workload, EngineConfig::default());
         assert_eq!(a.run.assigned_tasks, b.run.assigned_tasks);
         assert_eq!(a.run.per_worker, b.run.per_worker);
         assert_eq!(a.stats, b.stats);
@@ -336,12 +305,7 @@ mod tests {
                 task(2.0, 0.0, 2.0, 60.0),
             ],
         };
-        let outcome = run_workload(
-            &runner(PolicyKind::Dta),
-            &workload,
-            &[],
-            EngineConfig::default(),
-        );
+        let outcome = run(PolicyKind::Dta, &workload, EngineConfig::default());
         assert_eq!(outcome.run.assigned_tasks, 2);
         assert_eq!(outcome.stats.offline, 0, "no offline event scheduled");
         assert_eq!(outcome.stats.expirations, 1, "only the finite task expires");
@@ -369,12 +333,7 @@ mod tests {
         let spec = ScenarioSpec::small().with_tasks(150).with_workers(15);
         for scenario in builtin_scenarios(spec) {
             let workload = scenario.generate();
-            let outcome = run_workload(
-                &runner(PolicyKind::Greedy),
-                &workload,
-                &[],
-                EngineConfig::default(),
-            );
+            let outcome = run(PolicyKind::Greedy, &workload, EngineConfig::default());
             assert!(
                 outcome.run.assigned_tasks > 0,
                 "{} served nothing",

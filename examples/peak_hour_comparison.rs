@@ -46,10 +46,13 @@ fn main() {
         let (summary, predicted) = run_prediction(model.as_mut(), &trace, &config);
         println!(
             "                     {:<15} {:.3}  {:>7.1}  {:>7.3}",
-            summary.model, summary.average_precision, summary.train_seconds, summary.test_seconds
+            summary.model,
+            summary.evaluation.average_precision,
+            summary.training.train_seconds,
+            summary.evaluation.test_seconds
         );
-        if summary.average_precision > best_ap {
-            best_ap = summary.average_precision;
+        if summary.evaluation.average_precision > best_ap {
+            best_ap = summary.evaluation.average_precision;
             best_predictions = predicted;
         }
     }
@@ -57,15 +60,17 @@ fn main() {
     // --- Assignment comparison (Fig. 7–11 in miniature) --------------------
     println!("\n[assignment]         method    assigned   CPU/instance (s)");
     for policy in PolicyKind::all() {
-        let predictions: &[_] = if policy.uses_prediction() {
-            &best_predictions
+        let mut forecast = if policy.uses_prediction() {
+            StaticForecast::from_slice(&best_predictions)
         } else {
-            &[]
+            StaticForecast::default()
         };
-        let summary = run_policy(&trace, policy, predictions, None, &config);
+        let summary = run_policy(&trace, policy, &mut forecast, None, &config);
         println!(
             "                     {:<9} {:>8}   {:.4}",
-            summary.policy, summary.assigned_tasks, summary.mean_cpu_seconds
+            policy.name(),
+            summary.assigned_tasks,
+            summary.mean_planning_seconds
         );
     }
     println!("\nExpected shape: DTA+TP and DATA-WA serve the most requests; Greedy is the");

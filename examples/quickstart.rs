@@ -36,36 +36,44 @@ fn main() {
     println!(
         "\n[prediction] {}: AP={:.3}  train={:.1}s  test={:.3}s  predicted_tasks={}",
         prediction.model,
-        prediction.average_precision,
-        prediction.train_seconds,
-        prediction.test_seconds,
-        prediction.predicted_tasks,
+        prediction.evaluation.average_precision,
+        prediction.training.train_seconds,
+        prediction.evaluation.test_seconds,
+        predicted_tasks.len(),
     );
 
     // 2. Assignment: DTA (no prediction) vs the full DATA-WA.
-    let dta = run_policy(&trace, PolicyKind::Dta, &[], None, &config);
+    let dta = run_policy(
+        &trace,
+        PolicyKind::Dta,
+        &mut StaticForecast::default(),
+        None,
+        &config,
+    );
     let tvf = train_tvf_on_prefix(&trace, &config);
     let data_wa = run_policy(
         &trace,
         PolicyKind::DataWa,
-        &predicted_tasks,
+        &mut StaticForecast::from_slice(&predicted_tasks),
         Some(tvf),
         &config,
     );
 
     println!("\n[assignment]");
-    for summary in [&dta, &data_wa] {
+    for (policy, summary) in [(PolicyKind::Dta, &dta), (PolicyKind::DataWa, &data_wa)] {
         println!(
             "  {:<8} assigned={:<5} mean CPU per instance={:.4}s",
-            summary.policy, summary.assigned_tasks, summary.mean_cpu_seconds
+            policy.name(),
+            summary.assigned_tasks,
+            summary.mean_planning_seconds
         );
     }
     println!(
         "\nDATA-WA assigned {} tasks vs {} for DTA, spending {:.0}% of DTA+exact-search planning time.",
         data_wa.assigned_tasks,
         dta.assigned_tasks,
-        if dta.mean_cpu_seconds > 0.0 {
-            100.0 * data_wa.mean_cpu_seconds / dta.mean_cpu_seconds
+        if dta.mean_planning_seconds > 0.0 {
+            100.0 * data_wa.mean_planning_seconds / dta.mean_planning_seconds
         } else {
             100.0
         }

@@ -63,7 +63,13 @@ fn main() {
     println!("Fig. 1 running example: 3 workers, 9 tasks, reachable distance 1.2, unit speed\n");
     for policy in [PolicyKind::Fta, PolicyKind::Dta, PolicyKind::Greedy] {
         let runner = AdaptiveRunner::new(config, policy);
-        let outcome = run_workload(&runner, &workload(), &[], EngineConfig::default()).run;
+        let outcome = run_workload(
+            &runner,
+            &workload(),
+            &mut StaticForecast::default(),
+            EngineConfig::default(),
+        )
+        .run;
         println!(
             "{:<8} assigned {} of {} tasks (planning calls: {})",
             policy.name(),

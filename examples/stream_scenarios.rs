@@ -17,8 +17,18 @@ fn main() {
     for scenario in builtin_scenarios(spec) {
         let workload = scenario.generate();
         let runner = AdaptiveRunner::new(AssignConfig::default(), PolicyKind::Dta);
-        let per_arrival = run_workload(&runner, &workload, &[], EngineConfig::default());
-        let batched = run_workload(&runner, &workload, &[], EngineConfig::batched(16));
+        let per_arrival = run_workload(
+            &runner,
+            &workload,
+            &mut StaticForecast::default(),
+            EngineConfig::default(),
+        );
+        let batched = run_workload(
+            &runner,
+            &workload,
+            &mut StaticForecast::default(),
+            EngineConfig::batched(16),
+        );
         println!(
             "{:<20} sessions={:<4} per-arrival: {:>3} assigned / {:>4} plans | \
              batched(16): {:>3} assigned / {:>4} plans | {} events, queue peak {}",

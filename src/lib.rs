@@ -13,7 +13,7 @@
 //! * [`graph`] — chordal completion, maximal cliques, recursive tree
 //!   construction;
 //! * [`obs`] — the zero-overhead observability layer: metrics registry,
-//!   mergeable latency histograms, span timers and JSON snapshots;
+//!   mergeable latency histograms, span timers and registry snapshots;
 //! * [`predict`] — task multivariate time series, DDGNN and the LSTM /
 //!   Graph-WaveNet baselines;
 //! * [`assign`] — reachable tasks, maximal valid sequences, DFSearch, the
@@ -26,8 +26,11 @@
 //! * [`service`] — the long-running dispatch service over sessions: ingest
 //!   sources (workload replay, paced live traffic), backpressure and
 //!   mid-stream inspection;
-//! * [`sim`] — synthetic Yueche/DiDi-like trace generation and the
-//!   end-to-end pipeline (driven through the session API).
+//! * [`net`] — the multi-tenant TCP front-end over dispatch services:
+//!   the wire protocol, admission control and journaled recovery;
+//! * [`sim`] — synthetic Yueche/DiDi-like trace generation, the
+//!   end-to-end pipeline (driven through the session API) and the `repro`
+//!   experiments behind the paper's tables and figures.
 //!
 //! ## Quickstart
 //!
@@ -37,8 +40,9 @@
 //! // A tiny synthetic trace (1 % of the Yueche-like preset).
 //! let trace = SyntheticTrace::generate(TraceSpec::yueche().scaled(0.01));
 //! let config = PipelineConfig::default();
-//! let summary = run_policy(&trace, PolicyKind::Dta, &[], None, &config);
-//! assert!(summary.assigned_tasks <= trace.tasks.len());
+//! let mut blind = StaticForecast::default();
+//! let outcome = run_policy(&trace, PolicyKind::Dta, &mut blind, None, &config);
+//! assert!(outcome.assigned_tasks <= trace.tasks.len());
 //! ```
 
 pub use datawa_assign as assign;
@@ -72,8 +76,8 @@ pub mod prelude {
         SourcePoll, WorkloadSource,
     };
     pub use datawa_sim::{
-        online_forecaster, run_policy, run_policy_with_forecast, run_prediction,
-        train_tvf_on_prefix, PipelineConfig, SyntheticTrace, TraceSpec,
+        online_forecaster, run_policy, run_prediction, train_tvf_on_prefix, PipelineConfig,
+        SyntheticTrace, TraceSpec,
     };
     pub use datawa_stream::{
         builtin_scenarios, run_workload, ChannelSink, CollectingSink, Decision, DecisionSink,

@@ -9,7 +9,7 @@
 //! every thread count, so the comparison is exact, not statistical.
 
 use datawa::prelude::*;
-use datawa_experiments::{scenario_online_forecaster, ForecastScenarioConfig};
+use datawa_sim::scenario_online_forecaster;
 
 /// The tuned evaluation point: a 10 km box whose single demand hotspot
 /// migrates across the full area, moderately under-supplied so positioning
@@ -21,8 +21,8 @@ fn drift_spec() -> ScenarioSpec {
         .with_seed(11)
 }
 
-fn forecast_config() -> ForecastScenarioConfig {
-    ForecastScenarioConfig {
+fn forecast_config() -> PipelineConfig {
+    PipelineConfig {
         grid_cells_per_side: 8,
         delta_t: 10.0,
         k: 3,
@@ -31,9 +31,8 @@ fn forecast_config() -> ForecastScenarioConfig {
             epochs: 8,
             learning_rate: 0.02,
         },
-        train_fraction: 0.5,
-        threshold: 0.45,
-        refresh_every: 15.0,
+        prediction_threshold: 0.45,
+        ..PipelineConfig::default()
     }
 }
 
@@ -85,21 +84,15 @@ fn online_ddgnn_data_wa_beats_prediction_blind_dta_under_hotspot_drift() {
     // Baseline: prediction-blind DTA (exact re-planning, no forecasts).
     let blind_runner = AdaptiveRunner::new(AssignConfig::default(), PolicyKind::Dta);
     let mut blind_forecast = StaticForecast::default();
-    let blind = datawa::stream::run_workload_forecast(
-        &blind_runner,
-        &workload,
-        &mut blind_forecast,
-        engine,
-    );
+    let blind = run_workload(&blind_runner, &workload, &mut blind_forecast, engine);
 
     // The full DATA-WA method, forecast-fed: TVF-guided search, predictions
     // from a DDGNN trained on the chronological prefix of the scenario's own
     // task series and re-forecast live as the session streams.
     let online_runner = AdaptiveRunner::new(AssignConfig::default(), PolicyKind::DataWa)
         .with_tvf(train_tvf_on_workload_prefix(&workload, spec));
-    let mut forecaster = scenario_online_forecaster(&workload, spec, &config);
-    let online =
-        datawa::stream::run_workload_forecast(&online_runner, &workload, &mut forecaster, engine);
+    let mut forecaster = scenario_online_forecaster(&workload, spec, &config, 0.5, 15.0);
+    let online = run_workload(&online_runner, &workload, &mut forecaster, engine);
 
     assert!(
         online.run.forecast.refreshes > 10,
@@ -126,18 +119,20 @@ fn online_ddgnn_data_wa_beats_prediction_blind_dta_under_hotspot_drift() {
 fn dispatch_service_surfaces_live_forecast_stats() {
     let spec = ScenarioSpec::small().with_tasks(200).with_workers(12);
     let workload = HotspotDrift::new(spec).generate();
-    let config = ForecastScenarioConfig {
+    let config = PipelineConfig {
         grid_cells_per_side: 4,
+        delta_t: 10.0,
         k: 2,
         history_len: 3,
+        prediction_threshold: 0.6,
         training: TrainingConfig {
             epochs: 1,
             learning_rate: 0.02,
         },
-        ..ForecastScenarioConfig::default()
+        ..PipelineConfig::default()
     };
     let runner = AdaptiveRunner::new(AssignConfig::default(), PolicyKind::DtaTp);
-    let mut forecaster = scenario_online_forecaster(&workload, spec, &config);
+    let mut forecaster = scenario_online_forecaster(&workload, spec, &config, 0.8, 30.0);
     let mut service = DispatchService::open(
         &runner,
         &mut forecaster,

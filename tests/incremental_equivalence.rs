@@ -22,7 +22,12 @@ fn outcome(workload: &Workload, policy: PolicyKind) -> datawa::stream::EngineOut
     if policy == PolicyKind::DataWa {
         runner = runner.with_tvf(TaskValueFunction::new(8, 7));
     }
-    run_workload(&runner, workload, &[], EngineConfig::batched(8))
+    run_workload(
+        &runner,
+        workload,
+        &mut StaticForecast::default(),
+        EngineConfig::batched(8),
+    )
 }
 
 /// One run as the full replan produced it: scenario, policy,
@@ -152,7 +157,12 @@ fn prediction_policies_stay_equivalent() {
     let registry = MetricsRegistry::new();
     let runner = AdaptiveRunner::new(AssignConfig::default(), PolicyKind::DtaTp)
         .with_metrics(registry.clone());
-    let on = run_workload(&runner, &workload, &predicted, EngineConfig::batched(8));
+    let on = run_workload(
+        &runner,
+        &workload,
+        &mut StaticForecast::from_slice(&predicted),
+        EngineConfig::batched(8),
+    );
     // Both routes are taken.
     let phantom_instants = registry.snapshot().counters["assign.phantom_instants"];
     assert!(phantom_instants > 0);

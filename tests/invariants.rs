@@ -108,7 +108,8 @@ proptest! {
         let workload = Workload { workers, tasks };
         for policy in [PolicyKind::Greedy, PolicyKind::Fta, PolicyKind::Dta] {
             let runner = AdaptiveRunner::new(config, policy);
-            let outcome = run_workload(&runner, &workload, &[], EngineConfig::default()).run;
+            let mut blind = StaticForecast::default();
+            let outcome = run_workload(&runner, &workload, &mut blind, EngineConfig::default()).run;
             prop_assert!(outcome.assigned_tasks <= workload.tasks.len());
             let sum: usize = outcome.per_worker.values().sum();
             prop_assert_eq!(sum, outcome.assigned_tasks);

@@ -34,18 +34,18 @@ fn all_policies_produce_bounded_feasible_outcomes() {
     let mut predictor = DdgnnPredictor::with_defaults(cells, cfg.k, 1);
     let (_, predicted) = run_prediction(&mut predictor, &trace, &cfg);
     for policy in PolicyKind::all() {
-        let predictions: &[_] = if policy.uses_prediction() {
-            &predicted
+        let mut forecast = if policy.uses_prediction() {
+            StaticForecast::from_slice(&predicted)
         } else {
-            &[]
+            StaticForecast::default()
         };
-        let summary = run_policy(&trace, policy, predictions, None, &cfg);
+        let summary = run_policy(&trace, policy, &mut forecast, None, &cfg);
         assert!(
             summary.assigned_tasks <= trace.tasks.len(),
             "{} assigned more tasks than exist",
-            summary.policy
+            policy.name()
         );
-        assert!(summary.mean_cpu_seconds >= 0.0);
+        assert!(summary.mean_planning_seconds >= 0.0);
         assert_eq!(summary.events, trace.tasks.len() + trace.workers.len());
     }
 }
@@ -54,8 +54,20 @@ fn all_policies_produce_bounded_feasible_outcomes() {
 fn adaptive_replanning_beats_fixed_assignment_on_the_synthetic_trace() {
     let trace = trace();
     let cfg = config();
-    let fta = run_policy(&trace, PolicyKind::Fta, &[], None, &cfg);
-    let dta = run_policy(&trace, PolicyKind::Dta, &[], None, &cfg);
+    let fta = run_policy(
+        &trace,
+        PolicyKind::Fta,
+        &mut StaticForecast::default(),
+        None,
+        &cfg,
+    );
+    let dta = run_policy(
+        &trace,
+        PolicyKind::Dta,
+        &mut StaticForecast::default(),
+        None,
+        &cfg,
+    );
     assert!(
         dta.assigned_tasks >= fta.assigned_tasks,
         "DTA ({}) should not fall behind FTA ({})",
@@ -110,9 +122,10 @@ fn prediction_metrics_are_well_formed_for_all_three_models() {
     ];
     for model in models.iter_mut() {
         let (summary, predicted) = run_prediction(model.as_mut(), &trace, &cfg);
-        assert!(summary.average_precision >= 0.0 && summary.average_precision <= 1.0);
-        assert!(summary.train_seconds > 0.0);
-        assert!(summary.test_seconds >= 0.0);
+        let (training, evaluation) = (summary.training, summary.evaluation);
+        assert!(evaluation.average_precision >= 0.0 && evaluation.average_precision <= 1.0);
+        assert!(training.train_seconds > 0.0);
+        assert!(evaluation.test_seconds >= 0.0);
         for p in &predicted {
             assert!(p.expiration.0 > p.publication.0);
         }

@@ -41,7 +41,13 @@ fn workload() -> Workload {
 
 fn run(policy: PolicyKind) -> datawa::assign::RunOutcome {
     let runner = AdaptiveRunner::new(AssignConfig::unit_speed(), policy);
-    run_workload(&runner, &workload(), &[], EngineConfig::default()).run
+    run_workload(
+        &runner,
+        &workload(),
+        &mut StaticForecast::default(),
+        EngineConfig::default(),
+    )
+    .run
 }
 
 #[test]

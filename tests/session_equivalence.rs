@@ -60,7 +60,12 @@ fn session_ingest_equals_batch_run_for_all_policies_and_scenarios() {
             PolicyKind::Dta,
             PolicyKind::DataWa,
         ] {
-            let batch = run_workload(&runner(policy), &workload, &[], EngineConfig::default());
+            let batch = run_workload(
+                &runner(policy),
+                &workload,
+                &mut StaticForecast::default(),
+                EngineConfig::default(),
+            );
             let (live, decisions) = run_event_by_event(&workload, policy, EngineConfig::default());
 
             let label = format!("{} on {}", policy.name(), scenario.name());
@@ -125,7 +130,12 @@ fn session_ingest_equals_batch_run_with_predicted_tasks() {
     assert!(!predicted.is_empty());
 
     let r = runner(PolicyKind::DtaTp);
-    let batch = run_workload(&r, &workload, &predicted, EngineConfig::default());
+    let batch = run_workload(
+        &r,
+        &workload,
+        &mut StaticForecast::from_slice(&predicted),
+        EngineConfig::default(),
+    );
 
     let mut sink = CollectingSink::new();
     let mut forecast = StaticForecast::from_slice(&predicted);
@@ -151,7 +161,7 @@ fn chunked_advance_equals_batch_run_under_time_driven_planning() {
     let workload = HotspotDrift::new(spec).generate();
     let config = EngineConfig::ticked(45.0);
     let r = runner(PolicyKind::Dta);
-    let batch = run_workload(&r, &workload, &[], config);
+    let batch = run_workload(&r, &workload, &mut StaticForecast::default(), config);
 
     let mut sink = CollectingSink::new();
     let mut forecast = StaticForecast::default();

@@ -48,7 +48,7 @@ fn engine_replay_equals_legacy_loop_on_both_presets() {
     ] {
         let trace = SyntheticTrace::generate(spec);
         for policy in [PolicyKind::Greedy, PolicyKind::Fta, PolicyKind::Dta] {
-            let summary = run_policy(&trace, policy, &[], None, &cfg);
+            let summary = run_policy(&trace, policy, &mut StaticForecast::default(), None, &cfg);
             rows.push((name, policy.name(), summary.assigned_tasks, summary.events));
         }
     }
@@ -64,7 +64,7 @@ fn engine_replay_equals_legacy_loop_for_data_wa() {
     let summary = run_policy(
         &trace,
         PolicyKind::DataWa,
-        &[],
+        &mut StaticForecast::default(),
         Some(train_tvf_on_prefix(&trace, &cfg)),
         &cfg,
     );
@@ -101,8 +101,18 @@ fn engine_lifecycle_accounting_is_complete() {
 fn time_batched_replanning_cuts_planning_calls() {
     let trace = SyntheticTrace::generate(TraceSpec::yueche().scaled(0.02));
     let runner = AdaptiveRunner::new(AssignConfig::default(), PolicyKind::Greedy);
-    let per_arrival = run_workload(&runner, &trace.workload(), &[], EngineConfig::default());
-    let ticked = run_workload(&runner, &trace.workload(), &[], EngineConfig::ticked(60.0));
+    let per_arrival = run_workload(
+        &runner,
+        &trace.workload(),
+        &mut StaticForecast::default(),
+        EngineConfig::default(),
+    );
+    let ticked = run_workload(
+        &runner,
+        &trace.workload(),
+        &mut StaticForecast::default(),
+        EngineConfig::ticked(60.0),
+    );
     assert!(ticked.run.planning_calls < per_arrival.run.planning_calls / 2);
     assert!(ticked.run.assigned_tasks > 0);
 }
@@ -115,7 +125,12 @@ fn builtin_scenarios_run_through_the_facade() {
     let runner = AdaptiveRunner::new(AssignConfig::default(), PolicyKind::Dta);
     let mut names = Vec::new();
     for scenario in builtin_scenarios(spec) {
-        let outcome = run_workload(&runner, &scenario.generate(), &[], EngineConfig::default());
+        let outcome = run_workload(
+            &runner,
+            &scenario.generate(),
+            &mut StaticForecast::default(),
+            EngineConfig::default(),
+        );
         assert!(outcome.run.assigned_tasks > 0, "{}", scenario.name());
         names.push(scenario.name());
     }
