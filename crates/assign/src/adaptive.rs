@@ -57,12 +57,6 @@ impl PolicyKind {
         matches!(self, PolicyKind::DtaTp | PolicyKind::DataWa)
     }
 
-    /// Whether the policy re-plans at every time instance (as opposed to
-    /// fixing each worker's sequence on arrival).
-    pub fn replans(&self) -> bool {
-        !matches!(self, PolicyKind::Fta)
-    }
-
     /// All five policies, in the order the paper lists them.
     pub fn all() -> [PolicyKind; 5] {
         [
@@ -1659,8 +1653,6 @@ mod tests {
         assert_eq!(PolicyKind::all().len(), 5);
         assert!(PolicyKind::DataWa.uses_prediction());
         assert!(!PolicyKind::Dta.uses_prediction());
-        assert!(!PolicyKind::Fta.replans());
-        assert!(PolicyKind::Greedy.replans());
         assert_eq!(PolicyKind::DtaTp.name(), "DTA+TP");
     }
 }

@@ -21,9 +21,13 @@ pub struct AssignConfig {
     pub max_reachable_per_worker: usize,
     /// Maximum length of a candidate task sequence.
     pub max_sequence_len: usize,
-    /// Hard cap on exact-DFSearch node expansions per tree node, after which
-    /// the search falls back to the best assignment found so far. Keeps the
-    /// worst-case planning latency bounded on dense cliques.
+    /// Hard cap on exact-DFSearch node expansions per planning partition
+    /// (cluster-tree root subtree):
+    /// [`crate::DfSearch::exact_partition`] starts every partition with the
+    /// full budget. Once it is spent, every subproblem the search still
+    /// enters is finished by the greedy completion (each pending worker
+    /// takes its first compatible candidate) instead of being branched on.
+    /// Keeps the worst-case planning latency bounded on dense cliques.
     pub search_node_budget: usize,
     /// Accepted and ignored: the planner searches partitions serially. The
     /// field remains because existing callers (the frozen benchmark harness

@@ -350,7 +350,7 @@ mod tests {
     #[test]
     fn time_scale_normalises_ten_minutes_to_one() {
         // Guard against accidental unit changes in the feature scales.
-        let d = datawa_core::Duration::from_mins(10.0);
+        let d = datawa_core::Duration::from_secs(600.0);
         assert!((d.seconds() * TIME_SCALE - 1.0).abs() < 1e-12);
     }
 }

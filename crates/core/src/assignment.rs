@@ -90,19 +90,6 @@ impl Assignment {
         self.assigned_tasks().len()
     }
 
-    /// Merges another assignment into this one. Panics in debug builds if a
-    /// worker appears in both (sub-problems produced by worker dependency
-    /// separation are disjoint by construction).
-    pub fn merge(&mut self, other: Assignment) {
-        for (w, seq) in other.sequences {
-            debug_assert!(
-                !self.sequences.contains_key(&w),
-                "worker {w} assigned by two sub-problems"
-            );
-            self.set(w, seq);
-        }
-    }
-
     /// Aggregate statistics for reporting.
     pub fn stats(&self) -> AssignmentStats {
         let assigned_tasks = self.assigned_count();
@@ -245,16 +232,6 @@ mod tests {
         let v = a.validate(&workers, &tasks, &travel, Timestamp(0.0));
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("multiple workers"));
-    }
-
-    #[test]
-    fn merge_combines_disjoint_assignments() {
-        let mut a = Assignment::new();
-        a.set(WorkerId(0), TaskSequence::from_ids([TaskId(0)]));
-        let mut b = Assignment::new();
-        b.set(WorkerId(1), TaskSequence::from_ids([TaskId(1)]));
-        a.merge(b);
-        assert_eq!(a.assigned_count(), 2);
     }
 
     #[test]

@@ -23,7 +23,6 @@
 //! ```
 
 pub mod assignment;
-pub mod error;
 pub mod location;
 pub mod sequence;
 pub mod store;
@@ -33,12 +32,11 @@ pub mod travel;
 pub mod worker;
 
 pub use assignment::{Assignment, AssignmentStats};
-pub use error::{CoreError, CoreResult};
 pub use location::{BoundingBox, Location};
 pub use sequence::{ArrivalTimes, TaskSequence, ValidityViolation};
 pub use store::{OpenTaskView, TaskStore, WorkerStore};
 pub use task::{Task, TaskId};
-pub use time::{Duration, TimeInterval, Timestamp};
+pub use time::{Duration, Timestamp};
 pub use travel::{DistanceMetric, TravelModel};
 pub use worker::{AvailabilityWindow, Worker, WorkerId, WorkerMode};
 
@@ -49,7 +47,7 @@ pub mod prelude {
     pub use crate::sequence::{ArrivalTimes, TaskSequence, ValidityViolation};
     pub use crate::store::{OpenTaskView, TaskStore, WorkerStore};
     pub use crate::task::{Task, TaskId};
-    pub use crate::time::{Duration, TimeInterval, Timestamp};
+    pub use crate::time::{Duration, Timestamp};
     pub use crate::travel::{DistanceMetric, TravelModel};
     pub use crate::worker::{AvailabilityWindow, Worker, WorkerId, WorkerMode};
 }

@@ -44,12 +44,6 @@ impl Location {
         (self.x - other.x).abs() + (self.y - other.y).abs()
     }
 
-    /// Component-wise midpoint between `self` and `other`.
-    #[inline]
-    pub fn midpoint(&self, other: &Location) -> Location {
-        Location::new((self.x + other.x) * 0.5, (self.y + other.y) * 0.5)
-    }
-
     /// Whether both coordinates are finite (not NaN / infinite).
     #[inline]
     pub fn is_finite(&self) -> bool {
@@ -115,12 +109,6 @@ impl BoundingBox {
             p.x.clamp(self.min.x, self.max.x),
             p.y.clamp(self.min.y, self.max.y),
         )
-    }
-
-    /// Centre of the box.
-    #[inline]
-    pub fn center(&self) -> Location {
-        self.min.midpoint(&self.max)
     }
 }
 

@@ -1,7 +1,7 @@
 //! Spatial tasks (Definition 1).
 
 use crate::location::Location;
-use crate::time::{Duration, TimeInterval, Timestamp};
+use crate::time::{Duration, Timestamp};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -69,12 +69,6 @@ impl Task {
     #[inline]
     pub fn valid_time(&self) -> Duration {
         self.expiration - self.publication
-    }
-
-    /// The lifetime interval `[p, e)` during which the task can be served.
-    #[inline]
-    pub fn lifetime(&self) -> TimeInterval {
-        TimeInterval::new(self.publication, self.expiration)
     }
 
     /// Whether the task is still assignable at time `now`: already published

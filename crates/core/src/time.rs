@@ -1,11 +1,10 @@
 //! Time primitives used across the workspace.
 //!
 //! All times are represented as `f64` seconds since an arbitrary experiment
-//! epoch (the start of the simulated trace). The paper manipulates three
+//! epoch (the start of the simulated trace). The paper manipulates two
 //! temporal quantities: absolute instants (publication/expiration/online/offline
-//! times and arrival times from Eq. 1), durations (travel times, availability
-//! window lengths `off − on`, valid times `e − p`) and half-open intervals
-//! (`[t, t + ΔT)` occurrence buckets of the task multivariate time series).
+//! times and arrival times from Eq. 1) and durations (travel times,
+//! availability window lengths `off − on`, valid times `e − p`).
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -69,12 +68,6 @@ impl Duration {
     #[inline]
     pub fn from_secs(secs: f64) -> Duration {
         Duration(secs)
-    }
-
-    /// Builds a duration from minutes.
-    #[inline]
-    pub fn from_mins(mins: f64) -> Duration {
-        Duration(mins * 60.0)
     }
 
     /// Raw seconds of this duration.
@@ -167,86 +160,6 @@ impl fmt::Display for Duration {
     }
 }
 
-/// A half-open time interval `[start, end)`.
-///
-/// Used for the ΔT occurrence buckets of the task multivariate time series
-/// (Eq. 2) and for worker availability windows clipped to the horizon.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TimeInterval {
-    /// Inclusive start of the interval.
-    pub start: Timestamp,
-    /// Exclusive end of the interval.
-    pub end: Timestamp,
-}
-
-impl TimeInterval {
-    /// Creates a new interval. `end` may equal `start` (empty interval) but
-    /// must not precede it.
-    #[inline]
-    pub fn new(start: Timestamp, end: Timestamp) -> TimeInterval {
-        debug_assert!(end.0 >= start.0, "interval end precedes start");
-        TimeInterval { start, end }
-    }
-
-    /// Length of the interval.
-    #[inline]
-    pub fn length(&self) -> Duration {
-        self.end - self.start
-    }
-
-    /// Whether the interval contains the instant `t` (`start <= t < end`).
-    #[inline]
-    pub fn contains(&self, t: Timestamp) -> bool {
-        t.0 >= self.start.0 && t.0 < self.end.0
-    }
-
-    /// Whether the interval is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.end.0 <= self.start.0
-    }
-
-    /// Intersection of two intervals, or `None` when they do not overlap.
-    pub fn intersect(&self, other: &TimeInterval) -> Option<TimeInterval> {
-        let start = self.start.max(other.start);
-        let end = self.end.min(other.end);
-        if end.0 > start.0 {
-            Some(TimeInterval { start, end })
-        } else {
-            None
-        }
-    }
-
-    /// Whether two intervals overlap on a set of positive measure.
-    #[inline]
-    pub fn overlaps(&self, other: &TimeInterval) -> bool {
-        self.intersect(other).is_some()
-    }
-
-    /// Splits the interval into `n` equal consecutive sub-intervals.
-    ///
-    /// Used by the time-series builder to carve a vector of `k` ΔT buckets out
-    /// of a `kΔT` window.
-    pub fn split(&self, n: usize) -> Vec<TimeInterval> {
-        assert!(n > 0, "cannot split an interval into zero pieces");
-        let step = self.length().seconds() / n as f64;
-        (0..n)
-            .map(|i| {
-                TimeInterval::new(
-                    self.start + Duration(step * i as f64),
-                    self.start + Duration(step * (i + 1) as f64),
-                )
-            })
-            .collect()
-    }
-}
-
-impl fmt::Display for TimeInterval {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{:.3}, {:.3})", self.start.0, self.end.0)
-    }
-}
-
 /// Total ordering helper for timestamps (`f64` is only `PartialOrd`).
 ///
 /// NaN timestamps are considered greater than every finite timestamp so that
@@ -281,42 +194,7 @@ mod tests {
 
     #[test]
     fn duration_constructors_convert_units() {
-        assert_eq!(Duration::from_mins(2.0), Duration(120.0));
         assert_eq!(Duration::from_secs(7.0), Duration(7.0));
-    }
-
-    #[test]
-    fn interval_contains_is_half_open() {
-        let iv = TimeInterval::new(Timestamp(1.0), Timestamp(2.0));
-        assert!(iv.contains(Timestamp(1.0)));
-        assert!(iv.contains(Timestamp(1.999)));
-        assert!(!iv.contains(Timestamp(2.0)));
-        assert!(!iv.contains(Timestamp(0.999)));
-    }
-
-    #[test]
-    fn interval_intersection() {
-        let a = TimeInterval::new(Timestamp(0.0), Timestamp(10.0));
-        let b = TimeInterval::new(Timestamp(5.0), Timestamp(15.0));
-        let c = a.intersect(&b).expect("intervals overlap");
-        assert_eq!(c.start, Timestamp(5.0));
-        assert_eq!(c.end, Timestamp(10.0));
-        let d = TimeInterval::new(Timestamp(10.0), Timestamp(12.0));
-        assert!(
-            a.intersect(&d).is_none(),
-            "touching intervals do not overlap"
-        );
-    }
-
-    #[test]
-    fn interval_split_covers_the_interval() {
-        let iv = TimeInterval::new(Timestamp(0.0), Timestamp(9.0));
-        let parts = iv.split(3);
-        assert_eq!(parts.len(), 3);
-        assert_eq!(parts[0].start, Timestamp(0.0));
-        assert_eq!(parts[2].end, Timestamp(9.0));
-        let total: f64 = parts.iter().map(|p| p.length().seconds()).sum();
-        assert!((total - 9.0).abs() < 1e-9);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::location::Location;
 use crate::task::Task;
-use crate::time::{Duration, TimeInterval, Timestamp};
+use crate::time::{Duration, Timestamp};
 use crate::travel::TravelModel;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -82,12 +82,6 @@ impl AvailabilityWindow {
             let start = now.max(self.on);
             self.off - start
         }
-    }
-
-    /// The window as a [`TimeInterval`].
-    #[inline]
-    pub fn interval(&self) -> TimeInterval {
-        TimeInterval::new(self.on, self.off)
     }
 }
 

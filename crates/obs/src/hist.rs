@@ -276,17 +276,6 @@ pub struct HistogramSummary {
     pub p99: u64,
 }
 
-impl HistogramSummary {
-    /// Mean recorded value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-}
-
 /// A scoped timer: created by [`Histogram::span`], records the elapsed
 /// nanoseconds into the histogram when dropped. When the histogram is
 /// detached the timer holds no start instant and dropping it does nothing —

@@ -84,16 +84,15 @@ impl Default for DdgnnConfig {
     }
 }
 
-/// The DDGNN demand predictor.
+/// The DDGNN demand predictor. Every pass, training and inference alike,
+/// propagates through the dynamic adjacency `A^t` learned from the current
+/// snapshot (see the module docs).
 pub struct DdgnnPredictor {
     temporal: GatedTemporalConv,
     dependency: DependencyLearner,
     head: Dense,
     config: DdgnnConfig,
     cells: usize,
-    /// When `false`, the dynamic adjacency is replaced by the identity matrix
-    /// (no inter-region propagation) — used by the ablation benchmark.
-    use_dynamic_adjacency: bool,
     /// Working buffers of the inference-only forward pass.
     buffers: RefCell<InferenceBuffers>,
 }
@@ -131,7 +130,6 @@ impl DdgnnPredictor {
             head: Dense::new(config.hidden, k, &mut rng),
             config,
             cells,
-            use_dynamic_adjacency: true,
             buffers: RefCell::new(InferenceBuffers {
                 unfolded: Matrix::zeros(cells, k * config.kernel),
                 z0: Matrix::zeros(cells, config.hidden),
@@ -148,22 +146,9 @@ impl DdgnnPredictor {
         DdgnnPredictor::new(cells, k, DdgnnConfig::default(), seed)
     }
 
-    /// Disables the learned dynamic adjacency (ablation: propagation becomes a
-    /// no-op mix with the identity).
-    pub fn without_dynamic_adjacency(mut self) -> DdgnnPredictor {
-        self.use_dynamic_adjacency = false;
-        self
-    }
-
     /// The model configuration.
     pub fn config(&self) -> &DdgnnConfig {
         &self.config
-    }
-
-    /// The dynamic adjacency computed from a snapshot (exposed for analysis
-    /// and tests).
-    pub fn dynamic_adjacency(&self, snapshot: &Matrix) -> Matrix {
-        self.dependency.adjacency_from_matrix(snapshot).value()
     }
 
     /// Per-cell temporal encoding (latest timestep of the gated causal conv).
@@ -226,14 +211,7 @@ impl DdgnnPredictor {
             }
         }
         self.temporal.apply_unfolded_into(unfolded, z0, scratch);
-        if self.use_dynamic_adjacency {
-            self.dependency.adjacency_into(snapshot, adjacency, a_hat);
-        } else {
-            a_hat.data_mut().fill(0.0);
-            for i in 0..self.cells {
-                a_hat.set(i, i, 1.0);
-            }
-        }
+        self.dependency.adjacency_into(snapshot, adjacency, a_hat);
         // Â = (A + I) / 2, as in `propagate`: the same add and scale for
         // every element, the identity's zeros included.
         for r in 0..self.cells {
@@ -278,12 +256,9 @@ impl DemandPredictor for DdgnnPredictor {
             "example cell count does not match the model"
         );
         let z0 = self.temporal_features(example); // (M, hidden)
-        let adjacency = if self.use_dynamic_adjacency {
-            self.dependency
-                .adjacency(&Var::constant(example.snapshot.clone()))
-        } else {
-            Var::constant(Matrix::identity(self.cells))
-        };
+        let adjacency = self
+            .dependency
+            .adjacency(&Var::constant(example.snapshot.clone()));
         let z = self.propagate(&z0, &adjacency);
         self.head.forward(&z).sigmoid()
     }
@@ -393,10 +368,10 @@ mod tests {
     #[test]
     fn dynamic_adjacency_is_row_stochastic_and_snapshot_dependent() {
         let model = DdgnnPredictor::with_defaults(3, 2, 1);
-        let a =
-            model.dynamic_adjacency(&Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 0.0], &[0.0, 1.0]]));
-        let b =
-            model.dynamic_adjacency(&Matrix::from_rows(&[&[0.0, 0.0], &[1.0, 1.0], &[0.0, 0.0]]));
+        let adjacency =
+            |snapshot: &Matrix| model.dependency.adjacency_from_matrix(snapshot).value();
+        let a = adjacency(&Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 0.0], &[0.0, 1.0]]));
+        let b = adjacency(&Matrix::from_rows(&[&[0.0, 0.0], &[1.0, 1.0], &[0.0, 0.0]]));
         for r in 0..3 {
             assert!((a.row(r).iter().sum::<f64>() - 1.0).abs() < 1e-9);
         }
@@ -420,17 +395,6 @@ mod tests {
             ap > 0.7,
             "DDGNN failed to learn the cross-region dependency: AP={ap}"
         );
-    }
-
-    #[test]
-    fn ablated_model_has_no_dynamic_adjacency_parameters_in_use() {
-        let ds = dependency_dataset(3, 2, 4);
-        let full = DdgnnPredictor::with_defaults(3, 2, 4);
-        let ablated = DdgnnPredictor::with_defaults(3, 2, 4).without_dynamic_adjacency();
-        // Outputs differ because the ablated model skips propagation through A^t.
-        let a = full.predict(&ds.examples[0]);
-        let b = ablated.predict(&ds.examples[0]);
-        assert_ne!(a, b);
     }
 
     #[test]

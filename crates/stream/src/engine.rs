@@ -73,11 +73,6 @@ pub struct EngineStats {
     pub replan_ticks: usize,
     /// High-water mark of the pending-event queue.
     pub peak_queue_len: usize,
-    /// Largest number of independent planning partitions (cluster-tree root
-    /// subtrees) any single planning instant split into.
-    pub peak_partitions: usize,
-    /// Workers in the largest partition observed across the run.
-    pub peak_partition_workers: usize,
 }
 
 /// Result of one engine run: the assignment outcome plus engine counters.

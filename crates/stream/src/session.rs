@@ -639,11 +639,8 @@ impl<'a, F: ForecastProvider + ?Sized> Session<'a, F> {
     pub fn close(mut self, sink: &mut dyn DecisionSink) -> EngineOutcome {
         self.advance_to(Timestamp(f64::INFINITY), sink);
         self.stats.peak_queue_len = self.queue.peak_len();
-        let run = self.state.finish();
-        self.stats.peak_partitions = run.peak_partitions;
-        self.stats.peak_partition_workers = run.peak_partition_workers;
         EngineOutcome {
-            run,
+            run: self.state.finish(),
             stats: self.stats,
         }
     }

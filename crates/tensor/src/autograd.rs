@@ -187,20 +187,6 @@ impl Var {
         )
     }
 
-    /// Element-wise difference.
-    pub fn sub(&self, rhs: &Var) -> Var {
-        let value = &self.value() - &rhs.value();
-        Var::new_node(
-            value,
-            vec![self.clone(), rhs.clone()],
-            Some(Box::new(move |grad_out, parents| {
-                parents[0].accumulate_grad(grad_out);
-                parents[1].accumulate_grad(&grad_out.scale(-1.0));
-            })),
-            true,
-        )
-    }
-
     /// Element-wise (Hadamard) product.
     pub fn hadamard(&self, rhs: &Var) -> Var {
         let value = self.value().hadamard(&rhs.value());
@@ -492,13 +478,6 @@ impl Var {
         )
     }
 
-    /// Mean of all elements as a 1×1 node.
-    pub fn mean(&self) -> Var {
-        let (rows, cols) = self.shape();
-        let n = (rows * cols) as f64;
-        self.sum().scale(1.0 / n)
-    }
-
     fn requires_grad_reachable(&self) -> bool {
         // A node participates in differentiation if it is itself a parameter
         // or an interior node (interior nodes always require grad so the chain
@@ -639,18 +618,40 @@ mod tests {
     }
 
     #[test]
-    fn mean_is_sum_over_n() {
-        let w = Var::parameter(Matrix::from_rows(&[&[2.0, 4.0]]));
-        let m = w.mean();
-        assert!((m.value().get(0, 0) - 3.0).abs() < 1e-12);
-        m.backward();
-        assert_eq!(w.grad(), Matrix::from_rows(&[&[0.5, 0.5]]));
-    }
-
-    #[test]
     #[should_panic(expected = "scalar")]
     fn backward_requires_scalar() {
         let w = Var::parameter(Matrix::zeros(2, 2));
         w.backward();
+    }
+
+    #[test]
+    fn mse_matches_hand_computation() {
+        let p = Var::constant(Matrix::from_rows(&[&[1.0, 3.0]]));
+        let t = Matrix::from_rows(&[&[0.0, 1.0]]);
+        // ((1)^2 + (2)^2) / 2 = 2.5
+        assert!((p.mse_loss(&t).value().get(0, 0) - 2.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn bce_is_low_for_confident_correct_predictions() {
+        let t = Matrix::from_rows(&[&[1.0, 0.0]]);
+        let good = Var::constant(Matrix::from_rows(&[&[0.99, 0.01]]));
+        let bad = Var::constant(Matrix::from_rows(&[&[0.01, 0.99]]));
+        let lg = good.bce_loss(&t).value().get(0, 0);
+        let lb = bad.bce_loss(&t).value().get(0, 0);
+        assert!(lg < 0.05);
+        assert!(lb > 3.0);
+        assert!(lg < lb);
+    }
+
+    #[test]
+    fn bce_gradient_pushes_towards_target() {
+        let p = Var::parameter(Matrix::from_rows(&[&[0.3]]));
+        let sig = p.sigmoid();
+        let loss = sig.bce_loss(&Matrix::from_rows(&[&[1.0]]));
+        loss.backward();
+        // d loss / d p must be negative: increasing p increases sigmoid(p)
+        // towards the target 1 and decreases the loss.
+        assert!(p.grad().get(0, 0) < 0.0);
     }
 }

@@ -14,19 +14,6 @@ pub fn xavier_uniform(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
     Matrix::from_vec(rows, cols, data)
 }
 
-/// Uniform initialisation in `[-limit, limit]`.
-pub fn uniform(rows: usize, cols: usize, limit: f64, rng: &mut StdRng) -> Matrix {
-    let data = (0..rows * cols)
-        .map(|_| rng.gen_range(-limit..limit))
-        .collect();
-    Matrix::from_vec(rows, cols, data)
-}
-
-/// Zero initialisation (biases).
-pub fn zeros(rows: usize, cols: usize) -> Matrix {
-    Matrix::zeros(rows, cols)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -48,13 +35,5 @@ mod tests {
         assert_eq!(a, b);
         let c = xavier_uniform(4, 4, &mut StdRng::seed_from_u64(8));
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn uniform_and_zeros() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let m = uniform(3, 3, 0.5, &mut rng);
-        assert!(m.data().iter().all(|&v| v.abs() <= 0.5));
-        assert_eq!(zeros(2, 2), Matrix::zeros(2, 2));
     }
 }

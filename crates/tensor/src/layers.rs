@@ -23,7 +23,7 @@ impl Dense {
     pub fn new(in_features: usize, out_features: usize, rng: &mut StdRng) -> Dense {
         Dense {
             w: Var::parameter(init::xavier_uniform(in_features, out_features, rng)),
-            b: Var::parameter(init::zeros(1, out_features)),
+            b: Var::parameter(Matrix::zeros(1, out_features)),
         }
     }
 

@@ -9,11 +9,11 @@
 //! * [`Matrix`] — row-major `f64` matrices with the usual BLAS-1/2/3-style
 //!   operations;
 //! * [`Var`] — reverse-mode automatic differentiation over matrices (a small
-//!   dynamic tape);
+//!   dynamic tape), with the mean-squared-error and binary-cross-entropy
+//!   losses as nodes ([`Var::mse_loss`], [`Var::bce_loss`]);
 //! * [`layers`] — dense layers, gated dilated causal temporal convolutions and
 //!   recurrent cells built on top of the autograd;
-//! * [`optim`] — SGD and Adam optimisers;
-//! * [`loss`] — mean-squared-error and binary-cross-entropy losses.
+//! * [`optim`] — the Adam optimiser.
 //!
 //! ```
 //! use datawa_tensor::{Matrix, Var};
@@ -32,7 +32,6 @@
 pub mod autograd;
 pub mod init;
 pub mod layers;
-pub mod loss;
 pub mod matrix;
 pub mod optim;
 

@@ -293,15 +293,6 @@ impl Matrix {
         self.data.iter().sum()
     }
 
-    /// Mean of all elements (0 for an empty matrix).
-    pub fn mean(&self) -> f64 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f64
-        }
-    }
-
     /// Column-wise sum collapsed to a 1×cols row vector.
     pub fn sum_rows(&self) -> Matrix {
         let mut out = Matrix::zeros(1, self.cols);
@@ -490,10 +481,9 @@ mod tests {
     }
 
     #[test]
-    fn sum_mean_and_max_abs() {
+    fn sum_and_max_abs() {
         let a = Matrix::from_rows(&[&[3.0, -4.0]]);
         assert_eq!(a.sum(), -1.0);
-        assert_eq!(a.mean(), -0.5);
         assert_eq!(a.max_abs(), 4.0);
     }
 

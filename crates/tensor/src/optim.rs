@@ -1,42 +1,7 @@
-//! Gradient-descent optimisers.
+//! The gradient-descent optimiser.
 
 use crate::autograd::Var;
 use crate::matrix::Matrix;
-
-/// Plain stochastic gradient descent.
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f64,
-    params: Vec<Var>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimiser over the given parameters.
-    pub fn new(lr: f64, params: Vec<Var>) -> Sgd {
-        assert!(lr > 0.0, "learning rate must be positive");
-        Sgd { lr, params }
-    }
-
-    /// Zeroes all parameter gradients.
-    pub fn zero_grad(&self) {
-        for p in &self.params {
-            p.zero_grad();
-        }
-    }
-
-    /// Applies one descent step using the currently accumulated gradients.
-    pub fn step(&mut self) {
-        for p in &self.params {
-            let new = &p.value() - &p.grad().scale(self.lr);
-            p.set_value(new);
-        }
-    }
-
-    /// The managed parameters.
-    pub fn parameters(&self) -> &[Var] {
-        &self.params
-    }
-}
 
 /// Adam optimiser (Kingma & Ba) with bias correction.
 pub struct Adam {
@@ -118,22 +83,10 @@ impl Adam {
 mod tests {
     use super::*;
 
-    /// Minimise (x - 3)^2 with each optimiser and check convergence.
+    /// Minimise (x - 3)^2 and check convergence.
     fn quadratic_loss(x: &Var) -> Var {
         let d = x.add_const(&Matrix::filled(1, 1, -3.0));
         d.hadamard(&d).sum()
-    }
-
-    #[test]
-    fn sgd_converges_on_a_quadratic() {
-        let x = Var::parameter(Matrix::filled(1, 1, 10.0));
-        let mut opt = Sgd::new(0.1, vec![x.clone()]);
-        for _ in 0..100 {
-            opt.zero_grad();
-            quadratic_loss(&x).backward();
-            opt.step();
-        }
-        assert!((x.value().get(0, 0) - 3.0).abs() < 1e-4);
     }
 
     #[test]
@@ -149,10 +102,8 @@ mod tests {
     }
 
     #[test]
-    fn optimisers_manage_their_parameter_lists() {
+    fn adam_manages_its_parameter_list() {
         let x = Var::parameter(Matrix::zeros(2, 2));
-        let sgd = Sgd::new(0.1, vec![x.clone()]);
-        assert_eq!(sgd.parameters().len(), 1);
         let adam = Adam::new(0.1, vec![x]);
         assert_eq!(adam.parameters().len(), 1);
     }
@@ -160,6 +111,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_learning_rate_is_rejected() {
-        let _ = Sgd::new(0.0, vec![]);
+        let _ = Adam::new(0.0, vec![]);
     }
 }

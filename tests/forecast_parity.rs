@@ -86,7 +86,6 @@ proptest! {
         history_choice in 0usize..5,
         dilation in 1usize..3,
         propagation_steps in 0usize..4,
-        dynamic in any::<bool>(),
         seed in 0usize..1_000,
     ) {
         let history_len = [1, 2, 3, 5, 7][history_choice];
@@ -99,9 +98,6 @@ proptest! {
             kernel: 3,
         };
         let mut model = DdgnnPredictor::new(cells, k, config, seed as u64);
-        if !dynamic {
-            model = model.without_dynamic_adjacency();
-        }
         let example = example_from(&values, cells, history_len, k);
         // A few optimiser steps move the biases off zero.
         let mut target = example.clone();
