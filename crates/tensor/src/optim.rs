@@ -72,11 +72,6 @@ impl Adam {
             p.set_value(new);
         }
     }
-
-    /// The managed parameters.
-    pub fn parameters(&self) -> &[Var] {
-        &self.params
-    }
 }
 
 #[cfg(test)]
@@ -99,13 +94,6 @@ mod tests {
             opt.step();
         }
         assert!((x.value().get(0, 0) - 3.0).abs() < 1e-2);
-    }
-
-    #[test]
-    fn adam_manages_its_parameter_list() {
-        let x = Var::parameter(Matrix::zeros(2, 2));
-        let adam = Adam::new(0.1, vec![x]);
-        assert_eq!(adam.parameters().len(), 1);
     }
 
     #[test]
