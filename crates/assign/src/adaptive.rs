@@ -20,6 +20,9 @@ use datawa_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 
+/// How far ahead of `now` predicted tasks are allowed to influence planning.
+const PREDICTION_LOOKAHEAD: Duration = Duration(60.0);
+
 /// The five task-assignment methods compared in the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
@@ -156,9 +159,6 @@ pub struct AdaptiveRunner {
     /// [`PolicyKind::DataWa`]; set through [`AdaptiveRunner::with_tvf`]).
     /// Stored as a snapshot so the runner is `Sync`.
     pub tvf: Option<TvfInference>,
-    /// How far ahead of `now` predicted tasks are allowed to influence
-    /// planning.
-    pub prediction_lookahead: Duration,
     /// Observability registry every run state records into. Detached (every
     /// recording a no-op) unless [`AdaptiveRunner::with_metrics`] attaches
     /// one. Private so the field cannot bypass the construction path — use
@@ -517,7 +517,6 @@ impl AdaptiveRunner {
             config,
             policy,
             tvf: None,
-            prediction_lookahead: Duration::from_secs(60.0),
             obs: MetricsRegistry::detached(),
         }
     }
@@ -940,10 +939,9 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
         // prediction-aware policies pay for it) and keep the predicted tasks
         // that publish inside the lookahead and are not already over.
         let phantoms: Vec<PredictedTaskInput> = if policy.uses_prediction() {
-            let lookahead = self.runner.prediction_lookahead;
-            let horizon = now + lookahead;
+            let horizon = now + PREDICTION_LOOKAHEAD;
             self.forecast
-                .forecast(now, lookahead)
+                .forecast(now, PREDICTION_LOOKAHEAD)
                 .iter()
                 .filter(|p| {
                     p.publication.0 > now.0

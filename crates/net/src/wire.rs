@@ -28,11 +28,7 @@ use std::io::{Read, Write};
 /// Protocol version carried (and checked) in the `Hello` handshake.
 pub const PROTOCOL_VERSION: u8 = 1;
 
-/// Upper bound on a frame payload. The largest legitimate frame is a
-/// `Hello` with maximal tenant/token strings; event and decision frames are
-/// all well under 100 bytes. Anything larger is a framing desync or an
-/// attack, and is rejected before any allocation of the claimed size.
-pub const MAX_FRAME_LEN: usize = 4096;
+pub use datawa_stream::codec::MAX_FRAME_LEN;
 
 /// Why an admission was refused, carried in a [`Frame::RetryAfter`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -5,7 +5,7 @@
 //! concurrently. The transport is a front-end, not a fork of the engine.
 
 use datawa_assign::{AdaptiveRunner, AssignConfig, PolicyKind, StaticForecast, TaskValueFunction};
-use datawa_net::{NetClient, NetConfig, NetServer, TENANT_TVF};
+use datawa_net::{Frame, NetClient, NetConfig, NetServer, RetryOutcome, RetryPolicy, TENANT_TVF};
 use datawa_service::{IngestSource, SourcePoll, WorkloadSource};
 use datawa_stream::{
     CollectingSink, Decision, EngineConfig, HotspotDrift, ScenarioGenerator, ScenarioSpec, Session,
@@ -91,7 +91,7 @@ fn tcp_loopback_matches_direct_session_per_policy_and_generator() {
 
 #[test]
 fn concurrent_tenants_each_match_their_own_direct_run() {
-    let server = NetServer::bind(NetConfig {
+    let mut server = NetServer::bind(NetConfig {
         policy: PolicyKind::DataWa,
         ..NetConfig::default()
     })
@@ -119,6 +119,19 @@ fn concurrent_tenants_each_match_their_own_direct_run() {
         })
         .collect();
 
+    // A fifth tenant sends through the retrying delivery, alongside the
+    // streaming ones: over a healthy loopback it completes on the first
+    // attempt.
+    let retrying = UniformBaseline::new(spec(104)).generate();
+    let mut log = Vec::new();
+    let mut source = WorkloadSource::new(&retrying);
+    while let SourcePoll::Ready(time, event) = source.poll() {
+        log.push(Frame::from_event(time, &event));
+    }
+    let delivery = std::thread::spawn(move || {
+        NetClient::deliver(addr, "tenant-r", "", &log, &RetryPolicy::default())
+    });
+
     for handle in handles {
         let (name, workload, outcome) = handle.join().expect("tenant thread");
         let expected = direct_decisions(PolicyKind::DataWa, &workload);
@@ -127,16 +140,53 @@ fn concurrent_tenants_each_match_their_own_direct_run() {
             "{name}: concurrent tenants must not perturb each other's sessions"
         );
     }
+    match delivery.join().expect("retrying tenant thread") {
+        RetryOutcome::Completed { outcome, attempts } => {
+            assert_eq!(attempts, 1, "loopback delivery needed retries");
+            assert!(outcome.errors.is_empty(), "{:?}", outcome.errors);
+            assert_eq!(
+                outcome.decisions,
+                direct_decisions(PolicyKind::DataWa, &retrying),
+                "tenant-r: delivered decisions diverged from direct ingest"
+            );
+        }
+        RetryOutcome::GaveUp {
+            attempts,
+            last_error,
+        } => panic!("retrying tenant gave up after {attempts} attempts: {last_error}"),
+    }
 
     let snapshot = server.metrics().snapshot();
-    for i in 0..4 {
+    for tenant in ["tenant-0", "tenant-1", "tenant-2", "tenant-3", "tenant-r"] {
         let decisions = snapshot
             .counters
-            .get(&format!("net.tenant.tenant-{i}.decisions"))
+            .get(&format!("net.tenant.{tenant}.decisions"))
             .copied()
             .unwrap_or(0);
-        assert!(decisions > 0, "tenant-{i} streamed no decisions");
+        assert!(decisions > 0, "{tenant} streamed no decisions");
     }
+    let recoveries = snapshot.counters.get("net.pump_recoveries").copied();
+    assert_eq!(
+        recoveries.unwrap_or(0),
+        0,
+        "healthy loopback triggered pump recoveries"
+    );
+
+    // Server-side teardown races with the clients' Closed receipt, so the
+    // connection accounting is checked after shutdown joins the workers.
+    server.shutdown();
+    assert_eq!(server.connections(), 0, "shutdown left live connections");
+    let connections = server
+        .metrics()
+        .snapshot()
+        .gauges
+        .get("net.connections")
+        .map(|g| g.value);
+    assert_eq!(
+        connections.unwrap_or(0),
+        0,
+        "connections still registered after shutdown"
+    );
 }
 
 #[test]

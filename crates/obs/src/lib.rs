@@ -88,9 +88,7 @@
 //! **`stream.*` — the session.** `stream.ingested_events` (events accepted),
 //! `stream.events_processed` (events fired), `stream.replan_ticks`,
 //! `stream.decisions` (decisions emitted) and `stream.queue_depth` (pending
-//! events; high-water: the ingest burst peak). A channel sink adds
-//! `stream.sink.delivered`, `stream.sink.undeliverable` and
-//! `stream.sink.events_observed`.
+//! events; high-water: the ingest burst peak).
 //!
 //! **`service.*` — the dispatch service.** `service.ingested` (arrivals
 //! admitted), `service.waits` (quiet periods seen from the source),

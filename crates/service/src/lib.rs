@@ -27,10 +27,9 @@
 //!   [`StaticForecast`](datawa_assign::StaticForecast) oracle.
 //!
 //! Decisions leave through any [`DecisionSink`](datawa_stream::DecisionSink)
-//! — use a [`ChannelSink`](datawa_stream::ChannelSink) to stream them to a
-//! consumer thread (see the `service_live` binary), or a
-//! [`CollectingSink`](datawa_stream::CollectingSink) to gather them in
-//! memory:
+//! — for example a [`CollectingSink`](datawa_stream::CollectingSink) that
+//! gathers them in memory (the `live_dispatch` example streams a paced
+//! workload this way):
 //!
 //! ```
 //! use datawa_assign::{AdaptiveRunner, AssignConfig, PolicyKind, StaticForecast};

@@ -26,6 +26,14 @@ use datawa_core::{
     AvailabilityWindow, Location, Task, TaskId, Timestamp, Worker, WorkerId, WorkerMode,
 };
 
+/// Upper bound on a frame payload, wire frame and journal record alike (a
+/// journal record *is* a command frame). The largest legitimate frame is a
+/// wire `Hello` with maximal tenant/token strings; event and decision frames
+/// are all well under 100 bytes. A larger length prefix is a framing desync,
+/// a stream that is not a journal, or an attack, and is rejected before any
+/// allocation of the claimed size.
+pub const MAX_FRAME_LEN: usize = 4096;
+
 const TASK_ARRIVAL: u8 = 0x02;
 const WORKER_ONLINE: u8 = 0x03;
 const TASK_EXPIRATION: u8 = 0x04;

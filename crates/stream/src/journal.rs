@@ -11,13 +11,12 @@
 //! ([`Session::recover`]) reproduces the interrupted run's decision stream
 //! exactly, decision for decision, bit for bit.
 //!
-//! Two backends exist, both fsync-free by design (the recovery contract is
-//! "whatever the journal holds replays cleanly", not "every write survives
-//! power loss"): an in-memory byte buffer for supervised in-process restarts
-//! and tests, and an append-only file for recovery across processes. Torn
-//! tails — a record cut mid-length-prefix or mid-payload, the signature of a
-//! crash during append — are silently dropped, yielding the longest clean
-//! prefix; a *complete* record that fails to decode is a typed
+//! The journal has one backend: an in-memory byte buffer, shared by every
+//! clone of the handle, for supervised in-process restarts and tests. A
+//! captured byte stream rebuilds a journal with [`EventJournal::from_bytes`].
+//! Torn tails — a record cut mid-length-prefix or mid-payload, the signature
+//! of a crash during append — are silently dropped, yielding the longest
+//! clean prefix; a *complete* record that fails to decode is a typed
 //! [`JournalError::Corrupt`], never a panic.
 //!
 //! [`Session`]: crate::Session
@@ -25,18 +24,12 @@
 //! [`Session::advance_to`]: crate::Session::advance_to
 //! [`Session::recover`]: crate::Session::recover
 
-use crate::codec::{self, DecodeError, Reader};
+use crate::codec::{self, DecodeError, Reader, MAX_FRAME_LEN};
 use crate::event::Event;
 use crate::session::{Decision, DecisionSink, IngestError};
 use datawa_core::Timestamp;
-use std::io::{Read, Seek, SeekFrom, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Upper bound on a journal record payload, mirroring the wire protocol's
-/// `MAX_FRAME_LEN`. Event records are all under 100 bytes; a larger length
-/// prefix means the byte stream is not a journal.
-pub const MAX_RECORD_LEN: usize = 4096;
 
 /// One replayable session command.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,8 +43,6 @@ pub enum JournalRecord {
 /// Why a journal operation failed.
 #[derive(Debug)]
 pub enum JournalError {
-    /// The file backend hit an I/O error.
-    Io(std::io::Error),
     /// A complete record at `offset` failed to decode — the byte stream is
     /// not (or no longer) a journal. Torn tails are *not* corruption; they
     /// are dropped silently.
@@ -70,7 +61,6 @@ pub enum JournalError {
 impl std::fmt::Display for JournalError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            JournalError::Io(e) => write!(f, "journal i/o error: {e}"),
             JournalError::Corrupt { offset, what } => {
                 write!(f, "corrupt journal record at byte {offset}: {what}")
             }
@@ -81,23 +71,12 @@ impl std::fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
-impl From<std::io::Error> for JournalError {
-    fn from(e: std::io::Error) -> JournalError {
-        JournalError::Io(e)
-    }
-}
-
-enum Backend {
-    Mem(Vec<u8>),
-    File(std::fs::File),
-}
-
-/// A cloneable handle to one append-only journal. Clones share the backend;
+/// A cloneable handle to one append-only journal. Clones share the buffer;
 /// the dispatch pump appends through one clone while the supervisor keeps
 /// another for replay after a crash.
 #[derive(Clone)]
 pub struct EventJournal {
-    backend: Arc<Mutex<Backend>>,
+    bytes: Arc<Mutex<Vec<u8>>>,
     records: Arc<AtomicU64>,
     events: Arc<AtomicU64>,
 }
@@ -115,17 +94,17 @@ impl EventJournal {
     /// An empty in-memory journal.
     #[must_use]
     pub fn in_memory() -> EventJournal {
-        EventJournal::over(Backend::Mem(Vec::new()), &[])
+        EventJournal::over(Vec::new(), &[])
     }
 
-    /// A journal over `backend`, whose clean record prefix is `records`.
-    fn over(backend: Backend, records: &[JournalRecord]) -> EventJournal {
+    /// A journal over `bytes`, whose clean record prefix is `records`.
+    fn over(bytes: Vec<u8>, records: &[JournalRecord]) -> EventJournal {
         let events = records
             .iter()
             .filter(|r| matches!(r, JournalRecord::Event(..)))
             .count();
         EventJournal {
-            backend: Arc::new(Mutex::new(backend)),
+            bytes: Arc::new(Mutex::new(bytes)),
             records: Arc::new(AtomicU64::new(records.len() as u64)),
             events: Arc::new(AtomicU64::new(events as u64)),
         }
@@ -141,34 +120,15 @@ impl EventJournal {
         let mut records = Vec::new();
         // A corrupt record ends the prefix; the error is reported on read.
         let _ = scan(&bytes, &mut records);
-        EventJournal::over(Backend::Mem(bytes), &records)
-    }
-
-    /// Opens (or creates) a file-backed journal at `path`. An existing
-    /// journal is scanned first: a torn tail from an interrupted append is
-    /// truncated away so new appends extend the clean prefix, and the
-    /// record counters resume from what survived.
-    pub fn file(path: &std::path::Path) -> Result<EventJournal, JournalError> {
-        let mut f = std::fs::OpenOptions::new()
-            .read(true)
-            .append(true)
-            .create(true)
-            .open(path)?;
-        let mut bytes = Vec::new();
-        f.seek(SeekFrom::Start(0))?;
-        f.read_to_end(&mut bytes)?;
-        let mut records = Vec::new();
-        let clean_len = scan(&bytes, &mut records)?;
-        if clean_len < bytes.len() {
-            f.set_len(clean_len as u64)?;
-        }
-        Ok(EventJournal::over(Backend::File(f), &records))
+        EventJournal::over(bytes, &records)
     }
 
     /// Records one accepted ingest. Called by [`Session::ingest`](crate::Session::ingest) *after* validation, so the journal only ever
-    /// holds commands the session admitted.
+    /// holds commands the session admitted. An in-memory append cannot
+    /// fail: the result is always `Ok`, here and in
+    /// [`EventJournal::append_advance`] and [`EventJournal::snapshot_bytes`].
     pub fn append_event(&self, time: Timestamp, event: &Event) -> Result<(), JournalError> {
-        self.append(&JournalRecord::Event(time, event.clone()))?;
+        self.append(&JournalRecord::Event(time, event.clone()));
         self.events.fetch_add(1, Ordering::SeqCst);
         self.records.fetch_add(1, Ordering::SeqCst);
         Ok(())
@@ -176,19 +136,17 @@ impl EventJournal {
 
     /// Records one finite advance target.
     pub fn append_advance(&self, time: Timestamp) -> Result<(), JournalError> {
-        self.append(&JournalRecord::Advance(time))?;
+        self.append(&JournalRecord::Advance(time));
         self.records.fetch_add(1, Ordering::SeqCst);
         Ok(())
     }
 
-    fn append(&self, command: &JournalRecord) -> Result<(), JournalError> {
+    /// Encodes the frame on its own first, then copies it in: the shared
+    /// buffer grows by whole frames only.
+    fn append(&self, command: &JournalRecord) {
         let mut framed = Vec::with_capacity(64);
         codec::length_prefixed(&mut framed, |out| codec::encode_command(command, out));
-        match &mut *self.lock() {
-            Backend::Mem(buf) => buf.extend_from_slice(&framed),
-            Backend::File(f) => f.write_all(&framed)?,
-        }
-        Ok(())
+        self.lock().extend_from_slice(&framed);
     }
 
     /// Records appended so far (events + advances). This is exactly the
@@ -207,34 +165,23 @@ impl EventJournal {
     ///
     /// # Errors
     ///
-    /// [`JournalError::Io`] if the file backend cannot be read;
     /// [`JournalError::Corrupt`] if a *complete* record fails to decode.
     pub fn recovered_records(&self) -> Result<Vec<JournalRecord>, JournalError> {
         let mut records = Vec::new();
-        scan(&self.snapshot_bytes()?, &mut records)?;
+        scan(&self.lock(), &mut records)?;
         Ok(records)
     }
 
     /// The journal's raw byte stream (for transport or inspection).
     pub fn snapshot_bytes(&self) -> Result<Vec<u8>, JournalError> {
-        match &mut *self.lock() {
-            Backend::Mem(buf) => Ok(buf.clone()),
-            Backend::File(f) => {
-                let mut bytes = Vec::new();
-                f.seek(SeekFrom::Start(0))?;
-                f.read_to_end(&mut bytes)?;
-                Ok(bytes)
-            }
-        }
+        Ok(self.lock().clone())
     }
 
     /// A panicking pump must not take the journal down with it: the lock is
-    /// recovered from poisoning because appends are single `write_all`/
-    /// `extend_from_slice` calls that never leave the backend half-written
-    /// at this layer (a torn *file* write is exactly what the clean-prefix
-    /// reader tolerates).
-    fn lock(&self) -> MutexGuard<'_, Backend> {
-        match self.backend.lock() {
+    /// recovered from poisoning because an append is one
+    /// `extend_from_slice` call that never leaves the buffer half-written.
+    fn lock(&self) -> MutexGuard<'_, Vec<u8>> {
+        match self.bytes.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         }
@@ -261,7 +208,7 @@ fn scan(bytes: &[u8], records: &mut Vec<JournalRecord>) -> Result<usize, Journal
     let mut offset = 0usize;
     while let Ok(len) = Reader::new(&bytes[offset..]).u32() {
         let len = len as usize;
-        if !(1..=MAX_RECORD_LEN).contains(&len) {
+        if !(1..=MAX_FRAME_LEN).contains(&len) {
             return Err(JournalError::Corrupt {
                 offset,
                 what: "record length outside bounds",
@@ -471,38 +418,6 @@ mod tests {
             j.recovered_records(),
             Err(JournalError::Corrupt { offset, .. }) if offset == clean_len
         ));
-    }
-
-    #[test]
-    fn file_backend_persists_and_truncates_torn_tails() {
-        let path = std::env::temp_dir().join(format!(
-            "datawa-journal-test-{}-file-backend.bin",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let records = sample_records();
-        {
-            let j = EventJournal::file(&path).unwrap();
-            for r in &records {
-                match r {
-                    JournalRecord::Event(t, e) => j.append_event(*t, e).unwrap(),
-                    JournalRecord::Advance(t) => j.append_advance(*t).unwrap(),
-                }
-            }
-        }
-        // Simulate a crash mid-append: chop the last three bytes.
-        let full = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &full[..full.len() - 3]).unwrap();
-
-        let j = EventJournal::file(&path).unwrap();
-        let recovered = j.recovered_records().unwrap();
-        assert_eq!(recovered.len(), records.len() - 1, "torn record dropped");
-        assert_eq!(&records[..recovered.len()], &recovered[..]);
-        // The torn tail was truncated away, so appends extend a clean file.
-        j.append_advance(Timestamp(99.0)).unwrap();
-        let again = EventJournal::file(&path).unwrap();
-        assert_eq!(again.record_count(), records.len() as u64);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

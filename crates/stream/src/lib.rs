@@ -49,9 +49,8 @@
 //! the run: every dispatch (and every unserved expiration / worker
 //! departure) is emitted as a typed
 //! [`Decision`] through a pluggable [`DecisionSink`] the moment it is made —
-//! [`CollectingSink`] gathers them in memory, [`ChannelSink`] streams them to
-//! an `mpsc` consumer thread, and [`NullSink`] drops them for totals-only
-//! runs. Mid-stream, [`Session::stats`] and [`Session::snapshot`] expose the
+//! [`CollectingSink`] gathers them in memory, [`NullSink`] drops them for
+//! totals-only runs, and a consumer of its own implements the trait. Mid-stream, [`Session::stats`] and [`Session::snapshot`] expose the
 //! live counters and world-view sizes without stopping the run.
 //!
 //! Because the deterministic queue orders events by `(time, class, ingest
@@ -118,8 +117,8 @@
 //! [`AdaptiveRunner::with_metrics`](datawa_assign::AdaptiveRunner::with_metrics)
 //! — so one registry carries the assign-layer metrics (replan latency
 //! histogram, partition gauges, search-node counters) and the stream-layer
-//! metrics side by side; [`Session::obs_snapshot`] serialises all of it to
-//! JSON. `Session::open_with_metrics` substitutes an explicit registry.
+//! metrics side by side, and [`Session::metrics`] hands it out for a
+//! snapshot. `Session::open_with_metrics` substitutes an explicit registry.
 //! A detached registry makes every handle a no-op —
 //! no atomics touched, no clocks read — which is what lets the
 //! `obs_equivalence` workspace tests pin metrics-on runs bitwise against
@@ -155,8 +154,7 @@ pub use scenario::{
     ScenarioSpec, UniformBaseline, Workload,
 };
 pub use session::{
-    ChannelSink, CollectingSink, Decision, DecisionSink, IngestError, NullSink, Session,
-    SessionSnapshot,
+    CollectingSink, Decision, DecisionSink, IngestError, NullSink, Session, SessionSnapshot,
 };
 
 // The forecast API surface, re-exported from the consumer layer so session

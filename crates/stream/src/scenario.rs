@@ -208,25 +208,20 @@ impl ScenarioGenerator for UniformBaseline {
 pub struct RushHourBurst {
     /// Sizing knobs.
     pub spec: ScenarioSpec,
-    /// Burst centres as fractions of the horizon, with their temporal σ in
-    /// seconds. Defaults to two peaks at 25 % and 75 % with σ = horizon/12.
-    pub peaks: Vec<(f64, f64)>,
-    /// Number of spatial hotspots tasks cluster around.
-    pub hotspots: usize,
-    /// Spatial σ of each hotspot, in kilometres.
-    pub hotspot_sigma: f64,
 }
 
 impl RushHourBurst {
-    /// Creates the scenario with the default two-peak shape.
+    /// Burst centres as fractions of the horizon; each burst's temporal σ
+    /// is horizon/12 seconds.
+    const PEAKS: [f64; 2] = [0.25, 0.75];
+    /// Number of spatial hotspots tasks cluster around.
+    const HOTSPOTS: usize = 4;
+    /// Spatial σ of each hotspot, in kilometres.
+    const HOTSPOT_SIGMA: f64 = 0.7;
+
+    /// Creates the scenario with its two-peak shape.
     pub fn new(spec: ScenarioSpec) -> RushHourBurst {
-        let sigma = spec.horizon / 12.0;
-        RushHourBurst {
-            spec,
-            peaks: vec![(0.25, sigma), (0.75, sigma)],
-            hotspots: 4,
-            hotspot_sigma: 0.7,
-        }
+        RushHourBurst { spec }
     }
 }
 
@@ -237,26 +232,27 @@ impl ScenarioGenerator for RushHourBurst {
 
     fn generate(&self) -> Workload {
         let spec = self.spec;
-        assert!(!self.peaks.is_empty(), "rush-hour scenario needs ≥1 peak");
+        let sigma = spec.horizon / 12.0;
         let mut rng = spec.rng();
-        let centres: Vec<Location> = (0..self.hotspots.max(1))
+        let centres: Vec<Location> = (0..RushHourBurst::HOTSPOTS)
             .map(|_| spec.uniform_location(&mut rng))
             .collect();
+        let peaks = RushHourBurst::PEAKS;
         let sample_instant = |rng: &mut StdRng| -> f64 {
-            let (frac, sigma) = self.peaks[rng.gen_range(0..self.peaks.len())];
+            let frac = peaks[rng.gen_range(0..peaks.len())];
             (frac * spec.horizon + normal(rng) * sigma).clamp(0.0, spec.horizon * 0.999)
         };
         let mut workload = Workload::default();
         for _ in 0..spec.workers {
             // Come online roughly one σ before a burst, so supply meets the
             // ramp of demand.
-            let (frac, sigma) = self.peaks[rng.gen_range(0..self.peaks.len())];
+            let frac = peaks[rng.gen_range(0..peaks.len())];
             let on = (frac * spec.horizon - sigma + normal(&mut rng) * sigma * 0.5)
                 .clamp(0.0, spec.horizon * 0.9);
             let centre = centres[rng.gen_range(0..centres.len())];
             let location = spec.clamp(Location::new(
-                centre.x + normal(&mut rng) * self.hotspot_sigma,
-                centre.y + normal(&mut rng) * self.hotspot_sigma,
+                centre.x + normal(&mut rng) * RushHourBurst::HOTSPOT_SIGMA,
+                centre.y + normal(&mut rng) * RushHourBurst::HOTSPOT_SIGMA,
             ));
             workload
                 .workers
@@ -266,8 +262,8 @@ impl ScenarioGenerator for RushHourBurst {
             let publication = sample_instant(&mut rng);
             let centre = centres[rng.gen_range(0..centres.len())];
             let location = spec.clamp(Location::new(
-                centre.x + normal(&mut rng) * self.hotspot_sigma,
-                centre.y + normal(&mut rng) * self.hotspot_sigma,
+                centre.x + normal(&mut rng) * RushHourBurst::HOTSPOT_SIGMA,
+                centre.y + normal(&mut rng) * RushHourBurst::HOTSPOT_SIGMA,
             ));
             workload.tasks.push(spec.task_at(location, publication));
         }
@@ -282,17 +278,15 @@ impl ScenarioGenerator for RushHourBurst {
 pub struct HotspotDrift {
     /// Sizing knobs.
     pub spec: ScenarioSpec,
-    /// Spatial σ of the moving hotspot, in kilometres.
-    pub sigma_km: f64,
 }
 
 impl HotspotDrift {
+    /// Spatial σ of the moving hotspot, in kilometres.
+    const SIGMA_KM: f64 = 0.8;
+
     /// Creates the scenario.
     pub fn new(spec: ScenarioSpec) -> HotspotDrift {
-        HotspotDrift {
-            spec,
-            sigma_km: 0.8,
-        }
+        HotspotDrift { spec }
     }
 
     /// Hotspot centre at time `t`.
@@ -319,8 +313,8 @@ impl ScenarioGenerator for HotspotDrift {
             // Drivers position themselves where demand currently is.
             let centre = self.centre_at(on);
             let location = spec.clamp(Location::new(
-                centre.x + normal(&mut rng) * self.sigma_km * 2.0,
-                centre.y + normal(&mut rng) * self.sigma_km * 2.0,
+                centre.x + normal(&mut rng) * HotspotDrift::SIGMA_KM * 2.0,
+                centre.y + normal(&mut rng) * HotspotDrift::SIGMA_KM * 2.0,
             ));
             workload
                 .workers
@@ -330,8 +324,8 @@ impl ScenarioGenerator for HotspotDrift {
             let publication = rng.gen_range(0.0..spec.horizon);
             let centre = self.centre_at(publication);
             let location = spec.clamp(Location::new(
-                centre.x + normal(&mut rng) * self.sigma_km,
-                centre.y + normal(&mut rng) * self.sigma_km,
+                centre.x + normal(&mut rng) * HotspotDrift::SIGMA_KM,
+                centre.y + normal(&mut rng) * HotspotDrift::SIGMA_KM,
             ));
             workload.tasks.push(spec.task_at(location, publication));
         }
@@ -349,28 +343,26 @@ pub struct HeavyTailedChurn {
     /// Sizing knobs (`spec.workers` counts *drivers*; every driver
     /// contributes one worker record per session).
     pub spec: ScenarioSpec,
-    /// Pareto tail index (smaller ⇒ heavier tail). Must be > 1 so the mean
-    /// session length exists.
-    pub alpha: f64,
-    /// Minimum session length in seconds (the Pareto scale parameter).
-    pub min_session: f64,
 }
 
 impl HeavyTailedChurn {
+    /// Pareto tail index (smaller ⇒ heavier tail). Must be > 1 so the mean
+    /// session length exists.
+    const ALPHA: f64 = 1.5;
+    /// Minimum session length in seconds (the Pareto scale parameter).
+    const MIN_SESSION: f64 = 60.0;
+
     /// Creates the scenario with α = 1.5 and 60 s minimum sessions.
     pub fn new(spec: ScenarioSpec) -> HeavyTailedChurn {
-        HeavyTailedChurn {
-            spec,
-            alpha: 1.5,
-            min_session: 60.0,
-        }
+        HeavyTailedChurn { spec }
     }
 
     fn session_length(&self, rng: &mut StdRng) -> f64 {
         let u: f64 = rng.gen_range(f64::EPSILON..1.0);
         // Inverse-CDF Pareto sample, capped at the nominal window length so a
         // single tail draw cannot swallow the whole horizon.
-        (self.min_session * u.powf(-1.0 / self.alpha)).min(self.spec.available_time)
+        (HeavyTailedChurn::MIN_SESSION * u.powf(-1.0 / HeavyTailedChurn::ALPHA))
+            .min(self.spec.available_time)
     }
 }
 
@@ -463,16 +455,16 @@ mod tests {
     #[test]
     fn rush_hour_concentrates_demand_near_peaks() {
         let spec = ScenarioSpec::small().with_tasks(2000);
-        let scenario = RushHourBurst::new(spec);
-        let w = scenario.generate();
+        let w = RushHourBurst::new(spec).generate();
+        let sigma = spec.horizon / 12.0;
         // At least 70 % of tasks within 2σ of a peak (vs ~44 % if uniform).
         let near_peak = w
             .tasks
             .iter()
             .filter(|t| {
-                scenario.peaks.iter().any(|&(frac, sigma)| {
-                    (t.publication.0 - frac * spec.horizon).abs() <= 2.0 * sigma
-                })
+                RushHourBurst::PEAKS
+                    .iter()
+                    .any(|&frac| (t.publication.0 - frac * spec.horizon).abs() <= 2.0 * sigma)
             })
             .count();
         assert!(

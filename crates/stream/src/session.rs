@@ -36,8 +36,7 @@ use crate::journal::{EventJournal, JournalError, JournalRecord};
 use crate::scenario::Workload;
 use datawa_assign::{AdaptiveRunner, ForecastProvider, ForecastStats, RunnerState};
 use datawa_core::{Duration, TaskId, Timestamp, WorkerId};
-use datawa_obs::{Counter, Gauge, MetricsRegistry, MetricsSnapshot};
-use std::sync::mpsc::Sender;
+use datawa_obs::{Counter, Gauge, MetricsRegistry};
 
 /// One incremental decision emitted by a session.
 ///
@@ -149,77 +148,6 @@ impl DecisionSink for CollectingSink {
     }
 }
 
-/// A channel-backed sink: every decision is sent to an `mpsc` consumer (for
-/// example a logging/serving thread). A hung-up receiver does not fail the
-/// session; undeliverable decisions are counted instead — both in the sink's
-/// own fields and, when built with [`ChannelSink::with_metrics`], in the
-/// observability registry (`stream.sink.undeliverable`), so a dropped
-/// consumer shows up in metric snapshots instead of being a silent local
-/// tally.
-#[derive(Debug)]
-pub struct ChannelSink {
-    tx: Sender<Decision>,
-    sent: usize,
-    undeliverable: usize,
-    delivered_metric: Counter,
-    undeliverable_metric: Counter,
-    observed_metric: Counter,
-}
-
-impl ChannelSink {
-    /// Wraps a channel sender (no metrics; equivalent to
-    /// [`ChannelSink::with_metrics`] over a detached registry).
-    #[must_use]
-    pub fn new(tx: Sender<Decision>) -> ChannelSink {
-        ChannelSink::with_metrics(tx, &MetricsRegistry::detached())
-    }
-
-    /// Wraps a channel sender and registers the sink's counters:
-    /// `stream.sink.delivered` / `stream.sink.undeliverable` per emitted
-    /// decision, and `stream.sink.events_observed` for every event the
-    /// session shows to [`DecisionSink::observe_event`].
-    #[must_use]
-    pub fn with_metrics(tx: Sender<Decision>, registry: &MetricsRegistry) -> ChannelSink {
-        ChannelSink {
-            tx,
-            sent: 0,
-            undeliverable: 0,
-            delivered_metric: registry.counter("stream.sink.delivered"),
-            undeliverable_metric: registry.counter("stream.sink.undeliverable"),
-            observed_metric: registry.counter("stream.sink.events_observed"),
-        }
-    }
-
-    /// Decisions successfully handed to the channel.
-    pub fn sent(&self) -> usize {
-        self.sent
-    }
-
-    /// Decisions dropped because the receiver hung up.
-    pub fn undeliverable(&self) -> usize {
-        self.undeliverable
-    }
-}
-
-impl DecisionSink for ChannelSink {
-    fn emit(&mut self, decision: Decision) {
-        match self.tx.send(decision) {
-            Ok(()) => {
-                self.sent += 1;
-                self.delivered_metric.inc();
-            }
-            Err(_) => {
-                self.undeliverable += 1;
-                self.undeliverable_metric.inc();
-            }
-        }
-    }
-
-    fn observe_event(&mut self, _time: Timestamp, _event: &Event) {
-        self.observed_metric.inc();
-    }
-}
-
 /// Why [`Session::ingest`] rejected an event.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum IngestError {
@@ -236,10 +164,6 @@ pub enum IngestError {
         /// How far the session has advanced.
         watermark: Timestamp,
     },
-    /// The attached [`EventJournal`] failed to record the event (file-backend
-    /// I/O failure); the event was **not** ingested, so journal and session
-    /// cannot diverge.
-    JournalAppend,
 }
 
 impl std::fmt::Display for IngestError {
@@ -251,10 +175,6 @@ impl std::fmt::Display for IngestError {
             IngestError::BehindWatermark { time, watermark } => write!(
                 f,
                 "cannot ingest an event at {time}: the session already advanced to {watermark}"
-            ),
-            IngestError::JournalAppend => write!(
-                f,
-                "the attached journal failed to record the event; it was not ingested"
             ),
         }
     }
@@ -318,7 +238,6 @@ pub struct Session<'a, F: ForecastProvider + ?Sized = dyn ForecastProvider + 'a>
     /// queue so a live session can re-arm a chain that died while the queue
     /// was momentarily empty.
     next_tick: Option<Timestamp>,
-    dispatches_emitted: usize,
     obs: MetricsRegistry,
     metrics: StreamMetrics,
     /// When attached, every accepted ingest and finite advance target is
@@ -380,8 +299,8 @@ impl<'a, F: ForecastProvider + ?Sized> Session<'a, F> {
     }
 
     /// [`Session::open`] with an explicit observability registry instead of
-    /// the runner's own: the session's stream-layer metrics (and its
-    /// [`Session::obs_snapshot`]) use `registry`, while the runner state
+    /// the runner's own: the session's stream-layer metrics use `registry`
+    /// (read them through [`Session::metrics`]), while the runner state
     /// keeps recording into the runner's registry. Pass the runner's
     /// registry (what [`Session::open`] does) to get one combined snapshot;
     /// pass a different attached registry to keep stream-layer counters
@@ -408,7 +327,6 @@ impl<'a, F: ForecastProvider + ?Sized> Session<'a, F> {
             arrivals_seen: 0,
             watermark: Timestamp(f64::NEG_INFINITY),
             next_tick: None,
-            dispatches_emitted: 0,
             obs: registry.clone(),
             metrics: StreamMetrics::register(registry),
             journal: None,
@@ -418,9 +336,8 @@ impl<'a, F: ForecastProvider + ?Sized> Session<'a, F> {
     /// Attaches `journal`: every subsequently accepted [`Session::ingest`]
     /// and every finite [`Session::advance_to`] target is appended, in call
     /// order, so an interrupted session can be rebuilt bit-for-bit by
-    /// [`Session::recover`]. Appends happen *before* the session mutates, and
-    /// an append failure rejects the ingest — journal and session cannot
-    /// diverge.
+    /// [`Session::recover`]. Appends happen *before* the session mutates, so
+    /// journal and session cannot diverge.
     pub fn attach_journal(&mut self, journal: EventJournal) {
         self.journal = Some(journal);
     }
@@ -475,18 +392,6 @@ impl<'a, F: ForecastProvider + ?Sized> Session<'a, F> {
         &self.obs
     }
 
-    /// A point-in-time snapshot of every metric in the session's registry
-    /// (empty when detached). Includes the assign-layer metrics when the
-    /// session records into the runner's registry (the default).
-    pub fn obs_snapshot(&self) -> MetricsSnapshot {
-        self.obs.snapshot()
-    }
-
-    /// The session's engine configuration.
-    pub fn config(&self) -> EngineConfig {
-        self.config
-    }
-
     /// How far simulated time has advanced (`-inf` before the first
     /// [`Session::advance_to`]).
     pub fn now(&self) -> Timestamp {
@@ -496,11 +401,6 @@ impl<'a, F: ForecastProvider + ?Sized> Session<'a, F> {
     /// Events pending in the session queue.
     pub fn pending(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Dispatch decisions emitted so far.
-    pub fn dispatches_emitted(&self) -> usize {
-        self.dispatches_emitted
     }
 
     /// A snapshot of the engine counters so far (the queue high-water mark is
@@ -548,9 +448,7 @@ impl<'a, F: ForecastProvider + ?Sized> Session<'a, F> {
             });
         }
         if let Some(journal) = &self.journal {
-            if journal.append_event(time, &event).is_err() {
-                return Err(IngestError::JournalAppend);
-            }
+            let _ = journal.append_event(time, &event);
         }
         self.queue.push(time, event);
         self.metrics.ingested_events.inc();
@@ -584,9 +482,7 @@ impl<'a, F: ForecastProvider + ?Sized> Session<'a, F> {
         // Journal the advance before any event fires so replay issues the
         // identical call sequence. Only finite targets are recorded: the
         // close-time drain to +inf must not poison a recovered session's
-        // watermark. A failed append (file I/O) is best-effort here — the
-        // in-memory backend cannot fail, and advance targets are
-        // reconstructible from the admission protocol if a file write drops.
+        // watermark.
         if target.is_finite() {
             if let Some(journal) = &self.journal {
                 let _ = journal.append_advance(target);
@@ -743,7 +639,6 @@ impl<'a, F: ForecastProvider + ?Sized> Session<'a, F> {
 
     fn emit_dispatches(&mut self, sink: &mut dyn DecisionSink) {
         for d in self.state.take_dispatches() {
-            self.dispatches_emitted += 1;
             self.metrics.decisions.inc();
             sink.emit(Decision::Dispatch {
                 at: d.decided_at,
@@ -796,7 +691,6 @@ mod tests {
             .unwrap();
         session.advance_to(Timestamp(1.0), &mut sink);
         assert_eq!(sink.dispatches(), 1, "dispatch visible before close");
-        assert_eq!(session.dispatches_emitted(), 1);
 
         // A later arrival, ingested after the first advance, still works.
         session
@@ -916,51 +810,6 @@ mod tests {
         let outcome = session.close(&mut sink);
         assert!(outcome.stats.replan_ticks > before, "chain re-armed");
         assert_eq!(outcome.run.assigned_tasks, 2);
-    }
-
-    #[test]
-    fn channel_sink_counts_post_disconnect_decisions_and_closes_cleanly() {
-        // A consumer hanging up mid-run must not fail the session: every
-        // decision made after the disconnect is counted as undeliverable,
-        // none are silently lost, and close() still drains to completion.
-        let r = runner(PolicyKind::Dta);
-        let (tx, rx) = std::sync::mpsc::channel();
-        let mut sink = ChannelSink::new(tx);
-        let mut forecast = StaticForecast::default();
-        let mut session = Session::open(&r, &mut forecast, EngineConfig::default());
-        session
-            .ingest(
-                Timestamp(0.0),
-                Event::WorkerOnline(worker(0.0, 0.0, 100.0, 5.0)),
-            )
-            .unwrap();
-        session
-            .ingest(Timestamp(1.0), Event::TaskArrival(task(0.5, 1.0, 50.0)))
-            .unwrap();
-        session.advance_to(Timestamp(1.0), &mut sink);
-        let delivered = sink.sent();
-        assert_eq!(delivered, 1, "first dispatch reached the live consumer");
-        assert_eq!(rx.try_iter().count(), 1);
-
-        // The consumer goes away; the rest of the run keeps deciding.
-        drop(rx);
-        session
-            .ingest(Timestamp(10.0), Event::TaskArrival(task(1.5, 10.0, 60.0)))
-            .unwrap();
-        session
-            .ingest(Timestamp(20.0), Event::TaskArrival(task(2.5, 20.0, 70.0)))
-            .unwrap();
-        let outcome = session.close(&mut sink);
-        assert_eq!(outcome.run.assigned_tasks, 3, "session closed cleanly");
-        assert_eq!(sink.sent(), delivered, "nothing delivered after hang-up");
-        // Post-disconnect decisions: 2 dispatches + 1 worker-offline + any
-        // unserved expirations; every one of them lands in the undeliverable
-        // counter, so sent + undeliverable covers the full decision stream.
-        assert_eq!(
-            sink.undeliverable(),
-            2 + 1 + outcome.stats.expired_open,
-            "every post-disconnect decision was counted"
-        );
     }
 
     #[test]

@@ -5,6 +5,9 @@
 //! ```text
 //! cargo run --release --example live_dispatch
 //! ```
+//!
+//! The last line is `decisions=<n>`, the dispatch count; the run exits
+//! nonzero when no dispatch was made.
 
 use datawa::prelude::*;
 
@@ -59,5 +62,10 @@ fn main() {
         sink.dispatches(),
         expired
     );
+    println!("decisions={}", sink.dispatches());
     assert_eq!(sink.dispatches(), outcome.run.assigned_tasks);
+    if sink.dispatches() == 0 {
+        eprintln!("error: live dispatch produced no dispatch decisions");
+        std::process::exit(1);
+    }
 }

@@ -80,10 +80,10 @@ pub mod prelude {
         SyntheticTrace, TraceSpec,
     };
     pub use datawa_stream::{
-        builtin_scenarios, run_workload, ChannelSink, CollectingSink, Decision, DecisionSink,
-        EngineConfig, EngineOutcome, Event, EventQueue, HeavyTailedChurn, HotspotDrift,
-        IngestError, NullSink, RushHourBurst, ScenarioGenerator, ScenarioSpec, Session,
-        SessionSnapshot, UniformBaseline, Workload,
+        builtin_scenarios, run_workload, CollectingSink, Decision, DecisionSink, EngineConfig,
+        EngineOutcome, Event, EventQueue, HeavyTailedChurn, HotspotDrift, IngestError, NullSink,
+        RushHourBurst, ScenarioGenerator, ScenarioSpec, Session, SessionSnapshot, UniformBaseline,
+        Workload,
     };
 }
 

@@ -1,12 +1,11 @@
 //! The acceptance bar of the session API redesign: ingesting a workload
-//! event-by-event through an open [`Session`] with a channel-backed decision
+//! event-by-event through an open [`Session`] with a collecting decision
 //! sink must yield bitwise-identical totals to the batch `run_workload`
 //! wrapper, for every policy family on every built-in scenario generator —
 //! and the decisions streamed mid-run must reconcile exactly with the
 //! end-of-run outcome.
 
 use datawa::prelude::*;
-use std::sync::mpsc;
 
 fn runner(policy: PolicyKind) -> AdaptiveRunner {
     let r = AdaptiveRunner::new(AssignConfig::default(), policy);
@@ -19,16 +18,15 @@ fn runner(policy: PolicyKind) -> AdaptiveRunner {
 }
 
 /// Feeds `workload` one arrival at a time — ingest, then advance to that
-/// instant, exactly what a live front-end does — streaming decisions over a
-/// channel, and returns the outcome plus every received decision.
+/// instant, exactly what a live front-end does — collecting decisions as
+/// they are emitted, and returns the outcome plus every decision.
 fn run_event_by_event(
     workload: &Workload,
     policy: PolicyKind,
     config: EngineConfig,
 ) -> (EngineOutcome, Vec<Decision>) {
     let r = runner(policy);
-    let (tx, rx) = mpsc::channel();
-    let mut sink = ChannelSink::new(tx);
+    let mut sink = CollectingSink::new();
     let mut forecast = StaticForecast::default();
     let mut session = Session::open(&r, &mut forecast, config);
     // WorkloadSource hands out arrivals in the engine queue's deterministic
@@ -41,9 +39,7 @@ fn run_event_by_event(
         session.advance_to(time, &mut sink);
     }
     let outcome = session.close(&mut sink);
-    assert_eq!(sink.undeliverable(), 0);
-    drop(sink);
-    (outcome, rx.into_iter().collect())
+    (outcome, sink.into_decisions())
 }
 
 /// Event-by-event session ingest equals the batch driver bit for bit: same
