@@ -513,8 +513,9 @@ enum Route<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sequences::generate_sequences;
     use crate::tvf::TaskValueFunction;
-    use datawa_core::{Location, Task, Worker};
+    use datawa_core::{Location, Task, TaskSequence, Worker};
 
     fn scenario(n_workers: usize, n_tasks: usize) -> (WorkerStore, TaskStore) {
         let mut workers = WorkerStore::new();
@@ -567,6 +568,39 @@ mod tests {
         let (a_exact, _) = exact.plan(&wids, &tids, &workers, &tasks, Timestamp(0.0));
         let (a_greedy, _) = greedy.plan(&wids, &tids, &workers, &tasks, Timestamp(0.0));
         assert!(a_exact.assigned_count() >= a_greedy.assigned_count());
+    }
+
+    /// Greedy weighs a candidate as the exact search does: a worker whose
+    /// longest candidate holds only predicted tasks takes its shorter
+    /// all-real one.
+    #[test]
+    fn greedy_prefers_real_work_over_a_longer_predicted_sequence() {
+        let mut workers = WorkerStore::new();
+        let (on, off) = (Timestamp(0.0), Timestamp(100.0));
+        workers.insert(Worker::new(
+            WorkerId(0),
+            Location::new(0.0, 0.0),
+            10.0,
+            on,
+            off,
+        ));
+        let mut tasks = TaskStore::new();
+        // Real and due before any detour, behind the worker; predicted
+        // (published after `now`) ahead of it.
+        let real = tasks.insert_with_location(Location::new(-3.0, 0.0), on, Timestamp(3.5));
+        for x in [2.0, 3.0] {
+            tasks.insert_with_location(Location::new(x, 0.0), Timestamp(1.0), Timestamp(4.0));
+        }
+        let (wids, tids): (Vec<WorkerId>, Vec<TaskId>) =
+            (workers.ids().collect(), tasks.ids().collect());
+        let config = AssignConfig::unit_speed();
+        let mut planner = Planner::new(config, SearchMode::Greedy);
+        let (plan, _) = planner.plan(&wids, &tids, &workers, &tasks, on);
+        let reach = planner.reachable().of(wids[0]);
+        let longest = generate_sequences(workers.get(wids[0]), reach, &tasks, &config, on);
+        let longest = longest.iter().next().expect("the worker has candidates");
+        assert!(longest.len() == 2 && !longest.contains(real));
+        assert_eq!(plan.get(wids[0]), Some(&TaskSequence::from_ids([real])));
     }
 
     #[test]

@@ -185,10 +185,11 @@ proptest! {
     fn predicted_tasks_do_not_make_inert_workers_visible(
         workers in workers_strategy(),
         tasks in tasks_strategy(true),
-        guided in any::<bool>(),
     ) {
-        let tvf = guided.then(|| TaskValueFunction::new(8, 7).inference());
-        assert_inert_workers_invisible(workers, tasks, SearchMode::Exact, tvf);
+        let tvf = TaskValueFunction::new(8, 7).inference();
+        for (mode, tvf) in [(SearchMode::Exact, None), (SearchMode::Exact, Some(tvf)), (SearchMode::Greedy, None)] {
+            assert_inert_workers_invisible(workers.clone(), tasks.clone(), mode, tvf);
+        }
     }
 
     #[test]
