@@ -35,12 +35,11 @@
 //!   predicted task falls inside the lookahead: a phantom has no id in the
 //!   live store, so such an instant plans on a copy, through a cold pass.
 //! * **A dense planning instant.** Candidate sequences are generated into
-//!   flat buffers, one slot per planned worker, and the exact and guided
-//!   searches run on bitsets over each partition's task universe: no hash
-//!   container and no allocation per search expansion on either route (see
-//!   [`sequences`] and [`search`]). The greedy baseline keeps its own
-//!   route, per-worker sequence sets and a hashed available set, for a
-//!   reason the [`search`] docs give.
+//!   flat buffers, one slot per planned worker, and every route runs on
+//!   bitsets: the exact and guided searches over each partition's task
+//!   universe, the greedy baseline over the sorted candidate list. No hash
+//!   container and no allocation per search expansion on any route (see
+//!   [`sequences`] and [`search`]).
 //! * **No plan reuse.** Candidate sequences, dependency graph, cluster tree,
 //!   partition split and search run at every instant for the workers that
 //!   reach something (about three per instant at the paper's operating

@@ -9,12 +9,11 @@
 //! through [`Planner::plan_live`], a cold pass from every other entry point.
 //!
 //! Workers that reach no task are dropped right after the reachable sets are
-//! known, on every partitioned route (exact, guided, training-sample
-//! collection; the greedy baseline keeps every listed worker): such a worker
-//! is an isolated vertex of the dependency graph with no candidate sequence,
-//! so it can neither be assigned anything nor influence another worker's
-//! partition, and at the paper's operating point it is the overwhelming
-//! majority of idle workers.
+//! known, on every route (greedy, exact, guided, training-sample
+//! collection): such a worker is an isolated vertex of the dependency graph
+//! with no candidate sequence, so it can neither be assigned anything nor
+//! influence another worker's partition, and at the paper's operating point
+//! it is the overwhelming majority of idle workers.
 //!
 //! ## Partitioned planning
 //!
@@ -37,8 +36,8 @@ use crate::config::AssignConfig;
 use crate::partition::split_cluster_tree;
 use crate::reach_layer::ReachLayer;
 use crate::reachable::{fill_worker_dependency_graph, ReachableSets};
-use crate::search::{greedy_baseline, DfSearch, SearchSample, SearchScratch};
-use crate::sequences::{generate_sequences, CandidateSequences, SequenceSet};
+use crate::search::{DfSearch, SearchSample, SearchScratch};
+use crate::sequences::CandidateSequences;
 use crate::tvf::TvfInference;
 use datawa_core::{Assignment, TaskId, TaskStore, Timestamp, WorkerId, WorkerStore};
 use datawa_graph::{ClusterTree, TreeScratch, UnGraph};
@@ -68,9 +67,8 @@ pub struct PlanningReport {
     /// Workers in the largest of those partitions.
     pub max_partition_workers: usize,
     /// Search nodes expanded across all partitions: budgeted depth-first
-    /// expansions for the exact search, one per planned worker for the
-    /// guided search (which visits each worker exactly once), zero for the
-    /// greedy baseline.
+    /// expansions for the exact search, the number of workers given a
+    /// sequence for the guided search, zero for the greedy baseline.
     pub nodes_expanded: usize,
     /// Listed workers dropped this instant for reaching nothing, reported by
     /// the exact search of [`Planner::plan_live`] (each would have been a
@@ -122,7 +120,7 @@ pub struct Planner {
     pub mode: SearchMode,
     /// Scratch: the candidate sequences of the planned workers, one slot per
     /// planned-worker position, regenerated into the same buffers at every
-    /// call by the exact and guided searches.
+    /// call.
     sequences: CandidateSequences,
     /// Scratch: the searches' buffers, lent to every search.
     search: SearchScratch,
@@ -199,7 +197,16 @@ impl Planner {
         tasks: &TaskStore,
         now: Timestamp,
     ) -> (Assignment, PlanningReport) {
-        self.plan_in_mode(worker_ids, candidate_tasks, workers, tasks, now, false)
+        let route = Route::of(self.mode);
+        self.plan_partitioned(
+            worker_ids,
+            candidate_tasks,
+            workers,
+            tasks,
+            now,
+            route,
+            false,
+        )
     }
 
     /// Plans with the TVF-guided search using a caller-provided inference
@@ -251,45 +258,21 @@ impl Planner {
         now: Timestamp,
         tvf: Option<&TvfInference>,
     ) -> (Assignment, PlanningReport) {
-        match tvf {
-            Some(tvf) => self.plan_partitioned(
-                worker_ids,
-                candidate_tasks,
-                workers,
-                tasks,
-                now,
-                Route::Guided(tvf),
-                true,
-            ),
-            None => self.plan_in_mode(worker_ids, candidate_tasks, workers, tasks, now, true),
-        }
-    }
-
-    /// Plans in the planner's own [`SearchMode`]; `live` as in
-    /// [`Planner::plan_live`].
-    fn plan_in_mode(
-        &mut self,
-        worker_ids: &[WorkerId],
-        candidate_tasks: &[TaskId],
-        workers: &WorkerStore,
-        tasks: &TaskStore,
-        now: Timestamp,
-        live: bool,
-    ) -> (Assignment, PlanningReport) {
-        match self.mode {
-            SearchMode::Greedy => {
-                self.plan_greedy(worker_ids, candidate_tasks, workers, tasks, now)
-            }
-            SearchMode::Exact => self.plan_partitioned(
-                worker_ids,
-                candidate_tasks,
-                workers,
-                tasks,
-                now,
-                Route::Exact(None),
-                live,
-            ),
-        }
+        // Greedy keeps the cold pass: the live one would move `net-greedy`
+        // further than the benchmark's spread can judge (ROADMAP item 5).
+        let (route, live) = match tvf {
+            Some(tvf) => (Route::Guided(tvf), true),
+            None => (Route::of(self.mode), self.mode == SearchMode::Exact),
+        };
+        self.plan_partitioned(
+            worker_ids,
+            candidate_tasks,
+            workers,
+            tasks,
+            now,
+            route,
+            live,
+        )
     }
 
     /// Lines 2–3 of Algorithm 4: this instant's reachable sets, a pass of the
@@ -321,61 +304,13 @@ impl Planner {
         report.reach_live = reachable.live_workers().len();
     }
 
-    /// The greedy baseline: no dependency graph, no partitions, one ordered
-    /// pass over the listed workers. It always takes a cold pass of the reach
-    /// layer, and offers every listed worker its sequences at every instant,
-    /// generated one worker at a time (see the `search` module docs for why
-    /// it keeps this route).
-    fn plan_greedy(
-        &mut self,
-        worker_ids: &[WorkerId],
-        candidate_tasks: &[TaskId],
-        workers: &WorkerStore,
-        tasks: &TaskStore,
-        now: Timestamp,
-    ) -> (Assignment, PlanningReport) {
-        // Feeds the replan-latency histogram only; never read by planning logic.
-        #[allow(clippy::disallowed_methods)]
-        let start = Instant::now();
-        let mut report = PlanningReport {
-            workers_considered: worker_ids.len(),
-            tasks_considered: candidate_tasks.len(),
-            ..PlanningReport::default()
-        };
-        if worker_ids.is_empty() || candidate_tasks.is_empty() {
-            report.elapsed_seconds = start.elapsed().as_secs_f64();
-            return (Assignment::new(), report);
-        }
-        let config = self.config;
-        self.fill_reachable(
-            worker_ids,
-            candidate_tasks,
-            workers,
-            tasks,
-            now,
-            false,
-            &mut report,
-        );
-        let reachable = self.reach.sets();
-        let span = self.stages.sequences.span();
-        let sequences: Vec<SequenceSet> = worker_ids
-            .iter()
-            .map(|&w| generate_sequences(workers.get(w), reachable.of(w), tasks, &config, now))
-            .collect();
-        span.finish();
-        let span = self.stages.search.span();
-        let assignment = greedy_baseline(worker_ids, &sequences, candidate_tasks, tasks, now);
-        span.finish();
-        report.elapsed_seconds = start.elapsed().as_secs_f64();
-        (assignment, report)
-    }
-
-    /// The partitioned search path shared by [`SearchMode::Exact`], the
-    /// TVF-guided search and training-sample collection: drop the workers
-    /// that reach nothing, build the dependency graph and cluster tree over
-    /// the rest once, split the instant into independent partitions, and
-    /// search each partition against its own available set, in partition
-    /// order, splicing its plan into the assignment.
+    /// The planning path of every route: drop the workers that reach
+    /// nothing and generate the rest's candidate sequences. Greedy then
+    /// dives over them against every candidate task. The searches build the
+    /// dependency graph and cluster tree over them once, split the instant
+    /// into independent partitions, and search each partition against its
+    /// own available set, in partition order, splicing its plan into the
+    /// assignment.
     ///
     /// A `live` call takes a live pass of the reach layer (per-worker
     /// merge-or-rescan), any other a cold one; everything after the sets —
@@ -436,13 +371,16 @@ impl Planner {
         span.finish();
         // Line 6: worker dependency graph; lines 7–10: per component,
         // partition, build the tree, and search it — one partition per root
-        // subtree.
-        let span = self.stages.tree.span();
-        fill_worker_dependency_graph(planned, reachable, &mut self.graph);
-        let tree = ClusterTree::build_with(&self.graph, &mut self.rtc);
+        // subtree. Greedy builds none of them.
+        let (mut tree, mut partitions) = (ClusterTree::default(), Vec::new());
+        if !matches!(route, Route::Greedy) {
+            let span = self.stages.tree.span();
+            fill_worker_dependency_graph(planned, reachable, &mut self.graph);
+            tree = ClusterTree::build_with(&self.graph, &mut self.rtc);
+            partitions = split_cluster_tree(&tree, planned, reachable);
+            span.finish();
+        }
         report.tree_nodes = tree.len();
-        let partitions = split_cluster_tree(&tree, planned, reachable);
-        span.finish();
         report.partitions = partitions.len();
         report.partitions_recomputed = partitions.len();
         report.max_partition_workers = partitions
@@ -468,7 +406,11 @@ impl Planner {
                     search.exact_partition(&tree, p, samples.as_deref_mut(), &mut assignment)
                 }
                 Route::Guided(tvf) => search.guided_partition(&tree, p, tvf, &mut assignment),
+                Route::Greedy => 0,
             };
+        }
+        if let Route::Greedy = route {
+            search.greedy(&mut assignment);
         }
         span.finish();
         report.elapsed_seconds = start.elapsed().as_secs_f64();
@@ -501,13 +443,25 @@ impl Planner {
     }
 }
 
-/// What the partitioned path searches each partition with.
+/// What the planning path searches with.
 enum Route<'a> {
     /// The exact search, appending its TVF training samples to the sink when
     /// there is one.
     Exact(Option<&'a mut Vec<SearchSample>>),
     /// The TVF-guided search.
     Guided(&'a TvfInference),
+    /// No partition: the greedy baseline's dive over every planned worker.
+    Greedy,
+}
+
+impl Route<'_> {
+    /// The route of a planner in `mode`.
+    fn of(mode: SearchMode) -> Self {
+        match mode {
+            SearchMode::Greedy => Route::Greedy,
+            SearchMode::Exact => Route::Exact(None),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -14,10 +14,11 @@
 //!
 //! **Dense state.** A search runs over one task universe at a time — a
 //! partition's ascending task list, or the sorted candidate list for the
-//! whole-tree sweep — whose positions index the tasks `0..n`. The available
-//! set is a reused bitset over them. Every candidate sequence's tasks are
-//! resolved to those indices once per universe, so "all still available" is
-//! a few bit tests and take/restore are bit flips. Candidate sequences are
+//! whole-tree sweep and the greedy baseline — whose positions index the
+//! tasks `0..n`. The available set is a reused bitset over them. Every
+//! candidate sequence's tasks are resolved to those indices once per
+//! universe, so "all still available" is a few bit tests and take/restore
+//! are bit flips. Candidate sequences are
 //! read from [`CandidateSequences`] by slot, which is the graph node index of
 //! the tree. The exact search records its choices (slot, candidate) in a
 //! reused buffer, where the best plan of every subproblem is a run at the
@@ -28,27 +29,21 @@
 //! [`SearchScratch`] that the planner keeps across instants and lends to
 //! each search.
 //!
-//! **The greedy baseline** (`greedy_baseline`) keeps its own route: one
-//! [`SequenceSet`] per worker and a hashed set of available tasks. A dense
-//! route (the exact search's `greedy_completion` over every slot) plans the
-//! same assignments bit for bit, and is held back on purpose: the benchmark
-//! cannot judge it. `net-greedy`, the workload that runs Greedy, times a
-//! loopback pipeline of four threads, and its saturation session is short.
-//! On a shared 2-core box at seed 77003, two alternating hashed/dense pairs
-//! moved its throughput from 58–60k to 306–391k events/s and its
-//! `recovery_s` from 0.43 to 0.03–0.06 s, with `assigned_tasks` unchanged;
-//! changes with that signature have been left unresolved by the
-//! benchmark's spread rule. The baseline moves to the dense state once the
-//! benchmark is re-based to time it.
+//! **One dive.** The greedy baseline, Algorithm 2 and the exact search's
+//! budget fallback make the same pass: each slot in turn takes its best
+//! still-available candidate under a key, without branching (`dive`). The
+//! greedy baseline runs on the dense state like the searches, but its
+//! reachable sets come from a cold pass of the planner's reach layer: the
+//! live pass would move `net-greedy` further than the benchmark's spread
+//! can judge, and waits on its re-base (ROADMAP item 5).
 
 use crate::config::AssignConfig;
 use crate::partition::Partition;
 use crate::reachable::ReachableSets;
-use crate::sequences::{CandidateSequences, SequenceSet};
+use crate::sequences::CandidateSequences;
 use crate::tvf::{ActionFeatures, StateFeatures, TvfInference};
-use datawa_core::{Assignment, TaskId, TaskSequence, TaskStore, Timestamp, WorkerId, WorkerStore};
+use datawa_core::{Assignment, TaskId, TaskStore, Timestamp, WorkerStore};
 use datawa_graph::ClusterTree;
-use std::collections::HashSet;
 
 /// One `(state, action, reward)` sample collected during exact search, used to
 /// train the Task Value Function (Eq. 12).
@@ -79,13 +74,14 @@ pub struct SearchScratch {
     universe: Vec<TaskId>,
     /// Choices (slot, candidate) of the plans under construction.
     plan: Vec<(u32, u32)>,
-    /// The slots a greedy completion visits, in order.
-    order: Vec<u32>,
+    /// The slots a greedy dive visits, in order.
+    order: Vec<usize>,
     /// Tree-walk stack.
     stack: Vec<usize>,
 }
 
-/// Search context shared by the exact and TVF-guided searches.
+/// Search context shared by the greedy baseline and the exact and
+/// TVF-guided searches.
 pub struct DfSearch<'a> {
     ctx: Context<'a>,
     scratch: &'a mut SearchScratch,
@@ -209,6 +205,21 @@ impl<'a> DfSearch<'a> {
         ctx.config.search_node_budget - budget
     }
 
+    /// The Greedy baseline of §V-B.2: every slot, in ascending order, dives
+    /// under the weight key against every candidate task. Writes the plan
+    /// into `out`.
+    pub(crate) fn greedy(&mut self, out: &mut Assignment) {
+        let DfSearch { ctx, scratch: sc } = self;
+        ctx.enter_candidates(sc);
+        sc.plan.clear();
+        let mut order = std::mem::take(&mut sc.order);
+        order.clear();
+        order.extend(0..ctx.sequences.len());
+        ctx.dive(sc, &order, Key::Weight);
+        sc.order = order;
+        ctx.emit(sc, out);
+    }
+
     // ------------------------------------------------------------------
     // TVF-guided search (Algorithm 2)
     // ------------------------------------------------------------------
@@ -236,60 +247,26 @@ impl<'a> DfSearch<'a> {
         let slots = partition.members.iter().copied();
         ctx.enter(&mut sc.available, &mut sc.local, slots, &partition.tasks);
         sc.plan.clear();
-        ctx.guided_node(sc, tree, partition.root, tvf);
+        ctx.guided_walk(sc, tree, partition.root, tvf);
         ctx.emit(sc, out);
         sc.plan.len()
     }
 }
 
-/// The Greedy baseline of §V-B.2: every worker of `worker_ids`, in order,
-/// takes its longest candidate sequence whose tasks are all still available
-/// (`sequences[i]` is `Q_w` of `worker_ids[i]`) — or, with predicted tasks
-/// among `candidate_tasks`, its heaviest, weighed as the exact search weighs
-/// a plan. See the module docs for why it does not run on the dense state.
-pub(crate) fn greedy_baseline(
-    worker_ids: &[WorkerId],
-    sequences: &[SequenceSet],
-    candidate_tasks: &[TaskId],
-    tasks: &TaskStore,
-    now: Timestamp,
-) -> Assignment {
-    let predicted = |t: TaskId| tasks.get(t).publication.0 > now.0;
-    let has_predicted = candidate_tasks.iter().any(|&t| predicted(t));
-    let real_weight = candidate_tasks.len() + 1;
-    let weight = |q: &TaskSequence| -> usize {
-        q.iter()
-            .map(|t| if predicted(t) { 1 } else { real_weight })
-            .sum()
-    };
-    let mut available: HashSet<TaskId> = candidate_tasks.iter().copied().collect();
-    let mut assignment = Assignment::new();
-    for (&w, set) in worker_ids.iter().zip(sequences) {
-        // Sorted longest-first: in a phantom-free store the first
-        // compatible sequence is the greedy choice.
-        let mut compatible = set
-            .iter()
-            .filter(|q| q.iter().all(|t| available.contains(&t)));
-        let chosen = if has_predicted {
-            let mut best: Option<(usize, &TaskSequence)> = None;
-            for q in compatible {
-                let weight = weight(q);
-                if best.is_none_or(|(b, _)| weight > b) {
-                    best = Some((weight, q));
-                }
-            }
-            best.map(|(_, q)| q)
-        } else {
-            compatible.next()
-        };
-        if let Some(q) = chosen {
-            for t in q.iter() {
-                available.remove(&t);
-            }
-            assignment.set(w, q.clone());
-        }
-    }
-    assignment
+/// How a dive ranks a slot's still-available candidates; ties go to the
+/// first.
+#[derive(Clone, Copy)]
+enum Key<'t> {
+    /// The candidate's weight (`Context::weight`). Sequences are sorted
+    /// longest-first, so with no predicted task in the store the first
+    /// available candidate is the heaviest and the scan stops there.
+    Weight,
+    /// Algorithm 2, for the members of a node with this many workers below
+    /// it: real-task count first when the store holds predicted tasks, then
+    /// the TVF value of the action in the current state. Predicted tasks
+    /// thus steer the choice among equally-real sequences but never
+    /// displace real work; phantom-free instants rank by TVF value alone.
+    Tvf(&'t TvfInference, usize),
 }
 
 impl Context<'_> {
@@ -444,23 +421,23 @@ impl Context<'_> {
     ) -> usize {
         let members = &tree.nodes[node].members;
         if *budget == 0 {
-            // Budget exhausted: finish this subtree greedily — the pending
+            // Budget exhausted: finish this subtree with a dive — the pending
             // members, then each child subtree's members in ascending order.
             sc.order.clear();
-            sc.order.extend(members[k..].iter().map(|&i| i as u32));
+            sc.order.extend_from_slice(&members[k..]);
             for &child in &tree.nodes[node].children {
                 let from = sc.order.len();
                 sc.stack.clear();
                 sc.stack.push(child);
                 while let Some(n) = sc.stack.pop() {
-                    sc.order
-                        .extend(tree.nodes[n].members.iter().map(|&i| i as u32));
+                    sc.order.extend_from_slice(&tree.nodes[n].members);
                     sc.stack.extend_from_slice(&tree.nodes[n].children);
                 }
                 sc.order[from..].sort_unstable();
             }
-            let base = sc.plan.len();
-            let count = self.greedy_completion(sc);
+            let (base, order) = (sc.plan.len(), std::mem::take(&mut sc.order));
+            let count = self.dive(sc, &order, Key::Weight);
+            sc.order = order;
             self.flip_plan(sc, base, true);
             return count;
         }
@@ -530,88 +507,55 @@ impl Context<'_> {
         best
     }
 
-    /// Algorithm 2 on the subtree of `node`: the node's workers in member
-    /// order, then its children.
-    fn guided_node(
+    /// Algorithm 2's walk over the subtree of `node`: the node's workers
+    /// dive in member order, then its children's subtrees follow in order.
+    fn guided_walk(
         &self,
         sc: &mut SearchScratch,
         tree: &ClusterTree,
         node: usize,
         tvf: &TvfInference,
     ) {
-        let members = &tree.nodes[node].members;
-        if !members.is_empty() {
-            let descendants = self.descendant_workers(sc, tree, node);
-            for k in 0..members.len() {
-                let slot = members[k];
-                let state = self.state_features(sc, &members[k..], descendants);
-                // When the planning store carries predicted tasks, rank
-                // candidates by real-task count first and TVF value second —
-                // the guided analogue of the exact search's lexicographic
-                // weighting: predicted tasks steer the choice among
-                // equally-real sequences but never displace real work.
-                // Phantom-free instants (every non-predictive policy, and
-                // prediction-aware ones whose current forecast is empty) rank
-                // purely by TVF value, exactly as before the forecast
-                // redesign.
-                let mut best: Option<(usize, f64, usize)> = None;
-                for c in self.sequences.of(slot) {
-                    if !self.all_available(sc, c) {
-                        continue;
-                    }
-                    let real = if self.has_predicted {
-                        self.sequences.candidate(c).real as usize
-                    } else {
-                        0 // constant key: ranking falls through to the TVF value
-                    };
-                    let value = tvf.value(&state, &self.action(slot, c));
-                    if best.is_none_or(|(r, v, _)| real > r || (real == r && value > v)) {
-                        best = Some((real, value, c));
-                    }
-                }
-                if let Some((_, _, c)) = best {
-                    self.flip(sc, c, false);
-                    sc.plan.push((slot as u32, c as u32));
-                }
-            }
-        }
+        let descendants = self.descendant_workers(sc, tree, node);
+        self.dive(sc, &tree.nodes[node].members, Key::Tvf(tvf, descendants));
         for &child in &tree.nodes[node].children {
-            self.guided_node(sc, tree, child, tvf);
+            self.guided_walk(sc, tree, child, tvf);
         }
     }
 
-    /// Greedy completion, the budget-exhausted fallback of the exact search:
-    /// each slot of `sc.order` takes its first candidate whose tasks are all
-    /// available — or, with predicted tasks in the store, its heaviest — and
-    /// the choices are appended to the plan with their tasks taken. Returns
-    /// their weight.
-    fn greedy_completion(&self, sc: &mut SearchScratch) -> usize {
+    /// The dive: each of `slots` in turn takes its best still-available
+    /// candidate under `key`, without branching; the choices are appended
+    /// to the plan with their tasks taken. Returns their weight.
+    fn dive(&self, sc: &mut SearchScratch, slots: &[usize], key: Key<'_>) -> usize {
         let mut total = 0;
-        for i in 0..sc.order.len() {
-            let slot = sc.order[i];
-            // Sequences are sorted longest-first, so in a phantom-free store
-            // (every pre-forecast caller) the first compatible one is the
-            // greedy choice and the scan can stop there. With predicted tasks
-            // in the store, rank compatible candidates by the lexicographic
-            // weight instead, so a budget-exhausted fallback can never hand a
-            // worker phantoms over real work.
-            let mut chosen: Option<(usize, usize)> = None;
-            for c in self.sequences.of(slot as usize) {
+        for (i, &slot) in slots.iter().enumerate() {
+            let state = match key {
+                Key::Tvf(_, descendants) => self.state_features(sc, &slots[i..], descendants),
+                Key::Weight => StateFeatures::default(),
+            };
+            let mut best: Option<(usize, f64, usize)> = None;
+            for c in self.sequences.of(slot) {
                 if !self.all_available(sc, c) {
                     continue;
                 }
-                let weight = self.weight(c);
-                if chosen.is_none_or(|(w, _)| weight > w) {
-                    chosen = Some((weight, c));
+                let (rank, value) = match key {
+                    Key::Weight => (self.weight(c), 0.0),
+                    Key::Tvf(tvf, _) => (
+                        self.sequences.candidate(c).real as usize * usize::from(self.has_predicted),
+                        tvf.value(&state, &self.action(slot, c)),
+                    ),
+                };
+                if best.is_none_or(|(r, v, _)| rank > r || (rank == r && value > v)) {
+                    best = Some((rank, value, c));
                 }
-                if !self.has_predicted {
+                if matches!(key, Key::Weight) && !self.has_predicted {
                     break;
                 }
             }
-            if let Some((weight, c)) = chosen {
+            if let Some((_, _, c)) = best {
                 self.flip(sc, c, false);
-                sc.plan.push((slot, c as u32));
-                total += weight;
+                sc.plan.push((slot as u32, c as u32));
+                total += self.weight(c);
             }
         }
         total
@@ -622,10 +566,10 @@ impl Context<'_> {
 mod tests {
     use super::*;
     use crate::partition::split_cluster_tree;
+    use crate::planner::{Planner, SearchMode};
     use crate::reachable::{build_worker_dependency_graph, reachable_tasks};
-    use crate::sequences::generate_sequences;
     use crate::tvf::TaskValueFunction;
-    use datawa_core::{Location, Task, Worker};
+    use datawa_core::{Location, Task, TaskSequence, Worker, WorkerId};
 
     /// Builds the full search context for a small scenario: two workers close
     /// together competing over three tasks on a line.
@@ -751,21 +695,14 @@ mod tests {
     fn exact_search_beats_or_matches_greedy() {
         let f = fixture();
         let b = build(&f);
-        let now = Timestamp(0.0);
-        let workers = &b.workers;
-        let sets: Vec<SequenceSet> = workers
-            .iter()
-            .map(|&w| {
-                generate_sequences(
-                    f.workers.get(w),
-                    b.reachable.of(w),
-                    &f.tasks,
-                    &f.config,
-                    now,
-                )
-            })
-            .collect();
-        let greedy = greedy_baseline(workers, &sets, &b.candidates, &f.tasks, now);
+        let mut planner = Planner::new(f.config, SearchMode::Greedy);
+        let (greedy, _) = planner.plan(
+            &b.workers,
+            &b.candidates,
+            &f.workers,
+            &f.tasks,
+            Timestamp(0.0),
+        );
         let mut scratch = SearchScratch::default();
         let exact = search(&f, &b, &f.config, &mut scratch).exact(&b.tree, None);
         assert!(exact.assigned_count() >= greedy.assigned_count());
@@ -899,8 +836,8 @@ mod tests {
     }
 
     /// A scratch carried from one search to the next — across the exact
-    /// search, its greedy completion and the guided search, whose universes
-    /// differ — plans what fresh buffers plan.
+    /// search, its greedy completion, the greedy baseline and the guided
+    /// search, whose universes differ — plans what fresh buffers plan.
     #[test]
     fn reused_scratch_plans_like_fresh_buffers() {
         let f = fixture();
@@ -911,9 +848,11 @@ mod tests {
             "exact",
             "completion",
             "guided",
+            "greedy",
             "exact",
             "guided",
             "completion",
+            "greedy",
             "guided",
         ];
         for (round, step) in steps.into_iter().enumerate() {
@@ -924,6 +863,11 @@ mod tests {
                 let mut s = search(&f, &b, &config, scratch);
                 match step {
                     "guided" => guided(&mut s, &b, &tvf),
+                    "greedy" => {
+                        let mut out = Assignment::new();
+                        s.greedy(&mut out);
+                        out
+                    }
                     _ => s.exact(&b.tree, None),
                 }
             };

@@ -31,7 +31,8 @@
 //! candidate with its tasks, its completion time, its travelled distance and
 //! its count of already-published tasks — all the searches and the TVF's
 //! action features read. [`generate_sequences`] is the one-worker form that
-//! returns `TaskSequence`s; the greedy baseline plans on it.
+//! returns `TaskSequence`s; only the benchmark harness's planner probe and
+//! tests call it.
 
 use crate::config::AssignConfig;
 use crate::reachable::ReachableSets;
