@@ -17,14 +17,18 @@
 //! this keeps the propagation fully differentiable with the available ops
 //! while matching Eq. 8 exactly.
 //!
-//! ## Inference
+//! ## Training and inference
 //!
-//! Training runs [`DemandPredictor::forward`] through the autograd graph.
-//! Inference ([`DemandPredictor::predict`] / [`DemandPredictor::predict_next`])
-//! does not: only the *last* timestep of the temporal convolution feeds the
-//! rest of the model, so its causal unfold is gathered for all cells into one
-//! `(M, k·kernel)` matrix — straight from the rolling windows of a live
-//! forecaster, or from a [`SeriesExample`] — and pushed through the gated
+//! Only the *last* timestep of the temporal convolution feeds the rest of
+//! the model, so both paths gather the same input: every cell's causal
+//! unfold at its newest timestep, in one `(M, k·kernel)` matrix with zeros
+//! for taps before the history starts. Only the autograd graph differs.
+//! Training ([`DemandPredictor::forward`]) runs the matrix through one gated
+//! convolution node, which trains bit-identically to convolving each cell's
+//! history in a graph of its own ([`GatedTemporalConv::forward_unfolded`]).
+//! Inference ([`DemandPredictor::predict`] /
+//! [`DemandPredictor::predict_next`]) gathers from a [`SeriesExample`] or
+//! straight from a live forecaster's rolling windows and runs the gated
 //! conv, the dependency learner, the propagation and the head on plain
 //! `Matrix` buffers the model owns. Every scalar meets the same
 //! floating-point operations in the same order as in `forward` (matrix
@@ -45,8 +49,8 @@
 
 use crate::dependency::{AdjacencyScratch, DependencyLearner};
 use crate::series::SeriesExample;
-use crate::stack_rows;
 use crate::trainer::DemandPredictor;
+use crate::{history_taps, unfold_example, unfold_last_timestep};
 use datawa_tensor::layers::{Dense, GatedTemporalConv};
 use datawa_tensor::matrix::sigmoid;
 use datawa_tensor::{Matrix, Var};
@@ -119,13 +123,7 @@ impl DdgnnPredictor {
     pub fn new(cells: usize, k: usize, config: DdgnnConfig, seed: u64) -> DdgnnPredictor {
         let mut rng = StdRng::seed_from_u64(seed);
         DdgnnPredictor {
-            temporal: GatedTemporalConv::new(
-                k,
-                config.hidden,
-                config.kernel,
-                config.dilation,
-                &mut rng,
-            ),
+            temporal: GatedTemporalConv::new(k, config.hidden, config.kernel, &mut rng),
             dependency: DependencyLearner::new(k, config.embedding, &mut rng),
             head: Dense::new(config.hidden, k, &mut rng),
             config,
@@ -151,16 +149,11 @@ impl DdgnnPredictor {
         &self.config
     }
 
-    /// Per-cell temporal encoding (latest timestep of the gated causal conv).
+    /// Per-cell temporal encoding: the gated causal conv of every cell's
+    /// latest timestep, one row per cell, in one node.
     fn temporal_features(&self, example: &SeriesExample) -> Var {
-        let mut rows = Vec::with_capacity(example.history.len());
-        for history in &example.history {
-            let timesteps = history.rows();
-            let x = Var::constant(history.clone());
-            let conv = self.temporal.forward(&x);
-            rows.push(conv.rows_slice(timesteps - 1, 1));
-        }
-        stack_rows(&rows)
+        let unfolded = unfold_example(example, self.config.kernel, self.config.dilation);
+        self.temporal.forward_unfolded(&Var::constant(unfolded))
     }
 
     /// APPNP propagation (Eq. 8–9) of node features `z0` through the
@@ -198,18 +191,7 @@ impl DdgnnPredictor {
             a_hat,
             adjacency,
         } = buffers;
-        let kernel = self.config.kernel;
-        let k = unfolded.cols() / kernel;
-        for cell in 0..self.cells {
-            let row = unfolded.row_mut(cell);
-            for tap in 0..kernel {
-                let dst = &mut row[tap * k..(tap + 1) * k];
-                match latest(cell, tap * self.config.dilation) {
-                    Some(src) => dst.copy_from_slice(src),
-                    None => dst.fill(0.0),
-                }
-            }
-        }
+        unfold_last_timestep(self.config.kernel, self.config.dilation, latest, unfolded);
         self.temporal.apply_unfolded_into(unfolded, z0, scratch);
         self.dependency.adjacency_into(snapshot, adjacency, a_hat);
         // Â = (A + I) / 2, as in `propagate`: the same add and scale for
@@ -270,14 +252,7 @@ impl DemandPredictor for DdgnnPredictor {
             "example cell count does not match the model"
         );
         let mut out = Matrix::zeros(self.cells, example.snapshot.cols());
-        self.infer(
-            |cell, age| {
-                let history = &example.history[cell];
-                (age < history.rows()).then(|| history.row(history.rows() - 1 - age))
-            },
-            &example.snapshot,
-            &mut out,
-        );
+        self.infer(history_taps(example), &example.snapshot, &mut out);
         out
     }
 

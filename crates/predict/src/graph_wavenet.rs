@@ -9,13 +9,16 @@
 //! Fig. 5/6 isolates.
 
 use crate::series::SeriesExample;
-use crate::stack_rows;
 use crate::trainer::DemandPredictor;
+use crate::unfold_example;
 use datawa_tensor::init;
 use datawa_tensor::layers::{Dense, GatedTemporalConv};
 use datawa_tensor::Var;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Taps of the causal convolution (DDGNN's default too), at dilation 1.
+const KERNEL: usize = 3;
 
 /// The Graph-WaveNet baseline model.
 pub struct GraphWaveNetPredictor {
@@ -39,7 +42,7 @@ impl GraphWaveNetPredictor {
     ) -> GraphWaveNetPredictor {
         let mut rng = StdRng::seed_from_u64(seed);
         GraphWaveNetPredictor {
-            temporal: GatedTemporalConv::new(k, hidden, 3, 1, &mut rng),
+            temporal: GatedTemporalConv::new(k, hidden, KERNEL, &mut rng),
             node_embed_src: Var::parameter(init::xavier_uniform(cells, embedding, &mut rng)),
             node_embed_dst: Var::parameter(init::xavier_uniform(cells, embedding, &mut rng)),
             diffusion: Dense::new(hidden, hidden, &mut rng),
@@ -57,17 +60,12 @@ impl GraphWaveNetPredictor {
             .softmax_rows()
     }
 
-    /// Per-cell temporal encoding: gated dilated causal convolution over the
-    /// cell's history, keeping the representation of the latest timestep.
+    /// Per-cell temporal encoding: the gated causal convolution at each
+    /// cell's latest timestep, the only one the model reads, for every cell
+    /// in one node ([`GatedTemporalConv::forward_unfolded`]).
     fn temporal_features(&self, example: &SeriesExample) -> Var {
-        let mut rows = Vec::with_capacity(example.history.len());
-        for history in &example.history {
-            let timesteps = history.rows();
-            let x = Var::constant(history.clone());
-            let conv = self.temporal.forward(&x);
-            rows.push(conv.rows_slice(timesteps - 1, 1));
-        }
-        stack_rows(&rows)
+        let unfolded = unfold_example(example, KERNEL, 1);
+        self.temporal.forward_unfolded(&Var::constant(unfolded))
     }
 }
 

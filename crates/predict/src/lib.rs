@@ -108,40 +108,76 @@ pub use trainer::{DemandPredictor, EvaluationReport, TrainingConfig};
 // prediction-side users need only this crate.
 pub use datawa_assign::{ForecastProvider, ForecastStats, StaticForecast};
 
-use datawa_tensor::Var;
+use datawa_tensor::Matrix;
 
-/// Stacks a list of `1 × f` row nodes into an `n × f` node, preserving
-/// gradients. Implemented with the existing transpose/concat ops so every
-/// model can assemble per-cell features into a node-feature matrix.
-pub(crate) fn stack_rows(rows: &[Var]) -> Var {
-    assert!(!rows.is_empty(), "cannot stack zero rows");
-    let mut acc = rows[0].transpose();
-    for row in &rows[1..] {
-        acc = acc.concat_cols(&row.transpose());
+/// Gathers the last-timestep causal unfold of every cell: the only row of a
+/// gated temporal convolution (Eq. 7) that the graph predictors read, since
+/// they keep each cell's newest timestep alone. Row `cell` of `unfolded`,
+/// `(M, k·kernel)`, becomes `[x_t, x_{t−d}, …, x_{t−(kernel−1)·d}]` for the
+/// cell's newest occurrence vector `x_t` and dilation `d`.
+/// `latest(cell, age)` is the cell's vector `age` timesteps before its
+/// newest one, or `None` before its history starts, where the tap is zero
+/// (the causal padding).
+pub(crate) fn unfold_last_timestep<'a>(
+    kernel: usize,
+    dilation: usize,
+    latest: impl Fn(usize, usize) -> Option<&'a [f64]>,
+    unfolded: &mut Matrix,
+) {
+    let k = unfolded.cols() / kernel;
+    for cell in 0..unfolded.rows() {
+        let row = unfolded.row_mut(cell);
+        for tap in 0..kernel {
+            let dst = &mut row[tap * k..(tap + 1) * k];
+            match latest(cell, tap * dilation) {
+                Some(src) => dst.copy_from_slice(src),
+                None => dst.fill(0.0),
+            }
+        }
     }
-    acc.transpose()
+}
+
+/// [`unfold_last_timestep`] of an example's per-cell histories, as a new
+/// `(M, k·kernel)` matrix.
+pub(crate) fn unfold_example(example: &SeriesExample, kernel: usize, dilation: usize) -> Matrix {
+    let mut unfolded = Matrix::zeros(example.history.len(), example.snapshot.cols() * kernel);
+    unfold_last_timestep(kernel, dilation, history_taps(example), &mut unfolded);
+    unfolded
+}
+
+/// The `latest` of [`unfold_last_timestep`] over an example's histories.
+pub(crate) fn history_taps<'a>(
+    example: &'a SeriesExample,
+) -> impl Fn(usize, usize) -> Option<&'a [f64]> + 'a {
+    move |cell, age| {
+        let history = &example.history[cell];
+        (age < history.rows()).then(|| history.row(history.rows() - 1 - age))
+    }
 }
 
 #[cfg(test)]
-mod stack_tests {
-    use super::stack_rows;
-    use datawa_tensor::{Matrix, Var};
+mod unfold_tests {
+    use super::*;
 
     #[test]
-    fn stack_rows_builds_the_expected_matrix() {
-        let a = Var::constant(Matrix::row_vector(&[1.0, 2.0]));
-        let b = Var::constant(Matrix::row_vector(&[3.0, 4.0]));
-        let s = stack_rows(&[a, b]).value();
-        assert_eq!(s, Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
-    }
-
-    #[test]
-    fn stack_rows_is_differentiable() {
-        let a = Var::parameter(Matrix::row_vector(&[1.0, 2.0]));
-        let b = Var::parameter(Matrix::row_vector(&[3.0, 4.0]));
-        let loss = stack_rows(&[a.clone(), b.clone()]).sum();
-        loss.backward();
-        assert_eq!(a.grad(), Matrix::row_vector(&[1.0, 1.0]));
-        assert_eq!(b.grad(), Matrix::row_vector(&[1.0, 1.0]));
+    fn last_timestep_unfold_is_the_lagged_concat_with_zero_padding() {
+        // Kernel 3 at dilation 2 reads ages 0, 2 and 4: cell 0 meets the
+        // padding at its third tap, cell 1 at its second; the buffer's old
+        // contents are overwritten.
+        let example = SeriesExample {
+            history: vec![
+                Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]),
+                Matrix::from_rows(&[&[7.0, 8.0]]),
+            ],
+            snapshot: Matrix::zeros(2, 2),
+            target: Matrix::zeros(2, 2),
+            target_window: 3,
+        };
+        let mut unfolded = Matrix::filled(2, 6, f64::NAN);
+        unfold_last_timestep(3, 2, history_taps(&example), &mut unfolded);
+        assert_eq!(unfolded.row(0), &[5.0, 6.0, 1.0, 2.0, 0.0, 0.0]);
+        assert_eq!(unfolded.row(1), &[7.0, 8.0, 0.0, 0.0, 0.0, 0.0]);
+        let dense = unfold_example(&example, 3, 1);
+        assert_eq!(dense.row(0), &[5.0, 6.0, 3.0, 4.0, 1.0, 2.0]);
     }
 }

@@ -7,7 +7,6 @@
 //! dependencies between regions, which is exactly the gap DDGNN closes.
 
 use crate::series::SeriesExample;
-use crate::stack_rows;
 use crate::trainer::DemandPredictor;
 use datawa_tensor::layers::{Dense, LstmCell};
 use datawa_tensor::Var;
@@ -52,6 +51,17 @@ impl DemandPredictor for LstmPredictor {
         }
         stack_rows(&rows)
     }
+}
+
+/// Stacks a list of `1 × f` row nodes into an `n × f` node, preserving
+/// gradients, with the existing transpose/concat ops.
+fn stack_rows(rows: &[Var]) -> Var {
+    assert!(!rows.is_empty(), "cannot stack zero rows");
+    let mut acc = rows[0].transpose();
+    for row in &rows[1..] {
+        acc = acc.concat_cols(&row.transpose());
+    }
+    acc.transpose()
 }
 
 #[cfg(test)]
@@ -132,5 +142,19 @@ mod tests {
             after > 0.6,
             "LSTM failed to learn the alternating pattern: AP={after}"
         );
+    }
+
+    #[test]
+    fn stack_rows_builds_the_expected_matrix_and_is_differentiable() {
+        let a = Var::parameter(Matrix::row_vector(&[1.0, 2.0]));
+        let b = Var::parameter(Matrix::row_vector(&[3.0, 4.0]));
+        let stacked = stack_rows(&[a.clone(), b.clone()]);
+        assert_eq!(
+            stacked.value(),
+            Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]])
+        );
+        stacked.sum().backward();
+        assert_eq!(a.grad(), Matrix::row_vector(&[1.0, 1.0]));
+        assert_eq!(b.grad(), Matrix::row_vector(&[1.0, 1.0]));
     }
 }

@@ -7,8 +7,11 @@
 //!
 //! The op set is intentionally small — exactly what the LSTM, Graph-WaveNet
 //! and DDGNN predictors need: matmul, element-wise arithmetic, activations,
-//! row-softmax, bias broadcast, transpose, temporal unfolding for dilated
-//! causal convolutions, concatenation and scalar reductions.
+//! row-softmax, bias broadcast, transpose, concatenation, row slicing and
+//! scalar reductions. The dilated causal convolutions take their taps
+//! already unfolded into a constant matrix (see
+//! [`GatedTemporalConv`](crate::layers::GatedTemporalConv)), so unfolding is
+//! no op of the graph.
 
 use crate::matrix::{sigmoid, Matrix};
 use std::cell::{Ref, RefCell};
@@ -350,49 +353,6 @@ impl Var {
         )
     }
 
-    /// Causal temporal unfolding with dilation (the data layout used by the
-    /// dilated causal convolution of Eq. 3).
-    ///
-    /// Interpreting each row of `self` as one timestep, the output row `t`
-    /// is the concatenation `[x_t, x_{t-d}, x_{t-2d}, …]` for `kernel` taps,
-    /// with zero padding before the start of the sequence.
-    pub fn unfold_causal(&self, kernel: usize, dilation: usize) -> Var {
-        assert!(kernel >= 1 && dilation >= 1);
-        let input = self.value();
-        let (rows, cols) = input.shape();
-        let mut value = Matrix::zeros(rows, cols * kernel);
-        for t in 0..rows {
-            for tap in 0..kernel {
-                let offset = tap * dilation;
-                if t >= offset {
-                    let src = input.row(t - offset);
-                    value.row_mut(t)[tap * cols..(tap + 1) * cols].copy_from_slice(src);
-                }
-            }
-        }
-        Var::new_node(
-            value,
-            vec![self.clone()],
-            Some(Box::new(move |grad_out, parents| {
-                let mut grad_in = Matrix::zeros(rows, cols);
-                for t in 0..rows {
-                    for tap in 0..kernel {
-                        let offset = tap * dilation;
-                        if t >= offset {
-                            let g = &grad_out.row(t)[tap * cols..(tap + 1) * cols];
-                            let dst = grad_in.row_mut(t - offset);
-                            for (d, &v) in dst.iter_mut().zip(g.iter()) {
-                                *d += v;
-                            }
-                        }
-                    }
-                }
-                parents[0].accumulate_grad(&grad_in);
-            })),
-            true,
-        )
-    }
-
     /// Extracts a contiguous block of rows as a new node.
     pub fn rows_slice(&self, start: usize, len: usize) -> Var {
         let input_shape = self.shape();
@@ -498,33 +458,37 @@ impl std::fmt::Debug for Var {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    /// Finite-difference gradient check for a scalar function of one parameter
-    /// matrix.
-    fn check_gradient(param: Matrix, f: impl Fn(&Var) -> Var, tolerance: f64) {
-        let p = Var::parameter(param.clone());
-        let loss = f(&p);
-        loss.backward();
-        let analytic = p.grad();
+    /// Finite-difference gradient check of `param` inside the scalar `loss`,
+    /// which may read other parameters too.
+    pub(crate) fn check_parameter(param: &Var, loss: impl Fn() -> Var, tolerance: f64) {
+        param.zero_grad();
+        loss().backward();
+        let (value, analytic) = (param.value(), param.grad());
         let eps = 1e-5;
-        for r in 0..param.rows() {
-            for c in 0..param.cols() {
-                let mut plus = param.clone();
-                plus.set(r, c, param.get(r, c) + eps);
-                let mut minus = param.clone();
-                minus.set(r, c, param.get(r, c) - eps);
-                let lp = f(&Var::parameter(plus)).value().get(0, 0);
-                let lm = f(&Var::parameter(minus)).value().get(0, 0);
-                let numeric = (lp - lm) / (2.0 * eps);
-                assert!(
-                    (numeric - analytic.get(r, c)).abs() < tolerance,
-                    "grad mismatch at ({r},{c}): numeric={numeric} analytic={}",
-                    analytic.get(r, c)
-                );
-            }
+        for i in 0..value.len() {
+            let at = |delta: f64| {
+                let mut moved = value.clone();
+                moved.data_mut()[i] += delta;
+                param.set_value(moved);
+                loss().value().get(0, 0)
+            };
+            let numeric = (at(eps) - at(-eps)) / (2.0 * eps);
+            param.set_value(value.clone());
+            let analytic = analytic.data()[i];
+            assert!(
+                (numeric - analytic).abs() < tolerance,
+                "grad mismatch at {i}: numeric={numeric} analytic={analytic}"
+            );
         }
+    }
+
+    /// [`check_parameter`] for a scalar function of one parameter matrix.
+    fn check_gradient(param: Matrix, f: impl Fn(&Var) -> Var, tolerance: f64) {
+        let p = Var::parameter(param);
+        check_parameter(&p, || f(&p), tolerance);
     }
 
     #[test]
@@ -569,25 +533,6 @@ mod tests {
             |b| Var::constant(x.clone()).add_bias(b).tanh().sum(),
             1e-6,
         );
-    }
-
-    #[test]
-    fn unfold_causal_gradients() {
-        check_gradient(
-            Matrix::from_rows(&[&[1.0, 0.5], &[-0.5, 0.2], &[0.3, 0.9], &[0.0, -1.0]]),
-            |x| x.unfold_causal(2, 2).tanh().sum(),
-            1e-6,
-        );
-    }
-
-    #[test]
-    fn unfold_causal_layout_is_lagged_concat() {
-        let x = Var::constant(Matrix::from_rows(&[&[1.0], &[2.0], &[3.0]]));
-        let u = x.unfold_causal(2, 1).value();
-        assert_eq!(u.shape(), (3, 2));
-        assert_eq!(u.row(0), &[1.0, 0.0]); // no history at t=0 -> zero pad
-        assert_eq!(u.row(1), &[2.0, 1.0]);
-        assert_eq!(u.row(2), &[3.0, 2.0]);
     }
 
     #[test]

@@ -51,51 +51,58 @@ impl Dense {
 ///
 /// `Z = tanh(Θ₁ ⋆ C + b₁) ⊙ σ(Θ₂ ⋆ C + b₂)`
 ///
-/// where `⋆` is a dilated causal convolution along the time axis (rows of the
-/// input). The convolution is realised by unfolding the `kernel` dilated taps
-/// of every timestep into one row and applying a dense layer, which is exactly
-/// equivalent to a 1-D convolution with kernel size `kernel` and dilation `d`.
+/// where `⋆` is a dilated causal convolution along the time axis. The layer
+/// takes its input already unfolded: one row per output timestep holding the
+/// `kernel` dilated taps `[x_t, x_{t-d}, …, x_{t-(kernel-1)d}]` side by side
+/// (zeros for taps before the sequence starts), so each output row is a
+/// dense layer of its unfolded row, which is exactly a 1-D convolution with
+/// kernel size `kernel` and dilation `d`. The caller unfolds, so it picks
+/// the dilation and the timesteps — the predictors read the newest one of
+/// every cell.
 #[derive(Clone)]
 pub struct GatedTemporalConv {
     filter: Dense,
     gate: Dense,
-    kernel: usize,
-    dilation: usize,
 }
 
 impl GatedTemporalConv {
-    /// Creates a gated temporal convolution mapping `in_features` per timestep
-    /// to `out_features` per timestep.
+    /// Creates a gated temporal convolution of `kernel` taps mapping
+    /// `in_features` per timestep to `out_features` per timestep.
     pub fn new(
         in_features: usize,
         out_features: usize,
         kernel: usize,
-        dilation: usize,
         rng: &mut StdRng,
     ) -> GatedTemporalConv {
         GatedTemporalConv {
             filter: Dense::new(in_features * kernel, out_features, rng),
             gate: Dense::new(in_features * kernel, out_features, rng),
-            kernel,
-            dilation,
         }
     }
 
-    /// Applies the layer to a sequence `x` of shape `(timesteps, in_features)`.
-    pub fn forward(&self, x: &Var) -> Var {
-        let unfolded = x.unfold_causal(self.kernel, self.dilation);
-        let f = self.filter.forward(&unfolded).tanh();
-        let g = self.gate.forward(&unfolded).sigmoid();
+    /// Applies the layer to unfolded rows `U` of shape
+    /// `(n, in_features · kernel)`, returning the `(n, out_features)` node
+    /// `tanh(U·Θ₁ + b₁) ⊙ σ(U·Θ₂ + b₂)`.
+    ///
+    /// Stacking the rows of many sequences into one `U` trains bit for bit
+    /// like giving each sequence a graph of its own and backpropagating them
+    /// in stacking order. Forward, the rows of a matrix product are
+    /// independent. Backward, `U` is a constant, so the only sums over rows
+    /// are the weight gradient `Uᵀ·G` and the bias gradient, and both add
+    /// row `r`'s term after row `r − 1`'s, from `+0.0`. Leaving out rows
+    /// nobody reads changes nothing either: their gradient is zero, and a
+    /// zero term never changes the bits of a sum that starts at `+0.0`.
+    pub fn forward_unfolded(&self, unfolded: &Var) -> Var {
+        let f = self.filter.forward(unfolded).tanh();
+        let g = self.gate.forward(unfolded).sigmoid();
         f.hadamard(&g)
     }
 
-    /// The gated activation of already unfolded rows, without the autograd
-    /// graph: `out = tanh(U·Θ₁ + b₁) ⊙ σ(U·Θ₂ + b₂)` for `unfolded = U` of
-    /// shape `(n, in_features · kernel)`, with `out` and the scratch `gate`
-    /// both shaped `(n, out_features)`. Rows are independent, so feeding only
-    /// the rows a caller needs (the last timestep of many sequences, say)
-    /// gives exactly the values [`GatedTemporalConv::forward`] computes for
-    /// those rows.
+    /// [`GatedTemporalConv::forward_unfolded`] without the autograd graph:
+    /// `out = tanh(U·Θ₁ + b₁) ⊙ σ(U·Θ₂ + b₂)` for `unfolded = U`, with
+    /// `out` and the scratch `gate` both shaped `(n, out_features)`. Applies
+    /// the same `Matrix` operations to every element, so the values are
+    /// bit-identical.
     pub fn apply_unfolded_into(&self, unfolded: &Matrix, out: &mut Matrix, gate: &mut Matrix) {
         self.filter.apply_into(unfolded, out);
         out.map_in_place(f64::tanh);
@@ -109,16 +116,6 @@ impl GatedTemporalConv {
         let mut p = self.filter.parameters();
         p.extend(self.gate.parameters());
         p
-    }
-
-    /// Kernel size (number of dilated taps).
-    pub fn kernel(&self) -> usize {
-        self.kernel
-    }
-
-    /// Dilation factor.
-    pub fn dilation(&self) -> usize {
-        self.dilation
     }
 }
 
@@ -203,6 +200,7 @@ impl LstmCell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::autograd::tests::check_parameter;
     use rand::SeedableRng;
 
     #[test]
@@ -245,24 +243,34 @@ mod tests {
     }
 
     #[test]
-    fn gated_temporal_conv_preserves_timesteps() {
+    fn gated_temporal_conv_maps_each_unfolded_row_into_the_gate_bounds() {
         let mut rng = StdRng::seed_from_u64(2);
-        let conv = GatedTemporalConv::new(4, 8, 3, 2, &mut rng);
-        let x = Var::constant(Matrix::zeros(10, 4));
-        assert_eq!(conv.forward(&x).shape(), (10, 8));
+        let conv = GatedTemporalConv::new(4, 8, 3, &mut rng);
+        let unfolded = Var::constant(Matrix::filled(10, 12, 100.0));
+        let y = conv.forward_unfolded(&unfolded).value();
+        assert_eq!(y.shape(), (10, 8));
+        // tanh ⊙ sigmoid is always within (-1, 1).
+        assert!(y.data().iter().all(|v| v.abs() <= 1.0));
         assert_eq!(conv.parameters().len(), 4);
-        assert_eq!(conv.kernel(), 3);
-        assert_eq!(conv.dilation(), 2);
     }
 
     #[test]
-    fn gated_conv_output_is_bounded_by_gate() {
-        // tanh ⊙ sigmoid is always within (-1, 1).
-        let mut rng = StdRng::seed_from_u64(3);
-        let conv = GatedTemporalConv::new(2, 3, 3, 1, &mut rng);
-        let x = Var::constant(Matrix::filled(6, 2, 100.0));
-        let y = conv.forward(&x).value();
-        assert!(y.data().iter().all(|v| v.abs() <= 1.0));
+    fn gated_conv_gradients_match_finite_differences() {
+        // Unfolded rows with zero-padded taps; weighting every output element
+        // differently keeps gradient terms from cancelling.
+        let unfolded = Matrix::from_rows(&[&[1.0, 0.5, 0.0, 0.0], &[-0.5, 0.2, 1.0, 0.5]]);
+        let weights = Var::constant(Matrix::from_rows(&[&[1.0, -2.0], &[0.5, 3.0]]));
+        let conv = GatedTemporalConv::new(2, 2, 2, &mut StdRng::seed_from_u64(6));
+        conv.filter.b.set_value(Matrix::row_vector(&[0.1, -0.2]));
+        conv.gate.b.set_value(Matrix::row_vector(&[-0.3, 0.4]));
+        let loss = || {
+            let y = conv.forward_unfolded(&Var::constant(unfolded.clone()));
+            y.hadamard(&weights).sum()
+        };
+        // Filter and gate, weights and biases.
+        for param in conv.parameters() {
+            check_parameter(&param, loss, 1e-6);
+        }
     }
 
     #[test]
